@@ -6,7 +6,7 @@
 #
 #   - allocs_per_op: deterministic on any runner (same workload, same Go
 #     version), so a >10 % regression is a hard failure (::error::,
-#     exit 1). An intentional move regenerates the baseline in the same
+#     exit 1) — and so is any allocation on a row whose baseline is 0. An intentional move regenerates the baseline in the same
 #     PR (see .github/workflows/ci.yml "results json" for the awk).
 #   - ns_per_op: noisy on shared runners, so a >10 % regression only
 #     annotates a non-blocking ::warning::.
@@ -42,8 +42,9 @@ diff_metric() {
     | ($base[0][$name] // empty) as $b
     | (.value[$metric]) as $new
     | ($b[$metric]) as $old
-    | select($old != null and $new != null and $old > 0 and $new > $old * 1.10)
-    | "::\($severity) title=\($title)::\($name) \($metric): \($old) -> \($new) (+\(($new / $old - 1) * 100 | floor)%)"
+    | select($old != null and $new != null and $new > $old * 1.10)
+    | "::\($severity) title=\($title)::\($name) \($metric): \($old) -> \($new)"
+      + (if $old > 0 then " (+\(($new / $old - 1) * 100 | floor)%)" else "" end)
   ' "$results"
 }
 

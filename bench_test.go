@@ -327,24 +327,3 @@ func BenchmarkHierBoot10k(b *testing.B) {
 		_ = net
 	}
 }
-
-// BenchmarkOSPFSPF measures one SPF recomputation at Sprintlink scale.
-func BenchmarkOSPFSPF(b *testing.B) {
-	g := topology.Sprintlink()
-	apps := make([]defined.Application, g.N)
-	for i := range apps {
-		apps[i] = ospf.New(ospf.Config{})
-	}
-	net := mustNet(b, g, apps, defined.WithSeed(1))
-	net.Run(defined.Seconds(1))
-	net.Drain()
-	d := apps[0].(*ospf.Daemon)
-	before := d.SPFRuns()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Re-trigger SPF through a no-op-ish state change is intrusive;
-		// instead measure the dominant cost via RoutingTable copies.
-		_ = d.RoutingTable()
-	}
-	_ = before
-}

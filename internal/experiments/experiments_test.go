@@ -77,21 +77,26 @@ func TestFig7aShape(t *testing.T) {
 	}
 }
 
+// TestFig7bShape checks the paper's per-packet cost ordering on each
+// series' fastest trial (the first CDF point). Host bursts and GC only
+// ever add wall time, so minima over the trials repeat from run to run,
+// where medians read off a 40-point CDF grid spanning [min, max] moved with
+// whatever outlier set max.
 func TestFig7bShape(t *testing.T) {
 	f := Fig7b(quick)
-	series := map[string]float64{}
+	best := map[string]float64{}
 	for _, name := range []string{"XORP", "DEFINED-RB(TM)", "DEFINED-RB(PF)", "DEFINED-RB(TF)"} {
 		s := f.SeriesByName(name)
 		if s == nil || len(s.Points) == 0 {
 			t.Fatalf("series %s missing", name)
 		}
-		series[name] = medianOf(s.Points)
+		best[name] = s.Points[0].X
 	}
-	// Paper ordering: XORP <= TM <= PF <= TF (medians).
-	if !(series["XORP"] <= series["DEFINED-RB(TM)"]*1.5 &&
-		series["DEFINED-RB(TM)"] <= series["DEFINED-RB(PF)"]*1.2 &&
-		series["DEFINED-RB(PF)"] <= series["DEFINED-RB(TF)"]*1.2) {
-		t.Fatalf("per-packet cost ordering violated: %+v", series)
+	// Paper ordering: XORP <= TM <= PF <= TF.
+	if !(best["XORP"] <= best["DEFINED-RB(TM)"]*1.5 &&
+		best["DEFINED-RB(TM)"] <= best["DEFINED-RB(PF)"]*1.2 &&
+		best["DEFINED-RB(PF)"] <= best["DEFINED-RB(TF)"]*1.2) {
+		t.Fatalf("per-packet cost ordering violated: %+v", best)
 	}
 }
 

@@ -53,6 +53,12 @@ func newFig7StateSized(opt Options, size int) *fig7State {
 	return st
 }
 
+// sinceMs is the wall time since t0 in milliseconds at nanosecond
+// resolution: the non-rollback costs of Figure 7b are a few microseconds,
+// which whole-microsecond truncation would quantize into two or three
+// distinct values.
+func sinceMs(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e6 }
+
 // processPacket emulates one routing-message's state mutation: a handful
 // of scattered writes (RIB entry updates) touching dirtyPages pages.
 func (s *fig7State) processPacket(dirtyPages int) {
@@ -94,7 +100,7 @@ func Fig7a(opt Options) *metrics.Figure {
 		if _, err := st.store.RestoreFull(snap); err != nil {
 			panic(err)
 		}
-		fk.Add(float64(time.Since(t0).Microseconds()) / 1000)
+		fk.Add(sinceMs(t0))
 
 		// Re-dirty and measure the MI path against the same snapshot.
 		st.processPacket(4 + st.r.Intn(28))
@@ -102,7 +108,7 @@ func Fig7a(opt Options) *metrics.Figure {
 		if _, err := st.store.RestoreDirty(snap); err != nil {
 			panic(err)
 		}
-		mi.Add(float64(time.Since(t0).Microseconds()) / 1000)
+		mi.Add(sinceMs(t0))
 		if err := st.store.Release(snap); err != nil {
 			panic(err)
 		}
@@ -134,7 +140,7 @@ func Fig7b(opt Options) *metrics.Figure {
 			t0 := time.Now()
 			inBand(st, id) // on the packet's critical path
 			st.processPacket(dirty)
-			d.Add(float64(time.Since(t0).Microseconds()) / 1000)
+			d.Add(sinceMs(t0))
 			if err := st.store.Release(id); err != nil {
 				panic(err)
 			}
@@ -150,7 +156,7 @@ func Fig7b(opt Options) *metrics.Figure {
 		for i := 0; i < trials; i++ {
 			t0 := time.Now()
 			st.processPacket(dirty)
-			d.Add(float64(time.Since(t0).Microseconds()) / 1000)
+			d.Add(sinceMs(t0))
 		}
 		return &d
 	}()
@@ -164,7 +170,7 @@ func Fig7b(opt Options) *metrics.Figure {
 			t0 := time.Now()
 			id := st.store.Snapshot()
 			st.processPacket(dirty)
-			d.Add(float64(time.Since(t0).Microseconds()) / 1000)
+			d.Add(sinceMs(t0))
 			if err := st.store.Release(id); err != nil {
 				panic(err)
 			}

@@ -27,6 +27,44 @@
 // and restores the exact table pointer, so cache coherence survives
 // rollback, and a rollback replay that re-applies the same mutations
 // passes through already-seen epochs and reuses their memoized tables.
+//
+// # Incremental SPF
+//
+// A cache miss does not start over either. A route is a label — the
+// lexicographic minimum of (cost, first hop) over all paths from this
+// router across usable links (advertised by both ends; costs are positive,
+// api.LinkCost floors at 1). Dijkstra computes the labels from scratch with
+// a binary heap of cost<<32|id keys: smallest cost first, ties to the
+// smallest id. But nearly every miss follows the install of one origin's
+// LSA, so setLSDB leaves a note — (origin, old LSA, new LSA, epoch before
+// and after the bump) — and runSPF merge-walks the old and new Links
+// (both sorted by neighbor) against the current table's labels:
+//
+//   - no usable edge changed, or inserted/cheapened edges beat no label:
+//     the labels are still a fixed point realised by surviving paths, so
+//     the same immutable table is re-stamped with the new epoch;
+//   - inserted or cheapened usable edges beat a label: the path set only
+//     grew, so the old labels are upper bounds; the heap is seeded from the
+//     edge endpoints and the same relax loop continues from the old labels
+//     (a first-hop-only improvement re-queues its node too, so
+//     min-first-hop ties propagate);
+//   - a removed or worsened usable edge x→y with dist[x]+cost == dist[y]
+//     lay on the shortest-path DAG: the full run. Off the DAG it carried no
+//     minimum, and removing it changes no label.
+//
+// The note is trusted only under a guard: the table's stamp equals the
+// note's before-epoch and the state's epoch its after-epoch (so the table
+// is the SPF of exactly the content the note starts from, and the LSDB
+// exactly the content it ends at), the table universe comes out the same
+// length, and no installed LSA ever broke the sorted-Links invariant.
+// Anything else — two installs between SPFs, a hand-built LSA — takes the
+// full run. The note is a statement about LSDB *contents*, like a cache
+// entry, not about a timeline, and (lsdb, epoch, table, tableEpoch) are
+// rewound or restored together; so it lives in the daemon, unjournaled,
+// and is sound under MI rewind, FK restore and lockstep alike. Every path
+// builds the table a from-scratch run would (FuzzSPFDelta holds them to
+// the O(n²) scan this replaced), and the cache counters and spfRuns see
+// the same requests, hits and misses as before.
 package ospf
 
 import (
@@ -270,8 +308,25 @@ func (d *Daemon) setLSDB(i msg.NodeID, lsa *LSA) {
 	// with identical links (higher Seq) leaves the SPF input, and so the
 	// epoch and any cached table, untouched.
 	if old == nil || !slices.Equal(old.Links, lsa.Links) {
+		before := d.st.epoch
 		d.bumpEpoch(lsaContentHash(i, lsa) - lsaContentHash(i, old))
+		d.delta = lsdbDelta{origin: i, old: old, lsa: lsa, before: before, after: d.st.epoch}
 	}
+	// costTo and spfDelta rely on Links being strictly ascending by neighbor
+	// id. A hand-built LSA that is not switches this daemon to linear scans
+	// and full SPF runs for good (sticky, hence safe under rewind).
+	for k := 1; k < len(lsa.Links) && !d.unsorted; k++ {
+		d.unsorted = lsa.Links[k-1].To >= lsa.Links[k].To
+	}
+}
+
+// lsdbDelta is setLSDB's note to the next runSPF: the LSDB content with
+// epoch after is the content with epoch before with origin's LSA swapped
+// from old (nil: none stored) to lsa. See "Incremental SPF" above.
+type lsdbDelta struct {
+	origin        msg.NodeID
+	old, lsa      *LSA
+	before, after uint64
 }
 
 // lsaContentHash fingerprints the SPF-relevant content one stored LSA
@@ -289,7 +344,7 @@ func lsaContentHash(origin msg.NodeID, l *LSA) uint64 {
 		h = routecache.HashUint64(h, uint64(adj.To))
 		h = routecache.HashUint64(h, uint64(adj.Cost))
 	}
-	return h
+	return routecache.Finish(h)
 }
 
 // bumpEpoch moves the topology epoch by a commutative content delta. The
@@ -392,14 +447,17 @@ type Daemon struct {
 	self      msg.NodeID
 	base      msg.NodeID // cfg.DomainBase: id-relative storage origin
 	neighbors []api.Neighbor
-	nbrCost   map[msg.NodeID]uint32
 	st        *state
 
-	// Dijkstra scratch space, reused across SPF runs (not part of the
-	// checkpointable state: SPF output depends only on the LSDB).
-	spfDist    []uint32
-	spfVia     []msg.NodeID
-	spfVisited []bool
+	// SPF scratch space, reused across runs (not part of the checkpointable
+	// state: SPF output depends only on the LSDB): per-node (cost, first
+	// hop) labels, the in-heap flag and the min-heap of dist<<32|index keys.
+	spfDist   []uint32
+	spfVia    []msg.NodeID
+	spfQueued []bool
+	spfHeap   []uint64
+	delta     lsdbDelta
+	unsorted  bool // some installed LSA broke the sorted-Links invariant
 
 	// j is the undo journal backing MI checkpoints; disabled (and empty)
 	// unless the substrate calls JournalEnable.
@@ -470,13 +528,11 @@ func (d *Daemon) Init(self msg.NodeID, neighbors []api.Neighbor) {
 	d.self = self
 	d.neighbors = append([]api.Neighbor(nil), neighbors...)
 	sort.Slice(d.neighbors, func(i, j int) bool { return d.neighbors[i].ID < d.neighbors[j].ID })
-	d.nbrCost = make(map[msg.NodeID]uint32, len(neighbors))
 	d.st = &state{
 		adjUp:     make([]bool, len(d.neighbors)),
 		lastHello: make([]vtime.Time, len(d.neighbors)),
 	}
-	for slot, nb := range d.neighbors {
-		d.nbrCost[nb.ID] = nb.Cost
+	for slot := range d.neighbors {
 		d.st.adjUp[slot] = true
 	}
 	d.originate()
@@ -504,21 +560,6 @@ func (d *Daemon) ownLinks() []Adj {
 		return own.Links
 	}
 	return nil
-}
-
-// sameLinks reports whether two adjacency lists advertise the same
-// neighbors at the same costs. Both sides are built in sorted neighbor
-// order, so element-wise comparison suffices.
-func sameLinks(a, b []Adj) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // appendFlood appends the messages that flood lsa to all up adjacencies
@@ -594,7 +635,7 @@ func (d *Daemon) onLSA(lsa *LSA, from msg.NodeID) []msg.Out {
 		// never fires: every circulating self-LSA carries a sequence we
 		// issued with exactly the content we issued it with, so the strict >
 		// cannot hold and the equal-sequence copy is content-identical.
-		if lsa.Seq > d.st.seq || (lsa.Seq == d.st.seq && !sameLinks(lsa.Links, d.ownLinks())) {
+		if lsa.Seq > d.st.seq || (lsa.Seq == d.st.seq && !slices.Equal(lsa.Links, d.ownLinks())) {
 			d.setSeq(lsa.Seq) // originate bumps one past the stale copy
 			fresh := d.originate()
 			d.runSPF()
@@ -753,20 +794,25 @@ func (d *Daemon) Restore(st api.State) { d.st = st.(*state) }
 
 // ---- SPF --------------------------------------------------------------------
 
-// runSPF recomputes the routing table from the LSDB with Dijkstra.
-// A link is usable only when both endpoints advertise it (bidirectional
-// check, as OSPF requires). Distance/first-hop/visited state lives in
-// daemon-level scratch slices reused across runs; the only allocation per
-// run is the freshly built (immutable) routing table — and the epoch cache
-// removes even that for recomputes whose SPF input is unchanged: a request
-// at the table's own epoch is skipped outright, a request at any other
-// already-seen epoch reuses the memoized table with zero allocation. Both
-// paths are observationally invisible (the cached table is bit-identical
-// to what Dijkstra would rebuild); spfRuns counts every request either
-// way, so experiment metrics are cache-independent.
+// inf labels an unreachable node (and an absent link in spfDelta).
+const inf = ^uint32(0)
+
+// runSPF recomputes the routing table from the LSDB. A link is usable only
+// when both endpoints advertise it (bidirectional check, as OSPF requires).
+// The epoch cache answers requests whose SPF input was seen before: a
+// request at the table's own epoch is skipped outright, a request at any
+// other already-seen epoch reuses the memoized table with zero allocation.
+// A miss costs what the LSDB delta costs when setLSDB's note covers it
+// (spfDelta) and one heap Dijkstra otherwise (spfFull). All paths are
+// observationally invisible (the table is bit-identical to what a
+// from-scratch run would build); spfRuns counts every request either way,
+// so experiment metrics are cache-independent. Scratch lives in the daemon;
+// the only allocation per miss is a freshly built (immutable) table.
 func (d *Daemon) runSPF() {
 	s := d.st
 	d.bumpSPFRuns()
+	note := d.delta
+	d.delta = lsdbDelta{}
 	if d.cache.Enabled() {
 		if s.table != nil && s.tableEpoch == s.epoch {
 			d.cache.Skip()
@@ -777,7 +823,17 @@ func (d *Daemon) runSPF() {
 			return
 		}
 	}
-	const inf = ^uint32(0)
+	table := d.spfDelta(note)
+	if table == nil {
+		table = d.spfFull()
+	}
+	d.setTable(table)
+	d.cache.Insert(s.epoch, table)
+}
+
+// spfFull runs Dijkstra from scratch.
+func (d *Daemon) spfFull() []Route {
+	s := d.st
 	// The node-id universe in domain-relative coordinates: own id, every
 	// LSA origin, every advertised adjacency target. With a domain base
 	// set, n is the domain's id-block span, not the topology size.
@@ -795,70 +851,217 @@ func (d *Daemon) runSPF() {
 			}
 		}
 	}
+	d.spfScratch(n)
+	for i := 0; i < n; i++ {
+		d.spfDist[i], d.spfVia[i] = inf, msg.None
+	}
+	d.improve(d.rel(d.self), 0, msg.None)
+	return d.relax(n)
+}
+
+// spfScratch sizes the label scratch for an n-node run and empties the heap.
+func (d *Daemon) spfScratch(n int) {
 	d.spfDist = grown(d.spfDist[:0], n-1)
 	d.spfVia = grown(d.spfVia[:0], n-1)
-	d.spfVisited = grown(d.spfVisited[:0], n-1)
-	dist, via, visited := d.spfDist, d.spfVia, d.spfVisited
-	for i := 0; i < n; i++ {
-		dist[i] = inf
-		via[i] = msg.None
-		visited[i] = false
+	d.spfQueued = grown(d.spfQueued[:0], n-1)
+	clear(d.spfQueued)
+	d.spfHeap = d.spfHeap[:0]
+}
+
+// spfDelta computes the table for the current LSDB from the current table
+// when nt — one origin's LSA swapped — is all that separates the two; nil
+// sends the caller to spfFull (see "Incremental SPF" in the package
+// comment). Returns the same immutable table when no label moves.
+func (d *Daemon) spfDelta(nt lsdbDelta) []Route {
+	s := d.st
+	n := len(s.table)
+	if nt.lsa == nil || d.unsorted || n == 0 || s.tableEpoch != nt.before || s.epoch != nt.after {
+		return nil
+	}
+	var oldL []Adj
+	if nt.old != nil {
+		oldL = nt.old.Links
+	}
+	newL := nt.lsa.Links
+	// The table universe (see spfFull) must come out at n again: nothing
+	// may reach past it, and something other than the replaced links must
+	// still reach it — every other LSA's links were inside it already.
+	span := func(l []Adj) int {
+		if len(l) == 0 {
+			return 0
+		}
+		return d.rel(l[len(l)-1].To) + 1
+	}
+	if hi := span(newL); hi > n || len(s.lsdb) > n || (hi < n && len(s.lsdb) < n && span(oldL) == n) {
+		return nil
+	}
+	d.spfScratch(n)
+	dist, via := d.spfDist, d.spfVia
+	for i, r := range s.table {
+		dist[i], via[i] = r.Cost, r.NextHop
+		if r.NextHop == msg.None {
+			dist[i] = inf
+		}
 	}
 	dist[d.rel(d.self)] = 0
-	for {
-		// Deterministic linear extraction (the LSDB is domain-sized);
-		// the ascending scan breaks cost ties toward the smallest id.
-		best, bestCost := -1, inf
-		for i := 0; i < n; i++ {
-			if !visited[i] && dist[i] < bestCost {
-				best, bestCost = i, dist[i]
-			}
+	x := d.rel(nt.origin)
+	dx := dist[x] // the DAG tests need x's old cost; seeds below may lower it
+	for i, j := 0, 0; i < len(oldL) || j < len(newL); {
+		// The next neighbor in id order, with x's cost toward it before
+		// (co) and after (cn); inf: not advertised.
+		var to msg.NodeID
+		co, cn := inf, inf
+		inOld := j == len(newL) || (i < len(oldL) && oldL[i].To <= newL[j].To)
+		if inOld {
+			to, co = oldL[i].To, oldL[i].Cost
+			i++
 		}
-		if best < 0 {
-			break
+		if j < len(newL) && (!inOld || newL[j].To == to) {
+			to, cn = newL[j].To, newL[j].Cost
+			j++
 		}
-		visited[best] = true
-		if best >= len(s.lsdb) || s.lsdb[best] == nil {
+		y := d.rel(to)
+		if y < 0 || co == cn {
 			continue
 		}
-		lsa := s.lsdb[best]
-		bestID := d.base + msg.NodeID(best)
+		if y == x {
+			return nil // self-loop advert: both ends of the edge changed
+		}
+		back, ok := d.costTo(d.lsaOf(to), nt.origin)
+		if !ok {
+			continue // y does not advertise x: unusable before and after
+		}
+		// x→y went co→cn; y→x (cost back) exists iff x advertises y.
+		dy := dist[y]
+		if (cn > co && dx != inf && dx+co == dy) || (cn == inf && dy != inf && dy+back == dx) {
+			return nil // a shortest path ran over the edge
+		}
+		if cn < co && dist[x] != inf {
+			d.improve(y, dist[x]+cn, d.hopVia(x, to))
+		}
+		if co == inf && dy != inf {
+			d.improve(x, dy+back, d.hopVia(y, nt.origin))
+		}
+	}
+	if len(d.spfHeap) == 0 {
+		return s.table
+	}
+	return d.relax(n)
+}
+
+// improve lowers node y's label to (cost, first hop) if that is
+// lexicographically smaller, and queues y for relaxation: always on a
+// cheaper cost, and on a first-hop-only improvement unless y's key is
+// still in the heap — so min-first-hop ties propagate from old labels too.
+func (d *Daemon) improve(y int, c uint32, fh msg.NodeID) {
+	old := d.spfDist[y]
+	if c > old || (c == old && fh >= d.spfVia[y]) {
+		return
+	}
+	d.spfDist[y], d.spfVia[y] = c, fh
+	if c == old && d.spfQueued[y] {
+		return
+	}
+	d.spfQueued[y] = true
+	// Sift the packed key up: smallest cost first, ties to the smallest id.
+	h, key := append(d.spfHeap, 0), uint64(c)<<32|uint64(y)
+	i := len(h) - 1
+	for ; i > 0 && h[(i-1)/2] > key; i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
+	}
+	h[i] = key
+	d.spfHeap = h
+}
+
+// hopVia is the first hop of a path leaving node u for its neighbor to:
+// u's own first hop, or to itself when u is this router.
+func (d *Daemon) hopVia(u int, to msg.NodeID) msg.NodeID {
+	if u == d.rel(d.self) {
+		return to
+	}
+	return d.spfVia[u]
+}
+
+// relax drains the heap — label-correcting Dijkstra over the usable links,
+// serving both the full run (seeded with self) and the delta continuation
+// (seeded with the changed edges' endpoints) — and builds the table.
+func (d *Daemon) relax(n int) []Route {
+	self := d.rel(d.self)
+	for len(d.spfHeap) > 0 {
+		// Pop the smallest key; sift the last one down from the root.
+		h := d.spfHeap
+		key, last := h[0], h[len(h)-1]
+		h = h[:len(h)-1]
+		for i := 0; len(h) > 0; {
+			c := 2*i + 1
+			if c+1 < len(h) && h[c+1] < h[c] {
+				c++
+			}
+			if c >= len(h) || h[c] >= last {
+				h[i] = last
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		d.spfHeap = h
+		x, dx := int(uint32(key)), uint32(key>>32)
+		if !d.spfQueued[x] || dx != d.spfDist[x] {
+			continue // superseded by a later, smaller key
+		}
+		d.spfQueued[x] = false
+		xid := d.base + msg.NodeID(x)
+		lsa := d.lsaOf(xid)
+		if lsa == nil {
+			continue
+		}
 		for _, adj := range lsa.Links {
-			to := d.rel(adj.To)
-			if to < 0 || !d.linkBidirectional(bestID, adj.To) {
+			y, c, fh := d.rel(adj.To), dx+adj.Cost, d.hopVia(x, adj.To)
+			// Most edges beat no label: test that before usability.
+			if y < 0 || c > d.spfDist[y] || (c == d.spfDist[y] && fh >= d.spfVia[y]) {
 				continue
 			}
-			nc := bestCost + adj.Cost
-			firstHop := via[best]
-			if bestID == d.self {
-				firstHop = adj.To
-			}
-			if old := dist[to]; nc < old || (nc == old && firstHop < via[to]) {
-				dist[to] = nc
-				via[to] = firstHop
+			if _, ok := d.costTo(d.lsaOf(adj.To), xid); ok {
+				d.improve(y, c, fh)
 			}
 		}
 	}
 	table := make([]Route, n)
-	for i := 0; i < n; i++ {
-		if i == d.rel(d.self) || dist[i] == inf {
+	for i := range table {
+		if i == self || d.spfDist[i] == inf {
 			table[i].NextHop = msg.None
 			continue
 		}
-		table[i] = Route{Dest: d.base + msg.NodeID(i), NextHop: via[i], Cost: dist[i]}
+		table[i] = Route{Dest: d.base + msg.NodeID(i), NextHop: d.spfVia[i], Cost: d.spfDist[i]}
 	}
-	d.setTable(table)
-	d.cache.Insert(s.epoch, table)
+	return table
 }
 
-// linkBidirectional reports whether both a and b advertise each other.
-func (d *Daemon) linkBidirectional(a, b msg.NodeID) bool {
-	la := d.lsaOf(a)
-	if la == nil || !advertises(la, b) {
-		return false
+// costTo returns the cost l (nil: no LSA) advertises toward to, if any: a
+// binary search over the sorted Links, or a linear scan once an installed
+// LSA has broken that invariant.
+func (d *Daemon) costTo(l *LSA, to msg.NodeID) (uint32, bool) {
+	if l == nil {
+		return 0, false
 	}
-	lb := d.lsaOf(b)
-	return lb != nil && advertises(lb, a)
+	links := l.Links
+	if !d.unsorted {
+		lo, hi := 0, len(links)
+		for lo < hi {
+			if mid := (lo + hi) / 2; links[mid].To < to {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		links = links[lo:min(lo+1, len(links))]
+	}
+	for _, adj := range links {
+		if adj.To == to {
+			return adj.Cost, true
+		}
+	}
+	return 0, false
 }
 
 // lsaOf returns the stored LSA for origin n, or nil.
@@ -868,15 +1071,6 @@ func (d *Daemon) lsaOf(n msg.NodeID) *LSA {
 		return nil
 	}
 	return d.st.lsdb[r]
-}
-
-func advertises(l *LSA, to msg.NodeID) bool {
-	for _, adj := range l.Links {
-		if adj.To == to {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- inspection --------------------------------------------------------------

@@ -145,7 +145,7 @@ func TestStaleLSAIgnored(t *testing.T) {
 	if outs := d1.onLSA(stale, 0); outs != nil {
 		t.Fatal("stale LSA must not flood")
 	}
-	if !d1.linkBidirectional(0, 1) {
+	if _, ok := d1.costTo(d1.lsaOf(0), 1); !ok {
 		t.Fatal("LSDB corrupted by stale LSA")
 	}
 	_ = d0

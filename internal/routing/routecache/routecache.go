@@ -168,6 +168,20 @@ func HashUint64(h, v uint64) uint64 {
 	return h
 }
 
+// Finish avalanches a completed per-item fold (MurmurHash3's 64-bit
+// finalizer, a bijection) before it is summed into an epoch. A bare FNV-1a
+// value is near-linear in its last byte — (h ^ b) * prime^8 — so two items
+// whose trailing fields move in opposite directions (two LSAs swapping
+// link costs 1 and 2) would cancel in the commutative sum about one time
+// in four.
+func Finish(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
 // HashString folds a length-prefixed string.
 func HashString(h uint64, s string) uint64 {
 	h = HashUint64(h, uint64(len(s)))
