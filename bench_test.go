@@ -327,3 +327,28 @@ func BenchmarkHierBoot10k(b *testing.B) {
 		_ = net
 	}
 }
+
+// BenchmarkHierRun is one whole run of composites: the committed
+// mixed-protocol scenario (borders are OSPF+BGP, gateways OSPF+RIP) booted
+// and run to its horizon on the default engine. HierBoot10k budgets the
+// boot of a hierarchy; this budgets running one — allocs/op is the gated
+// number, and a composite that went back to clone checkpoints would
+// multiply it. rb/committed rides along as the speculation headline.
+func BenchmarkHierRun(b *testing.B) {
+	b.ReportAllocs()
+	r := loadScenarioFile(b, "scenarios/mixed-smoke.json")
+	var st defined.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := r.Expand()
+		if err != nil {
+			b.Fatal(err)
+		}
+		net := defined.NewNetworkFromPlan(p)
+		if !net.RunPlan(p) {
+			b.Fatal("mixed-protocol scenario failed to quiesce within its horizon")
+		}
+		st = net.Stats()
+	}
+	b.ReportMetric(float64(st.Rollbacks)/float64(st.CommittedDeliveries()), "rb/committed")
+}

@@ -31,7 +31,9 @@
 //     journal backward to the mark. Checkpoint cost scales with the bytes
 //     *dirtied* per delivery, not with topology size. Applications
 //     without the capability silently fall back to FK-style clones, so
-//     third-party apps keep working under the default strategy.
+//     third-party apps keep working under the default strategy — and
+//     only they and test doubles: everything a scenario.Plan builds,
+//     multi-protocol composites included, journals.
 //
 // # The Keeper
 //

@@ -71,6 +71,10 @@ func (l *Log[E]) Len() int { return len(l.entries) }
 // compacted away).
 func (l *Log[E]) Base() Mark { return l.base }
 
+// At returns the live entry at position m — the one a Mark taken just
+// before its Record addresses. It panics outside [Base, Mark).
+func (l *Log[E]) At(m Mark) E { return l.entries[m-l.base] }
+
 // Rewind applies undo entries newest-first until the journal is back at
 // mark m, restoring the client state to what it was when m was taken.
 // Entries past m are discarded.

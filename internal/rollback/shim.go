@@ -34,8 +34,8 @@ type shim struct {
 	// japp is non-nil when the application supports MI undo-journal
 	// checkpointing and the engine's strategy selects it: checkpoints are
 	// then O(1) journal marks instead of full clones, and restore rewinds
-	// the journal in place. Apps without the capability (or FK mode) use
-	// the clone fallback.
+	// the journal in place. FK mode clones by design; under MI only apps
+	// from outside internal/scenario (third parties, test doubles) do.
 	japp api.Journaled
 
 	win   *history.Window

@@ -96,7 +96,10 @@ type Application interface {
 // identical to the one State().Clone() would have captured at the moment
 // JournalMark returned m. JournalCompact(m) tells the application that no
 // rewind will ever target a mark older than m (its checkpoint settled), so
-// the journal prefix can be discarded.
+// the journal prefix can be discarded. Marks are opaque tokens: the
+// substrate stores them and hands them back, never compares or subtracts
+// them. A mark stays valid, for any number of rewinds to it, until a
+// rewind to an older mark or a compaction past it.
 type Journaled interface {
 	// JournalEnable turns on undo recording. Called after Init and before
 	// any handler runs; enabling is idempotent and one-way. A crash-fault
@@ -104,7 +107,8 @@ type Journaled interface {
 	// compacts the boot-time entries away afterward, exactly as it does
 	// for the first boot.
 	JournalEnable()
-	// JournalMark returns the current undo-journal position.
+	// JournalMark returns a mark for the current state. Not a pure read:
+	// it may record bookkeeping (a composite logs its parts' marks).
 	JournalMark() journal.Mark
 	// JournalRewind undoes every mutation recorded since m.
 	JournalRewind(m journal.Mark)

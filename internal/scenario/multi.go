@@ -7,13 +7,14 @@ package scenario
 // out to every part — the daemons already ignore payloads and externals
 // that are not theirs, which keeps dispatch free of type lists here.
 //
-// The composite deliberately does not implement api.Journaled: the
-// substrate falls back to Clone/Restore checkpointing for these nodes.
-// Only borders and gateways are composites (a handful per AS), so the
-// cost stays off the common path; interiors and stubs run bare journaled
-// daemons.
+// The composite journals by composition (api.Journaled): its parts record
+// their own undo entries, so a checkpoint is one tuple of their marks —
+// O(parts), nothing cloned. One delivery in five on a hier topology lands
+// on a composite, so cloning them was a fifth of the run (PR 11 ledger).
+// State/Restore stay for the engines that clone by design (FK, lockstep).
 
 import (
+	"defined/internal/journal"
 	"defined/internal/msg"
 	"defined/internal/routing/api"
 	"defined/internal/routing/bgp"
@@ -25,19 +26,76 @@ import (
 // partFilter selects the neighbors one part may see (nil keeps all).
 type partFilter func(nb api.Neighbor) bool
 
-type multiApp struct {
-	parts   []api.Application
-	filters []partFilter
-	outBuf  []msg.Out
+// part is what a composite needs of a daemon: a protocol that does not
+// journal fails to compile in buildNode instead of silently cloning.
+type part interface {
+	api.Application
+	api.Journaled
+	api.RecomputeCached
 }
 
-func newMultiApp(parts []api.Application, filters []partFilter) *multiApp {
-	return &multiApp{parts: parts, filters: filters}
+// partMarks is one checkpoint: a mark per part (at most ospf, bgp, rip).
+type partMarks [3]journal.Mark
+
+type multiApp struct {
+	parts   []part
+	filters []partFilter
+	outBuf  []msg.Out
+	// marks[m] is the tuple JournalMark returned m for; undoing an entry
+	// rewinds the parts to it.
+	marks *journal.Log[partMarks]
+}
+
+func newMultiApp(parts []part, filters []partFilter) *multiApp {
+	a := &multiApp{parts: parts, filters: filters}
+	a.marks = journal.New(func(t partMarks) {
+		for i, p := range a.parts {
+			p.JournalRewind(t[i])
+		}
+	})
+	return a
+}
+
+// JournalEnable implements api.Journaled.
+func (a *multiApp) JournalEnable() {
+	for _, p := range a.parts {
+		p.JournalEnable()
+	}
+	a.marks.Enable()
+}
+
+// JournalMark implements api.Journaled: it records the parts' marks as the
+// next tuple and returns that tuple's position.
+func (a *multiApp) JournalMark() journal.Mark {
+	var t partMarks
+	for i, p := range a.parts {
+		t[i] = p.JournalMark()
+	}
+	m := a.marks.Mark()
+	a.marks.Record(t)
+	return m
+}
+
+// JournalRewind implements api.Journaled: undoing tuples newest-first down
+// to m leaves the parts at tuple m, which is re-recorded so m stays valid.
+func (a *multiApp) JournalRewind(m journal.Mark) {
+	a.marks.Rewind(m)
+	a.JournalMark()
+}
+
+// JournalCompact implements api.Journaled: no rewind will pass tuple m, so
+// each part compacts to its mark in it and older tuples go.
+func (a *multiApp) JournalCompact(m journal.Mark) {
+	t := a.marks.At(m)
+	for i, p := range a.parts {
+		p.JournalCompact(t[i])
+	}
+	a.marks.Compact(m)
 }
 
 // Init hands each part its filtered neighbor subset.
 func (a *multiApp) Init(self msg.NodeID, neighbors []api.Neighbor) {
-	for i, part := range a.parts {
+	for i, p := range a.parts {
 		subset := neighbors
 		if f := a.filters[i]; f != nil {
 			subset = make([]api.Neighbor, 0, len(neighbors))
@@ -47,7 +105,7 @@ func (a *multiApp) Init(self msg.NodeID, neighbors []api.Neighbor) {
 				}
 			}
 		}
-		part.Init(self, subset)
+		p.Init(self, subset)
 	}
 }
 
@@ -57,24 +115,24 @@ func (a *multiApp) gather(outs []msg.Out) { a.outBuf = append(a.outBuf, outs...)
 
 func (a *multiApp) HandleMessage(m *msg.Message) []msg.Out {
 	a.outBuf = a.outBuf[:0]
-	for _, part := range a.parts {
-		a.gather(part.HandleMessage(m))
+	for _, p := range a.parts {
+		a.gather(p.HandleMessage(m))
 	}
 	return a.outBuf
 }
 
 func (a *multiApp) HandleTimer(now vtime.Time) []msg.Out {
 	a.outBuf = a.outBuf[:0]
-	for _, part := range a.parts {
-		a.gather(part.HandleTimer(now))
+	for _, p := range a.parts {
+		a.gather(p.HandleTimer(now))
 	}
 	return a.outBuf
 }
 
 func (a *multiApp) HandleExternal(ev api.ExternalEvent) []msg.Out {
 	a.outBuf = a.outBuf[:0]
-	for _, part := range a.parts {
-		a.gather(part.HandleExternal(ev))
+	for _, p := range a.parts {
+		a.gather(p.HandleExternal(ev))
 	}
 	return a.outBuf
 }
@@ -95,16 +153,16 @@ func (s *multiState) Clone() api.State {
 
 func (a *multiApp) State() api.State {
 	st := &multiState{parts: make([]api.State, len(a.parts))}
-	for i, part := range a.parts {
-		st.parts[i] = part.State()
+	for i, p := range a.parts {
+		st.parts[i] = p.State()
 	}
 	return st
 }
 
 func (a *multiApp) Restore(st api.State) {
 	ms := st.(*multiState)
-	for i, part := range a.parts {
-		part.Restore(ms.parts[i])
+	for i, p := range a.parts {
+		p.Restore(ms.parts[i])
 	}
 }
 
@@ -112,13 +170,11 @@ func (a *multiApp) Restore(st api.State) {
 // counters.
 func (a *multiApp) RouteCacheStats() api.RouteCacheStats {
 	var sum api.RouteCacheStats
-	for _, part := range a.parts {
-		if rc, ok := part.(api.RecomputeCached); ok {
-			st := rc.RouteCacheStats()
-			sum.Hits += st.Hits
-			sum.Misses += st.Misses
-			sum.Skipped += st.Skipped
-		}
+	for _, p := range a.parts {
+		st := p.RouteCacheStats()
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Skipped += st.Skipped
 	}
 	return sum
 }
@@ -126,10 +182,8 @@ func (a *multiApp) RouteCacheStats() api.RouteCacheStats {
 // SetRouteCaching implements api.RecomputeCached by forwarding to every
 // part.
 func (a *multiApp) SetRouteCaching(enabled bool) {
-	for _, part := range a.parts {
-		if rc, ok := part.(api.RecomputeCached); ok {
-			rc.SetRouteCaching(enabled)
-		}
+	for _, p := range a.parts {
+		p.SetRouteCaching(enabled)
 	}
 }
 
@@ -140,8 +194,8 @@ func OSPF(app api.Application) *ospf.Daemon {
 	case *ospf.Daemon:
 		return a
 	case *multiApp:
-		for _, part := range a.parts {
-			if d, ok := part.(*ospf.Daemon); ok {
+		for _, p := range a.parts {
+			if d, ok := p.(*ospf.Daemon); ok {
 				return d
 			}
 		}
@@ -155,8 +209,8 @@ func BGP(app api.Application) *bgp.Daemon {
 	case *bgp.Daemon:
 		return a
 	case *multiApp:
-		for _, part := range a.parts {
-			if d, ok := part.(*bgp.Daemon); ok {
+		for _, p := range a.parts {
+			if d, ok := p.(*bgp.Daemon); ok {
 				return d
 			}
 		}
@@ -170,8 +224,8 @@ func RIP(app api.Application) *rip.Daemon {
 	case *rip.Daemon:
 		return a
 	case *multiApp:
-		for _, part := range a.parts {
-			if d, ok := part.(*rip.Daemon); ok {
+		for _, p := range a.parts {
+			if d, ok := p.(*rip.Daemon); ok {
 				return d
 			}
 		}

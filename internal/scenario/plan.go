@@ -269,7 +269,7 @@ func (p *Plan) Apps() []api.Application {
 }
 
 func (p *Plan) buildNode(s Spec, np NodePlan) api.Application {
-	parts := make([]api.Application, 0, len(np.Protocols))
+	parts := make([]part, 0, len(np.Protocols))
 	filters := make([]partFilter, 0, len(np.Protocols))
 	for _, proto := range np.Protocols {
 		switch proto {

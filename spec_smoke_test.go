@@ -21,7 +21,7 @@ import (
 
 // loadScenarioFile parses and resolves a committed scenario from the
 // repo's scenarios/ directory.
-func loadScenarioFile(t *testing.T, path string) defined.RunSpec {
+func loadScenarioFile(t testing.TB, path string) defined.RunSpec {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
