@@ -164,14 +164,14 @@ func BenchmarkFig8d_EventRate(b *testing.B) {
 
 // ---- ablations ----------------------------------------------------------------
 
-func ablationNetwork(b *testing.B, opts ...defined.Option) *defined.Network {
+func ablationNetwork(b *testing.B, eng defined.EngineSpec) *defined.Network {
 	b.Helper()
 	g := defined.Brite(16, 2, 9)
 	apps := make([]defined.Application, g.N)
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	net := mustNet(b, g, apps, opts...)
+	net := mustNet(b, g, apps, eng)
 	l := g.Links[0]
 	net.At(defined.Seconds(0.30), func() { _ = net.InjectLinkChange(l.A, l.B, false) })
 	net.At(defined.Seconds(0.90), func() { _ = net.InjectLinkChange(l.A, l.B, true) })
@@ -211,7 +211,7 @@ func BenchmarkAblation_ChainBound(b *testing.B) {
 		bound := bound
 		b.Run(string(rune('0'+bound/10))+string(rune('0'+bound%10)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net := ablationNetwork(b, defined.WithSeed(3), defined.WithChainBound(bound))
+				net := ablationNetwork(b, defined.EngineSpec{Seed: ptr(uint64(3)), ChainBound: &bound})
 				b.ReportMetric(float64(net.Stats().Rollbacks), "rollbacks")
 				b.ReportMetric(float64(net.Stats().Deliveries), "deliveries")
 			}
@@ -230,7 +230,7 @@ func BenchmarkAblation_CheckpointStrategy(b *testing.B) {
 		s := s
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net := ablationNetwork(b, defined.WithSeed(3), defined.WithStrategy(s))
+				net := ablationNetwork(b, defined.EngineSpec{Seed: ptr(uint64(3)), Strategy: s.String()})
 				b.ReportMetric(float64(net.Stats().Rollbacks), "rollbacks")
 			}
 		})

@@ -25,13 +25,9 @@ import (
 // window rule, heuristic gap rule), so shards4 vs shards4-nola is the
 // full lookahead contrast — same committed orders, different speculation
 // dynamics (rb/committed, allocs/op). The two configurations process
-// different event streams, so their raw window counts are not comparable;
-// shards4-win isolates the window rule instead: it enables ONLY the
-// per-link horizon consumer, executing bit-identically to shards4-nola
-// (same events, same speculation), so shards4-nola vs shards4-win is the
-// pure barrier-crossing reduction (the windows metric) the horizon rule
-// buys. rb/committed is the speculation headline: rollbacks per
-// committed delivery.
+// different event streams, so their raw window counts are not comparable.
+// rb/committed is the speculation headline: rollbacks per committed
+// delivery.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -40,11 +36,6 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		{"seq", func(c *rollback.Config) { c.Shards = 0 }},
 		{"shards4", func(c *rollback.Config) { c.Shards = 4 }},
 		{"shards4-nola", func(c *rollback.Config) { c.Shards = 4; c.Lookahead = false }},
-		{"shards4-win", func(c *rollback.Config) {
-			c.Shards = 4
-			c.Lookahead = false
-			c.WindowLookahead = true
-		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -178,17 +169,5 @@ func TestLookaheadRollbackRate(t *testing.T) {
 	}
 	if on.SettleViolations != 0 || off.SettleViolations != 0 {
 		t.Fatalf("settle violations: on %d off %d", on.SettleViolations, off.SettleViolations)
-	}
-
-	// WindowLookahead alone moves commit barriers, never execution: the
-	// bench's shards4-win mode leans on this to isolate the window rule,
-	// so pin it — every speculation stat must match the lookahead-off run.
-	eng := flapScenario(func(c *rollback.Config) {
-		c.Lookahead = false
-		c.WindowLookahead = true
-	})
-	eng.RunQuiescent(10_000_000)
-	if win := eng.Stats(); win != off {
-		t.Fatalf("WindowLookahead changed speculation dynamics:\n win %+v\noff %+v", win, off)
 	}
 }

@@ -1,7 +1,7 @@
 package main
 
-// The -faults chaos campaign: seeded-random fault plans over OSPF
-// networks, run through the public defined API on both the sequential and
+// The -preset chaos campaign: a seeded-random fault plan over Sprintlink
+// OSPF, run through the public defined API on both the sequential and
 // the sharded engine, with the fault-invariant pass and a cross-engine
 // determinism comparison at the end. This is the command-line twin of
 // TestFaultPlanGolden, sized for a CI smoke step.
@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
+	"io"
 	"sort"
 	"time"
 
@@ -27,68 +27,60 @@ const (
 	chaosDup  = 0.002
 )
 
-func runFaults(quick bool, seed uint64) int {
-	topos := []*defined.Topology{defined.Sprintlink()}
-	if !quick {
-		topos = append(topos, defined.Brite(40, 2, seed))
-	}
+func runFaults(seed uint64, stdout, stderr io.Writer) int {
+	g := defined.Sprintlink()
+	plan := faults.Random(g, seed, faults.RandomConfig{
+		Start: defined.Seconds(1), End: defined.Seconds(4),
+	})
+	horizon := plan.Horizon().Add(faults.ConvergenceSlack(g))
+	fmt.Fprintf(stdout, "%s: %d plan events, horizon %.1fs, loss %.3f, dup %.3f\n",
+		g.Name, plan.Len(), float64(horizon)/float64(defined.Second), chaosLoss, chaosDup)
+
+	// Loss-free pass first: with every surviving packet delivered the
+	// routing tables must re-converge to shortest paths on the healed
+	// topology, so this run carries the route-coherence check. The lossy
+	// runs below check engine invariants only — OSPF floods without
+	// retransmit, so a loss draw on a heal-time LSA can legitimately
+	// strand a stale route.
 	fail := 0
-	for _, g := range topos {
-		plan := faults.Random(g, seed, faults.RandomConfig{
-			Start: defined.Seconds(1), End: defined.Seconds(4),
-		})
-		horizon := plan.Horizon().Add(faults.ConvergenceSlack(g))
-		fmt.Printf("%s: %d plan events, horizon %.1fs, loss %.3f, dup %.3f\n",
-			g.Name, plan.Len(), float64(horizon)/float64(defined.Second), chaosLoss, chaosDup)
-
-		// Loss-free pass first: with every surviving packet delivered the
-		// routing tables must re-converge to shortest paths on the healed
-		// topology, so this run carries the route-coherence check. The
-		// lossy matrix below checks engine invariants only — OSPF floods
-		// without retransmit, so a loss draw on a heal-time LSA can
-		// legitimately strand a stale route.
-		{
-			start := time.Now()
-			_, rep, stats := chaosRun(g, plan, seed, 4, false)
-			status := "ok"
-			if !rep.Ok() {
-				status = "FAIL"
-				fail++
-				fmt.Fprintf(os.Stderr, "defined-bench: %v\n", rep.Err())
-			}
-			fmt.Printf("  loss-free  %-4s  crashes=%d restarts=%d routes re-converged  (%.1fs)\n",
+	var fingerprints []uint64
+	for _, leg := range []struct {
+		shards int
+		lossy  bool
+	}{{4, false}, {0, true}, {4, true}} {
+		start := time.Now()
+		fp, rep, stats, err := chaosRun(g, plan, seed, leg.shards, leg.lossy)
+		if err != nil {
+			fmt.Fprintln(stderr, "defined-bench:", err)
+			return 1
+		}
+		status := "ok"
+		if !rep.Ok() {
+			status = "FAIL"
+			fail++
+			fmt.Fprintf(stderr, "defined-bench: %v\n", rep.Err())
+		}
+		if !leg.lossy {
+			fmt.Fprintf(stdout, "  loss-free  %-4s  crashes=%d restarts=%d routes re-converged  (%.1fs)\n",
 				status, stats.NodeCrashes, stats.NodeRestarts, time.Since(start).Seconds())
+			continue
 		}
-
-		var fingerprints []uint64
-		for _, shards := range []int{0, 4} {
-			start := time.Now()
-			fp, rep, stats := chaosRun(g, plan, seed, shards, true)
-			fingerprints = append(fingerprints, fp)
-			status := "ok"
-			if !rep.Ok() {
-				status = "FAIL"
-				fail++
-				fmt.Fprintf(os.Stderr, "defined-bench: %v\n", rep.Err())
-			}
-			fmt.Printf("  shards=%d  %-4s  crashes=%d restarts=%d drops(quarantine)=%d "+
-				"winHW=%d poolLive=%d fingerprint=%016x  (%.1fs)\n",
-				shards, status, stats.NodeCrashes, stats.NodeRestarts,
-				stats.QuarantinedDrops, rep.WindowHighWater, rep.PoolLive, fp,
-				time.Since(start).Seconds())
-		}
-		for _, fp := range fingerprints[1:] {
-			if fp != fingerprints[0] {
-				fail++
-				fmt.Fprintf(os.Stderr,
-					"defined-bench: %s: committed execution diverged across shard counts under faults\n", g.Name)
-			}
-		}
+		fingerprints = append(fingerprints, fp)
+		fmt.Fprintf(stdout, "  shards=%d  %-4s  crashes=%d restarts=%d drops(quarantine)=%d "+
+			"winHW=%d poolLive=%d fingerprint=%016x  (%.1fs)\n",
+			leg.shards, status, stats.NodeCrashes, stats.NodeRestarts,
+			stats.QuarantinedDrops, rep.WindowHighWater, rep.PoolLive, fp,
+			time.Since(start).Seconds())
+	}
+	if fingerprints[0] != fingerprints[1] {
+		fail++
+		fmt.Fprintf(stderr,
+			"defined-bench: %s: committed execution diverged across shard counts under faults\n", g.Name)
 	}
 	if fail > 0 {
 		return 1
 	}
-	fmt.Println("chaos campaign passed: invariants held, executions bit-identical across engines")
+	fmt.Fprintln(stdout, "chaos campaign passed: invariants held, executions bit-identical across engines")
 	return 0
 }
 
@@ -96,28 +88,21 @@ func runFaults(quick bool, seed uint64) int {
 // committed execution (delivery orders, routing tables, engine counters),
 // the invariant report and the engine stats. Route coherence is asserted
 // only when lossy is false — see runFaults.
-func chaosRun(g *defined.Topology, plan *faults.Plan, seed uint64, shards int, lossy bool) (uint64, *faults.Report, defined.Stats) {
+func chaosRun(g *defined.Topology, plan *faults.Plan, seed uint64, shards int, lossy bool) (uint64, *faults.Report, defined.Stats, error) {
 	apps := make([]defined.Application, g.N)
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	opts := []defined.Option{
-		defined.WithSeed(seed),
-		defined.WithDeliveryLog(),
-		defined.WithFaultPlan(plan),
-		defined.WithShards(shards),
-		defined.WithLookahead(),
-	}
+	yes, loss, dup := true, chaosLoss, chaosDup
+	eng := defined.EngineSpec{Seed: &seed, DeliveryLog: &yes, Shards: &shards, Lookahead: &yes}
 	if lossy {
-		opts = append(opts,
-			defined.WithPerLinkLoss(chaosLoss),
-			defined.WithDuplication(chaosDup))
+		eng.PerLinkLoss, eng.Duplication = &loss, &dup
 	}
-	net, err := defined.NewNetwork(g, apps, opts...)
+	net, err := defined.NewNetwork(g, apps, eng)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
-		os.Exit(1)
+		return 0, nil, defined.Stats{}, err
 	}
+	net.ScheduleFaults(plan)
 	net.Run(plan.Horizon().Add(faults.ConvergenceSlack(g)))
 	net.Drain()
 
@@ -135,7 +120,7 @@ func chaosRun(g *defined.Topology, plan *faults.Plan, seed uint64, shards int, l
 	}
 	stats := net.Stats()
 	fmt.Fprintf(h, "%+v", stats)
-	return h.Sum64(), rep, stats
+	return h.Sum64(), rep, stats, nil
 }
 
 // ospfRoutes adapts the network's OSPF daemons to the checker's

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	defined-bench -scenario scenarios/hier10k.json [-dryrun] [-csv]
-//	defined-bench [-fig fig6a] [-preset quick|full|sharded|lookahead|chaos] [-csv] [-seed N]
+//	defined-bench [-fig fig6a] [-preset quick|full|chaos] [-csv] [-seed N]
 //
 // -scenario resolves a committed spec file and runs it: figure-workload
 // scenarios regenerate their figure, plain scenarios boot the described
@@ -18,181 +18,109 @@
 //
 //	quick     reduced CI-scale workloads
 //	full      the paper's sample sizes (default)
-//	sharded   quick workloads on 4 parallel engine shards (figures are
-//	          bit-identical for any shard count; sharding only changes
-//	          wall-clock speed)
-//	lookahead quick workloads with arrival deferral + per-link lookahead
-//	          (committed orders stay identical; time series may shift)
 //	chaos     the fault-injection campaign instead of figures: seeded
 //	          crashes/flaps/partition plus loss and duplication, ending
 //	          with the fault-invariant pass
 //
-// The former -quick/-shards/-lookahead/-faults flags remain as deprecated
-// aliases: they print the equivalent preset and committed-spec JSON, then
-// run identically.
+// Figures always run the reference engine (sequential, eager, TF/FK — the
+// cost point the goldens pin); engine features are a scenario file's
+// business. Contradictory flags exit 2 naming both sides, never silently
+// losing one: -dryrun needs -scenario, and a scenario file carries its
+// own figure, scale and seed, so -fig, -preset and -seed are rejected
+// beside it (as are -fig and -csv beside -preset chaos, which prints no
+// figure).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"defined/internal/experiments"
-	"defined/internal/scenario"
-	"defined/internal/vtime"
 )
 
-// benchPreset is one named workload shape. The presets replace the old
-// boolean flag soup: each corresponds to a committed-spec engine block.
-type benchPreset struct {
-	quick     bool
-	shards    int
-	lookahead bool
-	chaos     bool
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// presetByName resolves a preset id (a switch, not a map: detlint bans
-// map ranging and a switch documents the full id set in one place).
-func presetByName(name string) (benchPreset, bool) {
-	switch name {
-	case "quick":
-		return benchPreset{quick: true}, true
-	case "full", "":
-		return benchPreset{}, true
-	case "sharded":
-		return benchPreset{quick: true, shards: 4}, true
-	case "lookahead":
-		return benchPreset{quick: true, lookahead: true}, true
-	case "chaos":
-		return benchPreset{quick: true, chaos: true}, true
-	default:
-		return benchPreset{}, false
+// run is the whole command: it parses args, writes results to stdout and
+// diagnostics to stderr, and returns the exit code (2 for usage errors).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("defined-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "single figure id to regenerate (fig6a..fig8d); empty = all")
+	csv := fs.Bool("csv", false, "emit CSV instead of tables")
+	seed := fs.Uint64("seed", 42, "experiment seed")
+	scenarioFile := fs.String("scenario", "", "committed scenario file to run (see scenarios/ and internal/experiments/specs/)")
+	dryrun := fs.Bool("dryrun", false, "with -scenario: print the plan summary and fingerprint, execute nothing")
+	presetName := fs.String("preset", "", "workload preset: quick, full (default), chaos")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-}
-
-// equivalentSpec renders the committed-spec form of a figure preset (what
-// the deprecated flags teach their users to write instead).
-func equivalentSpec(fig string, p benchPreset, seed uint64) scenario.Spec {
-	if fig == "" {
-		fig = "fig6a" // representative: every figure spec differs only in workload.figure
-	}
-	eng := scenario.EngineSpec{Seed: &seed}
-	if p.shards != 0 {
-		eng.Shards = &p.shards
-	}
-	if p.lookahead {
-		t := true
-		eng.Lookahead = &t
-	}
-	quick := p.quick
-	return scenario.Spec{
-		Name:      fig,
-		Topology:  scenario.TopologyRef{Kind: "sprintlink"},
-		Protocols: scenario.ProtocolSpec{OSPF: &scenario.OSPFSpec{}},
-		Engine:    eng,
-		Workload:  &scenario.WorkloadSpec{Figure: fig, Quick: &quick},
-		Horizon:   scenario.HorizonSpec{Run: scenario.Duration(vtime.Second)},
-	}
-}
-
-func main() {
-	fig := flag.String("fig", "", "single figure id to regenerate (fig6a..fig8d); empty = all")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	seed := flag.Uint64("seed", 42, "experiment seed")
-	scenarioFile := flag.String("scenario", "", "committed scenario file to run (see scenarios/ and internal/experiments/specs/)")
-	dryrun := flag.Bool("dryrun", false, "with -scenario: print the plan summary and fingerprint, execute nothing")
-	presetName := flag.String("preset", "", "workload preset: quick, full (default), sharded, lookahead, chaos")
-
-	// Deprecated aliases (kept so existing invocations still work).
-	quick := flag.Bool("quick", false, "deprecated: use -preset quick")
-	shards := flag.Int("shards", 0, "deprecated: use -preset sharded")
-	lookahead := flag.Bool("lookahead", false, "deprecated: use -preset lookahead")
-	faultsRun := flag.Bool("faults", false, "deprecated: use -preset chaos")
-	flag.Parse()
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *scenarioFile != "" {
-		os.Exit(runScenario(*scenarioFile, *dryrun, *csv))
+		for _, name := range []string{"fig", "preset", "seed"} {
+			if set[name] {
+				fmt.Fprintf(stderr, "defined-bench: -%s with -scenario — the scenario file carries its own figure, scale and seed\n", name)
+				return 2
+			}
+		}
+		return runScenario(*scenarioFile, *dryrun, *csv, stdout, stderr)
+	}
+	if *dryrun {
+		fmt.Fprintln(stderr, "defined-bench: -dryrun without -scenario — only a scenario file has a plan to print")
+		return 2
 	}
 
-	p, ok := presetByName(*presetName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "defined-bench: unknown preset %q (want quick, full, sharded, lookahead or chaos)\n", *presetName)
-		os.Exit(2)
-	}
-	if *quick || *shards != 0 || *lookahead || *faultsRun {
-		// Fold the legacy flags into the preset they named, tell the user
-		// the modern spelling, and print the committed-spec equivalent.
-		p.quick = p.quick || *quick
-		if *shards != 0 {
-			p.shards = *shards
+	opt := experiments.Options{Seed: *seed}
+	switch *presetName {
+	case "full", "":
+	case "quick":
+		opt.Quick = true
+	case "chaos":
+		for _, name := range []string{"fig", "csv"} {
+			if set[name] {
+				fmt.Fprintf(stderr, "defined-bench: -%s with -preset chaos — the campaign regenerates no figure\n", name)
+				return 2
+			}
 		}
-		p.lookahead = p.lookahead || *lookahead
-		p.chaos = p.chaos || *faultsRun
-		name := "quick"
-		switch {
-		case p.chaos:
-			name = "chaos"
-		case p.lookahead:
-			name = "lookahead"
-		case p.shards != 0:
-			name = "sharded"
-		}
-		fmt.Fprintf(os.Stderr, "defined-bench: -quick/-shards/-lookahead/-faults are deprecated; this run is `-preset %s`.\n", name)
-		if !p.chaos {
-			fmt.Fprintf(os.Stderr, "defined-bench: equivalent committed scenario (run with -scenario):\n%s\n", specJSON(equivalentSpec(*fig, p, *seed)))
-		}
+		return runFaults(*seed, stdout, stderr)
+	default:
+		fmt.Fprintf(stderr, "defined-bench: unknown preset %q (want quick, full or chaos)\n", *presetName)
+		return 2
 	}
 
-	if p.chaos {
-		os.Exit(runFaults(p.quick, *seed))
-	}
-
-	var ids []string
+	ids := experiments.SpecIDs() // every figure has a committed spec
 	if *fig != "" {
 		ids = []string{*fig}
-	} else {
-		ids = []string{"fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "fig7c",
-			"fig8a", "fig8b", "fig8c", "fig8d"}
 	}
 	for _, id := range ids {
-		// The committed scenario is the invocation path: each figure's
-		// Options derive from its spec file, with the preset and -seed
-		// layered on top as explicit overrides.
-		r, err := experiments.LoadSpec(id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "defined-bench: %v\n", err)
-			os.Exit(1)
-		}
-		opt, err := experiments.OptionsFromSpec(r)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "defined-bench: %v\n", err)
-			os.Exit(1)
-		}
-		// A fresh accumulator per figure keeps the speculation summary
-		// attributable to the figure it prints under.
-		spec := &experiments.SpecStats{}
-		opt.Quick = p.quick // presets own the workload scale (default: full)
-		opt.Seed = *seed
-		opt.Shards = p.shards
-		opt.Lookahead = p.lookahead
-		opt.Spec = spec
-		start := time.Now()
-		f, err := experiments.ByID(id, opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "defined-bench: %v\n", err)
-			os.Exit(1)
-		}
-		rollbacks, committed, holds, exact := spec.Summary()
-		summary := fmt.Sprintf("lookahead=%v", p.lookahead)
-		if committed > 0 {
-			summary += fmt.Sprintf(" rb/committed=%.4f", float64(rollbacks)/float64(committed))
-		}
-		summary += fmt.Sprintf(" holds=%d exact-flushes=%d", holds, exact)
-		if *csv {
-			fmt.Printf("# %s — %s\n# %s\n%s\n", f.ID, f.Title, summary, f.CSV())
-		} else {
-			fmt.Printf("%s(regenerated in %.1fs; %s)\n\n", f.Table(), time.Since(start).Seconds(), summary)
+		if code := printFigure(id, opt, *csv, stdout, stderr); code != 0 {
+			return code
 		}
 	}
+	return 0
+}
+
+// printFigure regenerates one evaluation figure and prints it as a table
+// (with its wall time) or as CSV.
+func printFigure(id string, opt experiments.Options, csv bool, stdout, stderr io.Writer) int {
+	start := time.Now()
+	f, err := experiments.ByID(id, opt)
+	if err != nil {
+		fmt.Fprintln(stderr, "defined-bench:", err)
+		return 1
+	}
+	if csv {
+		fmt.Fprintf(stdout, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
+	} else {
+		fmt.Fprintf(stdout, "%s(regenerated in %.1fs)\n\n", f.Table(), time.Since(start).Seconds())
+	}
+	return 0
 }

@@ -7,8 +7,8 @@ package main
 // the experiments package instead.
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -25,33 +25,33 @@ import (
 // oracle is quadratic per source; small scenarios are checked in full).
 const coherenceSampleASes = 4
 
-func runScenario(path string, dryrun, csv bool) int {
+func runScenario(path string, dryrun, csv bool, stdout, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
+		fmt.Fprintln(stderr, "defined-bench:", err)
 		return 1
 	}
 	s, err := scenario.ParseSpec(raw)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
+		fmt.Fprintln(stderr, "defined-bench:", err)
 		return 1
 	}
 	r, err := s.Resolve()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
+		fmt.Fprintln(stderr, "defined-bench:", err)
 		return 1
 	}
 
 	if wl := r.Spec().Workload; wl != nil {
-		return runFigureScenario(r, wl.Figure, dryrun, csv)
+		return runFigureScenario(r, wl.Figure, dryrun, csv, stdout, stderr)
 	}
 
 	p, err := r.Expand()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
+		fmt.Fprintln(stderr, "defined-bench:", err)
 		return 1
 	}
-	fmt.Printf("scenario %s: %d routers, %d links, %d driver events, fingerprint %#x\n",
+	fmt.Fprintf(stdout, "scenario %s: %d routers, %d links, %d driver events, fingerprint %#x\n",
 		r.Name(), p.Graph.N, len(p.Graph.Links), len(p.Events), p.Fingerprint())
 	if dryrun {
 		return 0
@@ -64,61 +64,50 @@ func runScenario(path string, dryrun, csv bool) int {
 	net := defined.NewNetworkFromPlan(p)
 	bootWall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	fmt.Printf("boot: %.2fs wall, %.1f MB allocated\n",
+	fmt.Fprintf(stdout, "boot: %.2fs wall, %.1f MB allocated\n",
 		bootWall.Seconds(), float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
 
 	start = time.Now()
 	quiesced := net.RunPlan(p)
-	fmt.Printf("run: %.2fs wall for %v virtual, quiesced=%v\n",
+	fmt.Fprintf(stdout, "run: %.2fs wall for %v virtual, quiesced=%v\n",
 		time.Since(start).Seconds(), p.RunUntil, quiesced)
-	fmt.Printf("stats: %+v\n", net.Stats())
+	fmt.Fprintf(stdout, "stats: %+v\n", net.Stats())
 	if p.Drain && !quiesced {
-		fmt.Fprintln(os.Stderr, "defined-bench: scenario failed to quiesce")
+		fmt.Fprintln(stderr, "defined-bench: scenario failed to quiesce")
 		return 1
 	}
-	if !checkCoherence(net, p) {
+	if !checkCoherence(net, p, stderr) {
 		return 1
 	}
-	fmt.Println("coherence: ok")
+	fmt.Fprintln(stdout, "coherence: ok")
 	return 0
 }
 
 // runFigureScenario regenerates one evaluation figure from its committed
 // scenario.
-func runFigureScenario(r defined.RunSpec, figure string, dryrun, csv bool) int {
+func runFigureScenario(r defined.RunSpec, figure string, dryrun, csv bool, stdout, stderr io.Writer) int {
 	opt, err := experiments.OptionsFromSpec(r)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
+		fmt.Fprintln(stderr, "defined-bench:", err)
 		return 1
 	}
 	if dryrun {
 		p, err := r.Expand()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "defined-bench:", err)
+			fmt.Fprintln(stderr, "defined-bench:", err)
 			return 1
 		}
-		fmt.Printf("scenario %s: figure workload %s (quick=%v seed=%d), fingerprint %#x\n",
+		fmt.Fprintf(stdout, "scenario %s: figure workload %s (quick=%v seed=%d), fingerprint %#x\n",
 			r.Name(), figure, opt.Quick, opt.Seed, p.Fingerprint())
 		return 0
 	}
-	start := time.Now()
-	f, err := experiments.ByID(figure, opt)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench:", err)
-		return 1
-	}
-	if csv {
-		fmt.Printf("# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
-	} else {
-		fmt.Printf("%s(regenerated in %.1fs)\n", f.Table(), time.Since(start).Seconds())
-	}
-	return 0
+	return printFigure(figure, opt, csv, stdout, stderr)
 }
 
 // checkCoherence proves the quiesced scenario converged in every protocol
 // domain. Engine invariants (settle violations, pool leaks, window
 // bounds) always run; route checks adapt to the plan's shape.
-func checkCoherence(net *defined.Network, p *defined.Plan) bool {
+func checkCoherence(net *defined.Network, p *defined.Plan, stderr io.Writer) bool {
 	cfg := faults.CheckConfig{}
 	h := p.Hier
 	ospfRoutes := func(src, dst defined.NodeID) (int64, bool) {
@@ -144,7 +133,7 @@ func checkCoherence(net *defined.Network, p *defined.Plan) bool {
 		}
 	}
 	if rep := net.CheckFaults(cfg); rep.Err() != nil {
-		fmt.Fprintln(os.Stderr, "defined-bench: coherence:", rep.Err())
+		fmt.Fprintln(stderr, "defined-bench: coherence:", rep.Err())
 		return false
 	}
 	if h == nil {
@@ -162,7 +151,7 @@ func checkCoherence(net *defined.Network, p *defined.Plan) bool {
 				continue
 			}
 			if _, have := d.Best(fmt.Sprintf("as%d", other)); !have {
-				fmt.Fprintf(os.Stderr, "defined-bench: coherence: AS %d border %d has no best path for as%d\n",
+				fmt.Fprintf(stderr, "defined-bench: coherence: AS %d border %d has no best path for as%d\n",
 					a, border, other)
 				ok = false
 			}
@@ -178,7 +167,7 @@ func checkCoherence(net *defined.Network, p *defined.Plan) bool {
 				continue
 			}
 			if _, _, have := d.Route(fmt.Sprintf("n%d", id)); !have {
-				fmt.Fprintf(os.Stderr, "defined-bench: coherence: AS %d gateway %d missing stub prefix n%d\n",
+				fmt.Fprintf(stderr, "defined-bench: coherence: AS %d gateway %d missing stub prefix n%d\n",
 					a, gw, id)
 				ok = false
 			}
@@ -195,21 +184,11 @@ func checkCoherence(net *defined.Network, p *defined.Plan) bool {
 				continue
 			}
 			if d == nil || !d.Reachable(defined.NodeID(dst)) {
-				fmt.Fprintf(os.Stderr, "defined-bench: coherence: router %d cannot reach same-AS router %d\n",
+				fmt.Fprintf(stderr, "defined-bench: coherence: router %d cannot reach same-AS router %d\n",
 					id, dst)
 				ok = false
 			}
 		}
 	}
 	return ok
-}
-
-// specJSON renders a scenario spec as indented JSON (the deprecation
-// notices print the preset equivalent of legacy flags).
-func specJSON(s scenario.Spec) string {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err.Error()
-	}
-	return string(b)
 }

@@ -37,8 +37,8 @@ func main() {
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	net, err := defined.NewNetwork(g, apps,
-		defined.WithSeed(*seed), defined.WithRecording())
+	record := true
+	net, err := defined.NewNetwork(g, apps, defined.EngineSpec{Seed: seed, Record: &record})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "defined-record:", err)
 		os.Exit(1)

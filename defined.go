@@ -25,19 +25,20 @@
 // reimplementations of the two bugs the paper's case studies debug).
 //
 // The production engine can additionally run sharded across cores
-// (WithShards): routers are partitioned over per-core shards that execute
-// inside conservative lookahead windows and merge cross-shard traffic at
-// a deterministic commit barrier, so committed orders, statistics and
-// routing tables stay bit-identical to the sequential engine for any
-// shard count — parallelism changes wall-clock speed only.
+// (engine.shards): routers are partitioned over per-core shards that
+// execute inside conservative lookahead windows and merge cross-shard
+// traffic at a deterministic commit barrier, so committed orders,
+// statistics and routing tables stay bit-identical to the sequential
+// engine for any shard count — parallelism changes wall-clock speed only.
 //
 // Runs are described declaratively: a Spec (a committed JSON template —
 // topology, per-domain protocol bindings, engine features, event and
 // fault timelines, horizon) resolves into an immutable RunSpec with every
 // default explicit and contradictory feature combinations rejected, and
 // expands into a deterministic Plan that fingerprints without executing.
-// NewNetworkFromSpec boots the plan; the With* options on NewNetwork are
-// thin builders over the same carrier for programmatic use.
+// NewNetworkFromSpec boots the plan. The spec's engine block (EngineSpec)
+// is the one way an engine is configured: NewNetwork takes the same block
+// for callers that bring their own topology and applications.
 //
 // A minimal production-then-debug session from a spec:
 //
@@ -59,9 +60,10 @@
 //	rp, _ := defined.NewReplay(p.Graph, p.Apps(), rec)
 //	rp.RunToEnd() // or StepEvent/StepRound/StepGroup, breakpoints, ...
 //
-// Or programmatically, with options (the same validation applies):
+// Or over a hand-built topology and applications (the same defaults and
+// validation apply to the engine block):
 //
-//	net, err := defined.NewNetwork(g, apps, defined.WithRecording(), defined.WithSeed(7))
+//	net, err := defined.NewNetwork(g, apps, defined.EngineSpec{Record: &yes, Seed: &seed})
 package defined
 
 import (

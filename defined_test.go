@@ -8,7 +8,19 @@ import (
 
 	"defined"
 	"defined/internal/routing/ospf"
+	"defined/internal/scenario"
 )
+
+// ptr builds the pointer literals an engine block's explicit values are.
+func ptr[T any](v T) *T { return &v }
+
+// engineMod edits an engine block; the golden helpers layer these over
+// their base block, so a leg reads as "the base run, but with ...".
+type engineMod = func(*defined.EngineSpec)
+
+func withShards(n int) engineMod { return func(e *defined.EngineSpec) { e.Shards = &n } }
+
+func withLookahead(e *defined.EngineSpec) { e.Lookahead = ptr(true) }
 
 func ospfApps(n int) []defined.Application {
 	apps := make([]defined.Application, n)
@@ -22,9 +34,9 @@ func ospfApps(n int) []defined.Application {
 // run with recording, deterministic committed orders across seeds, replay
 // reproducing the execution, interactive session.
 // mustNet builds a network, failing the test on a spec validation error.
-func mustNet(tb testing.TB, g *defined.Topology, apps []defined.Application, opts ...defined.Option) *defined.Network {
+func mustNet(tb testing.TB, g *defined.Topology, apps []defined.Application, eng defined.EngineSpec) *defined.Network {
 	tb.Helper()
-	net, err := defined.NewNetwork(g, apps, opts...)
+	net, err := defined.NewNetwork(g, apps, eng)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,12 +47,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	g := defined.Brite(10, 2, 3)
 
 	run := func(seed uint64) (*defined.Network, *defined.Recording) {
-		net := mustNet(t, g, ospfApps(g.N),
-			defined.WithSeed(seed),
-			defined.WithJitterScale(3),
-			defined.WithRecording(),
-			defined.WithDeliveryLog(),
-		)
+		net := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{
+			Seed:        &seed,
+			JitterScale: ptr(3.0),
+			Record:      ptr(true),
+			DeliveryLog: ptr(true),
+		})
 		l := g.Links[0]
 		net.At(defined.Seconds(0.01), func() {
 			if err := net.InjectLinkChange(l.A, l.B, false); err != nil {
@@ -97,7 +109,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestReplayBreakpointAndDebugSession(t *testing.T) {
 	g := defined.Brite(8, 2, 5)
-	net := mustNet(t, g, ospfApps(g.N), defined.WithRecording(), defined.WithSeed(4))
+	net := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{Record: ptr(true), Seed: ptr(uint64(4))})
 	l := g.Links[1]
 	net.At(defined.Seconds(0.05), func() { _ = net.InjectLinkChange(l.A, l.B, false) })
 	net.Run(defined.Seconds(1))
@@ -127,7 +139,7 @@ func TestReplayBreakpointAndDebugSession(t *testing.T) {
 
 func TestBaselineAndOrderingOptions(t *testing.T) {
 	g := defined.Brite(8, 2, 7)
-	base := mustNet(t, g, ospfApps(g.N), defined.WithBaseline(), defined.WithSeed(1))
+	base := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{Baseline: ptr(true), Seed: ptr(uint64(1))})
 	base.Run(defined.Seconds(1.5))
 	base.Drain()
 	if base.Stats().Rollbacks != 0 {
@@ -138,10 +150,10 @@ func TestBaselineAndOrderingOptions(t *testing.T) {
 	}
 
 	ro := mustNet(t, g, ospfApps(g.N),
-		defined.WithOrdering(defined.OrderingRO(9)), defined.WithSeed(1))
+		defined.EngineSpec{Ordering: "RO", OrderingSeed: ptr(uint64(9)), Seed: ptr(uint64(1))})
 	ro.Run(defined.Seconds(1.5))
 	ro.Drain()
-	oo := mustNet(t, g, ospfApps(g.N), defined.WithSeed(1))
+	oo := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{Seed: ptr(uint64(1))})
 	oo.Run(defined.Seconds(1.5))
 	oo.Drain()
 	if ro.Stats().Rollbacks <= oo.Stats().Rollbacks {
@@ -152,6 +164,33 @@ func TestBaselineAndOrderingOptions(t *testing.T) {
 	oo.ResetPacketCounters()
 	if oo.PacketsReceived(0) != 0 {
 		t.Fatal("reset should zero counters")
+	}
+
+	// A wrong application count is an error naming both counts, not a
+	// panic out of the engine.
+	_, err := defined.NewNetwork(g, ospfApps(g.N-1), defined.EngineSpec{})
+	if err == nil || !strings.Contains(err.Error(), "7 applications") || !strings.Contains(err.Error(), "8 nodes") {
+		t.Fatalf("app-count mismatch: got %v, want an error naming 7 applications and 8 nodes", err)
+	}
+
+	// A contradictory engine block is rejected with the message
+	// Spec.Resolve gives the same block inside a scenario (the two differ
+	// only in the scenario name they lead with).
+	bad := defined.EngineSpec{Baseline: ptr(true), Shards: ptr(4)}
+	_, netErr := defined.NewNetwork(g, ospfApps(g.N), bad)
+	_, specErr := defined.Spec{
+		Name:      "bad",
+		Topology:  scenario.TopologyRef{Kind: "sprintlink"},
+		Protocols: scenario.ProtocolSpec{OSPF: &scenario.OSPFSpec{}},
+		Engine:    bad,
+		Horizon:   scenario.HorizonSpec{Run: scenario.Duration(defined.Second)},
+	}.Resolve()
+	if netErr == nil || specErr == nil {
+		t.Fatalf("baseline with shards accepted: NewNetwork %v, Resolve %v", netErr, specErr)
+	}
+	if got, want := strings.TrimPrefix(netErr.Error(), "scenario (engine): "),
+		strings.TrimPrefix(specErr.Error(), "scenario bad: "); got != want || !strings.Contains(got, "baseline with shards=4") {
+		t.Fatalf("NewNetwork says %q, Spec.Resolve says %q", netErr, specErr)
 	}
 }
 

@@ -26,8 +26,8 @@ func main() {
 	g := defined.Sprintlink()
 	fmt.Printf("recording a failure scenario on %s...\n\n", g)
 
-	net := mustNet(g, apps(g.N),
-		defined.WithSeed(11), defined.WithRecording())
+	seed, yes := uint64(11), true
+	net := mustNet(g, apps(g.N), defined.EngineSpec{Seed: &seed, Record: &yes})
 	l := g.Links[7]
 	net.At(defined.Seconds(0.40), func() { _ = net.InjectLinkChange(l.A, l.B, false) })
 	net.At(defined.Seconds(1.20), func() { _ = net.InjectLinkChange(l.A, l.B, true) })
@@ -76,8 +76,8 @@ func main() {
 }
 
 // mustNet builds a network, exiting on a configuration error.
-func mustNet(g *defined.Topology, apps []defined.Application, opts ...defined.Option) *defined.Network {
-	net, err := defined.NewNetwork(g, apps, opts...)
+func mustNet(g *defined.Topology, apps []defined.Application, eng defined.EngineSpec) *defined.Network {
+	net, err := defined.NewNetwork(g, apps, eng)
 	if err != nil {
 		panic(err)
 	}

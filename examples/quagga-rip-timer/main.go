@@ -71,6 +71,7 @@ func routeAtR1(as []defined.Application) string {
 
 func main() {
 	g := figure5()
+	yes, loss := true, 0.4 // engine-block values (the block's fields are pointers)
 	fmt.Println("== Quagga 0.96.5 RIP timer-refresh bug (paper §4, Figure 5) ==")
 
 	// 1. Unmodified routers over lossy links: whether the black hole
@@ -80,8 +81,7 @@ func main() {
 	outcomes := map[string]int{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := apps(rip.Quagga0965)
-		net := mustNet(g, as, defined.WithBaseline(),
-			defined.WithSeed(seed), defined.WithDropProbability(0.4))
+		net := mustNet(g, as, defined.EngineSpec{Baseline: &yes, Seed: &seed, PerLinkLoss: &loss})
 		scenario(net)
 		net.Run(defined.Seconds(12))
 		net.Drain()
@@ -100,8 +100,8 @@ func main() {
 	//    replayed exactly.
 	fmt.Println("\n-- DEFINED-RB (seed 1, with recorded losses) --")
 	as := apps(rip.Quagga0965)
-	net := mustNet(g, as, defined.WithSeed(1),
-		defined.WithDropProbability(0.4), defined.WithRecording(), defined.WithDeliveryLog())
+	seed := uint64(1)
+	net := mustNet(g, as, defined.EngineSpec{Seed: &seed, PerLinkLoss: &loss, Record: &yes, DeliveryLog: &yes})
 	scenario(net)
 	net.Run(defined.Seconds(12))
 	net.Drain()
@@ -160,8 +160,8 @@ func main() {
 }
 
 // mustNet builds a network, exiting on a configuration error.
-func mustNet(g *defined.Topology, apps []defined.Application, opts ...defined.Option) *defined.Network {
-	net, err := defined.NewNetwork(g, apps, opts...)
+func mustNet(g *defined.Topology, apps []defined.Application, eng defined.EngineSpec) *defined.Network {
+	net, err := defined.NewNetwork(g, apps, eng)
 	if err != nil {
 		panic(err)
 	}

@@ -60,6 +60,7 @@ func bestAtR3(as []defined.Application) string {
 
 func main() {
 	g := figure4()
+	yes, jitter := true, 4.0 // engine-block values (the block's fields are pointers)
 	fmt.Println("== XORP 0.4 BGP MED ordering bug (paper §4, Figure 4) ==")
 	fmt.Println("correct best path: p3 (full decision process)")
 
@@ -68,8 +69,7 @@ func main() {
 	outcomes := map[string]int{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := apps(bgp.XORP04)
-		net := mustNet(g, as, defined.WithBaseline(),
-			defined.WithSeed(seed), defined.WithJitterScale(4))
+		net := mustNet(g, as, defined.EngineSpec{Baseline: &yes, Seed: &seed, JitterScale: &jitter})
 		scenario(net)
 		net.Run(defined.Seconds(1))
 		net.Drain()
@@ -86,8 +86,7 @@ func main() {
 	var rec *defined.Recording
 	for seed := uint64(0); seed < 5; seed++ {
 		as := apps(bgp.XORP04)
-		net := mustNet(g, as, defined.WithSeed(seed),
-			defined.WithJitterScale(4), defined.WithRecording())
+		net := mustNet(g, as, defined.EngineSpec{Seed: &seed, JitterScale: &jitter, Record: &yes})
 		scenario(net)
 		net.Run(defined.Seconds(1))
 		net.Drain()
@@ -139,8 +138,8 @@ func main() {
 }
 
 // mustNet builds a network, exiting on a configuration error.
-func mustNet(g *defined.Topology, apps []defined.Application, opts ...defined.Option) *defined.Network {
-	net, err := defined.NewNetwork(g, apps, opts...)
+func mustNet(g *defined.Topology, apps []defined.Application, eng defined.EngineSpec) *defined.Network {
+	net, err := defined.NewNetwork(g, apps, eng)
 	if err != nil {
 		panic(err)
 	}

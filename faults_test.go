@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"defined"
-	"defined/internal/checkpoint"
 	"defined/internal/faults"
 	"defined/internal/routing/api"
 	"defined/internal/routing/ospf"
@@ -24,24 +23,26 @@ import (
 // faultRun drives one OSPF run under a fault plan plus per-link loss and
 // duplication, to the plan's horizon plus convergence slack, and returns
 // the committed orders, stats string, routing tables and network.
-func faultRun(t *testing.T, g *defined.Topology, seed uint64, plan *faults.Plan, loss, dup float64, extra ...defined.Option) ([][]string, string, []string, *defined.Network) {
+func faultRun(t *testing.T, g *defined.Topology, seed uint64, plan *faults.Plan, loss, dup float64, extra ...engineMod) ([][]string, string, []string, *defined.Network) {
 	t.Helper()
-	mi := checkpoint.Strategy{Timing: checkpoint.TM, Mode: checkpoint.MI}
 	apps := make([]defined.Application, g.N)
 	daemons := make([]*ospf.Daemon, g.N)
 	for i := range apps {
 		daemons[i] = ospf.New(ospf.Config{})
 		apps[i] = daemons[i]
 	}
-	opts := append([]defined.Option{
-		defined.WithSeed(seed),
-		defined.WithStrategy(mi),
-		defined.WithDeliveryLog(),
-		defined.WithPerLinkLoss(loss),
-		defined.WithDuplication(dup),
-		defined.WithFaultPlan(plan),
-	}, extra...)
-	net := mustNet(t, g, apps, opts...)
+	eng := defined.EngineSpec{
+		Seed:        &seed,
+		Strategy:    "TM/MI",
+		DeliveryLog: ptr(true),
+		PerLinkLoss: &loss,
+		Duplication: &dup,
+	}
+	for _, mod := range extra {
+		mod(&eng)
+	}
+	net := mustNet(t, g, apps, eng)
+	net.ScheduleFaults(plan)
 	net.Run(plan.Horizon().Add(faults.ConvergenceSlack(g)))
 	if !net.Drain() {
 		t.Fatal("network failed to quiesce under faults (wedged hold or runaway speculation)")
@@ -123,16 +124,12 @@ func TestFaultPlanGolden(t *testing.T) {
 				_, _, _, cleanNet := faultRun(t, tp.mk(seed), seed, plan, 0, 0)
 				mustDegradeGracefully(t, "loss-free route coherence", cleanNet, ospfRouteReader(cleanNet))
 				for _, la := range []bool{false, true} {
-					laOpts := []defined.Option{defined.WithoutLookahead()}
-					if la {
-						laOpts = []defined.Option{defined.WithLookahead()}
-					}
 					var refOrders [][]string
 					var refTables []string
 					var refStats string
 					for _, shards := range []int{1, 4} {
-						opts := append(append([]defined.Option{}, laOpts...), defined.WithShards(shards))
-						orders, stats, tables, net := faultRun(t, tp.mk(seed), seed, plan, 0.002, 0.002, opts...)
+						orders, stats, tables, net := faultRun(t, tp.mk(seed), seed, plan, 0.002, 0.002,
+							func(e *defined.EngineSpec) { e.Lookahead = &la }, withShards(shards))
 						what := fmt.Sprintf("lookahead=%v shards=%d", la, shards)
 						st := net.Stats()
 						if st.NodeCrashes == 0 || st.NodeRestarts == 0 {
@@ -176,12 +173,11 @@ func TestLookaheadReleaseUnderFaults(t *testing.T) {
 	})
 	const loss, dup = 0.05, 0.01
 
-	_, _, _, offNet := faultRun(t, g, seed, plan, loss, dup,
-		defined.WithoutLookahead())
+	_, _, _, offNet := faultRun(t, g, seed, plan, loss, dup)
 	mustDegradeGracefully(t, "lookahead-off", offNet, nil)
 
 	onOrders, _, onTables, onNet := faultRun(t, defined.Sprintlink(), seed, plan, loss, dup,
-		defined.WithLookahead())
+		withLookahead)
 	rep := mustDegradeGracefully(t, "lookahead-on", onNet, nil)
 	st := onNet.Stats()
 	if st.LookaheadHolds == 0 {
@@ -195,7 +191,7 @@ func TestLookaheadReleaseUnderFaults(t *testing.T) {
 	}
 
 	shOrders, _, shTables, shNet := faultRun(t, defined.Sprintlink(), seed, plan, loss, dup,
-		defined.WithLookahead(), defined.WithShards(4))
+		withLookahead, withShards(4))
 	diffOrders(t, "lookahead 4-shard vs sequential under faults", shOrders, onOrders)
 	diffTables(t, "lookahead 4-shard vs sequential under faults", shTables, onTables)
 	mustDegradeGracefully(t, "lookahead 4-shard", shNet, nil)
@@ -234,7 +230,6 @@ func TestPanicQuarantineGolden(t *testing.T) {
 		fuseLen = 25
 		restart = 3 // seconds
 	)
-	mi := checkpoint.Strategy{Timing: checkpoint.TM, Mode: checkpoint.MI}
 	plan := faults.NewPlan().Restart(defined.Seconds(restart), victim)
 
 	run := func(shards int) ([][]string, string, []string, *defined.Network, faults.RouteReader) {
@@ -250,9 +245,9 @@ func TestPanicQuarantineGolden(t *testing.T) {
 				apps[i] = daemons[i]
 			}
 		}
-		net := mustNet(t, g, apps,
-			defined.WithSeed(seed), defined.WithStrategy(mi), defined.WithDeliveryLog(),
-			defined.WithFaultPlan(plan), defined.WithShards(shards))
+		net := mustNet(t, g, apps, defined.EngineSpec{
+			Seed: ptr(uint64(seed)), Strategy: "TM/MI", DeliveryLog: ptr(true), Shards: &shards})
+		net.ScheduleFaults(plan)
 		net.Run(plan.Horizon().Add(faults.ConvergenceSlack(g)))
 		if !net.Drain() {
 			t.Fatal("network failed to quiesce after a recovered daemon panic")

@@ -51,7 +51,7 @@ func (c cloneOnlyApp) SetRouteCaching(on bool) {
 // goldenRun drives one link-flap scenario on g and returns every node's
 // committed delivery order, the engine stats, every node's final routing
 // table, and the network itself (for pool/counter inspection).
-func goldenRun(g *defined.Topology, seed uint64, strat checkpoint.Strategy, hideJournal bool, extra ...defined.Option) (orders [][]string, stats string, tables []string, net *defined.Network) {
+func goldenRun(g *defined.Topology, seed uint64, strat checkpoint.Strategy, hideJournal bool, extra ...engineMod) (orders [][]string, stats string, tables []string, net *defined.Network) {
 	apps := make([]defined.Application, g.N)
 	daemons := make([]*ospf.Daemon, g.N)
 	for i := range apps {
@@ -62,11 +62,12 @@ func goldenRun(g *defined.Topology, seed uint64, strat checkpoint.Strategy, hide
 			apps[i] = daemons[i]
 		}
 	}
-	opts := append([]defined.Option{
-		defined.WithSeed(seed), defined.WithStrategy(strat), defined.WithDeliveryLog()},
-		extra...)
+	eng := defined.EngineSpec{Seed: &seed, Strategy: strat.String(), DeliveryLog: ptr(true)}
+	for _, mod := range extra {
+		mod(&eng)
+	}
 	var err error
-	net, err = defined.NewNetwork(g, apps, opts...)
+	net, err = defined.NewNetwork(g, apps, eng)
 	if err != nil {
 		panic(err)
 	}
@@ -150,7 +151,7 @@ func TestCrossModeGolden(t *testing.T) {
 				diffTables(t, "FK vs MI", fkTables, miTables)
 
 				ndOrders, _, ndTables, _ := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithoutDeferral())
+					func(e *defined.EngineSpec) { e.Deferral = ptr(false) })
 				diffOrders(t, "defer-on vs defer-off", miOrders, ndOrders)
 				diffTables(t, "defer-on vs defer-off", miTables, ndTables)
 			})
@@ -183,7 +184,7 @@ func TestMessageLifecycleGolden(t *testing.T) {
 		for _, seed := range []uint64{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.name, seed), func(t *testing.T) {
 				offOrders, offStats, offTables, _ := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithoutMessagePool())
+					func(e *defined.EngineSpec) { e.MessagePool = ptr(false) })
 
 				onOrders, onStats, onTables, _ := goldenRun(tp.mk(seed), seed, mi, false)
 				diffOrders(t, "refcount-on vs refcount-off", onOrders, offOrders)
@@ -196,7 +197,7 @@ func TestMessageLifecycleGolden(t *testing.T) {
 				}
 
 				pOrders, pStats, pTables, pnet := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithMessagePoison())
+					func(e *defined.EngineSpec) { e.Poison = ptr(true) })
 				if v := pnet.MessagePool().Violations(); v != 0 {
 					t.Fatalf("poison sweep: %d use-after-release violations, want 0", v)
 				}
@@ -237,7 +238,7 @@ func TestRouteCacheGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", tp.name, seed), func(t *testing.T) {
 				onOrders, _, onTables, onNet := goldenRun(tp.mk(seed), seed, mi, false)
 				offOrders, _, offTables, offNet := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithoutRouteCache())
+					func(e *defined.EngineSpec) { e.RouteCache = ptr(false) })
 
 				diffOrders(t, "cache-on vs cache-off", onOrders, offOrders)
 				diffTables(t, "cache-on vs cache-off", onTables, offTables)
@@ -299,7 +300,7 @@ func TestLookaheadGolden(t *testing.T) {
 				offOrders, _, offTables, _ := goldenRun(tp.mk(seed), seed, mi, false)
 
 				onOrders, onStats, onTables, onNet := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithLookahead())
+					withLookahead)
 				diffOrders(t, "lookahead-on vs off", onOrders, offOrders)
 				diffTables(t, "lookahead-on vs off", onTables, offTables)
 				if !strings.Contains(onStats, "SettleViolations:0") {
@@ -310,7 +311,7 @@ func TestLookaheadGolden(t *testing.T) {
 				exactFlushes += s.LookaheadExactFlushes
 
 				shOrders, shStats, shTables, shNet := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithLookahead(), defined.WithShards(4))
+					withLookahead, withShards(4))
 				diffOrders(t, "lookahead 4-shard vs sequential", shOrders, onOrders)
 				diffTables(t, "lookahead 4-shard vs sequential", shTables, onTables)
 				if shStats != onStats {

@@ -30,46 +30,6 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomness.
 	Seed uint64
-	// Shards runs every experiment's engine on that many parallel shards
-	// (0 = sequential). Committed executions are bit-identical either
-	// way (TestShardGolden), so the figures' virtual-time metric series
-	// do not move; sharding only changes how fast they regenerate.
-	Shards int
-	// Lookahead runs every engine with arrival deferral and per-link
-	// lookahead (the engine-best speculation configuration) instead of
-	// the figures' pinned pre-deferral dynamics. Committed orders and
-	// routing tables are identical either way (Theorem 1), but the
-	// virtual-time holds shift the convergence-time series the figures
-	// report — which is why the goldens pin it off and why the flag
-	// exists: cmd/defined-bench -lookahead makes the on/off speculation
-	// comparison a one-command affair.
-	Lookahead bool
-	// Spec, when non-nil, collects speculation-quality counters from
-	// every engine an experiment boots, for reporting alongside the
-	// figure (rb/committed, lookahead holds and exact flushes).
-	Spec *SpecStats
-}
-
-// SpecStats aggregates speculation-quality counters across the engines an
-// experiment run boots (one per newNetwork call). Engines are registered
-// at boot and read lazily, so Summary reflects each engine's final
-// counters once the figure is built.
-type SpecStats struct {
-	engines []*rollback.Engine
-}
-
-// Summary sums the headline speculation counters over all registered
-// engines: rollbacks, committed deliveries, lookahead holds and exact
-// flushes.
-func (s *SpecStats) Summary() (rollbacks, committed, holds, exact uint64) {
-	for _, e := range s.engines {
-		st := e.Stats()
-		rollbacks += st.Rollbacks
-		committed += st.CommittedDeliveries()
-		holds += st.LookaheadHolds
-		exact += st.LookaheadExactFlushes
-	}
-	return
 }
 
 // traceEvents returns how many trace events an experiment replays.
@@ -116,26 +76,16 @@ type network struct {
 // is pinned off the same way: deferral trades a small virtual-time hold
 // for fewer rollbacks, which would shift the convergence-time series the
 // figures report. Committed orders are identical either way; only the
-// timing dynamics the figures measure would move. Options.Lookahead
-// overrides the pin to the engine-best deferral+lookahead configuration
-// for explicit on/off comparisons.
-func newNetwork(g *topology.Graph, opt Options, cfg rollback.Config) *network {
+// timing dynamics the figures measure would move. A figure scenario that
+// asks for shards or lookahead is rejected at resolve time for the same
+// reason.
+func newNetwork(g *topology.Graph, cfg rollback.Config) *network {
 	cfg.StrategySet = true
-	if cfg.Shards == 0 {
-		cfg.Shards = opt.Shards
-	}
-	if opt.Lookahead {
-		// Engine-best speculation: default deferral slack plus per-link
-		// lookahead (Options.Lookahead documents the series shift).
-		cfg.Lookahead = true
-	} else if cfg.DeferSlack == 0 {
+	if cfg.DeferSlack == 0 {
 		cfg.DeferSlack = -1 // pre-deferral dynamics
 	}
 	apps := ospfApps(g.N, ospf.Config{})
 	e := rollback.New(g, apps, cfg)
-	if opt.Spec != nil {
-		opt.Spec.engines = append(opt.Spec.engines, e)
-	}
 	n := &network{e: e, apps: apps, g: g, down: map[int]bool{}}
 	// Boot: run past the first beacon group so every daemon floods its
 	// LSA, then drain.

@@ -200,7 +200,7 @@ func TestNoSettleViolationsAcrossWorkloads(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.DeferSlack = tc.slack
-			n := newNetwork(tc.g, Options{}, cfg)
+			n := newNetwork(tc.g, cfg)
 			evs := trace.Poisson(tc.g, 0.5, 16*vtime.Second, 300*vtime.Millisecond, 42)
 			applied := 0
 			for i, ev := range evs {

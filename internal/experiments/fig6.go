@@ -25,7 +25,7 @@ func fig6Window(opt Options) vtime.Duration {
 func runFig6Trace(opt Options, cfg rollback.Config) (*metrics.Dist, *metrics.Dist) {
 	g := topology.Sprintlink()
 	evs := sprintTrace(g, opt, fig6Window(opt))
-	n := newNetwork(g, opt, cfg)
+	n := newNetwork(g, cfg)
 	var packets, latency metrics.Dist
 	for _, ev := range evs {
 		counts, lat, err := n.perEvent(ev, 3*vtime.Second)
@@ -88,7 +88,7 @@ func Fig6c(opt Options) *metrics.Figure {
 	}
 	g := topology.Sprintlink()
 	evs := sprintTrace(g, opt, fig6Window(opt))
-	n := newNetwork(g, opt, rollback.Config{Seed: opt.Seed, Record: true})
+	n := newNetwork(g, rollback.Config{Seed: opt.Seed, Record: true})
 	for _, ev := range evs {
 		if err := n.apply(ev); err != nil {
 			continue

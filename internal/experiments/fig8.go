@@ -43,7 +43,7 @@ func runFig8Point(g *topology.Graph, opt Options, cfg rollback.Config) (float64,
 			evs = evs[:len(evs)-1]
 		}
 	}
-	n := newNetwork(g, opt, cfg)
+	n := newNetwork(g, cfg)
 	var packets, latency metrics.Dist
 	for _, ev := range evs {
 		counts, lat, err := n.perEvent(ev, 3*vtime.Second)
@@ -134,7 +134,7 @@ func Fig8c(opt Options) *metrics.Figure {
 	for _, size := range fig8Sizes(opt) {
 		g := topology.Brite(size, 2, opt.Seed+uint64(size))
 		evs := trace.Poisson(g, 0.5, 10*vtime.Second, 300*vtime.Millisecond, opt.Seed)
-		n := newNetwork(g, opt, rollback.Config{Seed: opt.Seed, Record: true})
+		n := newNetwork(g, rollback.Config{Seed: opt.Seed, Record: true})
 		for _, ev := range evs {
 			if err := n.apply(ev); err != nil {
 				continue
@@ -179,7 +179,7 @@ func Fig8d(opt Options) *metrics.Figure {
 	}
 	for _, rate := range rates {
 		evs := trace.Poisson(g, rate, window, 500*vtime.Millisecond, opt.Seed)
-		n := newNetwork(g, opt, rollback.Config{Seed: opt.Seed})
+		n := newNetwork(g, rollback.Config{Seed: opt.Seed})
 		// Sustained load: inject the whole stream on schedule, then
 		// measure how long the network needs to converge once the
 		// stream ends — plus per-event latency sampled mid-stream.

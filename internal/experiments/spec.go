@@ -56,9 +56,10 @@ func LoadSpec(id string) (scenario.RunSpec, error) {
 }
 
 // OptionsFromSpec derives the figure workload Options from a resolved
-// scenario. The scenario must carry a figure workload; the engine fields
-// the figures honor (seed, shards, lookahead) come from the engine
-// carrier, everything else about a figure run — topologies, event counts,
+// scenario. The scenario must carry a figure workload; the one engine
+// field the figures honor is the seed (Resolve rejects a figure workload
+// that asks for shards or lookahead — figures pin the reference cost
+// point), everything else about a figure run — topologies, event counts,
 // horizons — is defined by the figure itself (the spec's topology and
 // horizon describe the scenario's own substrate, which figure workloads
 // replace per measurement point).
@@ -70,12 +71,7 @@ func OptionsFromSpec(r scenario.RunSpec) (Options, error) {
 	if !knownFigures[s.Workload.Figure] {
 		return Options{}, fmt.Errorf("experiments: scenario %s: unknown figure %q", s.Name, s.Workload.Figure)
 	}
-	return Options{
-		Quick:     *s.Workload.Quick,
-		Seed:      *s.Engine.Seed,
-		Shards:    *s.Engine.Shards,
-		Lookahead: *s.Engine.Lookahead,
-	}, nil
+	return Options{Quick: *s.Workload.Quick, Seed: *s.Engine.Seed}, nil
 }
 
 // RunSpec executes a resolved figure scenario and returns its figure.

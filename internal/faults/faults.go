@@ -71,7 +71,8 @@ type Event struct {
 }
 
 // Plan is an ordered fault script. Build one with the chainable helpers
-// (or Random) and hand it to the engine via defined.WithFaultPlan.
+// (or Random) and hand it to a built network via
+// defined.Network.ScheduleFaults.
 type Plan struct {
 	events []Event
 }

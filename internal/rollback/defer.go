@@ -510,9 +510,6 @@ func (sh *shim) observeLink(from msg.NodeID, now, pred vtime.Time) {
 	if !ok {
 		return
 	}
-	if debugRollbacks != nil {
-		sh.dbgPrevPromise = sh.look[j].promise
-	}
 	sh.look[j].promise = pred
 	sh.look[j].seenAt = now
 }

@@ -246,15 +246,6 @@ type Config struct {
 	// The exact hold requires deferral (d_i-monotone keys); with deferral
 	// disabled only the window widening applies. Off by default.
 	Lookahead bool
-	// WindowLookahead enables only the window-widening consumer (implied
-	// by Lookahead): the sharded runtime computes per-directed-link
-	// window horizons while the deferral layer keeps the heuristic gap
-	// rule. Execution is bit-identical to the same run without it —
-	// window placement moves barriers, never what executes between them —
-	// which is exactly what makes it useful: benchmarks isolate the
-	// barrier-crossing reduction of the horizon rule from the speculation
-	// changes of the exact hold.
-	WindowLookahead bool
 	// Record, when true, captures the partial recording of external
 	// events (and message-loss events) for later replay.
 	Record bool
@@ -470,7 +461,7 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 		DropProb:    cfg.DropProb,
 		DupProb:     cfg.DupProb,
 		Shards:      shards,
-		Lookahead:   (cfg.Lookahead || cfg.WindowLookahead) && !cfg.Baseline,
+		Lookahead:   cfg.Lookahead && !cfg.Baseline,
 	})
 	if cfg.PoisonMessages && !cfg.NoMessagePool {
 		e.sim.SetPoison(true)

@@ -80,9 +80,6 @@ type shim struct {
 	// are both on.
 	look    []linkLook
 	lookNbr []msg.NodeID
-	// dbgPrevPromise is diagnostic-only (SetRollbackDebug): the trigger
-	// link's promise before the trigger's own observe overwrote it.
-	dbgPrevPromise vtime.Time
 
 	// replayFresh counts outputs materialized (not re-adopted) during the
 	// current replay; together with an empty leftover pool it identifies
@@ -333,9 +330,6 @@ func (sh *shim) insertNow(entry history.Entry) {
 	}
 	// Divergence: roll back to the point where the sequences diverge and
 	// replay in the computed order.
-	if debugRollbacks != nil {
-		debugRollbacks(sh, entry, pos)
-	}
 	sh.undoTo(pos)
 	sh.replayFrom(pos)
 	sh.maybeSettle()

@@ -290,6 +290,16 @@ func validate(s Spec) error {
 			return fmt.Errorf("scenario %s: fault plan with baseline engine — crash faults need the substrate", s.Name)
 		}
 	}
+	if w := s.Workload; w != nil {
+		// Figures pin the reference cost point: a lookahead figure is not
+		// the paper's figure, a sharded one is the same figure slower.
+		switch {
+		case *s.Engine.Shards > 0:
+			return fmt.Errorf("scenario %s: figure workload %s with shards=%d — figures run the sequential reference engine", s.Name, w.Figure, *s.Engine.Shards)
+		case *s.Engine.Lookahead:
+			return fmt.Errorf("scenario %s: figure workload %s with lookahead — figures pin the pre-deferral speculation dynamics", s.Name, w.Figure)
+		}
+	}
 	if s.Horizon.Run.V() <= 0 {
 		return fmt.Errorf("scenario %s: horizon run must be positive", s.Name)
 	}
@@ -387,8 +397,8 @@ func parseStrategy(s string) (checkpoint.Strategy, error) {
 }
 
 // ResolveEngine resolves and validates a bare engine spec — the path
-// defined.NewNetwork takes when options (the thin builders over this
-// carrier) are applied without a full scenario.
+// defined.NewNetwork takes, where the caller brings the topology and the
+// applications and there is no scenario around the engine block.
 func ResolveEngine(e EngineSpec) (EngineSpec, error) {
 	b, err := json.Marshal(e)
 	if err != nil {
@@ -401,7 +411,7 @@ func ResolveEngine(e EngineSpec) (EngineSpec, error) {
 	if err := resolveEngine(&c); err != nil {
 		return EngineSpec{}, err
 	}
-	if err := validateEngine("(options)", c); err != nil {
+	if err := validateEngine("(engine)", c); err != nil {
 		return EngineSpec{}, err
 	}
 	return c, nil

@@ -240,10 +240,10 @@ type RIPSpec struct {
 	SplitHorizon *bool `json:"splitHorizon,omitempty"`
 }
 
-// EngineSpec selects substrate features. It is the shared option carrier:
-// defined.NewNetwork's With* options are thin builders writing these same
-// fields, and experiments.Options derives from it. Nil pointers mean "the
-// documented default"; Resolve replaces every one with an explicit value.
+// EngineSpec selects substrate features. It is the one way an engine is
+// configured: a scenario file's "engine" block, and the literal
+// defined.NewNetwork takes. Nil pointers mean "the documented default";
+// Resolve replaces every one with an explicit value.
 type EngineSpec struct {
 	// Baseline disables the DEFINED substrate entirely (default false).
 	Baseline *bool `json:"baseline,omitempty"`

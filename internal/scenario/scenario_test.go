@@ -205,6 +205,14 @@ func TestValidationRejections(t *testing.T) {
 		{"duplication negative", func(s *Spec) {
 			s.Engine.Duplication = f64p(-0.1)
 		}, "outside [0,1]"},
+		{"figure workload with shards", func(s *Spec) {
+			s.Workload = &WorkloadSpec{Figure: "fig6a"}
+			s.Engine.Shards = intp(4)
+		}, "figure workload fig6a with shards=4"},
+		{"figure workload with lookahead", func(s *Spec) {
+			s.Workload = &WorkloadSpec{Figure: "fig6a"}
+			s.Engine.Lookahead = boolp(true)
+		}, "figure workload fig6a with lookahead"},
 		{"negative shards", func(s *Spec) {
 			s.Engine.Shards = intp(-1)
 		}, "negative"},

@@ -1,10 +1,10 @@
 package defined
 
 import (
-	"defined/internal/checkpoint"
+	"fmt"
+
 	"defined/internal/faults"
 	"defined/internal/msg"
-	"defined/internal/ordering"
 	"defined/internal/rollback"
 	"defined/internal/scenario"
 	"defined/internal/trace"
@@ -12,230 +12,24 @@ import (
 )
 
 // Network is a production network instrumented by DEFINED-RB (or running
-// bare when the Baseline option is set).
+// bare when the engine block sets baseline).
 type Network struct {
 	eng *rollback.Engine
 	g   *Topology
 }
 
-// netConfig is the Network-level configuration options write through.
-// Options are thin builders over the scenario engine-spec carrier — the
-// same carrier committed spec files resolve through — so both invocation
-// paths share one defaulting and validation table. Two pieces live beside
-// the carrier: a programmatic ordering.Func override (a Func is not
-// serializable; spec files select orderings by name) and the fault plan
-// (scheduled against the built engine — the faults package sits on top of
-// rollback, not under it).
-type netConfig struct {
-	eng      scenario.EngineSpec
-	ordering ordering.Func
-	plan     *faults.Plan
-}
-
-// Option configures a Network.
-type Option func(*netConfig)
-
-// WithSeed sets the physical-jitter seed (different seeds = different
-// arrival interleavings; committed orders stay identical under DEFINED).
-func WithSeed(seed uint64) Option {
-	return func(c *netConfig) { c.eng.Seed = &seed }
-}
-
-// WithJitterScale scales link jitter (stress knob; default 1.0).
-func WithJitterScale(scale float64) Option {
-	return func(c *netConfig) { c.eng.JitterScale = &scale }
-}
-
-// WithOrdering overrides the pseudorandom ordering function (default OO).
-func WithOrdering(f ordering.Func) Option {
-	return func(c *netConfig) { c.ordering, c.eng.Ordering = f, f.Name() }
-}
-
-// WithBaseline disables the DEFINED substrate entirely — the unmodified
-// software baseline of the evaluation.
-func WithBaseline() Option {
-	return func(c *netConfig) { c.eng.Baseline = scenarioBool(true) }
-}
-
-// WithRecording captures the partial recording of external events.
-func WithRecording() Option {
-	return func(c *netConfig) { c.eng.Record = scenarioBool(true) }
-}
-
-// WithDeliveryLog retains committed delivery sequences (determinism
-// verification).
-func WithDeliveryLog() Option {
-	return func(c *netConfig) { c.eng.DeliveryLog = scenarioBool(true) }
-}
-
-// WithStrategy selects checkpoint timing and rollback copy mode
-// (including the zero-valued TF/FK strategy, which a bare Config would
-// replace with the TM/MI default).
-func WithStrategy(s checkpoint.Strategy) Option {
-	return func(c *netConfig) { c.eng.Strategy = s.String() }
-}
-
-// WithChainBound caps causal chain length per timestep.
-func WithChainBound(n int) Option {
-	return func(c *netConfig) { c.eng.ChainBound = &n }
-}
-
-// WithDropProbability injects application-message loss with probability p
-// per transmission. Loss draws are per-directed-link counter-seeded
-// (keyed by seed, link direction and the link's wire sequence number), so
-// which packets die is a pure function of the run's inputs — independent
-// of shard count, lookahead and event interleaving — and composes with
-// every other option. WithPerLinkLoss is an alias with the fault-model
-// name.
-func WithDropProbability(p float64) Option {
-	return func(c *netConfig) { c.eng.PerLinkLoss = &p }
-}
-
-// WithPerLinkLoss injects per-directed-link deterministic message loss
-// with probability p — the fault-injection subsystem's loss knob (an
-// alias for WithDropProbability; see that option for the determinism
-// contract).
-func WithPerLinkLoss(p float64) Option {
-	return func(c *netConfig) { c.eng.PerLinkLoss = &p }
-}
-
-// WithDuplication injects deterministic message duplication: each
-// application transmission is duplicated with probability p, the copy
-// enqueued immediately behind the original on the same link (FIFO keeps
-// it adjacent). Draws come from the same per-directed-link counter-seeded
-// streams as loss, so duplication composes with sharding and lookahead
-// bit-identically.
-func WithDuplication(p float64) Option {
-	return func(c *netConfig) { c.eng.Duplication = &p }
-}
-
-// WithFaultPlan schedules a fault-injection plan (node crashes and
-// restarts, link cuts and heals, partitions — see internal/faults) to
-// execute during the run. Every plan event fires on the driver queue as
-// an ordinary external event: recorded, ordered and rollback-capable, so
-// a faulted run commits bit-identical orders under any shard count
-// (proved by TestFaultPlanGolden). Under WithBaseline crash faults are
-// no-ops (there is no substrate to quarantine); link events still apply.
-func WithFaultPlan(p *faults.Plan) Option {
-	return func(c *netConfig) { c.plan = p }
-}
-
-// WithDeferral tunes the rollback-avoidance arrival deferral: slack is the
-// ordering-key gap below which an in-order arrival is briefly held for
-// predicted predecessors, max caps any single hold (see
-// rollback.Config.DeferSlack/DeferMax). Committed orders are unaffected.
-func WithDeferral(slack, max Duration) Option {
-	return func(c *netConfig) {
-		c.eng.Deferral = scenarioBool(true)
-		c.eng.DeferSlack, c.eng.DeferMax = scenario.Dur(slack), scenario.Dur(max)
-	}
-}
-
-// WithoutDeferral disables arrival deferral, restoring the eager
-// deliver-then-rollback speculation dynamics (committed orders are
-// bit-identical either way; only rollback counts and virtual timing move).
-func WithoutDeferral() Option {
-	return func(c *netConfig) { c.eng.Deferral = scenarioBool(false) }
-}
-
-// WithSettleBound pins a static history retirement bound in place of the
-// default adaptive straggler-margin estimator; rollback.StaticSettle
-// reproduces the paper's footnote-3 rule for a topology.
-func WithSettleBound(d Duration) Option {
-	return func(c *netConfig) { c.eng.SettleBound = scenario.Dur(d) }
-}
-
-// WithoutRouteCache disables the daemons' epoch-keyed route-computation
-// cache: every SPF run, announcement build and BGP decision executes the
-// real computation — the pre-cache behaviour, kept selectable so golden
-// tests can prove the cache never changes execution (committed orders,
-// stats and routing tables are bit-identical either way).
-func WithoutRouteCache() Option {
-	return func(c *netConfig) { c.eng.RouteCache = scenarioBool(false) }
-}
-
-// WithoutMessagePool disables refcounted wire-message pooling (unmanaged
-// heap-allocated messages — the pre-refcount behaviour, kept selectable so
-// golden tests can prove the lifecycle never changes execution).
-func WithoutMessagePool() Option {
-	return func(c *netConfig) { c.eng.MessagePool = scenarioBool(false) }
-}
-
-// WithMessagePoison enables the message pool's debug poison mode: released
-// messages are scribbled and quarantined, so any use-after-release is
-// deterministic — stale reads observe the sentinel and stale lifecycle
-// calls tally in the pool's Violations counter — instead of silently
-// aliasing a recycled struct.
-func WithMessagePoison() Option {
-	return func(c *netConfig) { c.eng.Poison = scenarioBool(true) }
-}
-
-// WithShards runs the rollback engine's simulator on n parallel per-core
-// shards. Routers are partitioned across shards, each shard executing its
-// nodes' deliveries and timers on its own goroutine inside conservative
-// lookahead windows; cross-shard sends are merged at a commit barrier in
-// deterministic order. Committed delivery orders, statistics and routing
-// tables are bit-identical to the sequential engine for any n (proved by
-// TestShardGolden) — sharding changes wall-clock speed only, never
-// execution. n <= 1 keeps the sequential engine; sharding is ignored
-// under WithBaseline (no rollback layer to shard). Loss, duplication and
-// fault plans compose with sharding: per-packet fates are per-link
-// counter-seeded draws and plan events run driver-serial between windows,
-// so neither depends on a global send order.
-func WithShards(n int) Option {
-	return func(c *netConfig) { c.eng.Shards = &n }
-}
-
-// WithoutSharding pins the sequential single-goroutine engine — the
-// default, kept selectable so callers composing option lists can
-// explicitly override an earlier WithShards.
-func WithoutSharding() Option {
-	return func(c *netConfig) { c.eng.Shards = scenarioInt(0) }
-}
-
-// WithLookahead enables per-directed-link lookahead, one mechanism with
-// two consumers. In the simulator, each parallel window's end is computed
-// from per-link bounds (sending lane's next event time plus the link's
-// static delay, FIFO-clamped past the link frontier) instead of one
-// global minimum link delay, so lightly-coupled shards cross far fewer
-// commit barriers. In the rollback engine, arrival deferral switches from
-// the heuristic slack rule to an exact per-in-link release — hold a
-// message until every predicted earlier message could have arrived given
-// each link's observed straggler lag — which removes the rollback tail
-// the fixed slack cannot see. Both consumers change only speculation
-// dynamics and barrier placement: committed orders, statistics and
-// routing tables stay bit-identical to a lookahead-off run (proved by
-// TestLookaheadGolden). The exact hold requires deferral (it is inert
-// under WithoutDeferral or WithBaseline); the window consumer requires
-// WithShards.
-func WithLookahead() Option {
-	return func(c *netConfig) { c.eng.Lookahead = scenarioBool(true) }
-}
-
-// WithoutLookahead pins the global-lookahead window rule and the
-// heuristic deferral slack — the default, kept selectable so callers
-// composing option lists can explicitly override an earlier
-// WithLookahead.
-func WithoutLookahead() Option {
-	return func(c *netConfig) { c.eng.Lookahead = scenarioBool(false) }
-}
-
-// scenarioBool/scenarioInt build the pointer literals the spec carrier
-// uses for explicit values.
-func scenarioBool(v bool) *bool { return &v }
-func scenarioInt(v int) *int    { return &v }
-
 // NewNetwork builds a production network over g with one application per
-// node (len(apps) == g.N). Options resolve through the scenario engine
-// carrier, so contradictory combinations (Baseline with Shards, poison
-// without the pool, inert lookahead, ...) return a validation error
-// instead of being silently ignored.
-func NewNetwork(g *Topology, apps []Application, opts ...Option) (*Network, error) {
-	var c netConfig
-	for _, opt := range opts {
-		opt(&c)
+// node (len(apps) == g.N). eng is the engine block of a scenario file,
+// written as a literal: nil fields take the documented defaults, and the
+// block resolves and validates exactly as Spec.Resolve does it, so
+// contradictory combinations (Baseline with Shards, poison without the
+// pool, inert lookahead, ...) return the same error instead of being
+// silently ignored.
+func NewNetwork(g *Topology, apps []Application, eng EngineSpec) (*Network, error) {
+	if len(apps) != g.N {
+		return nil, fmt.Errorf("defined: %d applications for the %d nodes of %s", len(apps), g.N, g.Name)
 	}
-	resolved, err := scenario.ResolveEngine(c.eng)
+	resolved, err := scenario.ResolveEngine(eng)
 	if err != nil {
 		return nil, err
 	}
@@ -243,17 +37,21 @@ func NewNetwork(g *Topology, apps []Application, opts ...Option) (*Network, erro
 	if err != nil {
 		return nil, err
 	}
-	if c.ordering != nil {
-		// Programmatic override: the carrier saw the ordering's name (for
-		// validation and deferral defaulting); the run uses the Func
-		// itself, seed and all.
-		cfg.Ordering = c.ordering
+	return &Network{eng: rollback.New(g, apps, cfg), g: g}, nil
+}
+
+// ScheduleFaults schedules a fault-injection plan (node crashes and
+// restarts, link cuts and heals, partitions — see internal/faults) to
+// execute during the run; a nil plan schedules nothing. Every plan event
+// fires on the driver queue as an ordinary external event: recorded,
+// ordered and rollback-capable, so a faulted run commits bit-identical
+// orders under any shard count (proved by TestFaultPlanGolden). On a
+// baseline engine crash faults are no-ops (there is no substrate to
+// quarantine); link events still apply.
+func (n *Network) ScheduleFaults(p *faults.Plan) {
+	if p != nil {
+		p.Schedule(n.eng, n.At)
 	}
-	net := &Network{eng: rollback.New(g, apps, cfg), g: g}
-	if c.plan != nil {
-		c.plan.Schedule(net.eng, net.At)
-	}
-	return net, nil
 }
 
 // Run advances the network to virtual time until.
@@ -288,8 +86,8 @@ func (n *Network) InjectTrace(ev trace.Event) error { return n.eng.InjectTrace(e
 // App returns node id's application for inspection.
 func (n *Network) App(id NodeID) Application { return n.eng.App(id) }
 
-// Recording returns the captured partial recording (nil unless
-// WithRecording was set).
+// Recording returns the captured partial recording (nil unless the engine
+// block set record).
 func (n *Network) Recording() *Recording { return n.eng.Recording() }
 
 // Stats is the engine's counter block (rollbacks, anti-messages, crash
@@ -304,7 +102,7 @@ func (n *Network) Stats() Stats { return n.eng.Stats() }
 func (n *Network) MessagePool() *msg.Pool { return n.eng.Sim().Pool() }
 
 // PoolViolations sums lifecycle-violation counts across every message
-// pool in the simulator — the driver pool plus, under WithShards, each
+// pool in the simulator — the driver pool plus, on a sharded engine, each
 // shard's lane pool.
 func (n *Network) PoolViolations() uint64 { return n.eng.Sim().PoolViolations() }
 
@@ -313,14 +111,15 @@ func (n *Network) PoolViolations() uint64 { return n.eng.Sim().PoolViolations() 
 // serialSteps how many events fell back to one-at-a-time serial
 // execution. Both are zero on the sequential engine. Fewer windows for
 // the same workload means wider windows — fewer barrier crossings — which
-// is the quantity per-link lookahead (WithLookahead) exists to shrink.
+// is the quantity per-link lookahead (engine.lookahead) exists to shrink.
 func (n *Network) WindowStats() (windows, serialSteps uint64) {
 	s := n.eng.Sim()
 	return s.Windows(), s.SerialSteps()
 }
 
 // CommittedOrder returns node id's committed delivery sequence rendered as
-// strings (requires WithDeliveryLog for the settled prefix).
+// strings (the settled prefix is kept only when the engine block set
+// deliveryLog).
 func (n *Network) CommittedOrder(id NodeID) []string {
 	keys := n.eng.CommittedKeys(id)
 	out := make([]string, len(keys))
@@ -352,7 +151,7 @@ func (n *Network) CheckFaults(cfg faults.CheckConfig) *faults.Report {
 	return faults.Check(n.eng, n.g, cfg)
 }
 
-// Millisecond re-exports the virtual millisecond for option values.
+// Millisecond re-exports the virtual millisecond.
 const Millisecond = vtime.Millisecond
 
 // Second re-exports the virtual second.

@@ -5,7 +5,7 @@ package defined_test
 // Stats counter, and every node's final routing table must be
 // bit-identical to the sequential engine — parallelism may change
 // wall-clock speed only, never execution. These tests are the proof the
-// WithShards documentation cites, and they are the reason the conservative
+// engine.shards documentation cites, and they are the reason the conservative
 // window protocol can be trusted: any divergence in the commit-barrier
 // merge, the provisional-sequence resolution, or the estimator window
 // schedule shows up here as a differing order, counter or table.
@@ -46,7 +46,7 @@ func TestShardGolden(t *testing.T) {
 				seqOrders, seqStats, seqTables, _ := goldenRun(tp.mk(seed), seed, mi, false)
 				for _, n := range []int{1, 2, 4, 7} {
 					shOrders, shStats, shTables, net := goldenRun(tp.mk(seed), seed, mi, false,
-						defined.WithShards(n))
+						withShards(n))
 					what := fmt.Sprintf("shards=%d vs sequential", n)
 					diffOrders(t, what, seqOrders, shOrders)
 					diffTables(t, what, seqTables, shTables)
@@ -63,12 +63,12 @@ func TestShardGolden(t *testing.T) {
 				// the lookahead-off rows above — lookahead may move
 				// speculation and barrier placement only.
 				laOrders, laStats, laTables, _ := goldenRun(tp.mk(seed), seed, mi, false,
-					defined.WithLookahead())
+					withLookahead)
 				diffOrders(t, "lookahead-on vs off (sequential)", laOrders, seqOrders)
 				diffTables(t, "lookahead-on vs off (sequential)", laTables, seqTables)
 				for _, n := range []int{2, 7} {
 					shOrders, shStats, shTables, _ := goldenRun(tp.mk(seed), seed, mi, false,
-						defined.WithLookahead(), defined.WithShards(n))
+						withLookahead, withShards(n))
 					what := fmt.Sprintf("lookahead shards=%d vs sequential", n)
 					diffOrders(t, what, laOrders, shOrders)
 					diffTables(t, what, laTables, shTables)
@@ -97,7 +97,7 @@ func TestShardGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		shOrders, shStats, shTables, _ := goldenRun(defined.Sprintlink(), 1, mi, false,
-			defined.WithShards(4))
+			withShards(4))
 		what := fmt.Sprintf("shards=4 GOMAXPROCS=%d vs sequential", procs)
 		diffOrders(t, what, seqOrders, shOrders)
 		diffTables(t, what, seqTables, shTables)

@@ -3,10 +3,10 @@ package defined
 // The scenario front door. Committed scenario files resolve into a
 // RunSpec (every default explicit, contradictions rejected), expand into
 // a Plan (concrete topology, per-node protocol bindings, driver-event
-// schedule — fingerprintable without executing), and boot here. The
-// With* options on NewNetwork are thin builders over the same engine
-// carrier, so both entry points share one defaulting and validation
-// table.
+// schedule — fingerprintable without executing), and boot here.
+// NewNetwork, for callers that bring their own topology and applications,
+// takes the same engine block and resolves it through the same defaulting
+// and validation table.
 
 import (
 	"defined/internal/rollback"
@@ -15,6 +15,10 @@ import (
 
 // Spec is a declarative scenario template (see internal/scenario).
 type Spec = scenario.Spec
+
+// EngineSpec is a Spec's engine block — the one way an engine is
+// configured, here and in NewNetwork.
+type EngineSpec = scenario.EngineSpec
 
 // RunSpec is a resolved, immutable scenario snapshot.
 type RunSpec = scenario.RunSpec
@@ -47,9 +51,7 @@ func NewNetworkFromPlan(p *Plan) *Network {
 			net.At(ev.At, func() { net.eng.InjectExternal(ev.Node, ev.Ev) })
 		}
 	}
-	if p.Faults != nil {
-		p.Faults.Schedule(net.eng, net.At)
-	}
+	net.ScheduleFaults(p.Faults)
 	return net
 }
 

@@ -65,7 +65,7 @@ func TestFigureSpecGolden(t *testing.T) {
 // orders, the Stats string, every node's final OSPF/RIP/BGP tables and
 // the network. restart adds a fault plan that crashes and restarts one
 // border and one gateway mid-run.
-func compositeRun(t *testing.T, hideJournal, restart bool, opts ...defined.Option) (orders [][]string, stats string, tables []string, net *defined.Network) {
+func compositeRun(t *testing.T, hideJournal, restart bool, mods ...engineMod) (orders [][]string, stats string, tables []string, net *defined.Network) {
 	t.Helper()
 	p, err := loadScenarioFile(t, "scenarios/mixed-smoke.json").Expand()
 	if err != nil {
@@ -80,7 +80,11 @@ func compositeRun(t *testing.T, hideJournal, restart bool, opts ...defined.Optio
 			apps[i] = cloneOnlyApp{a}
 		}
 	}
-	opts = append([]defined.Option{defined.WithSeed(42), defined.WithDeliveryLog()}, opts...)
+	eng := defined.EngineSpec{Seed: ptr(uint64(42)), DeliveryLog: ptr(true)}
+	for _, mod := range mods {
+		mod(&eng)
+	}
+	net = mustNet(t, p.Graph, apps, eng)
 	if restart {
 		border := defined.NodeID(h.Borders[0])
 		gateway := defined.NodeID(-1)
@@ -93,11 +97,10 @@ func compositeRun(t *testing.T, hideJournal, restart bool, opts ...defined.Optio
 		if scenario.BGP(inner[border]) == nil || scenario.RIP(inner[gateway]) == nil {
 			t.Fatalf("border %d / gateway %d are not the composites this golden is about", border, gateway)
 		}
-		opts = append(opts, defined.WithFaultPlan(faults.NewPlan().
+		net.ScheduleFaults(faults.NewPlan().
 			Crash(defined.Seconds(4), border).Crash(defined.Seconds(5), gateway).
-			Restart(defined.Seconds(5.5), border).Restart(defined.Seconds(7), gateway)))
+			Restart(defined.Seconds(5.5), border).Restart(defined.Seconds(7), gateway))
 	}
-	net = mustNet(t, p.Graph, apps, opts...)
 	for _, ev := range p.Events { // as NewNetworkFromPlan schedules them
 		if ev.IsLink {
 			net.At(ev.At, func() { _ = net.InjectLinkChange(ev.A, ev.B, ev.Up) })
@@ -149,11 +152,12 @@ func TestCompositeCrossModeGolden(t *testing.T) {
 		t.Fatalf("journal vs fallback stats differ:\n%s\n%s", miStats, fbStats)
 	}
 
-	fkOrders, _, fkTables, _ := compositeRun(t, false, false, defined.WithStrategy(fk))
+	fkOrders, _, fkTables, _ := compositeRun(t, false, false,
+		func(e *defined.EngineSpec) { e.Strategy = fk.String() })
 	diffOrders(t, "FK vs MI", fkOrders, miOrders)
 	diffTables(t, "FK vs MI", fkTables, miTables)
 
-	shOrders, shStats, shTables, _ := compositeRun(t, false, false, defined.WithShards(2))
+	shOrders, shStats, shTables, _ := compositeRun(t, false, false, withShards(2))
 	diffOrders(t, "2-shard vs sequential", shOrders, miOrders)
 	diffTables(t, "2-shard vs sequential", shTables, miTables)
 	if shStats != miStats {
@@ -170,11 +174,11 @@ func TestCompositeCrossModeGolden(t *testing.T) {
 func TestCompositeRestartGolden(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			jOrders, jStats, jTables, jNet := compositeRun(t, false, true, defined.WithShards(shards))
+			jOrders, jStats, jTables, jNet := compositeRun(t, false, true, withShards(shards))
 			if st := jNet.Stats(); st.NodeCrashes != 2 || st.NodeRestarts != 2 {
 				t.Fatalf("plan did not crash and restart both composites: %+v", st)
 			}
-			fOrders, fStats, fTables, _ := compositeRun(t, true, true, defined.WithShards(shards))
+			fOrders, fStats, fTables, _ := compositeRun(t, true, true, withShards(shards))
 			diffOrders(t, "journal vs fallback", jOrders, fOrders)
 			diffTables(t, "journal vs fallback", jTables, fTables)
 			if jStats != fStats {
