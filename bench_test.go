@@ -1,13 +1,13 @@
 package defined_test
 
 // One benchmark per evaluation figure (paper §5): each regenerates its
-// figure through the experiments harness and reports the headline metric
-// the paper reads off the plot. Run with:
+// figure from its committed scenario (runFigure: LoadSpec → Run) and
+// reports the headline metric the paper reads off the plot. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The benchmarks use the reduced (Quick) workloads; cmd/defined-bench
-// regenerates the full-scale figures. Ablation benchmarks cover the design
+// The committed scenarios are the reduced (quick) workloads;
+// cmd/defined-bench regenerates the full-scale figures. Ablation benchmarks cover the design
 // knobs DESIGN.md calls out (beacon interval, chain bound, checkpoint
 // strategies), and micro-benchmarks cover the hot substrate paths.
 
@@ -17,7 +17,6 @@ import (
 
 	"defined"
 	"defined/internal/checkpoint"
-	"defined/internal/experiments"
 	"defined/internal/history"
 	"defined/internal/memstore"
 	"defined/internal/metrics"
@@ -29,8 +28,6 @@ import (
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
-
-var benchOpt = experiments.Options{Quick: true, Seed: 42}
 
 func medianX(pts []metrics.Point) float64 {
 	for _, p := range pts {
@@ -56,7 +53,7 @@ func lastY(pts []metrics.Point) float64 {
 func BenchmarkFig6a_ControlOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig6a(benchOpt)
+		f := runFigure(b, "fig6a")
 		b.ReportMetric(medianX(f.SeriesByName("XORP").Points), "xorp-median-pkts")
 		b.ReportMetric(medianX(f.SeriesByName("DEFINED-RB").Points), "rb-median-pkts")
 	}
@@ -66,7 +63,7 @@ func BenchmarkFig6a_ControlOverhead(b *testing.B) {
 func BenchmarkFig6b_Convergence(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig6b(benchOpt)
+		f := runFigure(b, "fig6b")
 		b.ReportMetric(medianX(f.SeriesByName("XORP").Points), "xorp-median-s")
 		b.ReportMetric(medianX(f.SeriesByName("DEFINED-RB").Points), "rb-median-s")
 	}
@@ -77,7 +74,7 @@ func BenchmarkFig6b_Convergence(b *testing.B) {
 func BenchmarkFig6c_StepResponse(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig6c(benchOpt)
+		f := runFigure(b, "fig6c")
 		pts := f.SeriesByName("DEFINED-LS").Points
 		b.ReportMetric(medianX(pts), "median-s")
 		if len(pts) > 0 {
@@ -90,7 +87,7 @@ func BenchmarkFig6c_StepResponse(b *testing.B) {
 // cost (real measured milliseconds; paper: MI median ≈ 0.6 ms ≪ FK).
 func BenchmarkFig7a_RollbackCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig7a(benchOpt)
+		f := runFigure(b, "fig7a")
 		b.ReportMetric(medianX(f.SeriesByName("DEFINED-RB(MI)").Points), "mi-median-ms")
 		b.ReportMetric(medianX(f.SeriesByName("DEFINED-RB(FK)").Points), "fk-median-ms")
 	}
@@ -100,7 +97,7 @@ func BenchmarkFig7a_RollbackCost(b *testing.B) {
 // fork timing (paper ordering XORP < TM < PF < TF).
 func BenchmarkFig7b_NonRollbackCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig7b(benchOpt)
+		f := runFigure(b, "fig7b")
 		for _, name := range []string{"XORP", "DEFINED-RB(TM)", "DEFINED-RB(PF)", "DEFINED-RB(TF)"} {
 			b.ReportMetric(medianX(f.SeriesByName(name).Points)*1000, name+"-median-µs")
 		}
@@ -111,7 +108,7 @@ func BenchmarkFig7b_NonRollbackCost(b *testing.B) {
 // PM stays within a few percent of baseline.
 func BenchmarkFig7c_Memory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig7c(benchOpt)
+		f := runFigure(b, "fig7c")
 		vm := f.SeriesByName("DEFINED-RB(VM)").Points
 		pm := f.SeriesByName("DEFINED-RB(PM)").Points
 		b.ReportMetric(vm[len(vm)-1].X, "vm-max-MB")
@@ -124,7 +121,7 @@ func BenchmarkFig7c_Memory(b *testing.B) {
 func BenchmarkFig8a_ControlVsSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig8a(benchOpt)
+		f := runFigure(b, "fig8a")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-RB(RO)").Points), "ro-pkts")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-RB(OO)").Points), "oo-pkts")
 		b.ReportMetric(lastY(f.SeriesByName("XORP").Points), "xorp-pkts")
@@ -135,7 +132,7 @@ func BenchmarkFig8a_ControlVsSize(b *testing.B) {
 func BenchmarkFig8b_ConvergenceVsSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig8b(benchOpt)
+		f := runFigure(b, "fig8b")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-RB(RO)").Points), "ro-s")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-RB(OO)").Points), "oo-s")
 		b.ReportMetric(lastY(f.SeriesByName("XORP").Points), "xorp-s")
@@ -147,7 +144,7 @@ func BenchmarkFig8b_ConvergenceVsSize(b *testing.B) {
 func BenchmarkFig8c_ResponseVsSize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig8c(benchOpt)
+		f := runFigure(b, "fig8c")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-LS").Points), "largest-size-s")
 	}
 }
@@ -157,7 +154,7 @@ func BenchmarkFig8c_ResponseVsSize(b *testing.B) {
 func BenchmarkFig8d_EventRate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := experiments.Fig8d(benchOpt)
+		f := runFigure(b, "fig8d")
 		b.ReportMetric(lastY(f.SeriesByName("DEFINED-RB").Points), "highest-rate-s")
 	}
 }

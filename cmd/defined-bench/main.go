@@ -4,7 +4,7 @@
 // Usage:
 //
 //	defined-bench -scenario scenarios/hier10k.json [-dryrun] [-csv]
-//	defined-bench [-fig fig6a] [-preset quick|full|chaos] [-csv] [-seed N]
+//	defined-bench [-fig fig6a] [-preset quick|full] [-csv] [-seed N]
 //
 // -scenario resolves a committed spec file and runs it: figure-workload
 // scenarios regenerate their figure, plain scenarios boot the described
@@ -13,22 +13,21 @@
 // after printing the expanded plan's summary and content fingerprint —
 // the committed-spec drift check CI runs.
 //
-// Without -scenario, figures regenerate directly. -preset selects the
-// workload shape:
+// Without -scenario, the committed figure scenarios regenerate (every
+// figure has one under internal/experiments/specs/, stating the engine it
+// runs: sequential, eager, TF/FK — the cost point the goldens pin). The
+// other flags are edits of those files before they resolve:
 //
-//	quick     reduced CI-scale workloads
-//	full      the paper's sample sizes (default)
-//	chaos     the fault-injection campaign instead of figures: seeded
-//	          crashes/flaps/partition plus loss and duplication, ending
-//	          with the fault-invariant pass
+//	-fig      one figure instead of all ten
+//	-preset   quick (reduced CI-scale workloads, as committed) or full
+//	          (the paper's sample sizes, default)
+//	-seed     the engine seed
 //
-// Figures always run the reference engine (sequential, eager, TF/FK — the
-// cost point the goldens pin); engine features are a scenario file's
-// business. Contradictory flags exit 2 naming both sides, never silently
-// losing one: -dryrun needs -scenario, and a scenario file carries its
-// own figure, scale and seed, so -fig, -preset and -seed are rejected
-// beside it (as are -fig and -csv beside -preset chaos, which prints no
-// figure).
+// Engine features are a scenario file's business; the fault-injection
+// campaign is one (scenarios/chaos.json). Contradictory flags exit 2
+// naming both sides, never silently losing one: -dryrun needs -scenario,
+// and a scenario file carries its own figure, scale and seed, so -fig,
+// -preset and -seed are rejected beside it.
 package main
 
 import (
@@ -40,6 +39,7 @@ import (
 	"time"
 
 	"defined/internal/experiments"
+	"defined/internal/scenario"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 42, "experiment seed")
 	scenarioFile := fs.String("scenario", "", "committed scenario file to run (see scenarios/ and internal/experiments/specs/)")
 	dryrun := fs.Bool("dryrun", false, "with -scenario: print the plan summary and fingerprint, execute nothing")
-	presetName := fs.String("preset", "", "workload preset: quick, full (default), chaos")
+	presetName := fs.String("preset", "full", "workload scale: quick or full")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -78,44 +78,47 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opt := experiments.Options{Seed: *seed}
-	switch *presetName {
-	case "full", "":
-	case "quick":
-		opt.Quick = true
-	case "chaos":
-		for _, name := range []string{"fig", "csv"} {
-			if set[name] {
-				fmt.Fprintf(stderr, "defined-bench: -%s with -preset chaos — the campaign regenerates no figure\n", name)
-				return 2
-			}
-		}
-		return runFaults(*seed, stdout, stderr)
-	default:
-		fmt.Fprintf(stderr, "defined-bench: unknown preset %q (want quick, full or chaos)\n", *presetName)
+	quick := *presetName == "quick"
+	if !quick && *presetName != "full" {
+		fmt.Fprintf(stderr, "defined-bench: unknown preset %q (want quick or full)\n", *presetName)
 		return 2
 	}
 
-	ids := experiments.SpecIDs() // every figure has a committed spec
+	ids := experiments.SpecIDs()
 	if *fig != "" {
 		ids = []string{*fig}
 	}
 	for _, id := range ids {
-		if code := printFigure(id, opt, *csv, stdout, stderr); code != 0 {
+		r, err := experiments.LoadSpec(id, func(s *scenario.Spec) {
+			s.Workload.Quick = &quick
+			if set["seed"] {
+				s.Engine.Seed = seed
+			}
+		})
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if code := printFigure(r, *csv, stdout, stderr); code != 0 {
 			return code
 		}
 	}
 	return 0
 }
 
-// printFigure regenerates one evaluation figure and prints it as a table
-// (with its wall time) or as CSV.
-func printFigure(id string, opt experiments.Options, csv bool, stdout, stderr io.Writer) int {
+// fail reports err on stderr and returns the run-failed exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "defined-bench:", err)
+	return 1
+}
+
+// printFigure regenerates the evaluation figure a resolved figure
+// scenario describes and prints it as a table (with its wall time) or as
+// CSV.
+func printFigure(r scenario.RunSpec, csv bool, stdout, stderr io.Writer) int {
 	start := time.Now()
-	f, err := experiments.ByID(id, opt)
+	f, err := experiments.Run(r)
 	if err != nil {
-		fmt.Fprintln(stderr, "defined-bench:", err)
-		return 1
+		return fail(stderr, err)
 	}
 	if csv {
 		fmt.Fprintf(stdout, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())

@@ -8,13 +8,15 @@ import (
 
 // TestDryrunFingerprints is the committed-scenario drift check CI runs:
 // `-scenario <file> -dryrun` must print the pinned plan fingerprint of
-// both scenario files. A drift in a file, the resolver's defaults or the
-// expansion fails here; an intentional change updates the constants (and
-// internal/scenario/plan10k_test.go, which pins hier10k too).
+// every file under scenarios/. A drift in a file, the resolver's defaults
+// or the expansion fails here; an intentional change updates the
+// constants (and internal/scenario/plan10k_test.go, which pins hier10k
+// too).
 func TestDryrunFingerprints(t *testing.T) {
 	for _, c := range []struct{ file, fingerprint string }{
 		{"../../scenarios/hier10k.json", "0xd8ce94722560e39f"},
 		{"../../scenarios/mixed-smoke.json", "0xa7504e03287e1354"},
+		{"../../scenarios/chaos.json", "0x930d0275c0e1f7a5"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-scenario", c.file, "-dryrun"}, &stdout, &stderr); code != 0 {
@@ -39,8 +41,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-scenario", file, "-dryrun", "-fig", "fig6a"}, []string{"-fig", "-scenario"}},
 		{[]string{"-scenario", file, "-dryrun", "-preset", "quick"}, []string{"-preset", "-scenario"}},
 		{[]string{"-scenario", file, "-dryrun", "-seed", "7"}, []string{"-seed", "-scenario"}},
-		{[]string{"-preset", "chaos", "-fig", "fig6a"}, []string{"-fig", "-preset chaos"}},
-		{[]string{"-preset", "chaos", "-csv"}, []string{"-csv", "-preset chaos"}},
+		{[]string{"-preset", "chaos"}, []string{`unknown preset "chaos"`}},
 		{[]string{"-preset", "sharded"}, []string{`unknown preset "sharded"`}},
 		{[]string{"-quick"}, []string{"-quick"}},
 	} {
@@ -55,6 +56,24 @@ func TestUsageErrors(t *testing.T) {
 			if !strings.Contains(stderr.String(), w) {
 				t.Errorf("%v: stderr does not mention %q:\n%s", c.args, w, &stderr)
 			}
+		}
+	}
+}
+
+// TestChaosScenario runs the committed fault campaign — a seeded plan of
+// crashes, flaps and a partition under per-link loss and duplication on
+// the 4-shard lookahead engine — to its horizon. The plan is lossy, so
+// the pass it must clear is the engine-invariant one (OSPF floods without
+// retransmit; TestFaultPlanGolden holds the loss-free leg to route
+// coherence).
+func TestChaosScenario(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scenario", "../../scenarios/chaos.json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, &stderr)
+	}
+	for _, want := range []string{"NodeCrashes:2 NodeRestarts:2", "SettleViolations:0", "coherence: ok"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("output does not mention %q:\n%s", want, &stdout)
 		}
 	}
 }

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"defined"
@@ -20,18 +22,33 @@ import (
 	"defined/internal/vtime"
 )
 
-func main() {
-	topoName := flag.String("topology", "sprintlink", "topology: sprintlink, ebone, level3")
-	events := flag.Int("events", 20, "number of trace events to replay")
-	seed := flag.Uint64("seed", 7, "workload and jitter seed")
-	window := flag.Float64("window", 30, "virtual seconds to compress the trace into")
-	out := flag.String("o", "recording.json", "output file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the summary to stdout
+// and diagnostics to stderr, and returns the exit code (2 for usage
+// errors, 1 when no complete recording was written).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("defined-record", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	topoName := fs.String("topology", "sprintlink", "topology: sprintlink, ebone, level3")
+	events := fs.Int("events", 20, "number of trace events to replay")
+	seed := fs.Uint64("seed", 7, "workload and jitter seed")
+	window := fs.Float64("window", 30, "virtual seconds to compress the trace into")
+	out := fs.String("o", "recording.json", "output file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "defined-record:", err)
+		return 1
+	}
 
 	g, err := topology.ByName(*topoName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "defined-record: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	apps := make([]defined.Application, g.N)
 	for i := range apps {
@@ -40,40 +57,41 @@ func main() {
 	record := true
 	net, err := defined.NewNetwork(g, apps, defined.EngineSpec{Seed: seed, Record: &record})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "defined-record:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	evs := trace.Synthesize(g, trace.Config{Seed: *seed, Events: *events})
 	evs = trace.Compress(evs, vtime.Duration(*window*float64(vtime.Second)))
 	for _, ev := range evs {
-		ev := ev
 		net.At(defined.Time(ev.At), func() {
 			if err := net.InjectTrace(ev); err != nil {
-				fmt.Fprintf(os.Stderr, "defined-record: inject: %v\n", err)
+				fmt.Fprintf(stderr, "defined-record: inject: %v\n", err)
 			}
 		})
 	}
 	net.Run(defined.Seconds(*window + 1))
 	if !net.Drain() {
-		fmt.Fprintln(os.Stderr, "defined-record: network did not quiesce")
-		os.Exit(1)
+		return fail(errors.New("network did not quiesce"))
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "defined-record: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
-	defer f.Close()
 	rec := net.Recording()
-	if err := rec.Encode(f); err != nil {
-		fmt.Fprintf(os.Stderr, "defined-record: %v\n", err)
-		os.Exit(1)
+	err = rec.Encode(f)
+	// A failed Close (a full disk flushing late) is a truncated recording
+	// just as a failed Encode is.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fail(err)
 	}
 	st := net.Stats()
-	fmt.Printf("recorded %d external events over %d groups on %s (%d deliveries, %d rollbacks, %d anti-messages)\n",
+	fmt.Fprintf(stdout, "recorded %d external events over %d groups on %s (%d deliveries, %d rollbacks, %d anti-messages)\n",
 		len(rec.Events), rec.Groups, g.Name, st.Deliveries, st.Rollbacks, st.AntiMessages)
-	fmt.Printf("wrote %s — replay with: defined-debug -topology %s -recording %s\n",
+	fmt.Fprintf(stdout, "wrote %s — replay with: defined-debug -topology %s -recording %s\n",
 		*out, *topoName, *out)
+	return 0
 }

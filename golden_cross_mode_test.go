@@ -332,31 +332,43 @@ func TestLookaheadGolden(t *testing.T) {
 }
 
 // TestFigureMetricsGolden pins the headline metrics of the two figure
-// reproductions the CI bench smoke tracks. The figure pipeline pins the
-// seed tree's speculation dynamics (TF/FK cost point, deferral off,
-// per-run static behaviour), so these values must stay bit-identical
-// across engine-default changes — the constants were captured from the
-// PR 2 tree and guard the PR 3 rollback-avoidance defaults. An
-// intentional figure-workload change must update them.
+// reproductions the CI bench smoke tracks, regenerated the one way a
+// figure is: committed spec → LoadSpec → Run. The specs state the seed
+// tree's speculation dynamics (TF/FK cost point, deferral off), so these
+// values must stay bit-identical across engine-default changes — the
+// constants were captured from the PR 2 tree and guard the PR 3
+// rollback-avoidance defaults. An intentional figure-workload change must
+// update them.
 func TestFigureMetricsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates two figures (~10 s)")
 	}
-	opt := experiments.Options{Quick: true, Seed: 42}
-
-	f6 := experiments.Fig6a(opt)
+	f6 := runFigure(t, "fig6a")
 	if got := goldenMedianX(f6.SeriesByName("DEFINED-RB").Points); got != 10.358974358974359 {
-		t.Errorf("Fig6a DEFINED-RB median pkts = %.17g, want 10.358974358974359", got)
+		t.Errorf("fig6a DEFINED-RB median pkts = %.17g, want 10.358974358974359", got)
 	}
 	if got := goldenMedianX(f6.SeriesByName("XORP").Points); got != 8.3076923076923066 {
-		t.Errorf("Fig6a XORP median pkts = %.17g, want 8.3076923076923066", got)
+		t.Errorf("fig6a XORP median pkts = %.17g, want 8.3076923076923066", got)
 	}
 
-	f8 := experiments.Fig8d(opt)
-	pts := f8.SeriesByName("DEFINED-RB").Points
+	pts := runFigure(t, "fig8d").SeriesByName("DEFINED-RB").Points
 	if got := pts[len(pts)-1].Y; got != 0.46000000000000002 {
-		t.Errorf("Fig8d convergence at highest rate = %.17g s, want 0.46000000000000002", got)
+		t.Errorf("fig8d convergence at highest rate = %.17g s, want 0.46000000000000002", got)
 	}
+}
+
+// runFigure regenerates one evaluation figure from its committed scenario.
+func runFigure(tb testing.TB, id string) *metrics.Figure {
+	tb.Helper()
+	r, err := experiments.LoadSpec(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f, err := experiments.Run(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
 }
 
 // goldenMedianX mirrors the bench harness's headline extraction: the CDF

@@ -5,17 +5,29 @@ import (
 	"testing"
 
 	"defined/internal/metrics"
-	"defined/internal/ordering"
-	"defined/internal/rollback"
+	"defined/internal/scenario"
 	"defined/internal/topology"
 	"defined/internal/trace"
 	"defined/internal/vtime"
 )
 
-var quick = Options{Quick: true, Seed: 42}
+// figure regenerates one figure the way every caller does: committed
+// spec → LoadSpec → Run.
+func figure(t *testing.T, id string) *metrics.Figure {
+	t.Helper()
+	r, err := LoadSpec(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 func TestFig6aShape(t *testing.T) {
-	f := Fig6a(quick)
+	f := figure(t, "fig6a")
 	xorp := f.SeriesByName("XORP")
 	rb := f.SeriesByName("DEFINED-RB")
 	if xorp == nil || rb == nil {
@@ -33,7 +45,7 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6bShape(t *testing.T) {
-	f := Fig6b(quick)
+	f := figure(t, "fig6b")
 	for _, name := range []string{"XORP", "DEFINED-RB"} {
 		s := f.SeriesByName(name)
 		if s == nil || len(s.Points) == 0 {
@@ -49,7 +61,7 @@ func TestFig6bShape(t *testing.T) {
 }
 
 func TestFig6cShape(t *testing.T) {
-	f := Fig6c(quick)
+	f := figure(t, "fig6c")
 	s := f.SeriesByName("DEFINED-LS")
 	if s == nil || len(s.Points) == 0 {
 		t.Fatal("missing series")
@@ -63,7 +75,7 @@ func TestFig6cShape(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
-	f := Fig7a(quick)
+	f := figure(t, "fig7a")
 	mi := f.SeriesByName("DEFINED-RB(MI)")
 	fk := f.SeriesByName("DEFINED-RB(FK)")
 	if mi == nil || fk == nil || len(mi.Points) == 0 || len(fk.Points) == 0 {
@@ -83,7 +95,7 @@ func TestFig7aShape(t *testing.T) {
 // where medians read off a 40-point CDF grid spanning [min, max] moved with
 // whatever outlier set max.
 func TestFig7bShape(t *testing.T) {
-	f := Fig7b(quick)
+	f := figure(t, "fig7b")
 	best := map[string]float64{}
 	for _, name := range []string{"XORP", "DEFINED-RB(TM)", "DEFINED-RB(PF)", "DEFINED-RB(TF)"} {
 		s := f.SeriesByName(name)
@@ -101,7 +113,7 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig7cShape(t *testing.T) {
-	f := Fig7c(quick)
+	f := figure(t, "fig7c")
 	vm := f.SeriesByName("DEFINED-RB(VM)")
 	pm := f.SeriesByName("DEFINED-RB(PM)")
 	xorp := f.SeriesByName("XORP")
@@ -121,7 +133,7 @@ func TestFig7cShape(t *testing.T) {
 }
 
 func TestFig8aShape(t *testing.T) {
-	f := Fig8a(quick)
+	f := figure(t, "fig8a")
 	ro := f.SeriesByName("DEFINED-RB(RO)")
 	oo := f.SeriesByName("DEFINED-RB(OO)")
 	xorp := f.SeriesByName("XORP")
@@ -143,7 +155,7 @@ func TestFig8aShape(t *testing.T) {
 }
 
 func TestFig8bShape(t *testing.T) {
-	f := Fig8b(quick)
+	f := figure(t, "fig8b")
 	for _, name := range fig8Order {
 		s := f.SeriesByName(name)
 		if s == nil || len(s.Points) == 0 {
@@ -153,7 +165,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cShape(t *testing.T) {
-	f := Fig8c(quick)
+	f := figure(t, "fig8c")
 	s := f.SeriesByName("DEFINED-LS")
 	if s == nil || len(s.Points) == 0 {
 		t.Fatal("missing series")
@@ -166,7 +178,7 @@ func TestFig8cShape(t *testing.T) {
 }
 
 func TestFig8dShape(t *testing.T) {
-	f := Fig8d(quick)
+	f := figure(t, "fig8d")
 	s := f.SeriesByName("DEFINED-RB")
 	if s == nil || len(s.Points) == 0 {
 		t.Fatal("missing series")
@@ -184,23 +196,27 @@ func TestFig8dShape(t *testing.T) {
 // deferral pinned off (the figure configuration) and at the engine
 // default, must never retire a history slot a straggler still needed.
 func TestNoSettleViolationsAcrossWorkloads(t *testing.T) {
-	const deferDefault = 8 * vtime.Millisecond // the engine default, explicit to bypass the figure pin
+	// The reference engine the committed specs state, and the same block
+	// with deferral left at the engine default.
+	pinned := scenario.EngineSpec{Seed: ptr(uint64(42)), Strategy: "TF/FK", Deferral: ptr(false)}
+	deferred := scenario.EngineSpec{Seed: ptr(uint64(42)), Strategy: "TF/FK"}
+	ro := pinned
+	ro.Ordering, ro.OrderingSeed = "RO", ptr(uint64(43))
 	for _, tc := range []struct {
-		name  string
-		g     *topology.Graph
-		cfg   rollback.Config
-		slack vtime.Duration
+		name string
+		g    *topology.Graph
+		eng  scenario.EngineSpec
 	}{
-		{"sprintlink/oo-pinned", topology.Sprintlink(), rollback.Config{Seed: 42}, 0},
-		{"sprintlink/oo-defer", topology.Sprintlink(), rollback.Config{Seed: 42}, deferDefault},
-		{"brite/oo-defer", topology.Brite(20, 2, 42), rollback.Config{Seed: 42}, deferDefault},
-		{"brite/ro-pinned", topology.Brite(20, 2, 42),
-			rollback.Config{Seed: 42, Ordering: ordering.Random(43)}, 0},
+		{"sprintlink/oo-pinned", topology.Sprintlink(), pinned},
+		{"sprintlink/oo-defer", topology.Sprintlink(), deferred},
+		{"brite/oo-defer", topology.Brite(20, 2, 42), deferred},
+		{"brite/ro-pinned", topology.Brite(20, 2, 42), ro},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.DeferSlack = tc.slack
-			n := newNetwork(tc.g, cfg)
+			n, err := newNetwork(tc.g, tc.eng)
+			if err != nil {
+				t.Fatal(err)
+			}
 			evs := trace.Poisson(tc.g, 0.5, 16*vtime.Second, 300*vtime.Millisecond, 42)
 			applied := 0
 			for i, ev := range evs {
@@ -214,32 +230,49 @@ func TestNoSettleViolationsAcrossWorkloads(t *testing.T) {
 			if applied == 0 {
 				t.Fatal("no trace event applied; the network never churned")
 			}
-			n.e.RunQuiescent(10_000_000)
-			st := n.e.Stats()
+			n.RunQuiescent(10_000_000)
+			st := n.Stats()
 			if st.SettleViolations != 0 {
 				t.Fatalf("settle violations under adaptive bound: %+v", st)
 			}
-			if tc.slack == 0 && st.Deferred != 0 {
-				t.Fatalf("figure pinning failed to disable deferral: %+v", st)
+			if tc.eng.Deferral != nil && st.Deferred != 0 {
+				t.Fatalf("deferral: false still deferred arrivals: %+v", st)
 			}
 		})
 	}
 }
 
-func TestByID(t *testing.T) {
-	for _, id := range []string{"fig7a", "fig7b", "fig7c"} {
-		f, err := ByID(id, quick)
-		if err != nil || f.ID != id {
-			t.Fatalf("ByID(%s) = %v, %v", id, f, err)
-		}
+func TestRunRejects(t *testing.T) {
+	r, err := LoadSpec("fig7a", func(s *scenario.Spec) { s.Workload.Figure = "fig99" })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ByID("fig99", quick); err == nil {
+	if _, err := Run(r); err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) {
+		t.Fatalf("unknown figure: %v", err)
+	}
+	r, err = LoadSpec("fig7a", func(s *scenario.Spec) { s.Workload = nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(r); err == nil || !strings.Contains(err.Error(), "no figure workload") {
+		t.Fatalf("plain scenario: %v", err)
+	}
+	// A series is an edit of the spec's engine block; an edit that
+	// contradicts the block is an error, not a silently different engine.
+	r, err = LoadSpec("fig8a", func(s *scenario.Spec) { s.Engine.Deferral = ptr(true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(r); err == nil || !strings.Contains(err.Error(), "deferral with RO ordering") {
+		t.Fatalf("deferral beside the RO series: %v", err)
+	}
+	if _, err := LoadSpec("fig99"); err == nil {
 		t.Fatal("unknown id should error")
 	}
 }
 
 func TestFigureRendering(t *testing.T) {
-	f := Fig7a(quick)
+	f := figure(t, "fig7a")
 	if !strings.Contains(f.CSV(), "DEFINED-RB(MI)") {
 		t.Fatal("CSV missing series")
 	}

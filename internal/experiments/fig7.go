@@ -24,18 +24,18 @@ type fig7State struct {
 	size  int
 }
 
-func newFig7State(opt Options) *fig7State {
+func newFig7State(w workload) *fig7State {
 	size := 4 << 20 // 4 MiB hot state
-	if opt.Quick {
+	if w.quick {
 		size = 1 << 20
 	}
-	return newFig7StateSized(opt, size)
+	return newFig7StateSized(w, size)
 }
 
-func newFig7StateSized(opt Options, size int) *fig7State {
+func newFig7StateSized(w workload, size int) *fig7State {
 	st := &fig7State{
 		store: memstore.New(size),
-		r:     rng.New(opt.Seed).Derive("fig7"),
+		r:     rng.New(w.seed()).Derive("fig7"),
 		size:  size,
 	}
 	// Populate with nonzero content so restores move real bytes.
@@ -70,18 +70,18 @@ func (s *fig7State) processPacket(dirtyPages int) {
 	}
 }
 
-func (o Options) fig7Trials() int {
-	if o.Quick {
+func (w workload) fig7Trials() int {
+	if w.quick {
 		return 60
 	}
 	return 400
 }
 
-// Fig7a reproduces Figure 7a: the CDF of the time to perform one rollback,
+// fig7a reproduces Figure 7a: the CDF of the time to perform one rollback,
 // comparing FK (resume the fork: full state copy) against MI (manually
 // intercepted memory writes: copy only changed bytes). Paper result: MI's
 // median is ~0.6 ms, an order of magnitude below FK.
-func Fig7a(opt Options) *metrics.Figure {
+func fig7a(w workload) (*metrics.Figure, error) {
 	f := &metrics.Figure{
 		ID:     "fig7a",
 		Title:  "Rollback overhead of DEFINED-RB (single node)",
@@ -89,8 +89,8 @@ func Fig7a(opt Options) *metrics.Figure {
 		YLabel: "CDF",
 	}
 	var fk, mi metrics.Dist
-	st := newFig7State(opt)
-	for i := 0; i < opt.fig7Trials(); i++ {
+	st := newFig7State(w)
+	for i := 0; i < w.fig7Trials(); i++ {
 		snap := st.store.Snapshot()
 		// A rollback undoes a few out-of-order deliveries' worth of
 		// mutations.
@@ -115,30 +115,31 @@ func Fig7a(opt Options) *metrics.Figure {
 	}
 	cdfSeries(f, "DEFINED-RB(MI)", &mi, 40)
 	cdfSeries(f, "DEFINED-RB(FK)", &fk, 40)
-	return f
+	return f, nil
 }
 
-// Fig7b reproduces Figure 7b: the CDF of per-packet processing time
+// fig7b reproduces Figure 7b: the CDF of per-packet processing time
 // without rollbacks, comparing fork timings against unmodified software.
 // Paper ordering: XORP < TM (pre-fork + touched memory) < PF (pre-fork)
 // < TF (fork at arrival).
-func Fig7b(opt Options) *metrics.Figure {
+func fig7b(w workload) (*metrics.Figure, error) {
 	f := &metrics.Figure{
 		ID:     "fig7b",
 		Title:  "Non-rollback overhead of DEFINED-RB (single node)",
 		XLabel: "processing time [ms]",
 		YLabel: "CDF",
 	}
-	trials := opt.fig7Trials()
+	trials := w.fig7Trials()
 	dirty := 6
 
-	measure := func(prep func(s *fig7State) memstore.SnapID, inBand func(s *fig7State, id memstore.SnapID)) *metrics.Dist {
-		st := newFig7State(opt)
+	// measure times packets whose checkpoint was prepared off the
+	// critical path (idle cycles) by prep.
+	measure := func(prep func(s *fig7State) memstore.SnapID) *metrics.Dist {
+		st := newFig7State(w)
 		var d metrics.Dist
 		for i := 0; i < trials; i++ {
-			id := prep(st) // off the critical path (idle cycles)
+			id := prep(st)
 			t0 := time.Now()
-			inBand(st, id) // on the packet's critical path
 			st.processPacket(dirty)
 			d.Add(sinceMs(t0))
 			if err := st.store.Release(id); err != nil {
@@ -148,10 +149,9 @@ func Fig7b(opt Options) *metrics.Figure {
 		return &d
 	}
 
-	// XORP: no checkpointing at all (snapshot taken and released outside
-	// the timed region only to keep the loop shape identical).
+	// XORP: no checkpointing at all.
 	xorp := func() *metrics.Dist {
-		st := newFig7State(opt)
+		st := newFig7State(w)
 		var d metrics.Dist
 		for i := 0; i < trials; i++ {
 			t0 := time.Now()
@@ -164,7 +164,7 @@ func Fig7b(opt Options) *metrics.Figure {
 	// TF: the fork happens when the packet arrives — snapshot cost and
 	// the resulting COW faults are both in-band.
 	tf := func() *metrics.Dist {
-		st := newFig7State(opt)
+		st := newFig7State(w)
 		var d metrics.Dist
 		for i := 0; i < trials; i++ {
 			t0 := time.Now()
@@ -180,34 +180,28 @@ func Fig7b(opt Options) *metrics.Figure {
 
 	// PF: pre-fork during idle; the packet still pays the COW faults on
 	// the pages it touches.
-	pf := measure(
-		func(s *fig7State) memstore.SnapID { return s.store.Snapshot() },
-		func(s *fig7State, _ memstore.SnapID) {},
-	)
+	pf := measure(func(s *fig7State) memstore.SnapID { return s.store.Snapshot() })
 
 	// TM: pre-fork plus touching memory during idle; the packet's writes
 	// land on already-private pages.
-	tm := measure(
-		func(s *fig7State) memstore.SnapID {
-			id := s.store.Snapshot()
-			s.store.TouchAll()
-			return id
-		},
-		func(s *fig7State, _ memstore.SnapID) {},
-	)
+	tm := measure(func(s *fig7State) memstore.SnapID {
+		id := s.store.Snapshot()
+		s.store.TouchAll()
+		return id
+	})
 
 	cdfSeries(f, "XORP", xorp, 40)
 	cdfSeries(f, "DEFINED-RB(TM)", tm, 40)
 	cdfSeries(f, "DEFINED-RB(PF)", pf, 40)
 	cdfSeries(f, "DEFINED-RB(TF)", tf, 40)
-	return f
+	return f, nil
 }
 
-// Fig7c reproduces Figure 7c: the CDF of memory allocated to the node
+// fig7c reproduces Figure 7c: the CDF of memory allocated to the node
 // process over the run — virtual memory (VM) grows linearly with the
 // number of live forked checkpoints, while physical memory (PM) stays
 // within a few percent of the baseline thanks to page sharing.
-func Fig7c(opt Options) *metrics.Figure {
+func fig7c(w workload) (*metrics.Figure, error) {
 	f := &metrics.Figure{
 		ID:     "fig7c",
 		Title:  "Memory overhead of DEFINED-RB (single node)",
@@ -218,7 +212,7 @@ func Fig7c(opt Options) *metrics.Figure {
 	// as on the paper's testbed (XORP VM in the hundreds of MB, a few
 	// touched pages per routing message) — that ratio is what keeps the
 	// physical inflation under a few percent.
-	st := newFig7StateSized(opt, 16<<20)
+	st := newFig7StateSized(w, 16<<20)
 	var xorp, vm, pm metrics.Dist
 	const mb = 1 << 20
 	baseline := float64(st.size) / mb
@@ -226,11 +220,11 @@ func Fig7c(opt Options) *metrics.Figure {
 	// The history window keeps up to `window` live checkpoints; packets
 	// arrive, checkpoints retire FIFO — exactly the engine's settlement.
 	window := 24
-	if opt.Quick {
+	if w.quick {
 		window = 12
 	}
 	var live []memstore.SnapID
-	samples := opt.fig7Trials()
+	samples := w.fig7Trials()
 	for i := 0; i < samples; i++ {
 		live = append(live, st.store.Snapshot())
 		st.processPacket(2)
@@ -247,5 +241,5 @@ func Fig7c(opt Options) *metrics.Figure {
 	cdfSeries(f, "XORP", &xorp, 40)
 	cdfSeries(f, "DEFINED-RB(PM)", &pm, 40)
 	cdfSeries(f, "DEFINED-RB(VM)", &vm, 40)
-	return f
+	return f, nil
 }

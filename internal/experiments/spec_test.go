@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,28 +12,31 @@ import (
 	"defined/internal/scenario"
 )
 
-// TestCommittedSpecOptions proves the spec bridge is lossless: every
-// committed figure scenario derives exactly the Options the golden tests
-// hand-code, and survives a marshal → parse → resolve → expand round trip
-// with an identical plan fingerprint.
-func TestCommittedSpecOptions(t *testing.T) {
-	ids := SpecIDs()
-	want := []string{"fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "fig7c",
-		"fig8a", "fig8b", "fig8c", "fig8d"}
-	if !reflect.DeepEqual(ids, want) {
-		t.Fatalf("committed specs = %v, want %v", ids, want)
+// TestCommittedSpecEngine: every figure has a committed scenario, each
+// states the reference engine the figure shapes were calibrated against
+// (the goldens' seed, TF/FK, deferral off, sequential, no lookahead) —
+// the engine block is what the figure runs, so this is the pin — and each
+// survives a marshal → parse → resolve → expand round trip with an
+// identical plan fingerprint.
+func TestCommittedSpecEngine(t *testing.T) {
+	entries, err := specFS.ReadDir("specs")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range ids {
+	if len(entries) != len(figures) {
+		t.Fatalf("%d committed specs for %d figures", len(entries), len(figures))
+	}
+	for _, id := range SpecIDs() {
 		r, err := LoadSpec(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := OptionsFromSpec(r)
-		if err != nil {
-			t.Fatal(err)
+		s := r.Spec()
+		if e := s.Engine; *e.Seed != 42 || e.Strategy != "TF/FK" || *e.Deferral || *e.Shards != 0 || *e.Lookahead || *e.Baseline || e.Ordering != "OO" {
+			t.Errorf("%s: engine block is not the reference engine: %s", id, mustJSON(t, e))
 		}
-		if (opt != Options{Quick: true, Seed: 42}) {
-			t.Errorf("%s: derived %+v, want the golden Options{Quick: true, Seed: 42}", id, opt)
+		if s.Workload == nil || s.Workload.Figure != id || !*s.Workload.Quick {
+			t.Errorf("%s: workload block %s, want this figure at quick scale", id, mustJSON(t, s.Workload))
 		}
 
 		p, err := r.Expand()
@@ -62,6 +64,15 @@ func TestCommittedSpecOptions(t *testing.T) {
 				id, p.Fingerprint(), p2.Fingerprint())
 		}
 	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestCommittedSpecFingerprints pins the dry-run fingerprint of every

@@ -117,17 +117,32 @@ func Check(e *rollback.Engine, g *topology.Graph, cfg CheckConfig) *Report {
 		}
 	}
 	if cfg.Routes != nil {
-		r.checkRoutes(e, g, cfg.Routes, cfg.Pairs)
+		problems := routeMismatches(e, g, cfg.Routes, cfg.Pairs, 0)
+		r.RouteMismatches = len(problems)
+		r.Problems = append(r.Problems, problems...)
 	}
 	return r
 }
 
-// checkRoutes compares every admitted live node's routing view against
-// Dijkstra over the engine's current link and node state.
-func (r *Report) checkRoutes(e *rollback.Engine, g *topology.Graph, routes RouteReader, pairs func(src, dst msg.NodeID) bool) {
+// RoutesCoherent reports whether every live node's routing view matches
+// shortest paths over the engine's current link and node state: Check's
+// route-coherence pass as a predicate that stops at the first mismatch,
+// cheap enough to poll (the figure harness measures convergence time
+// with it).
+func RoutesCoherent(e *rollback.Engine, g *topology.Graph, routes RouteReader) bool {
+	return len(routeMismatches(e, g, routes, nil, 1)) == 0
+}
+
+// routeMismatches compares every admitted live node's routing view
+// against Dijkstra over the engine's current link and node state and
+// returns one line per disagreement, at most limit of them (0 = all).
+// Crashed (unrestarted) nodes are skipped as sources and expected
+// unreachable as destinations.
+func routeMismatches(e *rollback.Engine, g *topology.Graph, routes RouteReader, pairs func(src, dst msg.NodeID) bool, limit int) []string {
+	var problems []string
 	crashed := make([]bool, g.N)
-	for _, n := range r.CrashedNodes {
-		crashed[n] = true
+	for i := range crashed {
+		crashed[i] = e.Crashed(msg.NodeID(i))
 	}
 	for src := 0; src < g.N; src++ {
 		if crashed[src] {
@@ -148,16 +163,20 @@ func (r *Report) checkRoutes(e *rollback.Engine, g *topology.Graph, routes Route
 			reachable := want[dst] >= 0
 			switch {
 			case reachable != have:
-				r.RouteMismatches++
-				r.Problems = append(r.Problems, fmt.Sprintf(
+				problems = append(problems, fmt.Sprintf(
 					"route %d->%d: reachable=%v but daemon has-route=%v", src, dst, reachable, have))
 			case have && cost != want[dst]:
-				r.RouteMismatches++
-				r.Problems = append(r.Problems, fmt.Sprintf(
+				problems = append(problems, fmt.Sprintf(
 					"route %d->%d: cost %d, shortest path %d", src, dst, cost, want[dst]))
+			default:
+				continue
+			}
+			if len(problems) == limit {
+				return problems
 			}
 		}
 	}
+	return problems
 }
 
 // anyPair reports whether src has at least one admitted destination.

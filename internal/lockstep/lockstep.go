@@ -153,7 +153,8 @@ type Engine struct {
 	roundPerNode []int
 
 	drops    map[dropKey]int
-	maxSkew  vtime.Duration
+	maxSkew  vtime.Duration // longest coordinator path (recordStep)
+	maxLink  vtime.Duration // slowest link (recordStep)
 	steps    []StepInfo
 	breakFn  func(Delivery) bool
 	breakHit *Delivery
@@ -206,6 +207,9 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg C
 	for i, l := range g.Links {
 		if i == 0 || l.Delay < e.minLink {
 			e.minLink = l.Delay
+		}
+		if l.Delay > e.maxLink {
+			e.maxLink = l.Delay
 		}
 	}
 	for _, ev := range rec.Events {
@@ -539,19 +543,13 @@ func (e *Engine) recordStep() {
 		return // idle transition (e.g. empty group scan)
 	}
 	barrier := 2*e.maxSkew + vtime.Duration(e.G.N)*e.cfg.SemaphoreCost
-	maxLink := vtime.Duration(0)
-	for _, l := range e.G.Links {
-		if l.Delay > maxLink {
-			maxLink = l.Delay
-		}
-	}
 	heaviest := 0
 	for _, c := range e.roundPerNode {
 		if c > heaviest {
 			heaviest = c
 		}
 	}
-	resp := 2*barrier + maxLink + vtime.Duration(heaviest)*e.cfg.PerMessageCost
+	resp := 2*barrier + e.maxLink + vtime.Duration(heaviest)*e.cfg.PerMessageCost
 	e.steps = append(e.steps, StepInfo{
 		Group:           e.curGroup,
 		Round:           e.round,

@@ -758,11 +758,6 @@ func (e *Engine) groupAt(n msg.NodeID, t vtime.Time) uint64 {
 // Run advances the network to virtual time until, firing per-node timer
 // batches at every beacon-group boundary along the way.
 func (e *Engine) Run(until vtime.Time) {
-	if e.cfg.Baseline {
-		e.scheduleBaselineTimers(until)
-		e.sim.Run(until)
-		return
-	}
 	e.scheduleGroupTicks(until)
 	e.sim.Run(until)
 }
@@ -779,7 +774,8 @@ func (e *Engine) RunQuiescent(maxEvents int) bool {
 // group boundaries in (scheduledThrough, until]. The schedule is keyed on
 // the boundary, not the skewed fire time, so every node executes exactly
 // the same set of groups — which is what the recording promises the
-// debugging network (Recording.Groups).
+// debugging network (Recording.Groups). The unmodified baseline turns
+// the apps' timer wheels on the same boundaries, directly.
 func (e *Engine) scheduleGroupTicks(until vtime.Time) {
 	iv := e.cfg.BeaconInterval
 	for i := range e.shims {
@@ -790,31 +786,12 @@ func (e *Engine) scheduleGroupTicks(until vtime.Time) {
 			if boundary > until {
 				break
 			}
-			g := g
-			sh := sh
-			sh.lane.ScheduleFn(boundary.Add(e.skew[sh.id]), func() { sh.onTimerBatch(g) })
-		}
-	}
-	if until > e.scheduledThrough {
-		e.scheduledThrough = until
-	}
-}
-
-// scheduleBaselineTimers drives HandleTimer directly on beacon boundaries
-// for the unmodified baseline (apps still need their timer wheels turned).
-func (e *Engine) scheduleBaselineTimers(until vtime.Time) {
-	iv := e.cfg.BeaconInterval
-	for i := range e.shims {
-		sh := e.shims[i]
-		firstGroup := vtime.GroupOf(e.scheduledThrough, iv) + 1
-		for g := firstGroup; ; g++ {
-			boundary := vtime.GroupStart(g, iv)
-			if boundary > until {
-				break
+			at := boundary.Add(e.skew[sh.id])
+			if e.cfg.Baseline {
+				sh.lane.ScheduleFn(at, func() { sh.baselineTimer(g) })
+			} else {
+				sh.lane.ScheduleFn(at, func() { sh.onTimerBatch(g) })
 			}
-			g := g
-			sh := sh
-			sh.lane.ScheduleFn(boundary.Add(e.skew[sh.id]), func() { sh.baselineTimer(g) })
 		}
 	}
 	if until > e.scheduledThrough {

@@ -483,3 +483,59 @@ func TestLinkCost(t *testing.T) {
 		t.Fatalf("1ms = %d", api.LinkCost(vtime.Millisecond))
 	}
 }
+
+// TestSentRecordsOrderedByCause pins the invariant undoTo's suffix split
+// rests on. After every millisecond of a rollback storm (racing flood
+// waves under random ordering, eager delivery), at every shim: delivered
+// window entries carry strictly increasing serials, the live sent records
+// are sorted by the serial of the delivery that caused them, and every
+// record whose cause is not older than the window's first serial was
+// caused by an entry still in the window. Together those make "the sends
+// of the deliveries at window positions >= pos" exactly the tail of
+// sh.sent from the first causeSerial >= that position's serial.
+func TestSentRecordsOrderedByCause(t *testing.T) {
+	g := topology.Brite(20, 2, 13)
+	e := New(g, floodApps(g.N), Config{Seed: 1, Ordering: ordering.Random(5), DeferSlack: -1})
+	for v := 0; v < 8; v++ {
+		node := msg.NodeID((v * 7) % g.N)
+		e.sim.ScheduleFn(vtime.Time(vtime.Duration(v)*300*vtime.Microsecond), func() {
+			e.InjectExternal(node, injectEvent{Value: v})
+		})
+	}
+	tracked := 0
+	for now := vtime.Time(0); now < vtime.Time(vtime.Second); now = now.Add(vtime.Millisecond) {
+		e.Run(now)
+		for _, sh := range e.shims {
+			live := map[uint64]bool{}
+			first, last := uint64(0), uint64(0)
+			for i := 0; i < sh.win.Len(); i++ {
+				s := sh.win.At(i).Serial
+				if s == 0 {
+					continue
+				}
+				if s <= last {
+					t.Fatalf("t=%v node %d: window serial %d at position %d after %d", now, sh.id, s, i, last)
+				}
+				if first == 0 {
+					first = s
+				}
+				last, live[s] = s, true
+			}
+			prev := uint64(0)
+			for _, rec := range sh.sent {
+				if rec.causeSerial < prev {
+					t.Fatalf("t=%v node %d: sent record caused by %d after one caused by %d", now, sh.id, rec.causeSerial, prev)
+				}
+				prev = rec.causeSerial
+				if first != 0 && rec.causeSerial >= first && !live[rec.causeSerial] {
+					t.Fatalf("t=%v node %d: sent record outlived its undone cause %d (window serials %d..%d)",
+						now, sh.id, rec.causeSerial, first, last)
+				}
+				tracked++
+			}
+		}
+	}
+	if st := e.Stats(); st.Rollbacks < 100 || st.LazyReuses == 0 || tracked == 0 {
+		t.Fatalf("no storm: %d rollbacks, %d re-adopted sends, %d records inspected", st.Rollbacks, st.LazyReuses, tracked)
+	}
+}

@@ -2,7 +2,6 @@ package rollback
 
 import (
 	"reflect"
-	"slices"
 
 	"defined/internal/annotate"
 	"defined/internal/checkpoint"
@@ -55,10 +54,6 @@ type shim struct {
 	// replayPool holds the undone deliveries' sent records during a
 	// rollback replay for lazy cancellation (see rollbackAndReplay).
 	replayPool []*sentRec
-
-	// undoneScratch is the reusable buffer of rolled-back delivery
-	// serials, ascending (window serials increase by position).
-	undoneScratch []uint64
 
 	// pend is the key-ordered pending buffer of deferred arrivals (see
 	// defer.go); flushH/flushAt track the single re-armable flush event
@@ -359,15 +354,17 @@ func (sh *shim) undoTo(pos int) {
 	sh.stats.RollbackDepthSum += uint64(sh.win.Len() - pos)
 	sh.replayFresh = 0
 
-	// Serials of deliveries being undone: every entry at >= pos that has
-	// been delivered (a freshly inserted entry has serial 0 and was never
+	// Deliveries being undone: every entry at >= pos that has been
+	// delivered (a freshly inserted entry has serial 0 and was never
 	// delivered; delivered entries have serial >= 1). Serials increase
 	// with window position — replays stamp the suffix in window order —
-	// so the scratch slice comes out ascending, ready for binary search.
-	sh.undoneScratch = sh.undoneScratch[:0]
+	// so the first one found is the smallest.
+	first := uint64(0)
 	for i := pos; i < sh.win.Len(); i++ {
 		if s := sh.win.At(i).Serial; s != 0 {
-			sh.undoneScratch = append(sh.undoneScratch, s)
+			if first == 0 {
+				first = s
+			}
 			sh.stats.RolledBack++
 		}
 	}
@@ -377,7 +374,7 @@ func (sh *shim) undoTo(pos int) {
 	sh.ckpts.TruncateFrom(pos)
 
 	// Pool the undone deliveries' sends for lazy cancellation.
-	sh.replayPool = sh.extractCaused(sh.undoneScratch)
+	sh.replayPool = sh.extractCaused(first)
 }
 
 // replayFrom replays window entries from pos onward in the computed order,
@@ -423,29 +420,22 @@ func (sh *shim) replayFrom(pos int) {
 	sh.replayPool = sh.replayPool[:0]
 }
 
-// extractCaused removes and returns the live sent records caused by the
-// given delivery serials (ascending).
-func (sh *shim) extractCaused(undone []uint64) []*sentRec {
-	if len(undone) == 0 {
+// extractCaused removes and returns the live sent records caused by
+// deliveries with serial >= first (0 = nothing was undone). Records are
+// appended in delivery order and serials only grow, so sh.sent is sorted
+// by causeSerial and the undone records are exactly its tail; the pool
+// keeps their order, which decides adoptFromPool's first match.
+func (sh *shim) extractCaused(first uint64) []*sentRec {
+	if first == 0 {
 		return nil
 	}
-	pool := sh.replayPool[:0]
-	kept := sh.sent[:0]
-	for _, rec := range sh.sent {
-		if serialsContain(undone, rec.causeSerial) {
-			pool = append(pool, rec)
-		} else {
-			kept = append(kept, rec)
-		}
+	i := len(sh.sent)
+	for i > 0 && sh.sent[i-1].causeSerial >= first {
+		i--
 	}
-	sh.sent = kept
+	pool := append(sh.replayPool[:0], sh.sent[i:]...)
+	sh.sent = sh.sent[:i]
 	return pool
-}
-
-// serialsContain reports whether sorted (ascending) contains s.
-func serialsContain(sorted []uint64, s uint64) bool {
-	_, ok := slices.BinarySearch(sorted, s)
-	return ok
 }
 
 // deliverAt checkpoints, stamps a fresh serial, and delivers the window

@@ -24,17 +24,18 @@ type RunSpec struct {
 	spec Spec
 }
 
-// deepCopy clones a Spec through its canonical JSON form. The spec types
-// are built to round-trip exactly (Duration marshals losslessly), so this
-// is both the copy and the canonicalization used by fingerprints.
-func deepCopy(s Spec) (Spec, error) {
+// deepCopy clones a Spec (or its engine block) through its canonical JSON
+// form. The spec types are built to round-trip exactly (Duration marshals
+// losslessly), so this is both the copy and the canonicalization used by
+// fingerprints.
+func deepCopy[T Spec | EngineSpec](s T) (T, error) {
+	var out T
 	b, err := json.Marshal(s)
 	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: spec not serializable: %v", err)
+		return out, fmt.Errorf("scenario: spec not serializable: %v", err)
 	}
-	var out Spec
 	if err := json.Unmarshal(b, &out); err != nil {
-		return Spec{}, fmt.Errorf("scenario: spec round-trip failed: %v", err)
+		return out, fmt.Errorf("scenario: spec round-trip failed: %v", err)
 	}
 	return out, nil
 }
@@ -47,9 +48,7 @@ func (s Spec) Resolve() (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	if err := resolveEngine(&r.Engine); err != nil {
-		return RunSpec{}, err
-	}
+	resolveEngine(&r.Engine)
 	resolveTopology(&r.Topology, *r.Engine.Seed)
 	resolveProtocols(&r.Protocols)
 	if r.Workload != nil && r.Workload.Quick == nil {
@@ -86,7 +85,7 @@ func (r RunSpec) Name() string { return r.spec.Name }
 func (r RunSpec) MarshalJSON() ([]byte, error) { return json.Marshal(r.spec) }
 
 // resolveEngine writes every engine default explicitly.
-func resolveEngine(e *EngineSpec) error {
+func resolveEngine(e *EngineSpec) {
 	if e.Baseline == nil {
 		e.Baseline = boolp(false)
 	}
@@ -149,7 +148,6 @@ func resolveEngine(e *EngineSpec) error {
 	if e.DeliveryLog == nil {
 		e.DeliveryLog = boolp(false)
 	}
-	return nil
 }
 
 func resolveTopology(t *TopologyRef, engineSeed uint64) {
@@ -400,17 +398,11 @@ func parseStrategy(s string) (checkpoint.Strategy, error) {
 // defined.NewNetwork takes, where the caller brings the topology and the
 // applications and there is no scenario around the engine block.
 func ResolveEngine(e EngineSpec) (EngineSpec, error) {
-	b, err := json.Marshal(e)
+	c, err := deepCopy(e)
 	if err != nil {
-		return EngineSpec{}, fmt.Errorf("scenario: engine spec not serializable: %v", err)
-	}
-	var c EngineSpec
-	if err := json.Unmarshal(b, &c); err != nil {
-		return EngineSpec{}, fmt.Errorf("scenario: engine spec round-trip failed: %v", err)
-	}
-	if err := resolveEngine(&c); err != nil {
 		return EngineSpec{}, err
 	}
+	resolveEngine(&c)
 	if err := validateEngine("(engine)", c); err != nil {
 		return EngineSpec{}, err
 	}

@@ -1,16 +1,8 @@
 package defined_test
 
-// The committed-scenario twin of TestFigureMetricsGolden: the same
-// headline constants, reproduced through the spec front door (committed
-// JSON → Resolve → OptionsFromSpec → figure) instead of hand-coded
-// Options. Together with TestCommittedSpecOptions (which proves the
-// derived Options equal the literal ones) this pins the whole declarative
-// path bit-identically to the legacy one.
-//
-// The composite goldens below are the other committed-scenario goldens:
-// scenarios/mixed-smoke.json is the smallest plan with multi-protocol
-// nodes, and they hold its composites to what TestCrossModeGolden and
-// TestFaultPlanGolden hold bare daemons to.
+// The composite goldens: scenarios/mixed-smoke.json is the smallest plan
+// with multi-protocol nodes, and they hold its composites to what
+// TestCrossModeGolden and TestFaultPlanGolden hold bare daemons to.
 
 import (
 	"fmt"
@@ -19,44 +11,9 @@ import (
 
 	"defined"
 	"defined/internal/checkpoint"
-	"defined/internal/experiments"
 	"defined/internal/faults"
 	"defined/internal/scenario"
 )
-
-func TestFigureSpecGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates two figures (~10 s)")
-	}
-
-	r6, err := experiments.LoadSpec("fig6a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f6, err := experiments.RunSpec(r6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := goldenMedianX(f6.SeriesByName("DEFINED-RB").Points); got != 10.358974358974359 {
-		t.Errorf("spec fig6a DEFINED-RB median pkts = %.17g, want 10.358974358974359", got)
-	}
-	if got := goldenMedianX(f6.SeriesByName("XORP").Points); got != 8.3076923076923066 {
-		t.Errorf("spec fig6a XORP median pkts = %.17g, want 8.3076923076923066", got)
-	}
-
-	r8, err := experiments.LoadSpec("fig8d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8, err := experiments.RunSpec(r8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := f8.SeriesByName("DEFINED-RB").Points
-	if got := pts[len(pts)-1].Y; got != 0.46000000000000002 {
-		t.Errorf("spec fig8d convergence at highest rate = %.17g s, want 0.46000000000000002", got)
-	}
-}
 
 // compositeRun runs the committed mixed-protocol scenario — borders are
 // OSPF+BGP composites, gateways OSPF+RIP — through NewNetwork, so the
