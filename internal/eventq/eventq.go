@@ -6,11 +6,41 @@
 //
 // The queue is allocation-free in steady state. Events live in a slab of
 // reusable slots rather than individually heap-allocated nodes, and the
-// payload is a typed union — a message delivery (Deliver) or a scheduled
-// callback (Fn) — instead of a boxed `any`. The heap itself is a 4-ary
-// min-heap over slot indices: compared to a binary heap it halves the
-// sift-down depth, and its level layout keeps children of a node in at
-// most two cache lines.
+// payload is a typed union — a message delivery (Deliver), a scheduled
+// callback (Fn) or a pre-bound Caller — instead of a boxed `any`.
+//
+// # Layout
+//
+// An event is split across two dense arrays, 72 bytes in all:
+//
+//   - its heap cell {at, seq, slot} (24 B) carries the whole ordering key
+//     inline. The heap is a 4-ary min-heap of cells — half a binary heap's
+//     sift-down depth, a node's four children in at most two cache lines —
+//     and comparing two entries reads only the heap array: a sift never
+//     touches the slab except to write back the one heap position that
+//     changed per level (sifting moves a hole, it does not swap).
+//   - its slot {gen, heapIdx, kind, payload} (48 B) holds what ordering does
+//     not need. heapIdx is the slot's heap position while the event is
+//     pending; while the slot is free it is the link of an intrusive free
+//     list (complemented, so it stays negative and Live needs no second
+//     flag). Reuse is LIFO, which keeps the slab cache-hot.
+//
+// Every push and pop pays for the queue's resident size in sift depth and
+// cache misses, so the footprint is part of the design: the key moved into
+// the heap cell and out of the slot, and the free list into the slots, so
+// an event costs the 72 bytes it did when the heap held bare slot indices.
+//
+// # Sequences
+//
+// Push* label an event with the queue's own insertion counter; Push*Seq
+// take the label from the caller and leave the counter alone. ReserveSeq
+// sits between the two: it hands out a block of the queue's own labels
+// ahead of time, so a producer of a long, known series of events (the
+// rollback engine's per-node group ticks) can keep only the next one
+// queued and push each successor later under the label it would have had
+// if the whole series had been pushed up front. The (at, seq) order — and
+// so the simulation — is unchanged; the queue holds the in-flight set
+// instead of the whole future.
 //
 // Push returns a Handle (slot index + generation counter) instead of a
 // pointer. A Handle taken for an event that has since fired or been
@@ -68,11 +98,27 @@ type Handle struct {
 // IsZero reports whether h is the zero Handle ("no event").
 func (h Handle) IsZero() bool { return h == Handle{} }
 
+// cell is one heap entry: the event's ordering key inline, plus the slab
+// slot holding its payload.
+type cell struct {
+	at   vtime.Time
+	seq  uint64
+	slot int32
+}
+
+// before orders cells by (timestamp, insertion sequence).
+func (c cell) before(d cell) bool {
+	if c.at != d.at {
+		return c.at < d.at
+	}
+	return c.seq < d.seq
+}
+
 // slot is one slab cell. Freed slots advance gen (invalidating handles)
-// and chain onto the free list; heapIdx is -1 while free.
+// and chain onto the free list through heapIdx: a pending slot's heapIdx
+// is its heap position (>= 0), a free slot's is ^next, where next is the
+// following free slot's index plus one (0 ends the list) — always negative.
 type slot struct {
-	at      vtime.Time
-	seq     uint64
 	gen     uint32
 	heapIdx int32
 	kind    Kind
@@ -85,10 +131,10 @@ type slot struct {
 // use. Queue is not safe for concurrent use; the simulator is
 // single-threaded by design (determinism comes first).
 type Queue struct {
-	slots []slot  // slab; grows monotonically, cells are reused
-	free  []int32 // freed slot indices (LIFO keeps the slab cache-hot)
-	heap  []int32 // slot indices in 4-ary min-heap order
-	next  uint64  // insertion sequence
+	slots    []slot // slab; grows monotonically, cells are reused
+	heap     []cell // 4-ary min-heap order
+	freeHead int32  // most recently freed slot's index plus one; 0 = none
+	next     uint64 // insertion sequence
 }
 
 // Live reports whether h still refers to a pending event.
@@ -142,16 +188,23 @@ func (q *Queue) SetSeq(h Handle, seq uint64) bool {
 	if !q.Live(h) {
 		return false
 	}
-	s := &q.slots[h.slot]
-	if s.seq == seq {
-		return true
-	}
-	s.seq = seq
-	i := int(s.heapIdx)
-	if !q.siftDown(i) {
-		q.siftUp(i)
+	i := int(q.slots[h.slot].heapIdx)
+	c := q.heap[i]
+	if c.seq != seq {
+		c.seq = seq
+		q.fix(i, c)
 	}
 	return true
+}
+
+// ReserveSeq sets aside the next n insertion sequences and returns the
+// first: the caller pushes under base..base+n-1 with Push*Seq whenever it
+// likes, and later Push* calls continue after the block (see the package
+// comment).
+func (q *Queue) ReserveSeq(n uint64) (base uint64) {
+	base = q.next
+	q.next += n
+	return base
 }
 
 // NextAtSeq returns the (timestamp, sequence) pair of the earliest pending
@@ -161,8 +214,7 @@ func (q *Queue) NextAtSeq() (at vtime.Time, seq uint64, ok bool) {
 	if len(q.heap) == 0 {
 		return vtime.Never, 0, false
 	}
-	s := &q.slots[q.heap[0]]
-	return s.at, s.seq, true
+	return q.heap[0].at, q.heap[0].seq, true
 }
 
 // Scan calls fn for every pending event in unspecified (heap) order.
@@ -170,10 +222,15 @@ func (q *Queue) NextAtSeq() (at vtime.Time, seq uint64, ok bool) {
 // to enumerate a window's scheduled deliveries and to re-derive which
 // queued arrivals a link/node state change doomed.
 func (q *Queue) Scan(fn func(Event)) {
-	for _, idx := range q.heap {
-		s := &q.slots[idx]
-		fn(Event{At: s.at, Seq: s.seq, Kind: s.kind, Msg: s.m, Fn: s.fn, Call: s.call})
+	for _, c := range q.heap {
+		fn(q.event(c))
 	}
+}
+
+// event assembles the by-value view of the pending event in heap cell c.
+func (q *Queue) event(c cell) Event {
+	s := &q.slots[c.slot]
+	return Event{At: c.at, Seq: c.seq, Kind: s.kind, Msg: s.m, Fn: s.fn, Call: s.call}
 }
 
 func (q *Queue) push(at vtime.Time, kind Kind, m *msg.Message, fn func(), call Caller) Handle {
@@ -184,23 +241,20 @@ func (q *Queue) push(at vtime.Time, kind Kind, m *msg.Message, fn func(), call C
 
 func (q *Queue) pushSeq(at vtime.Time, seq uint64, kind Kind, m *msg.Message, fn func(), call Caller) Handle {
 	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
+	if q.freeHead != 0 {
+		idx = q.freeHead - 1
+		q.freeHead = ^q.slots[idx].heapIdx
 	} else {
 		q.slots = append(q.slots, slot{gen: 1})
 		idx = int32(len(q.slots) - 1)
 	}
 	s := &q.slots[idx]
-	s.at = at
-	s.seq = seq
 	s.kind = kind
 	s.m = m
 	s.fn = fn
 	s.call = call
-	s.heapIdx = int32(len(q.heap))
-	q.heap = append(q.heap, idx)
-	q.siftUp(len(q.heap) - 1)
+	q.heap = append(q.heap, cell{})
+	q.siftUp(len(q.heap)-1, cell{at: at, seq: seq, slot: idx})
 	return Handle{slot: idx, gen: s.gen}
 }
 
@@ -210,9 +264,7 @@ func (q *Queue) Pop() (Event, bool) {
 	if len(q.heap) == 0 {
 		return Event{}, false
 	}
-	root := q.heap[0]
-	s := &q.slots[root]
-	ev := Event{At: s.at, Seq: s.seq, Kind: s.kind, Msg: s.m, Fn: s.fn, Call: s.call}
+	ev := q.event(q.heap[0])
 	q.deleteAt(0)
 	return ev, true
 }
@@ -223,8 +275,7 @@ func (q *Queue) Peek() (Event, bool) {
 	if len(q.heap) == 0 {
 		return Event{}, false
 	}
-	s := &q.slots[q.heap[0]]
-	return Event{At: s.at, Seq: s.seq, Kind: s.kind, Msg: s.m, Fn: s.fn, Call: s.call}, true
+	return q.event(q.heap[0]), true
 }
 
 // Remove cancels a previously pushed event. Removing an event that has
@@ -251,42 +302,32 @@ func (q *Queue) Reschedule(h Handle, at vtime.Time) bool {
 	if !q.Live(h) {
 		return false
 	}
-	s := &q.slots[h.slot]
-	if s.at == at {
-		return true
-	}
-	earlier := at < s.at
-	s.at = at
-	if earlier {
-		q.siftUp(int(s.heapIdx))
-	} else {
-		q.siftDown(int(s.heapIdx))
+	i := int(q.slots[h.slot].heapIdx)
+	c := q.heap[i]
+	if c.at != at {
+		c.at = at
+		q.fix(i, c)
 	}
 	return true
 }
 
 // deleteAt removes the heap entry at position i and frees its slot.
 func (q *Queue) deleteAt(i int) {
-	idx := q.heap[i]
+	idx := q.heap[i].slot
 	last := len(q.heap) - 1
-	if i != last {
-		q.heap[i] = q.heap[last]
-		q.slots[q.heap[i]].heapIdx = int32(i)
-	}
+	moved := q.heap[last]
 	q.heap = q.heap[:last]
-	if i < last {
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
+	if i != last {
+		q.fix(i, moved)
 	}
 	s := &q.slots[idx]
 	s.gen++
-	s.heapIdx = -1
+	s.heapIdx = ^q.freeHead
+	q.freeHead = idx + 1
 	s.kind = KindNone
 	s.m = nil
 	s.fn = nil
 	s.call = nil
-	q.free = append(q.free, idx)
 }
 
 // Len reports the number of pending events.
@@ -298,34 +339,45 @@ func (q *Queue) NextAt() vtime.Time {
 	if len(q.heap) == 0 {
 		return vtime.Never
 	}
-	return q.slots[q.heap[0]].at
+	return q.heap[0].at
 }
 
-// less orders heap entries by (timestamp, insertion sequence).
-func (q *Queue) less(a, b int32) bool {
-	sa, sb := &q.slots[a], &q.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// fix places cell c — whose key may have changed, or which is replacing a
+// deleted entry — starting from heap position i, whichever way it has to
+// move. A cell that sorts before its parent cannot also sort after a
+// child (the parent already precedes them), so one direction suffices.
+func (q *Queue) fix(i int, c cell) {
+	if i > 0 && c.before(q.heap[(i-1)/4]) {
+		q.siftUp(i, c)
+	} else {
+		q.siftDown(i, c)
 	}
-	return sa.seq < sb.seq
 }
 
-// siftUp restores the heap invariant from position i toward the root.
-func (q *Queue) siftUp(i int) {
+// place writes c at heap position i and records the position in its slot.
+func (q *Queue) place(i int, c cell) {
+	q.heap[i] = c
+	q.slots[c.slot].heapIdx = int32(i)
+}
+
+// siftUp moves the hole at position i toward the root until c fits, then
+// places c there: one slab write per level instead of a swap's two.
+func (q *Queue) siftUp(i int, c cell) {
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.less(q.heap[i], q.heap[parent]) {
+		pc := q.heap[parent]
+		if !c.before(pc) {
 			break
 		}
-		q.swap(i, parent)
+		q.place(i, pc)
 		i = parent
 	}
+	q.place(i, c)
 }
 
-// siftDown restores the heap invariant from position i toward the leaves.
-// It reports whether any swap happened.
-func (q *Queue) siftDown(i int) bool {
-	moved := false
+// siftDown moves the hole at position i toward the leaves until c fits,
+// then places c there.
+func (q *Queue) siftDown(i int, c cell) {
 	n := len(q.heap)
 	for {
 		first := 4*i + 1
@@ -333,27 +385,18 @@ func (q *Queue) siftDown(i int) bool {
 			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if q.less(q.heap[c], q.heap[best]) {
-				best = c
+		end := min(first+4, n)
+		for k := first + 1; k < end; k++ {
+			if q.heap[k].before(q.heap[best]) {
+				best = k
 			}
 		}
-		if !q.less(q.heap[best], q.heap[i]) {
+		bc := q.heap[best]
+		if !bc.before(c) {
 			break
 		}
-		q.swap(i, best)
+		q.place(i, bc)
 		i = best
-		moved = true
 	}
-	return moved
-}
-
-func (q *Queue) swap(i, j int) {
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.slots[q.heap[i]].heapIdx = int32(i)
-	q.slots[q.heap[j]].heapIdx = int32(j)
+	q.place(i, c)
 }

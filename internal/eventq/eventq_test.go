@@ -3,6 +3,7 @@ package eventq
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"defined/internal/msg"
 	"defined/internal/rng"
@@ -260,6 +261,66 @@ func BenchmarkPushPop(b *testing.B) {
 	}
 }
 
+// residentQueue is the classic hold model at a fixed resident size: size
+// events spread over one mean hold, each pop re-pushed a random hold
+// later. What a push or pop costs at a given resident size is the number
+// the rollback engine's tick chain moves — it took the queue from
+// nodes × groups entries (≈ 40k on the 1,928-router hierarchy) to the
+// in-flight set.
+type residentQueue struct {
+	q     Queue
+	c     caller
+	holds [1024]vtime.Duration
+	i     int
+}
+
+func newResidentQueue(size int) *residentQueue {
+	rq := &residentQueue{}
+	r := rng.New(uint64(size))
+	for i := range rq.holds {
+		rq.holds[i] = vtime.Duration(1 + r.Intn(2*size))
+	}
+	for i := 0; i < size; i++ {
+		rq.q.PushCall(vtime.Time(r.Intn(size)), &rq.c)
+	}
+	return rq
+}
+
+func (rq *residentQueue) step() {
+	ev, _ := rq.q.Pop()
+	rq.q.PushCall(ev.At.Add(rq.holds[rq.i%len(rq.holds)]), &rq.c)
+	rq.i++
+}
+
+func BenchmarkQueueResident(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"1k", 1_000}, {"40k", 40_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rq := newResidentQueue(bc.size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rq.step()
+			}
+		})
+	}
+}
+
+// The resident-size benchmark's step allocates nothing once the slab is
+// warm: the popped slot goes onto the intrusive free list and the push
+// takes it straight back.
+func TestQueueResidentAllocFree(t *testing.T) {
+	rq := newResidentQueue(1_000)
+	if avg := testing.AllocsPerRun(1000, rq.step); avg != 0 {
+		t.Fatalf("resident push+pop allocates %.1f allocs/op, want 0", avg)
+	}
+	if rq.q.Len() != 1_000 {
+		t.Fatalf("resident size drifted to %d", rq.q.Len())
+	}
+}
+
 // Reschedule slides a live event to a new time while keeping its handle
 // and insertion sequence; stale handles are a safe no-op.
 func TestReschedule(t *testing.T) {
@@ -389,5 +450,14 @@ func TestCallOrderingAndZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state PushCall allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// The package comment's arithmetic: 24 B of heap cell plus 48 B of slab
+// slot per event. Growing either grows every run's live heap and every
+// sift's cache footprint, so a field added to one has to come off the other.
+func TestEventFootprint(t *testing.T) {
+	if c, s := unsafe.Sizeof(cell{}), unsafe.Sizeof(slot{}); c != 24 || s != 48 {
+		t.Fatalf("heap cell is %d B and slab slot %d B, want 24 and 48", c, s)
 	}
 }

@@ -87,11 +87,15 @@ func (w *Window) At(i int) Entry { return w.entries[i] }
 // rolled back and replayed.
 func (w *Window) Insert(e Entry) (pos int, dup bool) {
 	e.Msg.CheckLive("history.Insert")
-	pos = sort.Search(len(w.entries), func(i int) bool {
-		return w.f.Compare(w.entries[i].Key, e.Key) >= 0
-	})
-	if pos < len(w.entries) && w.f.Compare(w.entries[pos].Key, e.Key) == 0 {
-		return pos, true
+	// Most arrivals are in order, so try the tail before searching.
+	pos = len(w.entries)
+	if pos > 0 && w.f.Compare(w.entries[pos-1].Key, e.Key) >= 0 {
+		pos = sort.Search(pos, func(i int) bool {
+			return w.f.Compare(w.entries[i].Key, e.Key) >= 0
+		})
+		if w.f.Compare(w.entries[pos].Key, e.Key) == 0 {
+			return pos, true
+		}
 	}
 	e.Msg.Retain()
 	w.entries = append(w.entries, Entry{})

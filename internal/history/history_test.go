@@ -1,6 +1,7 @@
 package history
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +300,79 @@ func TestWindowRetainsAndReleasesMessages(t *testing.T) {
 	w.Retire(1)
 	if p.Live() != 0 {
 		t.Fatalf("pool live = %d after retire, want 0", p.Live())
+	}
+}
+
+// searchInsert is Insert as it was before the tail shortcut: always a
+// binary search. It is the oracle for where an entry belongs.
+func searchInsert(w *Window, e Entry) (pos int, dup bool) {
+	pos = sort.Search(len(w.entries), func(i int) bool {
+		return w.f.Compare(w.entries[i].Key, e.Key) >= 0
+	})
+	if pos < len(w.entries) && w.f.Compare(w.entries[pos].Key, e.Key) == 0 {
+		return pos, true
+	}
+	w.entries = append(w.entries, Entry{})
+	copy(w.entries[pos+1:], w.entries[pos:])
+	w.entries[pos] = e
+	return pos, false
+}
+
+// Insert's tail-first path must agree with the search it skips — position,
+// duplicate verdict and resulting window — on an empty window, on in-order
+// runs (the path it exists for), on a duplicate of the tail itself and of
+// interior entries, and on stragglers.
+func TestInsertTailPathMatchesSearch(t *testing.T) {
+	for _, tc := range []struct {
+		f        ordering.Func
+		minTails int // RO scatters arrivals by chain hash: few land on the tail
+	}{{ordering.Optimized(), 1000}, {ordering.Random(5), 10}} {
+		f := tc.f
+		r := rng.New(9)
+		w, ref := New(f), New(f)
+		tails, dups := 0, 0
+		step := func(e Entry) {
+			t.Helper()
+			wasEmpty := ref.Len() == 0
+			wantPos, wantDup := searchInsert(ref, e)
+			pos, dup := w.Insert(e)
+			if pos != wantPos || dup != wantDup {
+				t.Fatalf("%s: Insert(%v) = (%d, %v), search says (%d, %v) (window empty: %v)",
+					f.Name(), e.Key, pos, dup, wantPos, wantDup, wasEmpty)
+			}
+			if !dup && pos == w.Len()-1 {
+				tails++
+			}
+			if dup {
+				dups++
+			}
+			for i := range ref.entries {
+				if w.entries[i] != ref.entries[i] {
+					t.Fatalf("%s: windows differ at %d after Insert(%v)", f.Name(), i, e.Key)
+				}
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			// Mostly ascending d_i with the occasional straggler, in one
+			// group so the ordering's own leading field decides.
+			d := vtime.Duration(i)
+			if r.Intn(5) == 0 {
+				d = vtime.Duration(r.Intn(i + 1))
+			}
+			step(entry(1, d, msg.NodeID(r.Intn(3)), uint64(i), vtime.Time(i)))
+			switch r.Intn(8) {
+			case 0: // the tail again
+				step(w.At(w.Len() - 1))
+			case 1: // an interior entry again
+				step(w.At(r.Intn(w.Len())))
+			}
+			if r.Intn(500) == 0 { // start over from empty
+				w.Retire(w.Len())
+				ref.Retire(ref.Len())
+			}
+		}
+		if tails < tc.minTails || dups < 300 {
+			t.Fatalf("%s: program too tame: %d tail inserts, %d duplicates", f.Name(), tails, dups)
+		}
 	}
 }

@@ -75,10 +75,16 @@ func (l *Lane) Now() vtime.Time {
 // window slice on its worker.
 func (l *Lane) InWindow() bool { return l.inWindow }
 
-// CurAt and CurSeq identify the event the Lane's worker is executing
-// (valid only during a window). CurSeq may be provisional.
-func (l *Lane) CurAt() vtime.Time { return l.now }
-func (l *Lane) CurSeq() uint64    { return l.curSeq }
+// CurAt and CurSeq are the (at, seq) label of the event being executed: the
+// Lane's worker's inside a window (where CurSeq may be provisional), the
+// driver's otherwise.
+func (l *Lane) CurAt() vtime.Time { return l.Now() }
+func (l *Lane) CurSeq() uint64 {
+	if l.inWindow {
+		return l.curSeq
+	}
+	return l.s.curSeq
+}
 
 // Pool returns the message pool this Lane's nodes allocate from: the
 // shard-local pool in sharded mode (concurrent, since receivers on other
@@ -184,6 +190,20 @@ func (l *Lane) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
 	h := l.q.PushCallSeq(at, prov, c)
 	l.log.Add(shard.Action{Kind: shard.ActionLocalPush, H: h, Prov: prov})
 	return h
+}
+
+// ScheduleCallSeq schedules a pre-bound Caller for one of this Lane's nodes
+// under a sequence from Sim.ReserveSeq. The label is already final, so a
+// push from inside a window needs no provisional sequence and leaves
+// nothing for the commit barrier to resolve.
+func (l *Lane) ScheduleCallSeq(at vtime.Time, seq uint64, c eventq.Caller) eventq.Handle {
+	if !l.sharded {
+		return l.s.ScheduleCallSeq(at, seq, c)
+	}
+	if now := l.Now(); at < now {
+		at = now
+	}
+	return l.q.PushCallSeq(at, seq, c)
 }
 
 // AfterCall schedules a pre-bound Caller d after the Lane's current time.
@@ -434,6 +454,7 @@ func (s *Sim) serialStep(src int) {
 	}
 	s.serialSteps++
 	s.now = ev.At
+	s.curSeq = ev.Seq
 	s.processed++
 	switch ev.Kind {
 	case eventq.KindDeliver:

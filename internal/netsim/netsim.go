@@ -172,6 +172,7 @@ type Sim struct {
 	cfg Config
 
 	now      vtime.Time
+	curSeq   uint64 // sequence of the event the driver is executing
 	q        eventq.Queue
 	handlers []Handler
 	nodeUp   []bool
@@ -466,6 +467,28 @@ func (s *Sim) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
 	return s.q.PushCall(at, c)
 }
 
+// ReserveSeq sets aside the next n global insertion sequences and returns
+// the first, for events whose (at, seq) labels are known before they need
+// to be queued (see eventq.Queue.ReserveSeq); ScheduleCallSeq pushes under
+// them. Driver-only.
+func (s *Sim) ReserveSeq(n uint64) (base uint64) {
+	if s.lanes == nil {
+		return s.q.ReserveSeq(n)
+	}
+	base = s.seqNext
+	s.seqNext += n
+	return base
+}
+
+// ScheduleCallSeq is ScheduleCall under a sequence from ReserveSeq instead
+// of the next one.
+func (s *Sim) ScheduleCallSeq(at vtime.Time, seq uint64, c eventq.Caller) eventq.Handle {
+	if at < s.now {
+		at = s.now
+	}
+	return s.q.PushCallSeq(at, seq, c)
+}
+
 // AfterCall schedules a pre-bound Caller d after now.
 func (s *Sim) AfterCall(d vtime.Duration, c eventq.Caller) eventq.Handle {
 	return s.ScheduleCall(s.now.Add(d), c)
@@ -503,6 +526,7 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	s.now = ev.At
+	s.curSeq = ev.Seq
 	s.processed++
 	switch ev.Kind {
 	case eventq.KindDeliver:

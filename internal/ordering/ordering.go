@@ -118,6 +118,52 @@ type Func interface {
 	Name() string
 	// Compare returns -1, 0, or +1. Zero only for equivalent keys.
 	Compare(a, b Key) int
+	// Rank returns the key's integer image under this ordering; see Rank.
+	Rank(k Key) Rank
+}
+
+// Rank is a two-word integer image of the leading fields of a Key under
+// one ordering function, for callers that compare the same key many times
+// (the rollback engine's deferral buffer caches one per held arrival). The
+// contract is one-sided: a strictly smaller rank means a strictly smaller
+// key, and equal keys have equal ranks; equal ranks decide nothing and
+// fall back to Compare (CompareRanked does both). Hi is Group<<2|Class —
+// exact for groups below 2^62, which virtual time cannot reach — and Lo is
+// the first field the ordering sorts a class by within a group: the
+// sign-biased Delay (OO) or the chain hash (RO) for messages, the
+// sign-biased Origin for timer batches and externals.
+type Rank struct {
+	Hi, Lo uint64
+}
+
+// Less reports whether r sorts strictly before o.
+func (r Rank) Less(o Rank) bool {
+	return r.Hi < o.Hi || (r.Hi == o.Hi && r.Lo < o.Lo)
+}
+
+// CompareRanked is f.Compare(a, b) for keys whose ranks under f are
+// already at hand: the ranks decide wherever they differ.
+func CompareRanked(f Func, a Key, ra Rank, b Key, rb Rank) int {
+	if ra == rb {
+		return f.Compare(a, b)
+	}
+	if ra.Less(rb) {
+		return -1
+	}
+	return 1
+}
+
+// biased maps a signed value to the unsigned value with the same order.
+func biased(v int64) uint64 { return uint64(v) ^ 1<<63 }
+
+// rankOf builds a key's rank; msgLo is the ordering's leading message
+// field and is only read for message keys.
+func rankOf(k Key, msgLo uint64) Rank {
+	r := Rank{Hi: k.Group<<2 | uint64(k.Class), Lo: msgLo}
+	if k.Class != ClassMessage {
+		r.Lo = biased(int64(k.Origin))
+	}
+	return r
 }
 
 func cmpUint64(a, b uint64) int {
@@ -201,6 +247,8 @@ func (optimized) Compare(a, b Key) int {
 	return messageTail(a, b)
 }
 
+func (optimized) Rank(k Key) Rank { return rankOf(k, biased(int64(k.Delay))) }
+
 // LSLookahead implements the conservative-replay hook: any message
 // generated by delivering a queued message has d at least the parent's d
 // plus one link delay, so entries within [minD, minD+minLink) are safe to
@@ -237,6 +285,14 @@ func (r random) Compare(a, b Key) int {
 		return c
 	}
 	return messageTail(a, b)
+}
+
+func (r random) Rank(k Key) Rank {
+	var chain uint64
+	if k.Class == ClassMessage {
+		chain = r.ChainHash(k)
+	}
+	return rankOf(k, chain)
 }
 
 // ChainOrdered marks ordering functions that sort whole causal chains by a

@@ -321,3 +321,48 @@ func TestPermutationInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Rank's contract, for both orderings over keys of all three classes: a
+// strictly smaller rank means a strictly smaller key, equal keys have equal
+// ranks, and CompareRanked is Compare. Delays and origins go negative and
+// groups large, to reach the sign bias and the Hi packing.
+func TestRankConsistent(t *testing.T) {
+	wide := func(r *rng.Source) Key {
+		k := randomKey(r)
+		if r.Intn(4) == 0 {
+			k.Group += 1<<61 + uint64(r.Intn(2))
+		}
+		if r.Intn(4) == 0 {
+			k.Origin -= 2
+		}
+		if k.Class == ClassMessage && r.Intn(4) == 0 {
+			k.Delay = -k.Delay - vtime.Duration(r.Intn(2))
+		}
+		return k
+	}
+	for _, fn := range []Func{Optimized(), Random(17)} {
+		r := rng.New(23)
+		decided := 0
+		for i := 0; i < 20_000; i++ {
+			a, b := wide(r), wide(r)
+			ra, rb := fn.Rank(a), fn.Rank(b)
+			c := fn.Compare(a, b)
+			if ra.Less(rb) && c >= 0 {
+				t.Fatalf("%s: Rank(%v) < Rank(%v) but Compare = %d", fn.Name(), a, b, c)
+			}
+			if c == 0 && ra != rb {
+				t.Fatalf("%s: equal keys %v with ranks %v and %v", fn.Name(), a, ra, rb)
+			}
+			if got := CompareRanked(fn, a, ra, b, rb); got != c {
+				t.Fatalf("%s: CompareRanked(%v, %v) = %d, Compare = %d", fn.Name(), a, b, got, c)
+			}
+			if ra != rb {
+				decided++
+			}
+		}
+		// The rank is only worth caching if it usually decides.
+		if decided < 15_000 {
+			t.Fatalf("%s: ranks decided only %d of 20000 comparisons", fn.Name(), decided)
+		}
+	}
+}

@@ -61,7 +61,11 @@ const (
 // Stats.LookaheadHolds); when such an entry eventually flushes covered —
 // rather than forced out by its DeferMax budget or buffer overflow — it
 // counts toward Stats.LookaheadExactFlushes.
+// rank is the entry key's ordering.Rank, cached (and placed first) so
+// maybeDefer's position scan compares two integers per cell instead of
+// calling the ordering function on 56-byte keys.
 type pendingArrival struct {
+	rank   ordering.Rank
 	entry  history.Entry
 	capAt  vtime.Time
 	due    vtime.Time
@@ -108,19 +112,27 @@ func (sh *shim) holdFor(k, prev ordering.Key) vtime.Duration {
 // sorting after a pending entry therefore must queue behind it —
 // delivering them first would guarantee a rollback when the pending
 // entries flush.
-func (sh *shim) maybeDefer(entry history.Entry) bool {
+func (sh *shim) maybeDefer(entry history.Entry, rank ordering.Rank) bool {
 	cmp := sh.e.cfg.Ordering
 	now := sh.lane.Now()
-	// Insertion position in the (small, key-ordered) pending buffer.
+	// Insertion position in the (small, key-ordered) pending buffer. The
+	// ranks decide nearly every cell; ordering.CompareRanked spelled out,
+	// so the keys are only copied into a call when two ranks tie.
 	pos := len(sh.pend)
 	for pos > 0 {
-		c := cmp.Compare(sh.pend[pos-1].entry.Key, entry.Key)
-		if c < 0 {
+		p := &sh.pend[pos-1]
+		if p.rank.Less(rank) {
 			break
 		}
-		if c == 0 {
-			sh.stats.Duplicates++
-			return true
+		if !rank.Less(p.rank) {
+			c := cmp.Compare(p.entry.Key, entry.Key)
+			if c < 0 {
+				break
+			}
+			if c == 0 {
+				sh.stats.Duplicates++
+				return true
+			}
 		}
 		pos--
 	}
@@ -162,20 +174,15 @@ func (sh *shim) maybeDefer(entry history.Entry) bool {
 			return false
 		}
 	}
-	sh.pushPending(entry, pos, due)
+	sh.pushPending(entry, rank, pos, due)
 	return true
 }
 
 // pushPending inserts an arrival at position pos of the key-ordered
-// pending buffer and restores the due invariants: dues non-decreasing in
-// key order (an entry may never deliver after a larger-keyed successor)
-// and no entry held past its own arrival+DeferMax budget. The new entry's
-// hold is raised to its predecessor's due (capped at its own budget), the
-// raise propagates stickily through its successors (each capped at theirs),
-// and where a cap clips the chain the backward pass lowers predecessors a
-// capped successor can no longer wait out — delivering earlier is always
-// safe. It then flushes (front already due) or re-arms the flush event.
-func (sh *shim) pushPending(entry history.Entry, pos int, due vtime.Time) {
+// pending buffer with its hold raised to its predecessor's due (capped at
+// its own arrival+DeferMax budget), then flushes (front already due) or
+// re-arms the flush event.
+func (sh *shim) pushPending(entry history.Entry, rank ordering.Rank, pos int, due vtime.Time) {
 	now := sh.lane.Now()
 	budget := sh.e.cfg.DeferMax
 	if sh.e.lookOn {
@@ -193,11 +200,46 @@ func (sh *shim) pushPending(entry history.Entry, pos int, due vtime.Time) {
 	// so it takes its own reference on the message (released on flush or
 	// annihilation).
 	entry.Msg.Retain()
-	p := pendingArrival{entry: entry, capAt: capAt, due: due, seq: sh.arrSeq, held: due > now}
+	held := due > now
+	sh.insertPending(pendingArrival{rank: rank, entry: entry, capAt: capAt, due: due, seq: sh.arrSeq, held: held}, pos)
+	if held {
+		sh.stats.Deferred++
+	}
+	if sh.pend[0].due <= now || len(sh.pend) > maxPending {
+		sh.flushPending()
+		return
+	}
+	sh.armFlush(sh.pend[0].due)
+}
+
+// insertPending places p — its due already at or past its predecessor's
+// and within its own budget — at position pos and restores the due
+// invariants: dues non-decreasing in key order (an entry may never deliver
+// after a larger-keyed successor) and no entry held past its capAt. The
+// new entry's hold propagates stickily through its successors (each capped
+// at its own budget), and where a cap clips the chain the backward pass
+// lowers predecessors a capped successor can no longer wait out —
+// delivering earlier is always safe.
+//
+// Both passes are bounded to what the insertion can have disturbed. Before
+// it the dues were non-decreasing; the forward pass only raises, and stops
+// at the first successor already at or past the running due, so everything
+// from there on is untouched and still in order with the cell before it.
+// Among the raised cells the running due only ever drops where a cap
+// clips it, so the backward pass starts under the last clipped cell —
+// usually there is none and it does not run — and walks down to the new
+// entry. It never has to go below pos: each cell there was at or under the
+// successor that followed it before the insertion, and every due at pos
+// and above is still at least that.
+func (sh *shim) insertPending(p pendingArrival, pos int) {
+	if p.capAt < sh.pendCapLB {
+		sh.pendCapLB = p.capAt
+	}
 	sh.pend = append(sh.pend, pendingArrival{})
 	copy(sh.pend[pos+1:], sh.pend[pos:])
 	sh.pend[pos] = p
-	run := due
+	run := p.due
+	clipped := pos // last cell a cap clipped; pos = none
 	for j := pos + 1; j < len(sh.pend); j++ {
 		q := &sh.pend[j]
 		if q.due >= run {
@@ -206,25 +248,42 @@ func (sh *shim) pushPending(entry history.Entry, pos int, due vtime.Time) {
 		nd := run
 		if nd > q.capAt {
 			nd = q.capAt
+			clipped = j
 		}
 		if nd > q.due {
 			q.due = nd
 		}
 		run = q.due
 	}
-	for k := len(sh.pend) - 2; k >= 0; k-- {
+	for k := clipped - 1; k >= pos; k-- {
 		if sh.pend[k].due > sh.pend[k+1].due {
 			sh.pend[k].due = sh.pend[k+1].due
 		}
 	}
-	if p.held {
-		sh.stats.Deferred++
+}
+
+// spentThrough returns the index of the last pending arrival whose
+// arrival+DeferMax budget has elapsed at now, or -1. Budgets run to
+// hundreds of milliseconds and holds to a few, so a spent budget is rare:
+// the scan for one runs only once now reaches pendCapLB, a lower bound on
+// every buffered capAt. Insertions lower the bound and removals leave it
+// alone, so it can only be stale on the low side — costing a scan, never
+// hiding a spent budget — and each scan resets it to the smallest unspent
+// budget (the caller flushes the spent ones).
+func (sh *shim) spentThrough(now vtime.Time) int {
+	if now.Before(sh.pendCapLB) {
+		return -1
 	}
-	if sh.pend[0].due <= now || len(sh.pend) > maxPending {
-		sh.flushPending()
-		return
+	last, lb := -1, vtime.Never
+	for j := range sh.pend {
+		if c := sh.pend[j].capAt; !c.After(now) {
+			last = j
+		} else if c < lb {
+			lb = c
+		}
 	}
-	sh.armFlush(sh.pend[0].due)
+	sh.pendCapLB = lb
+	return last
 }
 
 // armFlush makes sure the shim's single flush event fires no later than
@@ -267,14 +326,9 @@ func (sh *shim) onFlush() {
 // at least its front so the buffer can never grow with load.
 func (sh *shim) flushPending() {
 	now := sh.lane.Now()
-	force := -1
-	if len(sh.pend) > maxPending {
+	force := sh.spentThrough(now)
+	if force < 0 && len(sh.pend) > maxPending {
 		force = 0
-	}
-	for j := range sh.pend {
-		if !sh.pend[j].capAt.After(now) {
-			force = j
-		}
 	}
 	last := -1
 	var wake vtime.Time
@@ -332,7 +386,7 @@ func (sh *shim) flushPending() {
 			// settle violation. The window takes its own reference on insert,
 			// so the buffer's reference can drop right after.
 			p.entry.ArrivedAt = now
-			sh.insertNow(p.entry)
+			sh.insertNow(p.entry, p.rank)
 			p.entry.Msg.Release()
 		}
 		if heldAny {

@@ -1,0 +1,235 @@
+package rollback
+
+import (
+	"testing"
+
+	"defined/internal/msg"
+	"defined/internal/ordering"
+	"defined/internal/rng"
+	"defined/internal/topology"
+	"defined/internal/vtime"
+)
+
+// refInsertPending is the full-pass routine insertPending's bounded passes
+// replaced — the forward raise, then a backward pass over the whole buffer
+// — kept as the oracle.
+func refInsertPending(pend []pendingArrival, p pendingArrival, pos int) []pendingArrival {
+	pend = append(pend, pendingArrival{})
+	copy(pend[pos+1:], pend[pos:])
+	pend[pos] = p
+	run := p.due
+	for j := pos + 1; j < len(pend); j++ {
+		q := &pend[j]
+		if q.due >= run {
+			break
+		}
+		nd := run
+		if nd > q.capAt {
+			nd = q.capAt
+		}
+		if nd > q.due {
+			q.due = nd
+		}
+		run = q.due
+	}
+	for k := len(pend) - 2; k >= 0; k-- {
+		if pend[k].due > pend[k+1].due {
+			pend[k].due = pend[k+1].due
+		}
+	}
+	return pend
+}
+
+// refSpentThrough is the unconditional scan spentThrough skips while the
+// clock is below its lower bound.
+func refSpentThrough(pend []pendingArrival, now vtime.Time) int {
+	last := -1
+	for j := range pend {
+		if !pend[j].capAt.After(now) {
+			last = j
+		}
+	}
+	return last
+}
+
+// The bounded due passes and the lower-bound-gated budget scan must leave
+// the pending buffer exactly as the full passes do, cell for cell, over
+// random programs of pushes, flushes, annihilations and overflows — with
+// budgets tight enough against the holds that caps clip the raise chains,
+// which is the only way the backward pass has anything to do.
+func TestPushPendingMatchesReference(t *testing.T) {
+	const (
+		programs = 12_000
+		maxModel = 4 // the model's maxPending: small, so overflow is common
+	)
+	r := rng.New(16)
+	var raised, lowered, spent, overflowed, skipped int
+	for prog := 0; prog < programs; prog++ {
+		sh := &shim{}
+		var ref []pendingArrival
+		budget := vtime.Duration(1+r.Intn(40)) * vtime.Millisecond
+		now := vtime.Time(r.Intn(1000))
+		var seq uint64
+		for op := 0; op < 60; op++ {
+			now = now.Add(vtime.Duration(r.Intn(int(budget) / 4)))
+			switch r.Intn(8) {
+			default: // push, as pushPending prepares it
+				pos := r.Intn(len(ref) + 1)
+				capAt := now.Add(budget)
+				due := now.Add(vtime.Duration(r.Intn(int(budget) + 1)))
+				if pos > 0 && ref[pos-1].due > due {
+					due = ref[pos-1].due
+				}
+				if due > capAt {
+					due = capAt
+				}
+				seq++
+				p := pendingArrival{capAt: capAt, due: due, seq: seq}
+				ref = refInsertPending(ref, p, pos)
+				sh.insertPending(p, pos)
+				// Tally what the program exercised: a successor raised, and
+				// the new entry lowered again because a cap clipped one.
+				if pos+1 < len(ref) && ref[pos+1].due >= p.due && ref[pos+1].due > now.Add(budget/2) {
+					raised++
+				}
+				if ref[pos].due < p.due {
+					lowered++
+				}
+			case 0, 1: // flush: the spent budgets, then everything due
+				lb := sh.pendCapLB
+				force, got := refSpentThrough(ref, now), sh.spentThrough(now)
+				if got != force {
+					t.Fatalf("program %d op %d: spentThrough = %d, full scan %d", prog, op, got, force)
+				}
+				if now.Before(lb) {
+					skipped++
+				}
+				if force >= 0 {
+					spent++
+				} else if len(ref) > maxModel {
+					force = 0
+					overflowed++
+				}
+				last := force
+				for last+1 < len(ref) && !ref[last+1].due.After(now) {
+					last++
+				}
+				ref = ref[:copy(ref, ref[last+1:])]
+				sh.pend = sh.pend[:copy(sh.pend, sh.pend[last+1:])]
+			case 2: // annihilate
+				if len(ref) == 0 {
+					continue
+				}
+				i := r.Intn(len(ref))
+				ref = append(ref[:i], ref[i+1:]...)
+				sh.pend = append(sh.pend[:i], sh.pend[i+1:]...)
+			}
+			if len(sh.pend) != len(ref) {
+				t.Fatalf("program %d op %d: %d cells, reference has %d", prog, op, len(sh.pend), len(ref))
+			}
+			for i := range ref {
+				if sh.pend[i] != ref[i] {
+					t.Fatalf("program %d op %d cell %d: %+v, reference %+v", prog, op, i, sh.pend[i], ref[i])
+				}
+				if sh.pend[i].capAt < sh.pendCapLB {
+					t.Fatalf("program %d op %d cell %d: capAt %v under the lower bound %v", prog, op, i, sh.pend[i].capAt, sh.pendCapLB)
+				}
+				if i > 0 && ref[i-1].due > ref[i].due || ref[i].due > ref[i].capAt {
+					t.Fatalf("program %d op %d cell %d: due invariant broken in the reference itself", prog, op, i)
+				}
+			}
+		}
+	}
+	if min(raised, lowered, spent, overflowed, skipped) < programs/100 {
+		t.Fatalf("programs too tame: %d raised successors, %d entries lowered under a clipped successor, %d spent-budget flushes, %d overflows, %d skipped scans",
+			raised, lowered, spent, overflowed, skipped)
+	}
+}
+
+// deferBench is a two-node engine whose node 1 holds depth deferred
+// message arrivals, d_i 1 ms apart and all due 50 ms out, so nothing
+// flushes while the clock stands still.
+type deferBench struct {
+	sh    *shim
+	depth int
+	step  int
+	ring  []msg.Message // arrivals cycle through these; an entry is long gone when its slot comes round
+}
+
+func newDeferBench(depth int) *deferBench {
+	g := topology.Line(2, 10*vtime.Millisecond)
+	e := New(g, floodApps(2), Config{Seed: 1})
+	b := &deferBench{sh: e.shims[1], depth: depth, ring: make([]msg.Message, 4*depth)}
+	for b.step < depth {
+		m := b.arrival(b.step)
+		b.sh.pend = append(b.sh.pend, pendingArrival{
+			rank:  e.cfg.Ordering.Rank(ordering.KeyOf(m)),
+			entry: entryOf(m, 0),
+			capAt: vtime.Time(100 * vtime.Millisecond),
+			due:   vtime.Time(50 * vtime.Millisecond),
+		})
+		b.step++
+	}
+	return b
+}
+
+// arrival builds the i-th arrival, with d_i = i ms.
+func (b *deferBench) arrival(i int) *msg.Message {
+	m := &b.ring[b.step%len(b.ring)]
+	*m = *mkMsgFrom(0, vtime.Duration(i+1)*vtime.Millisecond, uint64(b.step), 0)
+	return m
+}
+
+// push defers one arrival through maybeDefer (ranked scan, insertion, due
+// passes, flush re-arm) and annihilates the front entry to hold the depth.
+// d_i rises with the arrival count but runs backwards inside blocks of
+// depth/2, so an arrival sorts before the block-mates that beat it here:
+// the scan passes depth/4 cells on average, as a flood wave's stragglers do.
+func (b *deferBench) push() bool {
+	front := b.sh.pend[0].entry.Msg.ID
+	blk := b.depth / 2
+	m := b.arrival(b.step/blk*blk + blk - 1 - b.step%blk)
+	b.step++
+	k := ordering.KeyOf(m)
+	ok := b.sh.maybeDefer(entryOf(m, 0), b.sh.e.cfg.Ordering.Rank(k))
+	return b.sh.annihilatePending(front) && ok
+}
+
+// BenchmarkDeferPush measures one arrival's pass through the deferral
+// buffer at a held depth.
+func BenchmarkDeferPush(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		depth int
+	}{{"depth4", 4}, {"depth48", 48}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			db := newDeferBench(bc.depth)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !db.push() {
+					b.Fatal("arrival was not deferred")
+				}
+			}
+		})
+	}
+}
+
+// The deferral buffer's steady state allocates nothing: the buffer's
+// backing array is reused across insertions and removals, and the flush
+// event is re-armed in place.
+func TestDeferPushAllocFree(t *testing.T) {
+	db := newDeferBench(48)
+	db.push() // the first push arms the flush event and grows the buffer once
+	avg := testing.AllocsPerRun(1000, func() {
+		if !db.push() {
+			t.Fatal("arrival was not deferred")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("steady-state deferral push allocates %.1f allocs/op, want 0", avg)
+	}
+	if got := len(db.sh.pend); got != 48 {
+		t.Fatalf("buffer depth drifted to %d", got)
+	}
+}

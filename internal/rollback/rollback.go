@@ -395,6 +395,7 @@ type Engine struct {
 	est     *settleEstimator // nil when Config.SettleAfter pins a static bound
 
 	scheduledThrough vtime.Time // group ticks scheduled up to here
+	tickSegs         []tickSeg  // one per Run call that crossed a group boundary
 
 	// winSched is the read-only settle-bound schedule for the parallel
 	// window in flight: the adaptive estimator is engine-global, so shims
@@ -498,6 +499,7 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 			sh.sender.Pool = sh.lane.Pool()
 		}
 		sh.flushFn = sh.onFlush
+		sh.tick.sh = sh
 		e.shims[i] = sh
 		var neighbors []api.Neighbor
 		for _, nb := range g.Neighbors(i) {
@@ -770,32 +772,100 @@ func (e *Engine) RunQuiescent(maxEvents int) bool {
 	return ok
 }
 
-// scheduleGroupTicks pre-schedules each node's timer-batch events for all
+// tickSeg is one Run call's worth of group ticks: groups first..first+n-1
+// at every node, labelled from a block of len(shims)·n reserved insertion
+// sequences laid out node-major from base — the labels a loop scheduling
+// every node's ticks for the segment up front, node by node, would have
+// drawn from the counter.
+type tickSeg struct {
+	base  uint64
+	first uint64
+	n     uint64
+}
+
+// groupTick is a node's timer-batch event (eventq.Caller, so arming it
+// allocates nothing). It re-arms itself: only a node's next tick is ever
+// queued, which keeps the event queue at the size of the in-flight set
+// instead of nodes × groups. seg and group name the queued tick while
+// armed, the last one fired otherwise.
+type groupTick struct {
+	sh    *shim
+	seg   int
+	group uint64
+	armed bool
+}
+
+// Fire arms the node's next tick, then runs this one's batch — in that
+// order, so the chain survives whatever the handler does. Inside a
+// parallel window it reads the segment list the driver wrote before the
+// window opened and pushes into its own lane's queue only.
+func (t *groupTick) Fire() {
+	sh, group := t.sh, t.group
+	segs := sh.e.tickSegs
+	switch seg := segs[t.seg]; {
+	case group+1 < seg.first+seg.n:
+		t.arm(t.seg, group+1)
+	case t.seg+1 < len(segs):
+		t.arm(t.seg+1, segs[t.seg+1].first)
+	default:
+		t.armed = false // Run re-arms the node when it appends a segment
+	}
+	if sh.e.cfg.Baseline {
+		sh.baselineTimer(group)
+	} else {
+		sh.onTimerBatch(group)
+	}
+}
+
+// arm queues the node's tick for group of segment seg at the group
+// boundary plus beacon skew, under its reserved sequence.
+func (t *groupTick) arm(seg int, group uint64) {
+	sh := t.sh
+	e := sh.e
+	sg := e.tickSegs[seg]
+	t.seg, t.group, t.armed = seg, group, true
+	at := vtime.GroupStart(group, e.cfg.BeaconInterval).Add(e.skew[sh.id])
+	sh.lane.ScheduleCallSeq(at, sg.base+uint64(sh.id)*sg.n+(group-sg.first), t)
+}
+
+// scheduleGroupTicks extends every node's timer-batch schedule over the
 // group boundaries in (scheduledThrough, until]. The schedule is keyed on
 // the boundary, not the skewed fire time, so every node executes exactly
 // the same set of groups — which is what the recording promises the
-// debugging network (Recording.Groups). The unmodified baseline turns
-// the apps' timer wheels on the same boundaries, directly.
+// debugging network (Recording.Groups); a tick whose skewed fire time falls
+// past until stays queued for a later Run or RunQuiescent. The unmodified
+// baseline turns the apps' timer wheels on the same boundaries, directly.
+//
+// Nothing but each idle node's first tick is queued here. Every tick's
+// (at, seq) label is fixed now — the whole block of sequences is reserved,
+// and a tick's label is a function of (segment, node, group) — so when a
+// tick is pushed cannot move the execution order, and each tick pushes its
+// successor as it fires (groupTick.Fire). A node still working through an
+// earlier segment chains into this one by itself. A late push also clamps
+// its fire time against a later clock, to the same result: a node's ticks
+// fire in group order, so the clock a tick reads when it arms its successor
+// can be past the successor's fire time only if the clock at the
+// successor's Run call already was — and then both clamp to that Run's now.
 func (e *Engine) scheduleGroupTicks(until vtime.Time) {
 	iv := e.cfg.BeaconInterval
-	for i := range e.shims {
-		sh := e.shims[i]
-		firstGroup := vtime.GroupOf(e.scheduledThrough, iv) + 1
-		for g := firstGroup; ; g++ {
-			boundary := vtime.GroupStart(g, iv)
-			if boundary > until {
-				break
-			}
-			at := boundary.Add(e.skew[sh.id])
-			if e.cfg.Baseline {
-				sh.lane.ScheduleFn(at, func() { sh.baselineTimer(g) })
-			} else {
-				sh.lane.ScheduleFn(at, func() { sh.onTimerBatch(g) })
-			}
-		}
-	}
+	first := vtime.GroupOf(e.scheduledThrough, iv) + 1
 	if until > e.scheduledThrough {
 		e.scheduledThrough = until
+	}
+	if vtime.GroupStart(first, iv) > until {
+		return
+	}
+	n := vtime.GroupOf(until, iv) - first + 1
+	seg := len(e.tickSegs)
+	e.tickSegs = append(e.tickSegs, tickSeg{
+		base:  e.sim.ReserveSeq(uint64(len(e.shims)) * n),
+		first: first,
+		n:     n,
+	})
+	for _, sh := range e.shims {
+		if !sh.tick.armed {
+			sh.tick.arm(seg, first)
+		}
 	}
 }
 

@@ -61,6 +61,7 @@ type shim struct {
 	// and directSeq is the arrSeq of the latest non-flush window
 	// insertion — together they detect holds that avoided a rollback.
 	pend      []pendingArrival
+	pendCapLB vtime.Time // lower bound on every pend[i].capAt (see spentThrough)
 	flushH    eventq.Handle
 	flushAt   vtime.Time
 	flushFn   func()
@@ -89,11 +90,14 @@ type shim struct {
 
 	extSeq map[uint64]uint64 // per-group external event counter
 
+	tick groupTick // the node's self-re-arming timer-batch event
+
 	settledLog []ordering.Key // committed deliveries (Config.LogDeliveries)
 
-	lastSettle     vtime.Time
-	lastSettledKey ordering.Key // largest key ever retired
-	hasSettled     bool
+	lastSettle      vtime.Time
+	lastSettledKey  ordering.Key  // largest key ever retired
+	lastSettledRank ordering.Rank // its rank, for insertNow's straggler check
+	hasSettled      bool
 
 	// crashed marks a quarantined shim (see quarantine in faults.go): a
 	// crash fault or a recovered handler panic severed the node from the
@@ -254,8 +258,12 @@ func (sh *shim) onEntry(entry history.Entry) {
 	// Inside a parallel window the engine-global estimator is read-only;
 	// the driver pre-simulated this window's observations (BeginWindow)
 	// and replays them into the real estimator at the commit barrier.
-	if est := sh.e.est; est != nil && entry.Key.Class == ordering.ClassMessage && !sh.lane.InWindow() {
-		pred := vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval).Add(entry.Key.Delay)
+	isMsg := entry.Key.Class == ordering.ClassMessage
+	var pred vtime.Time // the key's d_i arrival prediction
+	if isMsg {
+		pred = vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval).Add(entry.Key.Delay)
+	}
+	if est := sh.e.est; est != nil && isMsg && !sh.lane.InWindow() {
 		est.observe(entry.ArrivedAt, entry.ArrivedAt.Sub(pred))
 	}
 	// The quarantine guard sits after the estimator feed on purpose:
@@ -274,18 +282,18 @@ func (sh *shim) onEntry(entry history.Entry) {
 	// in-window too: a node's own delivery stream carries identical
 	// (at, seq) labels in sequential and sharded runs, so the state is
 	// mode-invariant.
-	if sh.look != nil && entry.Key.Class == ordering.ClassMessage {
-		pred := vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval).Add(entry.Key.Delay)
+	if sh.look != nil && isMsg {
 		sh.observeLink(entry.Key.From, entry.ArrivedAt, pred)
 	}
+	rank := sh.e.cfg.Ordering.Rank(entry.Key)
 	if sh.e.deferOn {
-		if sh.maybeDefer(entry) {
+		if sh.maybeDefer(entry, rank) {
 			return
 		}
 		sh.arrSeq++
 		sh.directSeq = sh.arrSeq
 	}
-	sh.insertNow(entry)
+	sh.insertNow(entry, rank)
 	// The arrival advanced its in-link's frontier, which may have released
 	// a lookahead hold at the front of the pending buffer (front due
 	// already passed, coverage was the only blocker) — the event-driven
@@ -298,8 +306,9 @@ func (sh *shim) onEntry(entry history.Entry) {
 
 // insertNow inserts an arrival into the history window and either delivers
 // it speculatively (in-order case) or triggers a rollback (divergence).
-func (sh *shim) insertNow(entry history.Entry) {
-	if sh.hasSettled && sh.e.cfg.Ordering.Compare(entry.Key, sh.lastSettledKey) < 0 {
+// rank is entry.Key's rank under the engine's ordering.
+func (sh *shim) insertNow(entry history.Entry, rank ordering.Rank) {
+	if sh.hasSettled && ordering.CompareRanked(sh.e.cfg.Ordering, entry.Key, rank, sh.lastSettledKey, sh.lastSettledRank) < 0 {
 		// A straggler sorted before an already-retired entry: the
 		// settle bound was too tight for this arrival. The entry is
 		// still applied (ordered within the live window), but exact
@@ -744,6 +753,7 @@ func (sh *shim) maybeSettle() {
 		sh.win.Retire(n)
 		sh.ckpts.DropFirst(n)
 		sh.compactJournals()
+		sh.lastSettledRank = sh.e.cfg.Ordering.Rank(sh.lastSettledKey)
 		sh.hasSettled = true
 	}
 	// Prune sent records whose cause has settled: a record sent before
