@@ -1,12 +1,12 @@
 package defined_test
 
 // One benchmark per evaluation figure (paper §5): each regenerates its
-// figure from its committed scenario (runFigure: LoadSpec → Run) and
+// figure from its committed spec (runFigure: LoadSpec → Run) and
 // reports the headline metric the paper reads off the plot. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The committed scenarios are the reduced (quick) workloads;
+// The committed specs are the reduced (quick) workloads;
 // cmd/defined-bench regenerates the full-scale figures. Ablation benchmarks cover the design
 // knobs DESIGN.md calls out (beacon interval, chain bound, checkpoint
 // strategies), and micro-benchmarks cover the hot substrate paths.
@@ -294,10 +294,9 @@ func BenchmarkMemstoreRestoreDirty(b *testing.B) {
 // BenchmarkHierBoot10k measures cold boot of the committed 10k-router
 // hierarchical mixed-protocol scenario: plan expansion (topology
 // generation, per-node protocol bindings, event schedule) plus network
-// construction. The CI scenario-smoke job budgets this — a regression
-// here means 10k-scale interactive debugging sessions stop being cheap
-// to start. Execution cost is measured elsewhere; boot must stay
-// sub-second.
+// construction. A regression here means 10k-scale interactive debugging
+// sessions stop being cheap to start. Execution cost is bench/'s hier2k
+// workloads; boot must stay sub-second.
 func BenchmarkHierBoot10k(b *testing.B) {
 	b.ReportAllocs()
 	raw, err := os.ReadFile("scenarios/hier10k.json")
@@ -323,29 +322,4 @@ func BenchmarkHierBoot10k(b *testing.B) {
 		}
 		_ = net
 	}
-}
-
-// BenchmarkHierRun is one whole run of composites: the committed
-// mixed-protocol scenario (borders are OSPF+BGP, gateways OSPF+RIP) booted
-// and run to its horizon on the default engine. HierBoot10k budgets the
-// boot of a hierarchy; this budgets running one — allocs/op is the gated
-// number, and a composite that went back to clone checkpoints would
-// multiply it. rb/committed rides along as the speculation headline.
-func BenchmarkHierRun(b *testing.B) {
-	b.ReportAllocs()
-	r := loadScenarioFile(b, "scenarios/mixed-smoke.json")
-	var st defined.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := r.Expand()
-		if err != nil {
-			b.Fatal(err)
-		}
-		net := defined.NewNetworkFromPlan(p)
-		if !net.RunPlan(p) {
-			b.Fatal("mixed-protocol scenario failed to quiesce within its horizon")
-		}
-		st = net.Stats()
-	}
-	b.ReportMetric(float64(st.Rollbacks)/float64(st.CommittedDeliveries()), "rb/committed")
 }

@@ -3,31 +3,32 @@
 //
 // Usage:
 //
-//	defined-bench -scenario scenarios/hier10k.json [-dryrun] [-csv]
+//	defined-bench -scenario scenarios/hier10k.json [-dryrun]
 //	defined-bench [-fig fig6a] [-preset quick|full] [-csv] [-seed N]
 //
-// -scenario resolves a committed spec file and runs it: figure-workload
-// scenarios regenerate their figure, plain scenarios boot the described
-// network (hierarchical mixed-protocol topologies included), run the
-// horizon and verify coherence in every protocol domain. -dryrun stops
-// after printing the expanded plan's summary and content fingerprint —
-// the committed-spec drift check CI runs.
+// -scenario resolves a scenario file (scenarios/*.json) and runs it: boots
+// the described network (hierarchical mixed-protocol topologies included),
+// runs the horizon and verifies coherence in every protocol domain.
+// -dryrun stops after printing the expanded plan's summary and content
+// fingerprint — the committed-scenario drift check.
 //
-// Without -scenario, the committed figure scenarios regenerate (every
-// figure has one under internal/experiments/specs/, stating the engine it
-// runs: sequential, eager, TF/FK — the cost point the goldens pin). The
-// other flags are edits of those files before they resolve:
+// Without -scenario, the committed figure specs regenerate (every figure
+// has one under internal/experiments/specs/: figure id, scale, and the
+// engine it runs — sequential, eager, TF/FK, the cost point the goldens
+// pin). The other flags are edits of those files before they resolve:
 //
 //	-fig      one figure instead of all ten
 //	-preset   quick (reduced CI-scale workloads, as committed) or full
 //	          (the paper's sample sizes, default)
 //	-seed     the engine seed
 //
-// Engine features are a scenario file's business; the fault-injection
-// campaign is one (scenarios/chaos.json). Contradictory flags exit 2
-// naming both sides, never silently losing one: -dryrun needs -scenario,
-// and a scenario file carries its own figure, scale and seed, so -fig,
-// -preset and -seed are rejected beside it.
+// A figure spec is not a scenario file: -scenario rejects one, naming the
+// field it does not know. Engine features are a scenario file's business;
+// the fault-injection campaign is one (scenarios/chaos.json).
+// Contradictory flags exit 2 naming both sides, never silently losing
+// one: -dryrun needs -scenario, and a scenario file is not a figure and
+// carries its own seed, so -fig, -preset, -seed and -csv are rejected
+// beside it.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"defined/internal/experiments"
-	"defined/internal/scenario"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fig := fs.String("fig", "", "single figure id to regenerate (fig6a..fig8d); empty = all")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	seed := fs.Uint64("seed", 42, "experiment seed")
-	scenarioFile := fs.String("scenario", "", "committed scenario file to run (see scenarios/ and internal/experiments/specs/)")
+	scenarioFile := fs.String("scenario", "", "scenario file to run (see scenarios/)")
 	dryrun := fs.Bool("dryrun", false, "with -scenario: print the plan summary and fingerprint, execute nothing")
 	presetName := fs.String("preset", "full", "workload scale: quick or full")
 	if err := fs.Parse(args); err != nil {
@@ -65,13 +65,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *scenarioFile != "" {
-		for _, name := range []string{"fig", "preset", "seed"} {
+		for _, name := range []string{"fig", "preset", "seed", "csv"} {
 			if set[name] {
-				fmt.Fprintf(stderr, "defined-bench: -%s with -scenario — the scenario file carries its own figure, scale and seed\n", name)
+				fmt.Fprintf(stderr, "defined-bench: -%s with -scenario — a scenario file is not a figure and carries its own seed\n", name)
 				return 2
 			}
 		}
-		return runScenario(*scenarioFile, *dryrun, *csv, stdout, stderr)
+		return runScenario(*scenarioFile, *dryrun, stdout, stderr)
 	}
 	if *dryrun {
 		fmt.Fprintln(stderr, "defined-bench: -dryrun without -scenario — only a scenario file has a plan to print")
@@ -89,8 +89,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ids = []string{*fig}
 	}
 	for _, id := range ids {
-		r, err := experiments.LoadSpec(id, func(s *scenario.Spec) {
-			s.Workload.Quick = &quick
+		spec, err := experiments.LoadSpec(id, func(s *experiments.Spec) {
+			s.Quick = &quick
 			if set["seed"] {
 				s.Engine.Seed = seed
 			}
@@ -98,8 +98,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, err)
 		}
-		if code := printFigure(r, *csv, stdout, stderr); code != 0 {
-			return code
+		start := time.Now()
+		f, err := experiments.Run(spec)
+		if err != nil {
+			return fail(stderr, err)
+		}
+		if *csv {
+			fmt.Fprintf(stdout, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
+		} else {
+			fmt.Fprintf(stdout, "%s(regenerated in %.1fs)\n\n", f.Table(), time.Since(start).Seconds())
 		}
 	}
 	return 0
@@ -109,21 +116,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "defined-bench:", err)
 	return 1
-}
-
-// printFigure regenerates the evaluation figure a resolved figure
-// scenario describes and prints it as a table (with its wall time) or as
-// CSV.
-func printFigure(r scenario.RunSpec, csv bool, stdout, stderr io.Writer) int {
-	start := time.Now()
-	f, err := experiments.Run(r)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if csv {
-		fmt.Fprintf(stdout, "# %s — %s\n%s\n", f.ID, f.Title, f.CSV())
-	} else {
-		fmt.Fprintf(stdout, "%s(regenerated in %.1fs)\n\n", f.Table(), time.Since(start).Seconds())
-	}
-	return 0
 }

@@ -41,6 +41,7 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-scenario", file, "-dryrun", "-fig", "fig6a"}, []string{"-fig", "-scenario"}},
 		{[]string{"-scenario", file, "-dryrun", "-preset", "quick"}, []string{"-preset", "-scenario"}},
 		{[]string{"-scenario", file, "-dryrun", "-seed", "7"}, []string{"-seed", "-scenario"}},
+		{[]string{"-scenario", file, "-csv"}, []string{"-csv", "-scenario"}},
 		{[]string{"-preset", "chaos"}, []string{`unknown preset "chaos"`}},
 		{[]string{"-preset", "sharded"}, []string{`unknown preset "sharded"`}},
 		{[]string{"-quick"}, []string{"-quick"}},
@@ -56,6 +57,25 @@ func TestUsageErrors(t *testing.T) {
 			if !strings.Contains(stderr.String(), w) {
 				t.Errorf("%v: stderr does not mention %q:\n%s", c.args, w, &stderr)
 			}
+		}
+	}
+}
+
+// TestFigureSpecIsNotAScenario: a figure spec is regenerated with -fig; as
+// a -scenario file it fails on the first field a scenario does not have,
+// before anything prints or runs.
+func TestFigureSpecIsNotAScenario(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-dryrun"}} {
+		args := append([]string{"-scenario", "../../internal/experiments/specs/fig6a.json"}, extra...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed results:\n%s", args, &stdout)
+		}
+		if !strings.Contains(stderr.String(), `unknown field "figure"`) {
+			t.Errorf("%v: stderr does not name the unknown field:\n%s", args, &stderr)
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package main
 
-// The scenario runner: defined-bench -scenario <file> resolves a committed
-// spec file, prints its dry-run identity (plan summary + fingerprint), and
-// — unless -dryrun — boots the network it describes, runs the horizon, and
-// proves the run reached coherence. Figure-workload scenarios regenerate
-// their figure instead (printFigure).
+// The scenario runner: defined-bench -scenario <file> resolves a scenario
+// file, prints its dry-run identity (plan summary + fingerprint), and —
+// unless -dryrun — boots the network it describes, runs the horizon, and
+// proves the run reached coherence.
 
 import (
 	"fmt"
@@ -24,7 +23,7 @@ import (
 // oracle is quadratic per source; small scenarios are checked in full).
 const coherenceSampleASes = 4
 
-func runScenario(path string, dryrun, csv bool, stdout, stderr io.Writer) int {
+func runScenario(path string, dryrun bool, stdout, stderr io.Writer) int {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return fail(stderr, err)
@@ -40,14 +39,6 @@ func runScenario(path string, dryrun, csv bool, stdout, stderr io.Writer) int {
 	p, err := r.Expand()
 	if err != nil {
 		return fail(stderr, err)
-	}
-	if rs := r.Spec(); rs.Workload != nil {
-		if !dryrun {
-			return printFigure(r, csv, stdout, stderr)
-		}
-		fmt.Fprintf(stdout, "scenario %s: figure workload %s (quick=%v seed=%d), fingerprint %#x\n",
-			rs.Name, rs.Workload.Figure, *rs.Workload.Quick, *rs.Engine.Seed, p.Fingerprint())
-		return 0
 	}
 	fmt.Fprintf(stdout, "scenario %s: %d routers, %d links, %d driver events, fingerprint %#x\n",
 		r.Name(), p.Graph.N, len(p.Graph.Links), len(p.Events), p.Fingerprint())

@@ -68,7 +68,6 @@ package defined
 
 import (
 	"defined/internal/msg"
-	"defined/internal/ordering"
 	"defined/internal/record"
 	"defined/internal/routing/api"
 	"defined/internal/topology"
@@ -138,9 +137,3 @@ func Brite(n, m int, seed uint64) *Topology { return topology.Brite(n, m, seed) 
 func NewTopology(name string, n int, links []Link) (*Topology, error) {
 	return topology.New(name, n, links)
 }
-
-// OrderingOO is the delay-sensitive optimized ordering (the default).
-func OrderingOO() ordering.Func { return ordering.Optimized() }
-
-// OrderingRO is the random-ordering ablation baseline.
-func OrderingRO(seed uint64) ordering.Func { return ordering.Random(seed) }

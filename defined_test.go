@@ -212,7 +212,4 @@ func TestCustomTopologyAndHelpers(t *testing.T) {
 			t.Fatal("empty named topology")
 		}
 	}
-	if defined.OrderingOO().Name() != "OO" || defined.OrderingRO(1).Name() != "RO" {
-		t.Fatal("ordering helpers wrong")
-	}
 }

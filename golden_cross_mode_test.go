@@ -357,7 +357,7 @@ func TestFigureMetricsGolden(t *testing.T) {
 	}
 }
 
-// runFigure regenerates one evaluation figure from its committed scenario.
+// runFigure regenerates one evaluation figure from its committed spec.
 func runFigure(tb testing.TB, id string) *metrics.Figure {
 	tb.Helper()
 	r, err := experiments.LoadSpec(id)

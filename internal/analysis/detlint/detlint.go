@@ -3,11 +3,13 @@
 // makes — bit-identical committed orders across shard counts, lookahead
 // modes and fault plans — rests on coding invariants (no wall clock in
 // engine paths, all post-Init daemon state through journaled setters, no
-// unsorted map iteration feeding committed order, paired Retain/Release on
-// pooled messages) that golden tests only catch after the fact. detlint
-// turns each of those invariants into a checked claim.
+// unsorted map iteration feeding committed order) that golden tests only
+// catch after the fact. detlint turns each of those invariants into a
+// checked claim. (Paired Retain/Release on pooled messages is not one of
+// them: faults.Check's PoolLive ≡ HeldMessages oracle proves it at run
+// time on every golden, which a per-function heuristic could not match.)
 //
-// The suite ships five analyzers, each in its own file:
+// The suite ships four analyzers, each in its own file:
 //
 //   - wallclock: forbids time.Now/Since/Sleep/timers in engine packages
 //     (internal/experiments is allowlisted: fig7 measures real wall time
@@ -22,9 +24,6 @@
 //     //detlint:checkpointable state fields from any function that is not
 //     a journaling setter (one that records an undo entry), an Init, or a
 //     method of the state type itself (the rewind/clone machinery).
-//   - poolpair: a per-function heuristic flagging msg.Pool.Get/Retain
-//     references that can escape without a matching Release, a store into
-//     a tracked structure, or an ownership transfer.
 //
 // Run it locally with:
 //
@@ -35,7 +34,6 @@
 // analyzer's verb and a mandatory justification:
 //
 //	//detlint:ordered <why>     (maprange)
-//	//detlint:owner <why>       (poolpair)
 //	//detlint:journaled <why>   (journalbypass)
 //	//detlint:wallclock <why>   (wallclock)
 //	//detlint:detrand <why>     (detrand)
@@ -166,8 +164,8 @@ const ModulePath = "defined"
 
 // EnginePackages lists the determinism-critical packages: the ones whose
 // execution must be a pure function of (topology, seed, plan). Entries
-// ending in "/" cover the whole subtree. wallclock, maprange and poolpair
-// gate on this set.
+// ending in "/" cover the whole subtree. wallclock and maprange gate on
+// this set.
 var EnginePackages = []string{
 	ModulePath + "/internal/eventq",
 	ModulePath + "/internal/netsim",
@@ -205,7 +203,6 @@ func All() []*Analyzer {
 		DetrandAnalyzer,
 		MaprangeAnalyzer,
 		JournalbypassAnalyzer,
-		PoolpairAnalyzer,
 	}
 }
 
@@ -248,14 +245,4 @@ func namedOf(t types.Type) *types.Named {
 		return nil
 	}
 	return n.Origin()
-}
-
-// isNamed reports whether t (after pointer/alias stripping) is the named
-// type pkgPath.name.
-func isNamed(t types.Type, pkgPath, name string) bool {
-	n := namedOf(t)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }

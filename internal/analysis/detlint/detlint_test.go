@@ -31,10 +31,6 @@ func TestJournalbypass(t *testing.T) {
 	detlinttest.Run(t, td("journalbypass"), detlint.JournalbypassAnalyzer, "defined/internal/routing/fixd")
 }
 
-func TestPoolpair(t *testing.T) {
-	detlinttest.Run(t, td("poolpair"), detlint.PoolpairAnalyzer, "defined/internal/history")
-}
-
 // TestRepoClean runs the full suite over the whole module: the committed
 // tree must stay at zero diagnostics, with every suppression justified.
 // This duplicates the CI detlint job as a plain test so `go test ./...`

@@ -1,6 +1,7 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5). A figure is a committed scenario file under specs/:
-// LoadSpec resolves it and Run regenerates it as a metrics.Figure whose
+// evaluation (§5). A figure is a committed Spec file under specs/ —
+// figure id, scale, engine block; LoadSpec resolves it (the engine through
+// scenario.ResolveEngine) and Run regenerates it as a metrics.Figure whose
 // series mirror the paper's legends ("XORP", "DEFINED-RB",
 // "DEFINED-RB(OO)", ...); cmd/defined-bench prints them and bench_test.go
 // wraps them as benchmarks.
@@ -41,31 +42,32 @@ var figures = []struct {
 	{"fig8a", fig8a}, {"fig8b", fig8b}, {"fig8c", fig8c}, {"fig8d", fig8d},
 }
 
-// Run regenerates the figure a resolved figure scenario describes. What a
-// figure takes from its scenario is the workload block (which figure, at
-// which scale) and the engine block; the topologies, event counts and
-// horizons of its measurement points are the figure's own.
-func Run(r scenario.RunSpec) (*metrics.Figure, error) {
-	s := r.Spec()
-	if s.Workload == nil {
-		return nil, fmt.Errorf("experiments: scenario %s has no figure workload", s.Name)
-	}
+// figureByID returns the function that regenerates figure id, or nil.
+func figureByID(id string) func(workload) (*metrics.Figure, error) {
 	for _, fig := range figures {
-		if fig.id != s.Workload.Figure {
-			continue
+		if fig.id == id {
+			return fig.run
 		}
-		f, err := fig.run(workload{eng: s.Engine, quick: *s.Workload.Quick})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %s: %w", s.Name, err)
-		}
-		return f, nil
 	}
-	return nil, fmt.Errorf("experiments: scenario %s: unknown figure %q", s.Name, s.Workload.Figure)
+	return nil
 }
 
-// workload is what a figure reads off its scenario: the resolved engine
-// block (the DEFINED-RB series runs it as written) and the scale. The
-// other series are edits of that block.
+// Run regenerates the figure s describes, on the engine s states.
+func Run(s Spec) (*metrics.Figure, error) {
+	s, err := s.resolve()
+	if err != nil {
+		return nil, err
+	}
+	f, err := figureByID(s.Figure)(workload{eng: s.Engine, quick: *s.Quick})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", s.Figure, err)
+	}
+	return f, nil
+}
+
+// workload is what a figure reads off its resolved spec: the engine block
+// (the DEFINED-RB series runs it as written) and the scale. The other
+// series are edits of that block.
 type workload struct {
 	eng scenario.EngineSpec
 	// quick reduces event counts so benches and CI finish fast; the full
@@ -121,9 +123,8 @@ type network struct{ *rollback.Engine }
 // deferral off: the cost point the figure shapes were calibrated
 // against), so the metric series stay comparable across engine-default
 // changes. Committed orders are identical under any engine; only the
-// timing dynamics the figures measure would move. A figure scenario that
-// asks for shards or lookahead is rejected at resolve time for the same
-// reason.
+// timing dynamics the figures measure would move. A figure spec that asks
+// for shards or lookahead is rejected at resolve time for the same reason.
 func newNetwork(g *topology.Graph, eng scenario.EngineSpec) (*network, error) {
 	resolved, err := scenario.ResolveEngine(eng)
 	if err != nil {

@@ -243,23 +243,18 @@ func TestNoSettleViolationsAcrossWorkloads(t *testing.T) {
 }
 
 func TestRunRejects(t *testing.T) {
-	r, err := LoadSpec("fig7a", func(s *scenario.Spec) { s.Workload.Figure = "fig99" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(r); err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) {
+	// An edit is held to the same rules as the committed file, and so is
+	// a spec that never went through LoadSpec.
+	_, err := LoadSpec("fig7a", func(s *Spec) { s.Figure = "fig99" })
+	if err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) {
 		t.Fatalf("unknown figure: %v", err)
 	}
-	r, err = LoadSpec("fig7a", func(s *scenario.Spec) { s.Workload = nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(r); err == nil || !strings.Contains(err.Error(), "no figure workload") {
-		t.Fatalf("plain scenario: %v", err)
+	if _, err := Run(Spec{Figure: "fig99"}); err == nil || !strings.Contains(err.Error(), `unknown figure "fig99"`) {
+		t.Fatalf("unknown figure, hand-built spec: %v", err)
 	}
 	// A series is an edit of the spec's engine block; an edit that
 	// contradicts the block is an error, not a silently different engine.
-	r, err = LoadSpec("fig8a", func(s *scenario.Spec) { s.Engine.Deferral = ptr(true) })
+	r, err := LoadSpec("fig8a", func(s *Spec) { s.Engine.Deferral = ptr(true) })
 	if err != nil {
 		t.Fatal(err)
 	}

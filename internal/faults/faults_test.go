@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"defined/internal/msg"
+	"defined/internal/rollback"
+	"defined/internal/routing/api"
+	"defined/internal/routing/ospf"
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
@@ -148,5 +152,42 @@ func TestScheduleDispatch(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(ats, func(i, j int) bool { return ats[i] < ats[j] }) {
 		t.Fatalf("Schedule registered events out of time order: %v", ats)
+	}
+}
+
+// TestCheckReportsPoolLeak shows the run-time pool oracle biting — it is
+// the only check on paired Retain/Release: one pooled message checked out
+// of a quiescent engine's pool and never released is a leak Check names,
+// and one Release too many (tallied, not a panic, under poison) is a
+// lifecycle violation.
+func TestCheckReportsPoolLeak(t *testing.T) {
+	g := topology.Ebone()
+	apps := make([]api.Application, g.N)
+	for i := range apps {
+		apps[i] = ospf.New(ospf.Config{})
+	}
+	e := rollback.New(g, apps, rollback.Config{Seed: 7, PoisonMessages: true})
+	e.Run(sec(1))
+	e.RunQuiescent(1_000_000)
+	if rep := Check(e, g, CheckConfig{}); !rep.Ok() || rep.PoolLive == 0 {
+		t.Fatalf("healthy quiescent run: %v, PoolLive=%d (want windows still holding messages)", rep.Err(), rep.PoolLive)
+	}
+
+	leaked := e.Sim().Pool().Get()
+	rep := Check(e, g, CheckConfig{})
+	if rep.PoolLive != rep.HeldMessages+1 {
+		t.Errorf("PoolLive=%d HeldMessages=%d, want exactly one unaccounted message", rep.PoolLive, rep.HeldMessages)
+	}
+	if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "pool leak") {
+		t.Errorf("one leaked message: Check reported %v, want a pool leak", err)
+	}
+
+	leaked.Release()
+	if err := Check(e, g, CheckConfig{}).Err(); err != nil {
+		t.Fatalf("after releasing it: %v", err)
+	}
+	leaked.Release()
+	if err := Check(e, g, CheckConfig{}).Err(); err == nil || !strings.Contains(err.Error(), "pool lifecycle violations = 1") {
+		t.Errorf("one Release too many: Check reported %v, want one lifecycle violation", err)
 	}
 }

@@ -67,9 +67,6 @@ func New(f ordering.Func) *Window {
 	return &Window{f: f}
 }
 
-// Func returns the ordering function the window sorts by.
-func (w *Window) Func() ordering.Func { return w.f }
-
 // Len reports the number of live entries.
 func (w *Window) Len() int { return len(w.entries) }
 

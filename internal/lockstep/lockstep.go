@@ -44,13 +44,6 @@ type Config struct {
 	// use the recorded one (required to reproduce the production run;
 	// overriding explores alternative execution paths, §4's discussion).
 	Ordering ordering.Func
-	// PerMessageCost is the modeled per-delivery processing cost used in
-	// response-time accounting (default 100 µs, matching DEFINED-RB's
-	// BaseProcessing).
-	PerMessageCost vtime.Duration
-	// SemaphoreCost is the modeled coordinator handling cost per node
-	// per phase transition (default 2 ms).
-	SemaphoreCost vtime.Duration
 	// LogDeliveries retains per-node delivery logs for verification.
 	LogDeliveries bool
 	// NoMessagePool disables refcounted message pooling (unmanaged
@@ -62,14 +55,9 @@ type Config struct {
 	PoisonMessages bool
 }
 
-func (c *Config) fillDefaults() {
-	if c.PerMessageCost <= 0 {
-		c.PerMessageCost = 100 * vtime.Microsecond
-	}
-	if c.SemaphoreCost <= 0 {
-		c.SemaphoreCost = 2 * vtime.Millisecond
-	}
-}
+// semaphoreCost is the modeled coordinator handling cost per node per
+// phase transition in response-time accounting.
+const semaphoreCost = 2 * vtime.Millisecond
 
 // Delivery describes one event delivered to one node — the unit of the
 // debugger's finest stepping granularity.
@@ -186,7 +174,6 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg C
 	if len(apps) != g.N {
 		return nil, fmt.Errorf("lockstep: %d apps for %d nodes", len(apps), g.N)
 	}
-	cfg.fillDefaults()
 	f := cfg.Ordering
 	if f == nil {
 		var err error
@@ -542,14 +529,14 @@ func (e *Engine) recordStep() {
 	if e.roundDeliv == 0 {
 		return // idle transition (e.g. empty group scan)
 	}
-	barrier := 2*e.maxSkew + vtime.Duration(e.G.N)*e.cfg.SemaphoreCost
+	barrier := 2*e.maxSkew + vtime.Duration(e.G.N)*semaphoreCost
 	heaviest := 0
 	for _, c := range e.roundPerNode {
 		if c > heaviest {
 			heaviest = c
 		}
 	}
-	resp := 2*barrier + e.maxLink + vtime.Duration(heaviest)*e.cfg.PerMessageCost
+	resp := 2*barrier + e.maxLink + vtime.Duration(heaviest)*vtime.BaseProcessing
 	e.steps = append(e.steps, StepInfo{
 		Group:           e.curGroup,
 		Round:           e.round,

@@ -73,9 +73,6 @@ func New(size int) *Store {
 	return s
 }
 
-// Size returns the store size in bytes.
-func (s *Store) Size() int { return s.size }
-
 // checkRange panics on out-of-bounds access (programmer error).
 func (s *Store) checkRange(off, n int) {
 	if off < 0 || n < 0 || off+n > s.size {

@@ -27,11 +27,10 @@
 //     the node's send buffer.
 //   - netsim.Sim.Send retains while the message is in flight (queued for
 //     delivery) and releases after the delivery handler returns — for
-//     every traffic class, which is what lets control messages
-//     (anti-messages, markers, ...) recycle with no extra bookkeeping: the
-//     engine releases its own reference right after Send, and the
-//     in-flight reference dies with the delivery. A send that returns
-//     false retained nothing.
+//     every traffic class, which is what lets anti-messages recycle with
+//     no extra bookkeeping: the engine releases its own reference right
+//     after Send, and the in-flight reference dies with the delivery. A
+//     send that returns false retained nothing.
 //   - history windows retain per entry on Insert and release on Retire and
 //     RemoveAt; the rollback engine's pending (deferral) buffer retains
 //     held arrivals and releases when they flush into the window or are
@@ -125,16 +124,10 @@ const (
 	// KindAnti is a rollback "unsend" notification instructing the
 	// receiver to roll back a range of previously received messages.
 	KindAnti
-	// KindMarker is the DEFINED-LS end-of-transmission marker packet.
-	KindMarker
-	// KindSemaphore is a DEFINED-LS distributed-semaphore control packet.
-	KindSemaphore
-	// KindElection is a beacon-source leader-election packet.
-	KindElection
 
 	// NumKinds is the number of traffic classes; Kind values are dense in
 	// [0, NumKinds), so per-kind counters can live in fixed arrays.
-	NumKinds = int(KindElection) + 1
+	NumKinds = int(KindAnti) + 1
 )
 
 // String names the kind.
@@ -144,12 +137,6 @@ func (k Kind) String() string {
 		return "app"
 	case KindAnti:
 		return "anti"
-	case KindMarker:
-		return "marker"
-	case KindSemaphore:
-		return "semaphore"
-	case KindElection:
-		return "election"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -73,12 +73,9 @@ func TestMaxParentTieBreaksFirst(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		KindApp:       "app",
-		KindAnti:      "anti",
-		KindMarker:    "marker",
-		KindSemaphore: "semaphore",
-		KindElection:  "election",
-		Kind(99):      "kind(99)",
+		KindApp:  "app",
+		KindAnti: "anti",
+		Kind(99): "kind(99)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {

@@ -100,9 +100,6 @@ func (p *Pool) SetConcurrent(on bool) { p.concurrent = on }
 // at the first hit; without poison a violation panics immediately.
 func (p *Pool) SetPoison(on bool) { p.poison = on }
 
-// Poisoning reports whether poison mode is active.
-func (p *Pool) Poisoning() bool { return p.poison }
-
 // Violations reports how many lifecycle violations (retain/release/check
 // of an already-released message) the pool has detected. Nonzero tallies
 // are only observable under poison mode — without it the first violation

@@ -165,11 +165,6 @@ func (l *Lane) ScheduleFn(at vtime.Time, fn func()) eventq.Handle {
 	return h
 }
 
-// After schedules fn d after the Lane's current time.
-func (l *Lane) After(d vtime.Duration, fn func()) eventq.Handle {
-	return l.ScheduleFn(l.Now().Add(d), fn)
-}
-
 // ScheduleCall schedules a pre-bound Caller, like ScheduleFn but
 // allocation-free.
 func (l *Lane) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
@@ -314,14 +309,6 @@ func (s *Sim) SetWindowObserver(o WindowObserver) { s.obs = o }
 
 // Sharded reports whether the sharded runtime is active.
 func (s *Sim) Sharded() bool { return s.lanes != nil }
-
-// ShardCount reports the number of shards (1 for the sequential engine).
-func (s *Sim) ShardCount() int {
-	if s.lanes == nil {
-		return 1
-	}
-	return len(s.lanes)
-}
 
 // LaneFor returns node n's Lane. In sequential mode every node shares one
 // facade Lane that delegates to the Sim.

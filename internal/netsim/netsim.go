@@ -21,9 +21,9 @@
 // delivery handler returns, for every traffic class. Handlers receive
 // borrows — a layer that keeps a message past the callback (history
 // windows, defer buffers) must Retain it; transient control traffic
-// (anti-messages, markers, ...) recycles through the simulator's Pool()
-// the moment its handler returns, because the sending engine released its
-// own reference right after Send.
+// (anti-messages) recycles through the simulator's Pool() the moment its
+// handler returns, because the sending engine released its own reference
+// right after Send.
 //
 // # Concurrency contract
 //
@@ -80,12 +80,12 @@
 //     so any range over a map either accumulates commutatively, sorts
 //     what it collected before use, or carries a justified
 //     //detlint:ordered annotation (detlint:maprange).
-//   - paired pool references — every msg.Pool.Get/Retain is balanced by a
-//     Release, stored into a tracked structure, or explicitly handed off
-//     (detlint:poolpair).
 //
 // The golden tests pin that the invariants held on a given run; detlint
-// pins that the code cannot quietly stop maintaining them.
+// pins that the code cannot quietly stop maintaining them. Paired pool
+// references (every msg.Pool.Get/Retain balanced by a Release) are the
+// one rule checked at run time instead: faults.Check fails any run whose
+// live pooled messages outnumber the ones engine structures still hold.
 package netsim
 
 import (
@@ -489,11 +489,6 @@ func (s *Sim) ScheduleCallSeq(at vtime.Time, seq uint64, c eventq.Caller) eventq
 	return s.q.PushCallSeq(at, seq, c)
 }
 
-// AfterCall schedules a pre-bound Caller d after now.
-func (s *Sim) AfterCall(d vtime.Duration, c eventq.Caller) eventq.Handle {
-	return s.ScheduleCall(s.now.Add(d), c)
-}
-
 // Cancel removes a scheduled fn event. Cancelling an already-fired event —
 // even one whose queue slot has since been reused — is a safe no-op.
 func (s *Sim) Cancel(h eventq.Handle) { s.q.Remove(h) }
@@ -652,35 +647,6 @@ func (s *Sim) LinkFrontier(from, to msg.NodeID) vtime.Time {
 		return 0
 	}
 	return s.lastArr[dirIndex(idx, from, to)]
-}
-
-// NodeHorizon returns node n's application-traffic lookahead horizon
-// H(n): the minimum over up in-links of the earliest future app arrival
-// that link can still produce — the link frontier (FIFO clamp) and the
-// static link delay past now, whichever is later. No app message can
-// newly arrive at n before H(n). Down links are excluded (app sends on
-// them fail at send time and in-flight packets drop at delivery); a node
-// with no up in-links has an unbounded horizon (vtime.Never). Driver-only.
-func (s *Sim) NodeHorizon(n msg.NodeID) vtime.Time {
-	h := vtime.Never
-	for _, nb := range s.G.Neighbors(int(n)) {
-		idx := s.G.LinkIndex(nb, int(n))
-		if idx < 0 || !s.linkUp[idx] || !s.nodeUp[nb] {
-			continue
-		}
-		d := s.G.Links[idx].Delay
-		if d < 1 {
-			d = 1
-		}
-		b := s.now.Add(d)
-		if f := s.lastArr[dirIndex(idx, msg.NodeID(nb), n)]; f.Add(1) > b {
-			b = f.Add(1)
-		}
-		if b < h {
-			h = b
-		}
-	}
-	return h
 }
 
 // NextAt exposes the timestamp of the next scheduled event (vtime.Never if

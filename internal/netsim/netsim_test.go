@@ -505,57 +505,3 @@ func TestLinkFrontierMonotonic(t *testing.T) {
 		t.Fatalf("frontier after drain = %v, want %v (last scheduled arrival)", f, prev)
 	}
 }
-
-// TestNodeHorizonUnderFailure checks H(n) bookkeeping across link failure
-// and repair: the horizon is the min over up in-links of (frontier, static
-// delay) past now; failing the constraining link widens it to the next
-// in-link, failing every in-link makes it unbounded, and repair restores
-// the static-delay bound.
-func TestNodeHorizonUnderFailure(t *testing.T) {
-	// Star hub 0 with three spokes; give the spokes distinct delays by
-	// editing the graph before building the sim.
-	g := topology.Star(4, 5*vtime.Millisecond)
-	for i := range g.Links {
-		g.Links[i].Delay = vtime.Duration(5+5*i) * vtime.Millisecond
-	}
-	s := New(g, Config{Deterministic: true})
-	s.Attach(0, func(m *msg.Message) {})
-
-	// Quiet network: H(0) = now + min static delay = 5ms (link 0-1).
-	if h := s.NodeHorizon(0); h != vtime.Time(5*vtime.Millisecond) {
-		t.Fatalf("quiet horizon = %v, want 5ms", h)
-	}
-	// Fail the constraining link: the 10ms spoke now binds.
-	if err := s.SetLinkState(0, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if h := s.NodeHorizon(0); h != vtime.Time(10*vtime.Millisecond) {
-		t.Fatalf("horizon after 0-1 down = %v, want 10ms", h)
-	}
-	// Down node is as good as a down link for its in-link.
-	s.SetNodeState(2, false)
-	if h := s.NodeHorizon(0); h != vtime.Time(15*vtime.Millisecond) {
-		t.Fatalf("horizon after node 2 down = %v, want 15ms", h)
-	}
-	// No up in-links: unbounded.
-	if err := s.SetLinkState(0, 3, false); err != nil {
-		t.Fatal(err)
-	}
-	if h := s.NodeHorizon(0); h != vtime.Never {
-		t.Fatalf("horizon with all in-links down = %v, want Never", h)
-	}
-	// Repair 0-1: the 5ms bound returns.
-	if err := s.SetLinkState(0, 1, true); err != nil {
-		t.Fatal(err)
-	}
-	if h := s.NodeHorizon(0); h != vtime.Time(5*vtime.Millisecond) {
-		t.Fatalf("horizon after repair = %v, want 5ms", h)
-	}
-	// In-flight traffic pushes the bound past the static delay: the
-	// frontier (plus one tick) binds once it exceeds now + delay.
-	s.Send(mkMsg(1, 0, 1))
-	f := s.LinkFrontier(1, 0)
-	if h := s.NodeHorizon(0); h != f.Add(1) {
-		t.Fatalf("horizon with in-flight packet = %v, want frontier+1 = %v", h, f.Add(1))
-	}
-}

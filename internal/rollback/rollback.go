@@ -99,10 +99,9 @@
 // # Determinism invariants
 //
 // The rollback engine's correctness claims — bit-identical committed
-// orders across engines, checkpoints that rewind exactly, a message pool
-// that quiesces to zero — rest on coding rules that
-// internal/analysis/detlint checks statically (in CI, and locally with
-// `go run ./cmd/detlint ./...`):
+// orders across engines, checkpoints that rewind exactly — rest on coding
+// rules that internal/analysis/detlint checks statically (in CI, and
+// locally with `go run ./cmd/detlint ./...`):
 //
 //   - no wall clock (detlint:wallclock) — speculation, holds and settle
 //     estimates are all in virtual time; a host-clock read anywhere in a
@@ -117,10 +116,11 @@
 //     daemons' //detlint:checkpointable structs are only written through
 //     setters that record an undo entry first, so Rewind can never meet
 //     a mutation it cannot reverse.
-//   - paired pool references (detlint:poolpair) — each Get/Retain is
-//     released, stored into a tracked structure (history window, sent
-//     records, deferral buffer), or explicitly handed off, keeping the
-//     PoolLive oracle at zero at quiescence.
+//
+// A message pool that quiesces to zero is checked at run time instead:
+// each Get/Retain is released or stored into a structure HeldMessages
+// counts (history window, sent records, deferral buffer), and
+// faults.Check fails a run where PoolLive exceeds that count.
 package rollback
 
 import (
@@ -188,9 +188,6 @@ type Config struct {
 	// convergence-latency cost of a hold chain). Zero selects the
 	// default (100 ms).
 	DeferMax vtime.Duration
-	// BaseProcessing is the per-message application processing cost
-	// charged in virtual time. Default 100 µs.
-	BaseProcessing vtime.Duration
 	// Seed drives the simulator's jitter stream.
 	Seed uint64
 	// JitterScale scales link jitter (1.0 default).
@@ -266,9 +263,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ChainBound <= 0 {
 		c.ChainBound = 64
-	}
-	if c.BaseProcessing <= 0 {
-		c.BaseProcessing = 100 * vtime.Microsecond
 	}
 	if c.JitterScale == 0 {
 		c.JitterScale = 1.0
@@ -555,7 +549,7 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 // d_i estimates (base processing plus the checkpoint strategy's
 // per-message overhead).
 func (e *Engine) procEstimate() vtime.Duration {
-	return e.cfg.BaseProcessing + e.cost.PerMessage
+	return vtime.BaseProcessing + e.cost.PerMessage
 }
 
 // StaticSettle implements the paper's static retirement bound: two times
@@ -897,7 +891,7 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 	}
 	e.stats.ExternalEvents++
 	if e.cfg.Baseline {
-		sh.sendOuts(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset, e.cfg.BaseProcessing)
+		sh.sendOuts(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset, vtime.BaseProcessing)
 		return
 	}
 	entry := history.Entry{

@@ -237,7 +237,7 @@ func (sh *shim) onWire(m *msg.Message) {
 func (sh *shim) baselineDeliver(m *msg.Message) {
 	sh.stats.Deliveries++
 	outs := sh.app.HandleMessage(m)
-	sh.sendOuts(outs, m.Ann, false, 0, 0, sh.e.cfg.BaseProcessing)
+	sh.sendOuts(outs, m.Ann, false, 0, 0, vtime.BaseProcessing)
 }
 
 // baselineTimer turns the app's timer wheel on beacon boundaries for the
@@ -246,7 +246,7 @@ func (sh *shim) baselineTimer(group uint64) {
 	now := vtime.GroupStart(group, sh.e.cfg.BeaconInterval)
 	outs := sh.app.HandleTimer(now)
 	sh.stats.TimerBatches++
-	sh.sendOuts(outs, msg.Annotation{}, true, group, sh.e.skew[sh.id], sh.e.cfg.BaseProcessing)
+	sh.sendOuts(outs, msg.Annotation{}, true, group, sh.e.skew[sh.id], vtime.BaseProcessing)
 }
 
 // ---- speculative delivery and rollback --------------------------------------
@@ -328,7 +328,7 @@ func (sh *shim) insertNow(entry history.Entry, rank ordering.Rank) {
 		// Arrival matches the pseudorandom sequence: speculative
 		// delivery (paper: "If the order is the same as the
 		// pseudorandom sequence, the node delivers the event").
-		sh.deliverAt(pos, sh.e.cfg.BaseProcessing+sh.e.cost.PerMessage)
+		sh.deliverAt(pos, vtime.BaseProcessing+sh.e.cost.PerMessage)
 		sh.maybeSettle()
 		return
 	}
@@ -400,7 +400,7 @@ func (sh *shim) undoTo(pos int) {
 // estimates and rollbacks avalanche through heavy flood waves.
 func (sh *shim) replayFrom(pos int) {
 	e := sh.e
-	delay := e.cfg.BaseProcessing + e.cost.RollbackFixed
+	delay := vtime.BaseProcessing + e.cost.RollbackFixed
 	for i := pos; i < sh.win.Len(); i++ {
 		delay += e.cost.RollbackPerReplay + e.cost.PerMessage
 		// Fresh materializations only make a rollback non-spurious when a

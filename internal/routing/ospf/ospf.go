@@ -1112,24 +1112,6 @@ func (d *Daemon) LSDBSize() int {
 	return n
 }
 
-// DumpLSDB renders the link-state database — origin, sequence number and
-// advertised adjacencies per stored LSA, in origin order (debugger; the
-// fault campaigns use it to localize stale post-heal state).
-func (d *Daemon) DumpLSDB() string {
-	out := ""
-	for _, lsa := range d.st.lsdb {
-		if lsa == nil {
-			continue
-		}
-		out += fmt.Sprintf("origin %d seq %d links", lsa.Origin, lsa.Seq)
-		for _, adj := range lsa.Links {
-			out += fmt.Sprintf(" %d/%d", adj.To, adj.Cost)
-		}
-		out += "\n"
-	}
-	return out
-}
-
 // SPFRuns reports the number of SPF computations (experiments).
 func (d *Daemon) SPFRuns() uint64 { return d.st.spfRuns }
 

@@ -342,48 +342,67 @@ func TestPlanAppsAreJournaled(t *testing.T) {
 	}
 }
 
-// BenchmarkCompositeCheckpoint is the checkpoint layer of a composite in
-// steady state, as the shim drives it: mark before every delivery, every
-// 8th delivery roll four back and re-mark, and keep four checkpoints live
-// by compacting to the oldest. Deliveries are timer ticks — every part
+// steadyCheckpointing is the checkpoint layer of a composite in steady
+// state, as the shim drives it: mark before every delivery, every 8th
+// delivery roll four back and re-mark, and keep four checkpoints live by
+// compacting to the oldest. Deliveries are timer ticks — every part
 // journals its clock each time, hellos and RIP rounds go out on schedule.
-// The gated number is allocs/op: 0, where a clone checkpoint pays one per
-// cloned slice and map of every part.
-func BenchmarkCompositeCheckpoint(b *testing.B) {
-	for _, border := range []bool{true, false} {
-		name := "gateway"
-		if border {
-			name = "border"
+// It returns the i-th delivery, with the journals already grown to their
+// working size.
+func steadyCheckpointing(tb testing.TB, border bool) func(i int) {
+	r := newRig(tb, border)
+	// Boot: a populated LSDB, a few routes, and enough time for the silent
+	// neighbors' dead intervals and route timeouts to have fired once.
+	r.run([]byte{6, 0x0f, 7, 0x2d, 8, 0x01, 8, 0x46, 13, 2, 10, 3, 10, 23, 10, 23})
+	const keep = 4
+	live := make([]journal.Mark, 0, 2*keep)
+	tick := func(i int) {
+		live = append(live, r.app.JournalMark())
+		r.now = r.now.Add(250 * vtime.Millisecond)
+		r.app.HandleTimer(r.now)
+		if i%8 == 7 {
+			live = live[:len(live)-keep+1]
+			r.app.JournalRewind(live[len(live)-1])
 		}
-		b.Run(name, func(b *testing.B) {
-			r := newRig(b, border)
-			// Boot: a populated LSDB, a few routes, and enough time for
-			// the silent neighbors' dead intervals and route timeouts to
-			// have fired once.
-			r.run([]byte{6, 0x0f, 7, 0x2d, 8, 0x01, 8, 0x46, 13, 2, 10, 3, 10, 23, 10, 23})
-			const keep = 4
-			live := make([]journal.Mark, 0, 2*keep)
-			tick := func(i int) {
-				live = append(live, r.app.JournalMark())
-				r.now = r.now.Add(250 * vtime.Millisecond)
-				r.app.HandleTimer(r.now)
-				if i%8 == 7 {
-					live = live[:len(live)-keep+1]
-					r.app.JournalRewind(live[len(live)-1])
-				}
-				if n := len(live) - keep; n > 0 {
-					r.app.JournalCompact(live[n])
-					live = live[:copy(live, live[n:])]
-				}
-			}
-			for i := 0; i < 64; i++ { // the journals grow to their working size once
-				tick(i)
-			}
+		if n := len(live) - keep; n > 0 {
+			r.app.JournalCompact(live[n])
+			live = live[:copy(live, live[n:])]
+		}
+	}
+	for i := 0; i < 64; i++ {
+		tick(i)
+	}
+	return tick
+}
+
+var compositeKinds = []struct {
+	name   string
+	border bool
+}{{"border", true}, {"gateway", false}}
+
+// BenchmarkCompositeCheckpoint times steadyCheckpointing's delivery;
+// TestCompositeCheckpointAllocs gates what it allocates.
+func BenchmarkCompositeCheckpoint(b *testing.B) {
+	for _, k := range compositeKinds {
+		b.Run(k.name, func(b *testing.B) {
+			tick := steadyCheckpointing(b, k.border)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tick(i)
 			}
 		})
+	}
+}
+
+// TestCompositeCheckpointAllocs: a journaled composite checkpoints without
+// allocating, where a clone checkpoint pays one allocation per cloned
+// slice and map of every part.
+func TestCompositeCheckpointAllocs(t *testing.T) {
+	for _, k := range compositeKinds {
+		tick, i := steadyCheckpointing(t, k.border), 0
+		if got := testing.AllocsPerRun(1000, func() { tick(i); i++ }); got != 0 {
+			t.Errorf("%s: %v allocs per delivery in steady state, want 0", k.name, got)
+		}
 	}
 }

@@ -51,9 +51,6 @@ func (s Spec) Resolve() (RunSpec, error) {
 	resolveEngine(&r.Engine)
 	resolveTopology(&r.Topology, *r.Engine.Seed)
 	resolveProtocols(&r.Protocols)
-	if r.Workload != nil && r.Workload.Quick == nil {
-		r.Workload.Quick = boolp(true)
-	}
 	if r.Faults != nil {
 		resolveFaults(r.Faults, *r.Engine.Seed)
 	}
@@ -288,16 +285,6 @@ func validate(s Spec) error {
 			return fmt.Errorf("scenario %s: fault plan with baseline engine — crash faults need the substrate", s.Name)
 		}
 	}
-	if w := s.Workload; w != nil {
-		// Figures pin the reference cost point: a lookahead figure is not
-		// the paper's figure, a sharded one is the same figure slower.
-		switch {
-		case *s.Engine.Shards > 0:
-			return fmt.Errorf("scenario %s: figure workload %s with shards=%d — figures run the sequential reference engine", s.Name, w.Figure, *s.Engine.Shards)
-		case *s.Engine.Lookahead:
-			return fmt.Errorf("scenario %s: figure workload %s with lookahead — figures pin the pre-deferral speculation dynamics", s.Name, w.Figure)
-		}
-	}
 	if s.Horizon.Run.V() <= 0 {
 		return fmt.Errorf("scenario %s: horizon run must be positive", s.Name)
 	}
@@ -412,9 +399,8 @@ func ResolveEngine(e EngineSpec) (EngineSpec, error) {
 // Config materializes a *resolved* engine spec into the rollback engine
 // configuration. Every spec-controlled field is written explicitly, so the
 // mapping — not the engine's default-filling — is the single source of
-// truth for what a spec means. (The engine still owns the two constants a
-// spec does not control: the beacon interval and the per-hop processing
-// estimate.)
+// truth for what a spec means. (The engine still owns the one value a spec
+// does not control, the beacon interval.)
 func (e EngineSpec) Config() (rollback.Config, error) {
 	ord, err := ordering.ByName(e.Ordering, *e.OrderingSeed)
 	if err != nil {

@@ -44,6 +44,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -56,13 +57,25 @@ import (
 // rejected — a typo in a committed spec must fail loudly, not silently
 // resolve to a default.
 func ParseSpec(raw []byte) (Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(raw, &s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parse: %v", err)
 	}
 	return s, nil
+}
+
+// DecodeStrict decodes a committed spec file into v: one JSON value, no
+// field v does not have, nothing after it.
+func DecodeStrict(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return fmt.Errorf("trailing data after the spec object")
+	}
+	return nil
 }
 
 // Duration is a virtual-time span that marshals as a human-readable string
@@ -104,19 +117,17 @@ func formatDuration(v vtime.Duration) string {
 }
 
 func parseDuration(s string) (vtime.Duration, error) {
-	orig := s
-	sign := vtime.Duration(1)
-	if strings.HasPrefix(s, "-") {
-		sign, s = -1, s[1:]
-	}
 	// Two-letter suffixes first: "5ms" also ends in "s".
 	for _, suffix := range []string{"us", "ms", "h", "m", "s"} {
-		if !strings.HasSuffix(s, suffix) {
+		digits, ok := strings.CutSuffix(s, suffix)
+		if !ok {
 			continue
 		}
-		n, err := strconv.ParseInt(strings.TrimSuffix(s, suffix), 10, 64)
+		// ParseInt takes the one optional sign itself; a second one
+		// ("--5s", "-+5s") is a syntax error there.
+		n, err := strconv.ParseInt(digits, 10, 64)
 		if err != nil {
-			return 0, fmt.Errorf("scenario: bad duration %q: %v", orig, err)
+			return 0, fmt.Errorf("scenario: bad duration %q: %v", s, err)
 		}
 		var unit vtime.Duration
 		for _, u := range durUnits {
@@ -124,9 +135,13 @@ func parseDuration(s string) (vtime.Duration, error) {
 				unit = u.unit
 			}
 		}
-		return sign * vtime.Duration(n) * unit, nil
+		v := vtime.Duration(n) * unit
+		if v/unit != vtime.Duration(n) {
+			return 0, fmt.Errorf("scenario: bad duration %q: overflows the virtual clock", s)
+		}
+		return v, nil
 	}
-	return 0, fmt.Errorf("scenario: bad duration %q (want <int><unit>, unit in us/ms/s/m/h)", orig)
+	return 0, fmt.Errorf("scenario: bad duration %q (want <int><unit>, unit in us/ms/s/m/h)", s)
 }
 
 // MarshalJSON renders the duration as its exact unit string.
@@ -165,9 +180,6 @@ type Spec struct {
 	// Engine selects substrate features. The zero value resolves to the
 	// production defaults (OO ordering, TM/MI checkpoints, deferral on).
 	Engine EngineSpec `json:"engine"`
-	// Workload, when set, runs a figure reproduction instead of a plain
-	// scenario run (the experiments package interprets it).
-	Workload *WorkloadSpec `json:"workload,omitempty"`
 	// Events is the external-event timeline (sorted by time at expansion;
 	// equal times keep spec order).
 	Events []EventSpec `json:"events,omitempty"`
@@ -300,14 +312,6 @@ type EngineSpec struct {
 	Record *bool `json:"record,omitempty"`
 	// DeliveryLog retains committed delivery sequences (default false).
 	DeliveryLog *bool `json:"deliveryLog,omitempty"`
-}
-
-// WorkloadSpec asks for a figure reproduction run.
-type WorkloadSpec struct {
-	// Figure is the experiment id ("fig6a".."fig8d").
-	Figure string `json:"figure"`
-	// Quick selects the reduced CI-scale workload (default true).
-	Quick *bool `json:"quick,omitempty"`
 }
 
 // EventSpec is one external event on the timeline.

@@ -72,12 +72,45 @@ func TestDurationRoundTrip(t *testing.T) {
 			t.Errorf("%s round-trips to %d, want %d", b, int64(back.V()), int64(c.v))
 		}
 	}
-	var d Duration
-	if err := json.Unmarshal([]byte(`"5 sec"`), &d); err == nil {
-		t.Error("bad duration string accepted")
+	// Rejected inputs: the error names the input, and the value is never a
+	// silently different duration ("--5s" used to parse as +5s, "-+5s" as
+	// -5s, and the last row wrapped around to -1h).
+	for _, bad := range []string{
+		`"5 sec"`, `5000`, `"5"`, `"s"`, `"--5s"`, `"-+5s"`, `"+-5s"`,
+		`"9223372036854775807h"`, `"-9223372036854775807ms"`,
+	} {
+		var d Duration
+		err := json.Unmarshal([]byte(bad), &d)
+		if err == nil {
+			t.Errorf("bad duration %s accepted as %d", bad, int64(d))
+		} else if bad[0] == '"' && !strings.Contains(err.Error(), bad) {
+			t.Errorf("bad duration %s: error %q does not name the input", bad, err)
+		}
 	}
-	if err := json.Unmarshal([]byte(`5000`), &d); err == nil {
-		t.Error("bare number accepted as duration")
+}
+
+// TestParseSpecRejections: a spec file is one JSON object and nothing
+// else, with no field the template does not have.
+func TestParseSpecRejections(t *testing.T) {
+	good, err := json.Marshal(sprintlinkSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSpec(append(good, " \n"...)); err != nil {
+		t.Fatalf("trailing white space rejected: %v", err)
+	}
+	for _, c := range []struct{ name, raw, wantErr string }{
+		{"trailing garbage", string(good) + " garbage {", "trailing data"},
+		{"second object", string(good) + string(good), "trailing data"},
+		{"unknown field", `{"name": "x", "workload": {}}`, `unknown field "workload"`},
+		{"truncated", string(good[:len(good)-1]), "unexpected EOF"},
+	} {
+		_, err := ParseSpec([]byte(c.raw))
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.wantErr)
+		}
 	}
 }
 
@@ -205,14 +238,6 @@ func TestValidationRejections(t *testing.T) {
 		{"duplication negative", func(s *Spec) {
 			s.Engine.Duplication = f64p(-0.1)
 		}, "outside [0,1]"},
-		{"figure workload with shards", func(s *Spec) {
-			s.Workload = &WorkloadSpec{Figure: "fig6a"}
-			s.Engine.Shards = intp(4)
-		}, "figure workload fig6a with shards=4"},
-		{"figure workload with lookahead", func(s *Spec) {
-			s.Workload = &WorkloadSpec{Figure: "fig6a"}
-			s.Engine.Lookahead = boolp(true)
-		}, "figure workload fig6a with lookahead"},
 		{"negative shards", func(s *Spec) {
 			s.Engine.Shards = intp(-1)
 		}, "negative"},

@@ -121,15 +121,6 @@ type Hierarchy struct {
 	ASLinks [][2]int // AS-level edges (indices into the AS space)
 }
 
-// OSPFRouters returns the number of non-stub routers in AS a.
-func (h *Hierarchy) OSPFRouters(a int) int {
-	n := h.ASSize[a]
-	if h.Gateways[a] >= 0 {
-		n -= h.Cfg.StubLen
-	}
-	return n
-}
-
 // baEdges generates a Barabási–Albert preferential-attachment edge list
 // over n local vertices with m links per new vertex, in deterministic
 // creation order (the same repeated-node scheme as Brite).

@@ -35,6 +35,11 @@ const (
 // for the timer subsystem (§3).
 const BeaconInterval = 250 * Millisecond
 
+// BaseProcessing is the modeled application processing cost of one
+// message: what DEFINED-RB charges per delivery in virtual time and what
+// DEFINED-LS counts per delivery in a step's response time.
+const BaseProcessing = 100 * Microsecond
+
 // Never is a sentinel deadline that is later than any reachable timestamp.
 const Never = Time(1<<63 - 1)
 

@@ -5,7 +5,6 @@ import (
 
 	"defined/internal/debugger"
 	"defined/internal/lockstep"
-	"defined/internal/ordering"
 )
 
 // Replay is a debugging network driven by DEFINED-LS: it replays a
@@ -17,13 +16,6 @@ type Replay struct {
 
 // ReplayOption configures a Replay.
 type ReplayOption func(*lockstep.Config)
-
-// WithReplayOrdering overrides the recorded ordering function to explore
-// alternative execution paths (§4's discussion); the default reproduces
-// the production run.
-func WithReplayOrdering(f ordering.Func) ReplayOption {
-	return func(c *lockstep.Config) { c.Ordering = f }
-}
 
 // WithReplayLog retains per-node delivery logs.
 func WithReplayLog() ReplayOption {
