@@ -39,12 +39,16 @@
 //
 // Keeper is the per-node checkpoint stack, aligned one-to-one with the
 // node's history window: checkpoint i captures the state before the i-th
-// live window entry was delivered. It stores Checkpoint values directly
-// (no boxing): a Checkpoint is either a full snapshot (State != nil) or a
-// mark pair, and the two kinds may coexist in one stack — the rollback
-// engine dispatches per entry. Settlement (Keeper.DropFirst) is the
-// moment mark checkpoints die, which is when the engine compacts the
-// journal prefix older than the new oldest live mark.
+// live window entry was delivered. A Checkpoint is either a full snapshot
+// (State != nil) or a mark pair, and the two kinds may coexist in one
+// stack — the rollback engine dispatches per entry. The stack stores
+// 16-byte mark pairs, not Checkpoint values: the snapshot column is a
+// parallel slice that exists only once a snapshot has been pushed (FK, or
+// the clone fallback), so an MI delivery — whose State is always nil —
+// pays for two marks and no empty interface. Settlement
+// (Keeper.DropFirst) is the moment mark checkpoints die, which is when
+// the engine compacts the journal prefix older than the new oldest live
+// mark.
 //
 // Two consumers exist. The single-node microbenchmarks (experiments
 // fig7a/7b/7c) exercise the strategies for real against a memstore-backed
@@ -171,8 +175,8 @@ func ModelFor(s Strategy) CostModel {
 // ("XORP" series): no checkpointing, no rollback.
 func Baseline() CostModel { return CostModel{} }
 
-// Checkpoint is one entry of a Keeper stack. Exactly one representation
-// is set:
+// Checkpoint is one entry of a Keeper stack, as Push takes it and At
+// returns it. Exactly one representation is set:
 //
 //   - State != nil: a full snapshot (FK mode, or the clone fallback for
 //     applications without the journal capability). The value is opaque
@@ -180,8 +184,6 @@ func Baseline() CostModel { return CostModel{} }
 //   - State == nil: a mark pair (MI mode). App is the application
 //     undo-journal position and Counters the annotation-counter journal
 //     position at capture time.
-//
-// Checkpoint is stored by value so mark checkpoints cost no allocation.
 type Checkpoint struct {
 	State    any
 	App      journal.Mark
@@ -192,50 +194,74 @@ type Checkpoint struct {
 // than a full snapshot.
 func (c Checkpoint) IsMark() bool { return c.State == nil }
 
+// marks is the stack cell every checkpoint has: 16 bytes, no pointers.
+type marks struct {
+	app, counters journal.Mark
+}
+
 // Keeper stores the checkpoint stack of one node, aligned with the node's
 // history window: checkpoint i captures the application state *before* the
 // i-th live window entry was delivered. Entries are full snapshots or
 // journal marks per Checkpoint; the keeper never interprets them.
+//
+// Invariant: snaps is either empty (every stored checkpoint is a mark) or
+// as long as marks, nil at mark positions.
 type Keeper struct {
-	snaps []Checkpoint
+	marks []marks
+	snaps []any
 }
 
 // Len reports the number of stored checkpoints.
-func (k *Keeper) Len() int { return len(k.snaps) }
+func (k *Keeper) Len() int { return len(k.marks) }
 
 // Push appends a checkpoint.
-func (k *Keeper) Push(c Checkpoint) { k.snaps = append(k.snaps, c) }
+func (k *Keeper) Push(c Checkpoint) {
+	if c.State != nil || len(k.snaps) > 0 {
+		for len(k.snaps) < len(k.marks) {
+			k.snaps = append(k.snaps, nil) // the marks pushed before the first snapshot
+		}
+		k.snaps = append(k.snaps, c.State)
+	}
+	k.marks = append(k.marks, marks{c.App, c.Counters})
+}
 
 // At returns checkpoint i.
-func (k *Keeper) At(i int) Checkpoint { return k.snaps[i] }
+func (k *Keeper) At(i int) Checkpoint {
+	c := Checkpoint{App: k.marks[i].app, Counters: k.marks[i].counters}
+	if len(k.snaps) > 0 {
+		c.State = k.snaps[i]
+	}
+	return c
+}
 
 // TruncateFrom drops checkpoints at positions >= i (rollback rewinds the
 // stack alongside the history window). Dropped mark checkpoints need no
 // further bookkeeping: the rewind that accompanies the truncation already
 // discarded their journal suffix.
 func (k *Keeper) TruncateFrom(i int) {
-	if i < 0 || i > len(k.snaps) {
-		panic(fmt.Sprintf("checkpoint: truncate at %d of %d", i, len(k.snaps)))
+	if i < 0 || i > len(k.marks) {
+		panic(fmt.Sprintf("checkpoint: truncate at %d of %d", i, len(k.marks)))
 	}
-	for j := i; j < len(k.snaps); j++ {
-		k.snaps[j] = Checkpoint{}
+	k.marks = k.marks[:i]
+	if len(k.snaps) > 0 {
+		clear(k.snaps[i:]) // release dropped states for collection
+		k.snaps = k.snaps[:i]
 	}
-	k.snaps = k.snaps[:i]
 }
 
 // DropFirst discards the n oldest checkpoints (history settlement). When
 // mark checkpoints settle, the caller compacts the journals to the new
 // oldest live mark (see OldestMarks).
 func (k *Keeper) DropFirst(n int) {
-	if n < 0 || n > len(k.snaps) {
-		panic(fmt.Sprintf("checkpoint: drop %d of %d", n, len(k.snaps)))
+	if n < 0 || n > len(k.marks) {
+		panic(fmt.Sprintf("checkpoint: drop %d of %d", n, len(k.marks)))
 	}
-	m := len(k.snaps) - n
-	copy(k.snaps, k.snaps[n:])
-	for j := m; j < len(k.snaps); j++ {
-		k.snaps[j] = Checkpoint{} // release settled states for collection
+	k.marks = k.marks[:copy(k.marks, k.marks[n:])]
+	if len(k.snaps) > 0 {
+		m := copy(k.snaps, k.snaps[n:])
+		clear(k.snaps[m:]) // release settled states for collection
+		k.snaps = k.snaps[:m]
 	}
-	k.snaps = k.snaps[:m]
 }
 
 // OldestMarks returns the mark pair of the oldest stored checkpoint —
@@ -244,9 +270,8 @@ func (k *Keeper) DropFirst(n int) {
 // entry is a full snapshot) yields ok == false; with an empty stack the
 // caller may compact everything recorded so far.
 func (k *Keeper) OldestMarks() (app, counters journal.Mark, ok bool) {
-	if len(k.snaps) == 0 || !k.snaps[0].IsMark() {
+	if len(k.marks) == 0 || (len(k.snaps) > 0 && k.snaps[0] != nil) {
 		return 0, 0, false
 	}
-	c := k.snaps[0]
-	return c.App, c.Counters, true
+	return k.marks[0].app, k.marks[0].counters, true
 }

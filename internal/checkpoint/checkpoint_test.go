@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"testing"
 
+	"defined/internal/journal"
 	"defined/internal/vtime"
 )
 
@@ -123,4 +124,82 @@ func TestKeeperPanics(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// A marks-only stack (every MI delivery of a journaled application) never
+// creates the snapshot column, through pushes, rollbacks and settlement.
+func TestKeeperMarksOnlyHasNoSnapshotColumn(t *testing.T) {
+	var k Keeper
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 100; i++ {
+			k.Push(Checkpoint{App: journal.Mark(i), Counters: journal.Mark(2 * i)})
+		}
+		k.TruncateFrom(60)
+		k.DropFirst(20)
+		if c := k.At(0); !c.IsMark() || c.App != 20 || c.Counters != 40 {
+			t.Fatalf("At(0) = %+v, want the mark pair (20, 40)", c)
+		}
+		k.TruncateFrom(0)
+	}
+	if k.snaps != nil {
+		t.Fatalf("a marks-only stack allocated a snapshot column (cap %d)", cap(k.snaps))
+	}
+	k.Push(Checkpoint{App: 1})
+	if got := testing.AllocsPerRun(100, func() {
+		k.Push(Checkpoint{App: 2, Counters: 3})
+		k.TruncateFrom(1)
+	}); got != 0 {
+		t.Fatalf("warm mark push: %v allocs, want 0", got)
+	}
+}
+
+// A mixed stack keeps the two columns aligned: marks pushed before the
+// first snapshot get nil cells when the column appears, and TruncateFrom,
+// DropFirst and OldestMarks read and release both.
+func TestKeeperMixedStack(t *testing.T) {
+	var k Keeper
+	k.Push(Checkpoint{App: 1, Counters: 10})
+	k.Push(Checkpoint{App: 2, Counters: 20})
+	k.Push(Checkpoint{State: "s2"}) // the column appears here, two marks deep
+	k.Push(Checkpoint{App: 4, Counters: 40})
+	k.Push(Checkpoint{State: "s4", App: 5})
+	want := []Checkpoint{{App: 1, Counters: 10}, {App: 2, Counters: 20}, {State: "s2"}, {App: 4, Counters: 40}, {State: "s4", App: 5}}
+	check := func(when string, want []Checkpoint) {
+		t.Helper()
+		if k.Len() != len(want) {
+			t.Fatalf("%s: len %d, want %d", when, k.Len(), len(want))
+		}
+		for i, w := range want {
+			if got := k.At(i); got != w || got.IsMark() != (w.State == nil) {
+				t.Fatalf("%s: At(%d) = %+v, want %+v", when, i, got, w)
+			}
+		}
+		if len(k.snaps) != 0 && len(k.snaps) != len(k.marks) {
+			t.Fatalf("%s: columns misaligned: %d snapshots for %d marks", when, len(k.snaps), len(k.marks))
+		}
+	}
+	check("pushed", want)
+	if app, ctr, ok := k.OldestMarks(); !ok || app != 1 || ctr != 10 {
+		t.Fatalf("OldestMarks = %d,%d,%v, want 1,10,true", app, ctr, ok)
+	}
+	k.TruncateFrom(4)
+	if full := k.snaps[:5]; full[4] != nil {
+		t.Fatal("TruncateFrom kept the dropped snapshot reachable")
+	}
+	check("truncated", want[:4])
+	k.DropFirst(2)
+	check("settled", want[2:4])
+	if _, _, ok := k.OldestMarks(); ok {
+		t.Fatal("OldestMarks with a snapshot at the front must report !ok")
+	}
+	if full := k.snaps[:4]; full[2] != nil || full[3] != nil {
+		t.Fatal("DropFirst kept a settled snapshot reachable")
+	}
+	k.DropFirst(1)
+	if app, ctr, ok := k.OldestMarks(); !ok || app != 4 || ctr != 40 {
+		t.Fatalf("OldestMarks after the snapshot settled = %d,%d,%v, want 4,40,true", app, ctr, ok)
+	}
+	k.Push(Checkpoint{App: 6})
+	k.Push(Checkpoint{State: "s7"})
+	check("pushed again", []Checkpoint{{App: 4, Counters: 40}, {App: 6}, {State: "s7"}})
 }

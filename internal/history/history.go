@@ -20,19 +20,27 @@ import (
 
 // Entry is one element of the window: an application message, a timer
 // batch pseudo-entry, or an external event application (for the latter two
-// Msg is nil; externals carry their payload in Ext).
+// Msg is nil; externals carry their payload behind Ext). A cell is 80 bytes
+// and every arrival costs one in the window, one in the deferral buffer and
+// their insertion memmoves, so what only the rare external needs sits
+// behind one pointer.
 type Entry struct {
 	Key       ordering.Key
 	Msg       *msg.Message // nil for timer batches and externals
-	Ext       any          // payload for external-event entries
+	Ext       *External    // non-nil for external-event entries only
 	ArrivedAt vtime.Time   // physical arrival time, drives retirement
-	// ExtOffset is an external event's in-group time offset — the d_i
-	// anchor for the causal chains it starts (recorded for replay).
-	ExtOffset vtime.Duration
 	// Serial is the delivery serial number the rollback engine assigns
 	// each time the entry is (re-)delivered; it links sent messages to
 	// the delivery that caused them.
 	Serial uint64
+}
+
+// External is what an external-event entry carries: the event payload and
+// its in-group time offset — the d_i anchor for the causal chains it
+// starts (recorded for replay). Immutable once the entry is inserted.
+type External struct {
+	Event  any
+	Offset vtime.Duration
 }
 
 // IsTimer reports whether the entry is a timer batch.
@@ -70,8 +78,10 @@ func New(f ordering.Func) *Window {
 // Len reports the number of live entries.
 func (w *Window) Len() int { return len(w.entries) }
 
-// At returns the entry at position i in delivered order.
-func (w *Window) At(i int) Entry { return w.entries[i] }
+// At returns the entry at position i in delivered order: the window's own
+// cell, not a copy — read-only, valid until the next Insert, RemoveAt or
+// Retire.
+func (w *Window) At(i int) *Entry { return &w.entries[i] }
 
 // Insert places e into the window at its ordering position. It returns the
 // position and whether the entry was a duplicate (already present with an
@@ -95,6 +105,10 @@ func (w *Window) Insert(e Entry) (pos int, dup bool) {
 		}
 	}
 	e.Msg.Retain()
+	if pos == len(w.entries) {
+		w.entries = append(w.entries, e)
+		return pos, false
+	}
 	w.entries = append(w.entries, Entry{})
 	copy(w.entries[pos+1:], w.entries[pos:])
 	w.entries[pos] = e
@@ -120,8 +134,8 @@ func (w *Window) RemoveAt(i int) Entry {
 // FindMsg returns the position of the entry carrying the message with id,
 // or -1. Timer batches never match.
 func (w *Window) FindMsg(id msg.ID) int {
-	for i, e := range w.entries {
-		if e.Msg != nil && e.Msg.ID == id {
+	for i := range w.entries {
+		if m := w.entries[i].Msg; m != nil && m.ID == id {
 			return i
 		}
 	}
@@ -163,8 +177,8 @@ func (w *Window) Retire(n int) {
 // helper).
 func (w *Window) Keys() []ordering.Key {
 	out := make([]ordering.Key, len(w.entries))
-	for i, e := range w.entries {
-		out[i] = e.Key
+	for i := range w.entries {
+		out[i] = w.entries[i].Key
 	}
 	return out
 }

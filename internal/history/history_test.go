@@ -362,9 +362,9 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 			step(entry(1, d, msg.NodeID(r.Intn(3)), uint64(i), vtime.Time(i)))
 			switch r.Intn(8) {
 			case 0: // the tail again
-				step(w.At(w.Len() - 1))
+				step(*w.At(w.Len() - 1))
 			case 1: // an interior entry again
-				step(w.At(r.Intn(w.Len())))
+				step(*w.At(r.Intn(w.Len())))
 			}
 			if r.Intn(500) == 0 { // start over from empty
 				w.Retire(w.Len())

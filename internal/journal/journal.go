@@ -10,7 +10,12 @@
 //
 // A Log is generic over the client's entry type, so each daemon defines
 // its own compact tagged-union undo record and pays no per-entry boxing or
-// allocation in steady state: entries live in one reusable slice.
+// allocation in steady state: entries live in one reusable slice. A record
+// is copied on every mutation and kept until its checkpoint settles, so it
+// should hold a tag, one integer and at most one pointer — never a slice
+// header or an interface holding one (that boxes on every Record, enabled
+// or not). Wide old values go to a second, typed Log that the first one's
+// undo pops and whose Compact follows it (ospf's tables and holds).
 //
 // Marks are absolute positions (base + offset), so they survive Compact:
 // settlement discards the journal prefix older than the oldest live

@@ -116,6 +116,7 @@ type Engine struct {
 	curGroup uint64
 	round    int
 	pending  []Delivery // deliveries of the current processing phase
+	pendBuf  []Delivery // pending's array from its start: steps eat pending's front, phases refill here
 	done     bool
 
 	// queue holds transmitted-but-undelivered messages of the current
@@ -284,7 +285,7 @@ func (e *Engine) Pending() []Delivery { return append([]Delivery(nil), e.pending
 func (e *Engine) beginGroup(g uint64) {
 	e.curGroup = g
 	e.round = 0
-	e.pending = e.pending[:0]
+	e.pending = e.pendBuf[:0]
 	e.resetRound()
 	// Timer batches in ascending node order — identical to the ordering
 	// function's timer-entry order. The production engine turns timer
@@ -308,6 +309,7 @@ func (e *Engine) beginGroup(g uint64) {
 			ExtOffset: ev.Offset,
 		})
 	}
+	e.pendBuf = e.pending
 	// Un-park messages that were waiting for this group.
 	if parked, ok := e.future[g]; ok {
 		e.queue = append(e.queue, parked...)
@@ -477,7 +479,7 @@ func (e *Engine) transmit() {
 // buildProcessing selects the next conservative batch from the queue and
 // queues its deliveries in ordering-function order.
 func (e *Engine) buildProcessing() {
-	e.pending = e.pending[:0]
+	e.pending = e.pendBuf[:0]
 	e.resetRound()
 	if len(e.queue) == 0 {
 		return
@@ -489,6 +491,7 @@ func (e *Engine) buildProcessing() {
 	for _, q := range e.queue[:batch] {
 		e.pending = append(e.pending, Delivery{Node: q.m.To, Key: q.key, Msg: q.m})
 	}
+	e.pendBuf = e.pending
 	e.queue = append(e.queue[:0], e.queue[batch:]...)
 }
 

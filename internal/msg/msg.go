@@ -46,6 +46,13 @@
 // message beyond the current callback must Retain it. Payloads are shared,
 // never pooled — recycling zeroes the Payload field, not the payload.
 //
+// The structs themselves are pool-lifetime: a Pool cuts fresh messages from
+// slabs of 64, and a released struct goes back to its pool's free list (or
+// the poison quarantine), never to the garbage collector, which reclaims a
+// slab only with the pool. A stale pointer therefore always addresses a
+// Message — recycled, poisoned or live — which is what makes CheckLive and
+// the poison sweep meaningful.
+//
 // # Sharded engines
 //
 // Reference counts are atomic, so the ownership rules above hold unchanged
@@ -152,18 +159,18 @@ type Message struct {
 	From NodeID // sending node (previous hop)
 	To   NodeID // receiving node (next hop)
 	Kind Kind
-	Ann  Annotation
+	// rc/home implement pool-managed lifetime: home is the owning pool
+	// (nil for unmanaged messages) and rc the live reference count (it
+	// shares Kind's word: 104 bytes, and a slab of 64 fills its size class).
+	rc  int32
+	Ann Annotation
 	// LinkSeq is the per-directed-link send index assigned by the
 	// sender. It is part of the checkpointed sender state, so replays
 	// after a rollback reassign identical values — which makes it a
 	// deterministic final tie-break for the ordering function.
 	LinkSeq uint64
 	Payload any
-
-	// rc/home implement pool-managed lifetime: home is the owning pool
-	// (nil for unmanaged messages) and rc the live reference count.
-	rc   int32
-	home *Pool
+	home    *Pool
 }
 
 // String renders a short human-readable digest.

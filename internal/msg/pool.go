@@ -23,8 +23,14 @@ import (
 // that can receive cross-shard releases must be switched to concurrent
 // mode with SetConcurrent, which guards Get and recycling with a mutex.
 type Pool struct {
-	mu   sync.Mutex // guards free/live/quarantined in concurrent mode
+	mu   sync.Mutex // guards free/slab/live/quarantined in concurrent mode
 	free []*Message
+	// slab is what is left of the current batch of fresh structs: a miss on
+	// the free list takes the next cell and cuts a new slab when the batch
+	// is used up, so the ramp to the high-water mark costs one allocation
+	// per slabSize messages instead of one each. Slabs are never resized,
+	// so pointers into them stay valid for the life of the pool.
+	slab []Message
 	// poison selects the debug lifecycle mode: released messages are
 	// scribbled with sentinel values and quarantined (never reused), so a
 	// use-after-release deterministically reads the sentinel instead of
@@ -44,22 +50,36 @@ type Pool struct {
 // mistaken for a legitimately unset field.
 const poisonNode NodeID = -0xDEAD
 
+// slabSize is how many Messages one slab allocation provides.
+const slabSize = 64
+
 // Get returns a zeroed Message owned by the caller (reference count 1),
-// reusing a recycled struct when one is available.
+// reusing a recycled struct when one is available. The sequential engine
+// calls this once per message, so the mutex is taken and dropped
+// explicitly: a defer would bill its bookkeeping to the lock-free path too.
 func (p *Pool) Get() *Message {
 	if p.concurrent {
 		p.mu.Lock()
-		defer p.mu.Unlock()
 	}
 	p.live++
+	var m *Message
 	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
+		m = p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		atomic.StoreInt32(&m.rc, 1)
-		return m
+	} else {
+		if len(p.slab) == 0 {
+			p.slab = make([]Message, slabSize)
+		}
+		m = &p.slab[0]
+		p.slab = p.slab[1:]
+		m.rc, m.home = 1, p
 	}
-	return &Message{rc: 1, home: p}
+	if p.concurrent {
+		p.mu.Unlock()
+	}
+	return m
 }
 
 // put recycles a message whose last reference was released. Under poison
@@ -67,7 +87,6 @@ func (p *Pool) Get() *Message {
 func (p *Pool) put(m *Message) {
 	if p.concurrent {
 		p.mu.Lock()
-		defer p.mu.Unlock()
 	}
 	p.live--
 	if p.poison {
@@ -80,10 +99,13 @@ func (p *Pool) put(m *Message) {
 			Ann:  Annotation{Origin: poisonNode, Seq: ^uint64(0), Delay: -1, Group: ^uint64(0), Chain: -1},
 			home: p,
 		}
-		return
+	} else {
+		*m = Message{home: p}
+		p.free = append(p.free, m)
 	}
-	*m = Message{home: p}
-	p.free = append(p.free, m)
+	if p.concurrent {
+		p.mu.Unlock()
+	}
 }
 
 // SetConcurrent switches the pool's free list to mutex-guarded mode, for
@@ -125,7 +147,10 @@ func (p *Pool) Quarantined() int {
 	return p.quarantined
 }
 
-// Len reports the number of recycled messages currently pooled (tests).
+// Len reports the number of recycled messages currently on the free list
+// (tests). Cells of the current slab that were never handed out are not
+// counted: Len moves only with releases and reuses, and stays zero under
+// poison mode, where releases go to the quarantine instead.
 func (p *Pool) Len() int {
 	if p.concurrent {
 		p.mu.Lock()

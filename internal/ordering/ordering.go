@@ -26,6 +26,7 @@
 package ordering
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -48,15 +49,32 @@ const (
 	ClassMessage
 )
 
-// Key is the sortable identity of an ordered event.
+// Key is the sortable identity of an ordered event. Fields are laid out
+// widest first (48 bytes, one padded tail): a key is copied into every
+// history-window and deferral-buffer cell.
 type Key struct {
 	Group   uint64
-	Class   Class
 	Delay   vtime.Duration // d_i (messages only)
-	Origin  msg.NodeID     // n_i; for timer/external entries, the local node
 	Seq     uint64         // s_i; for externals, the in-group sequence
-	From    msg.NodeID     // previous hop: deterministic tie-break
 	LinkSeq uint64         // per-directed-link send index: final tie-break
+	Origin  msg.NodeID     // n_i; for timer/external entries, the local node
+	From    msg.NodeID     // previous hop: deterministic tie-break
+	Class   Class
+}
+
+// MarshalJSON writes the fields in the order recordings have always
+// carried them (the declaration order before the layout above), so a
+// recording's bytes do not depend on the struct's packing.
+func (k Key) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Group   uint64
+		Class   Class
+		Delay   vtime.Duration
+		Origin  msg.NodeID
+		Seq     uint64
+		From    msg.NodeID
+		LinkSeq uint64
+	}{k.Group, k.Class, k.Delay, k.Origin, k.Seq, k.From, k.LinkSeq})
 }
 
 // KeyOf builds the ordering key for an application message.

@@ -63,7 +63,8 @@ const (
 // counts toward Stats.LookaheadExactFlushes.
 // rank is the entry key's ordering.Rank, cached (and placed first) so
 // maybeDefer's position scan compares two integers per cell instead of
-// calling the ordering function on 56-byte keys.
+// calling the ordering function on 48-byte keys. A cell is 128 bytes — an
+// insertion moves a dozen of them — so nothing goes in that is not read.
 type pendingArrival struct {
 	rank   ordering.Rank
 	entry  history.Entry
@@ -112,7 +113,7 @@ func (sh *shim) holdFor(k, prev ordering.Key) vtime.Duration {
 // sorting after a pending entry therefore must queue behind it —
 // delivering them first would guarantee a rollback when the pending
 // entries flush.
-func (sh *shim) maybeDefer(entry history.Entry, rank ordering.Rank) bool {
+func (sh *shim) maybeDefer(entry *history.Entry, rank ordering.Rank) bool {
 	cmp := sh.e.cfg.Ordering
 	now := sh.lane.Now()
 	// Insertion position in the (small, key-ordered) pending buffer. The
@@ -182,7 +183,7 @@ func (sh *shim) maybeDefer(entry history.Entry, rank ordering.Rank) bool {
 // pending buffer with its hold raised to its predecessor's due (capped at
 // its own arrival+DeferMax budget), then flushes (front already due) or
 // re-arms the flush event.
-func (sh *shim) pushPending(entry history.Entry, rank ordering.Rank, pos int, due vtime.Time) {
+func (sh *shim) pushPending(entry *history.Entry, rank ordering.Rank, pos int, due vtime.Time) {
 	now := sh.lane.Now()
 	budget := sh.e.cfg.DeferMax
 	if sh.e.lookOn {
@@ -201,7 +202,7 @@ func (sh *shim) pushPending(entry history.Entry, rank ordering.Rank, pos int, du
 	// annihilation).
 	entry.Msg.Retain()
 	held := due > now
-	sh.insertPending(pendingArrival{rank: rank, entry: entry, capAt: capAt, due: due, seq: sh.arrSeq, held: held}, pos)
+	sh.insertPending(&pendingArrival{rank: rank, entry: *entry, capAt: capAt, due: due, seq: sh.arrSeq, held: held}, pos)
 	if held {
 		sh.stats.Deferred++
 	}
@@ -231,13 +232,17 @@ func (sh *shim) pushPending(entry history.Entry, rank ordering.Rank, pos int, du
 // entry. It never has to go below pos: each cell there was at or under the
 // successor that followed it before the insertion, and every due at pos
 // and above is still at least that.
-func (sh *shim) insertPending(p pendingArrival, pos int) {
+func (sh *shim) insertPending(p *pendingArrival, pos int) {
 	if p.capAt < sh.pendCapLB {
 		sh.pendCapLB = p.capAt
 	}
+	if pos == len(sh.pend) {
+		sh.pend = append(sh.pend, *p)
+		return // no successor to raise, nothing clipped
+	}
 	sh.pend = append(sh.pend, pendingArrival{})
 	copy(sh.pend[pos+1:], sh.pend[pos:])
-	sh.pend[pos] = p
+	sh.pend[pos] = *p
 	run := p.due
 	clipped := pos // last cell a cap clipped; pos = none
 	for j := pos + 1; j < len(sh.pend); j++ {
@@ -386,7 +391,7 @@ func (sh *shim) flushPending() {
 			// settle violation. The window takes its own reference on insert,
 			// so the buffer's reference can drop right after.
 			p.entry.ArrivedAt = now
-			sh.insertNow(p.entry, p.rank)
+			sh.insertNow(&p.entry, p.rank)
 			p.entry.Msg.Release()
 		}
 		if heldAny {

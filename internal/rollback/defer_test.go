@@ -31,8 +31,8 @@ func mkMsgFrom(from msg.NodeID, d vtime.Duration, seq uint64, payload int) *msg.
 	}
 }
 
-func entryOf(m *msg.Message, at vtime.Time) history.Entry {
-	return history.Entry{Key: ordering.KeyOf(m), Msg: m, ArrivedAt: at}
+func entryOf(m *msg.Message, at vtime.Time) *history.Entry {
+	return &history.Entry{Key: ordering.KeyOf(m), Msg: m, ArrivedAt: at}
 }
 
 // TestDeferralHoldsSmallGapArrival drives the deferral state machine

@@ -86,7 +86,7 @@ func TestPushPendingMatchesReference(t *testing.T) {
 				seq++
 				p := pendingArrival{capAt: capAt, due: due, seq: seq}
 				ref = refInsertPending(ref, p, pos)
-				sh.insertPending(p, pos)
+				sh.insertPending(&p, pos)
 				// Tally what the program exercised: a successor raised, and
 				// the new entry lowered again because a cap clipped one.
 				if pos+1 < len(ref) && ref[pos+1].due >= p.due && ref[pos+1].due > now.Add(budget/2) {
@@ -164,7 +164,7 @@ func newDeferBench(depth int) *deferBench {
 		m := b.arrival(b.step)
 		b.sh.pend = append(b.sh.pend, pendingArrival{
 			rank:  e.cfg.Ordering.Rank(ordering.KeyOf(m)),
-			entry: entryOf(m, 0),
+			entry: *entryOf(m, 0),
 			capAt: vtime.Time(100 * vtime.Millisecond),
 			due:   vtime.Time(50 * vtime.Millisecond),
 		})

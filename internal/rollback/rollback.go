@@ -894,13 +894,11 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 		sh.sendOuts(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset, vtime.BaseProcessing)
 		return
 	}
-	entry := history.Entry{
+	sh.onEntry(&history.Entry{
 		Key:       ordering.ExternalKey(group, n, seq),
-		Ext:       ev,
+		Ext:       &history.External{Event: ev, Offset: offset},
 		ArrivedAt: now,
-		ExtOffset: offset,
-	}
-	sh.onEntry(entry)
+	})
 }
 
 // InjectLinkChange flips the physical link state and delivers LinkChange

@@ -220,7 +220,7 @@ func (sh *shim) onWire(m *msg.Message) {
 			sh.baselineDeliver(m)
 			return
 		}
-		sh.onEntry(history.Entry{
+		sh.onEntry(&history.Entry{
 			Key:       ordering.KeyOf(m),
 			Msg:       m,
 			ArrivedAt: sh.lane.Now(),
@@ -253,8 +253,9 @@ func (sh *shim) baselineTimer(group uint64) {
 
 // onEntry routes an arrival: it feeds the settle estimator, may park the
 // entry in the pending buffer (deterministic arrival deferral), and
-// otherwise inserts it into the history window immediately.
-func (sh *shim) onEntry(entry history.Entry) {
+// otherwise inserts it into the history window immediately. The entry is
+// borrowed for the call: window and buffer copy it into their own cells.
+func (sh *shim) onEntry(entry *history.Entry) {
 	// Inside a parallel window the engine-global estimator is read-only;
 	// the driver pre-simulated this window's observations (BeginWindow)
 	// and replays them into the real estimator at the commit barrier.
@@ -307,7 +308,7 @@ func (sh *shim) onEntry(entry history.Entry) {
 // insertNow inserts an arrival into the history window and either delivers
 // it speculatively (in-order case) or triggers a rollback (divergence).
 // rank is entry.Key's rank under the engine's ordering.
-func (sh *shim) insertNow(entry history.Entry, rank ordering.Rank) {
+func (sh *shim) insertNow(entry *history.Entry, rank ordering.Rank) {
 	if sh.hasSettled && ordering.CompareRanked(sh.e.cfg.Ordering, entry.Key, rank, sh.lastSettledKey, sh.lastSettledRank) < 0 {
 		// A straggler sorted before an already-retired entry: the
 		// settle bound was too tight for this arrival. The entry is
@@ -316,7 +317,7 @@ func (sh *shim) insertNow(entry history.Entry, rank ordering.Rank) {
 		// violation counter, never silently.
 		sh.stats.SettleViolations++
 	}
-	pos, dup := sh.win.Insert(entry)
+	pos, dup := sh.win.Insert(*entry)
 	if dup {
 		sh.stats.Duplicates++
 		return
@@ -347,7 +348,7 @@ func (sh *shim) onTimerBatch(group uint64) {
 		return
 	}
 	sh.stats.TimerBatches++
-	sh.onEntry(history.Entry{
+	sh.onEntry(&history.Entry{
 		Key:       ordering.TimerKey(group, sh.id),
 		ArrivedAt: sh.lane.Now(),
 	})
@@ -472,7 +473,7 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 	case entry.Key.IsTimer():
 		sh.sendOutsTracked(outs, msg.Annotation{}, true, entry.Key.Group, sh.e.skew[sh.id], procDelay, serial)
 	case entry.Key.IsExternal():
-		sh.sendOutsTracked(outs, msg.Annotation{}, true, entry.Key.Group, entry.ExtOffset, procDelay, serial)
+		sh.sendOutsTracked(outs, msg.Annotation{}, true, entry.Key.Group, entry.Ext.Offset, procDelay, serial)
 	default:
 		sh.sendOutsTracked(outs, entry.Msg.Ann, false, entry.Key.Group, 0, procDelay, serial)
 	}
@@ -486,14 +487,14 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 // function of the application state and the delivered entry, both of
 // which are bit-identical across shard counts, so the quarantine lands at
 // the same point of the committed order in every mode.
-func (sh *shim) handleEntry(entry history.Entry) (outs []msg.Out, ok bool) {
+func (sh *shim) handleEntry(entry *history.Entry) (outs []msg.Out, ok bool) {
 	defer sh.recoverPanic()
 	switch {
 	case entry.Key.IsTimer():
 		now := vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval)
 		return sh.app.HandleTimer(now), true
 	case entry.Key.IsExternal():
-		return sh.app.HandleExternal(entry.Ext.(api.ExternalEvent)), true
+		return sh.app.HandleExternal(entry.Ext.Event.(api.ExternalEvent)), true
 	default:
 		return sh.app.HandleMessage(entry.Msg), true
 	}
@@ -741,15 +742,17 @@ func (sh *shim) maybeSettle() {
 	}
 	logging := sh.e.cfg.LogDeliveries
 	n := 0
-	for n < sh.win.Len() && sh.win.At(n).ArrivedAt.Before(cutoff) {
-		k := sh.win.At(n).Key
-		if logging {
-			sh.settledLog = append(sh.settledLog, k)
+	for ; n < sh.win.Len(); n++ {
+		e := sh.win.At(n)
+		if !e.ArrivedAt.Before(cutoff) {
+			break
 		}
-		sh.lastSettledKey = k
-		n++
+		if logging {
+			sh.settledLog = append(sh.settledLog, e.Key)
+		}
 	}
 	if n > 0 {
+		sh.lastSettledKey = sh.win.At(n - 1).Key
 		sh.win.Retire(n)
 		sh.ckpts.DropFirst(n)
 		sh.compactJournals()

@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"defined/internal/journal"
 	"defined/internal/msg"
@@ -159,10 +160,19 @@ func (h hello) PayloadEqual(other any) bool {
 	return ok && h == o
 }
 
-// Route is one computed routing-table entry.
+// Route is one computed routing-table entry, as the inspection methods
+// report it.
 type Route struct {
 	Dest    msg.NodeID
 	NextHop msg.NodeID
+	Cost    uint32
+}
+
+// hop is one stored table cell: 8 bytes. A table is indexed by destination
+// (domain base + index), so a Route per cell would spend a third of every
+// table — the route cache keeps up to 64 per router — restating the index.
+type hop struct {
+	NextHop msg.NodeID // msg.None: unreachable
 	Cost    uint32
 }
 
@@ -192,7 +202,7 @@ type state struct {
 	// tableEpoch stamps the epoch table was computed at (journaled with
 	// it): tableEpoch == epoch means the table is current and a recompute
 	// is skipped outright.
-	table      []Route
+	table      []hop
 	tableEpoch uint64
 	now        vtime.Time
 	booted     bool // initial own-LSA flood performed
@@ -214,72 +224,82 @@ type heldLSA struct {
 type undoKind uint8
 
 const (
-	undoLSDB      undoKind = iota // lsdb[idx] = lsa
+	undoLSDB      undoKind = iota // lsdb[idx], epoch = lsa, u64
 	undoLSDBLen                   // lsdb shrinks back to length u64
 	undoAdjUp                     // adjUp[idx] = b
-	undoLastHello                 // lastHello[idx] = t
+	undoLastHello                 // lastHello[idx] = time u64
 	undoSeq                       // seq = u64
-	undoEpoch                     // epoch = u64
-	undoTable                     // table, tableEpoch = table, u64 (tables are immutable)
-	undoNow                       // now = t
+	undoTable                     // table, tableEpoch = tables' newest, u64 (tables are immutable)
+	undoNow                       // now = time u64
 	undoBooted                    // booted = b
 	undoHoldLen                   // holdQueue truncates back to length u64
-	undoHoldSlice                 // holdQueue = held (old header, pre-filter)
-	undoSPFRuns                   // spfRuns = u64
+	undoHoldSlice                 // holdQueue = holds' newest (old header, pre-filter)
+	undoSPFRuns                   // spfRuns--
 )
 
 // undoRec is one compact undo entry: for slice-element writes it is a
 // (slot, old-value) pair, so checkpoint cost scales with the bytes dirtied
 // per delivery rather than with topology size. Entries live by value in
-// the journal's reusable slice — no per-entry allocation.
+// the journal's reusable slice — no per-entry allocation — one to two per
+// delivery, so a record is 24 bytes: one integer slot (counters, lengths
+// and vtime.Times share it) and the one pointer-shaped old value. The two
+// old values that are slice headers go to the side journals Daemon.tables
+// and Daemon.holds instead, so building a record never boxes. An undoTable
+// / undoHoldSlice record stands for exactly one side entry, in order:
+// undoing it pops the newest, and JournalCompact drops as many of the
+// oldest as it drops such records.
 type undoRec struct {
-	kind  undoKind
-	idx   int32
-	b     bool
-	u64   uint64
-	t     vtime.Time
-	lsa   *LSA
-	table []Route
-	held  []heldLSA
+	kind undoKind
+	b    bool
+	idx  int32
+	u64  uint64
+	lsa  *LSA
 }
 
 // applyUndo reverses one recorded mutation. Restored slice headers (table,
 // holdQueue) are safe to reinstate as-is: journal rewind is strictly LIFO,
 // so any younger entry referencing a longer view of the same array has
 // already been undone.
-func (s *state) applyUndo(u undoRec) {
+func (s *state) applyUndo(u undoRec, d *Daemon) {
 	switch u.kind {
 	case undoLSDB:
 		s.lsdb[u.idx] = u.lsa
+		s.epoch = u.u64
 	case undoLSDBLen:
 		s.lsdb = s.lsdb[:u.u64]
 	case undoAdjUp:
 		s.adjUp[u.idx] = u.b
 	case undoLastHello:
-		s.lastHello[u.idx] = u.t
+		s.lastHello[u.idx] = vtime.Time(u.u64)
 	case undoSeq:
 		s.seq = u.u64
-	case undoEpoch:
-		s.epoch = u.u64
 	case undoTable:
-		s.table = u.table
+		d.tables.Rewind(d.tables.Mark() - 1)
 		s.tableEpoch = u.u64
 	case undoNow:
-		s.now = u.t
+		s.now = vtime.Time(u.u64)
 	case undoBooted:
 		s.booted = u.b
 	case undoHoldLen:
 		s.holdQueue = s.holdQueue[:u.u64]
 	case undoHoldSlice:
-		s.holdQueue = u.held
+		d.holds.Rewind(d.holds.Mark() - 1)
 	case undoSPFRuns:
-		s.spfRuns = u.u64
+		s.spfRuns--
 	}
 }
 
+// undoTable and undoHolds are the side journals' undo functions.
+func (s *state) undoTable(t []hop)     { s.table = t }
+func (s *state) undoHolds(q []heldLSA) { s.holdQueue = q }
+
 // JournalEnable implements api.Journaled: from here on every state
 // mutation records an undo entry so MI checkpoints are O(1) marks.
-func (d *Daemon) JournalEnable() { d.j.Enable() }
+func (d *Daemon) JournalEnable() {
+	d.j.Enable()
+	d.tables.Enable()
+	d.holds.Enable()
+}
 
 // JournalMark implements api.Journaled.
 func (d *Daemon) JournalMark() journal.Mark { return d.j.Mark() }
@@ -287,8 +307,26 @@ func (d *Daemon) JournalMark() journal.Mark { return d.j.Mark() }
 // JournalRewind implements api.Journaled.
 func (d *Daemon) JournalRewind(m journal.Mark) { d.j.Rewind(m) }
 
-// JournalCompact implements api.Journaled.
-func (d *Daemon) JournalCompact(m journal.Mark) { d.j.Compact(m) }
+// JournalCompact implements api.Journaled. The side journals compact by
+// count: one entry for each of their records leaving the main journal,
+// which is walked here once, as it goes.
+func (d *Daemon) JournalCompact(m journal.Mark) {
+	if !d.j.Enabled() {
+		return
+	}
+	var tables, holds journal.Mark
+	for p := d.j.Base(); p < m; p++ {
+		switch d.j.At(p).kind {
+		case undoTable:
+			tables++
+		case undoHoldSlice:
+			holds++
+		}
+	}
+	d.tables.Compact(d.tables.Base() + tables)
+	d.holds.Compact(d.holds.Base() + holds)
+	d.j.Compact(m)
+}
 
 // The journaling setters below are the only paths that mutate daemon state
 // after Init; each records the old value before writing (no-op writes are
@@ -301,15 +339,17 @@ func (d *Daemon) setLSDB(i msg.NodeID, lsa *LSA) {
 		d.st.lsdb = grown(d.st.lsdb, n)
 	}
 	old := d.st.lsdb[n]
-	d.j.Record(undoRec{kind: undoLSDB, idx: int32(n), lsa: old})
+	// One record restores the slot and the epoch it may move, so an MI
+	// rewind un-bumps the epoch and its cached table is valid again.
+	d.j.Record(undoRec{kind: undoLSDB, idx: int32(n), lsa: old, u64: d.st.epoch})
 	d.st.lsdb[n] = lsa
 	// Epoch-bump contract: only an *effective* mutation — the origin's
-	// advertised links changed — moves the topology epoch. A refreshed LSA
-	// with identical links (higher Seq) leaves the SPF input, and so the
-	// epoch and any cached table, untouched.
+	// advertised links changed — moves the topology epoch (by a commutative
+	// content delta). A refreshed LSA with identical links (higher Seq)
+	// leaves the SPF input, and so the epoch and any cached table, untouched.
 	if old == nil || !slices.Equal(old.Links, lsa.Links) {
 		before := d.st.epoch
-		d.bumpEpoch(lsaContentHash(i, lsa) - lsaContentHash(i, old))
+		d.st.epoch += lsaContentHash(i, lsa) - lsaContentHash(i, old)
 		d.delta = lsdbDelta{origin: i, old: old, lsa: lsa, before: before, after: d.st.epoch}
 	}
 	// costTo and spfDelta rely on Links being strictly ascending by neighbor
@@ -347,14 +387,6 @@ func lsaContentHash(origin msg.NodeID, l *LSA) uint64 {
 	return routecache.Finish(h)
 }
 
-// bumpEpoch moves the topology epoch by a commutative content delta. The
-// old value is journaled, so an MI rewind un-bumps the epoch and the
-// cached table for the restored epoch becomes valid again.
-func (d *Daemon) bumpEpoch(delta uint64) {
-	d.j.Record(undoRec{kind: undoEpoch, u64: d.st.epoch})
-	d.st.epoch += delta
-}
-
 // setAdjUp and setLastHello take neighbor *slots* (sorted-neighbor index),
 // so adjacency state is degree-sized, not id-space-sized.
 
@@ -370,7 +402,7 @@ func (d *Daemon) setLastHello(slot int, t vtime.Time) {
 	if d.st.lastHello[slot] == t {
 		return
 	}
-	d.j.Record(undoRec{kind: undoLastHello, idx: int32(slot), t: d.st.lastHello[slot]})
+	d.j.Record(undoRec{kind: undoLastHello, idx: int32(slot), u64: uint64(d.st.lastHello[slot])})
 	d.st.lastHello[slot] = t
 }
 
@@ -380,10 +412,11 @@ func (d *Daemon) setSeq(v uint64) {
 }
 
 // setTable installs a routing table stamped with the current epoch. Table
-// and stamp are journaled as one entry, so a rewind restores the exact
-// pre-bump (table, tableEpoch) pair together with the epoch itself.
-func (d *Daemon) setTable(t []Route) {
-	d.j.Record(undoRec{kind: undoTable, table: d.st.table, u64: d.st.tableEpoch})
+// (in its side journal) and stamp are journaled as one entry, so a rewind
+// restores the exact pre-bump (table, tableEpoch) pair with the epoch itself.
+func (d *Daemon) setTable(t []hop) {
+	d.tables.Record(d.st.table)
+	d.j.Record(undoRec{kind: undoTable, u64: d.st.tableEpoch})
 	d.st.table = t
 	d.st.tableEpoch = d.st.epoch
 }
@@ -392,7 +425,7 @@ func (d *Daemon) setNow(t vtime.Time) {
 	if d.st.now == t {
 		return
 	}
-	d.j.Record(undoRec{kind: undoNow, t: d.st.now})
+	d.j.Record(undoRec{kind: undoNow, u64: uint64(d.st.now)})
 	d.st.now = t
 }
 
@@ -407,12 +440,13 @@ func (d *Daemon) pushHold(h heldLSA) {
 }
 
 func (d *Daemon) setHoldQueue(q []heldLSA) {
-	d.j.Record(undoRec{kind: undoHoldSlice, held: d.st.holdQueue})
+	d.holds.Record(d.st.holdQueue)
+	d.j.Record(undoRec{kind: undoHoldSlice})
 	d.st.holdQueue = q
 }
 
 func (d *Daemon) bumpSPFRuns() {
-	d.j.Record(undoRec{kind: undoSPFRuns, u64: d.st.spfRuns})
+	d.j.Record(undoRec{kind: undoSPFRuns})
 	d.st.spfRuns++
 }
 
@@ -447,6 +481,7 @@ type Daemon struct {
 	self      msg.NodeID
 	base      msg.NodeID // cfg.DomainBase: id-relative storage origin
 	neighbors []api.Neighbor
+	helloOut  any // hello{From: self}, boxed once: a timer batch sends one per neighbor
 	st        *state
 
 	// SPF scratch space, reused across runs (not part of the checkpointable
@@ -459,15 +494,18 @@ type Daemon struct {
 	delta     lsdbDelta
 	unsorted  bool // some installed LSA broke the sorted-Links invariant
 
-	// j is the undo journal backing MI checkpoints; disabled (and empty)
-	// unless the substrate calls JournalEnable.
-	j *journal.Log[undoRec]
+	// j is the undo journal backing MI checkpoints, tables and holds its
+	// side journals for old slice headers (see undoRec); disabled (and
+	// empty) unless the substrate calls JournalEnable.
+	j      *journal.Log[undoRec]
+	tables *journal.Log[[]hop]
+	holds  *journal.Log[[]heldLSA]
 
 	// cache memoizes epoch → routing table (api.RecomputeCached). It is
 	// daemon-level, not checkpointable state: entries are immutable shared
 	// tables keyed by content epoch, valid in every timeline, so rewinds
 	// and clones leave it in place.
-	cache routecache.Ring[uint64, []Route]
+	cache routecache.Ring[uint64, []hop]
 
 	// outBuf is the reusable output buffer: handlers build their result
 	// in it, so steady-state flooding allocates no fresh slices. Returned
@@ -479,7 +517,9 @@ type Daemon struct {
 func New(cfg Config) *Daemon {
 	cfg.fillDefaults()
 	d := &Daemon{cfg: cfg, base: cfg.DomainBase}
-	d.j = journal.New(func(u undoRec) { d.st.applyUndo(u) })
+	d.j = journal.New(func(u undoRec) { d.st.applyUndo(u, d) })
+	d.tables = journal.New(func(t []hop) { d.st.undoTable(t) })
+	d.holds = journal.New(func(q []heldLSA) { d.st.undoHolds(q) })
 	return d
 }
 
@@ -526,6 +566,7 @@ func (d *Daemon) Init(self msg.NodeID, neighbors []api.Neighbor) {
 		panic(fmt.Sprintf("ospf: node %d below its domain base %d", self, d.base))
 	}
 	d.self = self
+	d.helloOut = hello{From: self}
 	d.neighbors = append([]api.Neighbor(nil), neighbors...)
 	sort.Slice(d.neighbors, func(i, j int) bool { return d.neighbors[i].ID < d.neighbors[j].ID })
 	d.st = &state{
@@ -695,7 +736,7 @@ func (d *Daemon) HandleTimer(now vtime.Time) []msg.Out {
 	// Hellos on the hello interval grid.
 	if int64(now)%int64(d.cfg.HelloInterval) == 0 {
 		for _, nb := range d.neighbors {
-			outs = append(outs, msg.Out{To: nb.ID, Payload: hello{From: d.self}})
+			outs = append(outs, msg.Out{To: nb.ID, Payload: d.helloOut})
 		}
 	}
 
@@ -832,7 +873,7 @@ func (d *Daemon) runSPF() {
 }
 
 // spfFull runs Dijkstra from scratch.
-func (d *Daemon) spfFull() []Route {
+func (d *Daemon) spfFull() []hop {
 	s := d.st
 	// The node-id universe in domain-relative coordinates: own id, every
 	// LSA origin, every advertised adjacency target. With a domain base
@@ -872,7 +913,7 @@ func (d *Daemon) spfScratch(n int) {
 // when nt — one origin's LSA swapped — is all that separates the two; nil
 // sends the caller to spfFull (see "Incremental SPF" in the package
 // comment). Returns the same immutable table when no label moves.
-func (d *Daemon) spfDelta(nt lsdbDelta) []Route {
+func (d *Daemon) spfDelta(nt lsdbDelta) []hop {
 	s := d.st
 	n := len(s.table)
 	if nt.lsa == nil || d.unsorted || n == 0 || s.tableEpoch != nt.before || s.epoch != nt.after {
@@ -985,7 +1026,7 @@ func (d *Daemon) hopVia(u int, to msg.NodeID) msg.NodeID {
 // relax drains the heap — label-correcting Dijkstra over the usable links,
 // serving both the full run (seeded with self) and the delta continuation
 // (seeded with the changed edges' endpoints) — and builds the table.
-func (d *Daemon) relax(n int) []Route {
+func (d *Daemon) relax(n int) []hop {
 	self := d.rel(d.self)
 	for len(d.spfHeap) > 0 {
 		// Pop the smallest key; sift the last one down from the root.
@@ -1026,13 +1067,13 @@ func (d *Daemon) relax(n int) []Route {
 			}
 		}
 	}
-	table := make([]Route, n)
+	table := make([]hop, n)
 	for i := range table {
 		if i == self || d.spfDist[i] == inf {
 			table[i].NextHop = msg.None
 			continue
 		}
-		table[i] = Route{Dest: d.base + msg.NodeID(i), NextHop: d.spfVia[i], Cost: d.spfDist[i]}
+		table[i] = hop{NextHop: d.spfVia[i], Cost: d.spfDist[i]}
 	}
 	return table
 }
@@ -1078,9 +1119,10 @@ func (d *Daemon) lsaOf(n msg.NodeID) *LSA {
 // RoutingTable returns a copy of the current routing table.
 func (d *Daemon) RoutingTable() map[msg.NodeID]Route {
 	out := make(map[msg.NodeID]Route, len(d.st.table))
-	for _, r := range d.st.table {
-		if r.NextHop != msg.None {
-			out[r.Dest] = r
+	for i, h := range d.st.table {
+		if h.NextHop != msg.None {
+			dest := d.base + msg.NodeID(i)
+			out[dest] = Route{Dest: dest, NextHop: h.NextHop, Cost: h.Cost}
 		}
 	}
 	return out
@@ -1124,12 +1166,12 @@ func (d *Daemon) AdjacencyUp(peer msg.NodeID) bool {
 // DumpTable renders the routing table sorted by destination (debugger).
 // The table slice is indexed by destination, so it is already sorted.
 func (d *Daemon) DumpTable() string {
-	out := ""
-	for _, r := range d.st.table {
-		if r.NextHop == msg.None {
+	var out strings.Builder
+	for i, h := range d.st.table {
+		if h.NextHop == msg.None {
 			continue
 		}
-		out += fmt.Sprintf("dest %d via %d cost %d\n", r.Dest, r.NextHop, r.Cost)
+		fmt.Fprintf(&out, "dest %d via %d cost %d\n", d.base+msg.NodeID(i), h.NextHop, h.Cost)
 	}
-	return out
+	return out.String()
 }

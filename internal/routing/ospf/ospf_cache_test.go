@@ -15,7 +15,7 @@ import (
 
 // tablePtr identifies the current table allocation (cache hits reinstall
 // the shared slice, so pointer identity is observable in white-box tests).
-func (d *Daemon) tablePtr() *Route {
+func (d *Daemon) tablePtr() *hop {
 	if len(d.st.table) == 0 {
 		return nil
 	}
@@ -168,7 +168,7 @@ func TestReplayInDifferentOrderStaysCoherent(t *testing.T) {
 	if d.Epoch() == afterA {
 		t.Fatal("different intermediate contents collided on one epoch")
 	}
-	tableB := append([]Route(nil), d.st.table...)
+	tableB := append([]hop(nil), d.st.table...)
 	d.HandleMessage(lsaMsg(1, lsaA))
 	if d.Epoch() != endEpoch {
 		t.Fatalf("commutative fold broken: epoch %d, want %d", d.Epoch(), endEpoch)

@@ -174,3 +174,83 @@ func TestJournalDisabledRecordsNothing(t *testing.T) {
 		t.Fatalf("disabled journal recorded %d entries", d.j.Len())
 	}
 }
+
+// TestJournalHolddownThroughSideJournals is a FloodHolddown > 0 program
+// through the record shape that keeps old slice headers out of undoRec:
+// pushHold and setHoldQueue (holds), setTable (tables). Several LSAs are
+// held with staggered releases, a timer releases some and keeps the rest,
+// the prefix is compacted away mid-program, and every surviving mark must
+// still rewind to the Clone taken at it — with each side journal holding
+// exactly one entry per record of its kind left in the main journal.
+func TestJournalHolddownThroughSideJournals(t *testing.T) {
+	d := journaledDaemon() // holddown 600 ms
+	ms := func(n int) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Millisecond) }
+	sideInStep := func(when string) {
+		t.Helper()
+		var tables, holds int
+		for p := d.j.Base(); p < d.j.Mark(); p++ {
+			switch d.j.At(p).kind {
+			case undoTable:
+				tables++
+			case undoHoldSlice:
+				holds++
+			}
+		}
+		if d.tables.Len() != tables || d.holds.Len() != holds {
+			t.Fatalf("%s: side journals hold %d tables / %d queues for %d / %d records",
+				when, d.tables.Len(), d.holds.Len(), tables, holds)
+		}
+	}
+	type point struct {
+		mark  journal.Mark
+		clone *state
+	}
+	var pts []point
+	save := func() { pts = append(pts, point{d.JournalMark(), d.st.Clone().(*state)}) }
+
+	d.HandleTimer(ms(250)) // boot
+	save()
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 2, Cost: 1}}})) // held until 850
+	save()
+	d.HandleTimer(ms(500))
+	d.HandleMessage(lsaMsg(2, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 0, Cost: 1}, {To: 1, Cost: 1}}})) // held until 1100
+	save()
+	if len(d.st.holdQueue) != 2 {
+		t.Fatalf("%d LSAs held, want 2", len(d.st.holdQueue))
+	}
+	d.HandleTimer(ms(1000)) // releases the first, keeps the second: setHoldQueue
+	if len(d.st.holdQueue) != 1 || d.holds.Len() != 1 {
+		t.Fatalf("after the partial release: %d held, %d old queues journaled, want 1 and 1", len(d.st.holdQueue), d.holds.Len())
+	}
+	save()
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 6, Links: []Adj{{To: 0, Cost: 1}}})) // held until 1600, moves the table
+	save()
+	d.HandleTimer(ms(1250)) // releases the second
+	d.HandleTimer(ms(2000)) // and the third: the queue empties
+	sideInStep("before compaction")
+
+	// Settle the first two checkpoints: the prefix goes, in all three journals.
+	d.JournalCompact(pts[2].mark)
+	sideInStep("after compaction")
+	for i := len(pts) - 1; i >= 2; i-- {
+		d.JournalRewind(pts[i].mark)
+		statesEqual(t, d.st, pts[i].clone)
+		sideInStep("after a rewind")
+	}
+	// The same inputs from the oldest surviving mark reach the same states;
+	// settling past the partial release drops an old queue header as well.
+	d.HandleTimer(ms(1000))
+	statesEqual(t, d.st, pts[3].clone)
+	save()
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 6, Links: []Adj{{To: 0, Cost: 1}}}))
+	d.HandleTimer(ms(1250))
+	d.HandleTimer(ms(2000))
+	last := pts[len(pts)-1]
+	d.JournalCompact(last.mark)
+	if d.holds.Len() != 2 || d.holds.Base() != 1 {
+		t.Fatalf("holds after settling the partial release: %d live from %d, want 2 from 1", d.holds.Len(), d.holds.Base())
+	}
+	sideInStep("after the second compaction")
+	d.JournalRewind(last.mark)
+	statesEqual(t, d.st, last.clone)
+}

@@ -17,7 +17,7 @@ import (
 // oracleSPF is the pre-heap runSPF miss path, verbatim: linear extraction
 // of the smallest (cost, id), per-edge bidirectional check by linear scans
 // of both endpoints' LSAs, first-hop ties to the smaller id.
-func (d *Daemon) oracleSPF() []Route {
+func (d *Daemon) oracleSPF() []hop {
 	s := d.st
 	advertises := func(l *LSA, to msg.NodeID) bool {
 		for _, adj := range l.Links {
@@ -84,13 +84,13 @@ func (d *Daemon) oracleSPF() []Route {
 			}
 		}
 	}
-	table := make([]Route, n)
+	table := make([]hop, n)
 	for i := 0; i < n; i++ {
 		if i == d.rel(d.self) || dist[i] == inf {
 			table[i].NextHop = msg.None
 			continue
 		}
-		table[i] = Route{Dest: d.base + msg.NodeID(i), NextHop: via[i], Cost: dist[i]}
+		table[i] = hop{NextHop: via[i], Cost: dist[i]}
 	}
 	return table
 }
