@@ -15,6 +15,10 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"maps"
+	"os"
+	"slices"
 
 	"defined"
 	"defined/internal/routing/rip"
@@ -69,15 +73,18 @@ func routeAtR1(as []defined.Application) string {
 	}
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the case study, printing to w.
+func run(w io.Writer) {
 	g := figure5()
 	yes, loss := true, 0.4 // engine-block values (the block's fields are pointers)
-	fmt.Println("== Quagga 0.96.5 RIP timer-refresh bug (paper §4, Figure 5) ==")
+	fmt.Fprintln(w, "== Quagga 0.96.5 RIP timer-refresh bug (paper §4, Figure 5) ==")
 
 	// 1. Unmodified routers over lossy links: whether the black hole
 	//    forms depends on whether a backup announcement slips in before
 	//    the timeout — it varies run to run.
-	fmt.Println("\n-- unmodified network (baseline, 40% announcement loss): outcome varies --")
+	fmt.Fprintln(w, "\n-- unmodified network (baseline, 40% announcement loss): outcome varies --")
 	outcomes := map[string]int{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := apps(rip.Quagga0965)
@@ -91,14 +98,14 @@ func main() {
 		}
 		outcomes[key]++
 	}
-	for k, v := range outcomes {
-		fmt.Printf("   %s in %d/10 runs\n", k, v)
+	for _, k := range slices.Sorted(maps.Keys(outcomes)) {
+		fmt.Fprintf(w, "   %s in %d/10 runs\n", k, outcomes[k])
 	}
 
 	// 2. DEFINED-RB: the same lossy scenario is reproducible — losses are
 	//    recorded as external events, so each production run can be
 	//    replayed exactly.
-	fmt.Println("\n-- DEFINED-RB (seed 1, with recorded losses) --")
+	fmt.Fprintln(w, "\n-- DEFINED-RB (seed 1, with recorded losses) --")
 	as := apps(rip.Quagga0965)
 	seed := uint64(1)
 	net := mustNet(g, as, defined.EngineSpec{Seed: &seed, PerLinkLoss: &loss, Record: &yes, DeliveryLog: &yes})
@@ -106,13 +113,13 @@ func main() {
 	net.Run(defined.Seconds(12))
 	net.Drain()
 	rec := net.Recording()
-	fmt.Printf("   production outcome: R1 route %s\n", routeAtR1(as))
-	fmt.Printf("   recorded %d external events (incl. message losses), %d refreshes at R1\n",
+	fmt.Fprintf(w, "   production outcome: R1 route %s\n", routeAtR1(as))
+	fmt.Fprintf(w, "   recorded %d external events (incl. message losses), %d refreshes at R1\n",
 		len(rec.Events), as[0].(*rip.Daemon).Refreshes())
 
 	// 3. Replay in the debugging network: timers fire deterministically
 	//    while stepping (no "timers going off unexpectedly" as with gdb).
-	fmt.Println("\n-- DEFINED-LS replay: step through the refresh-after-crash --")
+	fmt.Fprintln(w, "\n-- DEFINED-LS replay: step through the refresh-after-crash --")
 	as2 := apps(rip.Quagga0965)
 	rp, err := defined.NewReplay(g, as2, rec, defined.WithReplayLog())
 	if err != nil {
@@ -130,32 +137,32 @@ func main() {
 	rp.RunToEnd()
 	if hit := rp.BreakpointHit(); hit != nil {
 		before := as2[0].(*rip.Daemon).Refreshes()
-		fmt.Printf("   breakpoint: %v\n", hit)
+		fmt.Fprintf(w, "   breakpoint: %v\n", hit)
 		rp.SetBreakpoint(nil)
 		rp.StepEvent() // deliver the announcement
 		after := as2[0].(*rip.Daemon).Refreshes()
 		if after > before {
-			fmt.Println("   → R3's announcement refreshed the R2 route's timer (destination-only match): the bug")
+			fmt.Fprintln(w, "   → R3's announcement refreshed the R2 route's timer (destination-only match): the bug")
 		}
 	}
 	rp.RunToEnd()
-	fmt.Printf("   replay outcome: R1 route %s\n", routeAtR1(as2))
+	fmt.Fprintf(w, "   replay outcome: R1 route %s\n", routeAtR1(as2))
 	match := routeAtR1(as) == routeAtR1(as2)
 	if match {
-		fmt.Println("   ✓ debugging network reproduced the production outcome exactly")
+		fmt.Fprintln(w, "   ✓ debugging network reproduced the production outcome exactly")
 	}
 
 	// 4. The fix — match destination AND next hop — recovers.
-	fmt.Println("\n-- patched daemon (next-hop-aware refresh) on the same recording --")
+	fmt.Fprintln(w, "\n-- patched daemon (next-hop-aware refresh) on the same recording --")
 	fixed := apps(rip.FixedMode)
 	rp2, err := defined.NewReplay(g, fixed, rec)
 	if err != nil {
 		panic(err)
 	}
 	rp2.RunToEnd()
-	fmt.Printf("   patched outcome: R1 route %s\n", routeAtR1(fixed))
+	fmt.Fprintf(w, "   patched outcome: R1 route %s\n", routeAtR1(fixed))
 	if nh, _, ok := fixed[0].(*rip.Daemon).Route(prefix); ok && nh == 2 {
-		fmt.Println("\n✓ patch validated: route fails over to the backup after the timeout")
+		fmt.Fprintln(w, "\n✓ patch validated: route fails over to the backup after the timeout")
 	}
 }
 

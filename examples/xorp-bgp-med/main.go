@@ -14,6 +14,10 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"maps"
+	"os"
+	"slices"
 
 	"defined"
 	"defined/internal/routing/bgp"
@@ -58,14 +62,17 @@ func bestAtR3(as []defined.Application) string {
 	return best.Name
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run plays the case study, printing to w.
+func run(w io.Writer) {
 	g := figure4()
 	yes, jitter := true, 4.0 // engine-block values (the block's fields are pointers)
-	fmt.Println("== XORP 0.4 BGP MED ordering bug (paper §4, Figure 4) ==")
-	fmt.Println("correct best path: p3 (full decision process)")
+	fmt.Fprintln(w, "== XORP 0.4 BGP MED ordering bug (paper §4, Figure 4) ==")
+	fmt.Fprintln(w, "correct best path: p3 (full decision process)")
 
 	// 1. Unmodified routers: the outcome depends on physical timing.
-	fmt.Println("\n-- unmodified network (baseline): selection varies with timing --")
+	fmt.Fprintln(w, "\n-- unmodified network (baseline): selection varies with timing --")
 	outcomes := map[string]int{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := apps(bgp.XORP04)
@@ -75,14 +82,14 @@ func main() {
 		net.Drain()
 		outcomes[bestAtR3(as)]++
 	}
-	for name, count := range outcomes {
-		fmt.Printf("   R3 selected %s in %d/10 runs\n", name, count)
+	for _, name := range slices.Sorted(maps.Keys(outcomes)) {
+		fmt.Fprintf(w, "   R3 selected %s in %d/10 runs\n", name, outcomes[name])
 	}
 
 	// 2. Under DEFINED-RB the same scenario is deterministic: every run
 	//    commits the same arrival order at R3, so the bug either always
 	//    fires or never does — and here it always does.
-	fmt.Println("\n-- DEFINED-RB: deterministic across seeds --")
+	fmt.Fprintln(w, "\n-- DEFINED-RB: deterministic across seeds --")
 	var rec *defined.Recording
 	for seed := uint64(0); seed < 5; seed++ {
 		as := apps(bgp.XORP04)
@@ -90,7 +97,7 @@ func main() {
 		scenario(net)
 		net.Run(defined.Seconds(1))
 		net.Drain()
-		fmt.Printf("   seed %d: R3 selected %s (arrival order %v)\n",
+		fmt.Fprintf(w, "   seed %d: R3 selected %s (arrival order %v)\n",
 			seed, bestAtR3(as), as[2].(*bgp.Daemon).ArrivalOrder(prefix))
 		if rec == nil {
 			rec = net.Recording()
@@ -99,7 +106,7 @@ func main() {
 
 	// 3. Reproduce in the debugging network from the partial recording,
 	//    breaking on the delivery that corrupts the selection.
-	fmt.Println("\n-- DEFINED-LS: reproduce from the partial recording --")
+	fmt.Fprintln(w, "\n-- DEFINED-LS: reproduce from the partial recording --")
 	as := apps(bgp.XORP04)
 	rp, err := defined.NewReplay(g, as, rec)
 	if err != nil {
@@ -114,26 +121,26 @@ func main() {
 	})
 	rp.RunToEnd()
 	if hit := rp.BreakpointHit(); hit != nil {
-		fmt.Printf("   breakpoint: %v\n", hit)
-		fmt.Printf("   R3 state before the faulty comparison: best=%s, rib=%v\n",
+		fmt.Fprintf(w, "   breakpoint: %v\n", hit)
+		fmt.Fprintf(w, "   R3 state before the faulty comparison: best=%s, rib=%v\n",
 			bestAtR3(as), as[2].(*bgp.Daemon).ArrivalOrder(prefix))
 	}
 	rp.SetBreakpoint(nil)
 	rp.RunToEnd()
-	fmt.Printf("   after replay: R3 selected %s — bug reproduced deterministically\n", bestAtR3(as))
+	fmt.Fprintf(w, "   after replay: R3 selected %s — bug reproduced deterministically\n", bestAtR3(as))
 
 	// 4. Validate the patch in the debugging network: the fixed decision
 	//    process re-runs the full selection and is order-independent.
-	fmt.Println("\n-- patch validation: full decision process in the debugging network --")
+	fmt.Fprintln(w, "\n-- patch validation: full decision process in the debugging network --")
 	fixed := apps(bgp.Fixed)
 	rp2, err := defined.NewReplay(g, fixed, rec)
 	if err != nil {
 		panic(err)
 	}
 	rp2.RunToEnd()
-	fmt.Printf("   patched R3 selected %s (want p3)\n", bestAtR3(fixed))
+	fmt.Fprintf(w, "   patched R3 selected %s (want p3)\n", bestAtR3(fixed))
 	if bestAtR3(fixed) == "p3" {
-		fmt.Println("\n✓ patch validated; deterministic execution guarantees the same behaviour in production")
+		fmt.Fprintln(w, "\n✓ patch validated; deterministic execution guarantees the same behaviour in production")
 	}
 }
 

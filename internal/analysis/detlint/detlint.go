@@ -180,6 +180,7 @@ var EnginePackages = []string{
 	ModulePath + "/internal/vtime",
 	ModulePath + "/internal/topology",
 	ModulePath + "/internal/scenario",
+	ModulePath + "/examples/", // the README's entry point prints what these run
 }
 
 // IsEnginePackage reports whether path is in the determinism-critical set.

@@ -1,18 +1,14 @@
 package rollback
 
-// Rollback avoidance: deterministic arrival deferral and the adaptive
-// settle-bound estimator. Both knobs change only *speculation dynamics* —
-// how often the engine guesses wrong and repairs — never the committed
-// order, which by Theorem 1 depends only on the ordering function and the
-// external events.
-
 import (
 	"slices"
 
 	"defined/internal/eventq"
 	"defined/internal/history"
 	"defined/internal/msg"
+	"defined/internal/netsim"
 	"defined/internal/ordering"
+	"defined/internal/topology"
 	"defined/internal/vtime"
 )
 
@@ -45,24 +41,72 @@ const (
 	maxPending = 128
 )
 
-// pendingArrival is one deferred entry in the shim's pending buffer. due
+// pending is a node's deferral buffer: deterministic arrival deferral, the
+// rollback-avoidance fast path.
+//
+// Speculation is only profitable when the guess is usually right. The
+// ordering function's d_i field predicts arrival times, so an arrival whose
+// key sorts only a small Delay gap past the window tail is exactly the one
+// d_i predicts may still have predecessors in flight (any message keyed into
+// that gap) — delivering it eagerly buys nothing but a rollback when one
+// lands. Instead the layer holds such arrivals in a small key-ordered buffer
+// for the gap's complement (DeferSlack − gap, at most DeferMax) and flushes
+// them on a single re-armable eventq event, batching at the d_i quantum the
+// way buffering deterministic-execution systems batch at quantum boundaries.
+// A straggler running up to the hold later still lands first and is
+// delivered in place; the flush then inserts the batch in key order, which
+// by construction cannot roll anything back. Anti-messages whose target is
+// still pending annihilate it in the buffer — an unsend with no rollback at
+// all. Deferral needs d_i-monotone keys, so it is off under chain-hash
+// orderings like RO.
+//
+// Guarantee: deferral never changes what the node computes, only when.
+// Entries enter the same history window in the same ordering-function
+// positions, and Theorem 1 makes the committed order a function of the
+// ordering function and the external events alone; the knobs move
+// speculation dynamics (rollback counts, window occupancy, convergence
+// latency by at most the hold) and nothing else — the cross-mode golden
+// pins committed orders and tables defer-on vs defer-off.
+//
+// arrSeq sequences arrivals and directSeq is the arrSeq of the latest
+// non-flush window insertion — together they detect holds that avoided a
+// rollback. flushH/flushAt track the single flush event and flushFn is its
+// callback, bound once.
+type pending struct {
+	buf       []pendingArrival
+	capLB     vtime.Time // lower bound on every buf[i].capAt (see spentThrough)
+	flushH    eventq.Handle
+	flushAt   vtime.Time
+	flushFn   func()
+	arrSeq    uint64
+	directSeq uint64
+
+	cmp    ordering.Func
+	slack  vtime.Duration // Config.DeferSlack
+	max    vtime.Duration // Config.DeferMax, the longest single hold
+	budget vtime.Duration // per-arrival cap on any hold, widened under lookahead
+	lane   *netsim.Lane
+	stats  *Stats
+}
+
+// pendingArrival is one deferred entry in the pending buffer. due
 // is the flush time: the entry's own gap-complement hold, raised to what
 // its key predecessors were holding for when it arrived (queuing behind a
 // held predecessor extends the wait — deliberately sticky, since a long
 // chained hold is exactly quantum buffering through a churn storm), but
-// never past capAt, the entry's own arrival+DeferMax budget. seq is the
-// shim's arrival sequence at deferral time: any smaller-keyed arrival
+// never past capAt, the entry's own arrival+budget. seq is the
+// buffer's arrival sequence at deferral time: any smaller-keyed arrival
 // processed with a larger sequence overtook this entry during its hold,
 // meaning the deferral avoided a rollback (Stats.DeferHits). held records
 // whether the entry ever actually waited (a zero-length hold that only
 // queued for key order is not a deferral in the Stats sense).
-// laHeld marks an entry the flush loop has held past its heuristic due for
+// laHeld marks an entry the flush has held past its heuristic due for
 // per-link frontier coverage (the lookahead hold, counted once per entry in
 // Stats.LookaheadHolds); when such an entry eventually flushes covered —
-// rather than forced out by its DeferMax budget or buffer overflow — it
+// rather than forced out by its budget or buffer overflow — it
 // counts toward Stats.LookaheadExactFlushes.
 // rank is the entry key's ordering.Rank, cached (and placed first) so
-// maybeDefer's position scan compares two integers per cell instead of
+// decide's position scan compares two integers per cell instead of
 // calling the ordering function on 48-byte keys. A cell is 128 bytes — an
 // insertion moves a dozen of them — so nothing goes in that is not read.
 type pendingArrival struct {
@@ -85,7 +129,7 @@ type pendingArrival struct {
 // DeferSlack or more is its own protection (a straggler would have to run
 // that much later relative to this arrival to displace it), and timer
 // batches and externals are local events that never wait.
-func (sh *shim) holdFor(k, prev ordering.Key) vtime.Duration {
+func (p *pending) holdFor(k, prev ordering.Key) vtime.Duration {
 	if k.Class != ordering.ClassMessage {
 		return 0
 	}
@@ -94,61 +138,57 @@ func (sh *shim) holdFor(k, prev ordering.Key) vtime.Duration {
 		prevDelay = prev.Delay
 	}
 	gap := k.Delay - prevDelay
-	if gap >= sh.e.cfg.DeferSlack {
+	if gap >= p.slack {
 		return 0
 	}
-	hold := sh.e.cfg.DeferSlack - gap
-	if hold > sh.e.cfg.DeferMax {
-		hold = sh.e.cfg.DeferMax
-	}
-	return hold
+	return min(p.slack-gap, p.max)
 }
 
-// maybeDefer decides whether an arrival enters the pending buffer instead
-// of the history window. It reports true when the entry was consumed
-// (deferred or dropped as a pending duplicate).
+// decide takes an arrival into the buffer instead of the history window
+// win when it should wait. held reports that the entry was consumed
+// (deferred, or dropped as a pending duplicate); flush, that the buffer's
+// front is already due and the caller must flush now.
 //
 // Invariant: every live window entry sorts strictly before every pending
 // entry, and pending dues are non-decreasing in key order. Arrivals
 // sorting after a pending entry therefore must queue behind it —
 // delivering them first would guarantee a rollback when the pending
 // entries flush.
-func (sh *shim) maybeDefer(entry *history.Entry, rank ordering.Rank) bool {
-	cmp := sh.e.cfg.Ordering
-	now := sh.lane.Now()
-	// Insertion position in the (small, key-ordered) pending buffer. The
-	// ranks decide nearly every cell; ordering.CompareRanked spelled out,
-	// so the keys are only copied into a call when two ranks tie.
-	pos := len(sh.pend)
+func (p *pending) decide(entry *history.Entry, rank ordering.Rank, win *history.Window, look *lookahead) (held, flush bool) {
+	now := p.lane.Now()
+	// Insertion position in the (small, key-ordered) buffer. The ranks
+	// decide nearly every cell; ordering.CompareRanked spelled out, so the
+	// keys are only copied into a call when two ranks tie.
+	pos := len(p.buf)
 	for pos > 0 {
-		p := &sh.pend[pos-1]
-		if p.rank.Less(rank) {
+		c := &p.buf[pos-1]
+		if c.rank.Less(rank) {
 			break
 		}
-		if !rank.Less(p.rank) {
-			c := cmp.Compare(p.entry.Key, entry.Key)
-			if c < 0 {
+		if !rank.Less(c.rank) {
+			cmp := p.cmp.Compare(c.entry.Key, entry.Key)
+			if cmp < 0 {
 				break
 			}
-			if c == 0 {
-				sh.stats.Duplicates++
-				return true
+			if cmp == 0 {
+				p.stats.Duplicates++
+				return true, false
 			}
 		}
 		pos--
 	}
 	var due vtime.Time
 	if pos == 0 {
-		// Fronts the pending buffer: its predecessor is the window tail.
-		if n := sh.win.Len(); n > 0 {
-			tail := sh.win.At(n - 1).Key
-			if cmp.Compare(entry.Key, tail) <= 0 {
-				return false // diverging (or dup): take the rollback now
+		// Fronts the buffer: its predecessor is the window tail.
+		if n := win.Len(); n > 0 {
+			tail := win.At(n - 1).Key
+			if p.cmp.Compare(entry.Key, tail) <= 0 {
+				return p.direct(), false // diverging (or dup): take the rollback now
 			}
-			due = now.Add(sh.holdFor(entry.Key, tail))
+			due = now.Add(p.holdFor(entry.Key, tail))
 		} else {
-			if !sh.e.lookOn {
-				return false // nothing to misorder against yet
+			if !look.on() {
+				return p.direct(), false // nothing to misorder against yet
 			}
 			// An empty window has nothing to misorder against, but with
 			// lookahead on an uncovered in-link can still displace the
@@ -159,61 +199,63 @@ func (sh *shim) maybeDefer(entry *history.Entry, rank ordering.Rank) bool {
 	} else {
 		// Queues behind a pending predecessor for key order, with its own
 		// hold budget.
-		due = now.Add(sh.holdFor(entry.Key, sh.pend[pos-1].entry.Key))
+		due = now.Add(p.holdFor(entry.Key, p.buf[pos-1].entry.Key))
 	}
-	if pos == 0 && due <= now && len(sh.pend) == 0 {
+	if pos == 0 && due <= now && len(p.buf) == 0 {
 		// In order and past the heuristic hold. With per-link lookahead on,
-		// immediate delivery additionally requires frontier coverage (see
-		// lookRelease): this is the rollback tail the gap rule cannot see —
-		// cross-wave divergences whose key gap exceeds DeferSlack get no
-		// heuristic hold at all, yet an in-link whose frontier still trails
-		// this entry's prediction may carry exactly such a straggler.
-		// Uncovered entries park in the buffer with their due already
-		// passed; flushPending holds them until a frontier advance or the
-		// idle horizon releases them (or their budget forces them).
-		if !sh.e.lookOn || !sh.lookRelease(entry.Key, now).After(now) {
-			return false
+		// immediate delivery additionally requires frontier coverage: this
+		// is the rollback tail the gap rule cannot see — cross-wave
+		// divergences whose key gap exceeds DeferSlack get no heuristic hold
+		// at all, yet an in-link whose frontier still trails this entry's
+		// prediction may carry exactly such a straggler. Uncovered entries
+		// park in the buffer with their due already passed; releasable holds
+		// them until a frontier advance or the idle horizon releases them
+		// (or their budget forces them).
+		if !look.on() || !look.release(entry.Key, now).After(now) {
+			return p.direct(), false
 		}
 	}
-	sh.pushPending(entry, rank, pos, due)
-	return true
+	return true, p.push(entry, rank, pos, due)
 }
 
-// pushPending inserts an arrival at position pos of the key-ordered
-// pending buffer with its hold raised to its predecessor's due (capped at
-// its own arrival+DeferMax budget), then flushes (front already due) or
-// re-arms the flush event.
-func (sh *shim) pushPending(entry *history.Entry, rank ordering.Rank, pos int, due vtime.Time) {
-	now := sh.lane.Now()
-	budget := sh.e.cfg.DeferMax
-	if sh.e.lookOn {
-		budget *= lookBudgetMult
-	}
-	capAt := now.Add(budget)
-	if pos > 0 && sh.pend[pos-1].due > due {
-		due = sh.pend[pos-1].due
+// direct records an arrival that goes straight to the window.
+func (p *pending) direct() bool {
+	p.arrSeq++
+	p.directSeq = p.arrSeq
+	return false
+}
+
+// push inserts an arrival at position pos with its hold raised to its
+// predecessor's due (capped at its own arrival+budget), then reports that
+// the front is already due (or the buffer overfull) — the caller flushes —
+// or re-arms the flush event.
+func (p *pending) push(entry *history.Entry, rank ordering.Rank, pos int, due vtime.Time) (flush bool) {
+	now := p.lane.Now()
+	capAt := now.Add(p.budget)
+	if pos > 0 && p.buf[pos-1].due > due {
+		due = p.buf[pos-1].due
 	}
 	if due > capAt {
 		due = capAt
 	}
-	sh.arrSeq++
+	p.arrSeq++
 	// The buffer outlives the delivery callback that handed us the entry,
 	// so it takes its own reference on the message (released on flush or
 	// annihilation).
 	entry.Msg.Retain()
 	held := due > now
-	sh.insertPending(&pendingArrival{rank: rank, entry: *entry, capAt: capAt, due: due, seq: sh.arrSeq, held: held}, pos)
+	p.insertPending(&pendingArrival{rank: rank, entry: *entry, capAt: capAt, due: due, seq: p.arrSeq, held: held}, pos)
 	if held {
-		sh.stats.Deferred++
+		p.stats.Deferred++
 	}
-	if sh.pend[0].due <= now || len(sh.pend) > maxPending {
-		sh.flushPending()
-		return
+	if p.buf[0].due <= now || len(p.buf) > maxPending {
+		return true
 	}
-	sh.armFlush(sh.pend[0].due)
+	p.armFlush(p.buf[0].due)
+	return false
 }
 
-// insertPending places p — its due already at or past its predecessor's
+// insertPending places c — its due already at or past its predecessor's
 // and within its own budget — at position pos and restores the due
 // invariants: dues non-decreasing in key order (an entry may never deliver
 // after a larger-keyed successor) and no entry held past its capAt. The
@@ -232,21 +274,21 @@ func (sh *shim) pushPending(entry *history.Entry, rank ordering.Rank, pos int, d
 // entry. It never has to go below pos: each cell there was at or under the
 // successor that followed it before the insertion, and every due at pos
 // and above is still at least that.
-func (sh *shim) insertPending(p *pendingArrival, pos int) {
-	if p.capAt < sh.pendCapLB {
-		sh.pendCapLB = p.capAt
+func (p *pending) insertPending(c *pendingArrival, pos int) {
+	if c.capAt < p.capLB {
+		p.capLB = c.capAt
 	}
-	if pos == len(sh.pend) {
-		sh.pend = append(sh.pend, *p)
+	if pos == len(p.buf) {
+		p.buf = append(p.buf, *c)
 		return // no successor to raise, nothing clipped
 	}
-	sh.pend = append(sh.pend, pendingArrival{})
-	copy(sh.pend[pos+1:], sh.pend[pos:])
-	sh.pend[pos] = *p
-	run := p.due
+	p.buf = append(p.buf, pendingArrival{})
+	copy(p.buf[pos+1:], p.buf[pos:])
+	p.buf[pos] = *c
+	run := c.due
 	clipped := pos // last cell a cap clipped; pos = none
-	for j := pos + 1; j < len(sh.pend); j++ {
-		q := &sh.pend[j]
+	for j := pos + 1; j < len(p.buf); j++ {
+		q := &p.buf[j]
 		if q.due >= run {
 			break
 		}
@@ -261,177 +303,167 @@ func (sh *shim) insertPending(p *pendingArrival, pos int) {
 		run = q.due
 	}
 	for k := clipped - 1; k >= pos; k-- {
-		if sh.pend[k].due > sh.pend[k+1].due {
-			sh.pend[k].due = sh.pend[k+1].due
+		if p.buf[k].due > p.buf[k+1].due {
+			p.buf[k].due = p.buf[k+1].due
 		}
 	}
 }
 
 // spentThrough returns the index of the last pending arrival whose
-// arrival+DeferMax budget has elapsed at now, or -1. Budgets run to
+// arrival+budget has elapsed at now, or -1. Budgets run to
 // hundreds of milliseconds and holds to a few, so a spent budget is rare:
-// the scan for one runs only once now reaches pendCapLB, a lower bound on
+// the scan for one runs only once now reaches capLB, a lower bound on
 // every buffered capAt. Insertions lower the bound and removals leave it
 // alone, so it can only be stale on the low side — costing a scan, never
 // hiding a spent budget — and each scan resets it to the smallest unspent
 // budget (the caller flushes the spent ones).
-func (sh *shim) spentThrough(now vtime.Time) int {
-	if now.Before(sh.pendCapLB) {
+func (p *pending) spentThrough(now vtime.Time) int {
+	if now.Before(p.capLB) {
 		return -1
 	}
 	last, lb := -1, vtime.Never
-	for j := range sh.pend {
-		if c := sh.pend[j].capAt; !c.After(now) {
+	for j := range p.buf {
+		if c := p.buf[j].capAt; !c.After(now) {
 			last = j
 		} else if c < lb {
 			lb = c
 		}
 	}
-	sh.pendCapLB = lb
+	p.capLB = lb
 	return last
 }
 
-// armFlush makes sure the shim's single flush event fires no later than
-// at, re-arming the live event in place (eventq.Reschedule) rather than
+// armFlush makes sure the single flush event fires no later than at,
+// re-arming the live event in place (eventq.Reschedule) rather than
 // scheduling a new one.
-func (sh *shim) armFlush(at vtime.Time) {
-	if !sh.flushH.IsZero() && sh.lane.Rearm(sh.flushH, min(at, sh.flushAt)) {
-		if at < sh.flushAt {
-			sh.flushAt = at
+func (p *pending) armFlush(at vtime.Time) {
+	if !p.flushH.IsZero() && p.lane.Rearm(p.flushH, min(at, p.flushAt)) {
+		if at < p.flushAt {
+			p.flushAt = at
 		}
 		return
 	}
-	sh.flushH = sh.lane.ScheduleFn(at, sh.flushFn)
-	sh.flushAt = at
+	p.flushH = p.lane.ScheduleFn(at, p.flushFn)
+	p.flushAt = at
 }
 
-// onFlush is the scheduled flush callback (bound once per shim).
-func (sh *shim) onFlush() {
-	sh.flushH = eventq.Handle{}
-	if sh.crashed {
-		return // quarantine emptied the buffer; a stale flush is a no-op
-	}
-	sh.flushPending()
-}
-
-// flushPending delivers every pending arrival up to (and including) the
-// largest releasable key, in ordering-key order — batched insertion in key
-// order cannot roll anything back, which is the whole point: the hold
-// converted a deliver-then-undo sequence into a single ordered delivery.
+// releasable returns how many front entries a flush at now delivers — every
+// entry up to the largest releasable key, in key order — and when the rest
+// next needs a look, tallying the flush's counters.
 //
 // An entry is releasable when its heuristic due has passed and (with
-// per-link lookahead on) its lookRelease has too — the flush stops at the
+// per-link lookahead on) its look.release has too — the scan stops at the
 // first entry still awaiting frontier coverage, marks it lookahead-held,
-// and re-arms at its idle-horizon release, which an intervening frontier
+// and wakes at its idle-horizon release, which an intervening frontier
 // advance (onEntry's flush attempt) may beat. Two force rules override
 // coverage, both bounding how long speculation can stall: an entry whose
-// own arrival+DeferMax budget has elapsed flushes regardless (and, dues
-// being non-decreasing in key order and clipped to budgets, so does
-// everything keyed before it), and a buffer past maxPending force-flushes
-// at least its front so the buffer can never grow with load.
-func (sh *shim) flushPending() {
-	now := sh.lane.Now()
-	force := sh.spentThrough(now)
-	if force < 0 && len(sh.pend) > maxPending {
+// own arrival+budget has elapsed flushes regardless (and, dues being
+// non-decreasing in key order and clipped to budgets, so does everything
+// keyed before it), and a buffer past maxPending force-flushes at least its
+// front so the buffer can never grow with load.
+func (p *pending) releasable(now vtime.Time, look *lookahead) (n int, wake vtime.Time) {
+	force := p.spentThrough(now)
+	if force < 0 && len(p.buf) > maxPending {
 		force = 0
 	}
-	last := -1
-	var wake vtime.Time
-	for last+1 < len(sh.pend) {
-		p := &sh.pend[last+1]
-		if p.due.After(now) {
-			wake = p.due
+	// A hit means something overtook the hold: either a direct window
+	// insertion after the entry was deferred (directSeq advanced past its
+	// seq) or a batch-mate with a smaller key deferred after it (maxSeen).
+	// Both would have been a rollback without the hold. The flush itself
+	// only counts toward DeferredFlushes when it delivers at least one
+	// entry that actually waited.
+	maxSeen, heldAny := uint64(0), false
+	for ; n < len(p.buf); n++ {
+		c := &p.buf[n]
+		if c.due.After(now) {
+			wake = c.due
 			break
 		}
-		if last+1 > force && sh.e.lookOn {
-			if rel := sh.lookRelease(p.entry.Key, now); rel.After(now) {
-				if !p.laHeld {
-					p.laHeld = true
-					sh.stats.LookaheadHolds++
-					if !p.held {
-						p.held = true
-						sh.stats.Deferred++
+		if n > force && look.on() {
+			if rel := look.release(c.entry.Key, now); rel.After(now) {
+				if !c.laHeld {
+					c.laHeld = true
+					p.stats.LookaheadHolds++
+					if !c.held {
+						c.held = true
+						p.stats.Deferred++
 					}
 				}
 				// The idle horizon caps the hold, the budget caps the
 				// horizon; both are strictly future (a spent budget would
 				// have put the entry in the force prefix).
-				if rel > p.capAt {
-					rel = p.capAt
-				}
-				wake = rel
+				wake = min(rel, c.capAt)
 				break
 			}
 		}
-		last++
-	}
-	if last >= 0 {
-		// A hit means something overtook the hold: either a direct window
-		// insertion after the entry was deferred (sh.directSeq advanced past
-		// its seq) or a batch-mate with a smaller key deferred after it
-		// (maxSeen). Both would have been a rollback without the hold. The
-		// flush itself only counts toward DeferredFlushes when it delivers at
-		// least one entry that actually waited.
-		maxSeen := uint64(0)
-		heldAny := false
-		for i := 0; i <= last; i++ {
-			p := &sh.pend[i]
-			heldAny = heldAny || p.held
-			if p.laHeld && i > force {
-				sh.stats.LookaheadExactFlushes++
-			}
-			if sh.directSeq > p.seq || maxSeen > p.seq {
-				sh.stats.DeferHits++
-			}
-			if p.seq > maxSeen {
-				maxSeen = p.seq
-			}
-			// The entry enters the window when it flushes; retirement clocks
-			// start here, so a hold can never age an entry toward a
-			// settle violation. The window takes its own reference on insert,
-			// so the buffer's reference can drop right after.
-			p.entry.ArrivedAt = now
-			sh.insertNow(&p.entry, p.rank)
-			p.entry.Msg.Release()
+		heldAny = heldAny || c.held
+		if c.laHeld && n > force {
+			p.stats.LookaheadExactFlushes++
 		}
-		if heldAny {
-			sh.stats.DeferredFlushes++
+		if p.directSeq > c.seq || maxSeen > c.seq {
+			p.stats.DeferHits++
 		}
-		n := copy(sh.pend, sh.pend[last+1:])
-		clearPending(sh.pend[n:])
-		sh.pend = sh.pend[:n]
+		maxSeen = max(maxSeen, c.seq)
 	}
-	if len(sh.pend) > 0 {
-		sh.armFlush(wake)
+	if heldAny {
+		p.stats.DeferredFlushes++
+	}
+	return n, wake
+}
+
+// drop removes the n front entries a flush delivered and re-arms the flush
+// event for the rest at wake.
+func (p *pending) drop(n int, wake vtime.Time) {
+	if n > 0 {
+		m := copy(p.buf, p.buf[n:])
+		clear(p.buf[m:]) // drop lingering references in the recycled tail
+		p.buf = p.buf[:m]
+	}
+	if len(p.buf) > 0 {
+		p.armFlush(wake)
 	}
 }
 
-// clearPending zeroes recycled buffer cells so retired entries (and their
-// messages) do not linger reachable.
-func clearPending(ps []pendingArrival) {
-	for i := range ps {
-		ps[i] = pendingArrival{}
-	}
-}
-
-// annihilatePending removes a pending arrival targeted by an anti-message
-// before it was ever delivered — the cheapest possible unsend (Time
-// Warp's input-queue annihilation): no rollback, no replay. It reports
-// whether the target was found.
-func (sh *shim) annihilatePending(target msg.ID) bool {
-	for i := range sh.pend {
-		m := sh.pend[i].entry.Msg
+// annihilate removes a pending arrival targeted by an anti-message before
+// it was ever delivered — the cheapest possible unsend (Time Warp's
+// input-queue annihilation): no rollback, no replay. It reports whether the
+// target was found.
+func (p *pending) annihilate(target msg.ID) bool {
+	for i := range p.buf {
+		m := p.buf[i].entry.Msg
 		if m == nil || m.ID != target {
 			continue
 		}
-		n := copy(sh.pend[i:], sh.pend[i+1:])
-		clearPending(sh.pend[i+n:])
-		sh.pend = sh.pend[:i+n]
-		sh.stats.PendingAnnihilated++
+		n := copy(p.buf[i:], p.buf[i+1:])
+		clear(p.buf[i+n:])
+		p.buf = p.buf[:i+n]
+		p.stats.PendingAnnihilated++
 		m.Release() // annihilated before delivery: the buffer held the last local reference
 		return true
 	}
 	return false
+}
+
+// reset empties the buffer after a crash: the flush event dies with it and
+// every held message reference is released.
+func (p *pending) reset() {
+	if !p.flushH.IsZero() {
+		p.lane.Cancel(p.flushH)
+		p.flushH = eventq.Handle{}
+		p.flushAt = 0
+	}
+	for i := range p.buf {
+		p.buf[i].entry.Msg.Release()
+	}
+	clear(p.buf)
+	p.buf = p.buf[:0]
+}
+
+// held passes note every message the buffer references.
+func (p *pending) held(note func(*msg.Message)) {
+	for i := range p.buf {
+		note(p.buf[i].entry.Msg)
+	}
 }
 
 // ---- adaptive settle bound --------------------------------------------------
@@ -517,107 +549,126 @@ func (est *settleEstimator) bound() vtime.Duration {
 
 // ---- per-link lookahead (frontier coverage) ---------------------------------
 
-// linkLook is one in-link's lookahead state: where in the ordering-key
-// domain the link's arrival stream currently is, and when it last moved.
+// lookahead is a node's per-in-link frontier bank (Config.Lookahead): links[j]
+// is the state of the link from neighbor nbr[j] (sorted). It gives the
+// pending layer an exact release rule beside the heuristic DeferSlack gap
+// rule, which is blind to cross-wave divergences whose key gap exceeds the
+// slack. The zero value is off.
 //
-// The mechanism rests on the shape of a link's traffic. A node processes
-// entries in (speculatively) increasing key order, a child's d_i is its
-// cause's d_i plus a static per-link increment, and links are FIFO — so a
-// sender's wire sequence is a concatenation of *ascending runs* of d_i
-// predictions: each speculative stretch sends in ascending key order, and
-// each sender-side rollback starts a new run (the replay's changed outputs
-// re-enter the wire from the rollback point). Crucially, a run boundary
-// announces itself: the anti-messages unsending the old run's cancelled
-// outputs travel the same FIFO link ahead of the new run's sends.
+// The rule rests on the shape of a link's traffic. A node processes entries
+// in (speculatively) increasing key order, a child's d_i is its cause's d_i
+// plus a static per-link increment, and links are FIFO — so a sender's wire
+// sequence is a concatenation of *ascending runs* of d_i predictions: each
+// speculative stretch sends in ascending key order, and each sender-side
+// rollback starts a new run (the replay's changed outputs re-enter the wire
+// from the rollback point). Crucially, a run boundary announces itself: the
+// anti-messages unsending the old run's cancelled outputs travel the same
+// FIFO link ahead of the new run's sends.
 //
-// promise is therefore the d_i prediction of the link's *latest* app
-// arrival — the link's position in its current ascending run. Barring a
-// run boundary, every future arrival on the link predicts at or past it,
-// so an arrival whose prediction every in-link's promise has passed has no
+// A link's promise is therefore the d_i prediction of its *latest* app
+// arrival — its position in the current ascending run. Barring a run
+// boundary, every future arrival on the link predicts at or past it, so an
+// arrival whose prediction every in-link's promise has passed has no
 // earlier-keyed message still in flight toward this node and is safe to
 // deliver with no hold at all. An anti arrival resets the promise to zero:
 // the link is about to deliver a new run starting somewhere below, and the
 // run's own head re-establishes the promise the moment it lands.
 //
-// seenAt is the link's last activity (app or anti arrival); hop is the
-// static in-flight estimate (link delay + per-hop processing). A link
-// quiet for hop plus the deferral slack has nothing relevant in flight —
-// this idle rule is what keeps a stale promise from holding arrivals
-// behind links that simply have no traffic (between flood waves, after a
-// failure, or before a node ever transmits), and it is the only clock in
-// the mechanism: every other release is event-driven, which is what makes
-// the holds self-limiting instead of feeding back into the arrival lag
-// they are trying to absorb.
+// Releases are event-driven — the covering arrival's own delivery flushes
+// the pending buffer — with one clock as backstop: a link quiet for its hop
+// estimate plus twice the slack has nothing relevant in flight. That idle
+// rule keeps a stale promise from holding arrivals behind links that simply
+// have no traffic (between flood waves, after a failure, before a node ever
+// transmits). The clock discipline is deliberate: virtual-time holds delay
+// the application's own downstream sends, so clock-based releases feed the
+// very arrival lag they try to absorb, while event-driven releases are
+// self-limiting. On the link-flap workload the exact holds cut rollbacks per
+// committed delivery from ~0.46 to under 0.1 (TestLookaheadRollbackRate) at
+// bit-identical committed orders (TestLookaheadGolden).
 //
-// The state is shim-local and fed only from the shim's own delivery
-// stream, whose (at, seq) labels are identical in sequential and sharded
-// runs — so it is deterministic and mode-invariant by construction, and
-// safe to read and update inside a parallel window.
+// Guarantee: the bank is pure — every method takes now — and fed only from
+// the node's own delivery stream, whose (at, seq) labels are identical in
+// sequential and sharded runs, so its releases are mode-invariant and it is
+// safe to feed inside a parallel window.
+type lookahead struct {
+	links []linkLook
+	nbr   []msg.NodeID
+	slack vtime.Duration // Config.DeferSlack
+	iv    vtime.Duration // Config.BeaconInterval
+}
+
+// linkLook is one in-link's state: where in the ordering-key domain the
+// link's arrival stream is, and when it last moved.
 type linkLook struct {
 	promise vtime.Time     // d_i prediction of the latest app arrival
 	seenAt  vtime.Time     // last activity on the link (app or anti)
 	hop     vtime.Duration // static link delay + per-hop processing
 }
 
-// observeLink feeds one delivered message into its in-link's lookahead
-// state: the promise moves to the message's own d_i prediction (its
-// position in the link's current ascending run). Senders that are not
-// graph neighbors (impossible for app traffic, but cheap to guard) are
-// ignored.
-func (sh *shim) observeLink(from msg.NodeID, now, pred vtime.Time) {
-	j, ok := slices.BinarySearch(sh.lookNbr, from)
-	if !ok {
-		return
+// newLookahead builds node n's bank, one frontier per in-link. A link's hop
+// is its static in-flight estimate — the link delay plus proc, the same
+// per-hop processing the d_i annotation accumulates — and it sizes the idle
+// rule.
+func newLookahead(g *topology.Graph, n int, proc, slack, iv vtime.Duration) lookahead {
+	nbs := g.Neighbors(n)
+	l := lookahead{nbr: make([]msg.NodeID, len(nbs)), links: make([]linkLook, len(nbs)), slack: slack, iv: iv}
+	for j, nb := range nbs {
+		l.nbr[j] = msg.NodeID(nb)
+		ln, _ := g.LinkBetween(n, nb)
+		l.links[j].hop = ln.Delay + proc
 	}
-	sh.look[j].promise = pred
-	sh.look[j].seenAt = now
+	return l
 }
 
-// observeAnti marks a run boundary on an in-link: the sender rolled back,
-// and (FIFO) its replacement sends follow this anti. The promise resets so
-// coverage stops trusting the old run; the new run's head re-establishes
-// it. seenAt still advances — an anti is link activity, and the sends it
-// announces are at most a hop behind, so the idle rule keeps waiting for
-// them.
-func (sh *shim) observeAnti(from msg.NodeID, now vtime.Time) {
-	j, ok := slices.BinarySearch(sh.lookNbr, from)
-	if !ok {
-		return
+// on reports whether the bank is in use (Lookahead with deferral).
+func (l *lookahead) on() bool { return l.links != nil }
+
+// observe feeds one arrival into its in-link's state: the promise moves to
+// pred, an app message's own d_i prediction, or to zero for an anti — a run
+// boundary, after which coverage stops trusting the old run. seenAt
+// advances either way: an anti is link activity, and the sends it announces
+// are at most a hop behind, so the idle rule keeps waiting for them.
+// Senders that are not graph neighbors (impossible for app traffic, but
+// cheap to guard) are ignored.
+func (l *lookahead) observe(from msg.NodeID, now, pred vtime.Time) {
+	if j, ok := slices.BinarySearch(l.nbr, from); ok {
+		l.links[j].promise = pred
+		l.links[j].seenAt = now
 	}
-	sh.look[j].promise = 0
-	sh.look[j].seenAt = now
 }
 
-// lookRelease returns the per-link release of an arrival: zero (or a time
-// at or before now) when every in-link is past the arrival's d_i
-// prediction — covered by promise, or idle, or never active — and
-// otherwise the latest idle horizon among the links still behind it. A
-// future release means some in-link may still carry an earlier-keyed
-// message toward this node; the hold it induces ends early the moment a
-// covering arrival lands (the event-driven flush attempt in onEntry), and
-// at the returned time the lagging links have all gone conclusively quiet.
+// release returns the per-link release of an arrival keyed k: zero (or a
+// time at or before now) when every in-link is past the arrival's d_i
+// prediction — covered by promise, or idle, or never active — and otherwise
+// the latest idle horizon among the links still behind it.
 //
-// The promise is speculative — a sender rollback starts a new run below it
-// — so a release can be wrong in both directions: anti-announced run
+// The promise is speculative — a sender rollback starts a new run below it —
+// so a release can be wrong in both directions: anti-announced run
 // boundaries re-open coverage only after the anti lands, and an upstream
 // whose replay is still in flight can slip under a promise that looked
 // covering. Those residues cost speculation only: by Theorem 1 no release
 // decision, right or wrong, can move the committed order.
-func (sh *shim) lookRelease(k ordering.Key, now vtime.Time) vtime.Time {
+func (l *lookahead) release(k ordering.Key, now vtime.Time) vtime.Time {
 	if k.Class != ordering.ClassMessage {
 		return 0 // timer batches and externals are local events: never held
 	}
-	pk := vtime.GroupStart(k.Group, sh.e.cfg.BeaconInterval).Add(k.Delay)
-	slack := sh.e.cfg.DeferSlack
+	pk := vtime.GroupStart(k.Group, l.iv).Add(k.Delay)
 	var rel vtime.Time
-	for j := range sh.look {
-		ll := &sh.look[j]
+	for j := range l.links {
+		ll := &l.links[j]
 		if ll.promise >= pk || ll.seenAt == 0 {
 			continue // covered, or never active: nothing relevant in flight
 		}
-		if idleAt := ll.seenAt.Add(ll.hop + 2*slack); idleAt.After(now) && idleAt > rel {
+		if idleAt := ll.seenAt.Add(ll.hop + 2*l.slack); idleAt.After(now) && idleAt > rel {
 			rel = idleAt
 		}
 	}
 	return rel
+}
+
+// reset forgets every promise: after a crash they describe a dead world.
+func (l *lookahead) reset() {
+	for i := range l.links {
+		l.links[i] = linkLook{hop: l.links[i].hop}
+	}
 }

@@ -56,8 +56,8 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	if got := sh.win.Len(); got != 1 {
 		t.Fatalf("near entry delivered eagerly: window len %d", got)
 	}
-	if len(sh.pend) != 1 {
-		t.Fatalf("pending len = %d, want 1", len(sh.pend))
+	if len(sh.pend.buf) != 1 {
+		t.Fatalf("pending len = %d, want 1", len(sh.pend.buf))
 	}
 	if st := e.Stats(); st.Deferred != 1 {
 		t.Fatalf("Deferred = %d, want 1", st.Deferred)
@@ -67,21 +67,21 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	// (its own gap to the tail is 0.5 ms, so it defers as the new front).
 	mid := mkMsg(10*vtime.Millisecond+500*vtime.Microsecond, 3, 102)
 	sh.onEntry(entryOf(mid, e.sim.Now()))
-	if len(sh.pend) != 2 {
-		t.Fatalf("pending len = %d, want 2", len(sh.pend))
+	if len(sh.pend.buf) != 2 {
+		t.Fatalf("pending len = %d, want 2", len(sh.pend.buf))
 	}
-	if sh.pend[0].entry.Msg.ID != mid.ID {
+	if sh.pend.buf[0].entry.Msg.ID != mid.ID {
 		t.Fatal("mid-gap straggler must front the pending buffer")
 	}
-	if sh.pend[0].due > sh.pend[1].due {
+	if sh.pend.buf[0].due > sh.pend.buf[1].due {
 		t.Fatal("pending dues must be non-decreasing in key order")
 	}
 
 	// Run the simulator until the flush event fires: both flush in key
 	// order, no rollback anywhere.
 	e.sim.Run(e.sim.Now().Add(20 * vtime.Millisecond))
-	if len(sh.pend) != 0 {
-		t.Fatalf("pending not flushed: %d", len(sh.pend))
+	if len(sh.pend.buf) != 0 {
+		t.Fatalf("pending not flushed: %d", len(sh.pend.buf))
 	}
 	if got := sh.win.Len(); got != 3 {
 		t.Fatalf("window len = %d, want 3", got)
@@ -129,15 +129,15 @@ func TestAntiAnnihilatesPendingArrival(t *testing.T) {
 	sh.onEntry(entryOf(mkMsg(10*vtime.Millisecond, 1, 100), e.sim.Now()))
 	target := mkMsg(11*vtime.Millisecond, 2, 101)
 	sh.onEntry(entryOf(target, e.sim.Now()))
-	if len(sh.pend) != 1 {
-		t.Fatalf("target not pending: %d", len(sh.pend))
+	if len(sh.pend.buf) != 1 {
+		t.Fatalf("target not pending: %d", len(sh.pend.buf))
 	}
 
 	anti := &msg.Message{Kind: msg.KindAnti, Payload: antiPayload{Target: target.ID}}
 	sh.onAnti(anti)
 	st := e.Stats()
-	if st.PendingAnnihilated != 1 || len(sh.pend) != 0 {
-		t.Fatalf("annihilation failed: %+v pend=%d", st, len(sh.pend))
+	if st.PendingAnnihilated != 1 || len(sh.pend.buf) != 0 {
+		t.Fatalf("annihilation failed: %+v pend=%d", st, len(sh.pend.buf))
 	}
 	if st.Rollbacks != 0 || st.LateAnti != 0 {
 		t.Fatalf("annihilation must be rollback-free: %+v", st)
@@ -273,7 +273,7 @@ func TestAdaptiveSettleBoundsScaleWithBeacon(t *testing.T) {
 	if e.est.ceil < e.est.floor {
 		t.Fatalf("ceiling %v below floor %v", e.est.ceil, e.est.floor)
 	}
-	if got := e.settleBound(); got < e.est.floor {
+	if got := e.settleBoundFor(e.shims[0]); got < e.est.floor {
 		t.Fatalf("bound %v below floor %v", got, e.est.floor)
 	}
 }
@@ -392,64 +392,61 @@ func TestAdaptiveSettleShrinksQuietWindows(t *testing.T) {
 }
 
 // TestLookaheadPromiseAntiResetAndIdle drives the per-link lookahead state
-// machine whitebox: a never-active link is covered, an app arrival moves
-// the promise to its own d_i prediction (covering everything at or below
-// it), an anti resets the promise and re-opens coverage anchored at its
-// own arrival (the run-boundary announcement), and the idle rule expires
-// the hold once the link has been quiet for hop plus twice the slack.
+// machine whitebox, on node 1's bank alone: a never-active link is covered,
+// an app arrival moves the promise to its own d_i prediction (covering
+// everything at or below it), an anti resets the promise and re-opens
+// coverage anchored at its own arrival (the run-boundary announcement), and
+// the idle rule expires the hold once the link has been quiet for hop plus
+// twice the slack.
 func TestLookaheadPromiseAntiResetAndIdle(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(2, 10*ms)
-	e := New(g, floodApps(2), Config{Seed: 1, Lookahead: true})
-	if !e.lookOn {
-		t.Fatal("Lookahead config did not enable the per-link state")
-	}
-	sh := e.shims[1]
-	hop := sh.look[0].hop
-	if want := 10*ms + e.procEstimate(); hop != want {
+	const proc, slack, iv = 2 * vtime.Millisecond, defaultDeferSlack, vtime.BeaconInterval
+	look := newLookahead(g, 1, proc, slack, iv)
+	hop := look.links[0].hop
+	if want := 10*ms + proc; hop != want {
 		t.Fatalf("hop = %v, want link delay + processing = %v", hop, want)
 	}
-	slack := e.cfg.DeferSlack
 	pred := func(d vtime.Duration) vtime.Time {
-		return vtime.GroupStart(0, e.cfg.BeaconInterval).Add(d)
+		return vtime.GroupStart(0, iv).Add(d)
 	}
 	key := func(d vtime.Duration) ordering.Key {
 		return ordering.KeyOf(mkMsg(d, 1, 0))
 	}
 
 	// Quiet topology: nothing has ever been in flight, nothing is held.
-	if rel := sh.lookRelease(key(10*ms), 0); rel != 0 {
+	if rel := look.release(key(10*ms), 0); rel != 0 {
 		t.Fatalf("never-active link induced a hold: release %v", rel)
 	}
 
 	// An arrival predicts 20 ms: keys at or below are covered, keys above
 	// are held to the link's idle horizon.
 	at := vtime.Time(1 * ms)
-	sh.observeLink(0, at, pred(20*ms))
-	if rel := sh.lookRelease(key(20*ms), at); rel != 0 {
+	look.observe(0, at, pred(20*ms))
+	if rel := look.release(key(20*ms), at); rel != 0 {
 		t.Fatalf("promise-covered key held: release %v", rel)
 	}
 	idle := at.Add(hop + 2*slack)
-	if rel := sh.lookRelease(key(30*ms), at); rel != idle {
+	if rel := look.release(key(30*ms), at); rel != idle {
 		t.Fatalf("uncovered key release = %v, want idle horizon %v", rel, idle)
 	}
 
 	// An anti is a run boundary: the promise resets, previously covered
 	// keys re-open, and the horizon re-anchors at the anti's arrival.
 	antiAt := vtime.Time(2 * ms)
-	sh.observeAnti(0, antiAt)
+	look.observe(0, antiAt, 0)
 	idle = antiAt.Add(hop + 2*slack)
-	if rel := sh.lookRelease(key(10*ms), antiAt); rel != idle {
+	if rel := look.release(key(10*ms), antiAt); rel != idle {
 		t.Fatalf("post-anti release = %v, want re-anchored horizon %v", rel, idle)
 	}
 
 	// Once the link has been quiet past the horizon the hold expires.
-	if rel := sh.lookRelease(key(10*ms), idle); rel != 0 {
+	if rel := look.release(key(10*ms), idle); rel != 0 {
 		t.Fatalf("idle link still holding: release %v", rel)
 	}
 
 	// Timer batches are local events and never wait on links.
-	if rel := sh.lookRelease(ordering.TimerKey(0, 1), antiAt); rel != 0 {
+	if rel := look.release(ordering.TimerKey(0, 1), antiAt); rel != 0 {
 		t.Fatalf("timer key held: release %v", rel)
 	}
 }
@@ -468,6 +465,9 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(3, 10*ms)
 	e := New(g, floodApps(3), Config{Seed: 1, Lookahead: true})
+	if !e.lookOn {
+		t.Fatal("Lookahead config did not enable the per-link state")
+	}
 	sh := e.shims[1]
 	pred := func(d vtime.Duration) vtime.Time {
 		return vtime.GroupStart(0, e.cfg.BeaconInterval).Add(d)
@@ -480,17 +480,17 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	}
 	// Stage the 2→1 link as active with a 20 ms promise (as if an arrival
 	// predicting 20 ms had just landed on it).
-	sh.observeLink(2, vtime.Time(1*ms), pred(20*ms))
+	sh.look.observe(2, vtime.Time(1*ms), pred(20*ms))
 
 	// Gap 40 ms >= DeferSlack: no heuristic hold, but the 2→1 promise
 	// (20 ms) trails this key's prediction (50 ms) — the arrival parks as
 	// a lookahead hold instead of delivering into a possible rollback.
 	far := mkMsgFrom(0, 50*ms, 2, 101)
 	sh.onEntry(entryOf(far, vtime.Time(1*ms)))
-	if sh.win.Len() != 1 || len(sh.pend) != 1 {
-		t.Fatalf("far entry not held: window %d pending %d", sh.win.Len(), len(sh.pend))
+	if sh.win.Len() != 1 || len(sh.pend.buf) != 1 {
+		t.Fatalf("far entry not held: window %d pending %d", sh.win.Len(), len(sh.pend.buf))
 	}
-	if !sh.pend[0].laHeld {
+	if !sh.pend.buf[0].laHeld {
 		t.Fatal("hold not marked as a lookahead hold")
 	}
 	if st := e.Stats(); st.LookaheadHolds != 1 || st.Deferred != 1 {
@@ -502,19 +502,19 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	// promise, 50 ms, trails the cover's 60 ms prediction).
 	cover := mkMsgFrom(2, 60*ms, 3, 102)
 	sh.onEntry(entryOf(cover, vtime.Time(2*ms)))
-	if sh.win.Len() != 2 || len(sh.pend) != 1 {
+	if sh.win.Len() != 2 || len(sh.pend.buf) != 1 {
 		t.Fatalf("covering arrival did not release the hold: window %d pending %d",
-			sh.win.Len(), len(sh.pend))
+			sh.win.Len(), len(sh.pend.buf))
 	}
-	if sh.pend[0].entry.Msg.ID != cover.ID {
+	if sh.pend.buf[0].entry.Msg.ID != cover.ID {
 		t.Fatal("cover must now front the pending buffer")
 	}
 
 	// No covering traffic for the cover's own hold: the 0→1 link goes
 	// quiet and the idle rule releases it at the scheduled flush.
 	e.sim.Run(vtime.Time(100 * ms))
-	if len(sh.pend) != 0 {
-		t.Fatalf("idle release did not flush: pending %d", len(sh.pend))
+	if len(sh.pend.buf) != 0 {
+		t.Fatalf("idle release did not flush: pending %d", len(sh.pend.buf))
 	}
 	if sh.win.Len() != 3 {
 		t.Fatalf("window len = %d, want 3", sh.win.Len())

@@ -11,71 +11,28 @@ package rollback
 // same quarantine from inside a parallel window.
 
 import (
-	"defined/internal/eventq"
 	"defined/internal/msg"
 	"defined/internal/routing/api"
 )
 
 // quarantine severs the shim from the run, modeling a crash's state loss:
-// the history window, checkpoints, deferred arrivals and send tracking
-// are torn down and every message reference they held is released.
-// In-flight traffic is untouched — packets this node already transmitted
-// left before the crash and still deliver; packets toward it are dropped
-// by whoever owns that decision (netsim's doomed path for a real crash,
-// this shim's own entry guards for a panic quarantine). Deliberately
-// kept: the drop log (recorded losses happened), the settled log and
-// last-settled key (the committed prefix is history, not node state), and
-// the external-sequence counters (key uniqueness must span incarnations).
-// No anti-messages are sent — a crash is not a rollback; what was on the
-// wire stays sent. Every mutation below is shim- or lane-local, so
-// quarantining is legal inside a parallel window (panic recovery) as well
-// as from the driver (CrashNode).
+// each layer resets in the fixed order, releasing every message reference
+// it held. In-flight traffic is untouched — packets this node already
+// transmitted left before the crash and still deliver; packets toward it
+// are dropped by whoever owns that decision (netsim's doomed path for a
+// real crash, this shim's own entry guards for a panic quarantine).
+// Deliberately kept: the drop log (recorded losses happened), the settle
+// layer (the committed prefix is history, not node state), and the
+// external-sequence and sender counters (key uniqueness must span
+// incarnations). Every mutation is shim- or lane-local, so quarantining is
+// legal inside a parallel window (panic recovery) as well as from the
+// driver (CrashNode).
 func (sh *shim) quarantine() {
 	sh.crashed = true
-	// The pending flush event dies with the deferral buffer.
-	if !sh.flushH.IsZero() {
-		sh.lane.Cancel(sh.flushH)
-		sh.flushH = eventq.Handle{}
-		sh.flushAt = 0
-	}
-	for i := range sh.pend {
-		if m := sh.pend[i].entry.Msg; m != nil {
-			m.Release()
-		}
-	}
-	clearPending(sh.pend)
-	sh.pend = sh.pend[:0]
-	// Unsent messages die in the crash (silent cancel); wired ones were
-	// really transmitted and stand. freeRec releases each record's
-	// message reference.
-	for _, rec := range sh.sent {
-		if !rec.ev.IsZero() {
-			sh.lane.Cancel(rec.ev)
-		}
-		sh.freeRec(rec)
-	}
-	sh.sent = sh.sent[:0]
-	for _, rec := range sh.replayPool {
-		if !rec.ev.IsZero() {
-			sh.lane.Cancel(rec.ev)
-		}
-		sh.freeRec(rec)
-	}
-	sh.replayPool = sh.replayPool[:0]
-	// The speculative suffix is lost state: window entries release their
-	// messages and the checkpoint stack empties with them.
-	sh.win.Retire(sh.win.Len())
-	sh.ckpts.TruncateFrom(0)
-	// With no checkpoints left nothing can rewind: the undo journals
-	// compact to their heads.
-	if sh.japp != nil {
-		sh.japp.JournalCompact(sh.japp.JournalMark())
-		sh.sender.JournalCompact(sh.sender.JournalMark())
-	}
-	// Per-link lookahead promises describe a pre-crash world.
-	for i := range sh.look {
-		sh.look[i] = linkLook{hop: sh.look[i].hop}
-	}
+	sh.look.reset()
+	sh.pend.reset()
+	sh.win.reset()
+	sh.ledger.reset()
 }
 
 // CrashNode applies a crash fault to node n: the shim is quarantined and
@@ -126,10 +83,7 @@ func (e *Engine) RestartNode(n msg.NodeID) {
 		neighbors = append(neighbors, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
 	}
 	sh.app.Init(n, neighbors)
-	if sh.japp != nil {
-		sh.japp.JournalCompact(sh.japp.JournalMark())
-		sh.sender.JournalCompact(sh.sender.JournalMark())
-	}
+	sh.win.compactJournals()
 	// Neighbor re-sync, in sorted neighbor order for determinism: first
 	// the restarted node learns its dead adjacent links, then live
 	// neighbors learn about the restart. Both are ordinary externals —
@@ -155,9 +109,7 @@ func (e *Engine) Crashed(n msg.NodeID) bool { return e.shims[n].crashed }
 func (e *Engine) WindowHighWater() int {
 	hw := 0
 	for _, sh := range e.shims {
-		if sh.winHW > hw {
-			hw = sh.winHW
-		}
+		hw = max(hw, sh.win.hw)
 	}
 	return hw
 }
@@ -169,27 +121,15 @@ func (e *Engine) WindowHighWater() int {
 // means a reference leaked (e.g. a crash path that forgot a Release).
 func (e *Engine) HeldMessages() int {
 	seen := map[msg.ID]struct{}{}
+	note := func(m *msg.Message) {
+		if m != nil {
+			seen[m.ID] = struct{}{}
+		}
+	}
 	for _, sh := range e.shims {
-		for i := 0; i < sh.win.Len(); i++ {
-			if m := sh.win.At(i).Msg; m != nil {
-				seen[m.ID] = struct{}{}
-			}
-		}
-		for i := range sh.pend {
-			if m := sh.pend[i].entry.Msg; m != nil {
-				seen[m.ID] = struct{}{}
-			}
-		}
-		for _, rec := range sh.sent {
-			if rec.m != nil {
-				seen[rec.m.ID] = struct{}{}
-			}
-		}
-		for _, rec := range sh.replayPool {
-			if rec.m != nil {
-				seen[rec.m.ID] = struct{}{}
-			}
-		}
+		sh.pend.held(note)
+		sh.win.held(note)
+		sh.ledger.held(note)
 	}
 	return len(seen)
 }

@@ -1,0 +1,208 @@
+package rollback
+
+import (
+	"slices"
+	"testing"
+
+	"defined/internal/annotate"
+	"defined/internal/history"
+	"defined/internal/msg"
+	"defined/internal/netsim"
+	"defined/internal/ordering"
+	"defined/internal/record"
+	"defined/internal/topology"
+	"defined/internal/vtime"
+)
+
+// Unit tests for the shim's layers, each built alone — no Engine. The
+// pending buffer's and the lookahead bank's are TestPushPendingMatchesReference
+// and TestLookaheadPromiseAntiResetAndIdle.
+
+// The window checkpoints before every delivery and undo restores both the
+// application state and the sender's counters to the checkpoint before the
+// undone position; serials keep increasing with window position.
+func TestWindowUndoRestoresCheckpoint(t *testing.T) {
+	g := topology.Line(2, 10*vtime.Millisecond)
+	app := newFloodApp()
+	st := &Stats{}
+	w := window{Window: history.New(ordering.Optimized()), app: app,
+		sender: annotate.NewSender(1, g, 64, vtime.BaseProcessing), stats: st}
+	for i := range 3 {
+		m := mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i)
+		pos, dup := w.insert(entryOf(m, 0))
+		if dup || pos != i {
+			t.Fatalf("arrival %d: pos %d dup %v", i, pos, dup)
+		}
+		if s := w.stamp(pos); s != uint64(i+1) {
+			t.Fatalf("arrival %d: serial %d", i, s)
+		}
+		app.HandleMessage(m)
+		w.sender.Prepare(msg.Out{To: 0, Payload: i}, m.Ann, false, 0, 0)
+	}
+	if _, dup := w.insert(entryOf(mkMsg(20*vtime.Millisecond, 2, 1), 0)); !dup || st.Duplicates != 1 {
+		t.Fatalf("duplicate arrival: dup %v, Duplicates %d", dup, st.Duplicates)
+	}
+	if first := w.undo(1); first != 2 {
+		t.Fatalf("first undone serial = %d, want 2", first)
+	}
+	if got := app.st.log; !slices.Equal(got, []string{"v0"}) {
+		t.Fatalf("state after undo = %v, want the state before entry 1", got)
+	}
+	if got := w.sender.SeqTo(0); got != 1 {
+		t.Fatalf("link sequence after undo = %d, want 1", got)
+	}
+	if st.RolledBack != 2 || w.ckpts.Len() != 1 || w.hw != 3 {
+		t.Fatalf("RolledBack %d, %d checkpoints, high water %d", st.RolledBack, w.ckpts.Len(), w.hw)
+	}
+	if s := w.stamp(1); s != 4 {
+		t.Fatalf("re-delivery serial = %d, want 4", s)
+	}
+	w.reset()
+	if w.Len() != 0 || w.ckpts.Len() != 0 {
+		t.Fatalf("reset left %d entries, %d checkpoints", w.Len(), w.ckpts.Len())
+	}
+}
+
+// A replay that regenerates an output re-adopts the original transmission,
+// one that drops an output chases it with an anti-message, and a send still
+// queued when its cause is undone is cancelled silently.
+func TestLedgerAdoptsAndRetracts(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.Line(2, 10*ms)
+	sim := netsim.New(g, netsim.Config{Seed: 1})
+	var wire []msg.Kind
+	sim.Attach(1, func(m *msg.Message) { wire = append(wire, m.Kind) })
+	st := &Stats{}
+	sender := annotate.NewSender(0, g, 64, vtime.BaseProcessing)
+	l := ledger{id: 0, lane: sim.LaneFor(0), sender: sender, stats: st, dropLog: map[msg.ID]record.LossEvent{}}
+	send := func(cause uint64, replayed bool, payloads ...int) {
+		var outs []msg.Out
+		for _, p := range payloads {
+			outs = append(outs, msg.Out{To: 1, Payload: p})
+		}
+		l.send(outs, msg.Annotation{}, true, 0, 0, ms, cause, replayed)
+	}
+	before := sender.SnapshotCounters()
+	send(1, false, 1, 2)
+	sim.Run(vtime.Time(50 * ms))
+	sender.RestoreCounters(before) // as the window's restore would
+	l.undo(1)
+	if len(l.replayPool) != 2 || len(l.sent) != 0 {
+		t.Fatalf("undo pooled %d records, left %d", len(l.replayPool), len(l.sent))
+	}
+	send(2, true, 1)
+	l.retract()
+	send(3, false, 3)
+	l.undo(3)
+	l.retract()
+	sim.Run(vtime.Time(100 * ms))
+	if want := []msg.Kind{msg.KindApp, msg.KindApp, msg.KindAnti}; !slices.Equal(wire, want) {
+		t.Fatalf("wire carried %v, want %v", wire, want)
+	}
+	if st.LazyReuses != 1 || st.AntiMessages != 1 || st.SpuriousRollbacks != 0 {
+		t.Fatalf("counters: %+v", *st)
+	}
+	if len(l.sent) != 1 || l.sent[0].causeSerial != 2 {
+		t.Fatalf("live records %d, want the re-adopted one", len(l.sent))
+	}
+	l.prune(sim.Now())
+	if len(l.sent) != 0 || len(l.recFree) != 2 { // the anti-chased record was reused for the cancelled send
+		t.Fatalf("prune kept %d records, freed %d", len(l.sent), len(l.recFree))
+	}
+}
+
+// A settle pass runs at most once per beacon interval, retires the prefix
+// that arrived before the cutoff exactly once, and counts an arrival keyed
+// before the last retired entry as a violation.
+func TestSettleRetiresPrefixOnce(t *testing.T) {
+	ms := vtime.Millisecond
+	cmp := ordering.Optimized()
+	st := &Stats{}
+	s := settle{cmp: cmp, iv: vtime.BeaconInterval, logging: true, stats: st}
+	w := history.New(cmp)
+	for i := range 3 {
+		w.Insert(*entryOf(mkMsg(vtime.Duration(10*(i+1))*ms, uint64(i+1), i), vtime.Time(vtime.Duration(i+1)*ms)))
+	}
+	if !s.due(vtime.Time(vtime.BeaconInterval)) || s.due(vtime.Time(vtime.BeaconInterval+ms)) {
+		t.Fatal("settle pass not limited to one per beacon interval")
+	}
+	keys := w.Keys()
+	if n := s.retire(w, vtime.Time(2500*vtime.Microsecond)); n != 2 || !slices.Equal(s.log, keys[:2]) {
+		t.Fatalf("retired %d, logged %v", n, s.log)
+	}
+	w.Retire(2)
+	if n := s.retire(w, vtime.Time(2500*vtime.Microsecond)); n != 0 || len(s.log) != 2 {
+		t.Fatalf("second pass retired %d, log %d", n, len(s.log))
+	}
+	for _, d := range []vtime.Duration{15 * ms, 25 * ms} {
+		k := ordering.KeyOf(mkMsg(d, 9, 0))
+		s.check(k, cmp.Rank(k))
+	}
+	if st.SettleViolations != 1 {
+		t.Fatalf("SettleViolations = %d, want 1 (the arrival keyed before the retired 20 ms entry)", st.SettleViolations)
+	}
+}
+
+// External events are numbered from 0 within each of a node's groups, and
+// the numbering continues across a crash and restart in the same group.
+func TestExternalSeqPerGroupAcrossCrash(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.Line(2, 5*ms)
+	e := New(g, floodApps(2), Config{Seed: 1, Record: true})
+	iv := vtime.Time(e.cfg.BeaconInterval)
+	for _, at := range []vtime.Time{iv / 4, iv / 2, iv.Add(10 * ms), iv.Add(40 * ms)} {
+		e.sim.ScheduleFn(at, func() { e.InjectExternal(0, injectEvent{Value: int(at)}) })
+	}
+	e.sim.ScheduleFn(iv.Add(20*ms), func() { e.CrashNode(0) })
+	e.sim.ScheduleFn(iv.Add(30*ms), func() { e.RestartNode(0) })
+	e.Run(2 * iv)
+	if !e.RunQuiescent(100_000) {
+		t.Fatal("did not quiesce")
+	}
+	var got [][2]uint64
+	for _, ev := range e.Recording().Events {
+		if ev.Node == 0 && ev.Kind == (injectEvent{}).ExternalKind() {
+			got = append(got, [2]uint64{ev.Group, ev.Seq})
+		}
+	}
+	if want := [][2]uint64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}; !slices.Equal(got, want) {
+		t.Fatalf("(group, seq) of node 0's externals = %v, want %v", got, want)
+	}
+}
+
+// fuseApp is floodApp with a handler that panics on one payload.
+type fuseApp struct {
+	floodApp
+	bad int
+}
+
+func (a *fuseApp) HandleMessage(m *msg.Message) []msg.Out {
+	if m.Payload.(int) == a.bad {
+		panic("injected handler bug")
+	}
+	return a.floodApp.HandleMessage(m)
+}
+
+// A handler panic on the first entry of a multi-entry flush quarantines the
+// node and ends the flush: the rest of the batch died with the buffer.
+func TestPanicInsideFlushQuarantines(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.Line(2, 10*ms)
+	as := floodApps(2)
+	as[1] = &fuseApp{floodApp: *newFloodApp(), bad: 101}
+	e := New(g, as, Config{Seed: 1})
+	sh := e.shims[1]
+	for i, d := range []vtime.Duration{10 * ms, 11 * ms, 12 * ms} {
+		sh.onEntry(entryOf(mkMsg(d, uint64(i+1), 100+i), e.sim.Now()))
+	}
+	if sh.win.Len() != 1 || len(sh.pend.buf) != 2 {
+		t.Fatalf("window %d, pending %d: want one delivered, two held", sh.win.Len(), len(sh.pend.buf))
+	}
+	e.sim.Run(e.sim.Now().Add(20 * ms))
+	if st := e.Stats(); st.PanicCrashes != 1 || !e.Crashed(1) {
+		t.Fatalf("panic not quarantined: %+v", st)
+	}
+	if sh.win.Len() != 0 || len(sh.pend.buf) != 0 || e.HeldMessages() != 0 {
+		t.Fatalf("quarantine left window %d, pending %d, %d held", sh.win.Len(), len(sh.pend.buf), e.HeldMessages())
+	}
+}

@@ -1,0 +1,315 @@
+package rollback
+
+import (
+	"reflect"
+
+	"defined/internal/annotate"
+	"defined/internal/eventq"
+	"defined/internal/msg"
+	"defined/internal/netsim"
+	"defined/internal/ordering"
+	"defined/internal/record"
+	"defined/internal/vtime"
+)
+
+// ledger is a node's send ledger: every transmitted message that may still
+// have to be unsent, and the losses recorded against them (dropLog, replayed
+// as loss events, paper footnote 4).
+//
+// Cancellation is lazy (Time Warp's lazy-cancellation optimization, fair
+// game under the paper's Jefferson-based design): a rollback pools the
+// undone deliveries' records (undo), each replayed output that regenerates
+// an identical message simply re-adopts the original — no anti-message, no
+// retransmission, no repair-delay shift — and only outputs that genuinely
+// changed or disappeared are unsent (retract). Without this, repair delays
+// shift downstream arrival times away from their d_i estimates and
+// rollbacks avalanche through heavy flood waves.
+type ledger struct {
+	sent        []*sentRec // live (unsettled, un-annulled) sends, sorted by causeSerial
+	recFree     []*sentRec // records whose send fired or was cancelled
+	recSlab     []sentRec  // where fresh records are cut from
+	replayPool  []*sentRec // the undone deliveries' records during a replay
+	replayFresh int        // outputs the current replay materialized, not re-adopted
+	dropLog     map[msg.ID]record.LossEvent
+
+	id     msg.NodeID
+	lane   *netsim.Lane
+	sender *annotate.Sender
+	stats  *Stats
+}
+
+// sentRec tracks one transmitted message for potential unsending. Records
+// are pooled per ledger and implement eventq.Caller, so scheduling a send
+// allocates nothing — the record itself is the event payload.
+type sentRec struct {
+	l           *ledger
+	causeSerial uint64
+	m           *msg.Message
+	ev          eventq.Handle // pending send; zero once on the wire
+	dropped     bool          // lost in flight (the drop log has it)
+	sentAt      vtime.Time
+}
+
+// Fire performs the physical transmission when the send delay elapses
+// (eventq.Caller). A send-time drop (link or peer down when the packet
+// would leave) is a nondeterministic loss exactly like an in-flight drop —
+// whether the packet escapes before a failure depends on physical timing —
+// so it is recorded as a loss event for replay (paper footnote 4).
+func (rec *sentRec) Fire() {
+	l := rec.l
+	ok := l.lane.Send(rec.m)
+	rec.ev = eventq.Handle{}
+	rec.sentAt = l.lane.Now()
+	if !ok {
+		rec.dropped = true
+		l.dropLog[rec.m.ID] = record.LossEvent{Key: ordering.KeyOf(rec.m), To: rec.m.To}
+	}
+}
+
+// recSlabSize is how many sentRecs one slab allocation provides.
+const recSlabSize = 128
+
+// newRec takes a record off the free list, so steady-state tracking stops
+// allocating, falling back to the current slab: even the high-water ramp-up
+// costs one allocation per slab rather than one per record (a fresh slab is
+// cut when it runs dry; pointers into old slabs stay valid because slabs
+// are never resized in place).
+func (l *ledger) newRec() *sentRec {
+	if n := len(l.recFree); n > 0 {
+		rec := l.recFree[n-1]
+		l.recFree = l.recFree[:n-1]
+		return rec
+	}
+	if len(l.recSlab) == 0 {
+		l.recSlab = make([]sentRec, recSlabSize)
+	}
+	rec := &l.recSlab[0]
+	l.recSlab = l.recSlab[1:]
+	rec.l = l
+	return rec
+}
+
+// freeRec recycles a record whose send event has fired or been cancelled,
+// releasing the record's reference on its wire message (the receiver's
+// history window may still hold the last one).
+func (l *ledger) freeRec(rec *sentRec) {
+	rec.m.Release()
+	rec.causeSerial = 0
+	rec.m = nil
+	rec.ev = eventq.Handle{}
+	rec.dropped = false
+	rec.sentAt = 0
+	l.recFree = append(l.recFree, rec)
+}
+
+// send transmits the outputs of the delivery with serial causeSerial after
+// procDelay and records them for unsending. During a rollback replay an
+// output identical to a pooled original re-adopts it instead of
+// retransmitting; replayed says the delivery is a re-delivery, whose fresh
+// outputs make the rollback non-spurious.
+func (l *ledger) send(outs []msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset, procDelay vtime.Duration, causeSerial uint64, replayed bool) {
+	for _, out := range outs {
+		// Prepare advances the sender counters without allocating; the
+		// message struct is only materialized when no pooled original
+		// stands for the output (replays re-adopt most of theirs).
+		ann, ls := l.sender.Prepare(out, parent, fresh, group, freshOffset)
+		if rec := l.adopt(out.To, ordering.KeyOfSend(l.id, ann, ls), out.Payload); rec != nil {
+			rec.causeSerial = causeSerial
+			l.sent = append(l.sent, rec)
+			continue
+		}
+		rec := l.newRec()
+		rec.causeSerial = causeSerial
+		rec.m = l.sender.Materialize(out, ann, ls)
+		if replayed {
+			l.replayFresh++
+		}
+		l.sent = append(l.sent, rec)
+		rec.ev = l.lane.AfterCall(procDelay, rec)
+		rec.sentAt = l.lane.Now()
+	}
+}
+
+// adopt matches a regenerated output against the lazy-cancellation pool:
+// identical destination, ordering key and payload mean the original
+// transmission stands for the replayed output.
+func (l *ledger) adopt(to msg.NodeID, key ordering.Key, payload any) *sentRec {
+	for i, rec := range l.replayPool {
+		if rec.m.To != to || ordering.KeyOf(rec.m) != key {
+			continue
+		}
+		if !l.payloadEqual(rec.m.Payload, payload) {
+			continue
+		}
+		l.replayPool = append(l.replayPool[:i], l.replayPool[i+1:]...)
+		l.stats.LazyReuses++
+		return rec
+	}
+	return nil
+}
+
+// payloadEqual compares two payloads on the rollback-replay critical path:
+// typed comparison when the payload implements msg.PayloadEq (all shipped
+// daemons do), then direct == for comparable built-in payloads (strings,
+// numerics — the kinds ad-hoc test applications send). Reflection is the
+// third-party escape hatch only, and every use is counted in
+// Stats.ReflectFallbacks so silent reflection on the hot path is
+// test-visible instead of creeping back unnoticed.
+func (l *ledger) payloadEqual(a, b any) bool {
+	if pe, ok := a.(msg.PayloadEq); ok {
+		return pe.PayloadEqual(b)
+	}
+	switch av := a.(type) {
+	case nil:
+		return b == nil
+	case string:
+		bv, ok := b.(string)
+		return ok && av == bv
+	case int:
+		bv, ok := b.(int)
+		return ok && av == bv
+	case int32:
+		bv, ok := b.(int32)
+		return ok && av == bv
+	case int64:
+		bv, ok := b.(int64)
+		return ok && av == bv
+	case uint64:
+		bv, ok := b.(uint64)
+		return ok && av == bv
+	case float64:
+		bv, ok := b.(float64)
+		return ok && av == bv
+	case bool:
+		bv, ok := b.(bool)
+		return ok && av == bv
+	}
+	l.stats.ReflectFallbacks++
+	return reflect.DeepEqual(a, b)
+}
+
+// undo starts a replay: the live records caused by deliveries with serial
+// >= first (0 = nothing was undone) move to the replay pool. Records are
+// appended in delivery order and serials only grow, so sent is sorted by
+// causeSerial and those records are exactly its tail
+// (TestSentRecordsOrderedByCause); the pool keeps their order, which
+// decides adopt's first match.
+func (l *ledger) undo(first uint64) {
+	l.replayFresh = 0
+	if first == 0 {
+		l.replayPool = nil
+		return
+	}
+	i := len(l.sent)
+	for i > 0 && l.sent[i-1].causeSerial >= first {
+		i--
+	}
+	l.replayPool = append(l.replayPool[:0], l.sent[i:]...)
+	l.sent = l.sent[:i]
+}
+
+// retract ends a replay: whatever it did not regenerate is now genuinely
+// unsent. Pending sends are cancelled; wired sends get an anti-message;
+// known-dropped sends just retract their loss record. A replay that
+// re-adopted every original send and materialized nothing new changed
+// nothing observable: the rollback was spurious — pure speculation churn.
+func (l *ledger) retract() {
+	if len(l.replayPool) == 0 && l.replayFresh == 0 {
+		l.stats.SpuriousRollbacks++
+	}
+	for _, rec := range l.replayPool {
+		switch {
+		case !rec.ev.IsZero():
+			// Not yet on the wire: silently cancel. Fire zeroes rec.ev, so
+			// a non-zero handle here is always live — and even a stale one
+			// would be a safe no-op thanks to the queue's generation
+			// counters.
+			l.lane.Cancel(rec.ev)
+		case rec.dropped:
+			// Lost (at send time or in flight): retract the recorded loss
+			// event instead of sending an anti.
+			delete(l.dropLog, rec.m.ID)
+		default:
+			l.sendAnti(rec.m)
+		}
+		l.freeRec(rec)
+	}
+	l.replayPool = l.replayPool[:0]
+}
+
+// antiPayload identifies the message to roll back.
+type antiPayload struct {
+	Target msg.ID
+}
+
+// sendAnti emits the "unsend" notification chasing message orig on its
+// link. FIFO links guarantee the anti arrives after the original.
+func (l *ledger) sendAnti(orig *msg.Message) {
+	l.stats.AntiMessages++
+	l.sender.MsgSeq++
+	// Anti-messages are transient control traffic: the simulator recycles
+	// the struct through its pool right after the receiver's handler
+	// returns, so steady-state rollback traffic stops allocating wrappers.
+	// The lane pool keeps that true across shard boundaries (the receiving
+	// shard's release goes back to this shard's concurrent pool).
+	anti := l.lane.Pool().Get()
+	anti.ID = msg.ID{Sender: l.id, Seq: l.sender.MsgSeq}
+	anti.From = l.id
+	anti.To = orig.To
+	anti.Kind = msg.KindAnti
+	anti.Payload = antiPayload{Target: orig.ID}
+	l.lane.Send(anti)
+	anti.Release() // the simulator's in-flight reference carries it from here
+}
+
+// dropped records m, one of this node's sends, as lost in flight; its
+// record is marked so a later rollback retracts the loss event instead of
+// sending an anti.
+func (l *ledger) dropped(m *msg.Message) {
+	l.dropLog[m.ID] = record.LossEvent{Key: ordering.KeyOf(m), To: m.To}
+	for _, rec := range l.sent {
+		if rec.m.ID == m.ID {
+			rec.dropped = true
+			return
+		}
+	}
+}
+
+// prune frees the records whose cause has settled: a record sent before
+// cutoff was caused by an entry that arrived no later, which has retired —
+// it can never be unsent now.
+func (l *ledger) prune(cutoff vtime.Time) {
+	kept := l.sent[:0]
+	for _, rec := range l.sent {
+		if rec.ev.IsZero() && rec.sentAt.Before(cutoff) {
+			l.freeRec(rec)
+			continue
+		}
+		kept = append(kept, rec)
+	}
+	l.sent = kept
+}
+
+// reset drops every record in a crash. Unsent messages die with the node
+// (silent cancel); wired ones were really transmitted and stand — a crash
+// is not a rollback. The drop log stays: recorded losses happened.
+func (l *ledger) reset() {
+	for _, recs := range [...][]*sentRec{l.sent, l.replayPool} {
+		for _, rec := range recs {
+			if !rec.ev.IsZero() {
+				l.lane.Cancel(rec.ev)
+			}
+			l.freeRec(rec)
+		}
+	}
+	l.sent, l.replayPool = l.sent[:0], l.replayPool[:0]
+}
+
+// held passes note every message the live records reference.
+func (l *ledger) held(note func(*msg.Message)) {
+	for _, recs := range [...][]*sentRec{l.sent, l.replayPool} {
+		for _, rec := range recs {
+			note(rec.m)
+		}
+	}
+}

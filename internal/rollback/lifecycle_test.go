@@ -13,7 +13,7 @@ import (
 type oddPayload struct{ V int }
 
 func TestPayloadEqualTypedArmsAvoidReflection(t *testing.T) {
-	sh := &shim{e: &Engine{}}
+	l := &ledger{stats: &Stats{}}
 	cases := []struct {
 		a, b any
 		want bool
@@ -27,18 +27,18 @@ func TestPayloadEqualTypedArmsAvoidReflection(t *testing.T) {
 		{nil, nil, true}, {nil, "x", false},
 	}
 	for _, tc := range cases {
-		if got := sh.payloadEqual(tc.a, tc.b); got != tc.want {
+		if got := l.payloadEqual(tc.a, tc.b); got != tc.want {
 			t.Errorf("payloadEqual(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
 	}
-	if sh.stats.ReflectFallbacks != 0 {
-		t.Fatalf("typed arms fell back to reflection %d times", sh.stats.ReflectFallbacks)
+	if l.stats.ReflectFallbacks != 0 {
+		t.Fatalf("typed arms fell back to reflection %d times", l.stats.ReflectFallbacks)
 	}
-	if !sh.payloadEqual(oddPayload{1}, oddPayload{1}) || sh.payloadEqual(oddPayload{1}, oddPayload{2}) {
+	if !l.payloadEqual(oddPayload{1}, oddPayload{1}) || l.payloadEqual(oddPayload{1}, oddPayload{2}) {
 		t.Fatal("reflection fallback must still compare structurally")
 	}
-	if sh.stats.ReflectFallbacks != 2 {
-		t.Fatalf("ReflectFallbacks = %d, want 2 (one per fallback compare)", sh.stats.ReflectFallbacks)
+	if l.stats.ReflectFallbacks != 2 {
+		t.Fatalf("ReflectFallbacks = %d, want 2 (one per fallback compare)", l.stats.ReflectFallbacks)
 	}
 }
 

@@ -3,7 +3,9 @@ package rollback
 import (
 	"testing"
 
+	"defined/internal/history"
 	"defined/internal/msg"
+	"defined/internal/netsim"
 	"defined/internal/ordering"
 	"defined/internal/rng"
 	"defined/internal/topology"
@@ -65,7 +67,7 @@ func TestPushPendingMatchesReference(t *testing.T) {
 	r := rng.New(16)
 	var raised, lowered, spent, overflowed, skipped int
 	for prog := 0; prog < programs; prog++ {
-		sh := &shim{}
+		pd := &pending{}
 		var ref []pendingArrival
 		budget := vtime.Duration(1+r.Intn(40)) * vtime.Millisecond
 		now := vtime.Time(r.Intn(1000))
@@ -73,7 +75,7 @@ func TestPushPendingMatchesReference(t *testing.T) {
 		for op := 0; op < 60; op++ {
 			now = now.Add(vtime.Duration(r.Intn(int(budget) / 4)))
 			switch r.Intn(8) {
-			default: // push, as pushPending prepares it
+			default: // push, as push prepares it
 				pos := r.Intn(len(ref) + 1)
 				capAt := now.Add(budget)
 				due := now.Add(vtime.Duration(r.Intn(int(budget) + 1)))
@@ -86,7 +88,7 @@ func TestPushPendingMatchesReference(t *testing.T) {
 				seq++
 				p := pendingArrival{capAt: capAt, due: due, seq: seq}
 				ref = refInsertPending(ref, p, pos)
-				sh.insertPending(&p, pos)
+				pd.insertPending(&p, pos)
 				// Tally what the program exercised: a successor raised, and
 				// the new entry lowered again because a cap clipped one.
 				if pos+1 < len(ref) && ref[pos+1].due >= p.due && ref[pos+1].due > now.Add(budget/2) {
@@ -96,8 +98,8 @@ func TestPushPendingMatchesReference(t *testing.T) {
 					lowered++
 				}
 			case 0, 1: // flush: the spent budgets, then everything due
-				lb := sh.pendCapLB
-				force, got := refSpentThrough(ref, now), sh.spentThrough(now)
+				lb := pd.capLB
+				force, got := refSpentThrough(ref, now), pd.spentThrough(now)
 				if got != force {
 					t.Fatalf("program %d op %d: spentThrough = %d, full scan %d", prog, op, got, force)
 				}
@@ -115,24 +117,24 @@ func TestPushPendingMatchesReference(t *testing.T) {
 					last++
 				}
 				ref = ref[:copy(ref, ref[last+1:])]
-				sh.pend = sh.pend[:copy(sh.pend, sh.pend[last+1:])]
+				pd.buf = pd.buf[:copy(pd.buf, pd.buf[last+1:])]
 			case 2: // annihilate
 				if len(ref) == 0 {
 					continue
 				}
 				i := r.Intn(len(ref))
 				ref = append(ref[:i], ref[i+1:]...)
-				sh.pend = append(sh.pend[:i], sh.pend[i+1:]...)
+				pd.buf = append(pd.buf[:i], pd.buf[i+1:]...)
 			}
-			if len(sh.pend) != len(ref) {
-				t.Fatalf("program %d op %d: %d cells, reference has %d", prog, op, len(sh.pend), len(ref))
+			if len(pd.buf) != len(ref) {
+				t.Fatalf("program %d op %d: %d cells, reference has %d", prog, op, len(pd.buf), len(ref))
 			}
 			for i := range ref {
-				if sh.pend[i] != ref[i] {
-					t.Fatalf("program %d op %d cell %d: %+v, reference %+v", prog, op, i, sh.pend[i], ref[i])
+				if pd.buf[i] != ref[i] {
+					t.Fatalf("program %d op %d cell %d: %+v, reference %+v", prog, op, i, pd.buf[i], ref[i])
 				}
-				if sh.pend[i].capAt < sh.pendCapLB {
-					t.Fatalf("program %d op %d cell %d: capAt %v under the lower bound %v", prog, op, i, sh.pend[i].capAt, sh.pendCapLB)
+				if pd.buf[i].capAt < pd.capLB {
+					t.Fatalf("program %d op %d cell %d: capAt %v under the lower bound %v", prog, op, i, pd.buf[i].capAt, pd.capLB)
 				}
 				if i > 0 && ref[i-1].due > ref[i].due || ref[i].due > ref[i].capAt {
 					t.Fatalf("program %d op %d cell %d: due invariant broken in the reference itself", prog, op, i)
@@ -146,11 +148,13 @@ func TestPushPendingMatchesReference(t *testing.T) {
 	}
 }
 
-// deferBench is a two-node engine whose node 1 holds depth deferred
-// message arrivals, d_i 1 ms apart and all due 50 ms out, so nothing
-// flushes while the clock stands still.
+// deferBench is node 1 of a two-node line with only its deferral buffer
+// and an empty history window — no engine — holding depth deferred message
+// arrivals, d_i 1 ms apart and all due 50 ms out, so nothing flushes while
+// the clock stands still.
 type deferBench struct {
-	sh    *shim
+	pd    *pending
+	win   *history.Window
 	depth int
 	step  int
 	ring  []msg.Message // arrivals cycle through these; an entry is long gone when its slot comes round
@@ -158,12 +162,14 @@ type deferBench struct {
 
 func newDeferBench(depth int) *deferBench {
 	g := topology.Line(2, 10*vtime.Millisecond)
-	e := New(g, floodApps(2), Config{Seed: 1})
-	b := &deferBench{sh: e.shims[1], depth: depth, ring: make([]msg.Message, 4*depth)}
+	cmp := ordering.Optimized()
+	pd := &pending{cmp: cmp, slack: defaultDeferSlack, max: defaultDeferMax, budget: defaultDeferMax,
+		lane: netsim.New(g, netsim.Config{Seed: 1}).LaneFor(1), stats: &Stats{}, flushFn: func() {}}
+	b := &deferBench{pd: pd, win: history.New(cmp), depth: depth, ring: make([]msg.Message, 4*depth)}
 	for b.step < depth {
 		m := b.arrival(b.step)
-		b.sh.pend = append(b.sh.pend, pendingArrival{
-			rank:  e.cfg.Ordering.Rank(ordering.KeyOf(m)),
+		b.pd.buf = append(b.pd.buf, pendingArrival{
+			rank:  cmp.Rank(ordering.KeyOf(m)),
 			entry: *entryOf(m, 0),
 			capAt: vtime.Time(100 * vtime.Millisecond),
 			due:   vtime.Time(50 * vtime.Millisecond),
@@ -180,19 +186,19 @@ func (b *deferBench) arrival(i int) *msg.Message {
 	return m
 }
 
-// push defers one arrival through maybeDefer (ranked scan, insertion, due
+// push defers one arrival through decide (ranked scan, insertion, due
 // passes, flush re-arm) and annihilates the front entry to hold the depth.
 // d_i rises with the arrival count but runs backwards inside blocks of
 // depth/2, so an arrival sorts before the block-mates that beat it here:
 // the scan passes depth/4 cells on average, as a flood wave's stragglers do.
 func (b *deferBench) push() bool {
-	front := b.sh.pend[0].entry.Msg.ID
+	front := b.pd.buf[0].entry.Msg.ID
 	blk := b.depth / 2
 	m := b.arrival(b.step/blk*blk + blk - 1 - b.step%blk)
 	b.step++
 	k := ordering.KeyOf(m)
-	ok := b.sh.maybeDefer(entryOf(m, 0), b.sh.e.cfg.Ordering.Rank(k))
-	return b.sh.annihilatePending(front) && ok
+	held, flush := b.pd.decide(entryOf(m, 0), b.pd.cmp.Rank(k), b.win, &lookahead{})
+	return b.pd.annihilate(front) && held && !flush
 }
 
 // BenchmarkDeferPush measures one arrival's pass through the deferral
@@ -229,7 +235,7 @@ func TestDeferPushAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state deferral push allocates %.1f allocs/op, want 0", avg)
 	}
-	if got := len(db.sh.pend); got != 48 {
+	if got := len(db.pd.buf); got != 48 {
 		t.Fatalf("buffer depth drifted to %d", got)
 	}
 }

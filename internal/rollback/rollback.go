@@ -23,78 +23,30 @@
 // Message loss is handled per the paper's footnote 4: drops are recorded
 // as external events (by ordering key) so DEFINED-LS can replay them.
 //
-// # Rollback avoidance: deterministic arrival deferral
+// # Layers
 //
-// Speculation is only profitable when the guess is usually right. The
-// ordering function's d_i field predicts arrival times, so an arrival
-// whose key sorts only a small Delay gap past the window tail is exactly
-// the one d_i predicts may still have predecessors in flight (any message
-// keyed into that gap) — delivering it eagerly buys nothing but a
-// rollback when one lands. Instead the shim holds such arrivals in a
-// small key-ordered pending buffer for the gap's complement
-// (Config.DeferSlack − gap, at most Config.DeferMax) and flushes them on
-// a single re-armable eventq event, batching at the d_i quantum the way
-// buffering deterministic-execution systems batch at quantum boundaries.
-// A straggler running up to the hold later still lands first and is
-// delivered in place; the flush then inserts the batch in key order,
-// which by construction cannot roll anything back. Anti-messages whose
-// target is still pending annihilate it in the buffer — an unsend with no
-// rollback at all.
+// A node's shim (shim.go) composes five layers, each a value field of the
+// shim that owns its fields and methods and holds no pointer to the shim or
+// the engine: config values are copied in at construction, counters go to
+// the shim's Stats. Each makes one guarantee; its type says why it holds.
 //
-// Deferral never changes what the node computes, only when: entries enter
-// the same history window in the same ordering-function positions, and
-// Theorem 1 makes the committed delivery order a function of the ordering
-// function and the external events alone. The knobs shift virtual-time
-// speculation dynamics (rollback counts, window occupancy, convergence
-// latency by at most the hold) and nothing else — the cross-mode golden
-// test pins committed orders and routing tables defer-on vs defer-off.
+//	layer      file       owns                                       guarantee
+//	lookahead  defer.go   links, nbr                                 releases depend only on the node's own delivery stream
+//	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
+//	                      directSeq
+//	window     window.go  Window, ckpts, japp, serial, hw            restoring ckpts[i] puts back the state entry i was delivered in
+//	ledger     ledger.go  sent, recFree, recSlab, replayPool,        after a replay the wire carries what the replay produced,
+//	                      replayFresh, dropLog                       with the annotations the first pass gave it
+//	settle     shim.go    last, lastKey, lastRank, has, log          entries retire once, in order; stragglers are counted
 //
-// Settlement uses an adaptive bound by default: see Config.SettleAfter.
+// Per arrival the shim calls them in one fixed order:
 //
-// # Per-link lookahead: frontier coverage
+//	estimator feed → quarantine guard → lookahead observe → pending decide →
+//	window insert / deliver / undo / replay → ledger adopt / cancel → settle
 //
-// The gap rule is blind to cross-wave divergences whose key gap exceeds
-// DeferSlack. With Config.Lookahead each shim additionally tracks, per
-// in-link, a promise: the d_i prediction of that link's latest arrival.
-// A node processes entries in (speculatively) ascending key order, a
-// child's d_i is its cause's plus a static per-link increment, and links
-// are FIFO — so a link's wire sequence is a concatenation of ascending
-// prediction runs, and barring a run boundary every future arrival on
-// the link predicts at or past its promise. An arrival whose prediction
-// every in-link's promise has passed therefore has no earlier-keyed
-// message still in flight toward the node and delivers with no hold at
-// all; an uncovered arrival parks in the same pending buffer. A run
-// boundary (a sender-side rollback) announces itself: the anti-messages
-// cancelling the old run travel the same FIFO link ahead of the new
-// run's sends, and an anti arrival resets that link's promise until the
-// new run's head re-establishes it. Releases are event-driven — the
-// covering arrival's own delivery flushes the buffer — with one clock
-// as backstop: a link quiet for its hop estimate plus twice the slack
-// has nothing relevant in flight. The clock discipline is deliberate:
-// virtual-time holds delay the application's own downstream sends, so
-// clock-based releases feed the very arrival lag they try to absorb,
-// while event-driven releases are self-limiting. On the link-flap
-// benchmark workload the exact holds cut rollbacks per committed
-// delivery from ~0.46 to under 0.1 (TestLookaheadRollbackRate) at
-// bit-identical committed orders (TestLookaheadGolden).
-//
-// # Sharded parallel execution
-//
-// Config.Shards runs the engine on netsim's sharded runtime: each shard
-// owns a contiguous range of nodes and executes their shims concurrently
-// inside conservative windows, with committed orders, stats and routing
-// tables bit-identical to the sequential engine (TestShardGolden pins
-// this for several shard counts). The engine-side rules that make shims
-// window-safe: every shim talks to the simulator through its node's Lane
-// (never the Sim directly), speculation counters and drop logs live per
-// shim and are summed at Stats() time, and the engine-global settle
-// estimator is never touched from inside a window — shims read a bound
-// schedule the driver precomputes per window (BeginWindow), and the
-// estimator catches up at the commit barrier (EndWindow). Everything
-// else a shim owns (history window, checkpoints, sender counters,
-// pending buffer, sent records) is per node and therefore shard-local by
-// construction. The happens-before edges are the window handoff and
-// commit barrier described in the netsim package comment.
+// onEntry says why the estimator feed precedes the guard, and the shim
+// type why Config.Shards can run the same shims inside parallel windows
+// with bit-identical results (TestShardGolden).
 //
 // # Determinism invariants
 //
@@ -125,6 +77,7 @@ package rollback
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"defined/internal/annotate"
@@ -234,7 +187,7 @@ type Config struct {
 	// deferral layer adds frontier coverage on top of the heuristic
 	// DeferSlack gap rule — an arrival is held while any in-link's
 	// promise (the d_i prediction of that link's latest arrival; see
-	// linkLook in defer.go) still trails the arrival's own prediction,
+	// lookahead in defer.go) still trails the arrival's own prediction,
 	// releasing the moment a covering arrival lands or the lagging links
 	// go conclusively idle. Both consumers move only speculation dynamics
 	// and barrier placement: committed orders, Stats counters other than
@@ -336,39 +289,18 @@ type Stats struct {
 // CommittedDeliveries is the number of deliveries that were never undone.
 func (s Stats) CommittedDeliveries() uint64 { return s.Deliveries - s.RolledBack }
 
-// add accumulates b into s field by field. Speculation counters live
-// per shim (a shard must only touch its own nodes' counters during a
-// parallel window) and are summed into the engine totals at Stats() time;
-// every counter is a commutative sum, so the total is independent of
-// shard count.
+// add accumulates b into s, every field. Speculation counters live per
+// shim (a shard must only touch its own nodes' counters during a parallel
+// window) and are summed into the engine totals at Stats() time; every
+// counter is a commutative sum, so the total is independent of shard
+// count. The sum walks the struct, so a counter added to Stats cannot be
+// left out of it.
 func (s *Stats) add(b *Stats) {
-	s.Deliveries += b.Deliveries
-	s.Rollbacks += b.Rollbacks
-	s.RolledBack += b.RolledBack
-	s.AntiMessages += b.AntiMessages
-	s.Duplicates += b.Duplicates
-	s.LateAnti += b.LateAnti
-	s.TimerBatches += b.TimerBatches
-	s.ExternalEvents += b.ExternalEvents
-	s.DropsRecorded += b.DropsRecorded
-	s.SettleViolations += b.SettleViolations
-	s.LazyReuses += b.LazyReuses
-	s.ReflectFallbacks += b.ReflectFallbacks
-	s.Deferred += b.Deferred
-	s.DeferredFlushes += b.DeferredFlushes
-	s.DeferHits += b.DeferHits
-	s.PendingAnnihilated += b.PendingAnnihilated
-	s.SpuriousRollbacks += b.SpuriousRollbacks
-	s.RollbackDepthSum += b.RollbackDepthSum
-	s.LookaheadHolds += b.LookaheadHolds
-	s.LookaheadExactFlushes += b.LookaheadExactFlushes
-	s.NodeCrashes += b.NodeCrashes
-	s.NodeRestarts += b.NodeRestarts
-	s.PanicCrashes += b.PanicCrashes
-	s.QuarantinedDrops += b.QuarantinedDrops
-	s.SPFCacheHits += b.SPFCacheHits
-	s.SPFCacheMisses += b.SPFCacheMisses
-	s.RecomputeSkipped += b.RecomputeSkipped
+	sv, bv := reflect.ValueOf(s).Elem(), reflect.ValueOf(b).Elem()
+	for i := range sv.NumField() {
+		f := sv.Field(i)
+		f.SetUint(f.Uint() + bv.Field(i).Uint())
+	}
 }
 
 // Engine drives one production network under DEFINED-RB (or bare, when
@@ -383,7 +315,6 @@ type Engine struct {
 	rec     *record.Recording
 	stats   Stats // driver-only counters; speculation counters live per shim
 	skew    []vtime.Duration
-	leader  msg.NodeID
 	deferOn bool
 	lookOn  bool             // exact per-link holds (Lookahead && deferOn)
 	est     *settleEstimator // nil when Config.SettleAfter pins a static bound
@@ -422,11 +353,10 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 	}
 	cfg.fillDefaults()
 	e := &Engine{
-		G:      g,
-		cfg:    cfg,
-		cost:   checkpoint.ModelFor(cfg.Strategy),
-		skew:   make([]vtime.Duration, g.N),
-		leader: 0,
+		G:    g,
+		cfg:  cfg,
+		cost: checkpoint.ModelFor(cfg.Strategy),
+		skew: make([]vtime.Duration, g.N),
 	}
 	if cfg.Baseline {
 		e.cost = checkpoint.Baseline()
@@ -444,7 +374,6 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 	if cfg.SettleAfter <= 0 {
 		iv := e.cfg.BeaconInterval
 		e.est = newSettleEstimator(iv, settleFloor(g, iv), 2*staticSettle(g, iv))
-		e.cfg.SettleAfter = staticSettle(g, iv) // reported default; live bound comes from est
 	}
 	shards := cfg.Shards
 	if cfg.Baseline {
@@ -473,50 +402,35 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 		}
 	}
 	e.computeSkew()
+	budget := e.cfg.DeferMax
+	if e.lookOn {
+		budget *= lookBudgetMult
+	}
 	e.shims = make([]*shim, g.N)
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
-		sh := &shim{
-			e:       e,
-			id:      n,
-			lane:    e.sim.LaneFor(n),
-			app:     apps[i],
-			win:     history.New(e.cfg.Ordering),
-			sender:  annotate.NewSender(n, g, e.cfg.ChainBound, e.procEstimate()),
-			extSeq:  map[uint64]uint64{},
-			dropLog: map[msg.ID]record.LossEvent{},
-		}
+		sh := &shim{e: e, id: n, lane: e.sim.LaneFor(n), app: apps[i]}
+		sender := annotate.NewSender(n, g, e.cfg.ChainBound, e.procEstimate())
 		if !cfg.NoMessagePool {
 			// Wire messages come refcounted from the node's lane pool (the
 			// engine-wide pool in sequential mode); the sentRec (or the
 			// baseline send closure) owns the reference Materialize returns.
-			sh.sender.Pool = sh.lane.Pool()
+			sender.Pool = sh.lane.Pool()
 		}
-		sh.flushFn = sh.onFlush
+		if e.lookOn {
+			sh.look = newLookahead(g, i, e.procEstimate(), e.cfg.DeferSlack, e.cfg.BeaconInterval)
+		}
+		sh.pend = pending{cmp: e.cfg.Ordering, slack: e.cfg.DeferSlack, max: e.cfg.DeferMax, budget: budget,
+			lane: sh.lane, stats: &sh.stats, flushFn: sh.onFlush}
+		sh.win = window{Window: history.New(e.cfg.Ordering), app: apps[i], sender: sender, stats: &sh.stats}
+		sh.ledger = ledger{id: n, lane: sh.lane, sender: sender, stats: &sh.stats, dropLog: map[msg.ID]record.LossEvent{}}
+		sh.settle = settle{cmp: e.cfg.Ordering, iv: e.cfg.BeaconInterval, logging: cfg.LogDeliveries, stats: &sh.stats}
 		sh.tick.sh = sh
 		e.shims[i] = sh
 		var neighbors []api.Neighbor
 		for _, nb := range g.Neighbors(i) {
 			l, _ := g.LinkBetween(i, nb)
 			neighbors = append(neighbors, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
-		}
-		if e.lookOn {
-			// One lookahead frontier per in-link, indexed like the (sorted)
-			// neighbor list; shim-local, so feeding it inside a parallel
-			// window is race-free and mode-invariant (a node's own delivery
-			// stream is identical in both modes). The hop is the link's
-			// static in-flight estimate — the same link delay + per-hop
-			// processing the d_i annotation accumulates — and it sizes the
-			// idle rule: a link quiet that long has nothing relevant in
-			// flight.
-			nbs := g.Neighbors(i)
-			sh.lookNbr = make([]msg.NodeID, len(nbs))
-			sh.look = make([]linkLook, len(nbs))
-			for j, nb := range nbs {
-				sh.lookNbr[j] = msg.NodeID(nb)
-				l, _ := g.LinkBetween(i, nb)
-				sh.look[j].hop = l.Delay + e.procEstimate()
-			}
 		}
 		// The epoch-keyed route-computation cache is on by default inside
 		// capable applications; an opted-out run disables it before Init
@@ -535,8 +449,8 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 		if !cfg.Baseline && e.cfg.Strategy.Mode == checkpoint.MI {
 			if j, ok := apps[i].(api.Journaled); ok {
 				j.JournalEnable()
-				sh.sender.JournalEnable()
-				sh.japp = j
+				sender.JournalEnable()
+				sh.win.japp = j
 			}
 		}
 		e.sim.Attach(n, sh.onWire)
@@ -582,17 +496,9 @@ func settleFloor(g *topology.Graph, beacon vtime.Duration) vtime.Duration {
 	return maxProp + maxProp*2/5 + beacon
 }
 
-// settleBound returns the current retirement bound: the adaptive
-// estimator's value, or the pinned Config.SettleAfter.
-func (e *Engine) settleBound() vtime.Duration {
-	if e.est != nil {
-		return e.est.bound()
-	}
-	return e.cfg.SettleAfter
-}
-
-// settleBoundFor is settleBound as seen by one shim: outside parallel
-// windows it reads the live estimator; inside one it reads the
+// settleBoundFor returns the retirement bound as shim sh sees it: the
+// pinned Config.SettleAfter, or the adaptive estimator's value. Outside
+// parallel windows it reads the live estimator; inside one it reads the
 // precomputed window schedule at the shim's current (at, seq) execution
 // point, so every shim observes exactly the bound the sequential engine
 // would have had at that event — without touching the shared estimator.
@@ -653,11 +559,14 @@ func (e *Engine) EndWindow() {
 	e.winSched = e.winSched[:0]
 }
 
+// beaconLeader is the node whose beacons define the groups.
+const beaconLeader = 0
+
 // computeSkew sets each node's beacon-propagation skew: the shortest-path
 // delay from the beacon leader. Group numbers at a node lag the leader's
 // wall group by this skew, modeling beacon propagation (paper §2.2).
 func (e *Engine) computeSkew() {
-	d := e.G.ShortestDelays(int(e.leader))
+	d := e.G.ShortestDelays(beaconLeader)
 	for i, v := range d {
 		if v < 0 {
 			v = 0 // unreachable from leader: no beacons; degrade gracefully
@@ -711,7 +620,7 @@ func (e *Engine) Recording() *record.Recording {
 func (e *Engine) flushDrops() {
 	var losses []record.LossEvent
 	for _, sh := range e.shims {
-		for _, le := range sh.dropLog {
+		for _, le := range sh.ledger.dropLog {
 			losses = append(losses, le)
 		}
 	}
@@ -735,7 +644,7 @@ func (e *Engine) flushDrops() {
 		e.stats.DropsRecorded++
 	}
 	for _, sh := range e.shims {
-		clear(sh.dropLog)
+		clear(sh.ledger.dropLog)
 	}
 }
 
@@ -804,11 +713,7 @@ func (t *groupTick) Fire() {
 	default:
 		t.armed = false // Run re-arms the node when it appends a segment
 	}
-	if sh.e.cfg.Baseline {
-		sh.baselineTimer(group)
-	} else {
-		sh.onTimerBatch(group)
-	}
+	sh.onTimerBatch(group)
 }
 
 // arm queues the node's tick for group of segment seg at the group
@@ -884,14 +789,17 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 	if offset < 0 {
 		offset = 0
 	}
-	seq := sh.extSeq[group]
-	sh.extSeq[group] = seq + 1
+	if group != sh.extGroup {
+		sh.extGroup, sh.extNext = group, 0
+	}
+	seq := sh.extNext
+	sh.extNext++
 	if e.rec != nil {
 		e.rec.Append(record.Event{Group: group, Seq: seq, Node: n, Offset: offset, Kind: ev.ExternalKind(), Payload: ev})
 	}
 	e.stats.ExternalEvents++
 	if e.cfg.Baseline {
-		sh.sendOuts(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset, vtime.BaseProcessing)
+		sh.sendBaseline(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset)
 		return
 	}
 	sh.onEntry(&history.Entry{
@@ -922,7 +830,7 @@ func (e *Engine) InjectTrace(ev trace.Event) error {
 // the settled prefix).
 func (e *Engine) CommittedKeys(n msg.NodeID) []ordering.Key {
 	sh := e.shims[n]
-	out := append([]ordering.Key(nil), sh.settledLog...)
+	out := append([]ordering.Key(nil), sh.settle.log...)
 	return append(out, sh.win.Keys()...)
 }
 
@@ -939,9 +847,5 @@ func (e *Engine) onInFlightDrop(m *msg.Message) {
 	if m.Kind != msg.KindApp || e.cfg.Baseline {
 		return
 	}
-	sender := e.shims[m.From]
-	sender.dropLog[m.ID] = record.LossEvent{Key: ordering.KeyOf(m), To: m.To}
-	if rec := sender.findSent(m.ID); rec != nil {
-		rec.dropped = true
-	}
+	e.shims[m.From].ledger.dropped(m)
 }

@@ -484,7 +484,7 @@ func TestLinkCost(t *testing.T) {
 	}
 }
 
-// TestSentRecordsOrderedByCause pins the invariant undoTo's suffix split
+// TestSentRecordsOrderedByCause pins the invariant the ledger's undo split
 // rests on. After every millisecond of a rollback storm (racing flood
 // waves under random ordering, eager delivery), at every shim: delivered
 // window entries carry strictly increasing serials, the live sent records
@@ -492,7 +492,7 @@ func TestLinkCost(t *testing.T) {
 // record whose cause is not older than the window's first serial was
 // caused by an entry still in the window. Together those make "the sends
 // of the deliveries at window positions >= pos" exactly the tail of
-// sh.sent from the first causeSerial >= that position's serial.
+// ledger.sent from the first causeSerial >= that position's serial.
 func TestSentRecordsOrderedByCause(t *testing.T) {
 	g := topology.Brite(20, 2, 13)
 	e := New(g, floodApps(g.N), Config{Seed: 1, Ordering: ordering.Random(5), DeferSlack: -1})
@@ -522,7 +522,7 @@ func TestSentRecordsOrderedByCause(t *testing.T) {
 				last, live[s] = s, true
 			}
 			prev := uint64(0)
-			for _, rec := range sh.sent {
+			for _, rec := range sh.ledger.sent {
 				if rec.causeSerial < prev {
 					t.Fatalf("t=%v node %d: sent record caused by %d after one caused by %d", now, sh.id, rec.causeSerial, prev)
 				}

@@ -70,11 +70,7 @@ func loopScheduleGroupTicks(e *Engine, until vtime.Time) {
 				break
 			}
 			at := boundary.Add(e.skew[sh.id])
-			if e.cfg.Baseline {
-				sh.lane.ScheduleFn(at, func() { sh.baselineTimer(g) })
-			} else {
-				sh.lane.ScheduleFn(at, func() { sh.onTimerBatch(g) })
-			}
+			sh.lane.ScheduleFn(at, func() { sh.onTimerBatch(g) })
 		}
 	}
 	if until > e.scheduledThrough {
