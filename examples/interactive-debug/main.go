@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,9 +23,13 @@ func apps(n int) []defined.Application {
 	return out
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run records the failure scenario, replays it under a scripted debugger
+// session and prints everything to w.
+func run(w io.Writer) {
 	g := defined.Sprintlink()
-	fmt.Printf("recording a failure scenario on %s...\n\n", g)
+	fmt.Fprintf(w, "recording a failure scenario on %s...\n\n", g)
 
 	seed, yes := uint64(11), true
 	net := mustNet(g, apps(g.N), defined.EngineSpec{Seed: &seed, Record: &yes})
@@ -35,7 +40,7 @@ func main() {
 	net.Drain()
 	rec := net.Recording()
 	st := net.Stats()
-	fmt.Printf("production: %d deliveries, %d rollbacks; recorded %d external events\n\n",
+	fmt.Fprintf(w, "production: %d deliveries, %d rollbacks; recorded %d external events\n\n",
 		st.Deliveries, st.Rollbacks, len(rec.Events))
 
 	rp, err := defined.NewReplay(g, apps(g.N), rec, defined.WithReplayLog())
@@ -58,10 +63,10 @@ func main() {
 		fmt.Sprintf("log %d", l.A),
 		"quit",
 	}, "\n")
-	fmt.Println("=== scripted debugger session ===")
-	rp.Debug(strings.NewReader(script), os.Stdout)
+	fmt.Fprintln(w, "=== scripted debugger session ===")
+	rp.Debug(strings.NewReader(script), w)
 
-	fmt.Println("\n=== step-response summary (the paper's Figure 6c metric) ===")
+	fmt.Fprintln(w, "\n=== step-response summary (the paper's Figure 6c metric) ===")
 	steps := rp.Steps()
 	var worst float64
 	total := 0
@@ -71,7 +76,7 @@ func main() {
 		}
 		total += s.Deliveries
 	}
-	fmt.Printf("%d rounds, %d deliveries, worst step response %.3fs (paper: all under 1s)\n",
+	fmt.Fprintf(w, "%d rounds, %d deliveries, worst step response %.3fs (paper: all under 1s)\n",
 		len(steps), total, worst)
 }
 

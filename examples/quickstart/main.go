@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"reflect"
 
 	"defined"
@@ -34,7 +36,10 @@ func spec(seed uint64) defined.Spec {
 	}
 }
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run executes the walkthrough and prints it to w.
+func run(w io.Writer) {
 	// Resolve once to discover the generated topology (expansion is a pure
 	// function of the spec, so every seed sees the same graph).
 	r0, err := spec(1).Resolve()
@@ -47,7 +52,7 @@ func main() {
 	}
 	g := p0.Graph
 	l := g.Links[0]
-	fmt.Printf("topology: %s\nplan fingerprint: %#x\n\n", g, p0.Fingerprint())
+	fmt.Fprintf(w, "topology: %s\nplan fingerprint: %#x\n\n", g, p0.Fingerprint())
 
 	// Run the same scenario — a link failure and repair — under three
 	// different physical-jitter seeds. Arrival interleavings differ;
@@ -75,7 +80,7 @@ func main() {
 		net.RunPlan(p)
 
 		st := net.Stats()
-		fmt.Printf("seed %d: %4d deliveries, %3d rollbacks, %3d anti-messages\n",
+		fmt.Fprintf(w, "seed %d: %4d deliveries, %3d rollbacks, %3d anti-messages\n",
 			seed, st.Deliveries, st.Rollbacks, st.AntiMessages)
 
 		orders := make([][]string, g.N)
@@ -86,11 +91,11 @@ func main() {
 			firstOrder = orders
 			rec = net.Recording()
 		} else if !reflect.DeepEqual(firstOrder, orders) {
-			fmt.Println("!! committed orders diverged — determinism broken")
+			fmt.Fprintln(w, "!! committed orders diverged — determinism broken")
 			return
 		}
 	}
-	fmt.Println("\n✓ committed delivery order identical across all seeds (DEFINED-RB)")
+	fmt.Fprintln(w, "\n✓ committed delivery order identical across all seeds (DEFINED-RB)")
 
 	// Replay the partial recording in a debugging network (fresh daemons
 	// from the same plan).
@@ -105,16 +110,16 @@ func main() {
 			same = false
 		}
 	}
-	fmt.Printf("✓ DEFINED-LS replayed %d deliveries from %d recorded external events\n",
+	fmt.Fprintf(w, "✓ DEFINED-LS replayed %d deliveries from %d recorded external events\n",
 		n, len(rec.Events))
 	if same {
-		fmt.Println("✓ replay reproduced the production execution exactly (Theorem 1)")
+		fmt.Fprintln(w, "✓ replay reproduced the production execution exactly (Theorem 1)")
 	} else {
-		fmt.Println("!! replay diverged")
+		fmt.Fprintln(w, "!! replay diverged")
 	}
 
 	// The replayed routers hold the same routing state the production
 	// network converged to.
 	d0 := rp.App(0).(*ospf.Daemon)
-	fmt.Printf("\nnode 0's routing table after replay:\n%s", d0.DumpTable())
+	fmt.Fprintf(w, "\nnode 0's routing table after replay:\n%s", d0.DumpTable())
 }
