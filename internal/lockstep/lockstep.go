@@ -101,7 +101,9 @@ type node struct {
 	sender  *annotate.Sender
 	sendBuf []*msg.Message
 
-	delivered []ordering.Key
+	// delivered is the node's delivery sequence, a segment log: it grows
+	// on every delivery of the replay and growth never copies a key.
+	delivered segLog[ordering.Key]
 	log       []string
 }
 
@@ -141,12 +143,24 @@ type Engine struct {
 	roundDeliv   int
 	roundPerNode []int
 
-	drops    map[dropKey]int
-	maxSkew  vtime.Duration // longest coordinator path (recordStep)
-	maxLink  vtime.Duration // slowest link (recordStep)
-	steps    []StepInfo
+	drops   map[dropKey]int
+	maxSkew vtime.Duration // longest coordinator path (recordStep)
+	maxLink vtime.Duration // slowest link (recordStep)
+	// steps holds one summary per completed round, a segment log like
+	// node.delivered: growth never copies, and Steps builds the slice.
+	steps segLog[StepInfo]
+
+	// recLast is the last group the recording names (its production
+	// group count or its latest event, fixed in New); maxFuture is the
+	// latest group a message was ever parked for. lastGroup is their max.
+	recLast   uint64
+	maxFuture uint64
+
+	// breakHit points at hit, the paused delivery, while a breakpoint
+	// holds stepping; a field, so StepEvent's delivery never escapes.
 	breakFn  func(Delivery) bool
 	breakHit *Delivery
+	hit      Delivery
 
 	// pool backs every node sender's wire messages; lastMsg is the most
 	// recently delivered message, whose reference is released when the
@@ -200,6 +214,7 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg C
 			e.maxLink = l.Delay
 		}
 	}
+	e.recLast = max(rec.Groups, rec.MaxGroup())
 	for _, ev := range rec.Events {
 		if le, ok := ev.Payload.(record.LossEvent); ok {
 			e.drops[dropKey{key: le.Key, to: le.To}]++
@@ -261,17 +276,20 @@ func (e *Engine) App(n msg.NodeID) api.Application { return e.nodes[n].app }
 
 // DeliveredKeys returns node n's delivery sequence so far.
 func (e *Engine) DeliveredKeys(n msg.NodeID) []ordering.Key {
-	return append([]ordering.Key(nil), e.nodes[n].delivered...)
+	return e.nodes[n].delivered.all()
 }
 
-// Steps returns the per-round summaries accumulated so far.
-func (e *Engine) Steps() []StepInfo { return e.steps }
+// Steps returns a fresh slice of the per-round summaries accumulated so
+// far.
+func (e *Engine) Steps() []StepInfo { return e.steps.all() }
 
 // SetBreakpoint installs a predicate evaluated before every delivery;
 // stepping stops when it fires. Pass nil to clear.
 func (e *Engine) SetBreakpoint(fn func(Delivery) bool) { e.breakFn = fn }
 
 // BreakpointHit returns the delivery that triggered the last pause, if any.
+// The pointer is valid until the next step: the step that resumes delivers
+// it and clears the pause.
 func (e *Engine) BreakpointHit() *Delivery { return e.breakHit }
 
 // Pending returns a copy of the deliveries queued for the current
@@ -336,7 +354,8 @@ func (e *Engine) StepEvent() (Delivery, bool) {
 	}
 	d := e.pending[0]
 	if e.breakFn != nil && e.breakHit == nil && e.breakFn(d) {
-		e.breakHit = &d
+		e.hit = d
+		e.breakHit = &e.hit
 		return d, true
 	}
 	e.breakHit = nil
@@ -364,7 +383,7 @@ func (e *Engine) deliver(d Delivery) {
 	e.releaseDelivered()
 	d.Msg.CheckLive("lockstep.deliver")
 	n := e.nodes[d.Node]
-	n.delivered = append(n.delivered, d.Key)
+	n.delivered.add(d.Key)
 	e.roundDeliv++
 	e.roundPerNode[d.Node]++
 	var outs []msg.Out
@@ -437,19 +456,11 @@ func (e *Engine) advancePhase() bool {
 }
 
 // lastGroup returns the final group the replay must execute: the recorded
-// production group count, extended by any parked future messages.
-func (e *Engine) lastGroup() uint64 {
-	last := e.rec.Groups
-	if mg := e.rec.MaxGroup(); mg > last {
-		last = mg
-	}
-	for g := range e.future {
-		if g > last {
-			last = g
-		}
-	}
-	return last
-}
+// production group count, extended by any parked future messages. A
+// message is parked only for a group after the current one and stays
+// parked until that group begins, so the high-water maxFuture is exact
+// wherever it exceeds the current group.
+func (e *Engine) lastGroup() uint64 { return max(e.recLast, e.maxFuture) }
 
 // transmit moves every node's send buffer into the shared queue (the
 // transmission phase), replaying recorded losses and parking chain-bound
@@ -466,8 +477,9 @@ func (e *Engine) transmit() {
 				m.Release()
 				continue
 			}
-			if m.Ann.Group > e.curGroup {
-				e.future[m.Ann.Group] = append(e.future[m.Ann.Group], queued{m: m, key: k})
+			if g := m.Ann.Group; g > e.curGroup {
+				e.future[g] = append(e.future[g], queued{m: m, key: k})
+				e.maxFuture = max(e.maxFuture, g)
 				continue
 			}
 			e.queue = append(e.queue, queued{m: m, key: k})
@@ -540,7 +552,7 @@ func (e *Engine) recordStep() {
 		}
 	}
 	resp := 2*barrier + e.maxLink + vtime.Duration(heaviest)*vtime.BaseProcessing
-	e.steps = append(e.steps, StepInfo{
+	e.steps.add(StepInfo{
 		Group:           e.curGroup,
 		Round:           e.round,
 		Deliveries:      e.roundDeliv,
@@ -616,4 +628,46 @@ func (e *Engine) RunToEnd() int {
 // Log returns node n's human-readable delivery log (Config.LogDeliveries).
 func (e *Engine) Log(n msg.NodeID) []string {
 	return append([]string(nil), e.nodes[n].log...)
+}
+
+// Segment sizes of a segLog: the first segment holds segFirst entries,
+// each next one twice its predecessor, up to segLen.
+const (
+	segFirst = 16
+	segLen   = 256
+)
+
+// segLog is an append-only log kept as a list of segments. A full segment
+// is never regrown: the next entry starts a new one, so growth copies no
+// entry, and a short log (a node that receives little) stays small.
+type segLog[T any] struct {
+	segs [][]T
+	n    int
+}
+
+// add appends v.
+func (l *segLog[T]) add(v T) {
+	k := len(l.segs)
+	if k == 0 || len(l.segs[k-1]) == cap(l.segs[k-1]) {
+		size := segFirst
+		if k > 0 {
+			size = min(2*cap(l.segs[k-1]), segLen)
+		}
+		l.segs = append(l.segs, make([]T, 0, size))
+		k++
+	}
+	l.segs[k-1] = append(l.segs[k-1], v)
+	l.n++
+}
+
+// all returns a fresh slice of every entry in order (nil when empty).
+func (l *segLog[T]) all() []T {
+	if l.n == 0 {
+		return nil
+	}
+	out := make([]T, 0, l.n)
+	for _, s := range l.segs {
+		out = append(out, s...)
+	}
+	return out
 }

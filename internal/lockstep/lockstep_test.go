@@ -364,13 +364,66 @@ func TestBreakpointPausesBeforeDelivery(t *testing.T) {
 	if hit.Node != target || hit.Msg == nil {
 		t.Fatalf("wrong breakpoint delivery: %+v", hit)
 	}
-	// The paused delivery has not executed yet.
+	// The paused delivery has not executed yet; the step that resumes
+	// delivers exactly it and clears the pause.
+	paused := *hit
 	before := len(ls.DeliveredKeys(target))
 	ls.SetBreakpoint(nil)
-	ls.RunToEnd()
-	after := len(ls.DeliveredKeys(target))
-	if after <= before {
+	d, ok := ls.StepEvent()
+	if !ok || !reflect.DeepEqual(d, paused) {
+		t.Fatalf("resumed step delivered %+v, paused on %+v", d, paused)
+	}
+	if ls.BreakpointHit() != nil {
+		t.Fatal("pause still reported after the resuming step")
+	}
+	if got := ls.DeliveredKeys(target); len(got) != before+1 || got[before] != paused.Key {
 		t.Fatal("resume did not deliver the paused event")
+	}
+	ls.RunToEnd()
+}
+
+// noopApp is an application with no outputs and no state: a replay of it
+// costs only the engine's own work.
+type noopApp struct{}
+
+func (noopApp) Init(msg.NodeID, []api.Neighbor)            {}
+func (noopApp) HandleMessage(*msg.Message) []msg.Out       { return nil }
+func (noopApp) HandleTimer(vtime.Time) []msg.Out           { return nil }
+func (noopApp) HandleExternal(api.ExternalEvent) []msg.Out { return nil }
+func (noopApp) State() api.State                           { return nil }
+func (noopApp) Restore(api.State)                          {}
+
+// TestStepEventDoesNotAllocate pins the step loop's heap budget: a step
+// stores its delivered key and, at the end of a round, its summary, and
+// neither allocates once their logs are past the first segments. In
+// particular the delivery StepEvent returns does not escape, with a
+// breakpoint predicate installed.
+func TestStepEventDoesNotAllocate(t *testing.T) {
+	g := topology.Line(4, vtime.Millisecond)
+	apps := []api.Application{noopApp{}, noopApp{}, noopApp{}, noopApp{}}
+	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, Groups: 1000}
+	ls, err := New(g, apps, rec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls.SetBreakpoint(func(d Delivery) bool { return d.Node < 0 })
+	// Steady state: every node's key log and the step log past their
+	// growing segments (16+32+64+128 entries, one key per node per group).
+	for i := 0; i < 300*g.N; i++ {
+		if _, ok := ls.StepEvent(); !ok {
+			t.Fatal("replay ended during warm-up")
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := ls.StepEvent(); !ok {
+			t.Fatal("replay ended")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StepEvent allocates %.2f times per call, want 0", allocs)
+	}
+	if ls.BreakpointHit() != nil {
+		t.Fatal("a predicate that never fires paused the replay")
 	}
 }
 
