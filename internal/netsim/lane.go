@@ -353,8 +353,11 @@ func (s *Sim) PoolLive() int {
 // Nodes are partitioned contiguously (node IDs are dense, and neighbours
 // in generated topologies tend to be ID-close, which keeps some traffic
 // shard-local). The worker pool is sized to the shard count; workers hold
-// no reference to the Sim, and a finalizer closes the work channel when
-// the Sim is collected, so idle engines do not leak goroutines.
+// no reference to the Sim, and a cleanup closes the work channel when the
+// Sim is collected, so idle engines do not leak goroutines. It is a
+// cleanup, not a finalizer: every Lane points back at its Sim, and a
+// finalizer on an object inside a cycle never runs, which kept every
+// sharded Sim and all it reached alive for the life of the process.
 func (s *Sim) initShards() {
 	nsh := s.cfg.Shards
 	if nsh > s.G.N {
@@ -394,7 +397,7 @@ func (s *Sim) initShards() {
 			}
 		}()
 	}
-	runtime.SetFinalizer(s, func(dead *Sim) { close(dead.workCh) })
+	runtime.AddCleanup(s, func(ch chan *Lane) { close(ch) }, workCh)
 }
 
 // minSource locates the globally minimal pending event: src -1 for the

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"weak"
 
 	"defined/internal/msg"
 	"defined/internal/topology"
@@ -503,5 +505,30 @@ func TestLinkFrontierMonotonic(t *testing.T) {
 	s.RunQuiescent(1000)
 	if f := s.LinkFrontier(0, 1); f != prev {
 		t.Fatalf("frontier after drain = %v, want %v (last scheduled arrival)", f, prev)
+	}
+}
+
+// A sharded Sim must be collectable once its caller drops it. Every Lane
+// points back at its Sim, so a finalizer on the Sim (the old way its
+// worker channel was closed) kept the whole engine alive for good: a
+// process that built one sharded network after another grew by one
+// network each time.
+func TestShardedSimIsCollected(t *testing.T) {
+	build := func() weak.Pointer[Sim] {
+		s := New(topology.Line(4, vtime.Millisecond), Config{Deterministic: true, Shards: 2})
+		for n := 0; n < 4; n++ {
+			s.Attach(msg.NodeID(n), func(*msg.Message) {})
+		}
+		s.Send(mkMsg(0, 1, 1))
+		s.Send(mkMsg(3, 2, 1))
+		s.Run(vtime.Time(vtime.Second))
+		return weak.Make(s)
+	}
+	wp := build()
+	for i := 0; i < 3 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Fatal("a dropped sharded Sim is still reachable after GC")
 	}
 }
