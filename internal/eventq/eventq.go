@@ -6,12 +6,13 @@
 //
 // The queue is allocation-free in steady state. Events live in a slab of
 // reusable slots rather than individually heap-allocated nodes, and the
-// payload is a typed union — a message delivery (Deliver), a scheduled
-// callback (Fn) or a pre-bound Caller — instead of a boxed `any`.
+// payload is one of two pointers instead of a boxed `any`: a message
+// delivery (Deliver) or a pre-bound Caller. A plain callback is a Caller
+// through the Func adapter, which costs no allocation of its own.
 //
 // # Layout
 //
-// An event is split across two dense arrays, 72 bytes in all:
+// An event is split across two dense arrays, 56 bytes in all:
 //
 //   - its heap cell {at, seq, slot} (24 B) carries the whole ordering key
 //     inline. The heap is a 4-ary min-heap of cells — half a binary heap's
@@ -19,28 +20,27 @@
 //     and comparing two entries reads only the heap array: a sift never
 //     touches the slab except to write back the one heap position that
 //     changed per level (sifting moves a hole, it does not swap).
-//   - its slot {gen, heapIdx, kind, payload} (48 B) holds what ordering does
-//     not need. heapIdx is the slot's heap position while the event is
-//     pending; while the slot is free it is the link of an intrusive free
-//     list (complemented, so it stays negative and Live needs no second
-//     flag). Reuse is LIFO, which keeps the slab cache-hot.
+//   - its slot {gen, heapIdx, m, call} (32 B) holds what ordering does not
+//     need; its kind is whichever of m and call is set. heapIdx is the
+//     slot's heap position while the event is pending; while the slot is
+//     free it is the link of an intrusive free list (complemented, so it
+//     stays negative and Live needs no second flag). Reuse is LIFO, which
+//     keeps the slab cache-hot.
 //
 // Every push and pop pays for the queue's resident size in sift depth and
-// cache misses, so the footprint is part of the design: the key moved into
-// the heap cell and out of the slot, and the free list into the slots, so
-// an event costs the 72 bytes it did when the heap held bare slot indices.
+// cache misses, so the footprint is part of the design: the key lives in
+// the heap cell, the free list in the slots, and the kind in the payload
+// pointers themselves.
 //
 // # Sequences
 //
-// Push* label an event with the queue's own insertion counter; Push*Seq
-// take the label from the caller and leave the counter alone. ReserveSeq
-// sits between the two: it hands out a block of the queue's own labels
-// ahead of time, so a producer of a long, known series of events (the
-// rollback engine's per-node group ticks) can keep only the next one
-// queued and push each successor later under the label it would have had
-// if the whole series had been pushed up front. The (at, seq) order — and
-// so the simulation — is unchanged; the queue holds the in-flight set
-// instead of the whole future.
+// PushDeliver and PushCall label an event with the queue's own insertion
+// counter; the Push*Seq forms take the label from the caller and leave the
+// counter alone. The simulator labels every event it schedules from one
+// counter of its own, which spans all of its queues (the driver's and, in
+// sharded mode, one per lane), so the (at, seq) order is the same whichever
+// queue an event sits in. SetSeq relabels a live event, for the sharded
+// runtime's provisional sequences.
 //
 // Push returns a Handle (slot index + generation counter) instead of a
 // pointer. A Handle taken for an event that has since fired or been
@@ -59,15 +59,14 @@ import (
 type Kind uint8
 
 const (
-	// KindNone marks a free slot (never returned by Pop).
+	// KindNone is the zero Kind: the Event Pop and Peek return on an empty
+	// queue.
 	KindNone Kind = iota
 	// KindDeliver is a scheduled message delivery.
 	KindDeliver
-	// KindFn is a scheduled callback (timer, scenario driver, ...).
-	KindFn
-	// KindCall is a scheduled pre-bound Caller: unlike a fresh closure,
-	// pushing one allocates nothing, which is what lets pooled objects
-	// (the rollback engine's sent records) schedule themselves for free.
+	// KindCall is a scheduled Caller: a timer, a scenario callback, or a
+	// pooled object (the rollback engine's sent records) that schedules
+	// itself without allocating.
 	KindCall
 )
 
@@ -76,15 +75,22 @@ type Caller interface {
 	Fire()
 }
 
+// Func adapts a plain callback to Caller. A func value is a single
+// pointer, so converting one to a Caller allocates nothing beyond the
+// closure itself.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Event is the by-value view of a scheduled occurrence, as returned by
-// Pop and Peek. Exactly one of Msg (KindDeliver), Fn (KindFn) and Call
-// (KindCall) is set.
+// Pop and Peek. Exactly one of Msg (KindDeliver) and Call (KindCall) is
+// set.
 type Event struct {
 	At   vtime.Time
-	Seq  uint64 // insertion order, assigned by the queue
+	Seq  uint64 // insertion order
 	Kind Kind
 	Msg  *msg.Message
-	Fn   func()
 	Call Caller
 }
 
@@ -114,22 +120,21 @@ func (c cell) before(d cell) bool {
 	return c.seq < d.seq
 }
 
-// slot is one slab cell. Freed slots advance gen (invalidating handles)
-// and chain onto the free list through heapIdx: a pending slot's heapIdx
-// is its heap position (>= 0), a free slot's is ^next, where next is the
+// slot is one slab cell: a delivery sets m, a callback sets call, a free
+// slot sets neither. Freed slots advance gen (invalidating handles) and
+// chain onto the free list through heapIdx: a pending slot's heapIdx is
+// its heap position (>= 0), a free slot's is ^next, where next is the
 // following free slot's index plus one (0 ends the list) — always negative.
 type slot struct {
 	gen     uint32
 	heapIdx int32
-	kind    Kind
 	m       *msg.Message
-	fn      func()
 	call    Caller
 }
 
 // Queue is a deterministic min-heap of events. The zero value is ready to
-// use. Queue is not safe for concurrent use; the simulator is
-// single-threaded by design (determinism comes first).
+// use. Queue is not safe for concurrent use: each queue has one owner at a
+// time (the simulator's driver, or a lane's worker during a window).
 type Queue struct {
 	slots    []slot // slab; grows monotonically, cells are reused
 	heap     []cell // 4-ary min-heap order
@@ -146,37 +151,27 @@ func (q *Queue) Live(h Handle) bool {
 
 // PushDeliver schedules delivery of m at time at.
 func (q *Queue) PushDeliver(at vtime.Time, m *msg.Message) Handle {
-	return q.push(at, KindDeliver, m, nil, nil)
-}
-
-// PushFn schedules fn at time at.
-func (q *Queue) PushFn(at vtime.Time, fn func()) Handle {
-	return q.push(at, KindFn, nil, fn, nil)
+	return q.push(at, m, nil)
 }
 
 // PushCall schedules a pre-bound Caller at time at (no allocation).
 func (q *Queue) PushCall(at vtime.Time, c Caller) Handle {
-	return q.push(at, KindCall, nil, nil, c)
+	return q.push(at, nil, c)
 }
 
-// PushDeliverSeq schedules delivery of m at time at under an
-// externally assigned insertion sequence. The sharded simulator owns one
-// global sequence counter spanning many per-shard queues; explicit-seq
-// pushes are how corresponding events get identical (at, seq) labels in
-// sequential and sharded runs. The queue's own counter is not advanced.
+// PushDeliverSeq schedules delivery of m at time at under an externally
+// assigned insertion sequence. The simulator owns one sequence counter
+// spanning all of its queues; explicit-seq pushes are how every event gets
+// the same (at, seq) label in sequential and sharded runs. The queue's own
+// counter is not advanced.
 func (q *Queue) PushDeliverSeq(at vtime.Time, seq uint64, m *msg.Message) Handle {
-	return q.pushSeq(at, seq, KindDeliver, m, nil, nil)
-}
-
-// PushFnSeq schedules fn at time at with an externally assigned sequence.
-func (q *Queue) PushFnSeq(at vtime.Time, seq uint64, fn func()) Handle {
-	return q.pushSeq(at, seq, KindFn, nil, fn, nil)
+	return q.pushSeq(at, seq, m, nil)
 }
 
 // PushCallSeq schedules a pre-bound Caller at time at with an externally
 // assigned sequence (no allocation).
 func (q *Queue) PushCallSeq(at vtime.Time, seq uint64, c Caller) Handle {
-	return q.pushSeq(at, seq, KindCall, nil, nil, c)
+	return q.pushSeq(at, seq, nil, c)
 }
 
 // SetSeq rewrites a live event's insertion sequence and restores heap
@@ -195,16 +190,6 @@ func (q *Queue) SetSeq(h Handle, seq uint64) bool {
 		q.fix(i, c)
 	}
 	return true
-}
-
-// ReserveSeq sets aside the next n insertion sequences and returns the
-// first: the caller pushes under base..base+n-1 with Push*Seq whenever it
-// likes, and later Push* calls continue after the block (see the package
-// comment).
-func (q *Queue) ReserveSeq(n uint64) (base uint64) {
-	base = q.next
-	q.next += n
-	return base
 }
 
 // NextAtSeq returns the (timestamp, sequence) pair of the earliest pending
@@ -230,16 +215,20 @@ func (q *Queue) Scan(fn func(Event)) {
 // event assembles the by-value view of the pending event in heap cell c.
 func (q *Queue) event(c cell) Event {
 	s := &q.slots[c.slot]
-	return Event{At: c.at, Seq: c.seq, Kind: s.kind, Msg: s.m, Fn: s.fn, Call: s.call}
+	kind := KindCall
+	if s.m != nil {
+		kind = KindDeliver
+	}
+	return Event{At: c.at, Seq: c.seq, Kind: kind, Msg: s.m, Call: s.call}
 }
 
-func (q *Queue) push(at vtime.Time, kind Kind, m *msg.Message, fn func(), call Caller) Handle {
-	h := q.pushSeq(at, q.next, kind, m, fn, call)
+func (q *Queue) push(at vtime.Time, m *msg.Message, call Caller) Handle {
+	h := q.pushSeq(at, q.next, m, call)
 	q.next++
 	return h
 }
 
-func (q *Queue) pushSeq(at vtime.Time, seq uint64, kind Kind, m *msg.Message, fn func(), call Caller) Handle {
+func (q *Queue) pushSeq(at vtime.Time, seq uint64, m *msg.Message, call Caller) Handle {
 	var idx int32
 	if q.freeHead != 0 {
 		idx = q.freeHead - 1
@@ -249,9 +238,7 @@ func (q *Queue) pushSeq(at vtime.Time, seq uint64, kind Kind, m *msg.Message, fn
 		idx = int32(len(q.slots) - 1)
 	}
 	s := &q.slots[idx]
-	s.kind = kind
 	s.m = m
-	s.fn = fn
 	s.call = call
 	q.heap = append(q.heap, cell{})
 	q.siftUp(len(q.heap)-1, cell{at: at, seq: seq, slot: idx})
@@ -324,9 +311,7 @@ func (q *Queue) deleteAt(i int) {
 	s.gen++
 	s.heapIdx = ^q.freeHead
 	q.freeHead = idx + 1
-	s.kind = KindNone
 	s.m = nil
-	s.fn = nil
 	s.call = nil
 }
 

@@ -3,7 +3,6 @@ package eventq
 import (
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"defined/internal/msg"
 	"defined/internal/rng"
@@ -31,15 +30,16 @@ func TestOrderedPop(t *testing.T) {
 	}
 }
 
+// A plain callback rides the Call kind through the Func adapter.
 func TestFnEvents(t *testing.T) {
 	var q Queue
 	fired := 0
-	q.PushFn(5, func() { fired++ })
+	q.PushCall(5, Func(func() { fired++ }))
 	ev, ok := q.Pop()
-	if !ok || ev.Kind != KindFn || ev.Fn == nil {
-		t.Fatalf("got %+v ok=%v, want fn event", ev, ok)
+	if !ok || ev.Kind != KindCall || ev.Call == nil {
+		t.Fatalf("got %+v ok=%v, want call event", ev, ok)
 	}
-	ev.Fn()
+	ev.Call.Fire()
 	if fired != 1 {
 		t.Fatal("fn payload should round-trip")
 	}
@@ -163,7 +163,7 @@ func TestNextAt(t *testing.T) {
 	if q.NextAt() != vtime.Never {
 		t.Fatal("NextAt on empty should be Never")
 	}
-	q.PushFn(42, func() {})
+	q.PushCall(42, Func(func() {}))
 	if q.NextAt() != 42 {
 		t.Fatalf("NextAt = %v, want 42", q.NextAt())
 	}
@@ -325,9 +325,9 @@ func TestQueueResidentAllocFree(t *testing.T) {
 // and insertion sequence; stale handles are a safe no-op.
 func TestReschedule(t *testing.T) {
 	var q Queue
-	a := q.PushFn(10, func() {})
-	q.PushFn(20, func() {})
-	c := q.PushFn(30, func() {})
+	a := q.PushCall(10, Func(func() {}))
+	q.PushCall(20, Func(func() {}))
+	c := q.PushCall(30, Func(func() {}))
 
 	// Later: c ahead of nothing; earlier: c in front of everything.
 	if !q.Reschedule(c, 5) {
@@ -367,8 +367,8 @@ func TestReschedule(t *testing.T) {
 // order as the tie-break: the rescheduled event keeps its original seq.
 func TestRescheduleTieBreakKeepsSeq(t *testing.T) {
 	var q Queue
-	first := q.PushFn(10, func() {})
-	q.PushFn(50, func() {})
+	first := q.PushCall(10, Func(func() {}))
+	q.PushCall(50, Func(func() {}))
 	if !q.Reschedule(first, 50) {
 		t.Fatal("reschedule failed")
 	}
@@ -381,9 +381,9 @@ func TestRescheduleTieBreakKeepsSeq(t *testing.T) {
 // Reschedule must not allocate: it only re-sifts the heap.
 func TestRescheduleAllocFree(t *testing.T) {
 	var q Queue
-	h := q.PushFn(10, func() {})
+	h := q.PushCall(10, Func(func() {}))
 	for i := 0; i < 64; i++ {
-		q.PushFn(vtime.Time(20+i), func() {})
+		q.PushCall(vtime.Time(20+i), Func(func() {}))
 	}
 	at := vtime.Time(100)
 	avg := testing.AllocsPerRun(1000, func() {
@@ -414,21 +414,25 @@ func TestCallEvents(t *testing.T) {
 	}
 }
 
-// PushCall orders with the other kinds by (at, seq) and allocates nothing
-// in steady state — the property the rollback engine's pooled sentRecs
-// rely on.
+// PushCall orders with deliveries by (at, seq) and allocates nothing in
+// steady state, for a pooled Caller and for a prebuilt Func alike — the
+// property the rollback engine's pooled sentRecs and its bound flush
+// callbacks rely on.
 func TestCallOrderingAndZeroAlloc(t *testing.T) {
 	var q Queue
 	c := &caller{}
 	fired := []string{}
-	q.PushFn(10, func() { fired = append(fired, "fn") })
+	fn := Func(func() { fired = append(fired, "fn") })
+	q.PushCall(10, fn)
 	q.PushCall(10, c)
 	q.PushDeliver(5, mk(1))
 	if ev, _ := q.Pop(); ev.Kind != KindDeliver {
 		t.Fatalf("earliest should be deliver, got %v", ev.Kind)
 	}
-	if ev, _ := q.Pop(); ev.Kind != KindFn {
-		t.Fatalf("same-time tie should pop insertion order (fn first), got %v", ev.Kind)
+	if ev, _ := q.Pop(); ev.Kind != KindCall || ev.Call == Caller(c) {
+		t.Fatalf("same-time tie should pop insertion order (fn first), got %+v", ev)
+	} else if ev.Call.Fire(); len(fired) != 1 {
+		t.Fatal("the Func payload did not run")
 	}
 	if ev, _ := q.Pop(); ev.Kind != KindCall || ev.Call != Caller(c) {
 		t.Fatalf("want the call event last, got %+v", ev)
@@ -443,21 +447,13 @@ func TestCallOrderingAndZeroAlloc(t *testing.T) {
 			break
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		h := q.PushCall(7, c)
-		_ = h
-		q.Pop()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state PushCall allocates %v objects/op, want 0", allocs)
-	}
-}
-
-// The package comment's arithmetic: 24 B of heap cell plus 48 B of slab
-// slot per event. Growing either grows every run's live heap and every
-// sift's cache footprint, so a field added to one has to come off the other.
-func TestEventFootprint(t *testing.T) {
-	if c, s := unsafe.Sizeof(cell{}), unsafe.Sizeof(slot{}); c != 24 || s != 48 {
-		t.Fatalf("heap cell is %d B and slab slot %d B, want 24 and 48", c, s)
+	for _, target := range []Caller{c, fn} {
+		allocs := testing.AllocsPerRun(100, func() {
+			q.PushCall(7, target)
+			q.Pop()
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state PushCall(%T) allocates %v objects/op, want 0", target, allocs)
+		}
 	}
 }

@@ -27,15 +27,22 @@ type idCaller struct {
 
 func (c *idCaller) Fire() { *c.fired = c.id }
 
-// queueOracle drives a Queue and a plain list side by side.
+// queueOracle drives a Queue and a plain list side by side. Explicit
+// labels come from a counter of the oracle's own, as the simulator's do,
+// placed far above the queue's so the two never collide; SetSeq hands
+// labels back and forth between the spaces.
 type queueOracle struct {
 	t     *testing.T
 	q     Queue
 	evs   []oracleEv
 	next  uint64   // what the queue's own counter must be
+	ext   uint64   // the oracle's next explicit label
 	spare []uint64 // reserved sequences not pushed under yet
 	fired int      // id of the last payload run
 }
+
+// extBase is where the oracle's explicit labels start.
+const extBase = 1 << 32
 
 // min returns the index of the earliest live event, or -1.
 func (o *queueOracle) min() int {
@@ -75,18 +82,15 @@ func (o *queueOracle) takeSpare(pick byte) uint64 {
 }
 
 func (o *queueOracle) reserve(n uint64) {
-	base := o.q.ReserveSeq(n)
-	if base != o.next {
-		o.t.Fatalf("ReserveSeq(%d) = %d, want %d", n, base, o.next)
+	for ; n > 0; n-- {
+		o.spare = append(o.spare, extBase+o.ext)
+		o.ext++
 	}
-	for s := base; s < base+n; s++ {
-		o.spare = append(o.spare, s)
-	}
-	o.next += n
 }
 
-// push schedules a new event of the kind k selects, under the queue's own
-// counter (explicit false) or a reserved sequence.
+// push schedules a new event of the payload k selects (a delivery, a Func
+// or a pooled Caller), under the queue's own counter (explicit false) or a
+// reserved sequence.
 func (o *queueOracle) push(at vtime.Time, k byte, explicit bool, pick byte) {
 	id := len(o.evs)
 	seq := o.next
@@ -95,24 +99,21 @@ func (o *queueOracle) push(at vtime.Time, k byte, explicit bool, pick byte) {
 	} else {
 		o.next++
 	}
-	ev := oracleEv{at: at, seq: seq, kind: Kind(k%3) + KindDeliver, live: true}
-	switch ev.kind {
-	case KindDeliver:
+	ev := oracleEv{at: at, seq: seq, kind: KindCall, live: true}
+	var c Caller = &idCaller{id: id, fired: &o.fired}
+	switch k % 3 {
+	case 0:
+		ev.kind = KindDeliver
 		m := mk(uint64(id))
 		if explicit {
 			ev.h = o.q.PushDeliverSeq(at, seq, m)
 		} else {
 			ev.h = o.q.PushDeliver(at, m)
 		}
-	case KindFn:
-		fn := func() { o.fired = id }
-		if explicit {
-			ev.h = o.q.PushFnSeq(at, seq, fn)
-		} else {
-			ev.h = o.q.PushFn(at, fn)
-		}
-	case KindCall:
-		c := &idCaller{id: id, fired: &o.fired}
+	case 1:
+		c = Func(func() { o.fired = id })
+		fallthrough
+	default:
 		if explicit {
 			ev.h = o.q.PushCallSeq(at, seq, c)
 		} else {
@@ -136,9 +137,6 @@ func (o *queueOracle) checkEvent(what string, ev Event, i int) {
 	switch ev.Kind {
 	case KindDeliver:
 		got = int(ev.Msg.ID.Seq)
-	case KindFn:
-		ev.Fn()
-		got = o.fired
 	case KindCall:
 		ev.Call.Fire()
 		got = o.fired
@@ -269,7 +267,9 @@ func runQueueProgram(t *testing.T, prog []byte) {
 }
 
 // FuzzQueueOps holds the queue to a list oracle over arbitrary programs of
-// Push*/Push*Seq/ReserveSeq/Pop/Remove/Reschedule/SetSeq: pops come out in
+// Push*/Push*Seq/Pop/Remove/Reschedule/SetSeq (with deliveries, Funcs and
+// pooled Callers as payloads, and explicit labels reserved in blocks the
+// way the simulator reserves a node's tick chain): pops come out in
 // (at, seq) order with the payload they were pushed with, handles of fired
 // or removed events stay dead however often their slot is reused, and Len,
 // Live, NextAt, NextAtSeq, Peek and Scan agree with the list after every

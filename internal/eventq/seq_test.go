@@ -7,8 +7,8 @@ import (
 	"defined/internal/vtime"
 )
 
-// Tests for the explicit-sequence surface the sharded simulator runs on:
-// PushXxxSeq (external global counter), SetSeq (provisional-sequence
+// Tests for the explicit-sequence surface the simulator runs on:
+// PushXxxSeq (its one counter across queues), SetSeq (provisional-sequence
 // resolution at the commit barrier), NextAtSeq (frontier probe) and Scan
 // (window-schedule / doom enumeration).
 

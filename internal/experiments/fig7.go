@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"time"
 
 	"defined/internal/memstore"
@@ -19,9 +20,10 @@ import (
 // against: sized like the XORP OSPF process the paper measured (tens of
 // MB of virtual memory, a few MB hot).
 type fig7State struct {
-	store *memstore.Store
-	r     *rng.Source
-	size  int
+	store   *memstore.Store
+	r       *rng.Source
+	size    int
+	touched []int // pages the current packet has written
 }
 
 func newFig7State(w workload) *fig7State {
@@ -60,11 +62,19 @@ func newFig7StateSized(w workload, size int) *fig7State {
 func sinceMs(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e6 }
 
 // processPacket emulates one routing-message's state mutation: a handful
-// of scattered writes (RIB entry updates) touching dirtyPages pages.
+// of scattered writes (RIB entry updates) touching dirtyPages distinct
+// pages. A write that would land on a page the packet already wrote is
+// drawn again, so the packet's page count — what copy-on-write charges
+// for — is exactly dirtyPages.
 func (s *fig7State) processPacket(dirtyPages int) {
 	buf := []byte{0}
-	for i := 0; i < dirtyPages; i++ {
+	s.touched = s.touched[:0]
+	for len(s.touched) < dirtyPages {
 		off := s.r.Intn(s.size - 1)
+		if slices.Contains(s.touched, off/memstore.PageSize) {
+			continue
+		}
+		s.touched = append(s.touched, off/memstore.PageSize)
 		buf[0] = byte(s.r.Intn(256))
 		s.store.Write(off, buf)
 	}
@@ -118,6 +128,45 @@ func fig7a(w workload) (*metrics.Figure, error) {
 	return f, nil
 }
 
+// fig7bModes are Figure 7b's series, in plotting order: unmodified
+// software, then the three fork timings.
+var fig7bModes = []string{"XORP", "TM", "PF", "TF"}
+
+// fig7bDirty is the number of pages one Figure 7b packet writes.
+const fig7bDirty = 6
+
+// fig7bPacket processes one packet under fork timing mode and returns what
+// it cost on the critical path: wall time, and the deterministic in-band
+// counts — snapshots taken and COW faults. XORP takes no checkpoint; TF
+// forks when the packet arrives, so the snapshot and the COW faults it
+// causes are both in band; PF pre-forks during idle time, so the packet
+// still pays the faults on the pages it touches; TM pre-forks and touches
+// memory during idle time, so the packet's writes land on already-private
+// pages.
+func (s *fig7State) fig7bPacket(mode string) (ms float64, snaps int, faults uint64) {
+	var id memstore.SnapID
+	if mode == "PF" || mode == "TM" {
+		id = s.store.Snapshot()
+		if mode == "TM" {
+			s.store.TouchAll()
+		}
+	}
+	live, f0 := s.store.Snapshots(), s.store.COWFaults()
+	t0 := time.Now()
+	if mode == "TF" {
+		id = s.store.Snapshot()
+	}
+	s.processPacket(fig7bDirty)
+	ms = sinceMs(t0)
+	snaps, faults = s.store.Snapshots()-live, s.store.COWFaults()-f0
+	if mode != "XORP" {
+		if err := s.store.Release(id); err != nil {
+			panic(err)
+		}
+	}
+	return ms, snaps, faults
+}
+
 // fig7b reproduces Figure 7b: the CDF of per-packet processing time
 // without rollbacks, comparing fork timings against unmodified software.
 // Paper ordering: XORP < TM (pre-fork + touched memory) < PF (pre-fork)
@@ -129,71 +178,19 @@ func fig7b(w workload) (*metrics.Figure, error) {
 		XLabel: "processing time [ms]",
 		YLabel: "CDF",
 	}
-	trials := w.fig7Trials()
-	dirty := 6
-
-	// measure times packets whose checkpoint was prepared off the
-	// critical path (idle cycles) by prep.
-	measure := func(prep func(s *fig7State) memstore.SnapID) *metrics.Dist {
+	for _, mode := range fig7bModes {
 		st := newFig7State(w)
 		var d metrics.Dist
-		for i := 0; i < trials; i++ {
-			id := prep(st)
-			t0 := time.Now()
-			st.processPacket(dirty)
-			d.Add(sinceMs(t0))
-			if err := st.store.Release(id); err != nil {
-				panic(err)
-			}
+		for i := 0; i < w.fig7Trials(); i++ {
+			ms, _, _ := st.fig7bPacket(mode)
+			d.Add(ms)
 		}
-		return &d
+		name := "XORP"
+		if mode != "XORP" {
+			name = "DEFINED-RB(" + mode + ")"
+		}
+		cdfSeries(f, name, &d, 40)
 	}
-
-	// XORP: no checkpointing at all.
-	xorp := func() *metrics.Dist {
-		st := newFig7State(w)
-		var d metrics.Dist
-		for i := 0; i < trials; i++ {
-			t0 := time.Now()
-			st.processPacket(dirty)
-			d.Add(sinceMs(t0))
-		}
-		return &d
-	}()
-
-	// TF: the fork happens when the packet arrives — snapshot cost and
-	// the resulting COW faults are both in-band.
-	tf := func() *metrics.Dist {
-		st := newFig7State(w)
-		var d metrics.Dist
-		for i := 0; i < trials; i++ {
-			t0 := time.Now()
-			id := st.store.Snapshot()
-			st.processPacket(dirty)
-			d.Add(sinceMs(t0))
-			if err := st.store.Release(id); err != nil {
-				panic(err)
-			}
-		}
-		return &d
-	}()
-
-	// PF: pre-fork during idle; the packet still pays the COW faults on
-	// the pages it touches.
-	pf := measure(func(s *fig7State) memstore.SnapID { return s.store.Snapshot() })
-
-	// TM: pre-fork plus touching memory during idle; the packet's writes
-	// land on already-private pages.
-	tm := measure(func(s *fig7State) memstore.SnapID {
-		id := s.store.Snapshot()
-		s.store.TouchAll()
-		return id
-	})
-
-	cdfSeries(f, "XORP", xorp, 40)
-	cdfSeries(f, "DEFINED-RB(TM)", tm, 40)
-	cdfSeries(f, "DEFINED-RB(PF)", pf, 40)
-	cdfSeries(f, "DEFINED-RB(TF)", tf, 40)
 	return f, nil
 }
 

@@ -1,11 +1,11 @@
 package netsim
 
-// This file is the sharded parallel runtime: the Lane type (one shard's
-// queue, pool and window state, plus the scheduling facade engines use so
-// the same call sites work in both modes), the worker-side window loop,
-// and the driver-side orchestration (serial steps, window horizons, the
-// commit-barrier merge). See the package comment for the concurrency
-// contract and the shard package comment for the determinism argument.
+// This file is the Lane type (one queue, pool and window state, through
+// which engines schedule in both modes), the sharded runtime's worker-side
+// window loop, and its driver-side orchestration (serial steps, window
+// horizons, the commit-barrier merge). See the package comment for the
+// concurrency contract and the shard package comment for the determinism
+// argument.
 
 import (
 	"fmt"
@@ -19,21 +19,21 @@ import (
 	"defined/internal/vtime"
 )
 
-// Lane is one shard of the sharded runtime: it owns the event queue and
-// message pool for a contiguous range of nodes, and executes their events
-// on a worker goroutine during parallel windows. Engines hold the Lane of
-// each node they drive and go through it for everything they previously
-// called on the Sim (Now, Send, scheduling, Cancel/Rearm, Pool); in
-// sequential mode the Lane is a zero-cost facade that delegates to the
-// Sim, so engine code is identical in both modes.
+// Lane owns the event queue and message pool of a set of nodes. Engines
+// hold the Lane of each node they drive and go through it for Now, Send,
+// scheduling, Cancel/Rearm and Pool. Sequential mode is one lane on the
+// driver queue: every node's Lane is the Sim's own, whose queue and pool
+// are the driver's. In sharded mode each lane owns a contiguous range of
+// nodes and executes their events on a worker goroutine during parallel
+// windows. Either way a Lane operation has one body, so engine code is
+// identical in both modes.
 //
 // During a window a Lane's methods must only be called from its own
 // worker (equivalently: from the delivery handlers and timers of its own
 // nodes). Outside windows everything runs on the driver goroutine.
 type Lane struct {
-	s       *Sim
-	idx     int32
-	sharded bool
+	s   *Sim
+	idx int32
 
 	q    eventq.Queue
 	pool msg.Pool
@@ -87,14 +87,9 @@ func (l *Lane) CurSeq() uint64 {
 }
 
 // Pool returns the message pool this Lane's nodes allocate from: the
-// shard-local pool in sharded mode (concurrent, since receivers on other
-// shards release into it), the simulator's pool otherwise.
-func (l *Lane) Pool() *msg.Pool {
-	if l.sharded {
-		return &l.pool
-	}
-	return &l.s.pool
-}
+// simulator's pool in sequential mode, the lane's own in sharded mode
+// (concurrent, since receivers on other lanes release into it).
+func (l *Lane) Pool() *msg.Pool { return &l.pool }
 
 // Send transmits m like Sim.Send. During a window the boundary-crossing
 // half (jitter draw, FIFO clamp, destination push) is logged and applied
@@ -105,80 +100,30 @@ func (l *Lane) Send(m *msg.Message) bool {
 	if !l.inWindow {
 		return l.s.Send(m)
 	}
-	s := l.s
-	m.CheckLive("Send")
-	idx := s.G.LinkIndex(int(m.From), int(m.To))
-	if idx < 0 {
-		panic(fmt.Sprintf("netsim: send over non-existent link %d-%d", m.From, m.To))
-	}
-	st := &s.stats[m.From]
-	st.Sent++
-	st.ByKindOut[m.Kind]++
-	var dup bool
-	if m.Kind == msg.KindApp {
-		if !s.linkUp[idx] || !s.nodeUp[m.From] || !s.nodeUp[m.To] {
-			st.DroppedTx++
-			return false
-		}
-		// The loss/duplication fate is a per-directed-link counter draw
-		// (see Config.DropProb): the counter cell belongs to this lane
-		// like the sender's stats, and advances in the same per-link send
-		// order as the sequential engine, so the fate is identical.
-		var drop bool
-		drop, dup = s.wireFate(m, idx)
-		if drop {
-			st.DroppedTx++
-			return false
-		}
-	}
-	l.log.Add(shard.Action{Kind: shard.ActionSend, Msg: m.Retain(), Link: int32(idx)})
-	if dup {
-		// The duplicate is a second logged send: at the barrier it draws
-		// its own wire delay right after the original, exactly as the
-		// sequential engine's adjacent pushArrival pair does.
+	// The loss/duplication fate is a per-directed-link counter draw (see
+	// Config.DropProb): the counter cell belongs to this lane like the
+	// sender's stats, and advances in the same per-link send order as the
+	// sequential engine, so the fate is identical. A duplicate is a second
+	// logged send: at the barrier it draws its own wire delay right after
+	// the original, exactly as Send's second copy does.
+	idx, copies := l.s.admit(m)
+	for range copies {
 		l.log.Add(shard.Action{Kind: shard.ActionSend, Msg: m.Retain(), Link: int32(idx)})
 	}
-	return true
+	return copies > 0
 }
 
-// ScheduleFn schedules fn at time at for one of this Lane's nodes. In
-// sharded mode the event lives in the Lane's own queue: pushed under the
-// next global sequence from the driver, or under a provisional sequence
-// (resolved at the commit barrier) from inside a window.
-func (l *Lane) ScheduleFn(at vtime.Time, fn func()) eventq.Handle {
-	if !l.sharded {
-		return l.s.ScheduleFn(at, fn)
-	}
-	if !l.inWindow {
-		if at < l.s.now {
-			at = l.s.now
-		}
-		return l.q.PushFnSeq(at, l.s.nextSeq(), fn)
-	}
-	if at < l.now {
-		at = l.now
-	}
-	prov := shard.ProvSeq(int(l.idx), l.provN)
-	l.provN++
-	h := l.q.PushFnSeq(at, prov, fn)
-	l.log.Add(shard.Action{Kind: shard.ActionLocalPush, H: h, Prov: prov})
-	return h
-}
-
-// ScheduleCall schedules a pre-bound Caller, like ScheduleFn but
-// allocation-free.
+// ScheduleCall schedules a pre-bound Caller at time at (>= the Lane's
+// current time) for one of this Lane's nodes, allocating nothing; a plain
+// callback goes through eventq.Func. From the driver the event is pushed
+// under the next insertion sequence; from inside a window, under a
+// provisional sequence the commit barrier resolves.
 func (l *Lane) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
-	if !l.sharded {
-		return l.s.ScheduleCall(at, c)
+	if now := l.Now(); at < now {
+		at = now
 	}
 	if !l.inWindow {
-		if at < l.s.now {
-			at = l.s.now
-		}
 		return l.q.PushCallSeq(at, l.s.nextSeq(), c)
-	}
-	if at < l.now {
-		at = l.now
 	}
 	prov := shard.ProvSeq(int(l.idx), l.provN)
 	l.provN++
@@ -192,9 +137,6 @@ func (l *Lane) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
 // push from inside a window needs no provisional sequence and leaves
 // nothing for the commit barrier to resolve.
 func (l *Lane) ScheduleCallSeq(at vtime.Time, seq uint64, c eventq.Caller) eventq.Handle {
-	if !l.sharded {
-		return l.s.ScheduleCallSeq(at, seq, c)
-	}
 	if now := l.Now(); at < now {
 		at = now
 	}
@@ -206,24 +148,19 @@ func (l *Lane) AfterCall(d vtime.Duration, c eventq.Caller) eventq.Handle {
 	return l.ScheduleCall(l.Now().Add(d), c)
 }
 
-// Cancel removes a scheduled event of this Lane's nodes. Stale handles are
-// a safe no-op. A cancelled window-phase push still consumes its global
+// Cancel removes a scheduled event of this Lane's nodes. Cancelling an
+// already-fired event — even one whose queue slot has since been reused —
+// is a safe no-op. A cancelled window-phase push still consumes its
 // sequence at commit, exactly as the sequential engine consumed one at
 // push time.
-func (l *Lane) Cancel(h eventq.Handle) {
-	if !l.sharded {
-		l.s.Cancel(h)
-		return
-	}
-	l.q.Remove(h)
-}
+func (l *Lane) Cancel(h eventq.Handle) { l.q.Remove(h) }
 
 // Rearm slides a scheduled event to a new fire time (clamped to the Lane's
-// current time), keeping its handle and insertion sequence, like Sim.Rearm.
+// current time), keeping its handle and insertion sequence and allocating
+// nothing. It reports whether the event was still pending; re-arming an
+// already-fired event is a safe no-op, and the caller should schedule
+// afresh.
 func (l *Lane) Rearm(h eventq.Handle, at vtime.Time) bool {
-	if !l.sharded {
-		return l.s.Rearm(h, at)
-	}
 	if now := l.Now(); at < now {
 		at = now
 	}
@@ -253,12 +190,8 @@ func (l *Lane) runWindow() {
 		case eventq.KindDeliver:
 			l.nPops++
 			l.deliver(ev.Msg)
-		case eventq.KindFn:
-			ev.Fn()
 		case eventq.KindCall:
 			ev.Call.Fire()
-		default:
-			panic(fmt.Sprintf("netsim: unknown event kind %d", ev.Kind))
 		}
 	}
 }
@@ -267,21 +200,11 @@ func (l *Lane) runWindow() {
 // cross-shard state, so the horizon protocol guarantees none can be
 // scheduled inside a window; hitting one here is a runtime bug.
 func (l *Lane) deliver(m *msg.Message) {
-	s := l.s
 	m.CheckLive("deliver")
-	if m.Kind == msg.KindApp {
-		idx := s.G.LinkIndex(int(m.From), int(m.To))
-		if idx < 0 || !s.linkUp[idx] || !s.nodeUp[m.To] {
-			panic(fmt.Sprintf("netsim: doomed delivery %s inside a parallel window", m))
-		}
+	if l.s.doomed(m) {
+		panic(fmt.Sprintf("netsim: doomed delivery %s inside a parallel window", m))
 	}
-	st := &s.stats[m.To]
-	st.Received++
-	st.ByKindIn[m.Kind]++
-	if h := s.handlers[m.To]; h != nil {
-		h(m)
-	}
-	m.Release()
+	l.s.receive(m)
 }
 
 // WinDeliver is one application-message delivery scheduled inside the
@@ -310,11 +233,11 @@ func (s *Sim) SetWindowObserver(o WindowObserver) { s.obs = o }
 // Sharded reports whether the sharded runtime is active.
 func (s *Sim) Sharded() bool { return s.lanes != nil }
 
-// LaneFor returns node n's Lane. In sequential mode every node shares one
-// facade Lane that delegates to the Sim.
+// LaneFor returns node n's Lane. In sequential mode every node shares the
+// driver's lane.
 func (s *Sim) LaneFor(n msg.NodeID) *Lane {
 	if s.lanes == nil {
-		return s.lane0
+		return &s.lane0
 	}
 	return s.lanes[s.laneOf[n]]
 }
@@ -322,7 +245,7 @@ func (s *Sim) LaneFor(n msg.NodeID) *Lane {
 // SetPoison switches message-lifecycle poison mode on the simulator's pool
 // and every lane pool.
 func (s *Sim) SetPoison(on bool) {
-	s.pool.SetPoison(on)
+	s.lane0.pool.SetPoison(on)
 	for _, l := range s.lanes {
 		l.pool.SetPoison(on)
 	}
@@ -331,7 +254,7 @@ func (s *Sim) SetPoison(on bool) {
 // PoolViolations sums lifecycle violations across the simulator's pool and
 // every lane pool.
 func (s *Sim) PoolViolations() uint64 {
-	v := s.pool.Violations()
+	v := s.lane0.pool.Violations()
 	for _, l := range s.lanes {
 		v += l.pool.Violations()
 	}
@@ -342,7 +265,7 @@ func (s *Sim) PoolViolations() uint64 {
 // and every lane pool. At quiescence it is the leak oracle's left-hand
 // side: every live message must be referenced by some engine structure.
 func (s *Sim) PoolLive() int {
-	n := s.pool.Live()
+	n := s.lane0.pool.Live()
 	for _, l := range s.lanes {
 		n += l.pool.Live()
 	}
@@ -363,13 +286,13 @@ func (s *Sim) initShards() {
 	if nsh > s.G.N {
 		nsh = s.G.N
 	}
-	s.lane0 = &Lane{s: s}
+	s.lane0.s = s
 	if nsh <= 1 {
 		return
 	}
 	s.lanes = make([]*Lane, nsh)
 	for i := range s.lanes {
-		s.lanes[i] = &Lane{s: s, idx: int32(i), sharded: true}
+		s.lanes[i] = &Lane{s: s, idx: int32(i)}
 		s.lanes[i].pool.SetConcurrent(true)
 	}
 	s.laneOf = make([]int32, s.G.N)
@@ -408,7 +331,7 @@ func (s *Sim) minSource() (src int, ok bool) {
 	src = -2
 	var bAt vtime.Time
 	var bSeq uint64
-	if at, seq, qok := s.q.NextAtSeq(); qok {
+	if at, seq, qok := s.lane0.q.NextAtSeq(); qok {
 		src, bAt, bSeq = -1, at, seq
 	}
 	for i, l := range s.lanes {
@@ -431,7 +354,7 @@ func (s *Sim) serialStep(src int) {
 	var ev eventq.Event
 	var ok bool
 	if src < 0 {
-		ev, ok = s.q.Pop()
+		ev, ok = s.lane0.q.Pop()
 	} else {
 		l := s.lanes[src]
 		ev, ok = l.q.Pop()
@@ -443,20 +366,7 @@ func (s *Sim) serialStep(src int) {
 		panic("netsim: serialStep with no pending event")
 	}
 	s.serialSteps++
-	s.now = ev.At
-	s.curSeq = ev.Seq
-	s.processed++
-	switch ev.Kind {
-	case eventq.KindDeliver:
-		s.inFlight--
-		s.deliver(ev.Msg)
-	case eventq.KindFn:
-		ev.Fn()
-	case eventq.KindCall:
-		ev.Call.Fire()
-	default:
-		panic(fmt.Sprintf("netsim: unknown event kind %d", ev.Kind))
-	}
+	s.exec(ev)
 }
 
 // rescanDooms rebuilds every lane's doomed-arrival cache after a link or
@@ -466,12 +376,7 @@ func (s *Sim) rescanDooms() {
 	for _, l := range s.lanes {
 		l.doomed = l.doomed[:0]
 		l.q.Scan(func(ev eventq.Event) {
-			if ev.Kind != eventq.KindDeliver || ev.Msg.Kind != msg.KindApp {
-				return
-			}
-			m := ev.Msg
-			idx := s.G.LinkIndex(int(m.From), int(m.To))
-			if idx < 0 || !s.linkUp[idx] || !s.nodeUp[m.To] {
+			if ev.Kind == eventq.KindDeliver && s.doomed(ev.Msg) {
 				l.doomed = append(l.doomed, evKey{at: ev.At, seq: ev.Seq})
 			}
 		})
@@ -513,7 +418,7 @@ func (s *Sim) runSharded(until vtime.Time, maxEvents int) (int, bool) {
 		}
 		if src < 0 {
 			// The frontier event is a driver event: always serial.
-			if at := s.q.NextAt(); until != vtime.Never && at > until {
+			if at := s.lane0.q.NextAt(); until != vtime.Never && at > until {
 				return n, false
 			}
 			s.serialStep(src)
@@ -525,7 +430,7 @@ func (s *Sim) runSharded(until vtime.Time, maxEvents int) (int, bool) {
 			return n, false
 		}
 		caps := s.capsBuf[:0]
-		if at := s.q.NextAt(); at != vtime.Never {
+		if at := s.lane0.q.NextAt(); at != vtime.Never {
 			caps = append(caps, at)
 		}
 		for _, l := range s.lanes {

@@ -13,27 +13,31 @@
 // paper targets — arises naturally from differing path delays and jitter.
 //
 // The event path is allocation-aware: scheduling goes through eventq's
-// slab-backed typed queue (no per-event boxing), the per-directed-link
-// FIFO clamp is a dense array indexed by the topology's link indices, and
-// per-kind traffic counters are fixed arrays indexed by msg.Kind. Message
-// lifetime follows the refcounted lifecycle in the msg package comment:
-// Send retains while a message is in flight and releases after the
-// delivery handler returns, for every traffic class. Handlers receive
-// borrows — a layer that keeps a message past the callback (history
-// windows, defer buffers) must Retain it; transient control traffic
-// (anti-messages) recycles through the simulator's Pool() the moment its
-// handler returns, because the sending engine released its own reference
-// right after Send.
+// slab-backed queue (a delivery or a Caller per event, no boxing), the
+// per-directed-link FIFO clamp is a dense array indexed by the topology's
+// link indices, and per-kind traffic counters are fixed arrays indexed by
+// msg.Kind. Message lifetime follows the refcounted lifecycle in the msg
+// package comment: Send retains while a message is in flight and releases
+// after the delivery handler returns, for every traffic class. Handlers
+// receive borrows — a layer that keeps a message past the callback
+// (history windows, defer buffers) must Retain it; transient control
+// traffic (anti-messages) recycles through the simulator's Pool() the
+// moment its handler returns, because the sending engine released its own
+// reference right after Send.
 //
 // # Concurrency contract
 //
-// By default the simulator executes its single totally-ordered timeline on
-// one driver goroutine and is not safe for concurrent use. Config.Shards
-// enables the sharded runtime: nodes are partitioned across per-core
-// shards (Lane), each owning its nodes' event queue, message pool and
-// delivery handlers, and execution alternates between serial steps on the
-// driver and parallel windows (see the shard package comment for the model
-// and its determinism argument).
+// Engines schedule through a node's Lane: the owner of an event queue and
+// a message pool. Sequential mode is one lane on the driver queue — every
+// node's Lane is the driver's — and the simulator runs its single
+// totally-ordered timeline on one driver goroutine, not safe for
+// concurrent use. Config.Shards enables the sharded runtime: nodes are
+// partitioned across per-core lanes, each owning its nodes' event queue,
+// message pool and delivery handlers, and execution alternates between
+// serial steps on the driver and parallel windows (see the shard package
+// comment for the model and its determinism argument). Either way every
+// event is labelled from one counter in program order, so each event has
+// the same (at, seq) label in both modes.
 //
 // Windows are bounded by lookahead, conservative-PDES style. The default
 // bound is the global minimum link delay past the frontier event; with
@@ -167,13 +171,22 @@ func (st *NodeStats) Dropped() uint64 { return st.DroppedTx + st.DroppedRx }
 // a Sim must come from the driver goroutine (or, with Config.Shards, from
 // the owning Lane during a parallel window — see the package comment's
 // concurrency contract); determinism does not depend on GOMAXPROCS.
+// Engines schedule, cancel and re-arm through a node's Lane (LaneFor).
 type Sim struct {
 	G   *topology.Graph
 	cfg Config
 
-	now      vtime.Time
-	curSeq   uint64 // sequence of the event the driver is executing
-	q        eventq.Queue
+	now    vtime.Time
+	curSeq uint64 // sequence of the event the driver is executing
+	// lane0 is the driver's lane. Its queue holds every event in
+	// sequential mode, and in sharded mode the boundary-crossing ones
+	// (scenario callbacks, driver timers), which always execute serially.
+	// Its pool is the simulator's (Pool).
+	lane0 Lane
+	// seqNext labels every event, in every queue, in program order: the
+	// one insertion sequence that makes runs bit-identical across shard
+	// counts.
+	seqNext  uint64
 	handlers []Handler
 	nodeUp   []bool
 	linkUp   []bool
@@ -191,21 +204,13 @@ type Sim struct {
 	lossKey   uint64
 	wireSeq   []uint64
 	stats     []NodeStats
-	pool      msg.Pool
 	inFlight  int
 	processed uint64
 	onDrop    func(m *msg.Message)
 
-	// Sharded runtime (nil lanes == sequential engine). q doubles as the
-	// driver queue: scenario callbacks and other boundary-crossing timers
-	// live there and always execute serially. seqNext is the global
-	// insertion sequence spanning the driver queue and every lane queue —
-	// assigned in the same program order as the sequential engine's single
-	// queue counter, which is what makes runs bit-identical.
+	// Sharded runtime (nil lanes == sequential engine).
 	lanes     []*Lane
 	laneOf    []int32
-	lane0     *Lane // sequential facade so LaneFor always works
-	seqNext   uint64
 	lookahead vtime.Duration
 	doomDirty bool
 	obs       WindowObserver
@@ -287,7 +292,7 @@ func (s *Sim) ResetStats() {
 // traffic, directly for transient control messages) and release their own
 // reference once transmission is handed off; the simulator's in-flight
 // reference dies when the delivery handler returns.
-func (s *Sim) Pool() *msg.Pool { return &s.pool }
+func (s *Sim) Pool() *msg.Pool { return &s.lane0.pool }
 
 // SetLinkState marks the a-b link up or down. Packets in flight on a link
 // when it goes down are lost (checked at delivery time).
@@ -330,45 +335,46 @@ func (s *Sim) NodeState(n msg.NodeID) bool { return s.nodeUp[n] }
 // ride a reliable out-of-band channel, as the paper's TCP-based
 // coordination does (§2.3 and footnote 4).
 func (s *Sim) Send(m *msg.Message) bool {
+	idx, copies := s.admit(m)
+	for range copies {
+		at := s.arrivalAt(idx, m, s.now)
+		s.LaneFor(m.To).q.PushDeliverSeq(at, s.nextSeq(), m.Retain())
+		s.inFlight++
+	}
+	return copies > 0
+}
+
+// admit is the send-time half of Send that is the sender's to decide: it
+// counts the send, applies link/node state and the wire fate, and returns
+// the link and how many copies go on the wire (0 when the packet is
+// dropped, 2 when it is duplicated). It touches only the sender's cells,
+// so a lane's worker runs it inside a window against the state frozen for
+// the window, with the same result as the driver would get.
+func (s *Sim) admit(m *msg.Message) (idx, copies int) {
 	m.CheckLive("Send")
-	idx := s.G.LinkIndex(int(m.From), int(m.To))
+	idx = s.G.LinkIndex(int(m.From), int(m.To))
 	if idx < 0 {
 		panic(fmt.Sprintf("netsim: send over non-existent link %d-%d", m.From, m.To))
 	}
 	st := &s.stats[m.From]
 	st.Sent++
 	st.ByKindOut[m.Kind]++
-	var dup bool
-	if m.Kind == msg.KindApp {
-		if !s.linkUp[idx] || !s.nodeUp[m.From] || !s.nodeUp[m.To] {
-			st.DroppedTx++
-			return false
-		}
-		var drop bool
-		drop, dup = s.wireFate(m, idx)
-		if drop {
-			st.DroppedTx++
-			return false
-		}
+	if m.Kind != msg.KindApp {
+		return idx, 1
 	}
-	s.pushArrival(idx, m)
+	if !s.linkUp[idx] || !s.nodeUp[m.From] || !s.nodeUp[m.To] {
+		st.DroppedTx++
+		return idx, 0
+	}
+	drop, dup := s.wireFate(m, idx)
+	if drop {
+		st.DroppedTx++
+		return idx, 0
+	}
 	if dup {
-		s.pushArrival(idx, m)
+		return idx, 2
 	}
-	return true
-}
-
-// pushArrival draws a wire delay for m on link idx and schedules the
-// delivery, retaining the in-flight reference. Driver-only (window-phase
-// sends log an intent instead and reach here via applyAction).
-func (s *Sim) pushArrival(idx int, m *msg.Message) {
-	at := s.arrivalAt(idx, m, s.now)
-	if s.lanes != nil {
-		s.lanes[s.laneOf[m.To]].q.PushDeliverSeq(at, s.nextSeq(), m.Retain())
-	} else {
-		s.q.PushDeliver(at, m.Retain())
-	}
-	s.inFlight++
+	return idx, 1
 }
 
 // wireFate draws the loss and duplication fate for an app packet about to
@@ -421,7 +427,7 @@ func (s *Sim) arrivalAt(idx int, m *msg.Message, fireAt vtime.Time) vtime.Time {
 	return at
 }
 
-// nextSeq hands out the next global insertion sequence (sharded mode).
+// nextSeq hands out the next insertion sequence.
 func (s *Sim) nextSeq() uint64 {
 	n := s.seqNext
 	s.seqNext++
@@ -436,72 +442,25 @@ func absNorm(r *rng.Source) float64 {
 	return v
 }
 
-// ScheduleFn runs fn at virtual time at (>= now). fn runs on the simulation
-// goroutine and may send messages or change link state. The returned handle
-// may be cancelled with Cancel.
+// ScheduleFn runs fn at virtual time at (>= now) on the driver. fn may send
+// messages or change link state. In sequential mode the returned handle
+// can be cancelled or re-armed through any node's Lane (all are the
+// driver's).
 func (s *Sim) ScheduleFn(at vtime.Time, fn func()) eventq.Handle {
-	if at < s.now {
-		at = s.now
-	}
-	if s.lanes != nil {
-		return s.q.PushFnSeq(at, s.nextSeq(), fn)
-	}
-	return s.q.PushFn(at, fn)
+	return s.lane0.ScheduleCall(at, eventq.Func(fn))
 }
 
-// After schedules fn d after now.
-func (s *Sim) After(d vtime.Duration, fn func()) eventq.Handle {
-	return s.ScheduleFn(s.now.Add(d), fn)
-}
-
-// ScheduleCall runs a pre-bound Caller at virtual time at (>= now); unlike
-// ScheduleFn it allocates nothing, so pooled objects can schedule
-// themselves for free.
-func (s *Sim) ScheduleCall(at vtime.Time, c eventq.Caller) eventq.Handle {
-	if at < s.now {
-		at = s.now
-	}
-	if s.lanes != nil {
-		return s.q.PushCallSeq(at, s.nextSeq(), c)
-	}
-	return s.q.PushCall(at, c)
-}
-
-// ReserveSeq sets aside the next n global insertion sequences and returns
-// the first, for events whose (at, seq) labels are known before they need
-// to be queued (see eventq.Queue.ReserveSeq); ScheduleCallSeq pushes under
-// them. Driver-only.
+// ReserveSeq sets aside the next n insertion sequences and returns the
+// first, for events whose (at, seq) labels are known before they need to
+// be queued; Lane.ScheduleCallSeq pushes under them. A producer of a long,
+// known series of events (the rollback engine's per-node group ticks) can
+// so keep only the next one queued and push each successor later under the
+// label it would have had if the whole series had been pushed up front.
+// Driver-only.
 func (s *Sim) ReserveSeq(n uint64) (base uint64) {
-	if s.lanes == nil {
-		return s.q.ReserveSeq(n)
-	}
 	base = s.seqNext
 	s.seqNext += n
 	return base
-}
-
-// ScheduleCallSeq is ScheduleCall under a sequence from ReserveSeq instead
-// of the next one.
-func (s *Sim) ScheduleCallSeq(at vtime.Time, seq uint64, c eventq.Caller) eventq.Handle {
-	if at < s.now {
-		at = s.now
-	}
-	return s.q.PushCallSeq(at, seq, c)
-}
-
-// Cancel removes a scheduled fn event. Cancelling an already-fired event —
-// even one whose queue slot has since been reused — is a safe no-op.
-func (s *Sim) Cancel(h eventq.Handle) { s.q.Remove(h) }
-
-// Rearm slides a previously scheduled fn event to a new fire time (clamped
-// to now), keeping its handle valid and allocating nothing. It reports
-// whether the event was still pending; re-arming an already-fired event is
-// a safe no-op, and the caller should schedule afresh.
-func (s *Sim) Rearm(h eventq.Handle, at vtime.Time) bool {
-	if at < s.now {
-		at = s.now
-	}
-	return s.q.Reschedule(h, at)
 }
 
 // Step processes the next event with full sequential semantics. It returns
@@ -516,10 +475,16 @@ func (s *Sim) Step() bool {
 		s.serialStep(src)
 		return true
 	}
-	ev, ok := s.q.Pop()
+	ev, ok := s.lane0.q.Pop()
 	if !ok {
 		return false
 	}
+	s.exec(ev)
+	return true
+}
+
+// exec runs ev on the driver.
+func (s *Sim) exec(ev eventq.Event) {
 	s.now = ev.At
 	s.curSeq = ev.Seq
 	s.processed++
@@ -527,14 +492,9 @@ func (s *Sim) Step() bool {
 	case eventq.KindDeliver:
 		s.inFlight--
 		s.deliver(ev.Msg)
-	case eventq.KindFn:
-		ev.Fn()
 	case eventq.KindCall:
 		ev.Call.Fire()
-	default:
-		panic(fmt.Sprintf("netsim: unknown event kind %d", ev.Kind))
 	}
-	return true
 }
 
 // OnDrop registers a callback invoked when an in-flight message is lost at
@@ -544,17 +504,30 @@ func (s *Sim) OnDrop(h func(m *msg.Message)) { s.onDrop = h }
 
 func (s *Sim) deliver(m *msg.Message) {
 	m.CheckLive("deliver")
-	if m.Kind == msg.KindApp {
-		idx := s.G.LinkIndex(int(m.From), int(m.To))
-		if idx < 0 || !s.linkUp[idx] || !s.nodeUp[m.To] {
-			s.stats[m.To].DroppedRx++
-			if s.onDrop != nil {
-				s.onDrop(m)
-			}
-			m.Release() // the in-flight reference dies with the loss
-			return
+	if s.doomed(m) {
+		s.stats[m.To].DroppedRx++
+		if s.onDrop != nil {
+			s.onDrop(m)
 		}
+		m.Release() // the in-flight reference dies with the loss
+		return
 	}
+	s.receive(m)
+}
+
+// doomed reports whether the current link/node state drops in-flight m at
+// delivery: an app message whose link or destination is down.
+func (s *Sim) doomed(m *msg.Message) bool {
+	if m.Kind != msg.KindApp {
+		return false
+	}
+	idx := s.G.LinkIndex(int(m.From), int(m.To))
+	return idx < 0 || !s.linkUp[idx] || !s.nodeUp[m.To]
+}
+
+// receive hands m to its destination's handler and drops the in-flight
+// reference; it touches only the receiver's cells.
+func (s *Sim) receive(m *msg.Message) {
 	st := &s.stats[m.To]
 	st.Received++
 	st.ByKindIn[m.Kind]++
@@ -576,7 +549,7 @@ func (s *Sim) Run(until vtime.Time) int {
 		n, _ = s.runSharded(until, int(^uint(0)>>1))
 	} else {
 		for {
-			at := s.q.NextAt()
+			at := s.lane0.q.NextAt()
 			if at == vtime.Never || at > until {
 				break
 			}
@@ -599,7 +572,7 @@ func (s *Sim) RunQuiescent(maxEvents int) (int, bool) {
 		return s.runSharded(vtime.Never, maxEvents)
 	}
 	n := 0
-	for s.q.Len() > 0 {
+	for s.lane0.q.Len() > 0 {
 		if n >= maxEvents {
 			return n, false
 		}
@@ -612,7 +585,7 @@ func (s *Sim) RunQuiescent(maxEvents int) (int, bool) {
 // Pending reports the number of scheduled events (messages in flight plus
 // timers/functions).
 func (s *Sim) Pending() int {
-	n := s.q.Len()
+	n := s.lane0.q.Len()
 	for _, l := range s.lanes {
 		n += l.q.Len()
 	}
@@ -653,7 +626,7 @@ func (s *Sim) LinkFrontier(from, to msg.NodeID) vtime.Time {
 // none), letting engines interleave their own bookkeeping with the event
 // loop. In sharded mode it is the minimum over the driver and lane queues.
 func (s *Sim) NextAt() vtime.Time {
-	at := s.q.NextAt()
+	at := s.lane0.q.NextAt()
 	for _, l := range s.lanes {
 		if la := l.q.NextAt(); la < at {
 			at = la

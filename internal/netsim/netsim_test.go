@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"weak"
 
+	"defined/internal/eventq"
 	"defined/internal/msg"
 	"defined/internal/topology"
 	"defined/internal/vtime"
@@ -128,7 +129,7 @@ func TestLinkDownDropsAtSendAndInFlight(t *testing.T) {
 
 	// In-flight loss: send, then take the link down before delivery.
 	s.Send(mkMsg(0, 1, 1))
-	s.After(vtime.Millisecond, func() {
+	s.ScheduleFn(s.Now().Add(vtime.Millisecond), func() {
 		if err := s.SetLinkState(0, 1, false); err != nil {
 			t.Errorf("SetLinkState: %v", err)
 		}
@@ -188,7 +189,7 @@ func TestNodeDownDropsDelivery(t *testing.T) {
 	}
 	s.SetNodeState(1, true)
 	s.Send(mkMsg(0, 1, 2))
-	s.After(0, func() { s.SetNodeState(1, false) })
+	s.ScheduleFn(s.Now().Add(0), func() { s.SetNodeState(1, false) })
 	s.RunQuiescent(100)
 	if delivered != 0 {
 		t.Fatal("down node must not receive")
@@ -202,7 +203,7 @@ func TestScheduleFnAndCancel(t *testing.T) {
 	s.ScheduleFn(30, func() { fired = append(fired, 3) })
 	s.ScheduleFn(10, func() { fired = append(fired, 1) })
 	ev := s.ScheduleFn(20, func() { fired = append(fired, 2) })
-	s.Cancel(ev)
+	s.LaneFor(0).Cancel(ev)
 	s.RunQuiescent(100)
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
 		t.Fatalf("fired = %v", fired)
@@ -287,7 +288,7 @@ func TestRunQuiescentBudget(t *testing.T) {
 	s := New(g, Config{Deterministic: true})
 	// Self-perpetuating timer chain never quiesces.
 	var loop func()
-	loop = func() { s.After(vtime.Millisecond, loop) }
+	loop = func() { s.ScheduleFn(s.Now().Add(vtime.Millisecond), loop) }
 	loop()
 	n, quiesced := s.RunQuiescent(10)
 	if quiesced {
@@ -351,7 +352,7 @@ func TestDropAccountingOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Send(mkMsg(0, 1, 2))
-	s.After(vtime.Millisecond, func() { _ = s.SetLinkState(0, 1, false) })
+	s.ScheduleFn(s.Now().Add(vtime.Millisecond), func() { _ = s.SetLinkState(0, 1, false) })
 	s.RunQuiescent(100)
 	if tx, rx := s.Stats(0).DroppedTx, s.Stats(0).DroppedRx; tx != 1 || rx != 0 {
 		t.Fatalf("sender after in-flight drop: tx=%d rx=%d, want 1/0", tx, rx)
@@ -448,26 +449,28 @@ func TestControlMessagePoolRecycling(t *testing.T) {
 }
 
 // Rearm slides a scheduled fn to a new fire time without reallocating its
-// event; past times clamp to now and stale handles report false.
+// event; past times clamp to now and stale handles report false. In
+// sequential mode every node's lane is the driver's, so a handle from
+// Sim.ScheduleFn re-arms through it.
 func TestRearmSlidesScheduledFn(t *testing.T) {
 	g := topology.Line(2, vtime.Millisecond)
 	s := New(g, Config{})
 	var fired []vtime.Time
 	h := s.ScheduleFn(30, func() { fired = append(fired, s.Now()) })
 	s.ScheduleFn(20, func() { fired = append(fired, s.Now()) })
-	if !s.Rearm(h, 10) {
+	if !s.LaneFor(0).Rearm(h, 10) {
 		t.Fatal("live handle must re-arm")
 	}
 	s.RunQuiescent(100)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 20 {
 		t.Fatalf("fired = %v, want [10 20]", fired)
 	}
-	if s.Rearm(h, 40) {
+	if s.LaneFor(0).Rearm(h, 40) {
 		t.Fatal("fired handle must not re-arm")
 	}
 	// Re-arming into the past clamps to now.
 	h2 := s.ScheduleFn(50, func() { fired = append(fired, s.Now()) })
-	if !s.Rearm(h2, 5) {
+	if !s.LaneFor(0).Rearm(h2, 5) {
 		t.Fatal("re-arm with past time must clamp, not fail")
 	}
 	s.RunQuiescent(100)
@@ -530,5 +533,46 @@ func TestShardedSimIsCollected(t *testing.T) {
 	}
 	if wp.Value() != nil {
 		t.Fatal("a dropped sharded Sim is still reachable after GC")
+	}
+}
+
+// nopCaller is a pooled-style Caller: pushing it boxes nothing.
+type nopCaller struct{}
+
+func (*nopCaller) Fire() {}
+
+// Scheduling through the one path allocates nothing in steady state, in
+// sequential mode and sharded: Sim.ScheduleFn with a prebuilt closure (the
+// Func adapter boxes no closure) and a lane's ScheduleCall, Rearm and
+// Cancel, from the driver.
+func TestSchedulingAllocFree(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		s := New(topology.Line(4, vtime.Millisecond), Config{Deterministic: true, Shards: shards})
+		fn := func() {}
+		c := &nopCaller{}
+		lane := s.LaneFor(3)
+		// Warm both queues' slabs.
+		s.lane0.Cancel(s.ScheduleFn(10, fn))
+		lane.Cancel(lane.ScheduleCall(10, c))
+		at := vtime.Time(10)
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"Sim.ScheduleFn+Cancel", func() { s.lane0.Cancel(s.ScheduleFn(at, fn)) }},
+			{"Lane.ScheduleCall+Cancel", func() { lane.Cancel(lane.ScheduleCall(at, c)) }},
+			{"Lane.ScheduleCall(Func)+Rearm+Cancel", func() {
+				h := lane.ScheduleCall(at, eventq.Func(fn))
+				lane.Rearm(h, at+5)
+				lane.Cancel(h)
+			}},
+		} {
+			if avg := testing.AllocsPerRun(100, op.run); avg != 0 {
+				t.Errorf("shards=%d: %s allocates %.1f objects/op, want 0", shards, op.name, avg)
+			}
+		}
+		if s.Pending() != 0 {
+			t.Fatalf("shards=%d: %d events left pending", shards, s.Pending())
+		}
 	}
 }

@@ -77,7 +77,7 @@ type pending struct {
 	capLB     vtime.Time // lower bound on every buf[i].capAt (see spentThrough)
 	flushH    eventq.Handle
 	flushAt   vtime.Time
-	flushFn   func()
+	flushFn   eventq.Func
 	arrSeq    uint64
 	directSeq uint64
 
@@ -343,7 +343,7 @@ func (p *pending) armFlush(at vtime.Time) {
 		}
 		return
 	}
-	p.flushH = p.lane.ScheduleFn(at, p.flushFn)
+	p.flushH = p.lane.ScheduleCall(at, p.flushFn)
 	p.flushAt = at
 }
 

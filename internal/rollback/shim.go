@@ -79,13 +79,13 @@ func (sh *shim) onWire(m *msg.Message) {
 // unsent). Each send's closure owns the builder's reference and releases it
 // once the simulator has taken (or refused) the message.
 func (sh *shim) sendBaseline(outs []msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset vtime.Duration) {
-	sim := sh.e.sim
+	lane := sh.lane
 	for _, out := range outs {
 		m := sh.ledger.sender.Build(out, parent, fresh, group, freshOffset)
-		sim.After(vtime.BaseProcessing, func() {
-			sim.Send(m)
+		lane.AfterCall(vtime.BaseProcessing, eventq.Func(func() {
+			lane.Send(m)
 			m.Release()
-		})
+		}))
 	}
 }
 

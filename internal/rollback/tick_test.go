@@ -3,6 +3,7 @@ package rollback
 import (
 	"testing"
 
+	"defined/internal/eventq"
 	"defined/internal/msg"
 	"defined/internal/routing/api"
 	"defined/internal/topology"
@@ -70,7 +71,7 @@ func loopScheduleGroupTicks(e *Engine, until vtime.Time) {
 				break
 			}
 			at := boundary.Add(e.skew[sh.id])
-			sh.lane.ScheduleFn(at, func() { sh.onTimerBatch(g) })
+			sh.lane.ScheduleCall(at, eventq.Func(func() { sh.onTimerBatch(g) }))
 		}
 	}
 	if until > e.scheduledThrough {
