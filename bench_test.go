@@ -22,10 +22,8 @@ import (
 	"defined/internal/metrics"
 	"defined/internal/msg"
 	"defined/internal/ordering"
-	"defined/internal/rollback"
 	"defined/internal/routing/ospf"
 	"defined/internal/scenario"
-	"defined/internal/topology"
 	"defined/internal/vtime"
 )
 
@@ -175,31 +173,6 @@ func ablationNetwork(b *testing.B, eng defined.EngineSpec) *defined.Network {
 	net.Run(defined.Seconds(2))
 	net.Drain()
 	return net
-}
-
-// BenchmarkAblation_BeaconInterval varies the timestep width: the paper
-// (§5.3) notes shorter beacons reduce rollbacks at high event rates.
-func BenchmarkAblation_BeaconInterval(b *testing.B) {
-	for _, iv := range []vtime.Duration{125 * vtime.Millisecond, 250 * vtime.Millisecond, 500 * vtime.Millisecond} {
-		iv := iv
-		b.Run(iv.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := topology.Brite(16, 2, 9)
-				apps := make([]defined.Application, g.N)
-				for j := range apps {
-					apps[j] = ospf.New(ospf.Config{})
-				}
-				eng := rollback.New(g, apps, rollback.Config{Seed: 3, BeaconInterval: iv})
-				l := g.Links[0]
-				eng.Sim().ScheduleFn(vtime.Time(300*vtime.Millisecond), func() {
-					_ = eng.InjectLinkChange(l.A, l.B, false)
-				})
-				eng.Run(vtime.Time(2 * vtime.Second))
-				eng.RunQuiescent(10_000_000)
-				b.ReportMetric(float64(eng.Stats().Rollbacks), "rollbacks")
-			}
-		})
-	}
 }
 
 // BenchmarkAblation_ChainBound varies the per-timestep chain cap.

@@ -100,7 +100,7 @@ func checkCoherence(net *defined.Network, p *defined.Plan, stderr io.Writer) boo
 				h.Role[src] != topology.RoleStub && h.Role[dst] != topology.RoleStub
 		}
 	}
-	if p.Engine.DropProb > 0 {
+	if *p.Engine.PerLinkLoss > 0 {
 		// OSPF floods without retransmit, so a loss draw on a heal-time LSA
 		// can legitimately strand a stale route: a lossy plan checks the
 		// engine invariants only.

@@ -61,6 +61,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"strings"
 
 	"defined/internal/journal"
 	"defined/internal/vtime"
@@ -133,6 +134,35 @@ var Default = Strategy{Timing: TM, Mode: MI}
 
 // String renders "TM/MI" style.
 func (s Strategy) String() string { return s.Timing.String() + "/" + s.Mode.String() }
+
+// ParseStrategy is the inverse of Strategy.String: it parses the
+// "Timing/Mode" rendering ("TM/MI", "TF/FK", ...).
+func ParseStrategy(s string) (Strategy, error) {
+	var out Strategy
+	timing, mode, ok := strings.Cut(s, "/")
+	if !ok {
+		return out, fmt.Errorf("bad checkpoint strategy %q (want Timing/Mode like \"TM/MI\")", s)
+	}
+	switch timing {
+	case "TF":
+		out.Timing = TF
+	case "PF":
+		out.Timing = PF
+	case "TM":
+		out.Timing = TM
+	default:
+		return out, fmt.Errorf("bad checkpoint timing %q (want TF, PF or TM)", timing)
+	}
+	switch mode {
+	case "FK":
+		out.Mode = FK
+	case "MI":
+		out.Mode = MI
+	default:
+		return out, fmt.Errorf("bad checkpoint mode %q (want FK or MI)", mode)
+	}
+	return out, nil
+}
 
 // CostModel is the virtual-time cost of checkpoint operations charged by
 // the network-level simulation. Values are calibrated to the medians the

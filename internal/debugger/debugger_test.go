@@ -24,7 +24,7 @@ func produce(t *testing.T) (*topology.Graph, *record.Recording) {
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	e := rollback.New(g, apps, rollback.Config{Seed: 1, Record: true})
+	e := rollback.New(g, apps, rollback.EngineSpec{Seed: ptr[uint64](1), Record: ptr(true)})
 	l := g.Links[0]
 	e.Sim().ScheduleFn(vtime.Time(10*vtime.Millisecond), func() {
 		if err := e.InjectLinkChange(l.A, l.B, false); err != nil {
@@ -252,3 +252,5 @@ func TestExecuteEmptyLineIsNoOp(t *testing.T) {
 		t.Fatalf("step after blank lines produced unexpected output: %q", out.String())
 	}
 }
+
+func ptr[T any](v T) *T { return &v }

@@ -130,11 +130,7 @@ func newNetwork(g *topology.Graph, eng scenario.EngineSpec) (*network, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := resolved.Config()
-	if err != nil {
-		return nil, err
-	}
-	n := &network{rollback.New(g, ospfApps(g.N), cfg)}
+	n := &network{rollback.New(g, ospfApps(g.N), resolved)}
 	// Boot: run past the first beacon group so every daemon floods its
 	// LSA, then drain.
 	n.Run(vtime.Time(vtime.Second))

@@ -166,7 +166,7 @@ func TestCheckReportsPoolLeak(t *testing.T) {
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	e := rollback.New(g, apps, rollback.Config{Seed: 7, PoisonMessages: true})
+	e := rollback.New(g, apps, rollback.EngineSpec{Seed: ptr[uint64](7), Poison: ptr(true)})
 	e.Run(sec(1))
 	e.RunQuiescent(1_000_000)
 	if rep := Check(e, g, CheckConfig{}); !rep.Ok() || rep.PoolLive == 0 {
@@ -191,3 +191,5 @@ func TestCheckReportsPoolLeak(t *testing.T) {
 		t.Errorf("one Release too many: Check reported %v, want one lifecycle violation", err)
 	}
 }
+
+func ptr[T any](v T) *T { return &v }

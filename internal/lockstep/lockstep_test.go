@@ -92,11 +92,11 @@ func floodApps(n int) []api.Application {
 func produce(t *testing.T, g *topology.Graph, seed uint64, nVals int) (*record.Recording, [][]ordering.Key, [][]string) {
 	t.Helper()
 	apps := floodApps(g.N)
-	e := rollback.New(g, apps, rollback.Config{
-		Seed:          seed,
-		JitterScale:   4,
-		Record:        true,
-		LogDeliveries: true,
+	e := rollback.New(g, apps, rollback.EngineSpec{
+		Seed:        &seed,
+		JitterScale: ptr(4.0),
+		Record:      ptr(true),
+		DeliveryLog: ptr(true),
 	})
 	for v := 0; v < nVals; v++ {
 		v := v
@@ -160,12 +160,13 @@ func TestTheorem1UnderRandomOrdering(t *testing.T) {
 	g := topology.Brite(10, 2, 27)
 	for seed := uint64(0); seed < 3; seed++ {
 		apps := floodApps(g.N)
-		e := rollback.New(g, apps, rollback.Config{
-			Seed:          seed,
-			JitterScale:   3,
-			Ordering:      ordering.Random(777),
-			Record:        true,
-			LogDeliveries: true,
+		e := rollback.New(g, apps, rollback.EngineSpec{
+			Seed:         &seed,
+			JitterScale:  ptr(3.0),
+			Ordering:     "RO",
+			OrderingSeed: ptr[uint64](777),
+			Record:       ptr(true),
+			DeliveryLog:  ptr(true),
 		})
 		for v := 0; v < 4; v++ {
 			v := v
@@ -211,8 +212,8 @@ func TestTheorem1UnderRandomOrdering(t *testing.T) {
 func TestTheorem1WithMessageLoss(t *testing.T) {
 	g := topology.Brite(10, 2, 33)
 	apps := floodApps(g.N)
-	e := rollback.New(g, apps, rollback.Config{
-		Seed: 7, JitterScale: 2, Record: true, LogDeliveries: true,
+	e := rollback.New(g, apps, rollback.EngineSpec{
+		Seed: ptr[uint64](7), JitterScale: ptr(2.0), Record: ptr(true), DeliveryLog: ptr(true),
 	})
 	// Inject floods, then fail a link mid-flood so packets die in
 	// flight, then more floods, then repair.
@@ -567,3 +568,5 @@ func TestReplayMessageLifecycle(t *testing.T) {
 		}
 	}
 }
+
+func ptr[T any](v T) *T { return &v }

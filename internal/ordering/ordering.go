@@ -319,12 +319,15 @@ type ChainOrdered interface {
 	ChainHash(k Key) uint64
 }
 
-// ByName resolves an ordering function by experiment name.
+// ByName resolves an ordering function by the name its Name method
+// returns, and by no other spelling: the engine block's defaults and rules
+// compare the name it holds, so an alias would resolve to one engine and
+// run another.
 func ByName(name string, seed uint64) (Func, error) {
 	switch name {
-	case "OO", "oo", "optimized":
+	case "OO":
 		return Optimized(), nil
-	case "RO", "ro", "random":
+	case "RO":
 		return Random(seed), nil
 	default:
 		return nil, fmt.Errorf("ordering: unknown ordering %q", name)

@@ -12,23 +12,7 @@ import (
 	"defined/internal/vtime"
 )
 
-// Deferral defaults (Config.DeferSlack / Config.DeferMax select them when
-// zero). Slack is sized to absorb the lateness *differentials* that
-// actually cause rollbacks — accumulated jitter plus differential
-// rollback-repair charges between racing flood paths — which run to a few
-// milliseconds, while staying at or below one typical link delay
-// (5–40 ms on the evaluation topologies) so a hold never costs more
-// convergence latency than one extra hop. On the Sprintlink link-flap
-// workload 8 ms removes ~90 % of rollbacks for ~10 ms of added
-// quiescence latency; beyond it the returns diminish and the latency
-// cost keeps growing. The per-arrival budget (DeferMax) mostly matters
-// for chained holds — an arrival queued behind held predecessors waits
-// for them — and 100 ms is where the rollback reduction saturates on the
-// same workload (a tighter 25 ms budget forfeits half of it by cutting
-// storm-time chains short).
 const (
-	defaultDeferSlack = 8 * vtime.Millisecond
-	defaultDeferMax   = 100 * vtime.Millisecond
 	// lookBudgetMult widens the per-arrival hold budget when per-link
 	// lookahead is on: coverage releases through upstream hold chains run
 	// later than the heuristic dues the 100 ms default was sized for, and
@@ -82,8 +66,8 @@ type pending struct {
 	directSeq uint64
 
 	cmp    ordering.Func
-	slack  vtime.Duration // Config.DeferSlack
-	max    vtime.Duration // Config.DeferMax, the longest single hold
+	slack  vtime.Duration // EngineSpec.DeferSlack
+	max    vtime.Duration // EngineSpec.DeferMax, the longest single hold
 	budget vtime.Duration // per-arrival cap on any hold, widened under lookahead
 	lane   *netsim.Lane
 	stats  *Stats
@@ -487,7 +471,6 @@ const settleMarginMult = 4
 // overtake them. SettleViolations staying zero is the correctness
 // criterion; the floor alone must already cover one propagation sweep.
 type settleEstimator struct {
-	iv      vtime.Duration
 	floor   vtime.Duration
 	ceil    vtime.Duration
 	buckets [settleHorizon]vtime.Duration
@@ -495,8 +478,8 @@ type settleEstimator struct {
 	cached  vtime.Duration // max over buckets
 }
 
-func newSettleEstimator(iv, floor, ceil vtime.Duration) *settleEstimator {
-	return &settleEstimator{iv: iv, floor: floor, ceil: ceil}
+func newSettleEstimator(floor, ceil vtime.Duration) *settleEstimator {
+	return &settleEstimator{floor: floor, ceil: ceil}
 }
 
 // observe records one message arrival's lateness against its d_i
@@ -505,7 +488,7 @@ func (est *settleEstimator) observe(now vtime.Time, margin vtime.Duration) {
 	if margin < 0 {
 		margin = 0
 	}
-	epoch := vtime.GroupOf(now, est.iv)
+	epoch := vtime.GroupOf(now, vtime.BeaconInterval)
 	if epoch != est.epoch {
 		est.rotate(epoch)
 	}
@@ -549,7 +532,7 @@ func (est *settleEstimator) bound() vtime.Duration {
 
 // ---- per-link lookahead (frontier coverage) ---------------------------------
 
-// lookahead is a node's per-in-link frontier bank (Config.Lookahead): links[j]
+// lookahead is a node's per-in-link frontier bank (EngineSpec.Lookahead): links[j]
 // is the state of the link from neighbor nbr[j] (sorted). It gives the
 // pending layer an exact release rule beside the heuristic DeferSlack gap
 // rule, which is blind to cross-wave divergences whose key gap exceeds the
@@ -593,8 +576,7 @@ func (est *settleEstimator) bound() vtime.Duration {
 type lookahead struct {
 	links []linkLook
 	nbr   []msg.NodeID
-	slack vtime.Duration // Config.DeferSlack
-	iv    vtime.Duration // Config.BeaconInterval
+	slack vtime.Duration // EngineSpec.DeferSlack
 }
 
 // linkLook is one in-link's state: where in the ordering-key domain the
@@ -609,9 +591,9 @@ type linkLook struct {
 // is its static in-flight estimate — the link delay plus proc, the same
 // per-hop processing the d_i annotation accumulates — and it sizes the idle
 // rule.
-func newLookahead(g *topology.Graph, n int, proc, slack, iv vtime.Duration) lookahead {
+func newLookahead(g *topology.Graph, n int, proc, slack vtime.Duration) lookahead {
 	nbs := g.Neighbors(n)
-	l := lookahead{nbr: make([]msg.NodeID, len(nbs)), links: make([]linkLook, len(nbs)), slack: slack, iv: iv}
+	l := lookahead{nbr: make([]msg.NodeID, len(nbs)), links: make([]linkLook, len(nbs)), slack: slack}
 	for j, nb := range nbs {
 		l.nbr[j] = msg.NodeID(nb)
 		ln, _ := g.LinkBetween(n, nb)
@@ -652,7 +634,7 @@ func (l *lookahead) release(k ordering.Key, now vtime.Time) vtime.Time {
 	if k.Class != ordering.ClassMessage {
 		return 0 // timer batches and externals are local events: never held
 	}
-	pk := vtime.GroupStart(k.Group, l.iv).Add(k.Delay)
+	pk := vtime.GroupStart(k.Group, vtime.BeaconInterval).Add(k.Delay)
 	var rel vtime.Time
 	for j := range l.links {
 		ll := &l.links[j]

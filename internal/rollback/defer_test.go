@@ -41,7 +41,7 @@ func entryOf(m *msg.Message, at vtime.Time) *history.Entry {
 // complement, and counts Deferred/DeferredFlushes/DeferHits.
 func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	g := topology.Line(2, 10*vtime.Millisecond)
-	e := New(g, floodApps(2), Config{Seed: 1})
+	e := New(g, floodApps(2), EngineSpec{Seed: ptr[uint64](1)})
 	sh := e.shims[1]
 
 	base := mkMsg(10*vtime.Millisecond, 1, 100)
@@ -107,7 +107,7 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 // gap of DeferSlack or more is its own protection and never waits.
 func TestDeferralLargeGapDeliversEagerly(t *testing.T) {
 	g := topology.Line(2, 10*vtime.Millisecond)
-	e := New(g, floodApps(2), Config{Seed: 1})
+	e := New(g, floodApps(2), EngineSpec{Seed: ptr[uint64](1)})
 	sh := e.shims[1]
 	sh.onEntry(entryOf(mkMsg(10*vtime.Millisecond, 1, 100), e.sim.Now()))
 	sh.onEntry(entryOf(mkMsg(30*vtime.Millisecond, 2, 101), e.sim.Now()))
@@ -124,7 +124,7 @@ func TestDeferralLargeGapDeliversEagerly(t *testing.T) {
 // buffer with no rollback at all.
 func TestAntiAnnihilatesPendingArrival(t *testing.T) {
 	g := topology.Line(2, 10*vtime.Millisecond)
-	e := New(g, floodApps(2), Config{Seed: 1})
+	e := New(g, floodApps(2), EngineSpec{Seed: ptr[uint64](1)})
 	sh := e.shims[1]
 	sh.onEntry(entryOf(mkMsg(10*vtime.Millisecond, 1, 100), e.sim.Now()))
 	target := mkMsg(11*vtime.Millisecond, 2, 101)
@@ -157,7 +157,7 @@ func TestAntiAnnihilatesPendingArrival(t *testing.T) {
 // pure speculation churn.
 func TestSpuriousRollbackCounter(t *testing.T) {
 	g := topology.Line(3, 10*vtime.Millisecond)
-	e := New(g, floodApps(3), Config{Seed: 1, DeferSlack: -1})
+	e := New(g, floodApps(3), EngineSpec{Seed: ptr[uint64](1), Deferral: ptr(false)})
 	sh := e.shims[1]
 	// Deliver out of d_i order: d=20ms (from node 2) first, then the
 	// d=10ms straggler (from node 0).
@@ -180,7 +180,7 @@ func TestSpuriousRollbackCounter(t *testing.T) {
 	// Contrast: the same divergence with overlapping forward sets (both
 	// messages from node 0) reassigns per-link sequences, so the replay
 	// genuinely changes the wire traffic and must NOT count as spurious.
-	e2 := New(g, floodApps(3), Config{Seed: 1, DeferSlack: -1})
+	e2 := New(g, floodApps(3), EngineSpec{Seed: ptr[uint64](1), Deferral: ptr(false)})
 	sh2 := e2.shims[1]
 	sh2.onEntry(entryOf(mkMsgFrom(0, 20*vtime.Millisecond, 1, 100), e2.sim.Now()))
 	sh2.onEntry(entryOf(mkMsgFrom(0, 10*vtime.Millisecond, 2, 101), e2.sim.Now()))
@@ -201,12 +201,14 @@ func TestDeferralPreservesDeterminism(t *testing.T) {
 	sawDefer := false
 	for seed := uint64(0); seed < 6; seed++ {
 		for _, slack := range []vtime.Duration{0, -1, 20 * vtime.Millisecond} {
-			logs, keys, e := runScenario(t, g, Config{
-				Seed:          seed,
-				JitterScale:   4,
-				DeferSlack:    slack,
-				LogDeliveries: true,
-			}, 4)
+			spec := EngineSpec{Seed: &seed, JitterScale: ptr(4.0), DeliveryLog: ptr(true)}
+			switch {
+			case slack < 0:
+				spec.Deferral = ptr(false)
+			case slack > 0:
+				spec.DeferSlack = vtime.Dur(slack)
+			}
+			logs, keys, e := runScenario(t, g, spec, 4)
 			st := e.Stats()
 			if st.SettleViolations != 0 {
 				t.Fatalf("seed %d slack %v: settle violations: %d", seed, slack, st.SettleViolations)
@@ -251,7 +253,7 @@ func TestDeferralPreservesDeterminism(t *testing.T) {
 // disable itself rather than hand out latency-only holds.
 func TestDeferralDisabledForChainOrderings(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
-	_, _, e := runScenario(t, g, Config{Seed: 1, Ordering: ordering.Random(9), JitterScale: 4}, 4)
+	_, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](1), Ordering: "RO", OrderingSeed: ptr[uint64](9), JitterScale: ptr[float64](4)}, 4)
 	if e.deferOn {
 		t.Fatal("deferral must be off under a chain-hash ordering")
 	}
@@ -260,13 +262,12 @@ func TestDeferralDisabledForChainOrderings(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSettleBoundsScaleWithBeacon guards the floor/ceiling
-// relationship under a non-default beacon interval: the ceiling must
-// track the configured interval, or a long interval would invert them
-// and push the live bound below one propagation sweep.
-func TestAdaptiveSettleBoundsScaleWithBeacon(t *testing.T) {
+// TestAdaptiveSettleBoundsOrdered guards the floor/ceiling relationship
+// the engine builds the estimator with: an inverted pair would push the
+// live bound below one propagation sweep.
+func TestAdaptiveSettleBoundsOrdered(t *testing.T) {
 	g := topology.Sprintlink()
-	e := New(g, floodApps(g.N), Config{Seed: 1, BeaconInterval: vtime.Second})
+	e := New(g, floodApps(g.N), EngineSpec{Seed: ptr[uint64](1)})
 	if e.est == nil {
 		t.Fatal("adaptive estimator not selected")
 	}
@@ -291,9 +292,9 @@ func TestSettleViolationStraggler(t *testing.T) {
 	sawViolation := false
 	for seed := uint64(0); seed < 10 && !sawViolation; seed++ {
 		as := floodApps(g.N)
-		e := New(g, as, Config{
-			Seed:        seed,
-			SettleAfter: 30 * ms, // deliberately tighter than the 400 ms jitter tail
+		e := New(g, as, EngineSpec{
+			Seed:        &seed,
+			SettleBound: vtime.Dur(30 * ms), // deliberately tighter than the 400 ms jitter tail
 		})
 		e.sim.ScheduleFn(0, func() { e.InjectExternal(0, injectEvent{Value: 1}) })
 		e.sim.ScheduleFn(0, func() { e.InjectExternal(2, injectEvent{Value: 2}) })
@@ -319,8 +320,8 @@ func TestSettleViolationStraggler(t *testing.T) {
 
 // TestAdaptiveSettleEstimator unit-tests the straggler-margin ring.
 func TestAdaptiveSettleEstimator(t *testing.T) {
-	iv := 250 * vtime.Millisecond
-	est := newSettleEstimator(iv, 300*vtime.Millisecond, 2*vtime.Second)
+	const iv = vtime.BeaconInterval
+	est := newSettleEstimator(300*vtime.Millisecond, 2*vtime.Second)
 	if got := est.bound(); got != 300*vtime.Millisecond {
 		t.Fatalf("idle bound = %v, want the floor", got)
 	}
@@ -353,7 +354,7 @@ func TestAdaptiveSettleShrinksQuietWindows(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
 	run := func(settle vtime.Duration) (maxWin int, e *Engine) {
 		as := floodApps(g.N)
-		e = New(g, as, Config{Seed: 1, SettleAfter: settle, LogDeliveries: true})
+		e = New(g, as, EngineSpec{Seed: ptr[uint64](1), SettleBound: vtime.Dur(settle), DeliveryLog: ptr(true)})
 		for v := 0; v < 3; v++ {
 			v := v
 			at := vtime.Time(vtime.Duration(v) * 400 * vtime.Millisecond)
@@ -401,14 +402,14 @@ func TestAdaptiveSettleShrinksQuietWindows(t *testing.T) {
 func TestLookaheadPromiseAntiResetAndIdle(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(2, 10*ms)
-	const proc, slack, iv = 2 * vtime.Millisecond, defaultDeferSlack, vtime.BeaconInterval
-	look := newLookahead(g, 1, proc, slack, iv)
+	const proc, slack = 2 * vtime.Millisecond, 8 * vtime.Millisecond
+	look := newLookahead(g, 1, proc, slack)
 	hop := look.links[0].hop
 	if want := 10*ms + proc; hop != want {
 		t.Fatalf("hop = %v, want link delay + processing = %v", hop, want)
 	}
 	pred := func(d vtime.Duration) vtime.Time {
-		return vtime.GroupStart(0, iv).Add(d)
+		return vtime.GroupStart(0, vtime.BeaconInterval).Add(d)
 	}
 	key := func(d vtime.Duration) ordering.Key {
 		return ordering.KeyOf(mkMsg(d, 1, 0))
@@ -464,13 +465,13 @@ func TestLookaheadPromiseAntiResetAndIdle(t *testing.T) {
 func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(3, 10*ms)
-	e := New(g, floodApps(3), Config{Seed: 1, Lookahead: true})
+	e := New(g, floodApps(3), EngineSpec{Seed: ptr[uint64](1), Lookahead: ptr(true)})
 	if !e.lookOn {
 		t.Fatal("Lookahead config did not enable the per-link state")
 	}
 	sh := e.shims[1]
 	pred := func(d vtime.Duration) vtime.Time {
-		return vtime.GroupStart(0, e.cfg.BeaconInterval).Add(d)
+		return vtime.GroupStart(0, vtime.BeaconInterval).Add(d)
 	}
 
 	base := mkMsgFrom(0, 10*ms, 1, 100)

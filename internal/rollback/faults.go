@@ -45,7 +45,7 @@ func (sh *shim) quarantine() {
 // Baseline engines (no shim layer to quarantine).
 func (e *Engine) CrashNode(n msg.NodeID) {
 	sh := e.shims[n]
-	if e.cfg.Baseline || sh.crashed {
+	if e.baseline || sh.crashed {
 		return
 	}
 	e.stats.NodeCrashes++
@@ -71,7 +71,7 @@ func (e *Engine) CrashNode(n msg.NodeID) {
 // SetNodeState(up) is then idempotent.
 func (e *Engine) RestartNode(n msg.NodeID) {
 	sh := e.shims[n]
-	if e.cfg.Baseline || !sh.crashed {
+	if e.baseline || !sh.crashed {
 		return
 	}
 	e.stats.NodeRestarts++
@@ -140,6 +140,6 @@ func (e *Engine) PoolLive() int { return e.sim.PoolLive() }
 
 // Pooled reports whether wire messages are pool-refcounted in this run —
 // the precondition for the PoolLive/HeldMessages leak comparison
-// (NoMessagePool makes every Retain/Release a no-op, so the pool sees
+// (without the pool every Retain/Release is a no-op, so the pool sees
 // nothing).
-func (e *Engine) Pooled() bool { return !e.cfg.NoMessagePool && !e.cfg.Baseline }
+func (e *Engine) Pooled() bool { return e.pooled }

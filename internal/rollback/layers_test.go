@@ -118,7 +118,7 @@ func TestSettleRetiresPrefixOnce(t *testing.T) {
 	ms := vtime.Millisecond
 	cmp := ordering.Optimized()
 	st := &Stats{}
-	s := settle{cmp: cmp, iv: vtime.BeaconInterval, logging: true, stats: st}
+	s := settle{cmp: cmp, logging: true, stats: st}
 	w := history.New(cmp)
 	for i := range 3 {
 		w.Insert(*entryOf(mkMsg(vtime.Duration(10*(i+1))*ms, uint64(i+1), i), vtime.Time(vtime.Duration(i+1)*ms)))
@@ -148,8 +148,8 @@ func TestSettleRetiresPrefixOnce(t *testing.T) {
 func TestExternalSeqPerGroupAcrossCrash(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(2, 5*ms)
-	e := New(g, floodApps(2), Config{Seed: 1, Record: true})
-	iv := vtime.Time(e.cfg.BeaconInterval)
+	e := New(g, floodApps(2), EngineSpec{Seed: ptr[uint64](1), Record: ptr(true)})
+	iv := vtime.Time(vtime.BeaconInterval)
 	for _, at := range []vtime.Time{iv / 4, iv / 2, iv.Add(10 * ms), iv.Add(40 * ms)} {
 		e.sim.ScheduleFn(at, func() { e.InjectExternal(0, injectEvent{Value: int(at)}) })
 	}
@@ -190,7 +190,7 @@ func TestPanicInsideFlushQuarantines(t *testing.T) {
 	g := topology.Line(2, 10*ms)
 	as := floodApps(2)
 	as[1] = &fuseApp{floodApp: *newFloodApp(), bad: 101}
-	e := New(g, as, Config{Seed: 1})
+	e := New(g, as, EngineSpec{Seed: ptr[uint64](1)})
 	sh := e.shims[1]
 	for i, d := range []vtime.Duration{10 * ms, 11 * ms, 12 * ms} {
 		sh.onEntry(entryOf(mkMsg(d, uint64(i+1), 100+i), e.sim.Now()))

@@ -45,7 +45,7 @@ func TestPayloadEqualTypedArmsAvoidReflection(t *testing.T) {
 // The shipped scenario payloads (ints here, PayloadEq daemons elsewhere)
 // must keep the reflection fallback cold end to end.
 func TestScenarioKeepsReflectFallbackCold(t *testing.T) {
-	_, _, e := runScenario(t, topology.Sprintlink(), Config{Seed: 11, LogDeliveries: true}, 6)
+	_, _, e := runScenario(t, topology.Sprintlink(), EngineSpec{Seed: ptr[uint64](11), DeliveryLog: ptr(true)}, 6)
 	st := e.Stats()
 	if st.LazyReuses == 0 {
 		t.Fatal("scenario exercised no lazy-cancellation compares")
@@ -59,7 +59,7 @@ func TestScenarioKeepsReflectFallbackCold(t *testing.T) {
 // settles, the pool must have recycled messages (free list populated) and
 // poison mode must complete the identical workload with zero violations.
 func TestMessagePoolRecyclesUnderWorkload(t *testing.T) {
-	_, _, e := runScenario(t, topology.Sprintlink(), Config{Seed: 3}, 6)
+	_, _, e := runScenario(t, topology.Sprintlink(), EngineSpec{Seed: ptr[uint64](3)}, 6)
 	pool := e.Sim().Pool()
 	if pool.Len() == 0 {
 		t.Fatal("no wire messages were recycled")
@@ -68,7 +68,7 @@ func TestMessagePoolRecyclesUnderWorkload(t *testing.T) {
 		t.Fatalf("lifecycle violations = %d, want 0", pool.Violations())
 	}
 
-	_, _, pe := runScenario(t, topology.Sprintlink(), Config{Seed: 3, PoisonMessages: true}, 6)
+	_, _, pe := runScenario(t, topology.Sprintlink(), EngineSpec{Seed: ptr[uint64](3), Poison: ptr(true)}, 6)
 	ppool := pe.Sim().Pool()
 	if ppool.Violations() != 0 {
 		t.Fatalf("poison run violations = %d, want 0", ppool.Violations())
@@ -82,9 +82,9 @@ func TestMessagePoolRecyclesUnderWorkload(t *testing.T) {
 // off, and poisoned: the lifecycle may move allocations, never execution.
 func TestMessagePoolObservationallyInvisible(t *testing.T) {
 	g := topology.Sprintlink()
-	logsOn, keysOn, _ := runScenario(t, g, Config{Seed: 9, LogDeliveries: true}, 5)
-	logsOff, keysOff, _ := runScenario(t, g, Config{Seed: 9, LogDeliveries: true, NoMessagePool: true}, 5)
-	logsPoison, keysPoison, _ := runScenario(t, g, Config{Seed: 9, LogDeliveries: true, PoisonMessages: true}, 5)
+	logsOn, keysOn, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](9), DeliveryLog: ptr(true)}, 5)
+	logsOff, keysOff, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](9), DeliveryLog: ptr(true), MessagePool: ptr(false)}, 5)
+	logsPoison, keysPoison, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](9), DeliveryLog: ptr(true), Poison: ptr(true)}, 5)
 
 	for n := range logsOn {
 		for i := range logsOn[n] {
@@ -106,8 +106,8 @@ func TestMessagePoolObservationallyInvisible(t *testing.T) {
 
 	// The sweep must also hold under the eager (deferral-off) dynamics,
 	// which roll back and cancel far more aggressively.
-	eagerOn, ekOn, _ := runScenario(t, g, Config{Seed: 9, LogDeliveries: true, DeferSlack: -1}, 5)
-	eagerPoison, ekP, pe := runScenario(t, g, Config{Seed: 9, LogDeliveries: true, DeferSlack: -1, PoisonMessages: true}, 5)
+	eagerOn, ekOn, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](9), DeliveryLog: ptr(true), Deferral: ptr(false)}, 5)
+	eagerPoison, ekP, pe := runScenario(t, g, EngineSpec{Seed: ptr[uint64](9), DeliveryLog: ptr(true), Deferral: ptr(false), Poison: ptr(true)}, 5)
 	if pe.Sim().Pool().Violations() != 0 {
 		t.Fatalf("eager poison violations = %d", pe.Sim().Pool().Violations())
 	}
@@ -131,7 +131,7 @@ func TestMessagePoolObservationallyInvisible(t *testing.T) {
 func TestPoisonSurvivesPendingAnnihilation(t *testing.T) {
 	g := topology.Sprintlink()
 	for _, seed := range []uint64{1, 2, 3} {
-		_, _, e := runScenario(t, g, Config{Seed: seed, PoisonMessages: true, DeferSlack: 20 * vtime.Millisecond}, 8)
+		_, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](seed), Poison: ptr(true), DeferSlack: vtime.Dur(20 * vtime.Millisecond)}, 8)
 		if v := e.Sim().Pool().Violations(); v != 0 {
 			t.Fatalf("seed %d: poison violations = %d", seed, v)
 		}

@@ -163,7 +163,8 @@ type deferBench struct {
 func newDeferBench(depth int) *deferBench {
 	g := topology.Line(2, 10*vtime.Millisecond)
 	cmp := ordering.Optimized()
-	pd := &pending{cmp: cmp, slack: defaultDeferSlack, max: defaultDeferMax, budget: defaultDeferMax,
+	defaults, _ := ResolveEngine(EngineSpec{})
+	pd := &pending{cmp: cmp, slack: defaults.DeferSlack.V(), max: defaults.DeferMax.V(), budget: defaults.DeferMax.V(),
 		lane: netsim.New(g, netsim.Config{Seed: 1}).LaneFor(1), stats: &Stats{}, flushFn: func() {}}
 	b := &deferBench{pd: pd, win: history.New(cmp), depth: depth, ring: make([]msg.Message, 4*depth)}
 	for b.step < depth {

@@ -45,7 +45,7 @@
 //	window insert / deliver / undo / replay → ledger adopt / cancel → settle
 //
 // onEntry says why the estimator feed precedes the guard, and the shim
-// type why Config.Shards can run the same shims inside parallel windows
+// type why EngineSpec.Shards can run the same shims inside parallel windows
 // with bit-identical results (TestShardGolden).
 //
 // # Determinism invariants
@@ -93,141 +93,6 @@ import (
 	"defined/internal/vtime"
 )
 
-// Config tunes the engine.
-type Config struct {
-	// Ordering is the pseudorandom ordering function; defaults to
-	// ordering.Optimized() (OO).
-	Ordering ordering.Func
-	// Strategy selects checkpoint timing and rollback copy mode;
-	// defaults to checkpoint.Default (TM/MI). To run the zero-valued
-	// TF/FK strategy explicitly, also set StrategySet.
-	Strategy checkpoint.Strategy
-	// StrategySet marks the zero-valued Strategy (TF/FK) as an explicit
-	// choice rather than "use the default".
-	StrategySet bool
-	// Baseline disables the shim entirely — the unmodified-"XORP"
-	// series of the evaluation: no ordering, no checkpoints, no
-	// rollbacks, no determinism.
-	Baseline bool
-	// BeaconInterval is the timestep width; defaults to
-	// vtime.BeaconInterval (250 ms).
-	BeaconInterval vtime.Duration
-	// ChainBound caps causal chain length within one timestep; longer
-	// chains roll into the next group (paper §2.2). Default 64.
-	ChainBound int
-	// SettleAfter is how long a history entry lives before it retires.
-	// Zero selects the adaptive bound: a per-engine estimator tracks the
-	// observed straggler margin (arrival lateness versus the d_i
-	// prediction over a trailing horizon) and sets the bound to a
-	// propagation-sweep floor plus a multiple of that margin — shrinking
-	// live windows, checkpoint stacks and journals on quiet topologies,
-	// widening under churn. Set it explicitly to pin a static bound
-	// (StaticSettle(g) reproduces the paper's footnote-3 rule).
-	SettleAfter vtime.Duration
-	// DeferSlack tunes deterministic arrival deferral, the rollback-
-	// avoidance fast path: a message whose ordering-key Delay exceeds its
-	// predecessor's by a gap smaller than DeferSlack — the arrival d_i
-	// predicts may still have predecessors in flight — is held in a
-	// per-shim pending buffer for the gap's complement (DeferSlack − gap)
-	// and delivered on an eventq re-schedule instead of immediately.
-	// Predecessors land during the hold and the batch flushes in key
-	// order, replacing deliver-then-rollback cycles with one ordered
-	// delivery. Zero selects the default (8 ms); negative disables
-	// deferral (the pre-deferral dynamics the figure experiments pin).
-	// Committed orders are bit-identical either way (Theorem 1).
-	DeferSlack vtime.Duration
-	// DeferMax caps how long any single arrival may be held, including
-	// waits inherited by queuing behind held predecessors (it bounds the
-	// convergence-latency cost of a hold chain). Zero selects the
-	// default (100 ms).
-	DeferMax vtime.Duration
-	// Seed drives the simulator's jitter stream.
-	Seed uint64
-	// JitterScale scales link jitter (1.0 default).
-	JitterScale float64
-	// DropProb injects app-message loss: each directed link draws
-	// per-packet from its own counter-seeded hash stream (netsim's wire
-	// fate), so loss composes with Shards and with fault plans — the draw
-	// for a packet depends only on (seed, link direction, wire sequence),
-	// never on global send interleavings.
-	DropProb float64
-	// DupProb injects app-message duplication from the same per-link
-	// streams: a duplicated packet is enqueued twice at the sender (the
-	// copy trails the original on the FIFO link) and the receiver shim
-	// drops the second arrival as a window duplicate.
-	DupProb float64
-	// NoMessagePool disables refcounted wire-message pooling: senders
-	// heap-allocate unmanaged messages and every Retain/Release is a
-	// no-op. The pre-refcount behaviour, kept selectable so golden tests
-	// can prove the lifecycle is observationally invisible.
-	NoMessagePool bool
-	// NoRouteCache disables the daemons' epoch-keyed route-computation
-	// cache (api.RecomputeCached): every recompute runs the real
-	// computation, the pre-cache behaviour. Kept selectable so golden
-	// tests can prove the cache is observationally invisible — committed
-	// orders, stats and routing tables are bit-identical either way.
-	NoRouteCache bool
-	// PoisonMessages enables the message pool's debug poison mode:
-	// released messages are scribbled and quarantined so any
-	// use-after-release is deterministic — stale reads observe the
-	// sentinel, stale retain/release/check calls tally in the pool's
-	// Violations counter — instead of silently aliasing a recycled
-	// struct. Implies the refcount lifecycle; ignored with NoMessagePool.
-	PoisonMessages bool
-	// Shards runs the engine's simulator on the sharded parallel runtime
-	// with the given number of per-core shards (0 or 1 = sequential).
-	// Committed orders, stats and routing tables are bit-identical for any
-	// value — sharding changes wall-clock time only. Ignored (sequential)
-	// for Baseline runs. Loss and duplication compose with sharding: the
-	// per-link wire-fate streams advance in lane-local send order.
-	Shards int
-	// Lookahead enables the per-link lookahead layer in both of its
-	// consumers: the simulator's sharded runtime widens parallel windows
-	// to per-directed-link horizons (netsim.Config.Lookahead), and the
-	// deferral layer adds frontier coverage on top of the heuristic
-	// DeferSlack gap rule — an arrival is held while any in-link's
-	// promise (the d_i prediction of that link's latest arrival; see
-	// lookahead in defer.go) still trails the arrival's own prediction,
-	// releasing the moment a covering arrival lands or the lagging links
-	// go conclusively idle. Both consumers move only speculation dynamics
-	// and barrier placement: committed orders, Stats counters other than
-	// the speculation set, and routing tables are bit-identical
-	// lookahead-on vs off (Theorem 1; pinned by TestLookaheadGolden).
-	// The exact hold requires deferral (d_i-monotone keys); with deferral
-	// disabled only the window widening applies. Off by default.
-	Lookahead bool
-	// Record, when true, captures the partial recording of external
-	// events (and message-loss events) for later replay.
-	Record bool
-	// LogDeliveries retains each node's committed delivery sequence for
-	// determinism verification (tests and experiments).
-	LogDeliveries bool
-}
-
-func (c *Config) fillDefaults() {
-	if c.Ordering == nil {
-		c.Ordering = ordering.Optimized()
-	}
-	if c.Strategy == (checkpoint.Strategy{}) && !c.StrategySet {
-		c.Strategy = checkpoint.Default
-	}
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = vtime.BeaconInterval
-	}
-	if c.ChainBound <= 0 {
-		c.ChainBound = 64
-	}
-	if c.JitterScale == 0 {
-		c.JitterScale = 1.0
-	}
-	if c.DeferSlack == 0 {
-		c.DeferSlack = defaultDeferSlack
-	}
-	if c.DeferMax <= 0 {
-		c.DeferMax = defaultDeferMax
-	}
-}
-
 // Stats aggregates engine-level counters.
 type Stats struct {
 	Deliveries       uint64 // committed + speculative deliveries performed
@@ -255,7 +120,7 @@ type Stats struct {
 	SpuriousRollbacks  uint64 // rollbacks whose replay re-adopted every original send
 	RollbackDepthSum   uint64 // window entries per episode's replay span (trigger included), summed
 
-	// Per-link lookahead counters (PR 7), live only with Config.Lookahead.
+	// Per-link lookahead counters (PR 7), live only with EngineSpec.Lookahead.
 	// LookaheadHolds counts arrivals the exact per-in-link rule held past
 	// their arrival (a subset of Deferred); LookaheadExactFlushes counts
 	// held entries whose flush came at their exact release time — neither
@@ -304,10 +169,17 @@ func (s *Stats) add(b *Stats) {
 }
 
 // Engine drives one production network under DEFINED-RB (or bare, when
-// Config.Baseline is set).
+// the engine block sets Baseline).
 type Engine struct {
-	G   *topology.Graph
-	cfg Config
+	G *topology.Graph
+
+	// The resolved engine block, unpacked once by New into what the
+	// per-delivery path reads.
+	ord         ordering.Func
+	baseline    bool
+	pooled      bool // wire messages are refcounted from the lane pools
+	chainBound  int
+	settleAfter vtime.Duration // the pinned bound; unread when est != nil
 
 	sim     *netsim.Sim
 	cost    checkpoint.CostModel
@@ -317,7 +189,7 @@ type Engine struct {
 	skew    []vtime.Duration
 	deferOn bool
 	lookOn  bool             // exact per-link holds (Lookahead && deferOn)
-	est     *settleEstimator // nil when Config.SettleAfter pins a static bound
+	est     *settleEstimator // nil when SettleBound pins a static bound
 
 	scheduledThrough vtime.Time // group ticks scheduled up to here
 	tickSegs         []tickSeg  // one per Run call that crossed a group boundary
@@ -345,64 +217,71 @@ type estStep struct {
 }
 
 // New builds an engine over graph g with one application per node
-// (len(apps) == g.N). Applications are initialized with their neighbor
-// sets; link cost is derived from propagation delay.
-func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
+// (len(apps) == g.N), configured by the engine block spec, which it
+// resolves (ResolveEngine) and unpacks once. It panics with the resolve
+// error on a contradictory block; callers that take a block from outside
+// the program resolve it first. Applications are initialized with their
+// neighbor sets; link cost is derived from propagation delay.
+func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 	if len(apps) != g.N {
 		panic(fmt.Sprintf("rollback: %d apps for %d nodes", len(apps), g.N))
 	}
-	cfg.fillDefaults()
-	e := &Engine{
-		G:    g,
-		cfg:  cfg,
-		cost: checkpoint.ModelFor(cfg.Strategy),
-		skew: make([]vtime.Duration, g.N),
+	spec, err := ResolveEngine(spec)
+	if err != nil {
+		panic(err.Error())
 	}
-	if cfg.Baseline {
+	// Both names were checked by ResolveEngine.
+	ord, _ := ordering.ByName(spec.Ordering, *spec.OrderingSeed)
+	strat, _ := checkpoint.ParseStrategy(spec.Strategy)
+	baseline := *spec.Baseline
+	e := &Engine{
+		G:           g,
+		ord:         ord,
+		baseline:    baseline,
+		pooled:      *spec.MessagePool && !baseline,
+		chainBound:  *spec.ChainBound,
+		settleAfter: spec.SettleBound.V(),
+		cost:        checkpoint.ModelFor(strat),
+		skew:        make([]vtime.Duration, g.N),
+	}
+	if baseline {
 		e.cost = checkpoint.Baseline()
 	}
 	// Deferral needs d_i-monotone keys (the gap rule reads Delay off
-	// key-adjacent entries): it keys off the same delay-ordering marker
-	// DEFINED-LS's conservative replay uses. Under a chain-hash ordering
-	// like RO the gap is meaningless and holds would only add latency.
-	_, delayOrdered := e.cfg.Ordering.(interface{ LSLookahead() bool })
-	e.deferOn = !cfg.Baseline && e.cfg.DeferSlack > 0 && delayOrdered
+	// key-adjacent entries); ResolveEngine rejects it under RO, whose
+	// chain-hash keys make the gap meaningless.
+	e.deferOn = !baseline && *spec.Deferral
 	// The exact hold reasons about pred(k) = group start + d_i, so it needs
 	// the same delay-ordered keys the gap rule does; without deferral only
 	// the simulator-side window widening remains.
-	e.lookOn = e.deferOn && cfg.Lookahead
-	if cfg.SettleAfter <= 0 {
-		iv := e.cfg.BeaconInterval
-		e.est = newSettleEstimator(iv, settleFloor(g, iv), 2*staticSettle(g, iv))
-	}
-	shards := cfg.Shards
-	if cfg.Baseline {
-		shards = 0 // baseline has no shim layer to shard meaningfully
+	e.lookOn = e.deferOn && *spec.Lookahead
+	if e.settleAfter <= 0 {
+		e.est = newSettleEstimator(settleFloor(g), 2*StaticSettle(g))
 	}
 	e.sim = netsim.New(g, netsim.Config{
-		Seed:        cfg.Seed,
-		JitterScale: cfg.JitterScale,
-		DropProb:    cfg.DropProb,
-		DupProb:     cfg.DupProb,
-		Shards:      shards,
-		Lookahead:   cfg.Lookahead && !cfg.Baseline,
+		Seed:        *spec.Seed,
+		JitterScale: *spec.JitterScale,
+		DropProb:    *spec.PerLinkLoss,
+		DupProb:     *spec.Duplication,
+		Shards:      *spec.Shards,
+		Lookahead:   *spec.Lookahead,
 	})
-	if cfg.PoisonMessages && !cfg.NoMessagePool {
+	if *spec.Poison {
 		e.sim.SetPoison(true)
 	}
 	if e.sim.Sharded() && e.est != nil {
 		e.sim.SetWindowObserver(e)
 	}
-	if cfg.Record {
+	if *spec.Record {
 		e.rec = &record.Recording{
 			Topology:       g.Name,
-			Ordering:       e.cfg.Ordering.Name(),
-			Seed:           cfg.Seed,
-			BeaconInterval: e.cfg.BeaconInterval,
+			Ordering:       ord.Name(),
+			Seed:           *spec.Seed,
+			BeaconInterval: vtime.BeaconInterval,
 		}
 	}
 	e.computeSkew()
-	budget := e.cfg.DeferMax
+	slack, budget := spec.DeferSlack.V(), spec.DeferMax.V()
 	if e.lookOn {
 		budget *= lookBudgetMult
 	}
@@ -410,21 +289,21 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
 		sh := &shim{e: e, id: n, lane: e.sim.LaneFor(n), app: apps[i]}
-		sender := annotate.NewSender(n, g, e.cfg.ChainBound, e.procEstimate())
-		if !cfg.NoMessagePool {
+		sender := annotate.NewSender(n, g, e.chainBound, e.procEstimate())
+		if *spec.MessagePool {
 			// Wire messages come refcounted from the node's lane pool (the
 			// engine-wide pool in sequential mode); the sentRec (or the
 			// baseline send closure) owns the reference Materialize returns.
 			sender.Pool = sh.lane.Pool()
 		}
 		if e.lookOn {
-			sh.look = newLookahead(g, i, e.procEstimate(), e.cfg.DeferSlack, e.cfg.BeaconInterval)
+			sh.look = newLookahead(g, i, e.procEstimate(), slack)
 		}
-		sh.pend = pending{cmp: e.cfg.Ordering, slack: e.cfg.DeferSlack, max: e.cfg.DeferMax, budget: budget,
+		sh.pend = pending{cmp: ord, slack: slack, max: spec.DeferMax.V(), budget: budget,
 			lane: sh.lane, stats: &sh.stats, flushFn: sh.onFlush}
-		sh.win = window{Window: history.New(e.cfg.Ordering), app: apps[i], sender: sender, stats: &sh.stats}
+		sh.win = window{Window: history.New(ord), app: apps[i], sender: sender, stats: &sh.stats}
 		sh.ledger = ledger{id: n, lane: sh.lane, sender: sender, stats: &sh.stats, dropLog: map[msg.ID]record.LossEvent{}}
-		sh.settle = settle{cmp: e.cfg.Ordering, iv: e.cfg.BeaconInterval, logging: cfg.LogDeliveries, stats: &sh.stats}
+		sh.settle = settle{cmp: ord, logging: *spec.DeliveryLog, stats: &sh.stats}
 		sh.tick.sh = sh
 		e.shims[i] = sh
 		var neighbors []api.Neighbor
@@ -436,7 +315,7 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 		// capable applications; an opted-out run disables it before Init
 		// (and so before any computation) to reproduce the exact uncached
 		// behaviour.
-		if cfg.NoRouteCache {
+		if !*spec.RouteCache {
 			if rc, ok := apps[i].(api.RecomputeCached); ok {
 				rc.SetRouteCaching(false)
 			}
@@ -446,7 +325,7 @@ func New(g *topology.Graph, apps []api.Application, cfg Config) *Engine {
 		// checkpointing: marks instead of clones. Enabled only after Init
 		// so boot-time mutations (which precede every checkpoint) are
 		// never recorded. Apps without the capability fall back to clones.
-		if !cfg.Baseline && e.cfg.Strategy.Mode == checkpoint.MI {
+		if !baseline && strat.Mode == checkpoint.MI {
 			if j, ok := apps[i].(api.Journaled); ok {
 				j.JournalEnable()
 				sender.JournalEnable()
@@ -470,20 +349,13 @@ func (e *Engine) procEstimate() vtime.Duration {
 // the maximum propagation time, upper-bounded as mean + 4σ of per-link
 // delays accumulated over the propagation diameter (footnote 3). A beacon
 // interval is added so settlement never outruns group formation. Setting
-// Config.SettleAfter to this value pins the pre-adaptive behaviour.
+// EngineSpec.SettleBound to this value pins the pre-adaptive behaviour.
 func StaticSettle(g *topology.Graph) vtime.Duration {
-	return staticSettle(g, vtime.BeaconInterval)
-}
-
-// staticSettle is StaticSettle for a configured beacon interval — the
-// adaptive estimator's ceiling must scale with the same interval as its
-// floor, or a long interval would invert them.
-func staticSettle(g *topology.Graph, beacon vtime.Duration) vtime.Duration {
 	maxProp := g.MaxPropagation()
 	// Jitter is a small fraction of delay; 4σ over the diameter is
 	// approximated by 40% headroom on the propagation bound.
 	bound := maxProp + maxProp*2/5
-	return 2*bound + beacon
+	return 2*bound + vtime.BeaconInterval
 }
 
 // settleFloor is the adaptive bound's minimum: one jitter-headroomed
@@ -491,20 +363,20 @@ func staticSettle(g *topology.Graph, beacon vtime.Duration) vtime.Duration {
 // of the static rule is replaced by the estimator's margin term, which is
 // what lets quiet networks retire history (and compact journals) roughly
 // twice as fast.
-func settleFloor(g *topology.Graph, beacon vtime.Duration) vtime.Duration {
+func settleFloor(g *topology.Graph) vtime.Duration {
 	maxProp := g.MaxPropagation()
-	return maxProp + maxProp*2/5 + beacon
+	return maxProp + maxProp*2/5 + vtime.BeaconInterval
 }
 
 // settleBoundFor returns the retirement bound as shim sh sees it: the
-// pinned Config.SettleAfter, or the adaptive estimator's value. Outside
+// pinned EngineSpec.SettleBound, or the adaptive estimator's value. Outside
 // parallel windows it reads the live estimator; inside one it reads the
 // precomputed window schedule at the shim's current (at, seq) execution
 // point, so every shim observes exactly the bound the sequential engine
 // would have had at that event — without touching the shared estimator.
 func (e *Engine) settleBoundFor(sh *shim) vtime.Duration {
 	if e.est == nil {
-		return e.cfg.SettleAfter
+		return e.settleAfter
 	}
 	if !sh.lane.InWindow() {
 		return e.est.bound()
@@ -540,10 +412,9 @@ func (e *Engine) BeginWindow(delivers []netsim.WinDeliver) {
 	e.winSched = e.winSched[:0]
 	sim := *e.est
 	e.winBase = sim.bound()
-	iv := e.cfg.BeaconInterval
 	for _, d := range delivers {
 		k := ordering.KeyOf(d.Msg)
-		pred := vtime.GroupStart(k.Group, iv).Add(k.Delay)
+		pred := vtime.GroupStart(k.Group, vtime.BeaconInterval).Add(k.Delay)
 		margin := d.At.Sub(pred)
 		sim.observe(d.At, margin)
 		e.winSched = append(e.winSched, estStep{at: d.At, seq: d.Seq, margin: margin, bound: sim.bound()})
@@ -600,7 +471,7 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// Recording returns the partial recording (nil unless Config.Record).
+// Recording returns the partial recording (nil unless EngineSpec.Record).
 // Surviving message-loss events are flushed into it first, and the
 // replay envelope (chain bound, executed group count) is stamped.
 func (e *Engine) Recording() *record.Recording {
@@ -608,9 +479,9 @@ func (e *Engine) Recording() *record.Recording {
 		return nil
 	}
 	e.flushDrops()
-	e.rec.ChainBound = e.cfg.ChainBound
+	e.rec.ChainBound = e.chainBound
 	e.rec.ProcEstimate = e.procEstimate()
-	e.rec.Groups = vtime.GroupOf(e.scheduledThrough, e.cfg.BeaconInterval)
+	e.rec.Groups = vtime.GroupOf(e.scheduledThrough, vtime.BeaconInterval)
 	return e.rec
 }
 
@@ -628,7 +499,7 @@ func (e *Engine) flushDrops() {
 		return
 	}
 	slices.SortFunc(losses, func(a, b record.LossEvent) int {
-		if c := e.cfg.Ordering.Compare(a.Key, b.Key); c != 0 {
+		if c := e.ord.Compare(a.Key, b.Key); c != 0 {
 			return c
 		}
 		return int(a.To) - int(b.To)
@@ -657,7 +528,7 @@ func (e *Engine) groupAt(n msg.NodeID, t vtime.Time) uint64 {
 	if local < 0 {
 		local = 0
 	}
-	return vtime.GroupOf(local, e.cfg.BeaconInterval)
+	return vtime.GroupOf(local, vtime.BeaconInterval)
 }
 
 // Run advances the network to virtual time until, firing per-node timer
@@ -723,7 +594,7 @@ func (t *groupTick) arm(seg int, group uint64) {
 	e := sh.e
 	sg := e.tickSegs[seg]
 	t.seg, t.group, t.armed = seg, group, true
-	at := vtime.GroupStart(group, e.cfg.BeaconInterval).Add(e.skew[sh.id])
+	at := vtime.GroupStart(group, vtime.BeaconInterval).Add(e.skew[sh.id])
 	sh.lane.ScheduleCallSeq(at, sg.base+uint64(sh.id)*sg.n+(group-sg.first), t)
 }
 
@@ -746,7 +617,7 @@ func (t *groupTick) arm(seg int, group uint64) {
 // can be past the successor's fire time only if the clock at the
 // successor's Run call already was — and then both clamp to that Run's now.
 func (e *Engine) scheduleGroupTicks(until vtime.Time) {
-	iv := e.cfg.BeaconInterval
+	const iv = vtime.BeaconInterval
 	first := vtime.GroupOf(e.scheduledThrough, iv) + 1
 	if until > e.scheduledThrough {
 		e.scheduledThrough = until
@@ -785,7 +656,7 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 	// The event's offset from the group boundary anchors the d_i of the
 	// chains it starts; it is part of the partial recording so replay
 	// regenerates identical annotations.
-	offset := now.Sub(vtime.GroupStart(group, e.cfg.BeaconInterval))
+	offset := now.Sub(vtime.GroupStart(group, vtime.BeaconInterval))
 	if offset < 0 {
 		offset = 0
 	}
@@ -798,7 +669,7 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 		e.rec.Append(record.Event{Group: group, Seq: seq, Node: n, Offset: offset, Kind: ev.ExternalKind(), Payload: ev})
 	}
 	e.stats.ExternalEvents++
-	if e.cfg.Baseline {
+	if e.baseline {
 		sh.sendBaseline(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset)
 		return
 	}
@@ -826,7 +697,7 @@ func (e *Engine) InjectTrace(ev trace.Event) error {
 }
 
 // CommittedKeys returns node n's committed delivery sequence: everything
-// already settled plus the live window (requires Config.LogDeliveries for
+// already settled plus the live window (requires EngineSpec.DeliveryLog for
 // the settled prefix).
 func (e *Engine) CommittedKeys(n msg.NodeID) []ordering.Key {
 	sh := e.shims[n]
@@ -844,7 +715,7 @@ func (e *Engine) WindowLen(n msg.NodeID) int { return e.shims[n].win.Len() }
 // runtime serializes doomed arrivals), so writing the sender's shim state
 // from here is safe in both modes.
 func (e *Engine) onInFlightDrop(m *msg.Message) {
-	if m.Kind != msg.KindApp || e.cfg.Baseline {
+	if m.Kind != msg.KindApp || e.baseline {
 		return
 	}
 	e.shims[m.From].ledger.dropped(m)

@@ -116,10 +116,10 @@ func floodApps(n int) []api.Application {
 // runScenario floods nVals values from distinct injection nodes at nearly
 // the same instant over g, and returns per-node app logs and committed key
 // sequences.
-func runScenario(t *testing.T, g *topology.Graph, cfg Config, nVals int) ([][]string, [][]ordering.Key, *Engine) {
+func runScenario(t *testing.T, g *topology.Graph, spec EngineSpec, nVals int) ([][]string, [][]ordering.Key, *Engine) {
 	t.Helper()
 	as := floodApps(g.N)
-	e := New(g, as, cfg)
+	e := New(g, as, spec)
 	// Inject values at staggered sub-millisecond offsets so their
 	// flood waves race each other throughout the network.
 	for v := 0; v < nVals; v++ {
@@ -144,7 +144,7 @@ func runScenario(t *testing.T, g *topology.Graph, cfg Config, nVals int) ([][]st
 
 func TestFloodReachesEveryNode(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
-	logs, _, e := runScenario(t, g, Config{Seed: 1, LogDeliveries: true}, 3)
+	logs, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](1), DeliveryLog: ptr(true)}, 3)
 	for i, log := range logs {
 		if len(log) != 3 {
 			t.Fatalf("node %d saw %d values, want 3: %v", i, len(log), log)
@@ -165,10 +165,10 @@ func TestDeterminismAcrossJitterSeeds(t *testing.T) {
 	var refKeys [][]ordering.Key
 	sawRollback := false
 	for seed := uint64(0); seed < 8; seed++ {
-		logs, keys, e := runScenario(t, g, Config{
-			Seed:          seed,
-			JitterScale:   4, // aggressive jitter: force misorderings
-			LogDeliveries: true,
+		logs, keys, e := runScenario(t, g, EngineSpec{
+			Seed:        &seed,
+			JitterScale: ptr(4.0), // aggressive jitter: force misorderings
+			DeliveryLog: ptr(true),
 		}, 4)
 		if e.Stats().Rollbacks > 0 {
 			sawRollback = true
@@ -200,7 +200,7 @@ func TestBaselineIsNondeterministic(t *testing.T) {
 	distinct := map[string]bool{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := floodApps(g.N)
-		e := New(g, as, Config{Seed: seed, JitterScale: 4, Baseline: true})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](4), Baseline: ptr(true)})
 		for v := 0; v < 4; v++ {
 			v := v
 			node := msg.NodeID((v * 7) % g.N)
@@ -235,7 +235,7 @@ func TestRollbackUnsendsCascade(t *testing.T) {
 	var ref [][]string
 	for seed := uint64(0); seed < 12; seed++ {
 		as := floodApps(g.N)
-		e := New(g, as, Config{Seed: seed, JitterScale: 1, LogDeliveries: true})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](1), DeliveryLog: ptr(true)})
 		// Two injections in the same beacon group: value 1 at A, value
 		// 2 at D. Sorted order at B: d(D→B)=10ms < d(A→B)=12ms, so
 		// value 2 must commit first everywhere downstream.
@@ -277,7 +277,7 @@ func TestTimerBatchesDeterministic(t *testing.T) {
 	var ref [][]string
 	for seed := uint64(0); seed < 6; seed++ {
 		as := apps(g.N, func() api.Application { return &timerApp{floodApp: *newFloodApp()} })
-		e := New(g, as, Config{Seed: seed, JitterScale: 3})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](3)})
 		// Inject shortly before a group boundary so message waves cross it.
 		e.sim.ScheduleFn(vtime.Time(248*vtime.Millisecond), func() {
 			e.InjectExternal(0, injectEvent{Value: 7})
@@ -312,7 +312,7 @@ func TestTimerBatchesDeterministic(t *testing.T) {
 func TestRecordingCapturesExternals(t *testing.T) {
 	g := topology.Line(3, 5*vtime.Millisecond)
 	as := floodApps(g.N)
-	e := New(g, as, Config{Seed: 1, Record: true})
+	e := New(g, as, EngineSpec{Seed: ptr[uint64](1), Record: ptr(true)})
 	e.sim.ScheduleFn(0, func() { e.InjectExternal(0, injectEvent{Value: 1}) })
 	e.sim.ScheduleFn(vtime.Time(300*vtime.Millisecond), func() { e.InjectExternal(2, injectEvent{Value: 2}) })
 	e.Run(vtime.Time(1 * vtime.Second))
@@ -338,7 +338,7 @@ func TestRecordingCapturesExternals(t *testing.T) {
 func TestLinkChangeRecordedAndApplied(t *testing.T) {
 	g := topology.Line(3, 5*vtime.Millisecond)
 	as := floodApps(g.N)
-	e := New(g, as, Config{Seed: 1, Record: true})
+	e := New(g, as, EngineSpec{Seed: ptr[uint64](1), Record: ptr(true)})
 	e.sim.ScheduleFn(0, func() {
 		if err := e.InjectLinkChange(0, 1, false); err != nil {
 			t.Errorf("InjectLinkChange: %v", err)
@@ -363,7 +363,7 @@ func TestChainBoundRollsIntoNextGroup(t *testing.T) {
 	// must hop groups instead of growing unbounded chains.
 	g := topology.Line(10, vtime.Millisecond)
 	as := floodApps(g.N)
-	e := New(g, as, Config{Seed: 1, ChainBound: 3, LogDeliveries: true})
+	e := New(g, as, EngineSpec{Seed: ptr[uint64](1), ChainBound: ptr(3), DeliveryLog: ptr(true)})
 	e.sim.ScheduleFn(0, func() { e.InjectExternal(0, injectEvent{Value: 1}) })
 	e.Run(vtime.Time(1 * vtime.Second))
 	if !e.RunQuiescent(1_000_000) {
@@ -397,7 +397,7 @@ func TestCheckpointStrategiesAllDeterministic(t *testing.T) {
 		{Timing: checkpoint.PF, Mode: checkpoint.MI},
 		{Timing: checkpoint.TM, Mode: checkpoint.MI},
 	} {
-		logs, _, _ := runScenario(t, g, Config{Seed: 3, JitterScale: 3, Strategy: strat, StrategySet: true}, 3)
+		logs, _, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](3), JitterScale: ptr(3.0), Strategy: strat.String()}, 3)
 		if ref == nil {
 			ref = logs
 			continue
@@ -411,9 +411,10 @@ func TestCheckpointStrategiesAllDeterministic(t *testing.T) {
 func TestRandomOrderingDeterministicButDifferent(t *testing.T) {
 	g := topology.Brite(10, 2, 11)
 	ro := func(seed uint64) [][]string {
-		logs, _, _ := runScenario(t, g, Config{
-			Seed:     seed,
-			Ordering: ordering.Random(99),
+		logs, _, _ := runScenario(t, g, EngineSpec{
+			Seed:         &seed,
+			Ordering:     "RO",
+			OrderingSeed: ptr[uint64](99),
 		}, 4)
 		return logs
 	}
@@ -432,16 +433,16 @@ func TestRandomOrderingCausesMoreRollbacks(t *testing.T) {
 		seeds = 1
 	}
 	g := topology.Brite(20, 2, 13)
-	run := func(f ordering.Func) uint64 {
+	run := func(ord string) uint64 {
 		var total uint64
 		for seed := uint64(0); seed < seeds; seed++ {
-			_, _, e := runScenario(t, g, Config{Seed: seed, Ordering: f, JitterScale: 1}, 6)
+			_, _, e := runScenario(t, g, EngineSpec{Seed: &seed, Ordering: ord, OrderingSeed: ptr[uint64](5)}, 6)
 			total += e.Stats().Rollbacks
 		}
 		return total
 	}
-	oo := run(ordering.Optimized())
-	roTotal := run(ordering.Random(5))
+	oo := run("OO")
+	roTotal := run("RO")
 	if roTotal <= oo {
 		t.Fatalf("RO (%d rollbacks) should exceed OO (%d) — the paper's Figure 8a effect", roTotal, oo)
 	}
@@ -450,7 +451,7 @@ func TestRandomOrderingCausesMoreRollbacks(t *testing.T) {
 func TestBaselineStatsStayZero(t *testing.T) {
 	g := topology.Line(3, vtime.Millisecond)
 	as := floodApps(g.N)
-	e := New(g, as, Config{Seed: 1, Baseline: true})
+	e := New(g, as, EngineSpec{Seed: ptr[uint64](1), Baseline: ptr(true)})
 	e.sim.ScheduleFn(0, func() { e.InjectExternal(0, injectEvent{Value: 1}) })
 	e.Run(vtime.Time(1 * vtime.Second))
 	e.RunQuiescent(100000)
@@ -472,7 +473,45 @@ func TestNewPanicsOnAppCountMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(topology.Line(3, vtime.Millisecond), floodApps(2), Config{})
+	New(topology.Line(3, vtime.Millisecond), floodApps(2), EngineSpec{})
+}
+
+// TestNewWritesTheOneDefaultTable pins that New resolves the block it is
+// given with ResolveEngine's defaults and no others: the zero block and
+// its resolved form build the same engine.
+func TestNewWritesTheOneDefaultTable(t *testing.T) {
+	resolved, err := ResolveEngine(EngineSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topology.Brite(12, 2, 4)
+	zeroLogs, zeroKeys, ze := runScenario(t, g, EngineSpec{}, 4)
+	resLogs, resKeys, re := runScenario(t, g, resolved, 4)
+	if !reflect.DeepEqual(zeroLogs, resLogs) || !reflect.DeepEqual(zeroKeys, resKeys) {
+		t.Fatal("zero and resolved blocks committed different orders")
+	}
+	if zs, rs := ze.Stats(), re.Stats(); zs != rs {
+		t.Fatalf("stats differ:\nzero:     %+v\nresolved: %+v", zs, rs)
+	}
+	if ze.Stats().Deferred == 0 || ze.Stats().Rollbacks == 0 {
+		t.Fatalf("defaults exercised neither deferral nor rollback: %+v", ze.Stats())
+	}
+}
+
+// TestNewPanicsOnContradictoryBlock: New panics with ResolveEngine's exact
+// error on a block the contradiction table rejects.
+func TestNewPanicsOnContradictoryBlock(t *testing.T) {
+	spec := EngineSpec{Poison: ptr(true), MessagePool: ptr(false)}
+	_, err := ResolveEngine(spec)
+	if err == nil {
+		t.Fatal("poison without the pool resolved")
+	}
+	defer func() {
+		if got := recover(); got != err.Error() {
+			t.Fatalf("panic %v, want %q", got, err)
+		}
+	}()
+	New(topology.Line(3, vtime.Millisecond), floodApps(3), spec)
 }
 
 func TestLinkCost(t *testing.T) {
@@ -495,7 +534,7 @@ func TestLinkCost(t *testing.T) {
 // ledger.sent from the first causeSerial >= that position's serial.
 func TestSentRecordsOrderedByCause(t *testing.T) {
 	g := topology.Brite(20, 2, 13)
-	e := New(g, floodApps(g.N), Config{Seed: 1, Ordering: ordering.Random(5), DeferSlack: -1})
+	e := New(g, floodApps(g.N), EngineSpec{Seed: ptr[uint64](1), Ordering: "RO", OrderingSeed: ptr[uint64](5), Deferral: ptr(false)})
 	for v := 0; v < 8; v++ {
 		node := msg.NodeID((v * 7) % g.N)
 		e.sim.ScheduleFn(vtime.Time(vtime.Duration(v)*300*vtime.Microsecond), func() {

@@ -19,7 +19,7 @@ import (
 
 // ospfFlap drives a link flap through a 16-node BRITE graph under the
 // engine defaults (TM/MI) and drains it.
-func ospfFlap(t *testing.T, cfg Config) (*Engine, []*ospf.Daemon) {
+func ospfFlap(t *testing.T, spec EngineSpec) (*Engine, []*ospf.Daemon) {
 	t.Helper()
 	g := topology.Brite(16, 2, 5)
 	daemons := make([]*ospf.Daemon, g.N)
@@ -28,9 +28,9 @@ func ospfFlap(t *testing.T, cfg Config) (*Engine, []*ospf.Daemon) {
 		daemons[i] = ospf.New(ospf.Config{})
 		apps[i] = daemons[i]
 	}
-	cfg.Seed = 7
-	cfg.LogDeliveries = true
-	e := New(g, apps, cfg)
+	spec.Seed = ptr[uint64](7)
+	spec.DeliveryLog = ptr(true)
+	e := New(g, apps, spec)
 	l := g.Links[0]
 	e.Sim().ScheduleFn(vtime.Time(300*vtime.Millisecond), func() { _ = e.InjectLinkChange(l.A, l.B, false) })
 	e.Sim().ScheduleFn(vtime.Time(900*vtime.Millisecond), func() { _ = e.InjectLinkChange(l.A, l.B, true) })
@@ -42,8 +42,8 @@ func ospfFlap(t *testing.T, cfg Config) (*Engine, []*ospf.Daemon) {
 }
 
 func TestRouteCacheCoherentUnderRollback(t *testing.T) {
-	on, onDaemons := ospfFlap(t, Config{})
-	off, offDaemons := ospfFlap(t, Config{NoRouteCache: true})
+	on, onDaemons := ospfFlap(t, EngineSpec{})
+	off, offDaemons := ospfFlap(t, EngineSpec{RouteCache: ptr(false)})
 
 	onStats, offStats := on.Stats(), off.Stats()
 	if onStats.Rollbacks == 0 {
@@ -87,7 +87,7 @@ func TestRouteCacheCoherentUnderRollback(t *testing.T) {
 // TestRouteCacheStatsAggregation pins the capability probe: stats sum over
 // capable applications only, and disabling via config empties them.
 func TestRouteCacheStatsAggregation(t *testing.T) {
-	e, _ := ospfFlap(t, Config{})
+	e, _ := ospfFlap(t, EngineSpec{})
 	st := e.Stats()
 	var want api.RouteCacheStats
 	for n := 0; n < e.G.N; n++ {

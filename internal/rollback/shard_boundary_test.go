@@ -47,9 +47,9 @@ func diffRun(t *testing.T, what string, seqLogs, shLogs [][]string, seqE, shE *E
 // per shard, every anti-message in the run crosses a boundary.
 func TestAntiMessageCrossesShardBoundary(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
-	cfg := Config{Seed: 1, LogDeliveries: true}
+	cfg := EngineSpec{Seed: ptr[uint64](1), DeliveryLog: ptr(true)}
 	seqLogs, _, seqE := runScenario(t, g, cfg, 5)
-	cfg.Shards = g.N
+	cfg.Shards = ptr(g.N)
 	shLogs, _, shE := runScenario(t, topology.Brite(12, 2, 4), cfg, 5)
 	st := shE.Stats()
 	if st.AntiMessages == 0 || st.Rollbacks == 0 {
@@ -64,9 +64,9 @@ func TestAntiMessageCrossesShardBoundary(t *testing.T) {
 // actually deferred and converted deferrals into avoided rollbacks.
 func TestDeferralInheritedAcrossShards(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
-	cfg := Config{Seed: 3, LogDeliveries: true}
+	cfg := EngineSpec{Seed: ptr[uint64](3), DeliveryLog: ptr(true)}
 	seqLogs, _, seqE := runScenario(t, g, cfg, 5)
-	cfg.Shards = 4
+	cfg.Shards = ptr(4)
 	shLogs, _, shE := runScenario(t, topology.Brite(12, 2, 4), cfg, 5)
 	st := shE.Stats()
 	if st.Deferred == 0 || st.DeferHits == 0 {
@@ -84,7 +84,7 @@ func TestShardHorizonStallsOnDoomedArrivals(t *testing.T) {
 	run := func(shards int) ([][]string, *Engine) {
 		g := topology.Brite(12, 2, 4)
 		as := floodApps(g.N)
-		e := New(g, as, Config{Seed: 2, LogDeliveries: true, Record: true, Shards: shards})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](2), DeliveryLog: ptr(true), Record: ptr(true), Shards: ptr(shards)})
 		for v := 0; v < 5; v++ {
 			v := v
 			node := msg.NodeID((v * 7) % g.N)

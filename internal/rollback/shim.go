@@ -57,7 +57,7 @@ type shim struct {
 func (sh *shim) onWire(m *msg.Message) {
 	switch m.Kind {
 	case msg.KindApp:
-		if sh.e.cfg.Baseline {
+		if sh.e.baseline {
 			// The unmodified-software path: no ordering, no checkpoints.
 			sh.stats.Deliveries++
 			sh.sendBaseline(sh.app.HandleMessage(m), m.Ann, false, 0, 0)
@@ -99,7 +99,7 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	isMsg := entry.Key.Class == ordering.ClassMessage
 	var pred vtime.Time // the key's d_i arrival prediction
 	if isMsg {
-		pred = vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval).Add(entry.Key.Delay)
+		pred = vtime.GroupStart(entry.Key.Group, vtime.BeaconInterval).Add(entry.Key.Delay)
 	}
 	if est := sh.e.est; est != nil && isMsg && !sh.lane.InWindow() {
 		est.observe(entry.ArrivedAt, entry.ArrivedAt.Sub(pred))
@@ -118,7 +118,7 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	if isMsg && sh.look.on() {
 		sh.look.observe(entry.Key.From, entry.ArrivedAt, pred)
 	}
-	rank := sh.e.cfg.Ordering.Rank(entry.Key)
+	rank := sh.e.ord.Rank(entry.Key)
 	if sh.e.deferOn {
 		held, flush := sh.pend.decide(entry, rank, sh.win.Window, &sh.look)
 		if flush {
@@ -164,9 +164,9 @@ func (sh *shim) insertNow(entry *history.Entry, rank ordering.Rank) {
 // onTimerBatch fires the node's virtual-timer batch for group (scheduled
 // at the group boundary plus beacon skew).
 func (sh *shim) onTimerBatch(group uint64) {
-	if sh.e.cfg.Baseline {
+	if sh.e.baseline {
 		// The baseline turns the app's timer wheel on the boundaries directly.
-		outs := sh.app.HandleTimer(vtime.GroupStart(group, sh.e.cfg.BeaconInterval))
+		outs := sh.app.HandleTimer(vtime.GroupStart(group, vtime.BeaconInterval))
 		sh.stats.TimerBatches++
 		sh.sendBaseline(outs, msg.Annotation{}, true, group, sh.e.skew[sh.id])
 		return
@@ -250,7 +250,7 @@ func (sh *shim) handleEntry(entry *history.Entry) (outs []msg.Out, ok bool) {
 	defer sh.recoverPanic()
 	switch {
 	case entry.Key.IsTimer():
-		now := vtime.GroupStart(entry.Key.Group, sh.e.cfg.BeaconInterval)
+		now := vtime.GroupStart(entry.Key.Group, vtime.BeaconInterval)
 		return sh.app.HandleTimer(now), true
 	case entry.Key.IsExternal():
 		return sh.app.HandleExternal(entry.Ext.Event.(api.ExternalEvent)), true
@@ -360,7 +360,7 @@ func (sh *shim) flushPending() {
 }
 
 // settle is a node's retirement state: when it last settled, the largest
-// key it ever retired, and (Config.LogDeliveries) the committed prefix.
+// key it ever retired, and (EngineSpec.DeliveryLog) the committed prefix.
 // A crash keeps all of it — the committed prefix is history, not node state.
 type settle struct {
 	last     vtime.Time
@@ -370,8 +370,7 @@ type settle struct {
 	log      []ordering.Key
 
 	cmp     ordering.Func
-	iv      vtime.Duration // Config.BeaconInterval
-	logging bool           // Config.LogDeliveries
+	logging bool // EngineSpec.DeliveryLog
 	stats   *Stats
 }
 
@@ -387,7 +386,7 @@ func (s *settle) check(k ordering.Key, r ordering.Rank) {
 // due reports whether a settle pass runs at now — at most once per beacon
 // interval — and starts it.
 func (s *settle) due(now vtime.Time) bool {
-	if now.Sub(s.last) < s.iv {
+	if now.Sub(s.last) < vtime.BeaconInterval {
 		return false
 	}
 	s.last = now

@@ -27,7 +27,6 @@ type firedEv struct {
 type labelApp struct {
 	floodApp
 	eng *Engine
-	iv  vtime.Duration
 	log []firedEv
 }
 
@@ -37,7 +36,7 @@ func (a *labelApp) note(kind byte, group uint64) {
 }
 
 func (a *labelApp) HandleTimer(now vtime.Time) []msg.Out {
-	group := vtime.GroupOf(now, a.iv)
+	group := vtime.GroupOf(now, vtime.BeaconInterval)
 	a.note('T', group)
 	if int(group)%len(a.eng.shims) != int(a.self) {
 		return nil
@@ -61,7 +60,7 @@ func (a *labelApp) HandleMessage(m *msg.Message) []msg.Out {
 // next insertion sequence — kept verbatim as the oracle for the labels the
 // chain must reproduce.
 func loopScheduleGroupTicks(e *Engine, until vtime.Time) {
-	iv := e.cfg.BeaconInterval
+	const iv = vtime.BeaconInterval
 	for i := range e.shims {
 		sh := e.shims[i]
 		firstGroup := vtime.GroupOf(e.scheduledThrough, iv) + 1
@@ -84,20 +83,27 @@ func loopScheduleGroupTicks(e *Engine, until vtime.Time) {
 // queued, a drain in the middle (so the next Run's first ticks are already
 // in the past and clamp to the clock), a crash and restart, ticks left past
 // the last until for the final drain — scheduling ticks with the chain or
-// with the oracle loop.
-func runTickProgram(t *testing.T, cfg Config, oracle bool) ([][]firedEv, Stats) {
+// with the oracle loop. spec must be resolved.
+func runTickProgram(t *testing.T, spec EngineSpec, oracle bool) ([][]firedEv, Stats) {
 	t.Helper()
-	// A 20 ms beacon interval against BRITE's 5–41 ms links puts most
-	// nodes' skew past one interval: several of a node's ticks are due at
-	// once, and every Run leaves ticks queued past until.
-	const iv = 20 * vtime.Millisecond
-	cfg.BeaconInterval = iv
-	g := topology.Brite(12, 2, 4)
+	// The program counts in units of a twentieth of the beacon interval.
+	// BRITE's 5–41 ms links, stretched fivefold, put the largest skew
+	// past one interval: some nodes have several ticks due at once, and
+	// every Run leaves ticks queued past until. (A longer stretch only
+	// deepens the rollback storm the timer floods set off.)
+	const iv = vtime.BeaconInterval
+	brite := topology.Brite(12, 2, 4)
+	links := make([]topology.Link, len(brite.Links))
+	for i, l := range brite.Links {
+		l.Delay *= 5
+		links[i] = l
+	}
+	g := topology.FromLinks("brite-stretched", brite.N, links)
 	as := make([]api.Application, g.N)
 	for i := range as {
-		as[i] = &labelApp{floodApp: *newFloodApp(), iv: iv}
+		as[i] = &labelApp{floodApp: *newFloodApp()}
 	}
-	e := New(g, as, cfg)
+	e := New(g, as, spec)
 	for i := range as {
 		as[i].(*labelApp).eng = e
 	}
@@ -108,13 +114,13 @@ func runTickProgram(t *testing.T, cfg Config, oracle bool) ([][]firedEv, Stats) 
 	if maxSkew <= iv {
 		t.Fatalf("max skew %v does not exceed the %v interval: no overlapping ticks", maxSkew, iv)
 	}
-	ms := func(n int) vtime.Time { return vtime.Time(vtime.Duration(n) * vtime.Millisecond) }
-	for v, at := range []vtime.Time{ms(1), ms(47), ms(215)} {
+	u := func(n int) vtime.Time { return vtime.Time(vtime.Duration(n) * iv / 20) }
+	for v, at := range []vtime.Time{u(1), u(47), u(215)} {
 		node := msg.NodeID((v * 5) % g.N)
 		e.sim.ScheduleFn(at, func() { e.InjectExternal(node, injectEvent{Value: v}) })
 	}
-	e.sim.ScheduleFn(ms(30), func() { e.CrashNode(5) })
-	e.sim.ScheduleFn(ms(110), func() { e.RestartNode(5) })
+	e.sim.ScheduleFn(u(30), func() { e.CrashNode(5) })
+	e.sim.ScheduleFn(u(110), func() { e.RestartNode(5) })
 	run := func(until vtime.Time) {
 		if oracle {
 			loopScheduleGroupTicks(e, until)
@@ -123,20 +129,20 @@ func runTickProgram(t *testing.T, cfg Config, oracle bool) ([][]firedEv, Stats) 
 			e.Run(until)
 		}
 	}
-	run(ms(70))
-	run(ms(75)) // crosses no boundary
-	run(ms(130))
+	run(u(70))
+	run(u(75)) // crosses no boundary
+	run(u(130))
 	if !e.RunQuiescent(1_000_000) {
 		t.Fatal("mid-program drain did not quiesce")
 	}
-	run(ms(333))
+	run(u(333))
 	if e.sim.Pending() == 0 {
 		t.Fatal("no tick left queued past until for the drain")
 	}
 	if !e.RunQuiescent(1_000_000) {
 		t.Fatal("final drain did not quiesce")
 	}
-	if cfg.Shards > 1 && e.sim.Windows() == 0 {
+	if *spec.Shards > 1 && e.sim.Windows() == 0 {
 		t.Fatal("sharded run opened no parallel window: no tick was armed from inside one")
 	}
 	logs := make([][]firedEv, g.N)
@@ -153,15 +159,19 @@ func runTickProgram(t *testing.T, cfg Config, oracle bool) ([][]firedEv, Stats) 
 func TestTickChainLabels(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		spec EngineSpec
 	}{
-		{"sequential", Config{Seed: 3}},
-		{"shards2", Config{Seed: 3, Shards: 2}},
-		{"baseline", Config{Seed: 3, Baseline: true}},
+		{"sequential", EngineSpec{Seed: ptr[uint64](3)}},
+		{"shards2", EngineSpec{Seed: ptr[uint64](3), Shards: ptr(2)}},
+		{"baseline", EngineSpec{Seed: ptr[uint64](3), Baseline: ptr(true)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, wantStats := runTickProgram(t, tc.cfg, true)
-			got, gotStats := runTickProgram(t, tc.cfg, false)
+			spec, err := ResolveEngine(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats := runTickProgram(t, spec, true)
+			got, gotStats := runTickProgram(t, spec, false)
 			for n := range want {
 				if len(got[n]) != len(want[n]) {
 					t.Fatalf("node %d: %d handler calls, loop had %d", n, len(got[n]), len(want[n]))
@@ -175,13 +185,13 @@ func TestTickChainLabels(t *testing.T) {
 			if gotStats != wantStats {
 				t.Fatalf("stats differ:\nchain: %+v\nloop:  %+v", gotStats, wantStats)
 			}
-			// 16 boundaries in (0, 333 ms] at 12 nodes; while node 5 is down
+			// 16 boundaries in (0, 333 units] at 12 nodes; while node 5 is down
 			// its ticks fire into the quarantine instead of the application.
 			const all = 12 * 16
 			switch b := gotStats.TimerBatches; {
-			case tc.cfg.Baseline && b != all:
+			case *spec.Baseline && b != all:
 				t.Fatalf("baseline delivered %d timer batches, want %d", b, all)
-			case !tc.cfg.Baseline && (b >= all || b+gotStats.QuarantinedDrops < all || gotStats.NodeRestarts != 1):
+			case !*spec.Baseline && (b >= all || b+gotStats.QuarantinedDrops < all || gotStats.NodeRestarts != 1):
 				t.Fatalf("program did not exercise the crash window: %+v", gotStats)
 			}
 		})

@@ -13,7 +13,6 @@ import (
 
 	"defined/internal/faults"
 	"defined/internal/msg"
-	"defined/internal/rollback"
 	"defined/internal/routing/api"
 	"defined/internal/routing/bgp"
 	"defined/internal/routing/ospf"
@@ -63,9 +62,11 @@ type Plan struct {
 	Graph *topology.Graph
 	// Hier carries the domain metadata on hierarchical plans (nil for
 	// flat topologies).
-	Hier   *topology.Hierarchy
-	Nodes  []NodePlan
-	Engine rollback.Config
+	Hier  *topology.Hierarchy
+	Nodes []NodePlan
+	// Engine is the resolved engine block, a copy: editing it cannot
+	// reach the RunSpec.
+	Engine EngineSpec
 	Events []DriverEvent
 	// Faults is the expanded fault plan (nil when the spec has none).
 	Faults   *faults.Plan
@@ -74,9 +75,9 @@ type Plan struct {
 }
 
 // Expand materializes the plan. It builds (or generates) the topology,
-// assigns per-node protocol bindings, maps the engine spec onto the
-// rollback configuration, resolves the event timeline and expands the
-// fault plan. Expansion executes nothing.
+// assigns per-node protocol bindings, copies the resolved engine block,
+// resolves the event timeline and expands the fault plan. Expansion
+// executes nothing.
 func (r RunSpec) Expand() (*Plan, error) {
 	s := r.spec
 	if s.Name == "" {
@@ -90,11 +91,11 @@ func (r RunSpec) Expand() (*Plan, error) {
 	if err := p.expandNodes(s); err != nil {
 		return nil, err
 	}
-	cfg, err := s.Engine.Config()
+	eng, err := deepCopy(s.Engine)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %v", s.Name, err)
+		return nil, err
 	}
-	p.Engine = cfg
+	p.Engine = eng
 	if err := p.expandEvents(s); err != nil {
 		return nil, err
 	}

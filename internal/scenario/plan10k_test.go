@@ -28,7 +28,7 @@ func hier10kSpec() Spec {
 			BGP:  &BGPSpec{},
 			RIP:  &RIPSpec{UpdateInterval: Dur(2 * vtime.Second)},
 		},
-		Engine:  EngineSpec{Seed: u64p(42), Shards: intp(4)},
+		Engine:  EngineSpec{Seed: ptr[uint64](42), Shards: ptr(4)},
 		Horizon: HorizonSpec{Run: Duration(5 * vtime.Second)},
 	}
 }

@@ -8,11 +8,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
 
-	"defined/internal/checkpoint"
-	"defined/internal/ordering"
 	"defined/internal/rollback"
 	"defined/internal/vtime"
 )
@@ -48,16 +46,19 @@ func (s Spec) Resolve() (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	resolveEngine(&r.Engine)
+	// A contradictory engine block still comes back defaulted; validate
+	// reports its error in the engine's place in the rule order.
+	eng, engErr := rollback.ResolveEngine(r.Engine)
+	r.Engine = eng
 	resolveTopology(&r.Topology, *r.Engine.Seed)
 	resolveProtocols(&r.Protocols)
 	if r.Faults != nil {
 		resolveFaults(r.Faults, *r.Engine.Seed)
 	}
 	if r.Horizon.Drain == nil {
-		r.Horizon.Drain = boolp(true)
+		r.Horizon.Drain = ptr(true)
 	}
-	if err := validate(r); err != nil {
+	if err := validate(r, engErr); err != nil {
 		return RunSpec{}, err
 	}
 	return RunSpec{spec: r}, nil
@@ -81,96 +82,30 @@ func (r RunSpec) Name() string { return r.spec.Name }
 // a committed RunSpec rendering is self-describing.
 func (r RunSpec) MarshalJSON() ([]byte, error) { return json.Marshal(r.spec) }
 
-// resolveEngine writes every engine default explicitly.
-func resolveEngine(e *EngineSpec) {
-	if e.Baseline == nil {
-		e.Baseline = boolp(false)
-	}
-	if e.Ordering == "" {
-		e.Ordering = "OO"
-	}
-	if e.Seed == nil {
-		e.Seed = u64p(0)
-	}
-	if e.OrderingSeed == nil {
-		e.OrderingSeed = u64p(*e.Seed)
-	}
-	if e.Strategy == "" {
-		e.Strategy = checkpoint.Default.String()
-	}
-	if e.JitterScale == nil {
-		e.JitterScale = f64p(1.0)
-	}
-	if e.ChainBound == nil {
-		e.ChainBound = intp(64)
-	}
-	if e.SettleBound == nil {
-		e.SettleBound = durp(0) // adaptive estimator
-	}
-	if e.Deferral == nil {
-		// Deferral predicts predecessors from ordering keys; random
-		// ordering defeats the prediction, so RO runs default it off.
-		e.Deferral = boolp(e.Ordering != "RO")
-	}
-	if e.DeferSlack == nil {
-		e.DeferSlack = durp(8 * vtime.Millisecond)
-	}
-	if e.DeferMax == nil {
-		e.DeferMax = durp(100 * vtime.Millisecond)
-	}
-	if e.Shards == nil {
-		e.Shards = intp(0)
-	}
-	if e.Lookahead == nil {
-		e.Lookahead = boolp(false)
-	}
-	if e.PerLinkLoss == nil {
-		e.PerLinkLoss = f64p(0)
-	}
-	if e.Duplication == nil {
-		e.Duplication = f64p(0)
-	}
-	if e.MessagePool == nil {
-		e.MessagePool = boolp(true)
-	}
-	if e.RouteCache == nil {
-		e.RouteCache = boolp(true)
-	}
-	if e.Poison == nil {
-		e.Poison = boolp(false)
-	}
-	if e.Record == nil {
-		e.Record = boolp(false)
-	}
-	if e.DeliveryLog == nil {
-		e.DeliveryLog = boolp(false)
-	}
-}
-
 func resolveTopology(t *TopologyRef, engineSeed uint64) {
 	if t.Kind == "brite" {
 		if t.Degree == 0 {
 			t.Degree = 2
 		}
 		if t.Seed == nil {
-			t.Seed = u64p(engineSeed)
+			t.Seed = ptr(engineSeed)
 		}
 	}
 	if t.Kind == "line" && t.Delay == nil {
-		t.Delay = durp(vtime.Millisecond)
+		t.Delay = Dur(vtime.Millisecond)
 	}
 }
 
 func resolveProtocols(p *ProtocolSpec) {
 	if p.OSPF != nil {
 		if p.OSPF.HelloInterval == nil {
-			p.OSPF.HelloInterval = durp(vtime.Second)
+			p.OSPF.HelloInterval = Dur(vtime.Second)
 		}
 		if p.OSPF.DeadInterval == nil {
-			p.OSPF.DeadInterval = durp(4 * p.OSPF.HelloInterval.V())
+			p.OSPF.DeadInterval = Dur(4 * p.OSPF.HelloInterval.V())
 		}
 		if p.OSPF.FloodHolddown == nil {
-			p.OSPF.FloodHolddown = durp(0)
+			p.OSPF.FloodHolddown = Dur(0)
 		}
 	}
 	if p.BGP != nil && p.BGP.Mode == "" {
@@ -181,32 +116,32 @@ func resolveProtocols(p *ProtocolSpec) {
 			p.RIP.Mode = "quagga0965"
 		}
 		if p.RIP.UpdateInterval == nil {
-			p.RIP.UpdateInterval = durp(30 * vtime.Second)
+			p.RIP.UpdateInterval = Dur(30 * vtime.Second)
 		}
 		if p.RIP.Timeout == nil {
-			p.RIP.Timeout = durp(180 * vtime.Second)
+			p.RIP.Timeout = Dur(180 * vtime.Second)
 		}
 		if p.RIP.SplitHorizon == nil {
-			p.RIP.SplitHorizon = boolp(false)
+			p.RIP.SplitHorizon = ptr(false)
 		}
 	}
 }
 
 func resolveFaults(f *FaultSpec, engineSeed uint64) {
 	if f.Seed == nil {
-		f.Seed = u64p(engineSeed)
+		f.Seed = ptr(engineSeed)
 	}
 	if f.Crashes == nil {
-		f.Crashes = intp(2)
+		f.Crashes = ptr(2)
 	}
 	if f.Flaps == nil {
-		f.Flaps = intp(2)
+		f.Flaps = ptr(2)
 	}
 	if f.Partitions == nil {
-		f.Partitions = intp(1)
+		f.Partitions = ptr(1)
 	}
 	if f.MinRepair == nil {
-		f.MinRepair = durp(500 * vtime.Millisecond)
+		f.MinRepair = Dur(500 * vtime.Millisecond)
 	}
 }
 
@@ -218,7 +153,8 @@ var topologyKinds = map[string]bool{
 
 // validate rejects contradictory resolved specs. Every rule names both
 // sides of the contradiction so spec authors know which line to change.
-func validate(s Spec) error {
+// engErr is the engine block's ResolveEngine error.
+func validate(s Spec, engErr error) error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
@@ -263,8 +199,8 @@ func validate(s Spec) error {
 		return fmt.Errorf("scenario %s: ospf intervals must be positive", s.Name)
 	}
 
-	if err := validateEngine(s.Name, s.Engine); err != nil {
-		return err
+	if engErr != nil {
+		return fmt.Errorf("scenario %s: %v", s.Name, errors.Unwrap(engErr))
 	}
 
 	for i, ev := range s.Events {
@@ -276,7 +212,7 @@ func validate(s Spec) error {
 		switch {
 		case f.End.V() <= f.Start.V():
 			return fmt.Errorf("scenario %s: fault window end %s not after start %s",
-				s.Name, formatDuration(f.End.V()), formatDuration(f.Start.V()))
+				s.Name, f.End, f.Start)
 		case *f.Crashes < 1 || *f.Flaps < 1 || *f.Partitions < 1:
 			return fmt.Errorf("scenario %s: fault counts must be >= 1 (omit the faults block for a fault-free run)", s.Name)
 		case f.MinRepair.V() <= 0:
@@ -287,44 +223,6 @@ func validate(s Spec) error {
 	}
 	if s.Horizon.Run.V() <= 0 {
 		return fmt.Errorf("scenario %s: horizon run must be positive", s.Name)
-	}
-	return nil
-}
-
-// validateEngine is the contradiction table for resolved engine specs.
-func validateEngine(name string, e EngineSpec) error {
-	if _, err := ordering.ByName(e.Ordering, *e.OrderingSeed); err != nil {
-		return fmt.Errorf("scenario %s: %v", name, err)
-	}
-	if _, err := parseStrategy(e.Strategy); err != nil {
-		return fmt.Errorf("scenario %s: %v", name, err)
-	}
-	switch {
-	case *e.Baseline && *e.Shards > 0:
-		return fmt.Errorf("scenario %s: baseline with shards=%d — the baseline has no rollback layer to shard", name, *e.Shards)
-	case *e.Baseline && *e.Lookahead:
-		return fmt.Errorf("scenario %s: baseline with lookahead — the baseline has no speculation to bound", name)
-	case *e.Poison && !*e.MessagePool:
-		return fmt.Errorf("scenario %s: message poison without the message pool — poison is a pool debug mode", name)
-	case *e.Lookahead && !*e.Deferral && *e.Shards == 0:
-		return fmt.Errorf("scenario %s: lookahead with deferral off and no shards — nothing consumes the per-link bounds", name)
-	case *e.Deferral && e.Ordering == "RO":
-		return fmt.Errorf("scenario %s: deferral with RO ordering — random ordering defeats predecessor prediction", name)
-	case *e.PerLinkLoss < 0 || *e.PerLinkLoss > 1:
-		return fmt.Errorf("scenario %s: perLinkLoss %g outside [0,1]", name, *e.PerLinkLoss)
-	case *e.Duplication < 0 || *e.Duplication > 1:
-		return fmt.Errorf("scenario %s: duplication %g outside [0,1]", name, *e.Duplication)
-	case *e.JitterScale < 0:
-		return fmt.Errorf("scenario %s: jitterScale %g negative", name, *e.JitterScale)
-	case *e.Shards < 0:
-		return fmt.Errorf("scenario %s: shards %d negative", name, *e.Shards)
-	case *e.ChainBound < 1:
-		return fmt.Errorf("scenario %s: chainBound %d must be >= 1", name, *e.ChainBound)
-	case *e.Deferral && e.DeferSlack.V() <= 0:
-		return fmt.Errorf("scenario %s: deferral enabled with non-positive slack %s", name, formatDuration(e.DeferSlack.V()))
-	case *e.Deferral && e.DeferMax.V() < e.DeferSlack.V():
-		return fmt.Errorf("scenario %s: deferMax %s below deferSlack %s", name,
-			formatDuration(e.DeferMax.V()), formatDuration(e.DeferSlack.V()))
 	}
 	return nil
 }
@@ -350,90 +248,4 @@ func validateEvent(name string, i int, ev EventSpec) error {
 		return fmt.Errorf("scenario %s: event %d: unknown kind %q", name, i, ev.Kind)
 	}
 	return nil
-}
-
-// parseStrategy parses the "Timing/Mode" rendering checkpoint.Strategy
-// prints ("TM/MI", "TF/FK", ...).
-func parseStrategy(s string) (checkpoint.Strategy, error) {
-	var out checkpoint.Strategy
-	timing, mode, ok := strings.Cut(s, "/")
-	if !ok {
-		return out, fmt.Errorf("bad checkpoint strategy %q (want Timing/Mode like \"TM/MI\")", s)
-	}
-	switch timing {
-	case "TF":
-		out.Timing = checkpoint.TF
-	case "PF":
-		out.Timing = checkpoint.PF
-	case "TM":
-		out.Timing = checkpoint.TM
-	default:
-		return out, fmt.Errorf("bad checkpoint timing %q (want TF, PF or TM)", timing)
-	}
-	switch mode {
-	case "FK":
-		out.Mode = checkpoint.FK
-	case "MI":
-		out.Mode = checkpoint.MI
-	default:
-		return out, fmt.Errorf("bad checkpoint mode %q (want FK or MI)", mode)
-	}
-	return out, nil
-}
-
-// ResolveEngine resolves and validates a bare engine spec — the path
-// defined.NewNetwork takes, where the caller brings the topology and the
-// applications and there is no scenario around the engine block.
-func ResolveEngine(e EngineSpec) (EngineSpec, error) {
-	c, err := deepCopy(e)
-	if err != nil {
-		return EngineSpec{}, err
-	}
-	resolveEngine(&c)
-	if err := validateEngine("(engine)", c); err != nil {
-		return EngineSpec{}, err
-	}
-	return c, nil
-}
-
-// Config materializes a *resolved* engine spec into the rollback engine
-// configuration. Every spec-controlled field is written explicitly, so the
-// mapping — not the engine's default-filling — is the single source of
-// truth for what a spec means. (The engine still owns the one value a spec
-// does not control, the beacon interval.)
-func (e EngineSpec) Config() (rollback.Config, error) {
-	ord, err := ordering.ByName(e.Ordering, *e.OrderingSeed)
-	if err != nil {
-		return rollback.Config{}, err
-	}
-	strat, err := parseStrategy(e.Strategy)
-	if err != nil {
-		return rollback.Config{}, err
-	}
-	cfg := rollback.Config{
-		Ordering:       ord,
-		Strategy:       strat,
-		StrategySet:    true,
-		Baseline:       *e.Baseline,
-		ChainBound:     *e.ChainBound,
-		SettleAfter:    e.SettleBound.V(),
-		Seed:           *e.Seed,
-		JitterScale:    *e.JitterScale,
-		DropProb:       *e.PerLinkLoss,
-		DupProb:        *e.Duplication,
-		NoMessagePool:  !*e.MessagePool,
-		NoRouteCache:   !*e.RouteCache,
-		PoisonMessages: *e.Poison,
-		Shards:         *e.Shards,
-		Lookahead:      *e.Lookahead,
-		Record:         *e.Record,
-		LogDeliveries:  *e.DeliveryLog,
-	}
-	if *e.Deferral {
-		cfg.DeferSlack = e.DeferSlack.V()
-		cfg.DeferMax = e.DeferMax.V()
-	} else {
-		cfg.DeferSlack = -1
-	}
-	return cfg, nil
 }

@@ -45,9 +45,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
+	"defined/internal/rollback"
 	"defined/internal/routing/bgp"
 	"defined/internal/topology"
 	"defined/internal/vtime"
@@ -78,93 +77,20 @@ func DecodeStrict(raw []byte, v any) error {
 	return nil
 }
 
-// Duration is a virtual-time span that marshals as a human-readable string
-// ("250ms", "2s", "40us") with an exact integer round-trip: the formatter
-// picks the largest unit that divides the value, so no precision is ever
-// lost in a committed spec file.
-type Duration vtime.Duration
-
-// V returns the underlying virtual duration.
-func (d Duration) V() vtime.Duration { return vtime.Duration(d) }
-
-// durUnits is ordered for formatting (largest first) and shared by the
-// parser; parse order must try the two-letter suffixes before "s".
-var durUnits = []struct {
-	suffix string
-	unit   vtime.Duration
-}{
-	{"h", vtime.Hour},
-	{"m", vtime.Minute},
-	{"s", vtime.Second},
-	{"ms", vtime.Millisecond},
-	{"us", vtime.Microsecond},
-}
-
-func formatDuration(v vtime.Duration) string {
-	if v == 0 {
-		return "0s"
-	}
-	sign := ""
-	if v < 0 {
-		sign, v = "-", -v
-	}
-	for _, u := range durUnits {
-		if v%u.unit == 0 {
-			return fmt.Sprintf("%s%d%s", sign, v/u.unit, u.suffix)
-		}
-	}
-	return fmt.Sprintf("%s%dus", sign, v)
-}
-
-func parseDuration(s string) (vtime.Duration, error) {
-	// Two-letter suffixes first: "5ms" also ends in "s".
-	for _, suffix := range []string{"us", "ms", "h", "m", "s"} {
-		digits, ok := strings.CutSuffix(s, suffix)
-		if !ok {
-			continue
-		}
-		// ParseInt takes the one optional sign itself; a second one
-		// ("--5s", "-+5s") is a syntax error there.
-		n, err := strconv.ParseInt(digits, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("scenario: bad duration %q: %v", s, err)
-		}
-		var unit vtime.Duration
-		for _, u := range durUnits {
-			if u.suffix == suffix {
-				unit = u.unit
-			}
-		}
-		v := vtime.Duration(n) * unit
-		if v/unit != vtime.Duration(n) {
-			return 0, fmt.Errorf("scenario: bad duration %q: overflows the virtual clock", s)
-		}
-		return v, nil
-	}
-	return 0, fmt.Errorf("scenario: bad duration %q (want <int><unit>, unit in us/ms/s/m/h)", s)
-}
-
-// MarshalJSON renders the duration as its exact unit string.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(formatDuration(vtime.Duration(d)))
-}
-
-// UnmarshalJSON parses the exact unit string.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("scenario: duration must be a string like \"250ms\": %v", err)
-	}
-	v, err := parseDuration(s)
-	if err != nil {
-		return err
-	}
-	*d = Duration(v)
-	return nil
-}
+// Duration is a virtual-time span as spec files write it ("250ms").
+type Duration = vtime.Span
 
 // Dur converts a virtual duration into a spec Duration pointer (builders).
-func Dur(v vtime.Duration) *Duration { d := Duration(v); return &d }
+func Dur(v vtime.Duration) *Duration { return vtime.Dur(v) }
+
+// EngineSpec is the engine block. The rollback engine owns it: its
+// fields, its one default table and its contradiction rules.
+type EngineSpec = rollback.EngineSpec
+
+// ResolveEngine resolves and validates a bare engine block — the path
+// defined.NewNetwork takes, where the caller brings the topology and the
+// applications and there is no scenario around the engine block.
+func ResolveEngine(e EngineSpec) (EngineSpec, error) { return rollback.ResolveEngine(e) }
 
 // Spec is the declarative scenario template. Every field not marked
 // required may be omitted; Resolve writes the documented default into the
@@ -252,68 +178,6 @@ type RIPSpec struct {
 	SplitHorizon *bool `json:"splitHorizon,omitempty"`
 }
 
-// EngineSpec selects substrate features. It is the one way an engine is
-// configured: a scenario file's "engine" block, and the literal
-// defined.NewNetwork takes. Nil pointers mean "the documented default";
-// Resolve replaces every one with an explicit value.
-type EngineSpec struct {
-	// Baseline disables the DEFINED substrate entirely (default false).
-	Baseline *bool `json:"baseline,omitempty"`
-	// Ordering names the pseudorandom ordering function: "OO" (optimized,
-	// default) or "RO" (random).
-	Ordering string `json:"ordering,omitempty"`
-	// OrderingSeed seeds "RO" (default: Seed).
-	OrderingSeed *uint64 `json:"orderingSeed,omitempty"`
-	// Strategy is the checkpoint strategy as Timing/Mode ("TM/MI",
-	// "TF/FK", ...; default "TM/MI", the paper-recommended point).
-	Strategy string `json:"strategy,omitempty"`
-	// Seed drives physical jitter and every derived random stream
-	// (default 0).
-	Seed *uint64 `json:"seed,omitempty"`
-	// JitterScale scales link jitter (default 1.0).
-	JitterScale *float64 `json:"jitterScale,omitempty"`
-	// ChainBound caps causal chain length per timestep (default 64).
-	ChainBound *int `json:"chainBound,omitempty"`
-	// SettleBound pins a static history retirement bound (default 0s =
-	// the adaptive straggler-margin estimator).
-	SettleBound *Duration `json:"settleBound,omitempty"`
-	// Deferral enables rollback-avoidance arrival deferral (default true
-	// under "OO" ordering, false under "RO" — deferral predicts
-	// predecessors from ordering keys, which random ordering defeats;
-	// explicitly requesting both is a validation error).
-	Deferral *bool `json:"deferral,omitempty"`
-	// DeferSlack is the ordering-key gap below which an arrival is held
-	// (default 8ms; meaningful only with Deferral).
-	DeferSlack *Duration `json:"deferSlack,omitempty"`
-	// DeferMax caps any single deferral hold (default 100ms).
-	DeferMax *Duration `json:"deferMax,omitempty"`
-	// Shards runs the simulator on that many per-core shards (default 0 =
-	// sequential; committed executions are bit-identical for any value).
-	Shards *int `json:"shards,omitempty"`
-	// Lookahead enables per-link lookahead (default false). Lookahead
-	// only acts through deferral or shard windows; enabling it with both
-	// absent is a validation error, not a silent no-op.
-	Lookahead *bool `json:"lookahead,omitempty"`
-	// PerLinkLoss drops each transmission with this probability
-	// (default 0).
-	PerLinkLoss *float64 `json:"perLinkLoss,omitempty"`
-	// Duplication duplicates each transmission with this probability
-	// (default 0).
-	Duplication *float64 `json:"duplication,omitempty"`
-	// MessagePool enables refcounted wire-message pooling (default true).
-	MessagePool *bool `json:"messagePool,omitempty"`
-	// RouteCache enables the daemons' epoch-keyed route-computation cache
-	// (default true).
-	RouteCache *bool `json:"routeCache,omitempty"`
-	// Poison enables the pool's use-after-release poison mode (default
-	// false; requires MessagePool).
-	Poison *bool `json:"poison,omitempty"`
-	// Record captures the partial recording (default false).
-	Record *bool `json:"record,omitempty"`
-	// DeliveryLog retains committed delivery sequences (default false).
-	DeliveryLog *bool `json:"deliveryLog,omitempty"`
-}
-
 // EventSpec is one external event on the timeline.
 type EventSpec struct {
 	// At is the virtual firing time.
@@ -360,9 +224,4 @@ type HorizonSpec struct {
 	Drain *bool `json:"drain,omitempty"`
 }
 
-// boolp/intp/u64p/f64p build pointer literals for resolved defaults.
-func boolp(v bool) *bool              { return &v }
-func intp(v int) *int                 { return &v }
-func u64p(v uint64) *uint64           { return &v }
-func f64p(v float64) *float64         { return &v }
-func durp(v vtime.Duration) *Duration { return Dur(v) }
+func ptr[T any](v T) *T { return &v }

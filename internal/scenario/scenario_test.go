@@ -160,10 +160,19 @@ func TestResolveExplicitDefaults(t *testing.T) {
 	if !*s.Horizon.Drain {
 		t.Error("horizon drain default not true")
 	}
-	// Immutability: mutating the accessor's copy must not leak back.
+	// Immutability: mutating the accessor's copy, or the plan's engine
+	// block, must not leak back.
 	*s.Engine.Seed = 999
 	if got := *r.Spec().Engine.Seed; got != 0 {
 		t.Errorf("RunSpec mutated through Spec() copy: seed %d", got)
+	}
+	p, err := r.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	*p.Engine.Seed, *p.Engine.Deferral = 999, false
+	if e := r.Spec().Engine; *e.Seed != 0 || !*e.Deferral {
+		t.Errorf("RunSpec mutated through Plan.Engine: seed %d deferral %v", *e.Seed, *e.Deferral)
 	}
 }
 
@@ -211,39 +220,42 @@ func TestValidationRejections(t *testing.T) {
 		wantErr string
 	}{
 		{"baseline+shards", func(s *Spec) {
-			s.Engine.Baseline = boolp(true)
-			s.Engine.Shards = intp(4)
+			s.Engine.Baseline = ptr(true)
+			s.Engine.Shards = ptr(4)
 			s.Faults = nil
 		}, "baseline with shards"},
 		{"baseline+lookahead", func(s *Spec) {
-			s.Engine.Baseline = boolp(true)
-			s.Engine.Lookahead = boolp(true)
+			s.Engine.Baseline = ptr(true)
+			s.Engine.Lookahead = ptr(true)
 			s.Faults = nil
 		}, "baseline with lookahead"},
 		{"poison without pool", func(s *Spec) {
-			s.Engine.Poison = boolp(true)
-			s.Engine.MessagePool = boolp(false)
+			s.Engine.Poison = ptr(true)
+			s.Engine.MessagePool = ptr(false)
 		}, "poison"},
 		{"inert lookahead", func(s *Spec) {
-			s.Engine.Lookahead = boolp(true)
-			s.Engine.Deferral = boolp(false)
+			s.Engine.Lookahead = ptr(true)
+			s.Engine.Deferral = ptr(false)
 		}, "lookahead"},
 		{"deferral under RO", func(s *Spec) {
 			s.Engine.Ordering = "RO"
-			s.Engine.Deferral = boolp(true)
+			s.Engine.Deferral = ptr(true)
 		}, "deferral with RO"},
 		{"loss out of range", func(s *Spec) {
-			s.Engine.PerLinkLoss = f64p(1.5)
+			s.Engine.PerLinkLoss = ptr(1.5)
 		}, "outside [0,1]"},
 		{"duplication negative", func(s *Spec) {
-			s.Engine.Duplication = f64p(-0.1)
+			s.Engine.Duplication = ptr(-0.1)
 		}, "outside [0,1]"},
 		{"negative shards", func(s *Spec) {
-			s.Engine.Shards = intp(-1)
+			s.Engine.Shards = ptr(-1)
 		}, "negative"},
 		{"unknown ordering", func(s *Spec) {
 			s.Engine.Ordering = "ZZ"
 		}, "ordering"},
+		{"ordering alias", func(s *Spec) {
+			s.Engine.Ordering = "ro"
+		}, `ordering: unknown ordering "ro"`},
 		{"unknown strategy", func(s *Spec) {
 			s.Engine.Strategy = "XX/YY"
 		}, "checkpoint"},
@@ -266,7 +278,7 @@ func TestValidationRejections(t *testing.T) {
 			s.Faults = &FaultSpec{Start: Duration(5 * vtime.Second), End: Duration(2 * vtime.Second)}
 		}, "fault window"},
 		{"baseline faults", func(s *Spec) {
-			s.Engine.Baseline = boolp(true)
+			s.Engine.Baseline = ptr(true)
 			s.Faults = &FaultSpec{Start: 0, End: Duration(2 * vtime.Second)}
 		}, "baseline"},
 		{"bad rip mode", func(s *Spec) {

@@ -18,7 +18,7 @@ func flapScenario(lookahead bool) *rollback.Engine {
 	for j := range apps {
 		apps[j] = ospf.New(ospf.Config{})
 	}
-	eng := rollback.New(g, apps, rollback.Config{Seed: 7, Lookahead: lookahead})
+	eng := rollback.New(g, apps, rollback.EngineSpec{Seed: ptr[uint64](7), Lookahead: &lookahead})
 	l := g.Links[0]
 	eng.Sim().ScheduleFn(vtime.Time(300*vtime.Millisecond), func() {
 		_ = eng.InjectLinkChange(l.A, l.B, false)

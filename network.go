@@ -33,11 +33,7 @@ func NewNetwork(g *Topology, apps []Application, eng EngineSpec) (*Network, erro
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := resolved.Config()
-	if err != nil {
-		return nil, err
-	}
-	return &Network{eng: rollback.New(g, apps, cfg), g: g}, nil
+	return &Network{eng: rollback.New(g, apps, resolved), g: g}, nil
 }
 
 // ScheduleFaults schedules a fault-injection plan (node crashes and
