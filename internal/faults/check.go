@@ -191,42 +191,12 @@ func anyPair(pairs func(src, dst msg.NodeID) bool, src, n int) bool {
 
 // expectedCosts is Dijkstra ground truth from src over the links the
 // engine currently has up, excluding crashed nodes (a quarantined node
-// forwards nothing). Unreachable destinations are -1.
+// forwards nothing). Unreachable destinations are -1. It shares no code
+// with the daemons' SPF, which it judges.
 func expectedCosts(e *rollback.Engine, g *topology.Graph, src int, crashed []bool) []int64 {
-	const inf = int64(1) << 62
-	dist := make([]int64, g.N)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	visited := make([]bool, g.N)
-	for {
-		u, best := -1, inf
-		for i, d := range dist {
-			if !visited[i] && d < best {
-				u, best = i, d
-			}
-		}
-		if u == -1 {
-			break
-		}
-		visited[u] = true
-		for _, v := range g.Neighbors(u) {
-			if crashed[v] || !e.Sim().LinkState(u, v) {
-				continue
-			}
-			l, _ := g.LinkBetween(u, v)
-			if nd := dist[u] + int64(api.LinkCost(l.Delay)); nd < dist[v] {
-				dist[v] = nd
-			}
-		}
-	}
-	for i, d := range dist {
-		if d == inf {
-			dist[i] = -1
-		}
-	}
-	return dist
+	return topology.ShortestPaths(g, src,
+		func(l topology.Link) int64 { return int64(api.LinkCost(l.Delay)) },
+		func(u, v int) bool { return !crashed[v] && e.Sim().LinkState(u, v) })
 }
 
 // ConvergenceSlack is the post-heal settling margin campaigns should run

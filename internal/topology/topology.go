@@ -148,16 +148,22 @@ func (g *Graph) Connected() bool {
 	return count == g.N
 }
 
-// ShortestDelays computes single-source shortest path delays from src using
-// Dijkstra over link mean delays. Unreachable nodes get vtime.Never-like
-// +inf represented as a negative duration -1.
+// ShortestDelays computes single-source shortest path delays from src over
+// link mean delays. Unreachable nodes get -1.
+func (g *Graph) ShortestDelays(src int) []vtime.Duration {
+	return ShortestPaths(g, src, func(l Link) vtime.Duration { return l.Delay }, nil)
+}
+
+// ShortestPaths is Dijkstra from src: each link weighs weight(l), and the
+// hop u→v is taken only where keep(u, v) admits it (nil admits every hop).
+// Unreachable nodes get -1.
 //
 // Extraction order never changes the final distances, so the binary-heap
 // frontier here produces bit-identical results to a linear scan while
 // scaling to the hierarchical 10k–100k-router graphs.
-func (g *Graph) ShortestDelays(src int) []vtime.Duration {
-	const inf = vtime.Duration(math.MaxInt64)
-	dist := make([]vtime.Duration, g.N)
+func ShortestPaths[W ~int64](g *Graph, src int, weight func(Link) W, keep func(u, v int) bool) []W {
+	inf := W(math.MaxInt64)
+	dist := make([]W, g.N)
 	for i := range dist {
 		dist[i] = inf
 	}
@@ -165,7 +171,7 @@ func (g *Graph) ShortestDelays(src int) []vtime.Duration {
 	visited := make([]bool, g.N)
 
 	type frontier struct {
-		d vtime.Duration
+		d W
 		n int
 	}
 	heap := make([]frontier, 0, g.N)
@@ -211,8 +217,11 @@ func (g *Graph) ShortestDelays(src int) []vtime.Duration {
 		}
 		visited[f.n] = true
 		for _, v := range g.adj[f.n] {
+			if keep != nil && !keep(f.n, v) {
+				continue
+			}
 			l, _ := g.LinkBetween(f.n, v)
-			if nd := dist[f.n] + l.Delay; nd < dist[v] {
+			if nd := dist[f.n] + weight(l); nd < dist[v] {
 				dist[v] = nd
 				push(frontier{nd, v})
 			}

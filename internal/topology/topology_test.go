@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,32 @@ func TestShortestDelaysUnreachable(t *testing.T) {
 	}
 	if d[0] != 0 || d[1] != 5 {
 		t.Fatalf("reachable delays wrong: %v", d)
+	}
+}
+
+// ShortestPaths weighs and filters hops as told: on the ring 0-1-2-3-0 a
+// hop count ignores the delays, a cut link forces the detour, and a
+// blocked node is unreachable and relays nothing.
+func TestShortestPathsWeightAndFilter(t *testing.T) {
+	g, err := New("ring", 4, []Link{{A: 0, B: 1, Delay: 50}, {A: 1, B: 2, Delay: 5}, {A: 2, B: 3, Delay: 5}, {A: 3, B: 0, Delay: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hops := func(Link) int64 { return 1 }
+	for _, c := range []struct {
+		name string
+		w    func(Link) int64
+		keep func(u, v int) bool
+		want []int64
+	}{
+		{"delays", func(l Link) int64 { return int64(l.Delay) }, nil, []int64{0, 15, 10, 5}},
+		{"hops", hops, nil, []int64{0, 1, 2, 1}},
+		{"cut 0-1", hops, func(u, v int) bool { return u+v != 1 }, []int64{0, 3, 2, 1}},
+		{"block 3", hops, func(u, v int) bool { return v != 3 }, []int64{0, 1, 2, -1}},
+	} {
+		if got := ShortestPaths(g, 0, c.w, c.keep); !slices.Equal(got, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
