@@ -23,6 +23,16 @@
 // Message loss is handled per the paper's footnote 4: drops are recorded
 // as external events (by ordering key) so DEFINED-LS can replay them.
 //
+// # The engine block
+//
+// An engine is configured by one EngineSpec (spec.go), the block a
+// scenario file's "engine" key holds. This package owns it: its fields,
+// the one table of their defaults and the rules that reject contradictory
+// blocks, all applied by ResolveEngine. New resolves the block it is given
+// and unpacks it once into the plain fields the delivery path reads, so
+// what a fingerprinted plan says and what the engine runs cannot drift.
+// The beacon interval is not in the block: it is vtime.BeaconInterval.
+//
 // # Layers
 //
 // A node's shim (shim.go) composes five layers, each a value field of the

@@ -16,11 +16,18 @@
 //
 //   - Plan is the deterministic, serializable expansion: the concrete
 //     topology (generated if the spec references a generator), one
-//     NodePlan per router (role, protocol bindings, OSPF domain base), the
-//     engine configuration, the resolved driver-event schedule and the
-//     fault plan. Expanding the same RunSpec always yields a Plan with the
-//     same Fingerprint, and a Plan can be fingerprinted without executing
-//     anything — that is the dry-run mode committed specs are pinned by.
+//     NodePlan per router (role, protocol bindings, OSPF domain base), a
+//     copy of the resolved engine block, the resolved driver-event schedule
+//     and the fault plan. Expanding the same RunSpec always yields a Plan
+//     with the same Fingerprint, and a Plan can be fingerprinted without
+//     executing anything — that is the dry-run mode committed specs are
+//     pinned by.
+//
+// The engine block is the rollback engine's own: EngineSpec, ResolveEngine
+// and the spec Duration type (vtime.Span) are re-exported here, and
+// Resolve applies rollback's one default table and contradiction rules to
+// the block, naming the scenario in their errors. The engine runs the
+// resolved block the Plan carries as it is.
 //
 // # Determinism rules
 //
