@@ -253,7 +253,7 @@ func TestDeferralPreservesDeterminism(t *testing.T) {
 // disable itself rather than hand out latency-only holds.
 func TestDeferralDisabledForChainOrderings(t *testing.T) {
 	g := topology.Brite(12, 2, 4)
-	_, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](1), Ordering: "RO", OrderingSeed: ptr[uint64](9), JitterScale: ptr[float64](4)}, 4)
+	_, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](1), Ordering: "RO", OrderingSeed: ptr[uint64](9), JitterScale: ptr(4.0)}, 4)
 	if e.deferOn {
 		t.Fatal("deferral must be off under a chain-hash ordering")
 	}

@@ -200,7 +200,7 @@ func TestBaselineIsNondeterministic(t *testing.T) {
 	distinct := map[string]bool{}
 	for seed := uint64(0); seed < 10; seed++ {
 		as := floodApps(g.N)
-		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](4), Baseline: ptr(true)})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr(4.0), Baseline: ptr(true)})
 		for v := 0; v < 4; v++ {
 			v := v
 			node := msg.NodeID((v * 7) % g.N)
@@ -235,7 +235,7 @@ func TestRollbackUnsendsCascade(t *testing.T) {
 	var ref [][]string
 	for seed := uint64(0); seed < 12; seed++ {
 		as := floodApps(g.N)
-		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](1), DeliveryLog: ptr(true)})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr(1.0), DeliveryLog: ptr(true)})
 		// Two injections in the same beacon group: value 1 at A, value
 		// 2 at D. Sorted order at B: d(D→B)=10ms < d(A→B)=12ms, so
 		// value 2 must commit first everywhere downstream.
@@ -277,7 +277,7 @@ func TestTimerBatchesDeterministic(t *testing.T) {
 	var ref [][]string
 	for seed := uint64(0); seed < 6; seed++ {
 		as := apps(g.N, func() api.Application { return &timerApp{floodApp: *newFloodApp()} })
-		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr[float64](3)})
+		e := New(g, as, EngineSpec{Seed: ptr[uint64](seed), JitterScale: ptr(3.0)})
 		// Inject shortly before a group boundary so message waves cross it.
 		e.sim.ScheduleFn(vtime.Time(248*vtime.Millisecond), func() {
 			e.InjectExternal(0, injectEvent{Value: 7})
