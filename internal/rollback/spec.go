@@ -79,7 +79,7 @@ type EngineSpec struct {
 // every default written explicitly, checked against the contradiction
 // table. A contradictory block returns the defaulted copy with the error,
 // which wraps the bare rule (errors.Unwrap) so a scenario can name itself
-// in its place.
+// in its place. The texts are the scenario layer's, which the CLIs pin.
 func ResolveEngine(e EngineSpec) (EngineSpec, error) {
 	b, err := json.Marshal(e)
 	if err != nil {

@@ -50,8 +50,9 @@ func (d Span) String() string {
 	return fmt.Sprintf("%s%dus", sign, v)
 }
 
-// The error texts name the scenario layer: spec files are the only input
-// Spans are parsed from, and the CLIs pin these messages.
+// parseSpan parses the exact unit string. Its error texts name the
+// scenario layer: spec files are the only input Spans are parsed from, and
+// the CLIs pin these messages.
 func parseSpan(s string) (Duration, error) {
 	// Two-letter suffixes first: "5ms" also ends in "s".
 	for _, suffix := range []string{"us", "ms", "h", "m", "s"} {
