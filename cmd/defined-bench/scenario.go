@@ -19,8 +19,10 @@ import (
 )
 
 // coherenceSampleASes bounds the number of ASes whose intra-AS OSPF
-// routes are cost-checked against the Dijkstra oracle on large plans (the
-// oracle is quadratic per source; small scenarios are checked in full).
+// routes are cost-checked against the Dijkstra oracle on hierarchical
+// plans: the oracle runs one whole-graph Dijkstra per checked source,
+// which at 10k routers is still large for every source of every AS. Flat
+// scenarios are checked in full.
 const coherenceSampleASes = 4
 
 func runScenario(path string, dryrun bool, stdout, stderr io.Writer) int {
@@ -93,7 +95,7 @@ func checkCoherence(net *defined.Network, p *defined.Plan, stderr io.Writer) boo
 		}
 	} else {
 		// Hierarchical plan: cost-check intra-AS OSPF pairs for a sample
-		// of ASes (the Dijkstra oracle is quadratic per source).
+		// of ASes (one whole-graph Dijkstra per checked source).
 		cfg.Routes = ospfRoutes
 		cfg.Pairs = func(src, dst defined.NodeID) bool {
 			return h.AS[src] == h.AS[dst] && h.AS[src] < coherenceSampleASes &&

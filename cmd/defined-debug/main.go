@@ -66,7 +66,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	rp, err := defined.NewReplay(g, apps, rec, defined.WithReplayLog())
+	rp, err := defined.NewReplay(g, apps, rec)
 	if err != nil {
 		return fail(err)
 	}

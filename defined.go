@@ -16,9 +16,10 @@
 //     order and roll back (checkpoint restore + cascading "unsend"
 //     anti-messages) when arrivals diverge from it.
 //   - Replay (DEFINED-LS) drives a debugging network in lockstep from a
-//     Recording, reproducing the production execution exactly (the
-//     paper's Theorem 1) and exposing stepping, breakpoints and state
-//     inspection for interactive troubleshooting.
+//     Recording and nothing else — the recording names the ordering
+//     function and its seed — reproducing the production execution
+//     exactly (the paper's Theorem 1) and exposing stepping, breakpoints
+//     and state inspection for interactive troubleshooting.
 //
 // Control-plane software plugs in through the Application interface; the
 // repository ships OSPF-, BGP- and RIP-style daemons (including faithful

@@ -30,9 +30,6 @@ func ospfApps(n int) []defined.Application {
 	return apps
 }
 
-// TestPublicAPIEndToEnd exercises the full documented workflow: production
-// run with recording, deterministic committed orders across seeds, replay
-// reproducing the execution, interactive session.
 // mustNet builds a network, failing the test on a spec validation error.
 func mustNet(tb testing.TB, g *defined.Topology, apps []defined.Application, eng defined.EngineSpec) *defined.Network {
 	tb.Helper()
@@ -43,6 +40,9 @@ func mustNet(tb testing.TB, g *defined.Topology, apps []defined.Application, eng
 	return net
 }
 
+// TestPublicAPIEndToEnd exercises the full documented workflow: production
+// run with recording, deterministic committed orders across seeds, replay
+// reproducing the execution, interactive session.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	g := defined.Brite(10, 2, 3)
 
@@ -107,6 +107,78 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestReplayROWithOwnOrderingSeed records an RO run whose ordering seed
+// differs from its jitter seed and replays the recording alone: the
+// recording must carry the ordering seed, so every node's replayed
+// delivery sequence equals its committed order.
+func TestReplayROWithOwnOrderingSeed(t *testing.T) {
+	g := defined.Ebone()
+	net := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{
+		Ordering:     "RO",
+		Seed:         ptr(uint64(1)),
+		OrderingSeed: ptr(uint64(777)),
+		Record:       ptr(true),
+		DeliveryLog:  ptr(true),
+	})
+	l := g.Links[3]
+	net.At(defined.Seconds(0.3), func() {
+		if err := net.InjectLinkChange(l.A, l.B, false); err != nil {
+			t.Errorf("inject: %v", err)
+		}
+	})
+	net.Run(defined.Seconds(2))
+	if !net.Drain() {
+		t.Fatal("network did not drain")
+	}
+	rec := net.Recording()
+	if rec.Ordering != "RO" || rec.Seed != 777 {
+		t.Errorf("recording names ordering %s seed %d, want RO seed 777", rec.Ordering, rec.Seed)
+	}
+	rp, err := defined.NewReplay(g, ospfApps(g.N), rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.RunToEnd()
+	for i := 0; i < g.N; i++ {
+		id := defined.NodeID(i)
+		if want, got := net.CommittedOrder(id), rp.DeliveredOrder(id); !reflect.DeepEqual(want, got) {
+			t.Errorf("node %d: replay delivered %d entries, production committed %d, orders differ",
+				i, len(got), len(want))
+		}
+	}
+}
+
+// TestZeroJitterScaleIgnoresSeed holds the engine block's jitterScale 0 to
+// what it says: no jitter, so the seed (which drives only jitter on a
+// loss-free OO run) moves nothing, down to the rollback counters. At the
+// default scale the same runs differ, which is what makes the check bite.
+func TestZeroJitterScaleIgnoresSeed(t *testing.T) {
+	g := defined.Ebone()
+	stats := func(scale float64, seed uint64) defined.Stats {
+		net := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{Seed: &seed, JitterScale: &scale})
+		l := g.Links[3]
+		net.At(defined.Seconds(0.3), func() { _ = net.InjectLinkChange(l.A, l.B, false) })
+		net.Run(defined.Seconds(2))
+		if !net.Drain() {
+			t.Fatal("network did not drain")
+		}
+		return net.Stats()
+	}
+	base := stats(0, 1)
+	if base.Deliveries == 0 {
+		t.Fatal("run delivered nothing")
+	}
+	for _, seed := range []uint64{2, 3} {
+		if got := stats(0, seed); !reflect.DeepEqual(got, base) {
+			t.Errorf("jitterScale 0, seed %d: stats %+v, seed 1 gave %+v", seed, got, base)
+		}
+	}
+	jittered := stats(1, 1)
+	if reflect.DeepEqual(stats(1, 2), jittered) && reflect.DeepEqual(stats(1, 3), jittered) {
+		t.Error("jitterScale 1: seeds 1-3 gave identical stats; the check cannot tell jitter from none")
+	}
+}
+
 func TestReplayBreakpointAndDebugSession(t *testing.T) {
 	g := defined.Brite(8, 2, 5)
 	net := mustNet(t, g, ospfApps(g.N), defined.EngineSpec{Record: ptr(true), Seed: ptr(uint64(4))})
@@ -116,7 +188,7 @@ func TestReplayBreakpointAndDebugSession(t *testing.T) {
 	net.Drain()
 	rec := net.Recording()
 
-	rp, err := defined.NewReplay(g, ospfApps(g.N), rec, defined.WithReplayLog())
+	rp, err := defined.NewReplay(g, ospfApps(g.N), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func run(w io.Writer) {
 	fmt.Fprintf(w, "production: %d deliveries, %d rollbacks; recorded %d external events\n\n",
 		st.Deliveries, st.Rollbacks, len(rec.Events))
 
-	rp, err := defined.NewReplay(g, apps(g.N), rec, defined.WithReplayLog())
+	rp, err := defined.NewReplay(g, apps(g.N), rec)
 	if err != nil {
 		panic(err)
 	}

@@ -101,155 +101,155 @@ dest 41 via 31 cost 285
 dest 42 via 31 cost 312
 (defined) replay complete after 1493 more deliveries
 (defined) group 12 round 38, 0 pending, done=true
-(defined)   T1
-  E:link-change
-  M:26:2
-  M:12:1
-  M:12:5
-  M:12:6
-  M:12:7
-  M:12:8
-  M:12:9
-  M:31:1
-  M:31:8
-  M:31:14
-  M:31:20
-  M:12:10
-  M:31:26
-  M:31:32
-  M:31:38
-  M:31:44
-  M:31:50
-  M:12:11
-  M:31:56
-  M:31:62
-  M:31:68
-  M:31:74
-  M:31:80
-  M:31:86
-  M:31:92
-  M:31:98
-  M:31:104
-  M:12:12
-  M:12:13
-  M:12:14
-  M:12:15
-  M:12:16
-  M:12:17
-  M:31:116
-  M:31:122
-  M:31:128
-  M:12:19
-  M:31:134
-  M:31:140
-  M:12:20
-  M:31:146
-  M:31:152
-  M:12:21
-  M:31:158
-  M:12:22
-  M:12:23
-  M:12:24
-  M:31:164
-  M:12:25
-  M:31:170
-  M:31:176
-  M:12:26
-  M:31:182
-  M:12:27
-  M:31:194
-  M:31:200
-  M:31:206
-  M:31:212
-  M:12:28
-  M:31:218
-  M:12:29
-  M:31:224
-  M:12:31
-  M:31:230
-  M:12:32
-  M:12:33
-  M:12:34
-  M:12:36
-  M:12:37
-  M:12:38
-  M:12:39
-  M:31:236
-  M:31:242
-  M:12:40
-  M:12:41
-  M:31:248
-  M:31:254
-  M:12:42
-  M:12:43
-  M:12:44
-  M:12:46
-  M:31:260
-  T2
-  T3
-  T4
-  E:link-change
-  M:12:47
-  M:31:272
-  M:26:146
-  M:26:150
-  M:26:151
-  M:26:152
-  M:26:153
-  M:26:154
-  M:26:155
-  M:26:156
-  M:26:157
-  M:26:158
-  M:26:159
-  M:26:160
-  M:26:161
-  M:26:162
-  M:26:163
-  M:26:164
-  M:26:165
-  M:26:166
-  M:26:167
-  M:26:168
-  M:26:169
-  M:26:170
-  M:26:171
-  M:26:172
-  M:26:173
-  M:26:174
-  M:26:175
-  M:26:176
-  M:26:177
-  M:26:178
-  M:26:179
-  M:26:180
-  M:26:181
-  M:26:182
-  M:26:183
-  M:26:184
-  M:26:185
-  M:26:186
-  M:26:187
-  M:26:188
-  M:26:189
-  M:26:190
-  M:26:191
-  M:26:192
-  M:31:279
-  T5
-  T6
-  T7
-  T8
-  M:26:198
-  M:12:51
-  M:31:291
-  T9
-  T10
-  T11
-  T12
-  M:26:203
-  M:12:53
-  M:31:298
+(defined)   {timer g1 n2}
+  {ext g1 n2 #0}
+  {g1 d9.745ms o26 s1 f26 l0}
+  {g1 d19.085ms o12 s0 f12 l0}
+  {g1 d21.961ms o17 s2 f12 l1}
+  {g1 d22.101ms o18 s4 f12 l2}
+  {g1 d22.241ms o9 s4 f12 l3}
+  {g1 d22.381ms o0 s0 f12 l4}
+  {g1 d23.012ms o37 s6 f12 l5}
+  {g1 d23.774ms o31 s0 f31 l0}
+  {g1 d23.914ms o7 s2 f31 l1}
+  {g1 d24.054ms o9 s2 f31 l2}
+  {g1 d24.194ms o0 s0 f31 l3}
+  {g1 d24.624ms o8 s1 f12 l6}
+  {g1 d25.468ms o37 s7 f31 l4}
+  {g1 d25.552ms o15 s1 f31 l5}
+  {g1 d25.692ms o20 s2 f31 l6}
+  {g1 d25.898ms o33 s1 f31 l7}
+  {g1 d26.038ms o4 s3 f31 l8}
+  {g1 d26.429ms o20 s0 f12 l7}
+  {g1 d27.054ms o32 s1 f31 l9}
+  {g1 d27.194ms o18 s5 f31 l10}
+  {g1 d28.365ms o34 s0 f31 l11}
+  {g1 d28.505ms o40 s2 f31 l12}
+  {g1 d29.678ms o26 s4 f31 l13}
+  {g1 d29.717ms o8 s1 f31 l14}
+  {g1 d29.880ms o38 s1 f31 l15}
+  {g1 d30.844ms o27 s0 f31 l16}
+  {g1 d31.068ms o17 s6 f31 l17}
+  {g1 d31.311ms o32 s2 f12 l8}
+  {g1 d31.446ms o4 s2 f12 l9}
+  {g1 d31.586ms o15 s0 f12 l10}
+  {g1 d32.049ms o33 s2 f12 l11}
+  {g1 d33.143ms o7 s3 f12 l12}
+  {g1 d33.361ms o40 s1 f12 l13}
+  {g1 d33.796ms o30 s2 f31 l18}
+  {g1 d35.163ms o28 s6 f31 l19}
+  {g1 d36.033ms o3 s3 f31 l20}
+  {g1 d36.231ms o34 s2 f12 l14}
+  {g1 d36.685ms o10 s1 f31 l21}
+  {g1 d36.714ms o35 s3 f31 l22}
+  {g1 d36.878ms o27 s0 f12 l15}
+  {g1 d37.488ms o36 s0 f31 l23}
+  {g1 d37.843ms o21 s3 f31 l24}
+  {g1 d37.999ms o38 s2 f12 l16}
+  {g1 d38.282ms o16 s4 f31 l25}
+  {g1 d39.420ms o28 s6 f12 l17}
+  {g1 d39.623ms o21 s0 f12 l18}
+  {g1 d39.830ms o30 s2 f12 l19}
+  {g1 d40.699ms o39 s4 f31 l26}
+  {g1 d40.942ms o10 s1 f12 l20}
+  {g1 d41.471ms o19 s1 f31 l27}
+  {g1 d41.536ms o13 s1 f31 l28}
+  {g1 d42.450ms o16 s5 f12 l21}
+  {g1 d42.680ms o1 s0 f31 l29}
+  {g1 d43.251ms o19 s1 f12 l22}
+  {g1 d43.482ms o25 s2 f31 l30}
+  {g1 d43.582ms o29 s2 f31 l31}
+  {g1 d44.436ms o5 s2 f31 l32}
+  {g1 d44.889ms o11 s2 f31 l33}
+  {g1 d44.956ms o39 s4 f12 l23}
+  {g1 d45.091ms o23 s1 f31 l34}
+  {g1 d45.133ms o3 s0 f12 l24}
+  {g1 d45.754ms o41 s2 f31 l35}
+  {g1 d46.669ms o11 s2 f12 l25}
+  {g1 d46.770ms o6 s1 f31 l36}
+  {g1 d46.871ms o23 s1 f12 l26}
+  {g1 d46.944ms o13 s1 f12 l27}
+  {g1 d47.022ms o1 s1 f12 l28}
+  {g1 d47.430ms o5 s0 f12 l29}
+  {g1 d47.650ms o25 s2 f12 l30}
+  {g1 d48.461ms o6 s0 f12 l31}
+  {g1 d48.497ms o29 s0 f12 l32}
+  {g1 d48.588ms o22 s0 f31 l37}
+  {g1 d49.297ms o42 s1 f31 l38}
+  {g1 d49.849ms o41 s0 f12 l33}
+  {g1 d50.386ms o14 s1 f12 l34}
+  {g1 d51.921ms o14 s0 f31 l39}
+  {g1 d53.486ms o24 s2 f31 l40}
+  {g1 d55.085ms o22 s2 f12 l35}
+  {g1 d55.794ms o42 s1 f12 l36}
+  {g1 d57.752ms o24 s1 f12 l37}
+  {g1 d166.122ms o26 s7 f12 l38}
+  {g1 d173.038ms o26 s8 f31 l41}
+  {timer g2 n2}
+  {timer g3 n2}
+  {timer g4 n2}
+  {ext g4 n2 #0}
+  {g4 d19.085ms o12 s2 f12 l39}
+  {g4 d23.774ms o31 s7 f31 l42}
+  {g4 d203.105ms o26 s15 f26 l2}
+  {g4 d203.105ms o26 s19 f26 l3}
+  {g4 d203.105ms o26 s20 f26 l4}
+  {g4 d203.105ms o26 s21 f26 l5}
+  {g4 d203.105ms o26 s22 f26 l6}
+  {g4 d203.105ms o26 s23 f26 l7}
+  {g4 d203.105ms o26 s24 f26 l8}
+  {g4 d203.105ms o26 s25 f26 l9}
+  {g4 d203.105ms o26 s26 f26 l10}
+  {g4 d203.105ms o26 s27 f26 l11}
+  {g4 d203.105ms o26 s28 f26 l12}
+  {g4 d203.105ms o26 s29 f26 l13}
+  {g4 d203.105ms o26 s30 f26 l14}
+  {g4 d203.105ms o26 s31 f26 l15}
+  {g4 d203.105ms o26 s32 f26 l16}
+  {g4 d203.105ms o26 s33 f26 l17}
+  {g4 d203.105ms o26 s34 f26 l18}
+  {g4 d203.105ms o26 s35 f26 l19}
+  {g4 d203.105ms o26 s36 f26 l20}
+  {g4 d203.105ms o26 s37 f26 l21}
+  {g4 d203.105ms o26 s38 f26 l22}
+  {g4 d203.105ms o26 s39 f26 l23}
+  {g4 d203.105ms o26 s40 f26 l24}
+  {g4 d203.105ms o26 s41 f26 l25}
+  {g4 d203.105ms o26 s42 f26 l26}
+  {g4 d203.105ms o26 s43 f26 l27}
+  {g4 d203.105ms o26 s44 f26 l28}
+  {g4 d203.105ms o26 s45 f26 l29}
+  {g4 d203.105ms o26 s46 f26 l30}
+  {g4 d203.105ms o26 s47 f26 l31}
+  {g4 d203.105ms o26 s48 f26 l32}
+  {g4 d203.105ms o26 s49 f26 l33}
+  {g4 d203.105ms o26 s50 f26 l34}
+  {g4 d203.105ms o26 s51 f26 l35}
+  {g4 d203.105ms o26 s52 f26 l36}
+  {g4 d203.105ms o26 s53 f26 l37}
+  {g4 d203.105ms o26 s54 f26 l38}
+  {g4 d203.105ms o26 s55 f26 l39}
+  {g4 d203.105ms o26 s56 f26 l40}
+  {g4 d203.105ms o26 s57 f26 l41}
+  {g4 d203.105ms o26 s58 f26 l42}
+  {g4 d203.105ms o26 s59 f26 l43}
+  {g4 d203.105ms o26 s60 f26 l44}
+  {g4 d203.105ms o26 s61 f26 l45}
+  {g4 d223.038ms o26 s18 f31 l43}
+  {timer g5 n2}
+  {timer g6 n2}
+  {timer g7 n2}
+  {timer g8 n2}
+  {g8 d9.745ms o26 s63 f26 l46}
+  {g8 d19.085ms o12 s4 f12 l40}
+  {g8 d23.774ms o31 s14 f31 l44}
+  {timer g9 n2}
+  {timer g10 n2}
+  {timer g11 n2}
+  {timer g12 n2}
+  {g12 d9.745ms o26 s68 f26 l47}
+  {g12 d19.085ms o12 s6 f12 l41}
+  {g12 d23.774ms o31 s21 f31 l45}
 (defined) bye
 
 === step-response summary (the paper's Figure 6c metric) ===

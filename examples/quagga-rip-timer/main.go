@@ -128,7 +128,7 @@ func run(w io.Writer) {
 	//    while stepping (no "timers going off unexpectedly" as with gdb).
 	fmt.Fprintln(w, "\n-- DEFINED-LS replay: step through the refresh-after-crash --")
 	as2 := apps(rip.Quagga0965)
-	rp, err := defined.NewReplay(g, as2, rec, defined.WithReplayLog())
+	rp, err := defined.NewReplay(g, as2, rec)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,9 @@
 // Both DEFINED-RB (production) and DEFINED-LS (debugging) build messages
 // through the same Sender so that a replayed execution regenerates
 // byte-identical annotations — a precondition of the reproducibility
-// theorem (paper Theorem 1).
+// theorem (paper Theorem 1). For the same reason both engines boot their
+// nodes from the same inputs: Neighbors is what a node's application is
+// initialized with, and Skews anchors the d_i of timer-started chains.
 package annotate
 
 import (
@@ -11,9 +13,37 @@ import (
 
 	"defined/internal/journal"
 	"defined/internal/msg"
+	"defined/internal/routing/api"
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
+
+// beaconLeader is the node whose beacons define the groups.
+const beaconLeader = 0
+
+// Neighbors returns node n's neighbor list as its application's Init
+// receives it: sorted by node id, each link's cost derived from its
+// propagation delay (api.LinkCost).
+func Neighbors(g *topology.Graph, n msg.NodeID) []api.Neighbor {
+	var out []api.Neighbor
+	for _, nb := range g.Neighbors(int(n)) {
+		l, _ := g.LinkBetween(int(n), nb)
+		out = append(out, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
+	}
+	return out
+}
+
+// Skews returns every node's beacon-propagation skew: the shortest-path
+// delay from the beacon leader (node 0). Group numbers at a node lag the
+// leader's wall group by this skew, modeling beacon propagation (paper
+// §2.2). A node the leader cannot reach hears no beacons and gets 0.
+func Skews(g *topology.Graph) []vtime.Duration {
+	d := g.ShortestDelays(beaconLeader)
+	for i, v := range d {
+		d[i] = max(v, 0)
+	}
+	return d
+}
 
 // Sender assigns annotations and wire ids for one node's outgoing
 // messages. OriginSeq and LinkSeq are part of the node's checkpointable

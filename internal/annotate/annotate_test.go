@@ -1,9 +1,11 @@
 package annotate
 
 import (
+	"reflect"
 	"testing"
 
 	"defined/internal/msg"
+	"defined/internal/routing/api"
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
@@ -178,5 +180,31 @@ func TestCounterJournalCompact(t *testing.T) {
 	s.JournalRewind(live)
 	if s.OriginSeq != snap.OriginSeq || s.SeqTo(2) != snap.LinkSeq[1] {
 		t.Fatalf("counters after compact+rewind: %d %v", s.OriginSeq, s.LinkSeq)
+	}
+}
+
+// TestBootInputs pins what both engines boot their nodes from: Neighbors
+// lists a node's neighbors in id order with api.LinkCost of each link's
+// delay, and Skews is the shortest delay from node 0, with 0 for a node
+// the leader cannot reach.
+func TestBootInputs(t *testing.T) {
+	g := topology.FromLinks("boot", 5, []topology.Link{
+		{A: 0, B: 2, Delay: 3 * vtime.Millisecond},
+		{A: 1, B: 2, Delay: 500 * vtime.Microsecond},
+		{A: 0, B: 1, Delay: 10 * vtime.Millisecond},
+		{A: 3, B: 4, Delay: vtime.Millisecond},
+	})
+	got := Neighbors(g, 2)
+	want := []api.Neighbor{
+		{ID: 0, Cost: api.LinkCost(3 * vtime.Millisecond)},
+		{ID: 1, Cost: api.LinkCost(500 * vtime.Microsecond)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Neighbors(2) = %+v, want %+v", got, want)
+	}
+	skews := Skews(g)
+	wantSkews := []vtime.Duration{0, 3*vtime.Millisecond + 500*vtime.Microsecond, 3 * vtime.Millisecond, 0, 0}
+	if !reflect.DeepEqual(skews, wantSkews) {
+		t.Fatalf("Skews = %v, want %v", skews, wantSkews)
 	}
 }

@@ -17,7 +17,9 @@
 //	pending       show the deliveries queued in this round
 //	state N       dump node N's application state
 //	where         show replay position (group, round, steps)
-//	log N         show node N's delivery log
+//	log N         show node N's delivery sequence so far, one ordering key
+//	              a line: the strings production's Network.CommittedOrder(N)
+//	              returns, so the two logs diff directly
 //	quit          end the session
 package debugger
 
@@ -25,7 +27,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -225,31 +226,12 @@ func (s *Session) showLog(args []string) {
 		fmt.Fprintf(s.out, "bad node id %q\n", args[0])
 		return
 	}
-	lines := s.ls.Log(msg.NodeID(id))
-	if len(lines) == 0 {
-		fmt.Fprintf(s.out, "node %d: empty log (enable LogDeliveries)\n", id)
+	keys := s.ls.DeliveredKeys(msg.NodeID(id))
+	if len(keys) == 0 {
+		fmt.Fprintf(s.out, "node %d: nothing delivered yet\n", id)
 		return
 	}
-	for _, l := range lines {
-		fmt.Fprintf(s.out, "  %s\n", l)
+	for _, k := range keys {
+		fmt.Fprintf(s.out, "  %s\n", k)
 	}
-}
-
-// Summary renders the replay's step statistics (used by examples after a
-// scripted session).
-func Summary(ls *lockstep.Engine, out io.Writer) {
-	steps := ls.Steps()
-	if len(steps) == 0 {
-		fmt.Fprintln(out, "no steps executed")
-		return
-	}
-	var times []float64
-	total := 0
-	for _, st := range steps {
-		times = append(times, st.ResponseTime.Seconds())
-		total += st.Deliveries
-	}
-	sort.Float64s(times)
-	fmt.Fprintf(out, "%d rounds, %d deliveries, step response min %.3fs median %.3fs max %.3fs\n",
-		len(steps), total, times[0], times[len(times)/2], times[len(times)-1])
 }

@@ -19,12 +19,20 @@ import (
 // produce records a small OSPF run to debug.
 func produce(t *testing.T) (*topology.Graph, *record.Recording) {
 	t.Helper()
+	g, e := produceEngine(t)
+	return g, e.Recording()
+}
+
+// produceEngine runs produce's production network and returns its engine,
+// committed delivery logs kept.
+func produceEngine(t *testing.T) (*topology.Graph, *rollback.Engine) {
+	t.Helper()
 	g := topology.Brite(8, 2, 3)
 	apps := make([]api.Application, g.N)
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	e := rollback.New(g, apps, rollback.EngineSpec{Seed: ptr[uint64](1), Record: ptr(true)})
+	e := rollback.New(g, apps, rollback.EngineSpec{Seed: ptr[uint64](1), Record: ptr(true), DeliveryLog: ptr(true)})
 	l := g.Links[0]
 	e.Sim().ScheduleFn(vtime.Time(10*vtime.Millisecond), func() {
 		if err := e.InjectLinkChange(l.A, l.B, false); err != nil {
@@ -35,7 +43,7 @@ func produce(t *testing.T) (*topology.Graph, *record.Recording) {
 	if !e.RunQuiescent(2_000_000) {
 		t.Fatal("production did not quiesce")
 	}
-	return g, e.Recording()
+	return g, e
 }
 
 func session(t *testing.T, g *topology.Graph, rec *record.Recording, script string) string {
@@ -44,7 +52,7 @@ func session(t *testing.T, g *topology.Graph, rec *record.Recording, script stri
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	ls, err := lockstep.New(g, apps, rec, lockstep.Config{LogDeliveries: true})
+	ls, err := lockstep.New(g, apps, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +85,32 @@ quit
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("session output missing %q\n---\n%s", want, out)
+		}
+	}
+}
+
+// TestLogMatchesCommittedOrder holds `log N` to its contract: after a
+// complete replay it prints node N's production committed order, one key a
+// line, and nothing else.
+func TestLogMatchesCommittedOrder(t *testing.T) {
+	g, e := produceEngine(t)
+	for _, n := range []msg.NodeID{0, 3} {
+		out := session(t, g, e.Recording(), fmt.Sprintf("continue\nlog %d\nquit\n", n))
+		// Banner, continue's output, log's output, quit's.
+		parts := strings.Split(out, "(defined) ")
+		if len(parts) != 4 {
+			t.Fatalf("unexpected session output:\n%s", out)
+		}
+		block := parts[2]
+		var want strings.Builder
+		for _, k := range e.CommittedKeys(n) {
+			fmt.Fprintf(&want, "  %s\n", k.String())
+		}
+		if want.Len() == 0 {
+			t.Fatalf("node %d committed nothing", n)
+		}
+		if block != want.String() {
+			t.Errorf("log %d printed\n%s\nwant production's committed order\n%s", n, block, want.String())
 		}
 	}
 }
@@ -145,31 +179,6 @@ func TestEOFEndsSession(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	g, rec := produce(t)
-	apps := make([]api.Application, g.N)
-	for i := range apps {
-		apps[i] = ospf.New(ospf.Config{})
-	}
-	ls, err := lockstep.New(g, apps, rec, lockstep.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.RunToEnd()
-	var out bytes.Buffer
-	Summary(ls, &out)
-	if !strings.Contains(out.String(), "deliveries") {
-		t.Errorf("summary output: %s", out.String())
-	}
-	// Empty engine summary.
-	ls2, _ := lockstep.New(g, appsFor(g), &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval}, lockstep.Config{})
-	out.Reset()
-	Summary(ls2, &out)
-	if !strings.Contains(out.String(), "no steps") {
-		t.Errorf("empty summary output: %s", out.String())
-	}
-}
-
 func appsFor(g *topology.Graph) []api.Application {
 	apps := make([]api.Application, g.N)
 	for i := range apps {
@@ -181,7 +190,7 @@ func appsFor(g *topology.Graph) []api.Application {
 func TestStepPastEnd(t *testing.T) {
 	g, rec := produce(t)
 	apps := appsFor(g)
-	ls, _ := lockstep.New(g, apps, rec, lockstep.Config{})
+	ls, _ := lockstep.New(g, apps, rec)
 	var out bytes.Buffer
 	s := New(ls, strings.NewReader("continue\nstep\nround\ngroup\nquit\n"), &out)
 	s.Run()
@@ -195,7 +204,7 @@ func TestNonDumperStateFallsBack(t *testing.T) {
 	g := topology.Line(2, vtime.Millisecond)
 	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval}
 	apps := []api.Application{&plainApp{}, &plainApp{}}
-	ls, err := lockstep.New(g, apps, rec, lockstep.Config{})
+	ls, err := lockstep.New(g, apps, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +239,7 @@ func TestExecuteEmptyLineIsNoOp(t *testing.T) {
 	for i := range apps {
 		apps[i] = ospf.New(ospf.Config{})
 	}
-	ls, err := lockstep.New(g, apps, rec, lockstep.Config{})
+	ls, err := lockstep.New(g, apps, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,7 @@ func stepResponse(g *topology.Graph, w workload, evs []trace.Event, gap vtime.Du
 		n.settle(gap)
 	}
 	n.RunQuiescent(10_000_000)
-	ls, err := lockstep.New(g, ospfApps(g.N), n.Recording(), lockstep.Config{})
+	ls, err := lockstep.New(g, ospfApps(g.N), n.Recording())
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,16 @@
 // random ordering (RO) whole causal chains replay sequentially in hash
 // order, with the same d_i rule inside each chain.
 //
+// A replay is a function of (graph, applications, recording) and nothing
+// else: the recording names the ordering function and its seed, the chain
+// bound and the per-hop processing estimate, and the nodes boot with the
+// neighbor lists and beacon skews the production engine computes
+// (annotate.Neighbors, annotate.Skews). Each node keeps its delivery
+// sequence as ordering keys (DeliveredKeys), the same keys the production
+// network commits, so the two compare directly. Wire messages always come
+// from the engine's refcounted pool; MsgPool exposes it, poison mode
+// included.
+//
 // Response-time accounting models what the paper measures in Figures 6c
 // and 8c: a step is one transmission + one processing phase, and its
 // response time combines the semaphore barrier (two coordinator round
@@ -37,23 +47,6 @@ import (
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
-
-// Config tunes the debugging engine.
-type Config struct {
-	// Ordering overrides the recording's ordering function. Leave nil to
-	// use the recorded one (required to reproduce the production run;
-	// overriding explores alternative execution paths, §4's discussion).
-	Ordering ordering.Func
-	// LogDeliveries retains per-node delivery logs for verification.
-	LogDeliveries bool
-	// NoMessagePool disables refcounted message pooling (unmanaged
-	// heap-allocated messages, the pre-refcount behaviour).
-	NoMessagePool bool
-	// PoisonMessages enables the pool's debug poison mode: released
-	// messages are scribbled and quarantined so a use-after-release
-	// trips deterministically. Ignored with NoMessagePool.
-	PoisonMessages bool
-}
 
 // semaphoreCost is the modeled coordinator handling cost per node per
 // phase transition in response-time accounting.
@@ -104,13 +97,11 @@ type node struct {
 	// delivered is the node's delivery sequence, a segment log: it grows
 	// on every delivery of the replay and growth never copies a key.
 	delivered segLog[ordering.Key]
-	log       []string
 }
 
 // Engine replays a recording in lockstep.
 type Engine struct {
 	G   *topology.Graph
-	cfg Config
 	f   ordering.Func
 	rec *record.Recording
 
@@ -184,21 +175,19 @@ type queued struct {
 
 // New builds a debugging network over graph g with one application per
 // node, replaying rec. Applications must be fresh instances of the same
-// software the production network ran.
-func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg Config) (*Engine, error) {
+// software the production network ran. The recording is the replay's only
+// configuration: its ordering name and seed select the ordering function,
+// so exploring another ordering means replaying an edited copy.
+func New(g *topology.Graph, apps []api.Application, rec *record.Recording) (*Engine, error) {
 	if len(apps) != g.N {
 		return nil, fmt.Errorf("lockstep: %d apps for %d nodes", len(apps), g.N)
 	}
-	f := cfg.Ordering
-	if f == nil {
-		var err error
-		f, err = ordering.ByName(rec.Ordering, rec.Seed)
-		if err != nil {
-			return nil, err
-		}
+	f, err := ordering.ByName(rec.Ordering, rec.Seed)
+	if err != nil {
+		return nil, err
 	}
 	e := &Engine{
-		G: g, cfg: cfg, f: f, rec: rec,
+		G: g, f: f, rec: rec,
 		drops:        map[dropKey]int{},
 		future:       map[uint64][]queued{},
 		roundPerNode: make([]int, g.N),
@@ -224,35 +213,15 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg C
 	// (node 0); the barrier costs two traversals of the longest
 	// coordinator path per phase change. The same distances are the
 	// beacon skews anchoring timer-started chains.
-	for _, d := range g.ShortestDelays(0) {
-		if d < 0 {
-			d = 0
-		}
-		e.skew = append(e.skew, d)
-		if d > e.maxSkew {
-			e.maxSkew = d
-		}
-	}
-	if cfg.PoisonMessages && !cfg.NoMessagePool {
-		e.pool.SetPoison(true)
-	}
+	e.skew = annotate.Skews(g)
+	e.maxSkew = slices.Max(e.skew)
 	e.nodes = make([]*node, g.N)
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
-		e.nodes[i] = &node{
-			id:     n,
-			app:    apps[i],
-			sender: annotate.NewSender(n, g, rec.ChainBound, rec.ProcEstimate),
-		}
-		if !cfg.NoMessagePool {
-			e.nodes[i].sender.Pool = &e.pool
-		}
-		var neighbors []api.Neighbor
-		for _, nb := range g.Neighbors(i) {
-			l, _ := g.LinkBetween(i, nb)
-			neighbors = append(neighbors, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
-		}
-		apps[i].Init(n, neighbors)
+		sender := annotate.NewSender(n, g, rec.ChainBound, rec.ProcEstimate)
+		sender.Pool = &e.pool
+		e.nodes[i] = &node{id: n, app: apps[i], sender: sender}
+		apps[i].Init(n, annotate.Neighbors(g, n))
 	}
 	e.beginGroup(0)
 	return e, nil
@@ -262,7 +231,7 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording, cfg C
 func (e *Engine) Done() bool { return e.done }
 
 // MsgPool exposes the engine's wire-message pool (lifecycle tests read its
-// violation and live counters).
+// violation and live counters, and turn on poison mode right after New).
 func (e *Engine) MsgPool() *msg.Pool { return &e.pool }
 
 // CurrentGroup returns the group being replayed.
@@ -376,9 +345,9 @@ func (e *Engine) releaseDelivered() {
 }
 
 // deliver hands one event to the target application and buffers outputs.
-// A message delivery is logged and then queued for release: the engine's
-// reference (inherited from the transmit queue) dies when the next
-// delivery starts.
+// A message delivery's key joins the node's delivery sequence and the
+// message is queued for release: the engine's reference (inherited from the
+// transmit queue) dies when the next delivery starts.
 func (e *Engine) deliver(d Delivery) {
 	e.releaseDelivered()
 	d.Msg.CheckLive("lockstep.deliver")
@@ -394,21 +363,12 @@ func (e *Engine) deliver(d Delivery) {
 	case d.Key.IsTimer():
 		outs = n.app.HandleTimer(vtime.GroupStart(d.Key.Group, e.rec.BeaconInterval))
 		freshOffset = e.skew[d.Node]
-		if e.cfg.LogDeliveries {
-			n.log = append(n.log, fmt.Sprintf("T%d", d.Key.Group))
-		}
 	case d.Key.IsExternal():
 		outs = n.app.HandleExternal(d.Ext)
 		freshOffset = d.ExtOffset
-		if e.cfg.LogDeliveries {
-			n.log = append(n.log, "E:"+d.Ext.ExternalKind())
-		}
 	default:
 		outs = n.app.HandleMessage(d.Msg)
 		parent, fresh = d.Msg.Ann, false
-		if e.cfg.LogDeliveries {
-			n.log = append(n.log, "M:"+d.Msg.ID.String())
-		}
 		e.lastMsg = d.Msg
 	}
 	for _, out := range outs {
@@ -623,11 +583,6 @@ func (e *Engine) RunToEnd() int {
 		}
 		n++
 	}
-}
-
-// Log returns node n's human-readable delivery log (Config.LogDeliveries).
-func (e *Engine) Log(n msg.NodeID) []string {
-	return append([]string(nil), e.nodes[n].log...)
 }
 
 // Segment sizes of a segLog: the first segment holds segFirst entries,

@@ -127,7 +127,7 @@ func TestTheorem1Reproducibility(t *testing.T) {
 		rec, rbKeys, rbLogs := produce(t, g, seed, 4)
 
 		apps := floodApps(g.N)
-		ls, err := New(g, apps, rec, Config{LogDeliveries: true})
+		ls, err := New(g, apps, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,12 +183,11 @@ func TestTheorem1UnderRandomOrdering(t *testing.T) {
 		if rec.Ordering != "RO" {
 			t.Fatalf("recording ordering = %q", rec.Ordering)
 		}
-		// The recording stores the RO seed the engine used — but the
-		// engine's Config.Seed is the jitter seed; the RO seed is part
-		// of the ordering function. Replay must be handed the same
-		// function explicitly.
+		if rec.Seed != 777 {
+			t.Fatalf("recording seed = %d, want the ordering seed 777", rec.Seed)
+		}
 		apps2 := floodApps(g.N)
-		ls, err := New(g, apps2, rec, Config{Ordering: ordering.Random(777)})
+		ls, err := New(g, apps2, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +248,7 @@ func TestTheorem1WithMessageLoss(t *testing.T) {
 	}
 
 	apps2 := floodApps(g.N)
-	ls, err := New(g, apps2, rec, Config{})
+	ls, err := New(g, apps2, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +268,7 @@ func TestStepGranularities(t *testing.T) {
 	rec, _, _ := produce(t, g, 1, 3)
 
 	// Event stepping.
-	ls1, _ := New(g, floodApps(g.N), rec, Config{})
+	ls1, _ := New(g, floodApps(g.N), rec)
 	events := 0
 	for {
 		if _, ok := ls1.StepEvent(); !ok {
@@ -282,7 +281,7 @@ func TestStepGranularities(t *testing.T) {
 	}
 
 	// Round stepping must cover the same deliveries.
-	ls2, _ := New(g, floodApps(g.N), rec, Config{})
+	ls2, _ := New(g, floodApps(g.N), rec)
 	rounds := 0
 	for ls2.StepRound() {
 		rounds++
@@ -305,7 +304,7 @@ func TestStepGranularities(t *testing.T) {
 	}
 
 	// Group stepping.
-	ls3, _ := New(g, floodApps(g.N), rec, Config{})
+	ls3, _ := New(g, floodApps(g.N), rec)
 	groups := 0
 	for ls3.StepGroup() {
 		groups++
@@ -328,7 +327,7 @@ func TestStepGranularities(t *testing.T) {
 func TestStepInfoResponseTimes(t *testing.T) {
 	g := topology.Sprintlink()
 	rec, _, _ := produce(t, g, 2, 4)
-	ls, _ := New(g, floodApps(g.N), rec, Config{})
+	ls, _ := New(g, floodApps(g.N), rec)
 	ls.RunToEnd()
 	steps := ls.Steps()
 	if len(steps) == 0 {
@@ -352,7 +351,7 @@ func TestBreakpointPausesBeforeDelivery(t *testing.T) {
 	g := topology.Brite(8, 2, 5)
 	rec, _, _ := produce(t, g, 1, 3)
 	apps := floodApps(g.N)
-	ls, _ := New(g, apps, rec, Config{})
+	ls, _ := New(g, apps, rec)
 	target := msg.NodeID(3)
 	ls.SetBreakpoint(func(d Delivery) bool {
 		return d.Node == target && d.Msg != nil
@@ -403,7 +402,7 @@ func TestStepEventDoesNotAllocate(t *testing.T) {
 	g := topology.Line(4, vtime.Millisecond)
 	apps := []api.Application{noopApp{}, noopApp{}, noopApp{}, noopApp{}}
 	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, Groups: 1000}
-	ls, err := New(g, apps, rec, Config{})
+	ls, err := New(g, apps, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +430,14 @@ func TestStepEventDoesNotAllocate(t *testing.T) {
 func TestAlternativeOrderingExploresOtherPath(t *testing.T) {
 	// §4 discussion: a troubleshooter can replay with a different
 	// ordering function to explore execution paths that DEFINED-RB's
-	// ordering would never produce. The replay still runs to
+	// ordering would never produce — by editing a copy of the
+	// recording's ordering and seed. The replay still runs to
 	// completion; delivery sequences (generally) differ.
 	g := topology.Brite(10, 2, 17)
 	rec, rbKeys, _ := produce(t, g, 3, 5)
-	ls, err := New(g, floodApps(g.N), rec, Config{Ordering: ordering.Random(1234)})
+	alt := *rec
+	alt.Ordering, alt.Seed = "RO", 1234
+	ls, err := New(g, floodApps(g.N), &alt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +456,7 @@ func TestAlternativeOrderingExploresOtherPath(t *testing.T) {
 func TestPendingExposesNextDeliveries(t *testing.T) {
 	g := topology.Brite(8, 2, 5)
 	rec, _, _ := produce(t, g, 1, 2)
-	ls, _ := New(g, floodApps(g.N), rec, Config{})
+	ls, _ := New(g, floodApps(g.N), rec)
 	// Advance until something is pending.
 	for len(ls.Pending()) == 0 {
 		if _, ok := ls.StepEvent(); !ok {
@@ -473,11 +475,11 @@ func TestPendingExposesNextDeliveries(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	g := topology.Line(3, vtime.Millisecond)
 	rec := &record.Recording{Ordering: "OO"}
-	if _, err := New(g, floodApps(2), rec, Config{}); err == nil {
+	if _, err := New(g, floodApps(2), rec); err == nil {
 		t.Fatal("app count mismatch must error")
 	}
 	bad := &record.Recording{Ordering: "nonsense"}
-	if _, err := New(g, floodApps(3), bad, Config{}); err == nil {
+	if _, err := New(g, floodApps(3), bad); err == nil {
 		t.Fatal("unknown ordering must error")
 	}
 }
@@ -485,7 +487,7 @@ func TestNewValidation(t *testing.T) {
 func TestEmptyRecordingFinishesImmediately(t *testing.T) {
 	g := topology.Line(3, vtime.Millisecond)
 	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval}
-	ls, err := New(g, floodApps(3), rec, Config{})
+	ls, err := New(g, floodApps(3), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,26 +503,33 @@ func TestEmptyRecordingFinishesImmediately(t *testing.T) {
 	}
 }
 
+// TestLogRendering holds the debugger's delivery log to its contract: a
+// node's delivered keys render as non-empty lines, distinct within the
+// node (a key names one delivery), and the replay delivered something.
 func TestLogRendering(t *testing.T) {
 	g := topology.Brite(8, 2, 5)
 	rec, _, _ := produce(t, g, 1, 2)
-	ls, _ := New(g, floodApps(g.N), rec, Config{LogDeliveries: true})
+	ls, _ := New(g, floodApps(g.N), rec)
 	ls.RunToEnd()
-	found := false
+	total := 0
 	for i := 0; i < g.N; i++ {
-		for _, line := range ls.Log(msg.NodeID(i)) {
-			if line != "" {
-				found = true
+		seen := map[string]bool{}
+		for _, k := range ls.DeliveredKeys(msg.NodeID(i)) {
+			line := k.String()
+			if line == "" || seen[line] {
+				t.Fatalf("node %d: key %+v renders as %q, empty or repeated", i, k, line)
 			}
+			seen[line] = true
 		}
+		total += len(seen)
 	}
-	if !found {
+	if total == 0 {
 		t.Fatal("no log lines rendered")
 	}
 }
 
 // The replay engine's message lifecycle (pool-backed senders, release
-// after logging, loss-replay release) must be observationally invisible
+// after delivery, loss-replay release) must be observationally invisible
 // and survive a poison sweep with zero use-after-release — including under
 // replayed message loss, the one path where a replay message dies without
 // ever being delivered.
@@ -528,12 +537,13 @@ func TestReplayMessageLifecycle(t *testing.T) {
 	g := topology.Brite(12, 2, 21)
 	rec, rbKeys, _ := produce(t, g, 3, 4)
 
-	run := func(cfg Config) *Engine {
+	run := func(poison bool) *Engine {
 		apps := floodApps(g.N)
-		ls, err := New(g, apps, rec, cfg)
+		ls, err := New(g, apps, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ls.MsgPool().SetPoison(poison)
 		ls.RunToEnd()
 		if !ls.Done() {
 			t.Fatal("replay not done")
@@ -541,12 +551,14 @@ func TestReplayMessageLifecycle(t *testing.T) {
 		return ls
 	}
 
-	pooled := run(Config{LogDeliveries: true})
+	pooled := run(false)
 	if pooled.MsgPool().Len() == 0 {
 		t.Fatal("replay recycled no messages")
 	}
-	unpooled := run(Config{LogDeliveries: true, NoMessagePool: true})
-	poisoned := run(Config{LogDeliveries: true, PoisonMessages: true})
+	if live := pooled.MsgPool().Live(); live != 0 {
+		t.Fatalf("finished replay holds %d live messages, want 0", live)
+	}
+	poisoned := run(true)
 	if v := poisoned.MsgPool().Violations(); v != 0 {
 		t.Fatalf("poison replay: %d use-after-release violations, want 0", v)
 	}
@@ -555,16 +567,11 @@ func TestReplayMessageLifecycle(t *testing.T) {
 	}
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
-		if !reflect.DeepEqual(pooled.DeliveredKeys(n), unpooled.DeliveredKeys(n)) ||
-			!reflect.DeepEqual(pooled.DeliveredKeys(n), poisoned.DeliveredKeys(n)) {
-			t.Fatalf("node %d: delivery sequences diverge across lifecycles", i)
+		if !reflect.DeepEqual(pooled.DeliveredKeys(n), poisoned.DeliveredKeys(n)) {
+			t.Fatalf("node %d: delivery sequences diverge under poison", i)
 		}
 		if !reflect.DeepEqual(pooled.DeliveredKeys(n), rbKeys[i]) {
 			t.Fatalf("node %d: pooled replay no longer reproduces production", i)
-		}
-		if !reflect.DeepEqual(pooled.Log(n), unpooled.Log(n)) ||
-			!reflect.DeepEqual(pooled.Log(n), poisoned.Log(n)) {
-			t.Fatalf("node %d: delivery logs diverge across lifecycles", i)
 		}
 	}
 }

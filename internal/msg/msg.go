@@ -39,7 +39,8 @@
 //     and replay — a re-adopted (lazy-cancellation) output reuses the
 //     original message — and releases when the record is cancelled,
 //     retracted, or settles.
-//   - lockstep releases a delivered message after logging it; the Delivery
+//   - lockstep releases a delivered message when the next delivery starts
+//     (its key stays in the node's delivery sequence), so the Delivery
 //     returned by StepEvent stays readable until the next step.
 //
 // Handlers receive messages as borrows: a layer that wants to keep a

@@ -114,8 +114,9 @@ type Config struct {
 	// JitterScale multiplies each link's jitter standard deviation.
 	// 0 means "use 1.0"; set Deterministic to disable jitter entirely.
 	JitterScale float64
-	// Deterministic disables delay jitter (used by DEFINED-LS debugging
-	// networks, where delays are mechanistic).
+	// Deterministic disables delay jitter: every packet takes its link's
+	// mean delay (the rollback engine sets it for an engine block's
+	// jitterScale 0).
 	Deterministic bool
 	// DropProb is an optional per-packet loss probability applied to app
 	// messages (not control traffic). The loss fate of the n-th packet

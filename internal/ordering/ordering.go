@@ -20,9 +20,9 @@
 //     match.
 //
 // Keys embed enough tie-breaking state (previous hop, per-link sequence)
-// to make the order total, so sorting is deterministic. DEFINED-LS uses
-// the structural hooks (LSLookahead/ChainHash) to schedule a conservative
-// forward replay that delivers in exactly this order.
+// to make the order total, so sorting is deterministic. DEFINED-LS reads
+// d_i off the keys and, under RO, the ChainHash hook to schedule a
+// conservative forward replay that delivers in exactly this order.
 package ordering
 
 import (
@@ -266,12 +266,6 @@ func (optimized) Compare(a, b Key) int {
 }
 
 func (optimized) Rank(k Key) Rank { return rankOf(k, biased(int64(k.Delay))) }
-
-// LSLookahead implements the conservative-replay hook: any message
-// generated by delivering a queued message has d at least the parent's d
-// plus one link delay, so entries within [minD, minD+minLink) are safe to
-// deliver as one lockstep batch.
-func (optimized) LSLookahead() bool { return true }
 
 // random is the RO ablation: chains shuffled by seeded hash within each
 // depth level.

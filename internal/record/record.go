@@ -8,8 +8,9 @@
 // A recording stores, per external event, the node it applied at, the
 // beacon group it was tagged with, and its in-group sequence number; that
 // triple is all DEFINED-LS needs to replay events in the right timestep.
-// Recordings serialize to JSON; protocol-specific payloads register codecs
-// via RegisterPayload.
+// Recordings serialize to JSON. The decoder knows every external event
+// kind the repository defines (decodePayload); a kind outside that set
+// fails to decode.
 package record
 
 import (
@@ -17,11 +18,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"defined/internal/msg"
 	"defined/internal/ordering"
 	"defined/internal/routing/api"
+	"defined/internal/routing/bgp"
+	"defined/internal/routing/rip"
 	"defined/internal/vtime"
 )
 
@@ -126,49 +128,6 @@ func (r *Recording) ByGroup(g uint64) []Event {
 	return r.byGroup[g]
 }
 
-// ---- payload codec registry ------------------------------------------------
-
-var (
-	codecMu  sync.RWMutex
-	decoders = map[string]func(json.RawMessage) (api.ExternalEvent, error){}
-)
-
-// RegisterPayload installs the decoder for an external event kind. Kinds
-// must be registered before decoding recordings that contain them;
-// registering the same kind twice panics (init-time programmer error).
-func RegisterPayload(kind string, decode func(json.RawMessage) (api.ExternalEvent, error)) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := decoders[kind]; dup {
-		panic(fmt.Sprintf("record: duplicate payload codec %q", kind))
-	}
-	decoders[kind] = decode
-}
-
-func decoderFor(kind string) (func(json.RawMessage) (api.ExternalEvent, error), bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	d, ok := decoders[kind]
-	return d, ok
-}
-
-func init() {
-	RegisterPayload(api.LinkChange{}.ExternalKind(), func(raw json.RawMessage) (api.ExternalEvent, error) {
-		var lc api.LinkChange
-		if err := json.Unmarshal(raw, &lc); err != nil {
-			return nil, err
-		}
-		return lc, nil
-	})
-	RegisterPayload(LossEvent{}.ExternalKind(), func(raw json.RawMessage) (api.ExternalEvent, error) {
-		var le LossEvent
-		if err := json.Unmarshal(raw, &le); err != nil {
-			return nil, err
-		}
-		return le, nil
-	})
-}
-
 // ---- serialization ----------------------------------------------------------
 
 // wireEvent is the JSON shape of Event (payload as raw message).
@@ -218,8 +177,7 @@ func (r *Recording) Encode(w io.Writer) error {
 	return enc.Encode(&wr)
 }
 
-// Decode reads a JSON recording, resolving payloads through the codec
-// registry.
+// Decode reads a JSON recording, decoding each payload by its kind.
 func Decode(rd io.Reader) (*Recording, error) {
 	var wr wireRecording
 	if err := json.NewDecoder(rd).Decode(&wr); err != nil {
@@ -236,11 +194,7 @@ func Decode(rd io.Reader) (*Recording, error) {
 		Events:         make([]Event, 0, len(wr.Events)),
 	}
 	for _, we := range wr.Events {
-		dec, ok := decoderFor(we.Kind)
-		if !ok {
-			return nil, fmt.Errorf("record: no codec registered for event kind %q", we.Kind)
-		}
-		payload, err := dec(we.Payload)
+		payload, err := decodePayload(we.Kind, we.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("record: decoding %s payload: %w", we.Kind, err)
 		}
@@ -249,4 +203,33 @@ func Decode(rd io.Reader) (*Recording, error) {
 		})
 	}
 	return r, nil
+}
+
+// decodePayload decodes one event body by its kind: the closed set of
+// external events the engines and daemons define.
+func decodePayload(kind string, raw json.RawMessage) (api.ExternalEvent, error) {
+	switch kind {
+	case api.LinkChange{}.ExternalKind():
+		return decodeAs[api.LinkChange](raw)
+	case api.PeerRestart{}.ExternalKind():
+		return decodeAs[api.PeerRestart](raw)
+	case LossEvent{}.ExternalKind():
+		return decodeAs[LossEvent](raw)
+	case rip.Originate{}.ExternalKind():
+		return decodeAs[rip.Originate](raw)
+	case rip.Crash{}.ExternalKind():
+		return decodeAs[rip.Crash](raw)
+	case bgp.Announce{}.ExternalKind():
+		return decodeAs[bgp.Announce](raw)
+	}
+	return nil, fmt.Errorf("unknown event kind %q", kind)
+}
+
+// decodeAs unmarshals raw into a T.
+func decodeAs[T api.ExternalEvent](raw json.RawMessage) (api.ExternalEvent, error) {
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }

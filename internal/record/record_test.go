@@ -2,14 +2,16 @@ package record
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"defined/internal/msg"
+	"defined/internal/ordering"
 	"defined/internal/routing/api"
+	"defined/internal/routing/bgp"
+	"defined/internal/routing/rip"
 	"defined/internal/vtime"
 )
 
@@ -98,48 +100,35 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate registration")
+// TestDecodeEveryKind round-trips one event of every external kind the
+// repository defines: a saved recording of any workload must reload.
+func TestDecodeEveryKind(t *testing.T) {
+	key := ordering.Key{Group: 4, Class: ordering.ClassMessage, Delay: 4697, Origin: 9, Seq: 46, From: 9, LinkSeq: 34}
+	for _, ev := range []api.ExternalEvent{
+		api.LinkChange{Peer: 5, Up: true},
+		api.PeerRestart{Peer: 3},
+		LossEvent{Key: key, To: 23},
+		rip.Originate{Prefix: "10.0.0.0/8", Metric: 2},
+		rip.Crash{},
+		bgp.Announce{Path: bgp.Path{Name: "p1", Prefix: "10.1.0.0/16", ASPathLen: 3, NeighborAS: 65001, MED: 10, IGPDist: 7}},
+	} {
+		kind := ev.ExternalKind()
+		r := &Recording{Ordering: "OO"}
+		r.Append(Event{Group: 2, Seq: 1, Node: 4, Offset: 3 * vtime.Millisecond, Kind: kind, Payload: ev})
+		var buf bytes.Buffer
+		if err := r.Encode(&buf); err != nil {
+			t.Fatalf("%s: encode: %v", kind, err)
 		}
-	}()
-	RegisterPayload("link-change", func(json.RawMessage) (api.ExternalEvent, error) { return nil, nil })
-}
-
-func TestCustomPayloadKind(t *testing.T) {
-	type inject struct {
-		Prefix string `json:"prefix"`
-	}
-	// Local event type for this test.
-	RegisterPayload("test-inject", func(raw json.RawMessage) (api.ExternalEvent, error) {
-		var v testInject
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, err
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Errorf("%s: decode: %v", kind, err)
+			continue
 		}
-		return v, nil
-	})
-	r := &Recording{}
-	r.Append(Event{Group: 0, Seq: 0, Node: 0, Kind: "test-inject", Payload: testInject{Prefix: "10.0.0.0/8"}})
-	var buf bytes.Buffer
-	if err := r.Encode(&buf); err != nil {
-		t.Fatal(err)
+		if !reflect.DeepEqual(got.Events, r.Events) {
+			t.Errorf("%s: round trip gave %+v, want %+v", kind, got.Events, r.Events)
+		}
 	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Events[0].Payload.(testInject).Prefix != "10.0.0.0/8" {
-		t.Fatal("custom payload did not round-trip")
-	}
-	_ = inject{}
 }
-
-type testInject struct {
-	Prefix string `json:"prefix"`
-}
-
-func (testInject) ExternalKind() string { return "test-inject" }
 
 // referenceByGroup is the original O(E) per-call implementation, kept as
 // the oracle for the bucketed index.
@@ -209,7 +198,8 @@ func TestByGroupBucketedOrderPinned(t *testing.T) {
 // an error or a recording, never panics, and a recording it accepts
 // survives Encode then Decode unchanged (and encodes to the same bytes
 // again). The seed corpus under testdata/fuzz is built from the committed
-// ebone recording, link changes and message losses both.
+// ebone recording, link changes and message losses both, plus one file
+// holding an event of every kind.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Decode(bytes.NewReader(data))

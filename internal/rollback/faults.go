@@ -11,6 +11,7 @@ package rollback
 // same quarantine from inside a parallel window.
 
 import (
+	"defined/internal/annotate"
 	"defined/internal/msg"
 	"defined/internal/routing/api"
 )
@@ -77,12 +78,7 @@ func (e *Engine) RestartNode(n msg.NodeID) {
 	e.stats.NodeRestarts++
 	e.sim.SetNodeState(n, true)
 	sh.crashed = false
-	var neighbors []api.Neighbor
-	for _, nb := range e.G.Neighbors(int(n)) {
-		l, _ := e.G.LinkBetween(int(n), nb)
-		neighbors = append(neighbors, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
-	}
-	sh.app.Init(n, neighbors)
+	sh.app.Init(n, annotate.Neighbors(e.G, n))
 	sh.win.compactJournals()
 	// Neighbor re-sync, in sorted neighbor order for determinism: first
 	// the restarted node learns its dead adjacent links, then live

@@ -252,7 +252,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		chainBound:  *spec.ChainBound,
 		settleAfter: spec.SettleBound.V(),
 		cost:        checkpoint.ModelFor(strat),
-		skew:        make([]vtime.Duration, g.N),
+		skew:        annotate.Skews(g),
 	}
 	if baseline {
 		e.cost = checkpoint.Baseline()
@@ -269,12 +269,13 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		e.est = newSettleEstimator(settleFloor(g), 2*StaticSettle(g))
 	}
 	e.sim = netsim.New(g, netsim.Config{
-		Seed:        *spec.Seed,
-		JitterScale: *spec.JitterScale,
-		DropProb:    *spec.PerLinkLoss,
-		DupProb:     *spec.Duplication,
-		Shards:      *spec.Shards,
-		Lookahead:   *spec.Lookahead,
+		Seed:          *spec.Seed,
+		JitterScale:   *spec.JitterScale,
+		Deterministic: *spec.JitterScale == 0,
+		DropProb:      *spec.PerLinkLoss,
+		DupProb:       *spec.Duplication,
+		Shards:        *spec.Shards,
+		Lookahead:     *spec.Lookahead,
 	})
 	if *spec.Poison {
 		e.sim.SetPoison(true)
@@ -286,11 +287,10 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		e.rec = &record.Recording{
 			Topology:       g.Name,
 			Ordering:       ord.Name(),
-			Seed:           *spec.Seed,
+			Seed:           *spec.OrderingSeed,
 			BeaconInterval: vtime.BeaconInterval,
 		}
 	}
-	e.computeSkew()
 	slack, budget := spec.DeferSlack.V(), spec.DeferMax.V()
 	if e.lookOn {
 		budget *= lookBudgetMult
@@ -316,11 +316,6 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		sh.settle = settle{cmp: ord, logging: *spec.DeliveryLog, stats: &sh.stats}
 		sh.tick.sh = sh
 		e.shims[i] = sh
-		var neighbors []api.Neighbor
-		for _, nb := range g.Neighbors(i) {
-			l, _ := g.LinkBetween(i, nb)
-			neighbors = append(neighbors, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
-		}
 		// The epoch-keyed route-computation cache is on by default inside
 		// capable applications; an opted-out run disables it before Init
 		// (and so before any computation) to reproduce the exact uncached
@@ -330,7 +325,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 				rc.SetRouteCaching(false)
 			}
 		}
-		apps[i].Init(n, neighbors)
+		apps[i].Init(n, annotate.Neighbors(g, n))
 		// MI strategy + a journal-capable application = real undo-journal
 		// checkpointing: marks instead of clones. Enabled only after Init
 		// so boot-time mutations (which precede every checkpoint) are
@@ -438,22 +433,6 @@ func (e *Engine) EndWindow() {
 		e.est.observe(e.winSched[i].at, e.winSched[i].margin)
 	}
 	e.winSched = e.winSched[:0]
-}
-
-// beaconLeader is the node whose beacons define the groups.
-const beaconLeader = 0
-
-// computeSkew sets each node's beacon-propagation skew: the shortest-path
-// delay from the beacon leader. Group numbers at a node lag the leader's
-// wall group by this skew, modeling beacon propagation (paper §2.2).
-func (e *Engine) computeSkew() {
-	d := e.G.ShortestDelays(beaconLeader)
-	for i, v := range d {
-		if v < 0 {
-			v = 0 // unreachable from leader: no beacons; degrade gracefully
-		}
-		e.skew[i] = v
-	}
 }
 
 // Sim exposes the underlying simulator (experiments read traffic stats).

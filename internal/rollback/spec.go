@@ -21,7 +21,8 @@ type EngineSpec struct {
 	// Ordering names the pseudorandom ordering function: "OO" (optimized,
 	// default) or "RO" (random).
 	Ordering string `json:"ordering,omitempty"`
-	// OrderingSeed seeds "RO" (default: Seed).
+	// OrderingSeed seeds "RO" (default: Seed). A recording carries it, so
+	// a replay orders with the production function.
 	OrderingSeed *uint64 `json:"orderingSeed,omitempty"`
 	// Strategy is the checkpoint strategy as Timing/Mode ("TM/MI",
 	// "TF/FK", ...; default "TM/MI", the paper-recommended point).
@@ -29,7 +30,8 @@ type EngineSpec struct {
 	// Seed drives physical jitter and every derived random stream
 	// (default 0).
 	Seed *uint64 `json:"seed,omitempty"`
-	// JitterScale scales link jitter (default 1.0).
+	// JitterScale scales link jitter (default 1.0; 0 runs every link at
+	// its mean delay).
 	JitterScale *float64 `json:"jitterScale,omitempty"`
 	// ChainBound caps causal chain length per timestep (default 64);
 	// longer chains roll into the next group (paper §2.2).
@@ -69,7 +71,9 @@ type EngineSpec struct {
 	// Poison enables the pool's use-after-release poison mode (default
 	// false; requires MessagePool).
 	Poison *bool `json:"poison,omitempty"`
-	// Record captures the partial recording (default false).
+	// Record captures the partial recording (default false). A recording
+	// holds external events only, and replay has no crash model, so a
+	// scenario may not record a run with a fault plan.
 	Record *bool `json:"record,omitempty"`
 	// DeliveryLog retains committed delivery sequences (default false).
 	DeliveryLog *bool `json:"deliveryLog,omitempty"`

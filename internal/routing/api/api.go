@@ -152,7 +152,8 @@ type RecomputeCached interface {
 // — exactly what DEFINED's partial recordings capture (paper §2.5).
 type ExternalEvent interface {
 	// ExternalKind returns a stable identifier used by the recording
-	// codec ("link-change", "bgp-inject", ...).
+	// codec ("link-change", "bgp-announce", ...); record.Decode has one
+	// case per kind.
 	ExternalKind() string
 }
 

@@ -219,6 +219,8 @@ func validate(s Spec, engErr error) error {
 			return fmt.Errorf("scenario %s: fault minRepair must be positive", s.Name)
 		case *s.Engine.Baseline:
 			return fmt.Errorf("scenario %s: fault plan with baseline engine — crash faults need the substrate", s.Name)
+		case *s.Engine.Record:
+			return fmt.Errorf("scenario %s: fault plan with record — a crash is not recorded and replay has no crash model", s.Name)
 		}
 	}
 	if s.Horizon.Run.V() <= 0 {

@@ -281,6 +281,10 @@ func TestValidationRejections(t *testing.T) {
 			s.Engine.Baseline = ptr(true)
 			s.Faults = &FaultSpec{Start: 0, End: Duration(2 * vtime.Second)}
 		}, "baseline"},
+		{"recorded faults", func(s *Spec) {
+			s.Engine.Record = ptr(true)
+			s.Faults = &FaultSpec{Start: 0, End: Duration(2 * vtime.Second)}
+		}, "fault plan with record"},
 		{"bad rip mode", func(s *Spec) {
 			s.Protocols.RIP.Mode = "cisco"
 		}, "rip mode"},

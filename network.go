@@ -43,7 +43,9 @@ func NewNetwork(g *Topology, apps []Application, eng EngineSpec) (*Network, erro
 // ordered and rollback-capable, so a faulted run commits bit-identical
 // orders under any shard count (proved by TestFaultPlanGolden). On a
 // baseline engine crash faults are no-ops (there is no substrate to
-// quarantine); link events still apply.
+// quarantine); link events still apply. A faulted run's recording does not
+// replay: a crash is not recorded and DEFINED-LS has no crash model, which
+// is why a scenario rejects a fault plan with record on.
 func (n *Network) ScheduleFaults(p *faults.Plan) {
 	if p != nil {
 		p.Schedule(n.eng, n.At)

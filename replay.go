@@ -14,14 +14,6 @@ type Replay struct {
 	eng *lockstep.Engine
 }
 
-// ReplayOption configures a Replay.
-type ReplayOption func(*lockstep.Config)
-
-// WithReplayLog retains per-node delivery logs.
-func WithReplayLog() ReplayOption {
-	return func(c *lockstep.Config) { c.LogDeliveries = true }
-}
-
 // Delivery is one replayed event (see lockstep.Delivery).
 type Delivery = lockstep.Delivery
 
@@ -29,13 +21,11 @@ type Delivery = lockstep.Delivery
 type StepInfo = lockstep.StepInfo
 
 // NewReplay builds a debugging network over g replaying rec. The apps must
-// be fresh instances of the same software the production network ran.
-func NewReplay(g *Topology, apps []Application, rec *Recording, opts ...ReplayOption) (*Replay, error) {
-	var cfg lockstep.Config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	eng, err := lockstep.New(g, apps, rec, cfg)
+// be fresh instances of the same software the production network ran. The
+// recording is the replay's only input: it names the ordering function and
+// seed, and every node's delivery sequence is kept (DeliveredOrder).
+func NewReplay(g *Topology, apps []Application, rec *Recording) (*Replay, error) {
+	eng, err := lockstep.New(g, apps, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +62,8 @@ func (r *Replay) App(id NodeID) Application { return r.eng.App(id) }
 // times).
 func (r *Replay) Steps() []StepInfo { return r.eng.Steps() }
 
-// DeliveredOrder returns node id's delivery sequence rendered as strings.
+// DeliveredOrder returns node id's delivery sequence rendered as strings,
+// comparable entry by entry with the production Network.CommittedOrder.
 func (r *Replay) DeliveredOrder(id NodeID) []string {
 	keys := r.eng.DeliveredKeys(id)
 	out := make([]string, len(keys))
