@@ -43,12 +43,12 @@
 // (State != nil) or a mark pair, and the two kinds may coexist in one
 // stack — the rollback engine dispatches per entry. The stack stores
 // 16-byte mark pairs, not Checkpoint values: the snapshot column is a
-// parallel slice that exists only once a snapshot has been pushed (FK, or
-// the clone fallback), so an MI delivery — whose State is always nil —
-// pays for two marks and no empty interface. Settlement
-// (Keeper.DropFirst) is the moment mark checkpoints die, which is when
-// the engine compacts the journal prefix older than the new oldest live
-// mark.
+// parallel slide.Buf (like the marks: growth copies nothing) that
+// allocates only once a snapshot has been pushed (FK, or the clone
+// fallback), so an MI delivery — whose State is always nil — pays for two
+// marks and no empty interface. Settlement (Keeper.DropFirst) is the
+// moment mark checkpoints die, which is when the engine compacts the
+// journal prefix older than the new oldest live mark.
 //
 // Two consumers exist. The single-node microbenchmarks (experiments
 // fig7a/7b/7c) exercise the strategies for real against a memstore-backed
@@ -64,6 +64,7 @@ import (
 	"strings"
 
 	"defined/internal/journal"
+	"defined/internal/slide"
 	"defined/internal/vtime"
 )
 
@@ -237,29 +238,29 @@ type marks struct {
 // Invariant: snaps is either empty (every stored checkpoint is a mark) or
 // as long as marks, nil at mark positions.
 type Keeper struct {
-	marks []marks
-	snaps []any
+	marks slide.Buf[marks]
+	snaps slide.Buf[any]
 }
 
 // Len reports the number of stored checkpoints.
-func (k *Keeper) Len() int { return len(k.marks) }
+func (k *Keeper) Len() int { return k.marks.Len() }
 
 // Push appends a checkpoint.
 func (k *Keeper) Push(c Checkpoint) {
-	if c.State != nil || len(k.snaps) > 0 {
-		for len(k.snaps) < len(k.marks) {
-			k.snaps = append(k.snaps, nil) // the marks pushed before the first snapshot
+	if c.State != nil || k.snaps.Len() > 0 {
+		for k.snaps.Len() < k.marks.Len() {
+			k.snaps.Push(nil) // the marks pushed before the first snapshot
 		}
-		k.snaps = append(k.snaps, c.State)
+		k.snaps.Push(c.State)
 	}
-	k.marks = append(k.marks, marks{c.App, c.Counters})
+	k.marks.Push(marks{c.App, c.Counters})
 }
 
-// At returns checkpoint i.
+// At returns checkpoint i. It panics unless 0 <= i < Len.
 func (k *Keeper) At(i int) Checkpoint {
-	c := Checkpoint{App: k.marks[i].app, Counters: k.marks[i].counters}
-	if len(k.snaps) > 0 {
-		c.State = k.snaps[i]
+	c := Checkpoint{App: k.marks.At(i).app, Counters: k.marks.At(i).counters}
+	if k.snaps.Len() > 0 {
+		c.State = *k.snaps.At(i)
 	}
 	return c
 }
@@ -269,13 +270,9 @@ func (k *Keeper) At(i int) Checkpoint {
 // further bookkeeping: the rewind that accompanies the truncation already
 // discarded their journal suffix.
 func (k *Keeper) TruncateFrom(i int) {
-	if i < 0 || i > len(k.marks) {
-		panic(fmt.Sprintf("checkpoint: truncate at %d of %d", i, len(k.marks)))
-	}
-	k.marks = k.marks[:i]
-	if len(k.snaps) > 0 {
-		clear(k.snaps[i:]) // release dropped states for collection
-		k.snaps = k.snaps[:i]
+	k.marks.Truncate(i) // panics unless 0 <= i <= Len
+	if k.snaps.Len() > 0 {
+		k.snaps.Truncate(i)
 	}
 }
 
@@ -283,14 +280,9 @@ func (k *Keeper) TruncateFrom(i int) {
 // mark checkpoints settle, the caller compacts the journals to the new
 // oldest live mark (see OldestMarks).
 func (k *Keeper) DropFirst(n int) {
-	if n < 0 || n > len(k.marks) {
-		panic(fmt.Sprintf("checkpoint: drop %d of %d", n, len(k.marks)))
-	}
-	k.marks = k.marks[:copy(k.marks, k.marks[n:])]
-	if len(k.snaps) > 0 {
-		m := copy(k.snaps, k.snaps[n:])
-		clear(k.snaps[m:]) // release settled states for collection
-		k.snaps = k.snaps[:m]
+	k.marks.DropFront(n) // panics unless 0 <= n <= Len
+	if k.snaps.Len() > 0 {
+		k.snaps.DropFront(n)
 	}
 }
 
@@ -300,8 +292,8 @@ func (k *Keeper) DropFirst(n int) {
 // entry is a full snapshot) yields ok == false; with an empty stack the
 // caller may compact everything recorded so far.
 func (k *Keeper) OldestMarks() (app, counters journal.Mark, ok bool) {
-	if len(k.marks) == 0 || (len(k.snaps) > 0 && k.snaps[0] != nil) {
+	if k.marks.Len() == 0 || (k.snaps.Len() > 0 && *k.snaps.At(0) != nil) {
 		return 0, 0, false
 	}
-	return k.marks[0].app, k.marks[0].counters, true
+	return k.marks.At(0).app, k.marks.At(0).counters, true
 }

@@ -1,7 +1,12 @@
 package checkpoint
 
 import (
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"defined/internal/journal"
 	"defined/internal/vtime"
@@ -141,8 +146,8 @@ func TestKeeperMarksOnlyHasNoSnapshotColumn(t *testing.T) {
 		}
 		k.TruncateFrom(0)
 	}
-	if k.snaps != nil {
-		t.Fatalf("a marks-only stack allocated a snapshot column (cap %d)", cap(k.snaps))
+	if !reflect.ValueOf(k.snaps).IsZero() {
+		t.Fatal("a marks-only stack allocated a snapshot column")
 	}
 	k.Push(Checkpoint{App: 1})
 	if got := testing.AllocsPerRun(100, func() {
@@ -174,8 +179,8 @@ func TestKeeperMixedStack(t *testing.T) {
 				t.Fatalf("%s: At(%d) = %+v, want %+v", when, i, got, w)
 			}
 		}
-		if len(k.snaps) != 0 && len(k.snaps) != len(k.marks) {
-			t.Fatalf("%s: columns misaligned: %d snapshots for %d marks", when, len(k.snaps), len(k.marks))
+		if k.snaps.Len() != 0 && k.snaps.Len() != k.marks.Len() {
+			t.Fatalf("%s: columns misaligned: %d snapshots for %d marks", when, k.snaps.Len(), k.marks.Len())
 		}
 	}
 	check("pushed", want)
@@ -183,17 +188,11 @@ func TestKeeperMixedStack(t *testing.T) {
 		t.Fatalf("OldestMarks = %d,%d,%v, want 1,10,true", app, ctr, ok)
 	}
 	k.TruncateFrom(4)
-	if full := k.snaps[:5]; full[4] != nil {
-		t.Fatal("TruncateFrom kept the dropped snapshot reachable")
-	}
 	check("truncated", want[:4])
 	k.DropFirst(2)
 	check("settled", want[2:4])
 	if _, _, ok := k.OldestMarks(); ok {
 		t.Fatal("OldestMarks with a snapshot at the front must report !ok")
-	}
-	if full := k.snaps[:4]; full[2] != nil || full[3] != nil {
-		t.Fatal("DropFirst kept a settled snapshot reachable")
 	}
 	k.DropFirst(1)
 	if app, ctr, ok := k.OldestMarks(); !ok || app != 4 || ctr != 40 {
@@ -203,3 +202,88 @@ func TestKeeperMixedStack(t *testing.T) {
 	k.Push(Checkpoint{State: "s7"})
 	check("pushed again", []Checkpoint{{App: 4, Counters: 40}, {App: 6}, {State: "s7"}})
 }
+
+// Truncated and settled snapshots are released: the stack keeps no
+// reference to a state it no longer stores.
+func TestKeeperReleasesDroppedStates(t *testing.T) {
+	var k Keeper
+	var w [4]weak.Pointer[[8]int]
+	func() {
+		for i := range w {
+			st := new([8]int)
+			w[i] = weak.Make(st)
+			k.Push(Checkpoint{State: st})
+		}
+	}()
+	k.TruncateFrom(3) // drops state 3
+	k.DropFirst(1)    // settles state 0
+	for i := 0; i < 3 && (w[0].Value() != nil || w[3].Value() != nil); i++ {
+		runtime.GC()
+	}
+	if w[0].Value() != nil || w[3].Value() != nil {
+		t.Fatal("a settled or truncated snapshot is still reachable")
+	}
+	if k.At(0).State != w[1].Value() || k.At(1).State != w[2].Value() {
+		t.Fatal("the live snapshots moved")
+	}
+}
+
+// Growing a stack from empty allocates its cells once: at most N cells
+// plus one 256-cell piece, where doubling a slice allocates about 2N.
+// Sliding it at constant depth afterwards allocates nothing.
+func TestKeeperGrowthAllocatesOnce(t *testing.T) {
+	// A race-detector build does not fuse append(s, make(...)...), so a
+	// new piece there allocates twice. Detected by that effect.
+	if testing.AllocsPerRun(10, func() { grownSink = slices.Grow([]int(nil), 8) }) != 1 {
+		t.Skip("slices.Grow allocates twice in this build (race detector on)")
+	}
+	const n = 1000
+	var k Keeper
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		k.Push(Checkpoint{App: journal.Mark(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n+256)*uint64(unsafe.Sizeof(marks{})); got > max {
+		t.Fatalf("growing to %d marks allocated %d B, want at most %d", n, got, max)
+	}
+	i := n
+	if got := testing.AllocsPerRun(1000, func() {
+		k.Push(Checkpoint{App: journal.Mark(i)})
+		k.DropFirst(1)
+		i++
+	}); got != 0 {
+		t.Fatalf("sliding push/drop: %v allocs, want 0", got)
+	}
+}
+
+// Reaching outside the stack panics rather than returning a recycled cell.
+func TestKeeperRangeChecks(t *testing.T) {
+	var k Keeper
+	for i := range 10 {
+		k.Push(Checkpoint{App: journal.Mark(i)})
+	}
+	k.DropFirst(4)
+	k.TruncateFrom(5)
+	for name, f := range map[string]func(){
+		"At(Len)":             func() { k.At(5) },
+		"At(-1)":              func() { k.At(-1) },
+		"TruncateFrom(Len+1)": func() { k.TruncateFrom(6) },
+		"TruncateFrom(-1)":    func() { k.TruncateFrom(-1) },
+		"DropFirst(Len+1)":    func() { k.DropFirst(6) },
+		"DropFirst(-1)":       func() { k.DropFirst(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// grownSink keeps the race-build probe's slice alive.
+var grownSink []int

@@ -15,6 +15,7 @@ import (
 
 	"defined/internal/msg"
 	"defined/internal/ordering"
+	"defined/internal/slide"
 	"defined/internal/vtime"
 )
 
@@ -64,10 +65,11 @@ func (e Entry) String() string {
 // The window participates in the refcounted message lifecycle (msg package
 // comment): Insert retains an entry's message and Retire/RemoveAt release
 // it, so a message stays live exactly as long as some window can still
-// roll it back.
+// roll it back. Entries live in a slide.Buf: growth copies none, and
+// Retire moves a head, so a window sliding steadily allocates nothing.
 type Window struct {
 	f       ordering.Func
-	entries []Entry
+	entries slide.Buf[Entry]
 }
 
 // New creates an empty window ordered by f.
@@ -76,12 +78,12 @@ func New(f ordering.Func) *Window {
 }
 
 // Len reports the number of live entries.
-func (w *Window) Len() int { return len(w.entries) }
+func (w *Window) Len() int { return w.entries.Len() }
 
 // At returns the entry at position i in delivered order: the window's own
 // cell, not a copy — read-only, valid until the next Insert, RemoveAt or
-// Retire.
-func (w *Window) At(i int) *Entry { return &w.entries[i] }
+// Retire. It panics unless 0 <= i < Len.
+func (w *Window) At(i int) *Entry { return w.entries.At(i) }
 
 // Insert places e into the window at its ordering position. It returns the
 // position and whether the entry was a duplicate (already present with an
@@ -95,38 +97,29 @@ func (w *Window) At(i int) *Entry { return &w.entries[i] }
 func (w *Window) Insert(e Entry) (pos int, dup bool) {
 	e.Msg.CheckLive("history.Insert")
 	// Most arrivals are in order, so try the tail before searching.
-	pos = len(w.entries)
-	if pos > 0 && w.f.Compare(w.entries[pos-1].Key, e.Key) >= 0 {
+	pos = w.entries.Len()
+	if pos > 0 && w.f.Compare(w.entries.At(pos-1).Key, e.Key) >= 0 {
 		pos = sort.Search(pos, func(i int) bool {
-			return w.f.Compare(w.entries[i].Key, e.Key) >= 0
+			return w.f.Compare(w.entries.At(i).Key, e.Key) >= 0
 		})
-		if w.f.Compare(w.entries[pos].Key, e.Key) == 0 {
+		if w.f.Compare(w.entries.At(pos).Key, e.Key) == 0 {
 			return pos, true
 		}
 	}
 	e.Msg.Retain()
-	if pos == len(w.entries) {
-		w.entries = append(w.entries, e)
-		return pos, false
-	}
-	w.entries = append(w.entries, Entry{})
-	copy(w.entries[pos+1:], w.entries[pos:])
-	w.entries[pos] = e
+	w.entries.Insert(pos, e)
 	return pos, false
 }
 
 // SetSerial stamps the delivery serial of the entry at position i.
-func (w *Window) SetSerial(i int, serial uint64) { w.entries[i].Serial = serial }
+func (w *Window) SetSerial(i int, serial uint64) { w.entries.At(i).Serial = serial }
 
 // RemoveAt deletes and returns the entry at position i ("unsend" received
 // for a message we had accepted). The window's reference on the entry's
 // message is released: the returned Entry is readable but must not be
 // retained past the caller's frame.
 func (w *Window) RemoveAt(i int) Entry {
-	e := w.entries[i]
-	n := copy(w.entries[i:], w.entries[i+1:])
-	w.entries[i+n] = Entry{}
-	w.entries = w.entries[:i+n]
+	e := w.entries.Remove(i)
 	e.Msg.Release()
 	return e
 }
@@ -134,20 +127,24 @@ func (w *Window) RemoveAt(i int) Entry {
 // FindMsg returns the position of the entry carrying the message with id,
 // or -1. Timer batches never match.
 func (w *Window) FindMsg(id msg.ID) int {
-	for i := range w.entries {
-		if m := w.entries[i].Msg; m != nil && m.ID == id {
-			return i
+	for i := 0; i < w.entries.Len(); {
+		s := w.entries.Span(i)
+		for j := range s {
+			if m := s[j].Msg; m != nil && m.ID == id {
+				return i + j
+			}
 		}
+		i += len(s)
 	}
 	return -1
 }
 
 // FindKey returns the position of the entry with exactly key, or -1.
 func (w *Window) FindKey(key ordering.Key) int {
-	pos := sort.Search(len(w.entries), func(i int) bool {
-		return w.f.Compare(w.entries[i].Key, key) >= 0
+	pos := sort.Search(w.entries.Len(), func(i int) bool {
+		return w.f.Compare(w.entries.At(i).Key, key) >= 0
 	})
-	if pos < len(w.entries) && w.f.Compare(w.entries[pos].Key, key) == 0 {
+	if pos < w.entries.Len() && w.f.Compare(w.entries.At(pos).Key, key) == 0 {
 		return pos
 	}
 	return -1
@@ -165,20 +162,18 @@ func (w *Window) Retire(n int) {
 	if n <= 0 {
 		return
 	}
-	for i := 0; i < n; i++ {
-		w.entries[i].Msg.Release()
+	for i := range n {
+		w.entries.At(i).Msg.Release()
 	}
-	m := copy(w.entries, w.entries[n:])
-	clear(w.entries[m:]) // drop lingering references in the recycled tail
-	w.entries = w.entries[:m]
+	w.entries.DropFront(n)
 }
 
 // Keys returns the keys of all live entries in delivered order (testing
 // helper).
 func (w *Window) Keys() []ordering.Key {
-	out := make([]ordering.Key, len(w.entries))
-	for i := range w.entries {
-		out[i] = w.entries[i].Key
+	out := make([]ordering.Key, w.entries.Len())
+	for i := range out {
+		out[i] = w.entries.At(i).Key
 	}
 	return out
 }
@@ -186,10 +181,9 @@ func (w *Window) Keys() []ordering.Key {
 // CheckInvariant verifies the window is sorted; it returns an error
 // describing the first violation (testing/debug helper).
 func (w *Window) CheckInvariant() error {
-	for i := 1; i < len(w.entries); i++ {
-		if w.f.Compare(w.entries[i-1].Key, w.entries[i].Key) >= 0 {
-			return fmt.Errorf("history: window out of order at %d: %v >= %v",
-				i, w.entries[i-1].Key, w.entries[i].Key)
+	for i := 1; i < w.entries.Len(); i++ {
+		if prev, cur := w.entries.At(i-1).Key, w.entries.At(i).Key; w.f.Compare(prev, cur) >= 0 {
+			return fmt.Errorf("history: window out of order at %d: %v >= %v", i, prev, cur)
 		}
 	}
 	return nil

@@ -1,9 +1,12 @@
 package history
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"defined/internal/msg"
 	"defined/internal/ordering"
@@ -303,18 +306,17 @@ func TestWindowRetainsAndReleasesMessages(t *testing.T) {
 	}
 }
 
-// searchInsert is Insert as it was before the tail shortcut: always a
-// binary search. It is the oracle for where an entry belongs.
-func searchInsert(w *Window, e Entry) (pos int, dup bool) {
-	pos = sort.Search(len(w.entries), func(i int) bool {
-		return w.f.Compare(w.entries[i].Key, e.Key) >= 0
+// searchInsert is Insert as it was before the tail shortcut, on a plain
+// sorted slice: always a binary search. It is the oracle for where an
+// entry belongs.
+func searchInsert(f ordering.Func, ref *[]Entry, e Entry) (pos int, dup bool) {
+	pos = sort.Search(len(*ref), func(i int) bool {
+		return f.Compare((*ref)[i].Key, e.Key) >= 0
 	})
-	if pos < len(w.entries) && w.f.Compare(w.entries[pos].Key, e.Key) == 0 {
+	if pos < len(*ref) && f.Compare((*ref)[pos].Key, e.Key) == 0 {
 		return pos, true
 	}
-	w.entries = append(w.entries, Entry{})
-	copy(w.entries[pos+1:], w.entries[pos:])
-	w.entries[pos] = e
+	*ref = slices.Insert(*ref, pos, e)
 	return pos, false
 }
 
@@ -329,12 +331,12 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 	}{{ordering.Optimized(), 1000}, {ordering.Random(5), 10}} {
 		f := tc.f
 		r := rng.New(9)
-		w, ref := New(f), New(f)
+		w, ref := New(f), []Entry(nil)
 		tails, dups := 0, 0
 		step := func(e Entry) {
 			t.Helper()
-			wasEmpty := ref.Len() == 0
-			wantPos, wantDup := searchInsert(ref, e)
+			wasEmpty := len(ref) == 0
+			wantPos, wantDup := searchInsert(f, &ref, e)
 			pos, dup := w.Insert(e)
 			if pos != wantPos || dup != wantDup {
 				t.Fatalf("%s: Insert(%v) = (%d, %v), search says (%d, %v) (window empty: %v)",
@@ -346,8 +348,11 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 			if dup {
 				dups++
 			}
-			for i := range ref.entries {
-				if w.entries[i] != ref.entries[i] {
+			if w.Len() != len(ref) {
+				t.Fatalf("%s: window holds %d entries, search %d after Insert(%v)", f.Name(), w.Len(), len(ref), e.Key)
+			}
+			for i := range ref {
+				if *w.At(i) != ref[i] {
 					t.Fatalf("%s: windows differ at %d after Insert(%v)", f.Name(), i, e.Key)
 				}
 			}
@@ -368,7 +373,7 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 			}
 			if r.Intn(500) == 0 { // start over from empty
 				w.Retire(w.Len())
-				ref.Retire(ref.Len())
+				ref = ref[:0]
 			}
 		}
 		if tails < tc.minTails || dups < 300 {
@@ -376,3 +381,57 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// timerEntry is an in-order window entry that references no message.
+func timerEntry(group uint64) Entry {
+	return Entry{Key: ordering.TimerKey(group, 0), ArrivedAt: vtime.Time(group)}
+}
+
+// Growing a window from empty allocates its entries once: at most N cells
+// plus one 256-cell piece, where doubling a slice allocates about 2N.
+// Sliding it at constant occupancy afterwards (insert, then retire the
+// oldest) allocates nothing.
+func TestWindowGrowthAllocatesOnce(t *testing.T) {
+	// A race-detector build does not fuse append(s, make(...)...), so a
+	// new piece there allocates twice. Detected by that effect.
+	if testing.AllocsPerRun(10, func() { grownSink = slices.Grow([]int(nil), 8) }) != 1 {
+		t.Skip("slices.Grow allocates twice in this build (race detector on)")
+	}
+	const n = 1000
+	w := New(ordering.Optimized())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for g := range uint64(n) {
+		w.Insert(timerEntry(g))
+	}
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n+256)*uint64(unsafe.Sizeof(Entry{})); got > max {
+		t.Fatalf("growing to %d entries allocated %d B, want at most %d", n, got, max)
+	}
+	g := uint64(n)
+	if got := testing.AllocsPerRun(1000, func() {
+		w.Insert(timerEntry(g))
+		w.Retire(1)
+		g++
+	}); got != 0 {
+		t.Fatalf("sliding insert/retire: %v allocs, want 0", got)
+	}
+}
+
+// At past Len panics rather than returning a retired cell.
+func TestWindowAtPastLenPanics(t *testing.T) {
+	w := New(ordering.Optimized())
+	for g := range uint64(8) {
+		w.Insert(timerEntry(g))
+	}
+	w.Retire(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("At(Len) did not panic")
+		}
+	}()
+	w.At(w.Len())
+}
+
+// grownSink keeps the race-build probe's slice alive.
+var grownSink []int

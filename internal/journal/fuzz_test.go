@@ -112,7 +112,9 @@ func runLogProgram(t *testing.T, data []byte) {
 			o.mustPanic("compact past the head", func() { o.l.Compact(o.head() + 1 + Mark(a)) })
 			if o.base > 0 {
 				o.mustPanic("rewind below the base", func() { o.l.Rewind(o.base - 1 - Mark(a)%o.base) })
+				o.mustPanic("At below the base", func() { o.l.At(o.base - 1 - Mark(a)%o.base) })
 			}
+			o.mustPanic("At at the head", func() { o.l.At(o.head() + Mark(a)) })
 		case 6: // At reads every live record back
 			for p := o.base; p < o.head(); p++ {
 				if got, want := o.l.At(p), o.entries[p-o.base]; got != want {

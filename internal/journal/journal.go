@@ -10,8 +10,9 @@
 //
 // A Log is generic over the client's entry type, so each daemon defines
 // its own compact tagged-union undo record and pays no per-entry boxing or
-// allocation in steady state: entries live in one reusable slice. A record
-// is copied on every mutation and kept until its checkpoint settles, so it
+// allocation in steady state: entries live in a slide.Buf, which grows
+// without copying a record and compacts by moving its head. A record is
+// copied on every mutation and kept until its checkpoint settles, so it
 // should hold a tag, one integer and at most one pointer — never a slice
 // header or an interface holding one (that boxes on every Record, enabled
 // or not). Wide old values go to a second, typed Log that the first one's
@@ -27,7 +28,11 @@
 // grows.
 package journal
 
-import "fmt"
+import (
+	"fmt"
+
+	"defined/internal/slide"
+)
 
 // Mark is an absolute journal position. A mark taken with Log.Mark remains
 // valid until a Compact call passes it.
@@ -38,8 +43,8 @@ type Mark uint64
 // recorded it.
 type Log[E any] struct {
 	undo    func(E)
-	entries []E
-	base    Mark // absolute position of entries[0]
+	entries slide.Buf[E]
+	base    Mark // absolute position of entries.At(0)
 	enabled bool
 }
 
@@ -62,15 +67,15 @@ func (l *Log[E]) Record(e E) {
 	if !l.enabled {
 		return
 	}
-	l.entries = append(l.entries, e)
+	l.entries.Push(e)
 }
 
 // Mark returns the current journal position. Rewinding to it restores the
 // state exactly as it is now.
-func (l *Log[E]) Mark() Mark { return l.base + Mark(len(l.entries)) }
+func (l *Log[E]) Mark() Mark { return l.base + Mark(l.entries.Len()) }
 
 // Len reports the number of live (un-compacted) entries.
-func (l *Log[E]) Len() int { return len(l.entries) }
+func (l *Log[E]) Len() int { return l.entries.Len() }
 
 // Base returns the oldest live position (everything before it has been
 // compacted away).
@@ -78,7 +83,7 @@ func (l *Log[E]) Base() Mark { return l.base }
 
 // At returns the live entry at position m — the one a Mark taken just
 // before its Record addresses. It panics outside [Base, Mark).
-func (l *Log[E]) At(m Mark) E { return l.entries[m-l.base] }
+func (l *Log[E]) At(m Mark) E { return *l.entries.At(int(m - l.base)) }
 
 // Rewind applies undo entries newest-first until the journal is back at
 // mark m, restoring the client state to what it was when m was taken.
@@ -87,16 +92,14 @@ func (l *Log[E]) Rewind(m Mark) {
 	if !l.enabled {
 		return
 	}
-	n := int(m - l.base)
-	if m < l.base || n > len(l.entries) {
+	if m < l.base || m > l.Mark() {
 		panic(fmt.Sprintf("journal: rewind to %d outside [%d,%d]", m, l.base, l.Mark()))
 	}
-	var zero E
-	for i := len(l.entries) - 1; i >= n; i-- {
-		l.undo(l.entries[i])
-		l.entries[i] = zero // release referenced memory
+	n := int(m - l.base)
+	for i := l.entries.Len() - 1; i >= n; i-- {
+		l.undo(*l.entries.At(i))
 	}
-	l.entries = l.entries[:n]
+	l.entries.Truncate(n) // clears the undone records: they may reference memory
 }
 
 // Compact discards entries older than mark m: no caller will ever rewind
@@ -105,15 +108,9 @@ func (l *Log[E]) Compact(m Mark) {
 	if !l.enabled || m <= l.base {
 		return
 	}
-	n := int(m - l.base)
-	if n > len(l.entries) {
+	if m > l.Mark() {
 		panic(fmt.Sprintf("journal: compact to %d beyond head %d", m, l.Mark()))
 	}
-	rest := copy(l.entries, l.entries[n:])
-	var zero E
-	for i := rest; i < len(l.entries); i++ {
-		l.entries[i] = zero // release referenced memory
-	}
-	l.entries = l.entries[:rest]
+	l.entries.DropFront(int(m - l.base))
 	l.base = m
 }

@@ -1,6 +1,11 @@
 package journal
 
-import "testing"
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+)
 
 // intLog journals assignments to one slice of ints: each entry is a
 // (slot, old-value) pair, the canonical MI undo record.
@@ -148,3 +153,62 @@ func TestRewindOutOfRangePanics(t *testing.T) {
 		}()
 	}
 }
+
+// Growing a journal from empty allocates its records once: at most N
+// cells plus one 256-cell piece, where doubling a slice allocates about
+// 2N. Sliding it at constant depth afterwards (record, then compact the
+// oldest) allocates nothing.
+func TestGrowthAllocatesOnce(t *testing.T) {
+	// A race-detector build does not fuse append(s, make(...)...), so a
+	// new piece there allocates twice. Detected by that effect.
+	if testing.AllocsPerRun(10, func() { grownSink = slices.Grow([]int(nil), 8) }) != 1 {
+		t.Skip("slices.Grow allocates twice in this build (race detector on)")
+	}
+	const n = 1000
+	state := make([]int, 4)
+	l := newIntLog(state)
+	l.Enable()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range n {
+		set(l, state, i%4, i)
+	}
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n+256)*uint64(unsafe.Sizeof(slotUndo{})); got > max {
+		t.Fatalf("growing to %d records allocated %d B, want at most %d", n, got, max)
+	}
+	i := n
+	if got := testing.AllocsPerRun(1000, func() {
+		set(l, state, i%4, i)
+		l.Compact(l.Base() + 1)
+		i++
+	}); got != 0 {
+		t.Fatalf("sliding record/compact: %v allocs, want 0", got)
+	}
+}
+
+// At outside [Base, Mark) panics rather than returning a compacted or
+// rewound cell.
+func TestAtOutsideLivePanics(t *testing.T) {
+	state := make([]int, 4)
+	l := newIntLog(state)
+	l.Enable()
+	for i := range 10 {
+		set(l, state, i%4, i)
+	}
+	l.Compact(3)
+	l.Rewind(8)
+	for _, m := range []Mark{2, 8, 9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) outside [%d,%d) did not panic", m, l.Base(), l.Mark())
+				}
+			}()
+			l.At(m)
+		}()
+	}
+}
+
+// grownSink keeps the race-build probe's slice alive.
+var grownSink []int

@@ -8,6 +8,7 @@ import (
 	"defined/internal/msg"
 	"defined/internal/netsim"
 	"defined/internal/ordering"
+	"defined/internal/slide"
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
@@ -57,8 +58,8 @@ const (
 // rollback. flushH/flushAt track the single flush event and flushFn is its
 // callback, bound once.
 type pending struct {
-	buf       []pendingArrival
-	capLB     vtime.Time // lower bound on every buf[i].capAt (see spentThrough)
+	buf       slide.Buf[pendingArrival]
+	capLB     vtime.Time // lower bound on every buffered capAt (see spentThrough)
 	flushH    eventq.Handle
 	flushAt   vtime.Time
 	flushFn   eventq.Func
@@ -143,23 +144,27 @@ func (p *pending) decide(entry *history.Entry, rank ordering.Rank, win *history.
 	// Insertion position in the (small, key-ordered) buffer. The ranks
 	// decide nearly every cell; ordering.CompareRanked spelled out, so the
 	// keys are only copied into a call when two ranks tie.
-	pos := len(p.buf)
+	pos := p.buf.Len()
+scan:
 	for pos > 0 {
-		c := &p.buf[pos-1]
-		if c.rank.Less(rank) {
-			break
-		}
-		if !rank.Less(c.rank) {
-			cmp := p.cmp.Compare(c.entry.Key, entry.Key)
-			if cmp < 0 {
-				break
+		s := p.buf.SpanBefore(pos)
+		for k := len(s) - 1; k >= 0; k-- {
+			c := &s[k]
+			if c.rank.Less(rank) {
+				break scan
 			}
-			if cmp == 0 {
-				p.stats.Duplicates++
-				return true, false
+			if !rank.Less(c.rank) {
+				cmp := p.cmp.Compare(c.entry.Key, entry.Key)
+				if cmp < 0 {
+					break scan
+				}
+				if cmp == 0 {
+					p.stats.Duplicates++
+					return true, false
+				}
 			}
+			pos--
 		}
-		pos--
 	}
 	var due vtime.Time
 	if pos == 0 {
@@ -183,9 +188,9 @@ func (p *pending) decide(entry *history.Entry, rank ordering.Rank, win *history.
 	} else {
 		// Queues behind a pending predecessor for key order, with its own
 		// hold budget.
-		due = now.Add(p.holdFor(entry.Key, p.buf[pos-1].entry.Key))
+		due = now.Add(p.holdFor(entry.Key, p.buf.At(pos-1).entry.Key))
 	}
-	if pos == 0 && due <= now && len(p.buf) == 0 {
+	if pos == 0 && due <= now && p.buf.Len() == 0 {
 		// In order and past the heuristic hold. With per-link lookahead on,
 		// immediate delivery additionally requires frontier coverage: this
 		// is the rollback tail the gap rule cannot see — cross-wave
@@ -216,8 +221,8 @@ func (p *pending) direct() bool {
 func (p *pending) push(entry *history.Entry, rank ordering.Rank, pos int, due vtime.Time) (flush bool) {
 	now := p.lane.Now()
 	capAt := now.Add(p.budget)
-	if pos > 0 && p.buf[pos-1].due > due {
-		due = p.buf[pos-1].due
+	if pos > 0 {
+		due = max(due, p.buf.At(pos-1).due)
 	}
 	if due > capAt {
 		due = capAt
@@ -232,10 +237,10 @@ func (p *pending) push(entry *history.Entry, rank ordering.Rank, pos int, due vt
 	if held {
 		p.stats.Deferred++
 	}
-	if p.buf[0].due <= now || len(p.buf) > maxPending {
+	if p.buf.At(0).due <= now || p.buf.Len() > maxPending {
 		return true
 	}
-	p.armFlush(p.buf[0].due)
+	p.armFlush(p.buf.At(0).due)
 	return false
 }
 
@@ -262,17 +267,11 @@ func (p *pending) insertPending(c *pendingArrival, pos int) {
 	if c.capAt < p.capLB {
 		p.capLB = c.capAt
 	}
-	if pos == len(p.buf) {
-		p.buf = append(p.buf, *c)
-		return // no successor to raise, nothing clipped
-	}
-	p.buf = append(p.buf, pendingArrival{})
-	copy(p.buf[pos+1:], p.buf[pos:])
-	p.buf[pos] = *c
+	p.buf.Insert(pos, *c)
 	run := c.due
 	clipped := pos // last cell a cap clipped; pos = none
-	for j := pos + 1; j < len(p.buf); j++ {
-		q := &p.buf[j]
+	for j := pos + 1; j < p.buf.Len(); j++ {
+		q := p.buf.At(j)
 		if q.due >= run {
 			break
 		}
@@ -287,8 +286,8 @@ func (p *pending) insertPending(c *pendingArrival, pos int) {
 		run = q.due
 	}
 	for k := clipped - 1; k >= pos; k-- {
-		if p.buf[k].due > p.buf[k+1].due {
-			p.buf[k].due = p.buf[k+1].due
+		if c, next := p.buf.At(k), p.buf.At(k+1); c.due > next.due {
+			c.due = next.due
 		}
 	}
 }
@@ -306,12 +305,16 @@ func (p *pending) spentThrough(now vtime.Time) int {
 		return -1
 	}
 	last, lb := -1, vtime.Never
-	for j := range p.buf {
-		if c := p.buf[j].capAt; !c.After(now) {
-			last = j
-		} else if c < lb {
-			lb = c
+	for j := 0; j < p.buf.Len(); {
+		s := p.buf.Span(j)
+		for k := range s {
+			if c := s[k].capAt; !c.After(now) {
+				last = j + k
+			} else if c < lb {
+				lb = c
+			}
 		}
+		j += len(s)
 	}
 	p.capLB = lb
 	return last
@@ -347,7 +350,7 @@ func (p *pending) armFlush(at vtime.Time) {
 // front so the buffer can never grow with load.
 func (p *pending) releasable(now vtime.Time, look *lookahead) (n int, wake vtime.Time) {
 	force := p.spentThrough(now)
-	if force < 0 && len(p.buf) > maxPending {
+	if force < 0 && p.buf.Len() > maxPending {
 		force = 0
 	}
 	// A hit means something overtook the hold: either a direct window
@@ -357,37 +360,42 @@ func (p *pending) releasable(now vtime.Time, look *lookahead) (n int, wake vtime
 	// only counts toward DeferredFlushes when it delivers at least one
 	// entry that actually waited.
 	maxSeen, heldAny := uint64(0), false
-	for ; n < len(p.buf); n++ {
-		c := &p.buf[n]
-		if c.due.After(now) {
-			wake = c.due
-			break
-		}
-		if n > force && look.on() {
-			if rel := look.release(c.entry.Key, now); rel.After(now) {
-				if !c.laHeld {
-					c.laHeld = true
-					p.stats.LookaheadHolds++
-					if !c.held {
-						c.held = true
-						p.stats.Deferred++
-					}
-				}
-				// The idle horizon caps the hold, the budget caps the
-				// horizon; both are strictly future (a spent budget would
-				// have put the entry in the force prefix).
-				wake = min(rel, c.capAt)
-				break
+scan:
+	for n < p.buf.Len() {
+		s := p.buf.Span(n)
+		for k := range s {
+			c := &s[k]
+			if c.due.After(now) {
+				wake = c.due
+				break scan
 			}
+			if n > force && look.on() {
+				if rel := look.release(c.entry.Key, now); rel.After(now) {
+					if !c.laHeld {
+						c.laHeld = true
+						p.stats.LookaheadHolds++
+						if !c.held {
+							c.held = true
+							p.stats.Deferred++
+						}
+					}
+					// The idle horizon caps the hold, the budget caps the
+					// horizon; both are strictly future (a spent budget
+					// would have put the entry in the force prefix).
+					wake = min(rel, c.capAt)
+					break scan
+				}
+			}
+			heldAny = heldAny || c.held
+			if c.laHeld && n > force {
+				p.stats.LookaheadExactFlushes++
+			}
+			if p.directSeq > c.seq || maxSeen > c.seq {
+				p.stats.DeferHits++
+			}
+			maxSeen = max(maxSeen, c.seq)
+			n++
 		}
-		heldAny = heldAny || c.held
-		if c.laHeld && n > force {
-			p.stats.LookaheadExactFlushes++
-		}
-		if p.directSeq > c.seq || maxSeen > c.seq {
-			p.stats.DeferHits++
-		}
-		maxSeen = max(maxSeen, c.seq)
 	}
 	if heldAny {
 		p.stats.DeferredFlushes++
@@ -398,12 +406,8 @@ func (p *pending) releasable(now vtime.Time, look *lookahead) (n int, wake vtime
 // drop removes the n front entries a flush delivered and re-arms the flush
 // event for the rest at wake.
 func (p *pending) drop(n int, wake vtime.Time) {
-	if n > 0 {
-		m := copy(p.buf, p.buf[n:])
-		clear(p.buf[m:]) // drop lingering references in the recycled tail
-		p.buf = p.buf[:m]
-	}
-	if len(p.buf) > 0 {
+	p.buf.DropFront(n)
+	if p.buf.Len() > 0 {
 		p.armFlush(wake)
 	}
 }
@@ -413,14 +417,12 @@ func (p *pending) drop(n int, wake vtime.Time) {
 // input-queue annihilation): no rollback, no replay. It reports whether the
 // target was found.
 func (p *pending) annihilate(target msg.ID) bool {
-	for i := range p.buf {
-		m := p.buf[i].entry.Msg
+	for i := range p.buf.Len() {
+		m := p.buf.At(i).entry.Msg
 		if m == nil || m.ID != target {
 			continue
 		}
-		n := copy(p.buf[i:], p.buf[i+1:])
-		clear(p.buf[i+n:])
-		p.buf = p.buf[:i+n]
+		p.buf.Remove(i)
 		p.stats.PendingAnnihilated++
 		m.Release() // annihilated before delivery: the buffer held the last local reference
 		return true
@@ -436,17 +438,14 @@ func (p *pending) reset() {
 		p.flushH = eventq.Handle{}
 		p.flushAt = 0
 	}
-	for i := range p.buf {
-		p.buf[i].entry.Msg.Release()
-	}
-	clear(p.buf)
-	p.buf = p.buf[:0]
+	p.held((*msg.Message).Release)
+	p.buf.Truncate(0)
 }
 
 // held passes note every message the buffer references.
 func (p *pending) held(note func(*msg.Message)) {
-	for i := range p.buf {
-		note(p.buf[i].entry.Msg)
+	for i := range p.buf.Len() {
+		note(p.buf.At(i).entry.Msg)
 	}
 }
 

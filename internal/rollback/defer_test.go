@@ -56,8 +56,8 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	if got := sh.win.Len(); got != 1 {
 		t.Fatalf("near entry delivered eagerly: window len %d", got)
 	}
-	if len(sh.pend.buf) != 1 {
-		t.Fatalf("pending len = %d, want 1", len(sh.pend.buf))
+	if sh.pend.buf.Len() != 1 {
+		t.Fatalf("pending len = %d, want 1", sh.pend.buf.Len())
 	}
 	if st := e.Stats(); st.Deferred != 1 {
 		t.Fatalf("Deferred = %d, want 1", st.Deferred)
@@ -67,21 +67,21 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	// (its own gap to the tail is 0.5 ms, so it defers as the new front).
 	mid := mkMsg(10*vtime.Millisecond+500*vtime.Microsecond, 3, 102)
 	sh.onEntry(entryOf(mid, e.sim.Now()))
-	if len(sh.pend.buf) != 2 {
-		t.Fatalf("pending len = %d, want 2", len(sh.pend.buf))
+	if sh.pend.buf.Len() != 2 {
+		t.Fatalf("pending len = %d, want 2", sh.pend.buf.Len())
 	}
-	if sh.pend.buf[0].entry.Msg.ID != mid.ID {
+	if sh.pend.buf.At(0).entry.Msg.ID != mid.ID {
 		t.Fatal("mid-gap straggler must front the pending buffer")
 	}
-	if sh.pend.buf[0].due > sh.pend.buf[1].due {
+	if sh.pend.buf.At(0).due > sh.pend.buf.At(1).due {
 		t.Fatal("pending dues must be non-decreasing in key order")
 	}
 
 	// Run the simulator until the flush event fires: both flush in key
 	// order, no rollback anywhere.
 	e.sim.Run(e.sim.Now().Add(20 * vtime.Millisecond))
-	if len(sh.pend.buf) != 0 {
-		t.Fatalf("pending not flushed: %d", len(sh.pend.buf))
+	if sh.pend.buf.Len() != 0 {
+		t.Fatalf("pending not flushed: %d", sh.pend.buf.Len())
 	}
 	if got := sh.win.Len(); got != 3 {
 		t.Fatalf("window len = %d, want 3", got)
@@ -129,15 +129,15 @@ func TestAntiAnnihilatesPendingArrival(t *testing.T) {
 	sh.onEntry(entryOf(mkMsg(10*vtime.Millisecond, 1, 100), e.sim.Now()))
 	target := mkMsg(11*vtime.Millisecond, 2, 101)
 	sh.onEntry(entryOf(target, e.sim.Now()))
-	if len(sh.pend.buf) != 1 {
-		t.Fatalf("target not pending: %d", len(sh.pend.buf))
+	if sh.pend.buf.Len() != 1 {
+		t.Fatalf("target not pending: %d", sh.pend.buf.Len())
 	}
 
 	anti := &msg.Message{Kind: msg.KindAnti, Payload: antiPayload{Target: target.ID}}
 	sh.onAnti(anti)
 	st := e.Stats()
-	if st.PendingAnnihilated != 1 || len(sh.pend.buf) != 0 {
-		t.Fatalf("annihilation failed: %+v pend=%d", st, len(sh.pend.buf))
+	if st.PendingAnnihilated != 1 || sh.pend.buf.Len() != 0 {
+		t.Fatalf("annihilation failed: %+v pend=%d", st, sh.pend.buf.Len())
 	}
 	if st.Rollbacks != 0 || st.LateAnti != 0 {
 		t.Fatalf("annihilation must be rollback-free: %+v", st)
@@ -488,10 +488,10 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	// a lookahead hold instead of delivering into a possible rollback.
 	far := mkMsgFrom(0, 50*ms, 2, 101)
 	sh.onEntry(entryOf(far, vtime.Time(1*ms)))
-	if sh.win.Len() != 1 || len(sh.pend.buf) != 1 {
-		t.Fatalf("far entry not held: window %d pending %d", sh.win.Len(), len(sh.pend.buf))
+	if sh.win.Len() != 1 || sh.pend.buf.Len() != 1 {
+		t.Fatalf("far entry not held: window %d pending %d", sh.win.Len(), sh.pend.buf.Len())
 	}
-	if !sh.pend.buf[0].laHeld {
+	if !sh.pend.buf.At(0).laHeld {
 		t.Fatal("hold not marked as a lookahead hold")
 	}
 	if st := e.Stats(); st.LookaheadHolds != 1 || st.Deferred != 1 {
@@ -503,19 +503,19 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 	// promise, 50 ms, trails the cover's 60 ms prediction).
 	cover := mkMsgFrom(2, 60*ms, 3, 102)
 	sh.onEntry(entryOf(cover, vtime.Time(2*ms)))
-	if sh.win.Len() != 2 || len(sh.pend.buf) != 1 {
+	if sh.win.Len() != 2 || sh.pend.buf.Len() != 1 {
 		t.Fatalf("covering arrival did not release the hold: window %d pending %d",
-			sh.win.Len(), len(sh.pend.buf))
+			sh.win.Len(), sh.pend.buf.Len())
 	}
-	if sh.pend.buf[0].entry.Msg.ID != cover.ID {
+	if sh.pend.buf.At(0).entry.Msg.ID != cover.ID {
 		t.Fatal("cover must now front the pending buffer")
 	}
 
 	// No covering traffic for the cover's own hold: the 0→1 link goes
 	// quiet and the idle rule releases it at the scheduled flush.
 	e.sim.Run(vtime.Time(100 * ms))
-	if len(sh.pend.buf) != 0 {
-		t.Fatalf("idle release did not flush: pending %d", len(sh.pend.buf))
+	if sh.pend.buf.Len() != 0 {
+		t.Fatalf("idle release did not flush: pending %d", sh.pend.buf.Len())
 	}
 	if sh.win.Len() != 3 {
 		t.Fatalf("window len = %d, want 3", sh.win.Len())

@@ -195,14 +195,14 @@ func TestPanicInsideFlushQuarantines(t *testing.T) {
 	for i, d := range []vtime.Duration{10 * ms, 11 * ms, 12 * ms} {
 		sh.onEntry(entryOf(mkMsg(d, uint64(i+1), 100+i), e.sim.Now()))
 	}
-	if sh.win.Len() != 1 || len(sh.pend.buf) != 2 {
-		t.Fatalf("window %d, pending %d: want one delivered, two held", sh.win.Len(), len(sh.pend.buf))
+	if sh.win.Len() != 1 || sh.pend.buf.Len() != 2 {
+		t.Fatalf("window %d, pending %d: want one delivered, two held", sh.win.Len(), sh.pend.buf.Len())
 	}
 	e.sim.Run(e.sim.Now().Add(20 * ms))
 	if st := e.Stats(); st.PanicCrashes != 1 || !e.Crashed(1) {
 		t.Fatalf("panic not quarantined: %+v", st)
 	}
-	if sh.win.Len() != 0 || len(sh.pend.buf) != 0 || e.HeldMessages() != 0 {
-		t.Fatalf("quarantine left window %d, pending %d, %d held", sh.win.Len(), len(sh.pend.buf), e.HeldMessages())
+	if sh.win.Len() != 0 || sh.pend.buf.Len() != 0 || e.HeldMessages() != 0 {
+		t.Fatalf("quarantine left window %d, pending %d, %d held", sh.win.Len(), sh.pend.buf.Len(), e.HeldMessages())
 	}
 }

@@ -117,24 +117,23 @@ func TestPushPendingMatchesReference(t *testing.T) {
 					last++
 				}
 				ref = ref[:copy(ref, ref[last+1:])]
-				pd.buf = pd.buf[:copy(pd.buf, pd.buf[last+1:])]
+				pd.buf.DropFront(last + 1)
 			case 2: // annihilate
 				if len(ref) == 0 {
 					continue
 				}
 				i := r.Intn(len(ref))
 				ref = append(ref[:i], ref[i+1:]...)
-				pd.buf = append(pd.buf[:i], pd.buf[i+1:]...)
+				pd.buf.Remove(i)
 			}
-			if len(pd.buf) != len(ref) {
-				t.Fatalf("program %d op %d: %d cells, reference has %d", prog, op, len(pd.buf), len(ref))
+			if pd.buf.Len() != len(ref) {
+				t.Fatalf("program %d op %d: %d cells, reference has %d", prog, op, pd.buf.Len(), len(ref))
 			}
 			for i := range ref {
-				if pd.buf[i] != ref[i] {
-					t.Fatalf("program %d op %d cell %d: %+v, reference %+v", prog, op, i, pd.buf[i], ref[i])
-				}
-				if pd.buf[i].capAt < pd.capLB {
-					t.Fatalf("program %d op %d cell %d: capAt %v under the lower bound %v", prog, op, i, pd.buf[i].capAt, pd.capLB)
+				if c := pd.buf.At(i); *c != ref[i] {
+					t.Fatalf("program %d op %d cell %d: %+v, reference %+v", prog, op, i, *c, ref[i])
+				} else if c.capAt < pd.capLB {
+					t.Fatalf("program %d op %d cell %d: capAt %v under the lower bound %v", prog, op, i, c.capAt, pd.capLB)
 				}
 				if i > 0 && ref[i-1].due > ref[i].due || ref[i].due > ref[i].capAt {
 					t.Fatalf("program %d op %d cell %d: due invariant broken in the reference itself", prog, op, i)
@@ -169,7 +168,7 @@ func newDeferBench(depth int) *deferBench {
 	b := &deferBench{pd: pd, win: history.New(cmp), depth: depth, ring: make([]msg.Message, 4*depth)}
 	for b.step < depth {
 		m := b.arrival(b.step)
-		b.pd.buf = append(b.pd.buf, pendingArrival{
+		b.pd.buf.Push(pendingArrival{
 			rank:  cmp.Rank(ordering.KeyOf(m)),
 			entry: *entryOf(m, 0),
 			capAt: vtime.Time(100 * vtime.Millisecond),
@@ -193,7 +192,7 @@ func (b *deferBench) arrival(i int) *msg.Message {
 // depth/2, so an arrival sorts before the block-mates that beat it here:
 // the scan passes depth/4 cells on average, as a flood wave's stragglers do.
 func (b *deferBench) push() bool {
-	front := b.pd.buf[0].entry.Msg.ID
+	front := b.pd.buf.At(0).entry.Msg.ID
 	blk := b.depth / 2
 	m := b.arrival(b.step/blk*blk + blk - 1 - b.step%blk)
 	b.step++
@@ -223,7 +222,7 @@ func BenchmarkDeferPush(b *testing.B) {
 }
 
 // The deferral buffer's steady state allocates nothing: the buffer's
-// backing array is reused across insertions and removals, and the flush
+// storage is reused across insertions and removals, and the flush
 // event is re-armed in place.
 func TestDeferPushAllocFree(t *testing.T) {
 	db := newDeferBench(48)
@@ -236,7 +235,7 @@ func TestDeferPushAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state deferral push allocates %.1f allocs/op, want 0", avg)
 	}
-	if got := len(db.pd.buf); got != 48 {
+	if got := db.pd.buf.Len(); got != 48 {
 		t.Fatalf("buffer depth drifted to %d", got)
 	}
 }

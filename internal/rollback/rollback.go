@@ -43,7 +43,7 @@
 //	layer      file       owns                                       guarantee
 //	lookahead  defer.go   links, nbr                                 releases depend only on the node's own delivery stream
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
-//	                      directSeq
+//	                      directSeq (buf, Window, ckpts: slide.Bufs)
 //	window     window.go  Window, ckpts, japp, serial, hw            restoring ckpts[i] puts back the state entry i was delivered in
 //	ledger     ledger.go  sent, recFree, recSlab, replayPool,        after a replay the wire carries what the replay produced,
 //	                      replayFresh, dropLog                       with the annotations the first pass gave it

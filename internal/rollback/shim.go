@@ -134,7 +134,7 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	// already passed, coverage was the only blocker) — the event-driven
 	// release that lets held entries flush the moment the straggler they
 	// were waiting for lands, instead of waiting out the idle horizon.
-	if sh.look.on() && len(sh.pend.buf) > 0 && !sh.pend.buf[0].due.After(sh.lane.Now()) {
+	if sh.look.on() && sh.pend.buf.Len() > 0 && !sh.pend.buf.At(0).due.After(sh.lane.Now()) {
 		sh.flushPending()
 	}
 }
@@ -216,11 +216,11 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 	// Fresh materializations only make a rollback non-spurious when a
 	// *re-delivered* entry (one with a serial) produced them; a rollback's
 	// trigger entry is doing its sends for the first time either way.
-	replayed := sh.win.At(i).Serial != 0
+	entry := sh.win.At(i) // stamp moves no window cell
+	replayed := entry.Serial != 0
 	serial := sh.win.stamp(i)
 	sh.stats.Deliveries++
 
-	entry := sh.win.At(i)
 	outs, ok := sh.handleEntry(entry)
 	if !ok {
 		// The handler panicked: the node is quarantined (see recoverPanic),
@@ -341,7 +341,7 @@ func (sh *shim) flushPending() {
 	now := sh.lane.Now()
 	n, wake := sh.pend.releasable(now, &sh.look)
 	for i := range n {
-		c := &sh.pend.buf[i]
+		c := sh.pend.buf.At(i)
 		// The entry enters the window when it flushes; retirement clocks
 		// start here, so a hold can never age an entry toward a settle
 		// violation.

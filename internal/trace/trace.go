@@ -202,7 +202,8 @@ func sanitize(events []Event) []Event {
 // Compress rescales the trace onto a target window, preserving order and
 // relative burst structure. The paper replays two weeks of Tier-1 events
 // against an emulated network; compressing keeps simulated-time spans (and
-// beacon counts) tractable while leaving orderings untouched.
+// beacon counts) tractable while leaving orderings untouched. events must
+// be sorted by At, as Synthesize and Poisson return them.
 func Compress(events []Event, target vtime.Duration) []Event {
 	if len(events) == 0 {
 		return nil
