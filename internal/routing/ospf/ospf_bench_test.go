@@ -4,11 +4,13 @@ package ospf
 // of an evaluation topology whose LSDB was filled by replaying the LSA
 // stream a converged network floods (every router's full adjacency list,
 // in origin order). Caching is off so every request reaches the miss path.
-// The only allocation a miss may make is the table it builds: 1 alloc/op on
-// full and delta-insert, 0 on delta-noop, which reuses the table
-// (TestSPFAllocs holds them to that).
+// A miss that builds allocates only its share of the daemon's table slabs:
+// a spine, and a chunk for each chunk whose labels moved. delta-noop
+// reuses the table and allocates nothing (TestSPFAllocs holds every case
+// to its budget).
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -43,12 +45,55 @@ func convergedDaemon(g *topology.Graph) *Daemon {
 	return d
 }
 
-// spfCase is one path of runSPF set up for measurement: op is one miss,
-// allocs what it may allocate.
+// spfCase is one path of runSPF set up for measurement: op is one miss
+// on an n-destination table that writes chunks chunks (-1: builds no
+// table at all).
 type spfCase struct {
-	name   string
-	allocs float64
-	op     func()
+	name      string
+	n, chunks int
+	op        func()
+}
+
+// budget is what one miss of c may allocate on average.
+func (c spfCase) budget() (allocs, bytes float64) {
+	if c.chunks < 0 {
+		return 0, 0
+	}
+	return slabBudget(c.n, 1, float64(c.chunks))
+}
+
+// slabBudget is what builds table builds over n destinations, writing
+// chunks fresh chunks between them, may allocate: a share of a spine slab
+// (spineSlabTables spines) per build and of a chunk slab (one table's
+// worth) per chunk, each slab charged at what the allocator charges for it
+// (size class and malloc header included).
+func slabBudget(n int, builds, chunks float64) (allocs, bytes float64) {
+	k := (n + chunkLen - 1) / chunkLen
+	var spines []*chunk
+	var cells []chunk
+	_, spineSlab := perRun(1, func() { spines = make([]*chunk, spineSlabTables*k) })
+	_, chunkSlab := perRun(1, func() { cells = make([]chunk, k) })
+	runtime.KeepAlive(spines)
+	runtime.KeepAlive(cells)
+	allocs = builds/spineSlabTables + chunks/float64(k)
+	bytes = builds*spineSlab/spineSlabTables + chunks*chunkSlab/float64(k)
+	return allocs, bytes
+}
+
+// perRun is testing.AllocsPerRun, bytes included and not rounded down to
+// whole allocations (a slab cut is a fraction of one): the mean
+// allocations and bytes of one call of f over runs calls, after a warm-up
+// call.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func spfCases(tb testing.TB) []spfCase {
@@ -64,6 +109,7 @@ func spfCases(tb testing.TB) []spfCase {
 	delta := func(want spfPath, variant func(d *Daemon, withheld, whole *LSA) *LSA) func() {
 		d := convergedDaemon(brite)
 		d.JournalEnable()
+		var log installLog
 		for x := 1; x < brite.N; x++ {
 			whole := graphLSA(brite, x, 2)
 			if len(whole.Links) < 2 {
@@ -74,7 +120,7 @@ func spfCases(tb testing.TB) []spfCase {
 			d.setLSDB(withheld.Origin, withheld)
 			d.runSPF()
 			d.setLSDB(whole.Origin, whole)
-			took := checkedSPF(tb, d, "probe")
+			took := checkedSPF(tb, d, &log, "probe")
 			d.JournalRewind(mark)
 			if took != pathDelta {
 				continue
@@ -84,7 +130,7 @@ func spfCases(tb testing.TB) []spfCase {
 			lsa := variant(d, withheld, whole)
 			mark = d.JournalMark()
 			d.setLSDB(lsa.Origin, lsa)
-			if took := checkedSPF(tb, d, "measured install"); took != want {
+			if took := checkedSPF(tb, d, &log, "measured install"); took != want {
 				tb.Fatalf("measured install took the %v path, want %v", took, want)
 			}
 			d.JournalRewind(mark)
@@ -99,12 +145,15 @@ func spfCases(tb testing.TB) []spfCase {
 		return nil
 	}
 	return []spfCase{
-		{"full-n43", 1, full(topology.Sprintlink())},
-		{"full-n150", 1, full(brite)},
-		{"delta-insert-n150", 1, delta(pathDelta, func(_ *Daemon, _, whole *LSA) *LSA { return whole })},
+		// A repeated full run rebuilds the table it replaces: every chunk
+		// is shared.
+		{"full-n43", 43, 0, full(topology.Sprintlink())},
+		{"full-n150", 150, 0, full(brite)},
+		// The withheld link shortens routes inside one chunk.
+		{"delta-insert-n150", 150, 1, delta(pathDelta, func(_ *Daemon, _, whole *LSA) *LSA { return whole })},
 		// A link toward a router that does not advertise x back: no usable
-		// edge changes.
-		{"delta-noop-n150", 0, delta(pathReuse, func(d *Daemon, withheld, _ *LSA) *LSA {
+		// edge changes, and the table is reused.
+		{"delta-noop-n150", 150, -1, delta(pathReuse, func(d *Daemon, withheld, _ *LSA) *LSA {
 			for z := msg.NodeID(1); ; z++ {
 				if _, listed := d.costTo(d.lsaOf(z), withheld.Origin); !listed && z != withheld.Origin {
 					links := append(slices.Clone(withheld.Links), Adj{To: z, Cost: 1})
@@ -128,7 +177,9 @@ func BenchmarkSPF(b *testing.B) {
 }
 
 // TestSPFAllocs is the gate on the numbers BenchmarkSPF reports: a miss
-// allocates its table and nothing else.
+// allocates its slab share of a spine and of the chunks it writes, and
+// nothing else. A flat table, one allocation of every hop per miss, was
+// 1 alloc and 1,280 B on the n150 cases.
 func TestSPFAllocs(t *testing.T) {
 	// A race-detector build does not fuse append(s, make(...)...), so under
 	// it grown allocates a temporary each time a run regrows its scratch
@@ -138,8 +189,10 @@ func TestSPFAllocs(t *testing.T) {
 		t.Skip("grown allocates within capacity in this build (race detector on)")
 	}
 	for _, c := range spfCases(t) {
-		if got := testing.AllocsPerRun(100, c.op); got != c.allocs {
-			t.Errorf("%s: %v allocs per miss, want %v", c.name, got, c.allocs)
+		allocs, bytes := perRun(120, c.op) // 120 misses: whole slabs at k = 3 and k = 10
+		wantAllocs, wantBytes := c.budget()
+		if allocs > wantAllocs || bytes > wantBytes {
+			t.Errorf("%s: %.3f allocs, %.1f B per miss, budget %.3f allocs, %.1f B", c.name, allocs, bytes, wantAllocs, wantBytes)
 		}
 	}
 }

@@ -13,9 +13,11 @@ import (
 	"defined/internal/vtime"
 )
 
-// tablePtr identifies the current table allocation (cache hits reinstall
-// the shared slice, so pointer identity is observable in white-box tests).
-func (d *Daemon) tablePtr() *hop {
+// tablePtr identifies the current table by its spine: every build cuts a
+// fresh one, even when it shares every chunk, and cache hits and rewinds
+// reinstall the shared spine, so pointer identity is observable in
+// white-box tests.
+func (d *Daemon) tablePtr() **chunk {
 	if len(d.st.table) == 0 {
 		return nil
 	}
@@ -168,7 +170,7 @@ func TestReplayInDifferentOrderStaysCoherent(t *testing.T) {
 	if d.Epoch() == afterA {
 		t.Fatal("different intermediate contents collided on one epoch")
 	}
-	tableB := append([]hop(nil), d.st.table...)
+	tableB := d.st.table.flat()
 	d.HandleMessage(lsaMsg(1, lsaA))
 	if d.Epoch() != endEpoch {
 		t.Fatalf("commutative fold broken: epoch %d, want %d", d.Epoch(), endEpoch)
@@ -181,7 +183,7 @@ func TestReplayInDifferentOrderStaysCoherent(t *testing.T) {
 	d2.Init(0, []api.Neighbor{{ID: 1, Cost: 1}, {ID: 2, Cost: 1}})
 	fullLSDB(d2)
 	d2.HandleMessage(lsaMsg(1, lsaB))
-	for i, r := range d2.st.table {
+	for i, r := range d2.st.table.flat() {
 		if i < len(tableB) && tableB[i] != r {
 			t.Fatalf("intermediate table diverged at %d: %+v vs %+v", i, tableB[i], r)
 		}
@@ -213,8 +215,8 @@ func TestFlapReturnsToMemoizedTable(t *testing.T) {
 }
 
 // TestCacheDisabledMatchesLegacyBehaviour pins the opt-out: with caching
-// off every request recomputes (fresh table allocation each time) and the
-// counters stay zero.
+// off every request recomputes (a fresh spine each time, whatever chunks it
+// shares) and the counters stay zero.
 func TestCacheDisabledMatchesLegacyBehaviour(t *testing.T) {
 	d := New(Config{})
 	d.SetRouteCaching(false)

@@ -6,6 +6,7 @@ package ospf
 // unreachable prefix while keeping younger marks rewindable.
 
 import (
+	"slices"
 	"testing"
 
 	"defined/internal/journal"
@@ -45,13 +46,8 @@ func statesEqual(t *testing.T, got, want *state) {
 		t.Fatalf("epochs differ: epoch %d/%d tableEpoch %d/%d",
 			got.epoch, want.epoch, got.tableEpoch, want.tableEpoch)
 	}
-	if len(got.table) != len(want.table) {
-		t.Fatalf("table len %d vs %d", len(got.table), len(want.table))
-	}
-	for i := range got.table {
-		if got.table[i] != want.table[i] {
-			t.Fatalf("table[%d]: %+v vs %+v", i, got.table[i], want.table[i])
-		}
+	if !slices.Equal(got.table.flat(), want.table.flat()) {
+		t.Fatalf("table %v vs %v", got.table.flat(), want.table.flat())
 	}
 	if len(got.holdQueue) != len(want.holdQueue) {
 		t.Fatalf("holdQueue len %d vs %d", len(got.holdQueue), len(want.holdQueue))

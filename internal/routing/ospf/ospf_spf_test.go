@@ -4,7 +4,9 @@ package ospf
 // same-table reuse, delta continuation, full heap run — the table must
 // equal, element for element and in length, what the O(n²)
 // linear-extraction Dijkstra this package used to run builds from scratch.
-// That routine survives here as the oracle.
+// That routine survives here as the oracle. Every build must also share
+// each chunk of the installed table whose content it repeats, and no table
+// may change once installed.
 
 import (
 	"slices"
@@ -106,30 +108,78 @@ const (
 
 func (p spfPath) String() string { return [...]string{"full", "reuse", "delta"}[p] }
 
+// flat is t's hops in destination order, t.size() of them.
+func (t table) flat() []hop {
+	out := make([]hop, t.size())
+	for i := range out {
+		out[i] = t.at(i)
+	}
+	return out
+}
+
+// installLog is what checkedSPF saw installed: each distinct table (by
+// spine) with its flat content at the time.
+type installLog struct {
+	tables []table
+	hops   [][]hop
+}
+
+// hold holds every table logged so far to its content at install — a
+// change means a build, a rewind or a cache hit wrote into a spine or
+// chunk that was already shared — and then logs t if it is new.
+func (l *installLog) hold(tb testing.TB, t table, what string) {
+	tb.Helper()
+	seen := false
+	for i, old := range l.tables {
+		seen = seen || &old[0] == &t[0]
+		if now := old.flat(); !slices.Equal(now, l.hops[i]) {
+			tb.Fatalf("%s: a table installed earlier changed\n was %v\n now %v", what, l.hops[i], now)
+		}
+	}
+	if !seen {
+		l.tables = append(l.tables, t)
+		l.hops = append(l.hops, t.flat())
+	}
+}
+
 // checkedSPF runs one SPF request and holds its result to the oracle. It
-// first asks spfDelta (which touches scratch only) what it would answer for
-// the pending note, so the path taken is observable and the delta result
-// is checked on its own, not only through runSPF.
-func checkedSPF(t testing.TB, d *Daemon, what string) spfPath {
+// first asks spfDelta (which touches scratch and fresh slab cells only)
+// what it would answer for the pending note, so the path taken is
+// observable and the delta result is checked on its own, not only through
+// runSPF. A request that builds must share every chunk of the table it
+// replaces whose content it repeats, and log holds every table installed
+// so far to its content at install.
+func checkedSPF(t testing.TB, d *Daemon, log *installLog, what string) spfPath {
 	t.Helper()
 	want := d.oracleSPF()
+	prev, hits := d.st.table, d.cache.Stats().Hits
 	path := pathFull
 	if got := d.spfDelta(d.delta); got != nil {
 		path = pathDelta
-		if len(got) > 0 && len(d.st.table) > 0 && &got[0] == &d.st.table[0] {
+		if len(got) > 0 && len(prev) > 0 && &got[0] == &prev[0] {
 			path = pathReuse
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: spfDelta (%v) diverged from the from-scratch table\n got  %v\n want %v", what, path, got, want)
+		if !slices.Equal(got.flat(), want) {
+			t.Fatalf("%s: spfDelta (%v) diverged from the from-scratch table\n got  %v\n want %v", what, path, got.flat(), want)
 		}
 	}
 	d.runSPF()
-	if !slices.Equal(d.st.table, want) {
-		t.Fatalf("%s: runSPF (%v) diverged from the from-scratch table\n got  %v\n want %v", what, path, d.st.table, want)
+	cur := d.st.table
+	if !slices.Equal(cur.flat(), want) {
+		t.Fatalf("%s: runSPF (%v) diverged from the from-scratch table\n got  %v\n want %v", what, path, cur.flat(), want)
 	}
 	if d.st.tableEpoch != d.st.epoch {
 		t.Fatalf("%s: table not stamped current", what)
 	}
+	// A new spine that is no cache hit was built against prev.
+	if &cur[0] != &prev[0] && d.cache.Stats().Hits == hits {
+		for k := range min(len(cur), len(prev)) {
+			if cur[k] != prev[k] && *cur[k] == *prev[k] {
+				t.Fatalf("%s: runSPF (%v) wrote chunk %d afresh with the content of the one it replaced", what, path, k)
+			}
+		}
+	}
+	log.hold(t, cur, what)
 	return path
 }
 
@@ -174,19 +224,19 @@ func deltaRig(base msg.NodeID, caching bool) *Daemon {
 // so 3 costs 3 through either first hop, the tie goes to 1, and 4 inherits
 // it. The last install is a first-time origin (old == nil) whose links fit
 // the table, i.e. already a delta continuation.
-func diamond(t testing.TB, d *Daemon, seq *uint64) {
+func diamond(t testing.TB, d *Daemon, log *installLog, seq *uint64) {
 	t.Helper()
 	install(d, seq, 1, 0, 1, 3, 2)
-	checkedSPF(t, d, "boot 1")
+	checkedSPF(t, d, log, "boot 1")
 	install(d, seq, 2, 0, 2, 3, 1)
-	checkedSPF(t, d, "boot 2")
+	checkedSPF(t, d, log, "boot 2")
 	install(d, seq, 3, 1, 2, 2, 1, 4, 1)
-	checkedSPF(t, d, "boot 3")
+	checkedSPF(t, d, log, "boot 3")
 	install(d, seq, 4, 3, 1)
-	if got := checkedSPF(t, d, "boot 4"); got != pathDelta {
+	if got := checkedSPF(t, d, log, "boot 4"); got != pathDelta {
 		t.Fatalf("first install of a leaf took the %v path, want delta", got)
 	}
-	if r := d.st.table[4]; r.Cost != 4 || r.NextHop != d.base+1 {
+	if r := d.st.table.at(4); r.Cost != 4 || r.NextHop != d.base+1 {
 		t.Fatalf("diamond: route to 4 = %+v, want cost 4 via %d", r, d.base+1)
 	}
 }
@@ -222,13 +272,14 @@ func TestSPFDeltaClasses(t *testing.T) {
 		for _, c := range cases {
 			d := deltaRig(base, false)
 			var seq uint64
-			diamond(t, d, &seq)
+			var log installLog
+			diamond(t, d, &log, &seq)
 			for _, p := range c.prep {
 				install(d, &seq, p[0], p[1:]...)
-				checkedSPF(t, d, c.name+" (prep)")
+				checkedSPF(t, d, &log, c.name+" (prep)")
 			}
 			install(d, &seq, c.step[0], c.step[1:]...)
-			if got := checkedSPF(t, d, c.name); got != c.want {
+			if got := checkedSPF(t, d, &log, c.name); got != c.want {
 				t.Errorf("base %d, %s: took the %v path, want %v", base, c.name, got, c.want)
 			}
 		}
@@ -242,11 +293,12 @@ func TestSPFDeltaGuard(t *testing.T) {
 	for _, caching := range []bool{false, true} {
 		d := deltaRig(100, caching)
 		var seq uint64
-		diamond(t, d, &seq)
+		var log installLog
+		diamond(t, d, &log, &seq)
 
 		install(d, &seq, 4, 1, 1, 3, 1)
 		install(d, &seq, 1, 0, 1, 3, 2, 4, 1)
-		if got := checkedSPF(t, d, "two installs"); got != pathFull {
+		if got := checkedSPF(t, d, &log, "two installs"); got != pathFull {
 			t.Errorf("two installs between SPFs took the %v path, want full", got)
 		}
 
@@ -255,10 +307,10 @@ func TestSPFDeltaGuard(t *testing.T) {
 		// delta path stays available and exact.
 		mark := d.JournalMark()
 		install(d, &seq, 1, 0, 1, 3, 1, 4, 1)
-		checkedSPF(t, d, "speculative install")
+		checkedSPF(t, d, &log, "speculative install")
 		d.JournalRewind(mark)
 		install(d, &seq, 3, 1, 2, 2, 1, 4, 2)
-		checkedSPF(t, d, "install after rewind")
+		checkedSPF(t, d, &log, "install after rewind")
 
 		// Mark → install → Rewind with the SPF never run: the note is
 		// stale. Its after-epoch no longer matches, so it must not be
@@ -266,7 +318,7 @@ func TestSPFDeltaGuard(t *testing.T) {
 		mark = d.JournalMark()
 		install(d, &seq, 4, 3, 1)
 		d.JournalRewind(mark)
-		if got := checkedSPF(t, d, "stale note"); !caching && got != pathFull {
+		if got := checkedSPF(t, d, &log, "stale note"); !caching && got != pathFull {
 			t.Errorf("stale note took the %v path, want full", got)
 		}
 
@@ -275,11 +327,11 @@ func TestSPFDeltaGuard(t *testing.T) {
 		seq++
 		bad := &LSA{Origin: 104, Seq: seq, Links: []Adj{{To: 103, Cost: 1}, {To: 101, Cost: 1}}}
 		d.setLSDB(104, bad)
-		if got := checkedSPF(t, d, "unsorted install"); got != pathFull {
+		if got := checkedSPF(t, d, &log, "unsorted install"); got != pathFull {
 			t.Errorf("unsorted LSA took the %v path, want full", got)
 		}
 		install(d, &seq, 1, 0, 1, 3, 2)
-		if got := checkedSPF(t, d, "after unsorted install"); got != pathFull {
+		if got := checkedSPF(t, d, &log, "after unsorted install"); got != pathFull {
 			t.Errorf("daemon trusted Links order again: %v path", got)
 		}
 	}
@@ -299,33 +351,41 @@ func (f *fuzzBytes) next() int {
 
 // FuzzSPFDelta drives one daemon through random single-origin installs,
 // withdrawals and cost changes — costs from {1, 2} so equal-cost first-hop
-// ties are the norm, a non-zero domain base, foreign-domain, out-of-table
-// and unidirectional adverts, self-LSA changes, two installs between SPFs,
-// and Mark → install → Rewind → different install — holding every SPF to
-// the from-scratch oracle.
+// ties are the norm, a non-zero domain base, routers spread over two
+// chunks, foreign-domain, out-of-table and unidirectional adverts,
+// self-LSA changes, two installs between SPFs, and Mark → install → Rewind
+// → different install — holding every SPF to the from-scratch oracle,
+// every build to maximal chunk sharing and every table it installed to its
+// content at install.
 func FuzzSPFDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x07, 0x3f, 0x15, 1, 1, 0x2a, 0, 2, 2, 0x11, 0xff, 3, 3, 0, 0x55, 4, 0x0f, 0xf0})
 	f.Add([]byte{0x1e, 0xff, 0xaa, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 7, 1, 1, 2, 2, 7, 3, 3, 4, 4})
 	f.Add([]byte{0x35, 0x81, 0x42, 6, 1, 3, 3, 2, 9, 9, 5, 1, 4, 4, 0, 0, 7, 5, 5, 1, 1, 6, 2, 2, 8, 8})
 	f.Add([]byte{0xc2, 0x6d, 0x00, 1, 0xff, 0xff, 2, 0xff, 0xff, 3, 0xff, 0xff, 4, 0xff, 0xff, 5, 0xff, 0xff, 4, 1, 5, 2})
+	f.Add([]byte{0x8f, 0xff, 0xaa, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 7, 1, 1, 2, 2, 7, 3, 3, 4, 4, 0, 6, 0xc0, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{data}
 		cfg := in.next()
 		base := msg.NodeID(100 * (cfg & 1))
 		n := 5 + cfg>>2&3 // routers in the domain
 		self := cfg >> 4 % n
+		// Bit 7 puts router i at domain-relative id 3i instead of i, so its
+		// tables span two chunks, the ids between them unreachable.
+		stride := 1 + 2*(cfg>>7)
+		id := func(i int) msg.NodeID { return base + msg.NodeID(i*stride) }
 		d := New(Config{DomainBase: base})
 		d.SetRouteCaching(cfg&2 != 0)
 		var nbrs []api.Neighbor
 		for i, mask, costs := 0, in.next(), in.next(); i < n; i++ {
 			if i != self && mask>>i&1 != 0 {
-				nbrs = append(nbrs, api.Neighbor{ID: base + msg.NodeID(i), Cost: uint32(1 + costs>>i&1)})
+				nbrs = append(nbrs, api.Neighbor{ID: id(i), Cost: uint32(1 + costs>>i&1)})
 			}
 		}
-		d.Init(base+msg.NodeID(self), nbrs)
+		d.Init(id(self), nbrs)
 		d.JournalEnable()
 		var seq uint64
+		var log installLog
 
 		// randomLSA mostly mirrors the routers that already advertise
 		// origin (so links come up bidirectional), flipped by a sparse
@@ -334,8 +394,8 @@ func FuzzSPFDelta(f *testing.F) {
 		randomLSA := func(origin int) *LSA {
 			mask := 0
 			for i := 0; i < n; i++ {
-				if l := d.lsaOf(base + msg.NodeID(i)); l != nil && i != origin {
-					if _, ok := d.costTo(l, base+msg.NodeID(origin)); ok {
+				if l := d.lsaOf(id(i)); l != nil && i != origin {
+					if _, ok := d.costTo(l, id(origin)); ok {
 						mask |= 1 << i
 					}
 				}
@@ -348,13 +408,13 @@ func FuzzSPFDelta(f *testing.F) {
 			}
 			for i := 0; i < n; i++ {
 				if mask>>i&1 != 0 {
-					pairs = append(pairs, i, 1+costs>>i&1)
+					pairs = append(pairs, i*stride, 1+costs>>i&1)
 				}
 			}
 			if flips&0x40 != 0 {
-				pairs = append(pairs, n+costs&1, 1)
+				pairs = append(pairs, (n+costs&1)*stride, 1)
 			}
-			return lsaFor(d, &seq, origin, pairs...)
+			return lsaFor(d, &seq, origin*stride, pairs...)
 		}
 		set := func(l *LSA) { d.setLSDB(l.Origin, l) }
 
@@ -364,7 +424,7 @@ func FuzzSPFDelta(f *testing.F) {
 			default:
 				set(randomLSA(origin))
 			case 4: // one link's cost flips between 1 and 2
-				if cur := d.lsaOf(base + msg.NodeID(origin)); cur != nil && len(cur.Links) > 0 {
+				if cur := d.lsaOf(id(origin)); cur != nil && len(cur.Links) > 0 {
 					seq++
 					l := &LSA{Origin: cur.Origin, Seq: seq, Links: slices.Clone(cur.Links)}
 					k := in.next() % len(l.Links)
@@ -372,7 +432,7 @@ func FuzzSPFDelta(f *testing.F) {
 					set(l)
 				}
 			case 5: // withdrawal
-				set(lsaFor(d, &seq, origin))
+				set(lsaFor(d, &seq, origin*stride))
 			case 6: // two installs, one SPF
 				set(randomLSA(origin))
 				set(randomLSA(in.next() % n))
@@ -380,14 +440,14 @@ func FuzzSPFDelta(f *testing.F) {
 				mark := d.JournalMark()
 				set(randomLSA(origin))
 				if kind&8 != 0 {
-					checkedSPF(t, d, "speculative")
+					checkedSPF(t, d, &log, "speculative")
 				}
 				d.JournalRewind(mark)
 				if kind&16 != 0 {
 					set(randomLSA(in.next() % n))
 				}
 			}
-			checkedSPF(t, d, "op")
+			checkedSPF(t, d, &log, "op")
 		}
 	})
 }
