@@ -26,9 +26,9 @@ const beaconLeader = 0
 // propagation delay (api.LinkCost).
 func Neighbors(g *topology.Graph, n msg.NodeID) []api.Neighbor {
 	var out []api.Neighbor
-	for _, nb := range g.Neighbors(int(n)) {
-		l, _ := g.LinkBetween(int(n), nb)
-		out = append(out, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(l.Delay)})
+	links := g.Incident(int(n))
+	for k, nb := range g.Neighbors(int(n)) {
+		out = append(out, api.Neighbor{ID: msg.NodeID(nb), Cost: api.LinkCost(g.Links[links[k]].Delay)})
 	}
 	return out
 }
@@ -71,18 +71,16 @@ type Sender struct {
 	Pool *msg.Pool
 
 	OriginSeq uint64
-	// LinkSeq is dense by out-link slot — the destination's position in
-	// the node's sorted neighbor list (len == degree). Checkpoints copy it
-	// with a single memmove instead of a map clone, and the degree-sized
-	// layout keeps per-node state O(degree) rather than O(topology) — the
-	// difference between 10k-router boot fitting in memory or not.
+	// LinkSeq is dense by out-link slot: topology.Graph.Slot(Self, dest),
+	// the destination's position in the node's sorted row of the graph's
+	// adjacency table (len == degree). Checkpoints copy it with a single
+	// memmove instead of a map clone, and the degree-sized layout keeps
+	// per-node state O(degree) rather than O(topology) — the difference
+	// between 10k-router boot fitting in memory or not.
 	// Counter values per destination are unchanged from the old
 	// node-id-indexed layout: each destination still owns one slot.
 	LinkSeq []uint64
 	MsgSeq  uint64
-
-	// nbrs is the sorted neighbor list LinkSeq slots index into.
-	nbrs []int
 
 	j *journal.Log[counterUndo]
 }
@@ -102,9 +100,8 @@ func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate 
 	if chainBound <= 0 {
 		chainBound = 64
 	}
-	nbrs := g.Neighbors(int(self))
 	s := &Sender{Self: self, G: g, ChainBound: chainBound, ProcEstimate: procEstimate,
-		LinkSeq: make([]uint64, len(nbrs)), nbrs: nbrs}
+		LinkSeq: make([]uint64, g.Degree(int(self)))}
 	s.j = journal.New(func(u counterUndo) {
 		if u.slot == originSlot {
 			s.OriginSeq = u.old
@@ -115,28 +112,9 @@ func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate 
 	return s
 }
 
-// slotOf returns the LinkSeq slot for destination to, or -1 when to is not
-// a neighbor. The neighbor list is sorted, so this is a binary search over
-// the node's degree.
-func (s *Sender) slotOf(to msg.NodeID) int {
-	lo, hi := 0, len(s.nbrs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.nbrs[mid] < int(to) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.nbrs) && s.nbrs[lo] == int(to) {
-		return lo
-	}
-	return -1
-}
-
 // SeqTo reports the next link sequence number for destination to (tests).
 func (s *Sender) SeqTo(to msg.NodeID) uint64 {
-	slot := s.slotOf(to)
+	slot := s.G.Slot(int(s.Self), int(to))
 	if slot < 0 {
 		return 0
 	}
@@ -202,12 +180,11 @@ func (s *Sender) Build(out msg.Out, parent msg.Annotation, fresh bool, group uin
 // originals and calls Materialize only for outputs that did not re-adopt
 // one — which is what removes the replay path's dominant allocation.
 func (s *Sender) Prepare(out msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset vtime.Duration) (ann msg.Annotation, linkSeq uint64) {
-	slot := s.slotOf(out.To)
+	slot := s.G.Slot(int(s.Self), int(out.To))
 	if slot < 0 {
 		panic(fmt.Sprintf("annotate: node %d sent to non-neighbor %d", s.Self, out.To))
 	}
-	link, _ := s.G.LinkBetween(int(s.Self), int(out.To))
-	hop := link.Delay + s.ProcEstimate
+	hop := s.G.Links[s.G.Incident(int(s.Self))[slot]].Delay + s.ProcEstimate
 	switch {
 	case fresh || out.Fresh:
 		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, freshOffset+hop, group)

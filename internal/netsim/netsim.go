@@ -13,17 +13,19 @@
 // paper targets — arises naturally from differing path delays and jitter.
 //
 // The event path is allocation-aware: scheduling goes through eventq's
-// slab-backed queue (a delivery or a Caller per event, no boxing), the
-// per-directed-link FIFO clamp is a dense array indexed by the topology's
-// link indices, and per-kind traffic counters are fixed arrays indexed by
-// msg.Kind. Message lifetime follows the refcounted lifecycle in the msg
-// package comment: Send retains while a message is in flight and releases
-// after the delivery handler returns, for every traffic class. Handlers
-// receive borrows — a layer that keeps a message past the callback
-// (history windows, defer buffers) must Retain it; transient control
-// traffic (anti-messages) recycles through the simulator's Pool() the
-// moment its handler returns, because the sending engine released its own
-// reference right after Send.
+// slab-backed queue (a delivery or a Caller per event, no boxing), link
+// state and the per-directed-link FIFO clamp and wire counters are dense
+// arrays indexed by the topology's link indices — which Send and delivery
+// find by a binary search of the sender's row of topology.Graph's
+// adjacency table, with no map — and per-kind traffic counters are fixed
+// arrays indexed by msg.Kind. Message lifetime follows the refcounted
+// lifecycle in the msg package comment: Send retains while a message is
+// in flight and releases after the delivery handler returns, for every
+// traffic class. Handlers receive borrows — a layer that keeps a message
+// past the callback (history windows, defer buffers) must Retain it;
+// transient control traffic (anti-messages) recycles through the
+// simulator's Pool() the moment its handler returns, because the sending
+// engine released its own reference right after Send.
 //
 // # Concurrency contract
 //
@@ -231,7 +233,11 @@ type Sim struct {
 	serialSteps uint64
 }
 
-// dirIndex maps a directed link to its lastArr cell.
+// dirIndex maps a directed link to its lastArr and wireSeq cell: twice
+// the link index, plus one for the high→low direction. The numbering is
+// kept although the adjacency table has slots of its own, because
+// wireDraw hashes it: renumbering would redraw every packet's loss and
+// duplication fate and so move every lossy run's committed order.
 func dirIndex(linkIdx int, from, to msg.NodeID) int {
 	i := 2 * linkIdx
 	if from > to {
@@ -609,19 +615,6 @@ func (s *Sim) Windows() uint64 { return s.windows }
 // serial fallback steps (driver events, doomed deliveries, windows with
 // fewer than two active lanes); always zero on the sequential engine.
 func (s *Sim) SerialSteps() uint64 { return s.serialSteps }
-
-// LinkFrontier returns the directed from→to link frontier: the last
-// scheduled arrival on that direction (zero before any packet is sent).
-// The FIFO clamp makes scheduled arrivals strictly increasing per
-// direction, so no packet can ever land at or before this point — it is
-// the in-flight half of the per-link lookahead bound.
-func (s *Sim) LinkFrontier(from, to msg.NodeID) vtime.Time {
-	idx := s.G.LinkIndex(int(from), int(to))
-	if idx < 0 {
-		return 0
-	}
-	return s.lastArr[dirIndex(idx, from, to)]
-}
 
 // NextAt exposes the timestamp of the next scheduled event (vtime.Never if
 // none), letting engines interleave their own bookkeeping with the event

@@ -485,28 +485,33 @@ func TestRearmSlidesScheduledFn(t *testing.T) {
 // (even with heavy jitter trying to reorder packets) and must stay
 // per-direction — traffic one way never moves the reverse frontier.
 func TestLinkFrontierMonotonic(t *testing.T) {
+	// linkFrontier is the directed from→to frontier: the last scheduled
+	// arrival on that direction, zero before any packet is sent.
+	linkFrontier := func(s *Sim, from, to msg.NodeID) vtime.Time {
+		return s.lastArr[dirIndex(s.G.LinkIndex(int(from), int(to)), from, to)]
+	}
 	g := topology.Line(2, 5*vtime.Millisecond)
 	s := New(g, Config{Seed: 99, JitterScale: 10})
 	s.Attach(1, func(m *msg.Message) {})
-	if f := s.LinkFrontier(0, 1); f != 0 {
+	if f := linkFrontier(s, 0, 1); f != 0 {
 		t.Fatalf("frontier before any send = %v, want 0", f)
 	}
 	prev := vtime.Time(0)
 	for i := uint64(0); i < 50; i++ {
 		s.Send(mkMsg(0, 1, i))
-		f := s.LinkFrontier(0, 1)
+		f := linkFrontier(s, 0, 1)
 		if f <= prev {
 			t.Fatalf("send %d: frontier %v did not advance past %v", i, f, prev)
 		}
 		prev = f
 	}
-	if f := s.LinkFrontier(1, 0); f != 0 {
+	if f := linkFrontier(s, 1, 0); f != 0 {
 		t.Fatalf("reverse frontier moved to %v on forward traffic", f)
 	}
 	// Delivery drains the link but never rewinds the frontier: it remains
 	// the last scheduled arrival, a permanent lower bound for new sends.
 	s.RunQuiescent(1000)
-	if f := s.LinkFrontier(0, 1); f != prev {
+	if f := linkFrontier(s, 0, 1); f != prev {
 		t.Fatalf("frontier after drain = %v, want %v (last scheduled arrival)", f, prev)
 	}
 }

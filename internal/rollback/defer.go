@@ -1,8 +1,6 @@
 package rollback
 
 import (
-	"slices"
-
 	"defined/internal/eventq"
 	"defined/internal/history"
 	"defined/internal/msg"
@@ -531,8 +529,9 @@ func (est *settleEstimator) bound() vtime.Duration {
 
 // ---- per-link lookahead (frontier coverage) ---------------------------------
 
-// lookahead is a node's per-in-link frontier bank (EngineSpec.Lookahead): links[j]
-// is the state of the link from neighbor nbr[j] (sorted). It gives the
+// lookahead is a node's per-in-link frontier bank (EngineSpec.Lookahead):
+// links[j] is the state of the link from the neighbor in slot j of the
+// node's row of the adjacency table (topology.Graph.Slot). It gives the
 // pending layer an exact release rule beside the heuristic DeferSlack gap
 // rule, which is blind to cross-wave divergences whose key gap exceeds the
 // slack. The zero value is off.
@@ -574,7 +573,8 @@ func (est *settleEstimator) bound() vtime.Duration {
 // safe to feed inside a parallel window.
 type lookahead struct {
 	links []linkLook
-	nbr   []msg.NodeID
+	g     *topology.Graph
+	self  int
 	slack vtime.Duration // EngineSpec.DeferSlack
 }
 
@@ -591,12 +591,9 @@ type linkLook struct {
 // per-hop processing the d_i annotation accumulates — and it sizes the idle
 // rule.
 func newLookahead(g *topology.Graph, n int, proc, slack vtime.Duration) lookahead {
-	nbs := g.Neighbors(n)
-	l := lookahead{nbr: make([]msg.NodeID, len(nbs)), links: make([]linkLook, len(nbs)), slack: slack}
-	for j, nb := range nbs {
-		l.nbr[j] = msg.NodeID(nb)
-		ln, _ := g.LinkBetween(n, nb)
-		l.links[j].hop = ln.Delay + proc
+	l := lookahead{links: make([]linkLook, g.Degree(n)), g: g, self: n, slack: slack}
+	for j, li := range g.Incident(n) {
+		l.links[j].hop = g.Links[li].Delay + proc
 	}
 	return l
 }
@@ -612,7 +609,7 @@ func (l *lookahead) on() bool { return l.links != nil }
 // Senders that are not graph neighbors (impossible for app traffic, but
 // cheap to guard) are ignored.
 func (l *lookahead) observe(from msg.NodeID, now, pred vtime.Time) {
-	if j, ok := slices.BinarySearch(l.nbr, from); ok {
+	if j := l.g.Slot(l.self, int(from)); j >= 0 {
 		l.links[j].promise = pred
 		l.links[j].seenAt = now
 	}

@@ -41,7 +41,7 @@
 // the shim's Stats. Each makes one guarantee; its type says why it holds.
 //
 //	layer      file       owns                                       guarantee
-//	lookahead  defer.go   links, nbr                                 releases depend only on the node's own delivery stream
+//	lookahead  defer.go   links (one per row slot), g, self          releases depend only on the node's own delivery stream
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
 //	                      directSeq (buf, Window, ckpts: slide.Bufs)
 //	window     window.go  Window, ckpts, japp, serial, hw            restoring ckpts[i] puts back the state entry i was delivered in

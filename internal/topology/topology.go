@@ -14,7 +14,7 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"defined/internal/rng"
 	"defined/internal/vtime"
@@ -31,13 +31,22 @@ type Link struct {
 
 // Graph is an undirected multigraph-free network topology. Nodes are dense
 // indices 0..N-1.
+//
+// Adjacency is one table in compressed-sparse-row form, built once by New:
+// node i's slots are off[i]..off[i+1], and slot s joins i to neighbor
+// nbr[s] over Links[link[s]]. Each row is sorted by neighbor, so a slot's
+// position in its row (what Slot returns) is the neighbor's rank among
+// i's neighbors. Every per-link lookup — the simulator's link state and
+// FIFO clamp, the sender's d_i hop and link sequence, the lookahead bank —
+// is a binary search over one row: no map is read on a send or delivery.
 type Graph struct {
 	Name  string
 	N     int
 	Links []Link
 
-	adj     [][]int // node → sorted neighbor list
-	linkIdx map[[2]int]int
+	off  []int // node → first slot of its row; off[N] == 2·len(Links)
+	nbr  []int // slot → neighbor
+	link []int // slot → index into Links
 
 	// propBound, when positive, is a generator-supplied upper bound on
 	// MaxPropagation. Exact all-pairs computation is O(V·E·logV) — fine at
@@ -47,18 +56,12 @@ type Graph struct {
 	propBound vtime.Duration
 }
 
-// New assembles a graph from an explicit link list. Duplicate and self
-// links are rejected.
+// New assembles a graph from an explicit link list. Self, out-of-range,
+// non-positive-delay and duplicate links (in either direction) are
+// rejected.
 func New(name string, n int, links []Link) (*Graph, error) {
-	g := &Graph{Name: name, N: n, Links: links}
-	g.adj = make([][]int, n)
-	g.linkIdx = make(map[[2]int]int, len(links))
-	// Arena preallocation: one degree-counting pass, then all adjacency
-	// rows carved out of a single backing array. At hierarchical scale
-	// (10k–100k routers) this replaces ~2·|E| incremental append growths
-	// with two allocations.
-	degree := make([]int, n)
-	for i, l := range links {
+	g := &Graph{Name: name, N: n, Links: links, off: make([]int, n+1)}
+	for _, l := range links {
 		if l.A == l.B {
 			return nil, fmt.Errorf("topology %s: self link at node %d", name, l.A)
 		}
@@ -68,26 +71,34 @@ func New(name string, n int, links []Link) (*Graph, error) {
 		if l.Delay <= 0 {
 			return nil, fmt.Errorf("topology %s: non-positive delay on link %d-%d", name, l.A, l.B)
 		}
-		k := linkKey(l.A, l.B)
-		if _, dup := g.linkIdx[k]; dup {
-			return nil, fmt.Errorf("topology %s: duplicate link %d-%d", name, l.A, l.B)
+		g.off[l.A+1]++
+		g.off[l.B+1]++
+	}
+	for i := range n {
+		g.off[i+1] += g.off[i]
+	}
+	// Two counting passes order every row without a comparison sort: bucket
+	// the links by end, then walk the buckets in node order and append each
+	// link to its far end's row, which so receives its neighbors in
+	// increasing order. A duplicate, either way round, is then the same
+	// neighbor twice in a row.
+	byEnd, next := make([]int, 2*len(links)), slices.Clone(g.off)
+	for i, l := range links {
+		byEnd[next[l.A]], byEnd[next[l.B]] = i, i
+		next[l.A]++
+		next[l.B]++
+	}
+	copy(next, g.off)
+	g.nbr, g.link = make([]int, len(byEnd)), make([]int, len(byEnd))
+	for v := range n {
+		for _, i := range byEnd[g.off[v]:g.off[v+1]] {
+			u := links[i].A + links[i].B - v // the far end
+			if s := next[u]; s > g.off[u] && g.nbr[s-1] == v {
+				return nil, fmt.Errorf("topology %s: duplicate link %d-%d", name, u, v)
+			}
+			g.nbr[next[u]], g.link[next[u]] = v, i
+			next[u]++
 		}
-		g.linkIdx[k] = i
-		degree[l.A]++
-		degree[l.B]++
-	}
-	arena := make([]int, 2*len(links))
-	off := 0
-	for i, d := range degree {
-		g.adj[i] = arena[off : off : off+d]
-		off += d
-	}
-	for _, l := range links {
-		g.adj[l.A] = append(g.adj[l.A], l.B)
-		g.adj[l.B] = append(g.adj[l.B], l.A)
-	}
-	for i := range g.adj {
-		sort.Ints(g.adj[i])
 	}
 	return g, nil
 }
@@ -99,14 +110,33 @@ func linkKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// Neighbors returns the sorted neighbor list of node i. The returned slice
-// must not be modified.
-func (g *Graph) Neighbors(i int) []int { return g.adj[i] }
+// Neighbors returns node i's row of the adjacency table: its neighbors,
+// sorted by id. The slice is a view capped at the row's end (appending to
+// it copies), and its elements must not be modified.
+func (g *Graph) Neighbors(i int) []int { return g.nbr[g.off[i]:g.off[i+1]:g.off[i+1]] }
+
+// Incident returns the indices into Links of node i's links, slot for slot
+// with Neighbors(i): Incident(i)[k] joins i and Neighbors(i)[k]. Like
+// Neighbors it is a capped view whose elements must not be modified.
+func (g *Graph) Incident(i int) []int { return g.link[g.off[i]:g.off[i+1]:g.off[i+1]] }
+
+// Slot returns b's position in a's row — the k with Neighbors(a)[k] == b —
+// or -1 when a and b are not joined (or a is not a node). It binary-searches
+// the row, O(log degree).
+func (g *Graph) Slot(a, b int) int {
+	if uint(a) >= uint(g.N) {
+		return -1
+	}
+	if k, ok := slices.BinarySearch(g.Neighbors(a), b); ok {
+		return k
+	}
+	return -1
+}
 
 // LinkBetween returns the link joining a and b, and whether it exists.
 func (g *Graph) LinkBetween(a, b int) (Link, bool) {
-	idx, ok := g.linkIdx[linkKey(a, b)]
-	if !ok {
+	idx := g.LinkIndex(a, b)
+	if idx < 0 {
 		return Link{}, false
 	}
 	return g.Links[idx], true
@@ -114,15 +144,15 @@ func (g *Graph) LinkBetween(a, b int) (Link, bool) {
 
 // LinkIndex returns the index into Links of the a-b link, or -1.
 func (g *Graph) LinkIndex(a, b int) int {
-	idx, ok := g.linkIdx[linkKey(a, b)]
-	if !ok {
+	k := g.Slot(a, b)
+	if k < 0 {
 		return -1
 	}
-	return idx
+	return g.link[g.off[a]+k]
 }
 
 // Degree returns the number of links incident to node i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
+func (g *Graph) Degree(i int) int { return g.off[i+1] - g.off[i] }
 
 // Connected reports whether the graph is connected (N==0 counts as
 // connected).
@@ -137,7 +167,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if !seen[w] {
 				seen[w] = true
 				count++
@@ -216,12 +246,12 @@ func ShortestPaths[W ~int64](g *Graph, src int, weight func(Link) W, keep func(u
 			continue
 		}
 		visited[f.n] = true
-		for _, v := range g.adj[f.n] {
+		for s := g.off[f.n]; s < g.off[f.n+1]; s++ {
+			v := g.nbr[s]
 			if keep != nil && !keep(f.n, v) {
 				continue
 			}
-			l, _ := g.LinkBetween(f.n, v)
-			if nd := dist[f.n] + weight(l); nd < dist[v] {
+			if nd := dist[f.n] + weight(g.Links[g.link[s]]); nd < dist[v] {
 				dist[v] = nd
 				push(frontier{nd, v})
 			}

@@ -19,8 +19,120 @@ func TestNewValidation(t *testing.T) {
 		t.Error("zero delay should be rejected")
 	}
 	if _, err := New("bad", 3, []Link{{A: 0, B: 1, Delay: 1}, {A: 1, B: 0, Delay: 2}}); err == nil {
-		t.Error("duplicate link should be rejected")
+		t.Error("reversed duplicate link should be rejected")
 	}
+	if _, err := New("bad", 3, []Link{{A: 1, B: 2, Delay: 1}, {A: 0, B: 2, Delay: 1}, {A: 1, B: 2, Delay: 3}}); err == nil {
+		t.Error("same-direction duplicate link should be rejected")
+	}
+}
+
+// Neighbors and Incident hand out views of one shared table, capped at the
+// row's end: appending to node 0's row must copy, not overwrite node 1's.
+func TestRowViewsAreCapped(t *testing.T) {
+	g := Line(3, vtime.Millisecond)
+	nbrs, links := slices.Clone(g.Neighbors(1)), slices.Clone(g.Incident(1))
+	_ = append(g.Neighbors(0), 99)
+	_ = append(g.Incident(0), 99)
+	if !slices.Equal(g.Neighbors(1), nbrs) || !slices.Equal(g.Incident(1), links) {
+		t.Fatalf("node 1's row changed by appends to node 0's: %v %v, want %v %v",
+			g.Neighbors(1), g.Incident(1), nbrs, links)
+	}
+}
+
+// FuzzNew holds the adjacency table to a linear scan of the link list. The
+// first byte picks n (0..15); every three bytes after it are one link: two
+// ends in -1..n (so out-of-range ends occur) and a signed delay (so
+// non-positive ones do). New must fail exactly when the list has a self,
+// out-of-range, non-positive-delay or duplicate link, duplicates counted
+// either way round; otherwise every lookup must agree with the scan.
+func FuzzNew(f *testing.F) {
+	f.Add([]byte{4, 1, 2, 5, 2, 3, 7, 3, 4, 9})                            // the path 0-1-2-3
+	f.Add([]byte{4, 2, 1, 5, 1, 2, 7})                                     // 0-1 after 1-0
+	f.Add([]byte{4, 2, 3, 5, 1, 4, 6, 2, 3, 7})                            // 1-2 twice
+	f.Add([]byte{3, 1, 1, 5})                                              // a self link
+	f.Add([]byte{5, 1, 6, 5, 1, 3, 0, 1, 4, 255})                          // out of range, zero and negative delay
+	f.Add([]byte{6, 3, 1, 1, 1, 5, 2, 6, 1, 3, 4, 1, 1, 1, 2, 4, 3, 4, 3}) // a star with unsorted ends, and a rim link
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n, data := int(data[0]%16), data[1:]
+		var links []Link
+		for ; len(data) >= 3; data = data[3:] {
+			links = append(links, Link{
+				A:     int(data[0])%(n+2) - 1,
+				B:     int(data[1])%(n+2) - 1,
+				Delay: vtime.Duration(int8(data[2])),
+			})
+		}
+		bad := false
+		for i, l := range links {
+			bad = bad || l.A == l.B || l.A < 0 || l.A >= n || l.B < 0 || l.B >= n || l.Delay <= 0
+			for _, m := range links[:i] {
+				bad = bad || (m.A == l.A && m.B == l.B) || (m.A == l.B && m.B == l.A)
+			}
+		}
+		g, err := New("fuzz", n, links)
+		if (err != nil) != bad {
+			t.Fatalf("New(%d, %v): err = %v, want error %v", n, links, err, bad)
+		}
+		if err != nil {
+			return
+		}
+		scan := func(a, b int) int {
+			for i, l := range links {
+				if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
+					return i
+				}
+			}
+			return -1
+		}
+		for a := -1; a <= n; a++ {
+			for b := -1; b <= n; b++ {
+				idx := scan(a, b)
+				if got := g.LinkIndex(a, b); got != idx {
+					t.Fatalf("LinkIndex(%d, %d) = %d, want %d", a, b, got, idx)
+				}
+				if got := g.LinkIndex(b, a); got != idx {
+					t.Fatalf("LinkIndex(%d, %d) = %d, want %d (symmetry)", b, a, got, idx)
+				}
+				l, ok := g.LinkBetween(a, b)
+				if ok != (idx >= 0) || (ok && l != links[idx]) || (!ok && l != Link{}) {
+					t.Fatalf("LinkBetween(%d, %d) = %+v, %v; want link %d", a, b, l, ok, idx)
+				}
+				k := g.Slot(a, b)
+				if idx < 0 {
+					if k != -1 {
+						t.Fatalf("Slot(%d, %d) = %d for no link", a, b, k)
+					}
+					continue
+				}
+				if k < 0 || g.Neighbors(a)[k] != b || g.Incident(a)[k] != idx {
+					t.Fatalf("Slot(%d, %d) = %d does not index link %d in row %v / %v", a, b, k, idx, g.Neighbors(a), g.Incident(a))
+				}
+			}
+		}
+		for a := range n {
+			nbrs, inc := g.Neighbors(a), g.Incident(a)
+			deg := 0
+			for _, l := range links {
+				if l.A == a || l.B == a {
+					deg++
+				}
+			}
+			if len(nbrs) != deg || len(inc) != deg || g.Degree(a) != deg {
+				t.Fatalf("node %d: row lengths %d/%d, Degree %d; want %d", a, len(nbrs), len(inc), g.Degree(a), deg)
+			}
+			for k, b := range nbrs {
+				if k > 0 && nbrs[k-1] >= b {
+					t.Fatalf("node %d: row %v not strictly increasing", a, nbrs)
+				}
+				if l := links[inc[k]]; !(l.A == a && l.B == b) && !(l.A == b && l.B == a) {
+					t.Fatalf("node %d: Incident[%d] = link %d %+v does not join %d and %d", a, k, inc[k], l, a, b)
+				}
+			}
+		}
+	})
 }
 
 func TestLineTopology(t *testing.T) {
