@@ -52,7 +52,9 @@
 // the poison quarantine), never to the garbage collector, which reclaims a
 // slab only with the pool. A stale pointer therefore always addresses a
 // Message — recycled, poisoned or live — which is what makes CheckLive and
-// the poison sweep meaningful.
+// the poison sweep meaningful. The free list is chained through the
+// released structs (a free Message's Payload names the next), so recycling
+// needs no memory beyond the messages themselves.
 //
 // # Sharded engines
 //
@@ -168,7 +170,9 @@ type Message struct {
 	// LinkSeq is the per-directed-link send index assigned by the
 	// sender. It is part of the checkpointed sender state, so replays
 	// after a rollback reassign identical values — which makes it a
-	// deterministic final tie-break for the ordering function.
+	// deterministic final tie-break for the ordering function. An
+	// anti-message carries its target's ID.Seq here instead (the target's
+	// Sender is the anti's From).
 	LinkSeq uint64
 	Payload any
 	home    *Pool

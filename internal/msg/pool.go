@@ -22,9 +22,17 @@ import (
 // (the sequential engine's allocation fast path takes no lock); a pool
 // that can receive cross-shard releases must be switched to concurrent
 // mode with SetConcurrent, which guards Get and recycling with a mutex.
+//
+// The free list is a LIFO chain through the released structs themselves:
+// a released Message's Payload holds the next free one, so a release
+// stores into memory the pool already owns and no buffer grows with the
+// number of messages released at once. A live Message has no spare word
+// to hold its own slab index, so the link is a pointer, not an integer;
+// a pointer in an interface allocates nothing.
 type Pool struct {
-	mu   sync.Mutex // guards free/slab/live/quarantined in concurrent mode
-	free []*Message
+	mu    sync.Mutex // guards free/nfree/slab/live/quarantined in concurrent mode
+	free  *Message   // the most recently released struct, nil when none
+	nfree int        // structs on the free chain
 	// slab is what is left of the current batch of fresh structs: a miss on
 	// the free list takes the next cell and cuts a new slab when the batch
 	// is used up, so the ramp to the high-water mark costs one allocation
@@ -62,11 +70,11 @@ func (p *Pool) Get() *Message {
 		p.mu.Lock()
 	}
 	p.live++
-	var m *Message
-	if n := len(p.free); n > 0 {
-		m = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	m := p.free
+	if m != nil {
+		p.free, _ = m.Payload.(*Message)
+		m.Payload = nil
+		p.nfree--
 		atomic.StoreInt32(&m.rc, 1)
 	} else {
 		if len(p.slab) == 0 {
@@ -100,8 +108,9 @@ func (p *Pool) put(m *Message) {
 			home: p,
 		}
 	} else {
-		*m = Message{home: p}
-		p.free = append(p.free, m)
+		*m = Message{Payload: p.free, home: p}
+		p.free = m
+		p.nfree++
 	}
 	if p.concurrent {
 		p.mu.Unlock()
@@ -156,7 +165,7 @@ func (p *Pool) Len() int {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 	}
-	return len(p.free)
+	return p.nfree
 }
 
 // violation records a lifecycle violation and reports whether execution

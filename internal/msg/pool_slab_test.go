@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -107,6 +108,43 @@ func TestPoolAllocs(t *testing.T) {
 	if cold.Live() != len(held) {
 		t.Errorf("live=%d with %d messages held", cold.Live(), len(held))
 	}
+	// Burst: once the slabs are cut, releasing 4×slabSize held messages at
+	// once and taking them back allocates nothing — the free list is a
+	// chain through the released structs, not a buffer that grows with
+	// the burst — and hands them back last released, first reused.
+	var burst Pool
+	held = held[:0]
+	for range 4 * slabSize {
+		held = append(held, burst.Get())
+	}
+	again := make([]*Message, len(held))
+	if got := mallocs(func() {
+		for _, m := range held {
+			m.Release()
+		}
+		for i := range again {
+			again[i] = burst.Get()
+		}
+	}); got != 0 {
+		t.Errorf("burst of %d releases and Gets: %d allocs, want 0", len(held), got)
+	}
+	for i, m := range again {
+		if m != held[len(held)-1-i] {
+			t.Fatalf("burst Get %d: not the struct released %d-th from last", i, i)
+		}
+	}
+}
+
+// mallocs counts the heap allocations f makes, once, with no warm-up run
+// (testing.AllocsPerRun's would hide a buffer that grows only the first
+// time).
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // Get from several goroutines while others release what they took: the

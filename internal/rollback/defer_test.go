@@ -133,7 +133,7 @@ func TestAntiAnnihilatesPendingArrival(t *testing.T) {
 		t.Fatalf("target not pending: %d", sh.pend.buf.Len())
 	}
 
-	anti := &msg.Message{Kind: msg.KindAnti, Payload: antiPayload{Target: target.ID}}
+	anti := &msg.Message{Kind: msg.KindAnti, From: target.ID.Sender, LinkSeq: target.ID.Seq}
 	sh.onAnti(anti)
 	st := e.Stats()
 	if st.PendingAnnihilated != 1 || sh.pend.buf.Len() != 0 {

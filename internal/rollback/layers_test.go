@@ -74,7 +74,7 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	sim.Attach(1, func(m *msg.Message) { wire = append(wire, m.Kind) })
 	st := &Stats{}
 	sender := annotate.NewSender(0, g, 64, vtime.BaseProcessing)
-	l := ledger{id: 0, lane: sim.LaneFor(0), sender: sender, stats: st, dropLog: map[msg.ID]record.LossEvent{}}
+	l := ledger{id: 0, lane: sim.LaneFor(0), recs: new(recStore), sender: sender, stats: st, dropLog: map[msg.ID]record.LossEvent{}}
 	send := func(cause uint64, replayed bool, payloads ...int) {
 		var outs []msg.Out
 		for _, p := range payloads {
@@ -87,8 +87,8 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	sim.Run(vtime.Time(50 * ms))
 	sender.RestoreCounters(before) // as the window's restore would
 	l.undo(1)
-	if len(l.replayPool) != 2 || len(l.sent) != 0 {
-		t.Fatalf("undo pooled %d records, left %d", len(l.replayPool), len(l.sent))
+	if len(l.replayPool) != 2 || l.sent.Len() != 0 {
+		t.Fatalf("undo pooled %d records, left %d", len(l.replayPool), l.sent.Len())
 	}
 	send(2, true, 1)
 	l.retract()
@@ -102,12 +102,14 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	if st.LazyReuses != 1 || st.AntiMessages != 1 || st.SpuriousRollbacks != 0 {
 		t.Fatalf("counters: %+v", *st)
 	}
-	if len(l.sent) != 1 || l.sent[0].causeSerial != 2 {
-		t.Fatalf("live records %d, want the re-adopted one", len(l.sent))
+	if l.sent.Len() != 1 || (*l.sent.At(0)).causeSerial != 2 {
+		t.Fatalf("live records %d, want the re-adopted one", l.sent.Len())
 	}
 	l.prune(sim.Now())
-	if len(l.sent) != 0 || len(l.recFree) != 2 { // the anti-chased record was reused for the cancelled send
-		t.Fatalf("prune kept %d records, freed %d", len(l.sent), len(l.recFree))
+	// The anti-chased record was reused for the cancelled send: two cut,
+	// both back on the store's free chain.
+	if free := freeRecs(l.recs); l.sent.Len() != 0 || l.recs.cut != 2 || free != 2 {
+		t.Fatalf("prune kept %d records; store cut %d, has %d free", l.sent.Len(), l.recs.cut, free)
 	}
 }
 

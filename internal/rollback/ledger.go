@@ -2,6 +2,7 @@ package rollback
 
 import (
 	"reflect"
+	"slices"
 
 	"defined/internal/annotate"
 	"defined/internal/eventq"
@@ -9,6 +10,7 @@ import (
 	"defined/internal/netsim"
 	"defined/internal/ordering"
 	"defined/internal/record"
+	"defined/internal/slide"
 	"defined/internal/vtime"
 )
 
@@ -25,11 +27,10 @@ import (
 // shift downstream arrival times away from their d_i estimates and
 // rollbacks avalanche through heavy flood waves.
 type ledger struct {
-	sent        []*sentRec // live (unsettled, un-annulled) sends, sorted by causeSerial
-	recFree     []*sentRec // records whose send fired or was cancelled
-	recSlab     []sentRec  // where fresh records are cut from
-	replayPool  []*sentRec // the undone deliveries' records during a replay
-	replayFresh int        // outputs the current replay materialized, not re-adopted
+	sent        slide.Buf[*sentRec] // live (unsettled, un-annulled) sends, sorted by causeSerial
+	recs        *recStore           // the lane's records, shared with its other ledgers
+	replayPool  []*sentRec          // the undone deliveries' records during a replay
+	replayFresh int                 // outputs the current replay materialized, not re-adopted
 	dropLog     map[msg.ID]record.LossEvent
 
 	id     msg.NodeID
@@ -39,14 +40,15 @@ type ledger struct {
 }
 
 // sentRec tracks one transmitted message for potential unsending. Records
-// are pooled per ledger and implement eventq.Caller, so scheduling a send
-// allocates nothing — the record itself is the event payload.
+// come from the lane's recStore and implement eventq.Caller, so scheduling
+// a send allocates nothing — the record itself is the event payload.
 type sentRec struct {
 	l           *ledger
-	causeSerial uint64
+	causeSerial uint64 // while the record is free: its store's next free cell + 1, 0 for none
 	m           *msg.Message
 	ev          eventq.Handle // pending send; zero once on the wire
 	dropped     bool          // lost in flight (the drop log has it)
+	cell        uint32        // the record's place in its store, fixed when it is cut
 	sentAt      vtime.Time
 }
 
@@ -66,25 +68,42 @@ func (rec *sentRec) Fire() {
 	}
 }
 
+// recStore holds the sentRecs of every ledger on one lane (the whole
+// engine in sequential mode): fixed slabs of recSlabSize records and a
+// LIFO free list chained through the free records' causeSerial. A lane's
+// ledgers run only on that lane and a crash reset runs between windows,
+// so it takes no lock. Sharing the store across a lane's nodes leaves no
+// per-node slab half used, and the chain costs no buffer that grows with
+// the number of records freed at once.
+type recStore struct {
+	slabs []*[recSlabSize]sentRec
+	cut   uint32 // records cut from the slabs so far
+	free  uint64 // the most recently freed record's cell + 1, 0 for none
+}
+
 // recSlabSize is how many sentRecs one slab allocation provides.
 const recSlabSize = 128
 
-// newRec takes a record off the free list, so steady-state tracking stops
-// allocating, falling back to the current slab: even the high-water ramp-up
-// costs one allocation per slab rather than one per record (a fresh slab is
-// cut when it runs dry; pointers into old slabs stay valid because slabs
-// are never resized in place).
-func (l *ledger) newRec() *sentRec {
-	if n := len(l.recFree); n > 0 {
-		rec := l.recFree[n-1]
-		l.recFree = l.recFree[:n-1]
-		return rec
+func (s *recStore) at(cell uint32) *sentRec {
+	return &s.slabs[cell/recSlabSize][cell%recSlabSize]
+}
+
+// get hands ledger l a zeroed record: the most recently freed one, or a
+// fresh cut (a new slab every recSlabSize cuts; slabs never move, so
+// pointers into them stay valid).
+func (s *recStore) get(l *ledger) *sentRec {
+	var rec *sentRec
+	if s.free != 0 {
+		rec = s.at(uint32(s.free - 1))
+		s.free, rec.causeSerial = rec.causeSerial, 0
+	} else {
+		if s.cut%recSlabSize == 0 {
+			s.slabs = append(s.slabs, new([recSlabSize]sentRec))
+		}
+		rec = s.at(s.cut)
+		rec.cell = s.cut
+		s.cut++
 	}
-	if len(l.recSlab) == 0 {
-		l.recSlab = make([]sentRec, recSlabSize)
-	}
-	rec := &l.recSlab[0]
-	l.recSlab = l.recSlab[1:]
 	rec.l = l
 	return rec
 }
@@ -94,12 +113,9 @@ func (l *ledger) newRec() *sentRec {
 // history window may still hold the last one).
 func (l *ledger) freeRec(rec *sentRec) {
 	rec.m.Release()
-	rec.causeSerial = 0
-	rec.m = nil
-	rec.ev = eventq.Handle{}
-	rec.dropped = false
-	rec.sentAt = 0
-	l.recFree = append(l.recFree, rec)
+	s := l.recs
+	*rec = sentRec{causeSerial: s.free, cell: rec.cell}
+	s.free = uint64(rec.cell) + 1
 }
 
 // send transmits the outputs of the delivery with serial causeSerial after
@@ -115,16 +131,16 @@ func (l *ledger) send(outs []msg.Out, parent msg.Annotation, fresh bool, group u
 		ann, ls := l.sender.Prepare(out, parent, fresh, group, freshOffset)
 		if rec := l.adopt(out.To, ordering.KeyOfSend(l.id, ann, ls), out.Payload); rec != nil {
 			rec.causeSerial = causeSerial
-			l.sent = append(l.sent, rec)
+			l.sent.Push(rec)
 			continue
 		}
-		rec := l.newRec()
+		rec := l.recs.get(l)
 		rec.causeSerial = causeSerial
 		rec.m = l.sender.Materialize(out, ann, ls)
 		if replayed {
 			l.replayFresh++
 		}
-		l.sent = append(l.sent, rec)
+		l.sent.Push(rec)
 		rec.ev = l.lane.AfterCall(procDelay, rec)
 		rec.sentAt = l.lane.Now()
 	}
@@ -196,16 +212,22 @@ func (l *ledger) payloadEqual(a, b any) bool {
 // decides adopt's first match.
 func (l *ledger) undo(first uint64) {
 	l.replayFresh = 0
+	l.replayPool = l.replayPool[:0]
 	if first == 0 {
-		l.replayPool = nil
 		return
 	}
-	i := len(l.sent)
-	for i > 0 && l.sent[i-1].causeSerial >= first {
+	n := l.sent.Len()
+	i := n
+	for i > 0 && (*l.sent.At(i - 1)).causeSerial >= first {
 		i--
 	}
-	l.replayPool = append(l.replayPool[:0], l.sent[i:]...)
-	l.sent = l.sent[:i]
+	l.replayPool = slices.Grow(l.replayPool, n-i) // one growth, not one per piece
+	for j := i; j < n; {
+		s := l.sent.Span(j)
+		l.replayPool = append(l.replayPool, s...)
+		j += len(s)
+	}
+	l.sent.Truncate(i)
 }
 
 // retract ends a replay: whatever it did not regenerate is now genuinely
@@ -237,13 +259,11 @@ func (l *ledger) retract() {
 	l.replayPool = l.replayPool[:0]
 }
 
-// antiPayload identifies the message to roll back.
-type antiPayload struct {
-	Target msg.ID
-}
-
 // sendAnti emits the "unsend" notification chasing message orig on its
-// link. FIFO links guarantee the anti arrives after the original.
+// link. FIFO links guarantee the anti arrives after the original. The
+// anti names its target without a payload: the target's Sender is the
+// anti's From, and its Seq rides in LinkSeq, which an anti has no other
+// use for.
 func (l *ledger) sendAnti(orig *msg.Message) {
 	l.stats.AntiMessages++
 	l.sender.MsgSeq++
@@ -257,7 +277,7 @@ func (l *ledger) sendAnti(orig *msg.Message) {
 	anti.From = l.id
 	anti.To = orig.To
 	anti.Kind = msg.KindAnti
-	anti.Payload = antiPayload{Target: orig.ID}
+	anti.LinkSeq = orig.ID.Seq
 	l.lane.Send(anti)
 	anti.Release() // the simulator's in-flight reference carries it from here
 }
@@ -267,8 +287,8 @@ func (l *ledger) sendAnti(orig *msg.Message) {
 // sending an anti.
 func (l *ledger) dropped(m *msg.Message) {
 	l.dropLog[m.ID] = record.LossEvent{Key: ordering.KeyOf(m), To: m.To}
-	for _, rec := range l.sent {
-		if rec.m.ID == m.ID {
+	for i := range l.sent.Len() {
+		if rec := *l.sent.At(i); rec.m.ID == m.ID {
 			rec.dropped = true
 			return
 		}
@@ -279,37 +299,49 @@ func (l *ledger) dropped(m *msg.Message) {
 // cutoff was caused by an entry that arrived no later, which has retired —
 // it can never be unsent now.
 func (l *ledger) prune(cutoff vtime.Time) {
-	kept := l.sent[:0]
-	for _, rec := range l.sent {
-		if rec.ev.IsZero() && rec.sentAt.Before(cutoff) {
-			l.freeRec(rec)
-			continue
+	kept := 0
+	for i := 0; i < l.sent.Len(); {
+		span := l.sent.Span(i) // reads walk a piece at a time; writes trail them
+		for _, rec := range span {
+			if rec.ev.IsZero() && rec.sentAt.Before(cutoff) {
+				l.freeRec(rec)
+			} else {
+				if kept != i {
+					*l.sent.At(kept) = rec
+				}
+				kept++
+			}
+			i++
 		}
-		kept = append(kept, rec)
 	}
-	l.sent = kept
+	l.sent.Truncate(kept)
 }
 
 // reset drops every record in a crash. Unsent messages die with the node
 // (silent cancel); wired ones were really transmitted and stand — a crash
 // is not a rollback. The drop log stays: recorded losses happened.
 func (l *ledger) reset() {
-	for _, recs := range [...][]*sentRec{l.sent, l.replayPool} {
-		for _, rec := range recs {
-			if !rec.ev.IsZero() {
-				l.lane.Cancel(rec.ev)
-			}
-			l.freeRec(rec)
+	l.each(func(rec *sentRec) {
+		if !rec.ev.IsZero() {
+			l.lane.Cancel(rec.ev)
 		}
-	}
-	l.sent, l.replayPool = l.sent[:0], l.replayPool[:0]
+		l.freeRec(rec)
+	})
+	l.sent.Truncate(0)
+	l.replayPool = l.replayPool[:0]
 }
 
 // held passes note every message the live records reference.
 func (l *ledger) held(note func(*msg.Message)) {
-	for _, recs := range [...][]*sentRec{l.sent, l.replayPool} {
-		for _, rec := range recs {
-			note(rec.m)
-		}
+	l.each(func(rec *sentRec) { note(rec.m) })
+}
+
+// each calls f on every live record: sent, then the replay pool.
+func (l *ledger) each(f func(*sentRec)) {
+	for i := range l.sent.Len() {
+		f(*l.sent.At(i))
+	}
+	for _, rec := range l.replayPool {
+		f(rec)
 	}
 }

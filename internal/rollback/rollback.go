@@ -43,10 +43,10 @@
 //	layer      file       owns                                       guarantee
 //	lookahead  defer.go   links (one per row slot), g, self          releases depend only on the node's own delivery stream
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
-//	                      directSeq (buf, Window, ckpts: slide.Bufs)
+//	                      directSeq (buf, Window, ckpts, sent: slide.Bufs)
 //	window     window.go  Window, ckpts, japp, serial, hw            restoring ckpts[i] puts back the state entry i was delivered in
-//	ledger     ledger.go  sent, recFree, recSlab, replayPool,        after a replay the wire carries what the replay produced,
-//	                      replayFresh, dropLog                       with the annotations the first pass gave it
+//	ledger     ledger.go  sent, recs, replayPool, replayFresh,       after a replay the wire carries what the replay produced,
+//	                      dropLog (recs: the lane's recStore)        with the annotations the first pass gave it
 //	settle     shim.go    last, lastKey, lastRank, has, log          entries retire once, in order; stragglers are counted
 //
 // Per arrival the shim calls them in one fixed order:
@@ -296,9 +296,13 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		budget *= lookBudgetMult
 	}
 	e.shims = make([]*shim, g.N)
+	stores := map[*netsim.Lane]*recStore{} // one send-record store per lane
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
 		sh := &shim{e: e, id: n, lane: e.sim.LaneFor(n), app: apps[i]}
+		if stores[sh.lane] == nil {
+			stores[sh.lane] = new(recStore)
+		}
 		sender := annotate.NewSender(n, g, e.chainBound, e.procEstimate())
 		if *spec.MessagePool {
 			// Wire messages come refcounted from the node's lane pool (the
@@ -312,7 +316,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		sh.pend = pending{cmp: ord, slack: slack, max: spec.DeferMax.V(), budget: budget,
 			lane: sh.lane, stats: &sh.stats, flushFn: sh.onFlush}
 		sh.win = window{Window: history.New(ord), app: apps[i], sender: sender, stats: &sh.stats}
-		sh.ledger = ledger{id: n, lane: sh.lane, sender: sender, stats: &sh.stats, dropLog: map[msg.ID]record.LossEvent{}}
+		sh.ledger = ledger{id: n, lane: sh.lane, recs: stores[sh.lane], sender: sender, stats: &sh.stats, dropLog: map[msg.ID]record.LossEvent{}}
 		sh.settle = settle{cmp: ord, logging: *spec.DeliveryLog, stats: &sh.stats}
 		sh.tick.sh = sh
 		e.shims[i] = sh

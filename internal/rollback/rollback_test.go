@@ -561,7 +561,8 @@ func TestSentRecordsOrderedByCause(t *testing.T) {
 				last, live[s] = s, true
 			}
 			prev := uint64(0)
-			for _, rec := range sh.ledger.sent {
+			for i := range sh.ledger.sent.Len() {
+				rec := *sh.ledger.sent.At(i)
 				if rec.causeSerial < prev {
 					t.Fatalf("t=%v node %d: sent record caused by %d after one caused by %d", now, sh.id, rec.causeSerial, prev)
 				}

@@ -286,7 +286,7 @@ func (sh *shim) onAnti(m *msg.Message) {
 	if sh.look.on() {
 		sh.look.observe(m.From, sh.lane.Now(), 0)
 	}
-	target := m.Payload.(antiPayload).Target
+	target := msg.ID{Sender: m.From, Seq: m.LinkSeq} // see sendAnti
 	pos := sh.win.FindMsg(target)
 	if pos < 0 {
 		// Still held in the pending buffer: annihilate it there, before
