@@ -95,11 +95,10 @@ type counterUndo struct {
 // originSlot marks a counterUndo that restores OriginSeq.
 const originSlot int32 = -1
 
-// NewSender creates a sender for node self.
+// NewSender creates a sender for node self. chainBound must be at least 1;
+// both engines check it where they read it (the engine spec's rules,
+// lockstep.New for a recording).
 func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate vtime.Duration) *Sender {
-	if chainBound <= 0 {
-		chainBound = 64
-	}
 	s := &Sender{Self: self, G: g, ChainBound: chainBound, ProcEstimate: procEstimate,
 		LinkSeq: make([]uint64, g.Degree(int(self)))}
 	s.j = journal.New(func(u counterUndo) {

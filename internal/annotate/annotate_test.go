@@ -123,14 +123,6 @@ func TestCountersSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestDefaultChainBound(t *testing.T) {
-	g := topology.Line(2, vtime.Millisecond)
-	s := NewSender(0, g, 0, 0)
-	if s.ChainBound != 64 {
-		t.Fatalf("default chain bound = %d", s.ChainBound)
-	}
-}
-
 func TestCounterJournalRewind(t *testing.T) {
 	s := sender()
 	s.JournalEnable()

@@ -184,12 +184,12 @@ func (s *Session) showPending() {
 		fmt.Fprintln(s.out, "nothing pending (phase boundary)")
 		return
 	}
-	for i, d := range p {
+	const shown = 20
+	for i, d := range p[:min(len(p), shown)] {
 		fmt.Fprintf(s.out, "%3d: %s\n", i, d)
-		if i >= 19 {
-			fmt.Fprintf(s.out, "     ... %d more\n", len(p)-20)
-			break
-		}
+	}
+	if len(p) > shown {
+		fmt.Fprintf(s.out, "     ... %d more\n", len(p)-shown)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestStepPastEnd(t *testing.T) {
 func TestNonDumperStateFallsBack(t *testing.T) {
 	// An app without DumpTable gets the %+v fallback.
 	g := topology.Line(2, vtime.Millisecond)
-	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval}
+	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, ChainBound: 64}
 	apps := []api.Application{&plainApp{}, &plainApp{}}
 	ls, err := lockstep.New(g, apps, rec)
 	if err != nil {
@@ -213,6 +213,40 @@ func TestNonDumperStateFallsBack(t *testing.T) {
 	s.Run()
 	if !strings.Contains(out.String(), "node 0:") {
 		t.Errorf("fallback state dump missing:\n%s", out.String())
+	}
+}
+
+// TestPendingListsTwenty holds pending's listing to twenty lines and a
+// tail line that counts only what it left out. After group, the next
+// group's timer batches are pending, one per node: on a 20-node line all
+// of them are listed and no tail follows, on 21 nodes one is left out.
+func TestPendingListsTwenty(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		tail  string
+	}{{20, ""}, {21, "     ... 1 more\n"}} {
+		g := topology.Line(tc.nodes, vtime.Millisecond)
+		rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, ChainBound: 64, Groups: 3}
+		apps := make([]api.Application, g.N)
+		for i := range apps {
+			apps[i] = &plainApp{}
+		}
+		ls, err := lockstep.New(g, apps, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		s := New(ls, strings.NewReader(""), &out)
+		s.Execute("group")
+		out.Reset()
+		s.Execute("pending")
+		want := ""
+		for i := 0; i < 20; i++ {
+			want += fmt.Sprintf("%3d: node %d ← timer batch g2\n", i, i)
+		}
+		if got := out.String(); got != want+tc.tail {
+			t.Errorf("%d pending: got\n%s\nwant\n%s", tc.nodes, got, want+tc.tail)
+		}
 	}
 }
 

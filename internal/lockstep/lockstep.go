@@ -28,6 +28,16 @@
 // from the engine's refcounted pool; MsgPool exposes it, poison mode
 // included.
 //
+// New is the only code that reads the recording, and it reads it once: it
+// checks the envelope (the beacon interval must be vtime.BeaconInterval,
+// the chain bound at least 1, every event at a node of the graph), moves
+// loss events into a drop table and application events into one slice
+// sorted by (group, node, seq), and keeps no reference to it, so one
+// recording can feed any number of concurrent replays. A message that a
+// chain-bound rollover tags for a later group waits in the one transmit
+// queue: the ordering function sorts by group first, so it sorts behind
+// every message of the current group, and a batch never crosses a group.
+//
 // Response-time accounting models what the paper measures in Figures 6c
 // and 8c: a step is one transmission + one processing phase, and its
 // response time combines the semaphore barrier (two coordinator round
@@ -36,6 +46,7 @@
 package lockstep
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -101,9 +112,8 @@ type node struct {
 
 // Engine replays a recording in lockstep.
 type Engine struct {
-	G   *topology.Graph
-	f   ordering.Func
-	rec *record.Recording
+	G *topology.Graph
+	f ordering.Func
 
 	nodes    []*node
 	curGroup uint64
@@ -112,13 +122,20 @@ type Engine struct {
 	pendBuf  []Delivery // pending's array from its start: steps eat pending's front, phases refill here
 	done     bool
 
-	// queue holds transmitted-but-undelivered messages of the current
-	// group, kept sorted by the ordering function; future parks messages
-	// tagged for a later group (chain-bound rollovers). Ordering keys are
-	// computed once at transmission and cached alongside each message so
-	// the per-round sort never recomputes them.
-	queue  []queued
-	future map[uint64][]queued
+	// queue holds transmitted-but-undelivered messages, kept sorted by
+	// the ordering function; a chain-bound rollover waits here for its
+	// group. Ordering keys are computed once at transmission and cached
+	// alongside each message so the per-round sort never recomputes them.
+	queue []queued
+
+	// ext holds the recording's application events as round-0
+	// deliveries, sorted by (group, node, seq) with ties in recording
+	// order; extNext is the first one no group has begun yet.
+	ext     []Delivery
+	extNext int
+	// lastGroup is the last group the recording names: its production
+	// group count or its latest event, whichever is later.
+	lastGroup uint64
 
 	// minLink is the conservative-replay lookahead: the smallest link
 	// delay in the graph.
@@ -140,12 +157,6 @@ type Engine struct {
 	// steps holds one summary per completed round, a segment log like
 	// node.delivered: growth never copies, and Steps builds the slice.
 	steps segLog[StepInfo]
-
-	// recLast is the last group the recording names (its production
-	// group count or its latest event, fixed in New); maxFuture is the
-	// latest group a message was ever parked for. lastGroup is their max.
-	recLast   uint64
-	maxFuture uint64
 
 	// breakHit points at hit, the paused delivery, while a breakpoint
 	// holds stepping; a field, so StepEvent's delivery never escapes.
@@ -177,19 +188,26 @@ type queued struct {
 // node, replaying rec. Applications must be fresh instances of the same
 // software the production network ran. The recording is the replay's only
 // configuration: its ordering name and seed select the ordering function,
-// so exploring another ordering means replaying an edited copy.
+// so exploring another ordering means replaying an edited copy. A
+// recording the package doc's checks reject is an error naming the field.
 func New(g *topology.Graph, apps []api.Application, rec *record.Recording) (*Engine, error) {
 	if len(apps) != g.N {
 		return nil, fmt.Errorf("lockstep: %d apps for %d nodes", len(apps), g.N)
+	}
+	if rec.BeaconInterval != vtime.BeaconInterval {
+		return nil, fmt.Errorf("lockstep: recording beacon_interval %v, want %v", rec.BeaconInterval, vtime.BeaconInterval)
+	}
+	if rec.ChainBound < 1 {
+		return nil, fmt.Errorf("lockstep: recording chain_bound %d must be >= 1", rec.ChainBound)
 	}
 	f, err := ordering.ByName(rec.Ordering, rec.Seed)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		G: g, f: f, rec: rec,
+		G: g, f: f,
+		lastGroup:    rec.Groups,
 		drops:        map[dropKey]int{},
-		future:       map[uint64][]queued{},
 		roundPerNode: make([]int, g.N),
 	}
 	if co, ok := f.(ordering.ChainOrdered); ok {
@@ -203,12 +221,28 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording) (*Eng
 			e.maxLink = l.Delay
 		}
 	}
-	e.recLast = max(rec.Groups, rec.MaxGroup())
+	// Loss events go to the drop table (replay metadata, not
+	// application events); the rest become round-0 deliveries.
 	for _, ev := range rec.Events {
+		if ev.Node < 0 || int(ev.Node) >= g.N {
+			return nil, fmt.Errorf("lockstep: recording event at node %d of %d", ev.Node, g.N)
+		}
+		e.lastGroup = max(e.lastGroup, ev.Group)
 		if le, ok := ev.Payload.(record.LossEvent); ok {
 			e.drops[dropKey{key: le.Key, to: le.To}]++
+			continue
 		}
+		e.ext = append(e.ext, Delivery{
+			Node:      ev.Node,
+			Key:       ordering.ExternalKey(ev.Group, ev.Node, ev.Seq),
+			Ext:       ev.Payload,
+			ExtOffset: ev.Offset,
+		})
 	}
+	slices.SortStableFunc(e.ext, func(a, b Delivery) int {
+		return cmp.Or(cmp.Compare(a.Key.Group, b.Key.Group),
+			cmp.Compare(a.Node, b.Node), cmp.Compare(a.Key.Seq, b.Key.Seq))
+	})
 	// Barrier latency model: the coordinator is the beacon leader
 	// (node 0); the barrier costs two traversals of the longest
 	// coordinator path per phase change. The same distances are the
@@ -268,7 +302,8 @@ func (e *Engine) Pending() []Delivery { return append([]Delivery(nil), e.pending
 // ---- phase machinery ---------------------------------------------------------
 
 // beginGroup queues the timer batches and recorded externals of group g as
-// the group's round-0 deliveries, and releases parked future messages.
+// the group's round-0 deliveries. Groups begin in ascending order, so the
+// externals of g are the ones at the cursor.
 func (e *Engine) beginGroup(g uint64) {
 	e.curGroup = g
 	e.round = 0
@@ -283,25 +318,11 @@ func (e *Engine) beginGroup(g uint64) {
 			e.pending = append(e.pending, Delivery{Node: n.id, Key: ordering.TimerKey(g, n.id)})
 		}
 	}
-	// Recorded externals in (node, seq) order. Loss events are replay
-	// metadata, not application events.
-	for _, ev := range e.rec.ByGroup(g) {
-		if _, isLoss := ev.Payload.(record.LossEvent); isLoss {
-			continue
-		}
-		e.pending = append(e.pending, Delivery{
-			Node:      ev.Node,
-			Key:       ordering.ExternalKey(g, ev.Node, ev.Seq),
-			Ext:       ev.Payload,
-			ExtOffset: ev.Offset,
-		})
+	// Recorded externals in (node, seq) order.
+	for ; e.extNext < len(e.ext) && e.ext[e.extNext].Key.Group == g; e.extNext++ {
+		e.pending = append(e.pending, e.ext[e.extNext])
 	}
 	e.pendBuf = e.pending
-	// Un-park messages that were waiting for this group.
-	if parked, ok := e.future[g]; ok {
-		e.queue = append(e.queue, parked...)
-		delete(e.future, g)
-	}
 }
 
 // resetRound clears the per-round accounting.
@@ -361,7 +382,7 @@ func (e *Engine) deliver(d Delivery) {
 	fresh := true
 	switch {
 	case d.Key.IsTimer():
-		outs = n.app.HandleTimer(vtime.GroupStart(d.Key.Group, e.rec.BeaconInterval))
+		outs = n.app.HandleTimer(vtime.GroupStart(d.Key.Group, vtime.BeaconInterval))
 		freshOffset = e.skew[d.Node]
 	case d.Key.IsExternal():
 		outs = n.app.HandleExternal(d.Ext)
@@ -394,37 +415,22 @@ func (e *Engine) advancePhase() bool {
 			return true
 		}
 	}
-	// Group quiescent: next group, if any work remains.
-	next := e.curGroup + 1
-	for next <= e.lastGroup() {
-		e.beginGroup(next)
-		if len(e.pending) > 0 || len(e.queue) > 0 {
-			if len(e.pending) == 0 {
-				// Only parked messages: build their first batch.
-				e.round++
-				e.buildProcessing()
-			}
-			if len(e.pending) > 0 {
-				return true
-			}
+	// Group quiescent: the next group, while the recording names one or
+	// a rollover waits in the queue for one. Every group from 1 on
+	// begins with timer batches.
+	for e.curGroup < e.lastGroup || len(e.queue) > 0 {
+		e.beginGroup(e.curGroup + 1)
+		if len(e.pending) > 0 {
+			return true
 		}
-		next++
 	}
 	e.done = true
 	e.releaseDelivered()
 	return false
 }
 
-// lastGroup returns the final group the replay must execute: the recorded
-// production group count, extended by any parked future messages. A
-// message is parked only for a group after the current one and stays
-// parked until that group begins, so the high-water maxFuture is exact
-// wherever it exceeds the current group.
-func (e *Engine) lastGroup() uint64 { return max(e.recLast, e.maxFuture) }
-
 // transmit moves every node's send buffer into the shared queue (the
-// transmission phase), replaying recorded losses and parking chain-bound
-// rollovers for their group.
+// transmission phase), replaying recorded losses.
 func (e *Engine) transmit() {
 	for _, n := range e.nodes {
 		for _, m := range n.sendBuf {
@@ -437,28 +443,25 @@ func (e *Engine) transmit() {
 				m.Release()
 				continue
 			}
-			if g := m.Ann.Group; g > e.curGroup {
-				e.future[g] = append(e.future[g], queued{m: m, key: k})
-				e.maxFuture = max(e.maxFuture, g)
-				continue
-			}
 			e.queue = append(e.queue, queued{m: m, key: k})
 		}
 		n.sendBuf = n.sendBuf[:0]
 	}
 }
 
-// buildProcessing selects the next conservative batch from the queue and
-// queues its deliveries in ordering-function order.
+// buildProcessing selects the next conservative batch from the non-empty
+// queue and queues its deliveries in ordering-function order. A head
+// tagged for a later group (a chain-bound rollover) ends the current
+// group: the batch is empty.
 func (e *Engine) buildProcessing() {
 	e.pending = e.pendBuf[:0]
 	e.resetRound()
-	if len(e.queue) == 0 {
-		return
-	}
 	slices.SortFunc(e.queue, func(a, b queued) int {
 		return e.f.Compare(a.key, b.key)
 	})
+	if e.queue[0].key.Group > e.curGroup {
+		return
+	}
 	batch := e.safeBatchSize()
 	for _, q := range e.queue[:batch] {
 		e.pending = append(e.pending, Delivery{Node: q.m.To, Key: q.key, Msg: q.m})
@@ -469,7 +472,7 @@ func (e *Engine) buildProcessing() {
 
 // safeBatchSize returns how many entries of the sorted queue may be
 // delivered in one processing phase such that no message generated later
-// can sort before them.
+// can sort before them. A batch never crosses a group.
 //
 // OO: children carry d >= parent d + minLink, so every entry with
 // d < minD+minLink is safe (minD is the head's d — the smallest live d).
@@ -484,6 +487,9 @@ func (e *Engine) safeBatchSize() int {
 	n := 1
 	for ; n < len(e.queue); n++ {
 		k := e.queue[n].key
+		if k.Group != head.Group {
+			break
+		}
 		if e.chains != nil && e.chains.ChainHash(k) != e.chains.ChainHash(head) {
 			break
 		}

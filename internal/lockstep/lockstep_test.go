@@ -3,6 +3,8 @@ package lockstep
 import (
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"defined/internal/msg"
@@ -91,13 +93,16 @@ func floodApps(n int) []api.Application {
 // committed sequences and app logs.
 func produce(t *testing.T, g *topology.Graph, seed uint64, nVals int) (*record.Recording, [][]ordering.Key, [][]string) {
 	t.Helper()
+	return produceWith(t, g, rollback.EngineSpec{Seed: &seed, JitterScale: ptr(4.0)}, nVals)
+}
+
+// produceWith is produce on an engine spec of the caller's; recording and
+// the delivery log are always on.
+func produceWith(t *testing.T, g *topology.Graph, spec rollback.EngineSpec, nVals int) (*record.Recording, [][]ordering.Key, [][]string) {
+	t.Helper()
 	apps := floodApps(g.N)
-	e := rollback.New(g, apps, rollback.EngineSpec{
-		Seed:        &seed,
-		JitterScale: ptr(4.0),
-		Record:      ptr(true),
-		DeliveryLog: ptr(true),
-	})
+	spec.Record, spec.DeliveryLog = ptr(true), ptr(true)
+	e := rollback.New(g, apps, spec)
 	for v := 0; v < nVals; v++ {
 		v := v
 		node := msg.NodeID((v * 5) % g.N)
@@ -397,18 +402,25 @@ func (noopApp) Restore(api.State)                          {}
 // stores its delivered key and, at the end of a round, its summary, and
 // neither allocates once their logs are past the first segments. In
 // particular the delivery StepEvent returns does not escape, with a
-// breakpoint predicate installed.
+// breakpoint predicate installed, and a group's externals join round 0
+// without allocating (the recording has one in every group).
 func TestStepEventDoesNotAllocate(t *testing.T) {
 	g := topology.Line(4, vtime.Millisecond)
 	apps := []api.Application{noopApp{}, noopApp{}, noopApp{}, noopApp{}}
-	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, Groups: 1000}
+	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, ChainBound: 64, Groups: 1000}
+	for grp := uint64(0); grp < rec.Groups; grp++ {
+		rec.Events = append(rec.Events, record.Event{
+			Group: grp, Node: msg.NodeID(grp % 4), Kind: injectEvent{}.ExternalKind(), Payload: injectEvent{},
+		})
+	}
 	ls, err := New(g, apps, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ls.SetBreakpoint(func(d Delivery) bool { return d.Node < 0 })
 	// Steady state: every node's key log and the step log past their
-	// growing segments (16+32+64+128 entries, one key per node per group).
+	// growing segments (16+32+64+128 entries, one key per node per group
+	// and one external per four groups).
 	for i := 0; i < 300*g.N; i++ {
 		if _, ok := ls.StepEvent(); !ok {
 			t.Fatal("replay ended during warm-up")
@@ -472,21 +484,41 @@ func TestPendingExposesNextDeliveries(t *testing.T) {
 	}
 }
 
+// TestNewValidation holds New to rejecting, with an error naming what is
+// wrong, every recording it cannot replay as recorded.
 func TestNewValidation(t *testing.T) {
 	g := topology.Line(3, vtime.Millisecond)
-	rec := &record.Recording{Ordering: "OO"}
-	if _, err := New(g, floodApps(2), rec); err == nil {
-		t.Fatal("app count mismatch must error")
+	valid := record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, ChainBound: 64}
+	for _, tc := range []struct {
+		name string
+		apps int
+		edit func(*record.Recording)
+		want string
+	}{
+		{"app count mismatch", 2, func(*record.Recording) {}, "2 apps for 3 nodes"},
+		{"unknown ordering", 3, func(r *record.Recording) { r.Ordering = "nonsense" }, "nonsense"},
+		{"beacon interval unset", 3, func(r *record.Recording) { r.BeaconInterval = 0 }, "beacon_interval"},
+		{"beacon interval 100ms", 3, func(r *record.Recording) { r.BeaconInterval = 100 * vtime.Millisecond }, "beacon_interval"},
+		{"chain bound unset", 3, func(r *record.Recording) { r.ChainBound = 0 }, "chain_bound"},
+		{"event outside the graph", 3, func(r *record.Recording) {
+			r.Events = []record.Event{{Node: 3, Kind: injectEvent{}.ExternalKind(), Payload: injectEvent{}}}
+		}, "node 3 of 3"},
+	} {
+		rec := valid
+		tc.edit(&rec)
+		_, err := New(g, floodApps(tc.apps), &rec)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New returned %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
-	bad := &record.Recording{Ordering: "nonsense"}
-	if _, err := New(g, floodApps(3), bad); err == nil {
-		t.Fatal("unknown ordering must error")
+	if _, err := New(g, floodApps(3), &valid); err != nil {
+		t.Fatalf("valid recording: %v", err)
 	}
 }
 
 func TestEmptyRecordingFinishesImmediately(t *testing.T) {
 	g := topology.Line(3, vtime.Millisecond)
-	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval}
+	rec := &record.Recording{Ordering: "OO", BeaconInterval: vtime.BeaconInterval, ChainBound: 64}
 	ls, err := New(g, floodApps(3), rec)
 	if err != nil {
 		t.Fatal(err)
@@ -572,6 +604,84 @@ func TestReplayMessageLifecycle(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pooled.DeliveredKeys(n), rbKeys[i]) {
 			t.Fatalf("node %d: pooled replay no longer reproduces production", i)
+		}
+	}
+}
+
+// TestChainBoundRolloverReproduces is RB ≡ LS on the one path a chain
+// bound below the flood depth takes: a child past the bound starts a fresh
+// chain in the next group, and replay holds it in the transmit queue until
+// that group. Every flood value is injected in group 0 and floodApp's
+// timers send nothing, so a message delivered in a later group is a
+// rollover's descendant; each case must deliver one.
+func TestChainBoundRolloverReproduces(t *testing.T) {
+	for _, tg := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"brite10", topology.Brite(10, 2, 27)},
+		{"line8", topology.Line(8, vtime.Millisecond)},
+		{"sprintlink", topology.Sprintlink()},
+	} {
+		for _, ord := range []string{"OO", "RO"} {
+			for bound := 1; bound <= 3; bound++ {
+				name, g := fmt.Sprintf("%s/%s/bound%d", tg.name, ord, bound), tg.g
+				rec, rbKeys, _ := produceWith(t, g, rollback.EngineSpec{
+					Seed: ptr[uint64](1), JitterScale: ptr(4.0), Ordering: ord,
+					OrderingSeed: ptr[uint64](99), ChainBound: ptr(bound),
+				}, 4)
+				ls, err := New(g, floodApps(g.N), rec)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				ls.RunToEnd()
+				rolled := false
+				for i := 0; i < g.N; i++ {
+					got := ls.DeliveredKeys(msg.NodeID(i))
+					if !reflect.DeepEqual(rbKeys[i], got) {
+						t.Fatalf("%s node %d: delivery sequences differ\nRB: %v\nLS: %v", name, i, rbKeys[i], got)
+					}
+					for _, k := range got {
+						rolled = rolled || (k.Class == ordering.ClassMessage && k.Group > 0)
+					}
+				}
+				if !rolled {
+					t.Fatalf("%s: no message was delivered past group 0; the rollover path did not run", name)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentReplaysShareRecording runs two replays of one recording
+// at once: New only reads the recording, so under -race this is clean and
+// both reproduce production.
+func TestConcurrentReplaysShareRecording(t *testing.T) {
+	g := topology.Brite(10, 2, 27)
+	rec, rbKeys, _ := produce(t, g, 2, 4)
+	engines := make([]*Engine, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ls, err := New(g, floodApps(g.N), rec)
+			if err == nil {
+				ls.RunToEnd()
+			}
+			engines[i], errs[i] = ls, err
+		}()
+	}
+	wg.Wait()
+	for r, ls := range engines {
+		if errs[r] != nil {
+			t.Fatalf("replay %d: %v", r, errs[r])
+		}
+		for i := 0; i < g.N; i++ {
+			if got := ls.DeliveredKeys(msg.NodeID(i)); !reflect.DeepEqual(rbKeys[i], got) {
+				t.Fatalf("replay %d node %d: delivery sequences differ\nRB: %v\nLS: %v", r, i, rbKeys[i], got)
+			}
 		}
 	}
 }

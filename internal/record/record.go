@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"defined/internal/msg"
 	"defined/internal/ordering"
@@ -59,7 +58,10 @@ type Event struct {
 	Payload api.ExternalEvent `json:"-"`
 }
 
-// Recording is the partial recording of one production run.
+// Recording is the partial recording of one production run. It is a plain
+// value that no method writes: the production engine appends to Events
+// while it records, and a replay only reads it (lockstep.New copies what
+// it needs), so one recording can feed any number of concurrent replays.
 type Recording struct {
 	// Topology names the graph the run used (informational).
 	Topology string `json:"topology"`
@@ -67,7 +69,8 @@ type Recording struct {
 	// seed. The debugging network must use the identical function.
 	Ordering string `json:"ordering"`
 	Seed     uint64 `json:"seed"`
-	// BeaconInterval is the group width used during recording.
+	// BeaconInterval is the group width used during recording; it is
+	// always vtime.BeaconInterval, and replay rejects any other value.
 	BeaconInterval vtime.Duration `json:"beacon_interval"`
 	// ChainBound is the per-timestep causal chain cap used during
 	// recording; replay must bound chains identically.
@@ -80,52 +83,6 @@ type Recording struct {
 	Groups uint64 `json:"groups"`
 	// Events is the recorded external event log, in application order.
 	Events []Event `json:"events"`
-
-	// byGroup is the lazily built per-group index behind ByGroup;
-	// byGroupLen is the Events length it was built from, so direct
-	// appends to Events (Append, Decode, tests) invalidate it.
-	byGroup    map[uint64][]Event
-	byGroupLen int
-}
-
-// Append records one event.
-func (r *Recording) Append(e Event) { r.Events = append(r.Events, e) }
-
-// MaxGroup returns the largest group number appearing in the recording (0
-// when empty).
-func (r *Recording) MaxGroup() uint64 {
-	var g uint64
-	for _, e := range r.Events {
-		if e.Group > g {
-			g = e.Group
-		}
-	}
-	return g
-}
-
-// ByGroup returns the events of group g sorted by (node, seq) — the order
-// DEFINED-LS applies them in. The per-group buckets are built once and
-// reused across calls (lockstep replay asks for every group of a long
-// recording; rescanning all events per group made recording load O(E·G)).
-// The returned slice aliases the index: callers must not mutate it. Ties
-// on (node, seq) keep recording order, stably.
-func (r *Recording) ByGroup(g uint64) []Event {
-	if r.byGroup == nil || r.byGroupLen != len(r.Events) {
-		r.byGroup = make(map[uint64][]Event)
-		for _, e := range r.Events {
-			r.byGroup[e.Group] = append(r.byGroup[e.Group], e)
-		}
-		for _, evs := range r.byGroup {
-			sort.SliceStable(evs, func(i, j int) bool {
-				if evs[i].Node != evs[j].Node {
-					return evs[i].Node < evs[j].Node
-				}
-				return evs[i].Seq < evs[j].Seq
-			})
-		}
-		r.byGroupLen = len(r.Events)
-	}
-	return r.byGroup[g]
 }
 
 // ---- serialization ----------------------------------------------------------

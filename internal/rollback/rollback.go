@@ -498,7 +498,7 @@ func (e *Engine) flushDrops() {
 		return int(a.To) - int(b.To)
 	})
 	for _, le := range losses {
-		e.rec.Append(record.Event{
+		e.rec.Events = append(e.rec.Events, record.Event{
 			Group:   le.Key.Group,
 			Seq:     le.Key.LinkSeq,
 			Node:    le.Key.From,
@@ -659,7 +659,7 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 	seq := sh.extNext
 	sh.extNext++
 	if e.rec != nil {
-		e.rec.Append(record.Event{Group: group, Seq: seq, Node: n, Offset: offset, Kind: ev.ExternalKind(), Payload: ev})
+		e.rec.Events = append(e.rec.Events, record.Event{Group: group, Seq: seq, Node: n, Offset: offset, Kind: ev.ExternalKind(), Payload: ev})
 	}
 	e.stats.ExternalEvents++
 	if e.baseline {

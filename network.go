@@ -5,6 +5,7 @@ import (
 
 	"defined/internal/faults"
 	"defined/internal/msg"
+	"defined/internal/ordering"
 	"defined/internal/rollback"
 	"defined/internal/scenario"
 	"defined/internal/trace"
@@ -119,7 +120,12 @@ func (n *Network) WindowStats() (windows, serialSteps uint64) {
 // strings (the settled prefix is kept only when the engine block set
 // deliveryLog).
 func (n *Network) CommittedOrder(id NodeID) []string {
-	keys := n.eng.CommittedKeys(id)
+	return keyStrings(n.eng.CommittedKeys(id))
+}
+
+// keyStrings renders a delivery sequence one key per string, the form
+// CommittedOrder and Replay.DeliveredOrder share.
+func keyStrings(keys []ordering.Key) []string {
 	out := make([]string, len(keys))
 	for i, k := range keys {
 		out[i] = k.String()

@@ -24,6 +24,10 @@ type StepInfo = lockstep.StepInfo
 // be fresh instances of the same software the production network ran. The
 // recording is the replay's only input: it names the ordering function and
 // seed, and every node's delivery sequence is kept (DeliveredOrder).
+// NewReplay reads rec once and keeps no reference to it, so one recording
+// can feed concurrent replays; a recording whose beacon interval is not
+// the engines' or whose chain bound is below 1 is an error naming the
+// field.
 func NewReplay(g *Topology, apps []Application, rec *Recording) (*Replay, error) {
 	eng, err := lockstep.New(g, apps, rec)
 	if err != nil {
@@ -65,12 +69,7 @@ func (r *Replay) Steps() []StepInfo { return r.eng.Steps() }
 // DeliveredOrder returns node id's delivery sequence rendered as strings,
 // comparable entry by entry with the production Network.CommittedOrder.
 func (r *Replay) DeliveredOrder(id NodeID) []string {
-	keys := r.eng.DeliveredKeys(id)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = k.String()
-	}
-	return out
+	return keyStrings(r.eng.DeliveredKeys(id))
 }
 
 // Debug runs an interactive command session (gdb-flavored; see
