@@ -143,9 +143,9 @@ func (s *Sender) SnapshotCounters() Counters {
 	return Counters{OriginSeq: s.OriginSeq, LinkSeq: append([]uint64(nil), s.LinkSeq...)}
 }
 
-// RestoreCounters rewinds the checkpointable counters. The checkpoint
-// keeps ownership of c (it may be restored again), so values are copied
-// out of it — in place when sizes match, which is the steady state.
+// RestoreCounters rewinds the checkpointable counters. It copies c's
+// values into the sender's own LinkSeq array — in place when sizes match,
+// which is the steady state — so a restore allocates nothing.
 func (s *Sender) RestoreCounters(c Counters) {
 	s.OriginSeq = c.OriginSeq
 	if len(s.LinkSeq) == len(c.LinkSeq) {

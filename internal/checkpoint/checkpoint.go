@@ -1,7 +1,6 @@
 // Package checkpoint defines the checkpointing strategies DEFINED-RB can
-// run with, their cost models, and the per-node checkpoint stack (Keeper),
-// mirroring the paper's implementation section (§3) and the optimizations
-// evaluated in §5.2:
+// run with and their cost models, mirroring the paper's implementation
+// section (§3) and the optimizations evaluated in §5.2:
 //
 //   - rollback copy modes: FK (resume the fork — copy everything) vs MI
 //     (intercepted memory writes — copy only changed bytes), Figure 7a;
@@ -18,37 +17,30 @@
 //   - FK is the reference implementation: before every speculative
 //     delivery the engine stores a full deep clone of the application
 //     state (api.State.Clone) plus a snapshot of the annotation counters,
-//     and rollback reinstalls the clone. Checkpoint cost scales with
-//     state size — at every delivery, whether or not a rollback ever
-//     happens.
+//     and rollback hands that clone back to the application, which adopts
+//     it — as the paper's rollback resumes the forked child rather than
+//     copying it again. Checkpoint cost scales with state size — at every
+//     delivery, whether or not a rollback ever happens.
 //
 //   - MI is the undo-journal implementation (paper §3's intercepted
 //     memory writes, ~13× cheaper in Figure 7a). Applications that
 //     implement api.Journaled record a compact (slot, old-value) undo
 //     entry per mutation into an internal/journal log; a checkpoint is
-//     then an O(1) Checkpoint mark pair (application journal position +
-//     annotation-counter journal position) and rollback replays the
-//     journal backward to the mark. Checkpoint cost scales with the bytes
-//     *dirtied* per delivery, not with topology size. Applications
-//     without the capability silently fall back to FK-style clones, so
-//     third-party apps keep working under the default strategy — and
-//     only they and test doubles: everything a scenario.Plan builds,
-//     multi-protocol composites included, journals.
+//     then an O(1) mark pair, Marks (application journal position +
+//     annotation counter journal position), and rollback replays the
+//     journal backward to the mark. Checkpoint cost scales with the bytes *dirtied* per
+//     delivery, not with topology size. Applications without the
+//     capability silently fall back to FK-style clones, so third-party
+//     apps keep working under the default strategy — and only they and
+//     test doubles: everything a scenario.Plan builds, multi-protocol
+//     composites included, journals.
 //
-// # The Keeper
-//
-// Keeper is the per-node checkpoint stack, aligned one-to-one with the
-// node's history window: checkpoint i captures the state before the i-th
-// live window entry was delivered. A Checkpoint is either a full snapshot
-// (State != nil) or a mark pair, and the two kinds may coexist in one
-// stack — the rollback engine dispatches per entry. The stack stores
-// 16-byte mark pairs, not Checkpoint values: the snapshot column is a
-// parallel slide.Buf (like the marks: growth copies nothing) that
-// allocates only once a snapshot has been pushed (FK, or the clone
-// fallback), so an MI delivery — whose State is always nil — pays for two
-// marks and no empty interface. Settlement (Keeper.DropFirst) is the
-// moment mark checkpoints die, which is when the engine compacts the
-// journal prefix older than the new oldest live mark.
+// The checkpoint stack itself lives in the rollback engine's per-node
+// window (internal/rollback), aligned with the node's history window: one
+// typed stack per node, of mark pairs or of snapshots, chosen once when the
+// engine is built. Settlement is the moment mark checkpoints die, which is
+// when the engine compacts the journal prefix older than the new oldest
+// live mark.
 //
 // Two consumers exist. The single-node microbenchmarks (experiments
 // fig7a/7b/7c) exercise the strategies for real against a memstore-backed
@@ -64,9 +56,14 @@ import (
 	"strings"
 
 	"defined/internal/journal"
-	"defined/internal/slide"
 	"defined/internal/vtime"
 )
+
+// Marks is an MI checkpoint, one per speculative delivery on the rollback
+// window's stack: the application's and the sender's undo-journal positions.
+type Marks struct {
+	App, Counters journal.Mark
+}
 
 // Mode selects how rollback restores state.
 type Mode uint8
@@ -205,95 +202,3 @@ func ModelFor(s Strategy) CostModel {
 // Baseline is the cost model of the unmodified control-plane software
 // ("XORP" series): no checkpointing, no rollback.
 func Baseline() CostModel { return CostModel{} }
-
-// Checkpoint is one entry of a Keeper stack, as Push takes it and At
-// returns it. Exactly one representation is set:
-//
-//   - State != nil: a full snapshot (FK mode, or the clone fallback for
-//     applications without the journal capability). The value is opaque
-//     to the keeper; the rollback engine owns its meaning.
-//   - State == nil: a mark pair (MI mode). App is the application
-//     undo-journal position and Counters the annotation-counter journal
-//     position at capture time.
-type Checkpoint struct {
-	State    any
-	App      journal.Mark
-	Counters journal.Mark
-}
-
-// IsMark reports whether the checkpoint is a journal-mark pair rather
-// than a full snapshot.
-func (c Checkpoint) IsMark() bool { return c.State == nil }
-
-// marks is the stack cell every checkpoint has: 16 bytes, no pointers.
-type marks struct {
-	app, counters journal.Mark
-}
-
-// Keeper stores the checkpoint stack of one node, aligned with the node's
-// history window: checkpoint i captures the application state *before* the
-// i-th live window entry was delivered. Entries are full snapshots or
-// journal marks per Checkpoint; the keeper never interprets them.
-//
-// Invariant: snaps is either empty (every stored checkpoint is a mark) or
-// as long as marks, nil at mark positions.
-type Keeper struct {
-	marks slide.Buf[marks]
-	snaps slide.Buf[any]
-}
-
-// Len reports the number of stored checkpoints.
-func (k *Keeper) Len() int { return k.marks.Len() }
-
-// Push appends a checkpoint.
-func (k *Keeper) Push(c Checkpoint) {
-	if c.State != nil || k.snaps.Len() > 0 {
-		for k.snaps.Len() < k.marks.Len() {
-			k.snaps.Push(nil) // the marks pushed before the first snapshot
-		}
-		k.snaps.Push(c.State)
-	}
-	k.marks.Push(marks{c.App, c.Counters})
-}
-
-// At returns checkpoint i. It panics unless 0 <= i < Len.
-func (k *Keeper) At(i int) Checkpoint {
-	c := Checkpoint{App: k.marks.At(i).app, Counters: k.marks.At(i).counters}
-	if k.snaps.Len() > 0 {
-		c.State = *k.snaps.At(i)
-	}
-	return c
-}
-
-// TruncateFrom drops checkpoints at positions >= i (rollback rewinds the
-// stack alongside the history window). Dropped mark checkpoints need no
-// further bookkeeping: the rewind that accompanies the truncation already
-// discarded their journal suffix.
-func (k *Keeper) TruncateFrom(i int) {
-	k.marks.Truncate(i) // panics unless 0 <= i <= Len
-	if k.snaps.Len() > 0 {
-		k.snaps.Truncate(i)
-	}
-}
-
-// DropFirst discards the n oldest checkpoints (history settlement). When
-// mark checkpoints settle, the caller compacts the journals to the new
-// oldest live mark (see OldestMarks).
-func (k *Keeper) DropFirst(n int) {
-	k.marks.DropFront(n) // panics unless 0 <= n <= Len
-	if k.snaps.Len() > 0 {
-		k.snaps.DropFront(n)
-	}
-}
-
-// OldestMarks returns the mark pair of the oldest stored checkpoint —
-// the compaction bound for the undo journals after settlement — and
-// whether such a checkpoint exists. An empty stack (or one whose oldest
-// entry is a full snapshot) yields ok == false; with an empty stack the
-// caller may compact everything recorded so far.
-func (k *Keeper) OldestMarks() (app, counters journal.Mark, ok bool) {
-	if k.marks.Len() == 0 || (k.snaps.Len() > 0 && *k.snaps.At(0) != nil) {
-		return 0, 0, false
-	}
-	return k.marks.At(0).app, k.marks.At(0).counters, true
-}

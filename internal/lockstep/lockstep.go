@@ -38,6 +38,10 @@
 // queue: the ordering function sorts by group first, so it sorts behind
 // every message of the current group, and a batch never crosses a group.
 //
+// The replay length is the recording's word: nothing bounds Groups, so a
+// hostile file naming 2^40 groups replays until memory runs out instead of
+// failing. A caller that takes recordings from outside bounds Groups itself.
+//
 // Response-time accounting models what the paper measures in Figures 6c
 // and 8c: a step is one transmission + one processing phase, and its
 // response time combines the semaphore barrier (two coordinator round

@@ -79,7 +79,8 @@ type Recording struct {
 	// during recording; replay must use the identical value.
 	ProcEstimate vtime.Duration `json:"proc_estimate"`
 	// Groups is the number of beacon groups the production run executed
-	// (timer batches fired); replay drives the same number.
+	// (timer batches fired); replay drives the same number, unbounded: a
+	// caller that decodes recordings from outside bounds it itself.
 	Groups uint64 `json:"groups"`
 	// Events is the recorded external event log, in application order.
 	Events []Event `json:"events"`

@@ -10,6 +10,7 @@ import (
 	"defined/internal/netsim"
 	"defined/internal/ordering"
 	"defined/internal/record"
+	"defined/internal/routing/api"
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
@@ -18,48 +19,65 @@ import (
 // pending buffer's and the lookahead bank's are TestPushPendingMatchesReference
 // and TestLookaheadPromiseAntiResetAndIdle.
 
-// The window checkpoints before every delivery and undo restores both the
-// application state and the sender's counters to the checkpoint before the
-// undone position; serials keep increasing with window position.
+// The window checkpoints before every delivery, under FK by snapshot and
+// under MI by journal marks, and undo restores both the application state
+// and the sender's counters to the checkpoint before the undone position;
+// serials keep increasing with window position. An FK undo hands the
+// stacked snapshot over uncopied, and the application mutating it leaves
+// the checkpoints still on the stack as they were.
 func TestWindowUndoRestoresCheckpoint(t *testing.T) {
-	g := topology.Line(2, 10*vtime.Millisecond)
-	app := newFloodApp()
-	st := &Stats{}
-	w := window{Window: history.New(ordering.Optimized()), app: app,
-		sender: annotate.NewSender(1, g, 64, vtime.BaseProcessing), stats: st}
-	for i := range 3 {
-		m := mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i)
-		pos, dup := w.insert(entryOf(m, 0))
-		if dup || pos != i {
-			t.Fatalf("arrival %d: pos %d dup %v", i, pos, dup)
-		}
-		if s := w.stamp(pos); s != uint64(i+1) {
-			t.Fatalf("arrival %d: serial %d", i, s)
-		}
-		app.HandleMessage(m)
-		w.sender.Prepare(msg.Out{To: 0, Payload: i}, m.Ann, false, 0, 0)
-	}
-	if _, dup := w.insert(entryOf(mkMsg(20*vtime.Millisecond, 2, 1), 0)); !dup || st.Duplicates != 1 {
-		t.Fatalf("duplicate arrival: dup %v, Duplicates %d", dup, st.Duplicates)
-	}
-	if first := w.undo(1); first != 2 {
-		t.Fatalf("first undone serial = %d, want 2", first)
-	}
-	if got := app.st.log; !slices.Equal(got, []string{"v0"}) {
-		t.Fatalf("state after undo = %v, want the state before entry 1", got)
-	}
-	if got := w.sender.SeqTo(0); got != 1 {
-		t.Fatalf("link sequence after undo = %d, want 1", got)
-	}
-	if st.RolledBack != 2 || w.ckpts.Len() != 1 || w.hw != 3 {
-		t.Fatalf("RolledBack %d, %d checkpoints, high water %d", st.RolledBack, w.ckpts.Len(), w.hw)
-	}
-	if s := w.stamp(1); s != 4 {
-		t.Fatalf("re-delivery serial = %d, want 4", s)
-	}
-	w.reset()
-	if w.Len() != 0 || w.ckpts.Len() != 0 {
-		t.Fatalf("reset left %d entries, %d checkpoints", w.Len(), w.ckpts.Len())
+	for _, c := range []struct {
+		name string
+		mi   bool
+	}{{"FK", false}, {"MI", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			w, app := newTallyWindow(c.mi)
+			var want []tallySnap
+			for i := range 3 {
+				pos, dup := w.insert(entryOf(mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i), 0))
+				if dup || pos != i {
+					t.Fatalf("arrival %d: pos %d dup %v", i, pos, dup)
+				}
+				want = append(want, snapTally(w, app))
+				deliverTally(w, app, pos)
+				if s := w.At(pos).Serial; s != uint64(i+1) {
+					t.Fatalf("arrival %d: serial %d", i, s)
+				}
+			}
+			if _, dup := w.insert(entryOf(mkMsg(20*vtime.Millisecond, 2, 1), 0)); !dup || w.stats.Duplicates != 1 {
+				t.Fatalf("duplicate arrival: dup %v, Duplicates %d", dup, w.stats.Duplicates)
+			}
+			var handed api.State
+			if !c.mi {
+				handed = (*w.snaps.At(2)).app
+			}
+			if first := w.undo(2); first != 3 {
+				t.Fatalf("first undone serial = %d, want 3", first)
+			}
+			if got := snapTally(w, app); !got.equal(want[2]) {
+				t.Fatalf("state after undo(2) = %+v, want %+v", got, want[2])
+			}
+			if !c.mi && app.State() != handed {
+				t.Fatal("undo cloned the snapshot instead of handing it over")
+			}
+			app.add(1, 100) // writes the adopted snapshot's slots in place under FK
+			if first := w.undo(1); first != 2 {
+				t.Fatalf("first undone serial = %d, want 2", first)
+			}
+			if got := snapTally(w, app); !got.equal(want[1]) {
+				t.Fatalf("state after undo(1) = %+v, want checkpoint 1 exactly, %+v", got, want[1])
+			}
+			if w.stats.RolledBack != 3 || w.depth() != 1 || w.hw != 3 {
+				t.Fatalf("RolledBack %d, %d checkpoints, high water %d", w.stats.RolledBack, w.depth(), w.hw)
+			}
+			if s := w.stamp(1); s != 4 {
+				t.Fatalf("re-delivery serial = %d, want 4", s)
+			}
+			w.reset()
+			if w.Len() != 0 || w.depth() != 0 {
+				t.Fatalf("reset left %d entries, %d checkpoints", w.Len(), w.depth())
+			}
+		})
 	}
 }
 

@@ -43,8 +43,8 @@
 //	layer      file       owns                                       guarantee
 //	lookahead  defer.go   links (one per row slot), g, self          releases depend only on the node's own delivery stream
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
-//	                      directSeq (buf, Window, ckpts, sent: slide.Bufs)
-//	window     window.go  Window, ckpts, japp, serial, hw            restoring ckpts[i] puts back the state entry i was delivered in
+//	                      directSeq (buf, Window, marks, snaps, sent: slide.Bufs)
+//	window     window.go  Window, marks | snaps, japp, serial, hw    restoring checkpoint i puts back the state entry i was delivered in
 //	ledger     ledger.go  sent, recs, replayPool, replayFresh,       after a replay the wire carries what the replay produced,
 //	                      dropLog (recs: the lane's recStore)        with the annotations the first pass gave it
 //	settle     shim.go    last, lastKey, lastRank, has, log          entries retire once, in order; stragglers are counted
@@ -334,6 +334,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		// checkpointing: marks instead of clones. Enabled only after Init
 		// so boot-time mutations (which precede every checkpoint) are
 		// never recorded. Apps without the capability fall back to clones.
+		// The choice holds for the node's whole run, restarts included.
 		if !baseline && strat.Mode == checkpoint.MI {
 			if j, ok := apps[i].(api.Journaled); ok {
 				j.JournalEnable()

@@ -6,26 +6,30 @@ import (
 	"defined/internal/history"
 	"defined/internal/msg"
 	"defined/internal/routing/api"
+	"defined/internal/slide"
 )
 
 // window is a node's history window — arrivals in ordering-function order,
 // delivered speculatively — and the checkpoint stack aligned with it:
-// ckpts[i] is the state before window entry i was delivered. The state is
-// the application's plus the sender's annotation counters (s_i and the
+// checkpoint i is the state before window entry i was delivered. The state
+// is the application's plus the sender's annotation counters (s_i and the
 // per-link send sequences), so a replay regenerates messages with identical
 // annotations.
 //
-// japp is non-nil when the application supports MI undo-journal
-// checkpointing and the engine's strategy selects it: checkpoints are then
-// O(1) journal marks instead of full clones, and restore rewinds the
-// journal in place. FK mode clones by design; under MI only apps from
-// outside internal/scenario (third parties, test doubles) do. serial
-// numbers deliveries; hw is the window's high-water mark, the bound the
-// fault checker compares against (a wedged window grows without bound; a
-// healthy one is pruned by settlement).
+// A node checkpoints one way for the whole run, fixed by New. japp is
+// non-nil when the application supports MI undo-journal checkpointing and
+// the engine's strategy selects it: the stack is then marks, O(1) journal
+// positions, and undo rewinds the journals in place. Otherwise it is snaps,
+// full clones (FK mode by design; under MI only apps from outside
+// internal/scenario — third parties, test doubles — fall back to them), and
+// undo hands the snapshot to the application, as an FK rollback resumes the
+// forked child. serial numbers deliveries; hw is the window's high-water
+// mark, the bound the fault checker compares against (a wedged window grows
+// without bound; a healthy one is pruned by settlement).
 type window struct {
 	*history.Window
-	ckpts  checkpoint.Keeper
+	marks  slide.Buf[checkpoint.Marks]
+	snaps  slide.Buf[*shimState]
 	japp   api.Journaled
 	serial uint64
 	hw     int
@@ -35,12 +39,18 @@ type window struct {
 	stats  *Stats
 }
 
-// shimState is everything a full-snapshot checkpoint must capture beyond
-// the simulator: the application state plus the annotation counters. MI
-// checkpoints replace it with a journal-mark pair.
+// shimState is a full-snapshot checkpoint: app state and sender counters.
 type shimState struct {
 	app      api.State
 	counters annotate.Counters
+}
+
+// depth reports the number of checkpoints on the node's stack.
+func (w *window) depth() int {
+	if w.japp != nil {
+		return w.marks.Len()
+	}
+	return w.snaps.Len()
 }
 
 // insert adds an arrival in key order, or counts it as a duplicate.
@@ -55,10 +65,14 @@ func (w *window) insert(e *history.Entry) (pos int, dup bool) {
 // stamp checkpoints the state before delivering entry i and gives the
 // entry a fresh delivery serial, which it returns.
 func (w *window) stamp(i int) uint64 {
-	if w.ckpts.Len() != i {
+	if w.depth() != i {
 		panic("rollback: checkpoint stack misaligned with window")
 	}
-	w.ckpts.Push(w.capture())
+	if w.japp != nil {
+		w.marks.Push(checkpoint.Marks{App: w.japp.JournalMark(), Counters: w.sender.JournalMark()})
+	} else {
+		w.snaps.Push(&shimState{app: w.app.State().Clone(), counters: w.sender.SnapshotCounters()})
+	}
 	w.serial++
 	w.SetSerial(i, w.serial)
 	return w.serial
@@ -80,46 +94,41 @@ func (w *window) undo(pos int) (first uint64) {
 			w.stats.RolledBack++
 		}
 	}
-	w.restore(w.ckpts.At(pos))
-	w.ckpts.TruncateFrom(pos)
+	if w.japp != nil {
+		m := *w.marks.At(pos)
+		w.japp.JournalRewind(m.App)
+		w.sender.JournalRewind(m.Counters)
+		w.marks.Truncate(pos)
+		return first
+	}
+	// The snapshot leaves the stack here, so the application adopts it
+	// uncopied; the replay's stamp at pos takes a fresh clone.
+	st := *w.snaps.At(pos)
+	w.snaps.Truncate(pos)
+	w.app.Restore(st.app)
+	w.sender.RestoreCounters(st.counters)
 	return first
 }
 
 // retire drops the n oldest entries (settled) with their checkpoints.
 func (w *window) retire(n int) {
 	w.Retire(n)
-	w.ckpts.DropFirst(n)
+	if w.japp == nil {
+		w.snaps.DropFront(n)
+		return
+	}
+	w.marks.DropFront(n)
 	w.compactJournals()
 }
 
-// capture takes one checkpoint: an O(1) mark pair when the app journals
-// its mutations (MI), a full clone otherwise (FK or fallback).
-func (w *window) capture() checkpoint.Checkpoint {
-	if w.japp != nil {
-		return checkpoint.Checkpoint{
-			App:      w.japp.JournalMark(),
-			Counters: w.sender.JournalMark(),
-		}
-	}
-	return checkpoint.Checkpoint{State: &shimState{
-		app:      w.app.State().Clone(),
-		counters: w.sender.SnapshotCounters(),
-	}}
-}
-
-// restore reinstalls checkpoint c: journal rewind for marks, clone
-// reinstatement for full snapshots.
-func (w *window) restore(c checkpoint.Checkpoint) {
-	if c.IsMark() {
-		w.japp.JournalRewind(c.App)
-		w.sender.JournalRewind(c.Counters)
-		return
-	}
-	st := c.State.(*shimState)
-	// The checkpoint stack keeps ownership of st: hand the app a clone
-	// it can adopt and mutate freely.
-	w.app.Restore(st.app.Clone())
-	w.sender.RestoreCounters(st.counters)
+// reset loses the speculative suffix in a crash: entries release their
+// messages, the checkpoint stack empties with them, and with nothing left
+// to rewind to the journals compact to their heads.
+func (w *window) reset() {
+	w.Retire(w.Len())
+	w.snaps.Truncate(0)
+	w.marks.Truncate(0)
+	w.compactJournals()
 }
 
 // compactJournals discards undo-journal prefixes no surviving checkpoint
@@ -130,24 +139,14 @@ func (w *window) compactJournals() {
 	if w.japp == nil {
 		return
 	}
-	if app, ctr, ok := w.ckpts.OldestMarks(); ok {
-		w.japp.JournalCompact(app)
-		w.sender.JournalCompact(ctr)
+	if w.marks.Len() > 0 {
+		m := w.marks.At(0)
+		w.japp.JournalCompact(m.App)
+		w.sender.JournalCompact(m.Counters)
 		return
 	}
-	if w.ckpts.Len() == 0 {
-		w.japp.JournalCompact(w.japp.JournalMark())
-		w.sender.JournalCompact(w.sender.JournalMark())
-	}
-}
-
-// reset loses the speculative suffix in a crash: entries release their
-// messages, the checkpoint stack empties with them, and with nothing left
-// to rewind to the journals compact to their heads.
-func (w *window) reset() {
-	w.Retire(w.Len())
-	w.ckpts.TruncateFrom(0)
-	w.compactJournals()
+	w.japp.JournalCompact(w.japp.JournalMark())
+	w.sender.JournalCompact(w.sender.JournalMark())
 }
 
 // held passes note every message the window references.

@@ -73,9 +73,9 @@ type Application interface {
 	State() State
 
 	// Restore replaces the application state with a checkpoint
-	// previously obtained from State().Clone(). The substrate retains
-	// ownership of st; implementations must clone anything they intend
-	// to mutate.
+	// previously obtained from State().Clone(). The substrate hands st
+	// over and keeps no reference to it, so the application may adopt it
+	// and mutate it in place.
 	Restore(st State)
 }
 
