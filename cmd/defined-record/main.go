@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	evs = trace.Compress(evs, vtime.Duration(*window*float64(vtime.Second)))
 	for _, ev := range evs {
 		net.At(defined.Time(ev.At), func() {
-			if err := net.InjectTrace(ev); err != nil {
+			if err := net.InjectLinkChange(ev.A, ev.B, ev.Type == trace.LinkUp); err != nil {
 				fmt.Fprintf(stderr, "defined-record: inject: %v\n", err)
 			}
 		})

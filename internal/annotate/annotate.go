@@ -1,11 +1,12 @@
 // Package annotate centralizes how outgoing application messages receive
 // their wire identity and causal annotations (n_i, s_i, d_i, group, chain).
-// Both DEFINED-RB (production) and DEFINED-LS (debugging) build messages
-// through the same Sender so that a replayed execution regenerates
-// byte-identical annotations — a precondition of the reproducibility
-// theorem (paper Theorem 1). For the same reason both engines boot their
-// nodes from the same inputs: Neighbors is what a node's application is
-// initialized with, and Skews anchors the d_i of timer-started chains.
+// Both DEFINED-RB (production and its baseline) and DEFINED-LS (debugging)
+// deliver every event through Sender.Deliver and build its outputs from the
+// Cause it returns, so that a replayed execution regenerates byte-identical
+// annotations — a precondition of the reproducibility theorem (paper
+// Theorem 1). For the same reason both engines boot their nodes from the
+// same inputs: Neighbors is what a node's application is initialized with,
+// and Skews anchors the d_i of timer-started chains.
 package annotate
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"defined/internal/journal"
 	"defined/internal/msg"
+	"defined/internal/ordering"
 	"defined/internal/routing/api"
 	"defined/internal/topology"
 	"defined/internal/vtime"
@@ -64,6 +66,9 @@ type Sender struct {
 	// node's processing time, and d_i tracks expected *arrival* times
 	// (paper §2.2). Production and replay must use the same value.
 	ProcEstimate vtime.Duration
+	// Skew is the node's beacon skew (Skews): the d_i anchor of the
+	// chains its timer batches start.
+	Skew vtime.Duration
 	// Pool, when set, backs Materialize: wire messages are allocated
 	// refcounted from it (the caller owns the returned reference) and
 	// recycle once every layer holding them releases. A nil Pool keeps
@@ -95,11 +100,11 @@ type counterUndo struct {
 // originSlot marks a counterUndo that restores OriginSeq.
 const originSlot int32 = -1
 
-// NewSender creates a sender for node self. chainBound must be at least 1;
-// both engines check it where they read it (the engine spec's rules,
-// lockstep.New for a recording).
-func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate vtime.Duration) *Sender {
-	s := &Sender{Self: self, G: g, ChainBound: chainBound, ProcEstimate: procEstimate,
+// NewSender creates a sender for node self, whose beacon skew is skew.
+// chainBound must be at least 1; both engines check it where they read it
+// (the engine spec's rules, lockstep.New for a recording).
+func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate, skew vtime.Duration) *Sender {
+	s := &Sender{Self: self, G: g, ChainBound: chainBound, ProcEstimate: procEstimate, Skew: skew,
 		LinkSeq: make([]uint64, g.Degree(int(self)))}
 	s.j = journal.New(func(u counterUndo) {
 		if u.slot == originSlot {
@@ -155,20 +160,40 @@ func (s *Sender) RestoreCounters(c Counters) {
 	}
 }
 
-// Build turns an application output into a wire message. parent is the
-// annotation of the input being processed (ignored when fresh); fresh
-// outputs (timer- or external-caused, or Out.Fresh) start new causal
-// chains tagged with group.
-//
-// freshOffset anchors a fresh chain's d_i: d_i estimates the message's
-// arrival time *relative to the group boundary* (the paper: "d_i indicates
-// the average arrival time of a message"), so a chain started by a timer
-// batch carries the node's beacon skew and a chain started by an external
-// event carries the event's recorded in-group offset. Without the anchor,
-// timer-triggered traffic from differently-skewed nodes systematically
-// misorders against the estimate and triggers spurious rollbacks.
-func (s *Sender) Build(out msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset vtime.Duration) *msg.Message {
-	ann, ls := s.Prepare(out, parent, fresh, group, freshOffset)
+// Cause is what a delivery's outputs descend from: the delivered message's
+// annotation, or a fresh causal chain in Group whose d_i is anchored at
+// Offset. d_i estimates arrival *relative to the group boundary* (the
+// paper: "d_i indicates the average arrival time of a message"); without
+// the anchor, timer-triggered traffic from differently-skewed nodes
+// systematically misorders against the estimate and triggers spurious
+// rollbacks.
+type Cause struct {
+	Parent msg.Annotation // the delivered message's annotation (zero when Fresh)
+	Fresh  bool           // the outputs start new chains
+	Group  uint64         // the delivered key's group: where an Out.Fresh chain starts
+	Offset vtime.Duration // a fresh chain's d_i anchor
+}
+
+// Deliver hands the event keyed key to app — HandleTimer at the group
+// boundary, HandleExternal(ext) or HandleMessage(m) — and returns its
+// outputs with their Cause: a timer batch starts fresh chains at the node's
+// beacon skew, an external at its recorded in-group offset, and a message
+// is the parent of its outputs. Every engine delivers through it.
+func (s *Sender) Deliver(app api.Application, key ordering.Key, m *msg.Message, ext api.ExternalEvent, offset vtime.Duration) ([]msg.Out, Cause) {
+	switch {
+	case key.IsTimer():
+		return app.HandleTimer(vtime.GroupStart(key.Group, vtime.BeaconInterval)),
+			Cause{Fresh: true, Group: key.Group, Offset: s.Skew}
+	case key.IsExternal():
+		return app.HandleExternal(ext), Cause{Fresh: true, Group: key.Group, Offset: offset}
+	default:
+		return app.HandleMessage(m), Cause{Parent: m.Ann, Group: key.Group}
+	}
+}
+
+// Build turns an application output with cause c into a wire message.
+func (s *Sender) Build(out msg.Out, c *Cause) *msg.Message {
+	ann, ls := s.Prepare(out, c)
 	return s.Materialize(out, ann, ls)
 }
 
@@ -178,26 +203,26 @@ func (s *Sender) Build(out msg.Out, parent msg.Annotation, fresh bool, group uin
 // lazy-cancellation matching compares the prepared identity against pooled
 // originals and calls Materialize only for outputs that did not re-adopt
 // one — which is what removes the replay path's dominant allocation.
-func (s *Sender) Prepare(out msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset vtime.Duration) (ann msg.Annotation, linkSeq uint64) {
+func (s *Sender) Prepare(out msg.Out, c *Cause) (ann msg.Annotation, linkSeq uint64) {
 	slot := s.G.Slot(int(s.Self), int(out.To))
 	if slot < 0 {
 		panic(fmt.Sprintf("annotate: node %d sent to non-neighbor %d", s.Self, out.To))
 	}
 	hop := s.G.Links[s.G.Incident(int(s.Self))[slot]].Delay + s.ProcEstimate
 	switch {
-	case fresh || out.Fresh:
-		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, freshOffset+hop, group)
+	case c.Fresh || out.Fresh:
+		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, c.Offset+hop, c.Group)
 		s.j.Record(counterUndo{slot: originSlot, old: s.OriginSeq})
 		s.OriginSeq++
-	case parent.Chain+1 >= s.ChainBound:
+	case c.Parent.Chain+1 >= s.ChainBound:
 		// Chain bound exceeded: start a fresh chain in the next
 		// timestep (paper §2.2). Relative to that next boundary the
 		// message is immediate: only one hop anchors it.
-		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, hop, parent.Group+1)
+		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, hop, c.Parent.Group+1)
 		s.j.Record(counterUndo{slot: originSlot, old: s.OriginSeq})
 		s.OriginSeq++
 	default:
-		ann = msg.AnnotateChild(parent, hop)
+		ann = msg.AnnotateChild(c.Parent, hop)
 	}
 	s.MsgSeq++
 	ls := s.LinkSeq[slot]

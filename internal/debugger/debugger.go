@@ -96,17 +96,9 @@ func (s *Session) Execute(line string) bool {
 		}
 		s.step(n)
 	case "round", "r":
-		if !s.ls.StepRound() {
-			fmt.Fprintln(s.out, "replay complete")
-		} else {
-			s.reportPosition()
-		}
+		s.stepped(s.ls.StepRound())
 	case "group", "g":
-		if !s.ls.StepGroup() {
-			fmt.Fprintln(s.out, "replay complete")
-		} else {
-			s.reportPosition()
-		}
+		s.stepped(s.ls.StepGroup())
 	case "continue", "c":
 		n := s.ls.RunToEnd()
 		s.stepsRun += n
@@ -150,6 +142,17 @@ func (s *Session) step(n int) {
 		s.stepsRun++
 		fmt.Fprintf(s.out, "%s\n", d)
 	}
+}
+
+// stepped counts a coarse step's n deliveries and reports where it left
+// the replay (ok is false when nothing was left to replay).
+func (s *Session) stepped(n int, ok bool) {
+	s.stepsRun += n
+	if !ok {
+		fmt.Fprintln(s.out, "replay complete")
+		return
+	}
+	s.reportPosition()
 }
 
 func (s *Session) setBreak(args []string) {

@@ -199,6 +199,33 @@ func TestStepPastEnd(t *testing.T) {
 	}
 }
 
+// TestRunCountsEveryCommand holds Run's result to what the replay really
+// delivered, the sum of every node's DeliveredKeys: each stepping command
+// — step, round, group, and continue up to a breakpoint and past it —
+// adds its deliveries, and a paused delivery counts only once it runs.
+func TestRunCountsEveryCommand(t *testing.T) {
+	g, rec := produce(t)
+	for _, script := range []string{
+		"round\nround\ngroup\nquit\n",
+		"step 3\nround\ngroup\ngroup\nbreak node 2\ncontinue\nround\nclear\ngroup\nquit\n",
+		"group\nbreak node 5\ncontinue\ncontinue\nstep 2\nclear\ncontinue\nround\nquit\n",
+	} {
+		ls, err := lockstep.New(g, appsFor(g), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		got := New(ls, strings.NewReader(script), &out).Run()
+		want := 0
+		for n := range g.N {
+			want += len(ls.DeliveredKeys(msg.NodeID(n)))
+		}
+		if want == 0 || got != want {
+			t.Errorf("script %q: Run returned %d, the nodes delivered %d", script, got, want)
+		}
+	}
+}
+
 func TestNonDumperStateFallsBack(t *testing.T) {
 	// An app without DumpTable gets the %+v fallback.
 	g := topology.Line(2, vtime.Millisecond)

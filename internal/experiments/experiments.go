@@ -177,7 +177,7 @@ func (n *network) settle(d vtime.Duration) {
 // and the convergence latency for its window.
 func (n *network) perEvent(ev trace.Event, window vtime.Duration) ([]float64, vtime.Duration, error) {
 	n.Sim().ResetStats()
-	if err := n.InjectTrace(ev); err != nil {
+	if err := n.InjectLinkChange(ev.A, ev.B, ev.Type == trace.LinkUp); err != nil {
 		return nil, 0, err
 	}
 	latency := n.convergeAfter(10*vtime.Millisecond, window)
@@ -198,7 +198,7 @@ func stepResponse(g *topology.Graph, w workload, evs []trace.Event, gap vtime.Du
 		return nil, err
 	}
 	for _, ev := range evs {
-		if err := n.InjectTrace(ev); err != nil {
+		if err := n.InjectLinkChange(ev.A, ev.B, ev.Type == trace.LinkUp); err != nil {
 			continue
 		}
 		n.settle(gap)

@@ -157,7 +157,7 @@ func fig8d(w workload) (*metrics.Figure, error) {
 		// stream ends.
 		base := n.Now()
 		for _, ev := range evs {
-			n.Sim().ScheduleFn(base.Add(vtime.Duration(ev.At)), func() { _ = n.InjectTrace(ev) })
+			n.Sim().ScheduleFn(base.Add(vtime.Duration(ev.At)), func() { _ = n.InjectLinkChange(ev.A, ev.B, ev.Type == trace.LinkUp) })
 		}
 		n.Run(base.Add(window))
 		conv := n.convergeAfter(20*vtime.Millisecond, 10*vtime.Second)

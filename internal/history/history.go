@@ -15,6 +15,7 @@ import (
 
 	"defined/internal/msg"
 	"defined/internal/ordering"
+	"defined/internal/routing/api"
 	"defined/internal/slide"
 	"defined/internal/vtime"
 )
@@ -40,7 +41,7 @@ type Entry struct {
 // its in-group time offset — the d_i anchor for the causal chains it
 // starts (recorded for replay). Immutable once the entry is inserted.
 type External struct {
-	Event  any
+	Event  api.ExternalEvent
 	Offset vtime.Duration
 }
 

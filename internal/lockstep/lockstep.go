@@ -22,7 +22,10 @@
 // else: the recording names the ordering function and its seed, the chain
 // bound and the per-hop processing estimate, and the nodes boot with the
 // neighbor lists and beacon skews the production engine computes
-// (annotate.Neighbors, annotate.Skews). Each node keeps its delivery
+// (annotate.Neighbors, annotate.Skews). Every delivery goes through
+// annotate's Sender.Deliver, the one rule that picks the handler and names
+// the outputs' cause in both engines, so the replay regenerates the
+// annotations production committed. Each node keeps its delivery
 // sequence as ordering keys (DeliveredKeys), the same keys the production
 // network commits, so the two compare directly. Wire messages always come
 // from the engine's refcounted pool; MsgPool exposes it, poison mode
@@ -37,6 +40,10 @@
 // chain-bound rollover tags for a later group waits in the one transmit
 // queue: the ordering function sorts by group first, so it sorts behind
 // every message of the current group, and a batch never crosses a group.
+//
+// StepRound, StepGroup and RunToEnd are one counting step loop run to
+// different extents; each returns the deliveries it made, which is what the
+// debugger's session count adds up.
 //
 // The replay length is the recording's word: nothing bounds Groups, so a
 // hostile file naming 2^40 groups replays until memory runs out instead of
@@ -144,9 +151,6 @@ type Engine struct {
 	// minLink is the conservative-replay lookahead: the smallest link
 	// delay in the graph.
 	minLink vtime.Duration
-	// skew anchors timer-started chains, identically to the production
-	// engine: the shortest-path delay from the beacon leader (node 0).
-	skew []vtime.Duration
 	// chains is non-nil for chain-ordered (RO) replays: chains are
 	// scheduled sequentially by hash.
 	chains ordering.ChainOrdered
@@ -251,12 +255,12 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording) (*Eng
 	// (node 0); the barrier costs two traversals of the longest
 	// coordinator path per phase change. The same distances are the
 	// beacon skews anchoring timer-started chains.
-	e.skew = annotate.Skews(g)
-	e.maxSkew = slices.Max(e.skew)
+	skew := annotate.Skews(g)
+	e.maxSkew = slices.Max(skew)
 	e.nodes = make([]*node, g.N)
 	for i := 0; i < g.N; i++ {
 		n := msg.NodeID(i)
-		sender := annotate.NewSender(n, g, rec.ChainBound, rec.ProcEstimate)
+		sender := annotate.NewSender(n, g, rec.ChainBound, rec.ProcEstimate, skew[i])
 		sender.Pool = &e.pool
 		e.nodes[i] = &node{id: n, app: apps[i], sender: sender}
 		apps[i].Init(n, annotate.Neighbors(g, n))
@@ -380,25 +384,10 @@ func (e *Engine) deliver(d Delivery) {
 	n.delivered.add(d.Key)
 	e.roundDeliv++
 	e.roundPerNode[d.Node]++
-	var outs []msg.Out
-	var parent msg.Annotation
-	var freshOffset vtime.Duration
-	fresh := true
-	switch {
-	case d.Key.IsTimer():
-		outs = n.app.HandleTimer(vtime.GroupStart(d.Key.Group, vtime.BeaconInterval))
-		freshOffset = e.skew[d.Node]
-	case d.Key.IsExternal():
-		outs = n.app.HandleExternal(d.Ext)
-		freshOffset = d.ExtOffset
-	default:
-		outs = n.app.HandleMessage(d.Msg)
-		parent, fresh = d.Msg.Ann, false
-		e.lastMsg = d.Msg
-	}
+	outs, c := n.sender.Deliver(n.app, d.Key, d.Msg, d.Ext, d.ExtOffset)
+	e.lastMsg = d.Msg
 	for _, out := range outs {
-		m := n.sender.Build(out, parent, fresh, d.Key.Group, freshOffset)
-		n.sendBuf = append(n.sendBuf, m)
+		n.sendBuf = append(n.sendBuf, n.sender.Build(out, &c))
 	}
 }
 
@@ -534,65 +523,55 @@ func (e *Engine) recordStep() {
 
 // ---- coarse stepping ----------------------------------------------------------
 
-// StepRound executes deliveries until the current processing phase
-// completes (one debugger "step" at per-round granularity — the unit the
-// paper's Figure 6c times). It reports whether any work was done.
-func (e *Engine) StepRound() bool {
-	for len(e.pending) == 0 {
-		if !e.advancePhase() {
-			return false
-		}
-	}
-	g, r := e.curGroup, e.round
-	for len(e.pending) > 0 && e.curGroup == g && e.round == r {
-		if _, ok := e.StepEvent(); !ok {
-			return true
-		}
-		if e.breakHit != nil {
-			return true
-		}
-	}
-	return true
-}
+// extent is how far a coarse step runs.
+type extent int
 
-// StepGroup replays the remainder of the current group (the "per-path-
-// change" granularity of §2.1).
-func (e *Engine) StepGroup() bool {
+const (
+	toRoundEnd extent = iota // until the current processing phase drains
+	toGroupEnd               // until the current beacon group is exhausted
+	toEnd                    // until the replay completes
+)
+
+// step is the one stepping loop behind StepRound, StepGroup and RunToEnd.
+// It delivers events until the extent ends, the replay completes or a
+// breakpoint pauses it, and returns how many it delivered; ok is false
+// when there was nothing left to replay. A round ends when its pending
+// list drains: step does not advance the phase past it, so the round's
+// time is its own deliveries'.
+func (e *Engine) step(x extent) (n int, ok bool) {
 	for len(e.pending) == 0 {
 		if !e.advancePhase() {
-			return false
+			return 0, false
 		}
 	}
 	g := e.curGroup
-	for !e.done && e.curGroup == g {
-		if len(e.pending) == 0 {
-			if !e.advancePhase() {
-				return true
-			}
-			continue
-		}
-		if _, ok := e.StepEvent(); !ok {
-			return true
-		}
-		if e.breakHit != nil {
-			return true
-		}
-	}
-	return true
-}
-
-// RunToEnd replays everything remaining (or until a breakpoint fires).
-func (e *Engine) RunToEnd() int {
-	n := 0
 	for {
-		if _, ok := e.StepEvent(); !ok {
-			return n
+		if len(e.pending) == 0 &&
+			(x == toRoundEnd || !e.advancePhase() || x == toGroupEnd && e.curGroup != g) {
+			return n, true
 		}
-		if e.breakHit != nil {
-			return n
+		if e.StepEvent(); e.breakHit != nil {
+			return n, true
 		}
 		n++
 	}
+}
+
+// StepRound executes deliveries until the current processing phase
+// completes (one debugger "step" at per-round granularity — the unit the
+// paper's Figure 6c times). It returns the deliveries made and whether
+// any work was left.
+func (e *Engine) StepRound() (int, bool) { return e.step(toRoundEnd) }
+
+// StepGroup replays the remainder of the current group (the "per-path-
+// change" granularity of §2.1), returning what StepRound does.
+func (e *Engine) StepGroup() (int, bool) { return e.step(toGroupEnd) }
+
+// RunToEnd replays everything remaining (or until a breakpoint fires) and
+// returns the number of deliveries made.
+func (e *Engine) RunToEnd() int {
+	n, _ := e.step(toEnd)
+	return n
 }
 
 // Segment sizes of a segLog: the first segment holds segFirst entries,

@@ -287,9 +287,14 @@ func TestStepGranularities(t *testing.T) {
 
 	// Round stepping must cover the same deliveries.
 	ls2, _ := New(g, floodApps(g.N), rec)
-	rounds := 0
-	for ls2.StepRound() {
+	rounds, counted := 0, 0
+	for {
+		n, ok := ls2.StepRound()
+		if !ok {
+			break
+		}
 		rounds++
+		counted += n
 		if rounds > events {
 			t.Fatal("round stepping ran away")
 		}
@@ -301,8 +306,8 @@ func TestStepGranularities(t *testing.T) {
 	for i := 0; i < g.N; i++ {
 		total += len(ls2.DeliveredKeys(msg.NodeID(i)))
 	}
-	if total != events {
-		t.Fatalf("round stepping delivered %d, event stepping %d", total, events)
+	if total != events || counted != events {
+		t.Fatalf("round stepping delivered %d (counted %d), event stepping %d", total, counted, events)
 	}
 	if rounds >= events {
 		t.Fatalf("rounds (%d) should batch events (%d)", rounds, events)
@@ -310,9 +315,14 @@ func TestStepGranularities(t *testing.T) {
 
 	// Group stepping.
 	ls3, _ := New(g, floodApps(g.N), rec)
-	groups := 0
-	for ls3.StepGroup() {
+	groups, counted3 := 0, 0
+	for {
+		n, ok := ls3.StepGroup()
+		if !ok {
+			break
+		}
 		groups++
+		counted3 += n
 		if groups > rounds+2 {
 			t.Fatal("group stepping ran away")
 		}
@@ -324,8 +334,8 @@ func TestStepGranularities(t *testing.T) {
 	for i := 0; i < g.N; i++ {
 		total3 += len(ls3.DeliveredKeys(msg.NodeID(i)))
 	}
-	if total3 != events {
-		t.Fatalf("group stepping delivered %d, want %d", total3, events)
+	if total3 != events || counted3 != events {
+		t.Fatalf("group stepping delivered %d (counted %d), want %d", total3, counted3, events)
 	}
 }
 

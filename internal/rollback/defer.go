@@ -467,6 +467,9 @@ const settleMarginMult = 4
 // very late stragglers) widens the bound before the settle cutoff can
 // overtake them. SettleViolations staying zero is the correctness
 // criterion; the floor alone must already cover one propagation sweep.
+// It is the engine's only settle bound: a pinned EngineSpec.SettleBound is
+// an estimator whose floor and ceiling are both the pin, so its bound reads
+// the pin whatever it observes.
 type settleEstimator struct {
 	floor   vtime.Duration
 	ceil    vtime.Duration

@@ -268,7 +268,7 @@ func TestDeferralDisabledForChainOrderings(t *testing.T) {
 func TestAdaptiveSettleBoundsOrdered(t *testing.T) {
 	g := topology.Sprintlink()
 	e := New(g, floodApps(g.N), EngineSpec{Seed: ptr[uint64](1)})
-	if e.est == nil {
+	if e.est.floor == e.est.ceil {
 		t.Fatal("adaptive estimator not selected")
 	}
 	if e.est.ceil < e.est.floor {
@@ -315,6 +315,35 @@ func TestSettleViolationStraggler(t *testing.T) {
 	}
 	if !sawViolation {
 		t.Fatal("no seed produced a settle violation; bound or jitter mistuned")
+	}
+}
+
+// TestPinnedSettleBoundReadsThePin checks that a pinned SettleBound, run
+// as the estimator with floor = ceiling, reads exactly the pin however late
+// the arrivals it observes: a 400 ms jitter tail against 5 ms links drives
+// the straggler margin far past the pin, and the bound must not move.
+func TestPinnedSettleBoundReadsThePin(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.FromLinks("straggle", 3, []topology.Link{
+		{A: 0, B: 1, Delay: 5 * ms, Jitter: ms / 10},
+		{A: 2, B: 1, Delay: 5 * ms, Jitter: 400 * ms},
+	})
+	const pin = 30 * vtime.Millisecond
+	e := New(g, floodApps(g.N), EngineSpec{Seed: ptr[uint64](1), SettleBound: vtime.Dur(pin)})
+	var maxMargin vtime.Duration
+	for v := range 20 {
+		at := vtime.Time(vtime.Duration(v) * 20 * ms)
+		e.sim.ScheduleFn(at, func() { e.InjectExternal(msg.NodeID(2*(v%2)), injectEvent{Value: v}) })
+		e.Run(at + vtime.Time(10*ms))
+		maxMargin = max(maxMargin, e.est.cached)
+		for _, sh := range e.shims {
+			if got := e.settleBoundFor(sh); got != pin {
+				t.Fatalf("after %d injections: bound %v, want the pin %v", v+1, got, pin)
+			}
+		}
+	}
+	if maxMargin <= pin {
+		t.Fatalf("largest observed margin %v: the run never tested the pin", maxMargin)
 	}
 }
 
@@ -381,8 +410,8 @@ func TestAdaptiveSettleShrinksQuietWindows(t *testing.T) {
 	if adaptiveWin > staticWin {
 		t.Fatalf("adaptive bound enlarged windows: %d > %d", adaptiveWin, staticWin)
 	}
-	if ea.est == nil {
-		t.Fatal("zero SettleAfter must select the adaptive estimator")
+	if ea.est.floor == ea.est.ceil || es.est.floor != es.est.ceil {
+		t.Fatal("zero SettleBound must select the adaptive estimator, a pin must fix it")
 	}
 	// And the committed sequences agree, of course.
 	for n := 0; n < g.N; n++ {

@@ -91,14 +91,14 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	var wire []msg.Kind
 	sim.Attach(1, func(m *msg.Message) { wire = append(wire, m.Kind) })
 	st := &Stats{}
-	sender := annotate.NewSender(0, g, 64, vtime.BaseProcessing)
+	sender := annotate.NewSender(0, g, 64, vtime.BaseProcessing, 0)
 	l := ledger{id: 0, lane: sim.LaneFor(0), recs: new(recStore), sender: sender, stats: st, dropLog: map[msg.ID]record.LossEvent{}}
 	send := func(cause uint64, replayed bool, payloads ...int) {
 		var outs []msg.Out
 		for _, p := range payloads {
 			outs = append(outs, msg.Out{To: 1, Payload: p})
 		}
-		l.send(outs, msg.Annotation{}, true, 0, 0, ms, cause, replayed)
+		l.send(outs, &annotate.Cause{Fresh: true}, ms, cause, replayed)
 	}
 	before := sender.SnapshotCounters()
 	send(1, false, 1, 2)

@@ -118,17 +118,17 @@ func (l *ledger) freeRec(rec *sentRec) {
 	s.free = uint64(rec.cell) + 1
 }
 
-// send transmits the outputs of the delivery with serial causeSerial after
-// procDelay and records them for unsending. During a rollback replay an
-// output identical to a pooled original re-adopts it instead of
-// retransmitting; replayed says the delivery is a re-delivery, whose fresh
-// outputs make the rollback non-spurious.
-func (l *ledger) send(outs []msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset, procDelay vtime.Duration, causeSerial uint64, replayed bool) {
+// send transmits the outputs of the delivery with serial causeSerial, whose
+// cause is c, after procDelay and records them for unsending. During a
+// rollback replay an output identical to a pooled original re-adopts it
+// instead of retransmitting; replayed says the delivery is a re-delivery,
+// whose fresh outputs make the rollback non-spurious.
+func (l *ledger) send(outs []msg.Out, c *annotate.Cause, procDelay vtime.Duration, causeSerial uint64, replayed bool) {
 	for _, out := range outs {
 		// Prepare advances the sender counters without allocating; the
 		// message struct is only materialized when no pooled original
 		// stands for the output (replays re-adopt most of theirs).
-		ann, ls := l.sender.Prepare(out, parent, fresh, group, freshOffset)
+		ann, ls := l.sender.Prepare(out, c)
 		if rec := l.adopt(out.To, ordering.KeyOfSend(l.id, ann, ls), out.Payload); rec != nil {
 			rec.causeSerial = causeSerial
 			l.sent.Push(rec)

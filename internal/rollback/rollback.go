@@ -54,9 +54,15 @@
 //	estimator feed → quarantine guard → lookahead observe → pending decide →
 //	window insert / deliver / undo / replay → ledger adopt / cancel → settle
 //
-// onEntry says why the estimator feed precedes the guard, and the shim
-// type why EngineSpec.Shards can run the same shims inside parallel windows
-// with bit-identical results (TestShardGolden).
+// A delivery reaches the application through annotate's Sender.Deliver,
+// the rule DEFINED-LS delivers through too, and the ledger annotates its
+// outputs from the Cause that returns. A baseline engine skips every layer:
+// deliverBare hands the event to the same Deliver and sends its outputs
+// untracked. The settle layer's cutoff is the engine's one settle
+// estimator; a pinned EngineSpec.SettleBound is that estimator with floor =
+// ceiling. onEntry says why the estimator feed precedes the guard, and the
+// shim type why EngineSpec.Shards can run the same shims inside parallel
+// windows with bit-identical results (TestShardGolden).
 //
 // # Determinism invariants
 //
@@ -99,7 +105,6 @@ import (
 	"defined/internal/record"
 	"defined/internal/routing/api"
 	"defined/internal/topology"
-	"defined/internal/trace"
 	"defined/internal/vtime"
 )
 
@@ -185,11 +190,10 @@ type Engine struct {
 
 	// The resolved engine block, unpacked once by New into what the
 	// per-delivery path reads.
-	ord         ordering.Func
-	baseline    bool
-	pooled      bool // wire messages are refcounted from the lane pools
-	chainBound  int
-	settleAfter vtime.Duration // the pinned bound; unread when est != nil
+	ord        ordering.Func
+	baseline   bool
+	pooled     bool // wire messages are refcounted from the lane pools
+	chainBound int
 
 	sim     *netsim.Sim
 	cost    checkpoint.CostModel
@@ -199,7 +203,7 @@ type Engine struct {
 	skew    []vtime.Duration
 	deferOn bool
 	lookOn  bool             // exact per-link holds (Lookahead && deferOn)
-	est     *settleEstimator // nil when SettleBound pins a static bound
+	est     *settleEstimator // the settle bound; a pinned SettleBound is one with floor = ceiling
 
 	scheduledThrough vtime.Time // group ticks scheduled up to here
 	tickSegs         []tickSeg  // one per Run call that crossed a group boundary
@@ -245,14 +249,13 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 	strat, _ := checkpoint.ParseStrategy(spec.Strategy)
 	baseline := *spec.Baseline
 	e := &Engine{
-		G:           g,
-		ord:         ord,
-		baseline:    baseline,
-		pooled:      *spec.MessagePool && !baseline,
-		chainBound:  *spec.ChainBound,
-		settleAfter: spec.SettleBound.V(),
-		cost:        checkpoint.ModelFor(strat),
-		skew:        annotate.Skews(g),
+		G:          g,
+		ord:        ord,
+		baseline:   baseline,
+		pooled:     *spec.MessagePool && !baseline,
+		chainBound: *spec.ChainBound,
+		cost:       checkpoint.ModelFor(strat),
+		skew:       annotate.Skews(g),
 	}
 	if baseline {
 		e.cost = checkpoint.Baseline()
@@ -265,8 +268,11 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 	// the same delay-ordered keys the gap rule does; without deferral only
 	// the simulator-side window widening remains.
 	e.lookOn = e.deferOn && *spec.Lookahead
-	if e.settleAfter <= 0 {
-		e.est = newSettleEstimator(settleFloor(g), 2*StaticSettle(g))
+	if pin := spec.SettleBound.V(); pin > 0 {
+		e.est = newSettleEstimator(pin, pin)
+	} else {
+		floor, static := settleBounds(g.MaxPropagation())
+		e.est = newSettleEstimator(floor, 2*static)
 	}
 	e.sim = netsim.New(g, netsim.Config{
 		Seed:          *spec.Seed,
@@ -280,7 +286,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 	if *spec.Poison {
 		e.sim.SetPoison(true)
 	}
-	if e.sim.Sharded() && e.est != nil {
+	if e.sim.Sharded() {
 		e.sim.SetWindowObserver(e)
 	}
 	if *spec.Record {
@@ -303,7 +309,7 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		if stores[sh.lane] == nil {
 			stores[sh.lane] = new(recStore)
 		}
-		sender := annotate.NewSender(n, g, e.chainBound, e.procEstimate())
+		sender := annotate.NewSender(n, g, e.chainBound, e.procEstimate(), e.skew[i])
 		if *spec.MessagePool {
 			// Wire messages come refcounted from the node's lane pool (the
 			// engine-wide pool in sequential mode); the sentRec (or the
@@ -361,33 +367,29 @@ func (e *Engine) procEstimate() vtime.Duration {
 // interval is added so settlement never outruns group formation. Setting
 // EngineSpec.SettleBound to this value pins the pre-adaptive behaviour.
 func StaticSettle(g *topology.Graph) vtime.Duration {
-	maxProp := g.MaxPropagation()
+	_, static := settleBounds(g.MaxPropagation())
+	return static
+}
+
+// settleBounds derives both settle rules from the propagation diameter
+// maxProp: floor, the adaptive bound's minimum, is one jitter-headroomed
+// propagation sweep plus a beacon interval; static is StaticSettle's rule,
+// two sweeps plus a beacon interval. The estimator's margin term replaces
+// the static rule's second sweep, which is what lets quiet networks retire
+// history (and compact journals) roughly twice as fast.
+func settleBounds(maxProp vtime.Duration) (floor, static vtime.Duration) {
 	// Jitter is a small fraction of delay; 4σ over the diameter is
 	// approximated by 40% headroom on the propagation bound.
-	bound := maxProp + maxProp*2/5
-	return 2*bound + vtime.BeaconInterval
+	sweep := maxProp + maxProp*2/5
+	return sweep + vtime.BeaconInterval, 2*sweep + vtime.BeaconInterval
 }
 
-// settleFloor is the adaptive bound's minimum: one jitter-headroomed
-// propagation sweep plus a beacon interval. The second propagation sweep
-// of the static rule is replaced by the estimator's margin term, which is
-// what lets quiet networks retire history (and compact journals) roughly
-// twice as fast.
-func settleFloor(g *topology.Graph) vtime.Duration {
-	maxProp := g.MaxPropagation()
-	return maxProp + maxProp*2/5 + vtime.BeaconInterval
-}
-
-// settleBoundFor returns the retirement bound as shim sh sees it: the
-// pinned EngineSpec.SettleBound, or the adaptive estimator's value. Outside
+// settleBoundFor returns the retirement bound as shim sh sees it. Outside
 // parallel windows it reads the live estimator; inside one it reads the
 // precomputed window schedule at the shim's current (at, seq) execution
 // point, so every shim observes exactly the bound the sequential engine
 // would have had at that event — without touching the shared estimator.
 func (e *Engine) settleBoundFor(sh *shim) vtime.Duration {
-	if e.est == nil {
-		return e.settleAfter
-	}
 	if !sh.lane.InWindow() {
 		return e.est.bound()
 	}
@@ -663,12 +665,13 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 		e.rec.Events = append(e.rec.Events, record.Event{Group: group, Seq: seq, Node: n, Offset: offset, Kind: ev.ExternalKind(), Payload: ev})
 	}
 	e.stats.ExternalEvents++
+	key := ordering.ExternalKey(group, n, seq)
 	if e.baseline {
-		sh.sendBaseline(sh.app.HandleExternal(ev), msg.Annotation{}, true, group, offset)
+		sh.deliverBare(key, nil, ev, offset)
 		return
 	}
 	sh.onEntry(&history.Entry{
-		Key:       ordering.ExternalKey(group, n, seq),
+		Key:       key,
 		Ext:       &history.External{Event: ev, Offset: offset},
 		ArrivedAt: now,
 	})
@@ -683,11 +686,6 @@ func (e *Engine) InjectLinkChange(a, b int, up bool) error {
 	e.InjectExternal(msg.NodeID(a), api.LinkChange{Peer: msg.NodeID(b), Up: up})
 	e.InjectExternal(msg.NodeID(b), api.LinkChange{Peer: msg.NodeID(a), Up: up})
 	return nil
-}
-
-// InjectTrace applies a trace event.
-func (e *Engine) InjectTrace(ev trace.Event) error {
-	return e.InjectLinkChange(ev.A, ev.B, ev.Type == trace.LinkUp)
 }
 
 // CommittedKeys returns node n's committed delivery sequence: everything

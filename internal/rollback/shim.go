@@ -1,6 +1,7 @@
 package rollback
 
 import (
+	"defined/internal/annotate"
 	"defined/internal/eventq"
 	"defined/internal/history"
 	"defined/internal/msg"
@@ -57,14 +58,14 @@ type shim struct {
 func (sh *shim) onWire(m *msg.Message) {
 	switch m.Kind {
 	case msg.KindApp:
+		key := ordering.KeyOf(m)
 		if sh.e.baseline {
-			// The unmodified-software path: no ordering, no checkpoints.
 			sh.stats.Deliveries++
-			sh.sendBaseline(sh.app.HandleMessage(m), m.Ann, false, 0, 0)
+			sh.deliverBare(key, m, nil, 0)
 			return
 		}
 		sh.onEntry(&history.Entry{
-			Key:       ordering.KeyOf(m),
+			Key:       key,
 			Msg:       m,
 			ArrivedAt: sh.lane.Now(),
 		})
@@ -75,16 +76,19 @@ func (sh *shim) onWire(m *msg.Message) {
 	}
 }
 
-// sendBaseline transmits outputs untracked (baseline mode: nothing is ever
-// unsent). Each send's closure owns the builder's reference and releases it
-// once the simulator has taken (or refused) the message.
-func (sh *shim) sendBaseline(outs []msg.Out, parent msg.Annotation, fresh bool, group uint64, freshOffset vtime.Duration) {
-	lane := sh.lane
+// deliverBare is the unmodified-software path (EngineSpec.Baseline): the
+// event goes straight to the application — no ordering, no checkpoints —
+// and its outputs are transmitted untracked, since nothing is ever unsent.
+// Each send's closure owns the builder's reference and releases it once
+// the simulator has taken (or refused) the message.
+func (sh *shim) deliverBare(key ordering.Key, m *msg.Message, ext api.ExternalEvent, offset vtime.Duration) {
+	sender, lane := sh.ledger.sender, sh.lane
+	outs, c := sender.Deliver(sh.app, key, m, ext, offset)
 	for _, out := range outs {
-		m := sh.ledger.sender.Build(out, parent, fresh, group, freshOffset)
+		wire := sender.Build(out, &c)
 		lane.AfterCall(vtime.BaseProcessing, eventq.Func(func() {
-			lane.Send(m)
-			m.Release()
+			lane.Send(wire)
+			wire.Release()
 		}))
 	}
 }
@@ -101,8 +105,8 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	if isMsg {
 		pred = vtime.GroupStart(entry.Key.Group, vtime.BeaconInterval).Add(entry.Key.Delay)
 	}
-	if est := sh.e.est; est != nil && isMsg && !sh.lane.InWindow() {
-		est.observe(entry.ArrivedAt, entry.ArrivedAt.Sub(pred))
+	if isMsg && !sh.lane.InWindow() {
+		sh.e.est.observe(entry.ArrivedAt, entry.ArrivedAt.Sub(pred))
 	}
 	// The quarantine guard sits after the estimator feed on purpose:
 	// BeginWindow pre-simulates every scheduled app delivery of a parallel
@@ -164,11 +168,11 @@ func (sh *shim) insertNow(entry *history.Entry, rank ordering.Rank) {
 // onTimerBatch fires the node's virtual-timer batch for group (scheduled
 // at the group boundary plus beacon skew).
 func (sh *shim) onTimerBatch(group uint64) {
+	key := ordering.TimerKey(group, sh.id)
 	if sh.e.baseline {
 		// The baseline turns the app's timer wheel on the boundaries directly.
-		outs := sh.app.HandleTimer(vtime.GroupStart(group, vtime.BeaconInterval))
 		sh.stats.TimerBatches++
-		sh.sendBaseline(outs, msg.Annotation{}, true, group, sh.e.skew[sh.id])
+		sh.deliverBare(key, nil, nil, 0)
 		return
 	}
 	if sh.crashed {
@@ -177,7 +181,7 @@ func (sh *shim) onTimerBatch(group uint64) {
 	}
 	sh.stats.TimerBatches++
 	sh.onEntry(&history.Entry{
-		Key:       ordering.TimerKey(group, sh.id),
+		Key:       key,
 		ArrivedAt: sh.lane.Now(),
 	})
 }
@@ -221,21 +225,14 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 	serial := sh.win.stamp(i)
 	sh.stats.Deliveries++
 
-	outs, ok := sh.handleEntry(entry)
+	outs, c, ok := sh.handleEntry(entry)
 	if !ok {
 		// The handler panicked: the node is quarantined (see recoverPanic),
 		// its outputs died with it — exactly as if the process crashed
 		// mid-handler before transmitting anything.
 		return
 	}
-	switch {
-	case entry.Key.IsTimer():
-		sh.ledger.send(outs, msg.Annotation{}, true, entry.Key.Group, sh.e.skew[sh.id], procDelay, serial, replayed)
-	case entry.Key.IsExternal():
-		sh.ledger.send(outs, msg.Annotation{}, true, entry.Key.Group, entry.Ext.Offset, procDelay, serial, replayed)
-	default:
-		sh.ledger.send(outs, entry.Msg.Ann, false, entry.Key.Group, 0, procDelay, serial, replayed)
-	}
+	sh.ledger.send(outs, &c, procDelay, serial, replayed)
 }
 
 // handleEntry runs the application handler for one window entry,
@@ -246,17 +243,15 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 // function of the application state and the delivered entry, both of
 // which are bit-identical across shard counts, so the quarantine lands at
 // the same point of the committed order in every mode.
-func (sh *shim) handleEntry(entry *history.Entry) (outs []msg.Out, ok bool) {
+func (sh *shim) handleEntry(entry *history.Entry) (outs []msg.Out, c annotate.Cause, ok bool) {
 	defer sh.recoverPanic()
-	switch {
-	case entry.Key.IsTimer():
-		now := vtime.GroupStart(entry.Key.Group, vtime.BeaconInterval)
-		return sh.app.HandleTimer(now), true
-	case entry.Key.IsExternal():
-		return sh.app.HandleExternal(entry.Ext.Event.(api.ExternalEvent)), true
-	default:
-		return sh.app.HandleMessage(entry.Msg), true
+	var ext api.ExternalEvent
+	var offset vtime.Duration
+	if x := entry.Ext; x != nil {
+		ext, offset = x.Event, x.Offset
 	}
+	outs, c = sh.ledger.sender.Deliver(sh.app, entry.Key, entry.Msg, ext, offset)
+	return outs, c, true
 }
 
 // recoverPanic is handleEntry's deferred recovery hook (a method value so

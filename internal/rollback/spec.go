@@ -37,7 +37,8 @@ type EngineSpec struct {
 	// longer chains roll into the next group (paper §2.2).
 	ChainBound *int `json:"chainBound,omitempty"`
 	// SettleBound pins a static history retirement bound (default 0s =
-	// the adaptive straggler-margin estimator; StaticSettle(g) is the
+	// the adaptive straggler-margin estimator; a pin runs as that
+	// estimator with floor = ceiling = the pin; StaticSettle(g) is the
 	// paper's footnote-3 rule).
 	SettleBound *vtime.Span `json:"settleBound,omitempty"`
 	// Deferral enables rollback-avoidance arrival deferral (default true

@@ -66,7 +66,7 @@ func newTallyWindow(mi bool) (*window, *tallyApp) {
 	g := topology.Line(3, 10*vtime.Millisecond)
 	app := newTallyApp()
 	w := &window{Window: history.New(ordering.Optimized()), app: app,
-		sender: annotate.NewSender(1, g, 64, vtime.BaseProcessing), stats: &Stats{}}
+		sender: annotate.NewSender(1, g, 64, vtime.BaseProcessing, 0), stats: &Stats{}}
 	if mi {
 		app.JournalEnable()
 		w.sender.JournalEnable()
@@ -83,7 +83,7 @@ func deliverTally(w *window, app *tallyApp, i int) {
 	m := w.At(i).Msg
 	app.HandleMessage(m)
 	v := m.Payload.(int)
-	w.sender.Prepare(msg.Out{To: msg.NodeID(2 * (v % 2))}, m.Ann, v%3 == 0, 0, 0)
+	w.sender.Prepare(msg.Out{To: msg.NodeID(2 * (v % 2))}, &annotate.Cause{Parent: m.Ann, Fresh: v%3 == 0})
 }
 
 // tallySnap is a deep copy of everything a checkpoint restores.

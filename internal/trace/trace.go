@@ -57,43 +57,34 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %s %d-%d", e.At, e.Type, e.A, e.B)
 }
 
-// Config parameterizes the synthesizer. Zero values select the paper's
-// Tier-1 parameters.
+// Config parameterizes the synthesizer.
 type Config struct {
-	// Events is the total number of events to generate (paper: 651).
+	// Events is the total number of events to generate (default: the
+	// paper's 651).
 	Events int
-	// Window is the virtual-time span of the raw trace (paper: 2 weeks).
-	Window vtime.Duration
 	// Seed selects the deterministic random stream.
 	Seed uint64
-	// MeanRepair is the mean time between a failure and its repair.
-	// Default: 10 minutes.
-	MeanRepair vtime.Duration
-	// FlapProb is the probability a repaired link immediately fails
-	// again (producing flap clusters). Default: 0.25.
-	FlapProb float64
 }
 
-func (c *Config) fillDefaults() {
-	if c.Events == 0 {
-		c.Events = 651
-	}
-	if c.Window == 0 {
-		c.Window = 14 * vtime.Day
-	}
-	if c.MeanRepair == 0 {
-		c.MeanRepair = 10 * vtime.Minute
-	}
-	if c.FlapProb == 0 {
-		c.FlapProb = 0.25
-	}
-}
+// The paper's Tier-1 trace parameters, fixed for every synthesized trace.
+const (
+	// traceWindow is the virtual-time span of the raw trace (paper: 2
+	// weeks).
+	traceWindow = 14 * vtime.Day
+	// meanRepair is the mean time between a failure and its repair.
+	meanRepair = 10 * vtime.Minute
+	// flapProb is the probability a repaired link immediately fails
+	// again (producing flap clusters).
+	flapProb = 0.25
+)
 
 // Synthesize produces a sorted event trace mapped onto g's links. Every
 // LinkDown is paired with a later LinkUp for the same link (truncated only
 // if the event budget runs out), and a link never fails while already down.
 func Synthesize(g *topology.Graph, cfg Config) []Event {
-	cfg.fillDefaults()
+	if cfg.Events == 0 {
+		cfg.Events = 651
+	}
 	if len(g.Links) == 0 || cfg.Events <= 0 {
 		return nil
 	}
@@ -102,9 +93,9 @@ func Synthesize(g *topology.Graph, cfg Config) []Event {
 	// Heavy-tailed incident inter-arrival: Pareto with alpha 1.5 scaled
 	// so that the expected number of incidents fills the window. Each
 	// incident contributes >= 2 events (down+up), more when it flaps.
-	expectedPerIncident := 2.0 / (1 - cfg.FlapProb)
+	expectedPerIncident := 2.0 / (1 - flapProb)
 	incidents := int(float64(cfg.Events)/expectedPerIncident) + 1
-	meanGap := float64(cfg.Window) / float64(incidents+1)
+	meanGap := float64(traceWindow) / float64(incidents+1)
 	// Pareto(xm, a) has mean xm*a/(a-1); solve xm for the target mean.
 	const alpha = 1.5
 	xm := meanGap * (alpha - 1) / alpha
@@ -118,10 +109,10 @@ func Synthesize(g *topology.Graph, cfg Config) []Event {
 			gap = vtime.Second
 		}
 		now = now.Add(gap)
-		if now > vtime.Time(cfg.Window) {
+		if now > vtime.Time(traceWindow) {
 			// Wrap around rather than exceed the window: restart the
 			// arrival process, keeping link state.
-			now = vtime.Time(vtime.Duration(r.Float64() * float64(cfg.Window) * 0.1))
+			now = vtime.Time(vtime.Duration(r.Float64() * float64(traceWindow) * 0.1))
 		}
 		// Pick a currently-up link uniformly.
 		li := r.Intn(len(g.Links))
@@ -137,13 +128,13 @@ func Synthesize(g *topology.Graph, cfg Config) []Event {
 		t := now
 		for {
 			events = append(events, Event{At: t, Type: LinkDown, A: l.A, B: l.B})
-			repair := vtime.Duration(float64(cfg.MeanRepair) * r.ExpFloat64())
+			repair := vtime.Duration(float64(meanRepair) * r.ExpFloat64())
 			if repair < vtime.Second {
 				repair = vtime.Second
 			}
 			t = t.Add(repair)
 			events = append(events, Event{At: t, Type: LinkUp, A: l.A, B: l.B})
-			if len(events) >= cfg.Events || r.Float64() >= cfg.FlapProb {
+			if len(events) >= cfg.Events || r.Float64() >= flapProb {
 				break
 			}
 			// Flap: fail again shortly after repair.

@@ -8,7 +8,6 @@ import (
 	"defined/internal/ordering"
 	"defined/internal/rollback"
 	"defined/internal/scenario"
-	"defined/internal/trace"
 	"defined/internal/vtime"
 )
 
@@ -78,9 +77,6 @@ func (n *Network) InjectExternal(id NodeID, ev ExternalEvent) {
 func (n *Network) InjectLinkChange(a, b int, up bool) error {
 	return n.eng.InjectLinkChange(a, b, up)
 }
-
-// InjectTrace applies one synthesized trace event.
-func (n *Network) InjectTrace(ev trace.Event) error { return n.eng.InjectTrace(ev) }
 
 // App returns node id's application for inspection.
 func (n *Network) App(id NodeID) Application { return n.eng.App(id) }

@@ -41,10 +41,10 @@ func (r *Replay) StepEvent() (Delivery, bool) { return r.eng.StepEvent() }
 
 // StepRound completes the current lockstep round (the unit the paper's
 // response-time figures measure).
-func (r *Replay) StepRound() bool { return r.eng.StepRound() }
+func (r *Replay) StepRound() bool { _, ok := r.eng.StepRound(); return ok }
 
 // StepGroup completes the current beacon group.
-func (r *Replay) StepGroup() bool { return r.eng.StepGroup() }
+func (r *Replay) StepGroup() bool { _, ok := r.eng.StepGroup(); return ok }
 
 // RunToEnd replays everything remaining (or until a breakpoint fires) and
 // returns the number of deliveries executed.
