@@ -53,8 +53,8 @@ func Skews(g *topology.Graph) []vtime.Duration {
 // is wire-level identity and monotonically increases across rollbacks.
 //
 // Two checkpoint representations are supported, matching the engine's
-// FK/MI modes: SnapshotCounters/RestoreCounters deep-copy the counters
-// (full-snapshot checkpoints), while the undo journal — enabled with
+// FK/MI modes: CopyCounters/RestoreCounters copy the counters (full-snapshot
+// checkpoints), while the undo journal — enabled with
 // JournalEnable — records a (slot, old-value) pair per counter mutation so
 // an MI checkpoint is just a JournalMark and rollback a JournalRewind.
 type Sender struct {
@@ -143,9 +143,12 @@ type Counters struct {
 	LinkSeq   []uint64
 }
 
-// SnapshotCounters deep-copies the checkpointable counters.
-func (s *Sender) SnapshotCounters() Counters {
-	return Counters{OriginSeq: s.OriginSeq, LinkSeq: append([]uint64(nil), s.LinkSeq...)}
+// CopyCounters copies the checkpointable counters into dst, reusing dst's
+// LinkSeq array, so a checkpoint into a recycled snapshot allocates
+// nothing.
+func (s *Sender) CopyCounters(dst *Counters) {
+	dst.OriginSeq = s.OriginSeq
+	dst.LinkSeq = append(dst.LinkSeq[:0], s.LinkSeq...)
 }
 
 // RestoreCounters rewinds the checkpointable counters. It copies c's

@@ -99,7 +99,8 @@ func TestCountersSnapshotRestore(t *testing.T) {
 	s := sender()
 	s.Build(msg.Out{To: 0}, &Cause{Fresh: true, Group: 1})
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
-	snap := s.SnapshotCounters()
+	var snap Counters
+	s.CopyCounters(&snap)
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
 	if s.OriginSeq != 3 || s.SeqTo(2) != 2 {
 		t.Fatalf("counters advanced wrong: %d, %d", s.OriginSeq, s.SeqTo(2))
@@ -130,7 +131,8 @@ func TestCounterJournalRewind(t *testing.T) {
 	s.Build(msg.Out{To: 0}, &Cause{Fresh: true, Group: 1})
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
 	mark := s.JournalMark()
-	snap := s.SnapshotCounters()
+	var snap Counters
+	s.CopyCounters(&snap)
 
 	// A mix of fresh and chained builds past the mark.
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
@@ -166,7 +168,8 @@ func TestCounterJournalCompact(t *testing.T) {
 	settled := s.JournalMark()
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
 	live := s.JournalMark()
-	snap := s.SnapshotCounters()
+	var snap Counters
+	s.CopyCounters(&snap)
 	s.Build(msg.Out{To: 2}, &Cause{Fresh: true, Group: 1})
 
 	s.JournalCompact(settled)

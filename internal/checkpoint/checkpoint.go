@@ -15,12 +15,18 @@
 // state, and both modes are real implementations, not just cost models:
 //
 //   - FK is the reference implementation: before every speculative
-//     delivery the engine stores a full deep clone of the application
-//     state (api.State.Clone) plus a snapshot of the annotation counters,
-//     and rollback hands that clone back to the application, which adopts
-//     it — as the paper's rollback resumes the forked child rather than
-//     copying it again. Checkpoint cost scales with state size — at every
-//     delivery, whether or not a rollback ever happens.
+//     delivery the engine stores a full deep copy of the application
+//     state plus a copy of the annotation counters, and rollback hands
+//     that copy back to the application, which adopts it — as the paper's
+//     rollback resumes the forked child rather than copying it again. The
+//     copy goes into a recycled snapshot, one the stack let go of (settled,
+//     undone, or carrying the state the application gave up in Restore),
+//     through api.Recyclable's CloneInto, so like the paper's fork it pays
+//     for the copy and not for fresh memory; a state without the
+//     capability is cloned (api.State.Clone). Spares last one run: the
+//     engine drops them when Run or RunQuiescent returns. Checkpoint cost
+//     scales with state size — at every delivery, whether or not a
+//     rollback ever happens.
 //
 //   - MI is the undo-journal implementation (paper §3's intercepted
 //     memory writes, ~13× cheaper in Figure 7a). Applications that

@@ -26,12 +26,10 @@ import (
 // stacked snapshot over uncopied, and the application mutating it leaves
 // the checkpoints still on the stack as they were.
 func TestWindowUndoRestoresCheckpoint(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		mi   bool
-	}{{"FK", false}, {"MI", true}} {
-		t.Run(c.name, func(t *testing.T) {
-			w, app := newTallyWindow(c.mi)
+	for _, mode := range []tallyMode{tallyFK, tallyClone, tallyMI} {
+		mi := mode == tallyMI
+		t.Run(tallyModes[mode], func(t *testing.T) {
+			w, app := newTallyWindow(mode)
 			var want []tallySnap
 			for i := range 3 {
 				pos, dup := w.insert(entryOf(mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i), 0))
@@ -48,7 +46,7 @@ func TestWindowUndoRestoresCheckpoint(t *testing.T) {
 				t.Fatalf("duplicate arrival: dup %v, Duplicates %d", dup, w.stats.Duplicates)
 			}
 			var handed api.State
-			if !c.mi {
+			if !mi {
 				handed = (*w.snaps.At(2)).app
 			}
 			if first := w.undo(2); first != 3 {
@@ -57,7 +55,7 @@ func TestWindowUndoRestoresCheckpoint(t *testing.T) {
 			if got := snapTally(w, app); !got.equal(want[2]) {
 				t.Fatalf("state after undo(2) = %+v, want %+v", got, want[2])
 			}
-			if !c.mi && app.State() != handed {
+			if !mi && app.State() != handed {
 				t.Fatal("undo cloned the snapshot instead of handing it over")
 			}
 			app.add(1, 100) // writes the adopted snapshot's slots in place under FK
@@ -100,7 +98,8 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 		}
 		l.send(outs, &annotate.Cause{Fresh: true}, ms, cause, replayed)
 	}
-	before := sender.SnapshotCounters()
+	var before annotate.Counters
+	sender.CopyCounters(&before)
 	send(1, false, 1, 2)
 	sim.Run(vtime.Time(50 * ms))
 	sender.RestoreCounters(before) // as the window's restore would
@@ -128,6 +127,48 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	// both back on the store's free chain.
 	if free := freeRecs(l.recs); l.sent.Len() != 0 || l.recs.cut != 2 || free != 2 {
 		t.Fatalf("prune kept %d records; store cut %d, has %d free", l.sent.Len(), l.recs.cut, free)
+	}
+}
+
+// echoApp answers every message and timer batch with one output to its
+// peer, whose payload is boxed once.
+type echoApp struct {
+	peer msg.NodeID
+	out  [1]msg.Out
+}
+
+func (a *echoApp) Init(self msg.NodeID, _ []api.Neighbor) {
+	a.peer = 1 - self
+	a.out[0] = msg.Out{To: a.peer, Payload: any(int(self))}
+}
+func (a *echoApp) HandleMessage(*msg.Message) []msg.Out       { return a.out[:] }
+func (a *echoApp) HandleTimer(vtime.Time) []msg.Out           { return a.out[:] }
+func (a *echoApp) HandleExternal(api.ExternalEvent) []msg.Out { return nil }
+func (a *echoApp) State() api.State                           { return nil }
+func (a *echoApp) Restore(api.State)                          {}
+
+// A baseline send allocates nothing once warm: its record comes from the
+// lane's store and is the scheduled event, and the wire message from the
+// pool. Two echo apps keep one message in flight between them, so every
+// delivery is one baseline send.
+func TestBaselineSendDoesNotAllocate(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.Line(2, 10*ms)
+	e := New(g, []api.Application{&echoApp{}, &echoApp{}}, EngineSpec{Seed: ptr[uint64](1), Baseline: ptr(true)})
+	e.shims[0].deliverBare(ordering.TimerKey(1, 0), nil, nil, 0)
+	step := func() { e.sim.Run(e.sim.Now().Add(20 * ms)) }
+	for range 4 {
+		step() // warm the queue, the pool and the record store
+	}
+	before := e.Stats().Deliveries
+	if got := testing.AllocsPerRun(20, step); got != 0 {
+		t.Fatalf("a baseline send allocates %.1f times", got)
+	}
+	if sent := e.Stats().Deliveries - before; sent < 21 {
+		t.Fatalf("%d deliveries in 21 steps: the echo stalled", sent)
+	}
+	if e.PoolLive() != 1 {
+		t.Fatalf("%d pooled messages live, want the one in flight", e.PoolLive())
 	}
 }
 

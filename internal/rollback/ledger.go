@@ -39,15 +39,17 @@ type ledger struct {
 	stats  *Stats
 }
 
-// sentRec tracks one transmitted message for potential unsending. Records
-// come from the lane's recStore and implement eventq.Caller, so scheduling
-// a send allocates nothing — the record itself is the event payload.
+// sentRec tracks one transmitted message for potential unsending (a
+// baseline send's record only carries it to the wire). Records come from
+// the lane's recStore and implement eventq.Caller, so scheduling a send
+// allocates nothing — the record itself is the event payload.
 type sentRec struct {
 	l           *ledger
 	causeSerial uint64 // while the record is free: its store's next free cell + 1, 0 for none
 	m           *msg.Message
 	ev          eventq.Handle // pending send; zero once on the wire
 	dropped     bool          // lost in flight (the drop log has it)
+	bare        bool          // a baseline send: untracked, freed once it fires
 	cell        uint32        // the record's place in its store, fixed when it is cut
 	sentAt      vtime.Time
 }
@@ -60,6 +62,10 @@ type sentRec struct {
 func (rec *sentRec) Fire() {
 	l := rec.l
 	ok := l.lane.Send(rec.m)
+	if rec.bare {
+		l.freeRec(rec)
+		return
+	}
 	rec.ev = eventq.Handle{}
 	rec.sentAt = l.lane.Now()
 	if !ok {
@@ -116,6 +122,19 @@ func (l *ledger) freeRec(rec *sentRec) {
 	s := l.recs
 	*rec = sentRec{causeSerial: s.free, cell: rec.cell}
 	s.free = uint64(rec.cell) + 1
+}
+
+// sendBare transmits a baseline delivery's outputs after the base
+// processing delay, untracked: nothing is ever unsent, so each record only
+// carries its message to the wire and is freed as it fires, releasing the
+// builder's reference.
+func (l *ledger) sendBare(outs []msg.Out, c *annotate.Cause) {
+	for _, out := range outs {
+		rec := l.recs.get(l)
+		rec.bare = true
+		rec.m = l.sender.Build(out, c)
+		l.lane.AfterCall(vtime.BaseProcessing, rec)
+	}
 }
 
 // send transmits the outputs of the delivery with serial causeSerial, whose

@@ -312,8 +312,8 @@ func New(g *topology.Graph, apps []api.Application, spec EngineSpec) *Engine {
 		sender := annotate.NewSender(n, g, e.chainBound, e.procEstimate(), e.skew[i])
 		if *spec.MessagePool {
 			// Wire messages come refcounted from the node's lane pool (the
-			// engine-wide pool in sequential mode); the sentRec (or the
-			// baseline send closure) owns the reference Materialize returns.
+			// engine-wide pool in sequential mode); the sentRec (a baseline
+			// send's too) owns the reference Materialize or Build returns.
 			sender.Pool = sh.lane.Pool()
 		}
 		if e.lookOn {
@@ -532,6 +532,7 @@ func (e *Engine) groupAt(n msg.NodeID, t vtime.Time) uint64 {
 func (e *Engine) Run(until vtime.Time) {
 	e.scheduleGroupTicks(until)
 	e.sim.Run(until)
+	e.dropSpares()
 }
 
 // RunQuiescent processes pending events (without scheduling new group
@@ -539,7 +540,16 @@ func (e *Engine) Run(until vtime.Time) {
 // reports whether the network quiesced.
 func (e *Engine) RunQuiescent(maxEvents int) bool {
 	_, ok := e.sim.RunQuiescent(maxEvents)
+	e.dropSpares()
 	return ok
+}
+
+// dropSpares ends the run's lease on every node's spare snapshots (see
+// window), so a network at rest holds only its checkpoint stacks.
+func (e *Engine) dropSpares() {
+	for _, sh := range e.shims {
+		sh.win.spares = nil
+	}
 }
 
 // tickSeg is one Run call's worth of group ticks: groups first..first+n-1

@@ -397,7 +397,12 @@ func TestCheckpointStrategiesAllDeterministic(t *testing.T) {
 		{Timing: checkpoint.PF, Mode: checkpoint.MI},
 		{Timing: checkpoint.TM, Mode: checkpoint.MI},
 	} {
-		logs, _, _ := runScenario(t, g, EngineSpec{Seed: ptr[uint64](3), JitterScale: ptr(3.0), Strategy: strat.String()}, 3)
+		logs, _, e := runScenario(t, g, EngineSpec{Seed: ptr[uint64](3), JitterScale: ptr(3.0), Strategy: strat.String()}, 3)
+		for _, sh := range e.shims {
+			if sh.win.spares != nil {
+				t.Fatalf("strategy %v: node %d kept %d spare snapshots past the run", strat, sh.id, len(sh.win.spares))
+			}
+		}
 		if ref == nil {
 			ref = logs
 			continue

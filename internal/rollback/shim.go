@@ -78,19 +78,11 @@ func (sh *shim) onWire(m *msg.Message) {
 
 // deliverBare is the unmodified-software path (EngineSpec.Baseline): the
 // event goes straight to the application — no ordering, no checkpoints —
-// and its outputs are transmitted untracked, since nothing is ever unsent.
-// Each send's closure owns the builder's reference and releases it once
-// the simulator has taken (or refused) the message.
+// and its outputs are transmitted untracked (ledger.sendBare), since
+// nothing is ever unsent.
 func (sh *shim) deliverBare(key ordering.Key, m *msg.Message, ext api.ExternalEvent, offset vtime.Duration) {
-	sender, lane := sh.ledger.sender, sh.lane
-	outs, c := sender.Deliver(sh.app, key, m, ext, offset)
-	for _, out := range outs {
-		wire := sender.Build(out, &c)
-		lane.AfterCall(vtime.BaseProcessing, eventq.Func(func() {
-			lane.Send(wire)
-			wire.Release()
-		}))
-	}
+	outs, c := sh.ledger.sender.Deliver(sh.app, key, m, ext, offset)
+	sh.ledger.sendBare(outs, &c)
 }
 
 // onEntry routes an arrival through the layers in their fixed order. The

@@ -20,16 +20,25 @@ import (
 // non-nil when the application supports MI undo-journal checkpointing and
 // the engine's strategy selects it: the stack is then marks, O(1) journal
 // positions, and undo rewinds the journals in place. Otherwise it is snaps,
-// full clones (FK mode by design; under MI only apps from outside
+// full copies (FK mode by design; under MI only apps from outside
 // internal/scenario — third parties, test doubles — fall back to them), and
 // undo hands the snapshot to the application, as an FK rollback resumes the
 // forked child. serial numbers deliveries; hw is the window's high-water
 // mark, the bound the fault checker compares against (a wedged window grows
 // without bound; a healthy one is pruned by settlement).
+//
+// spares holds the snapshots the stack let go of — settled, truncated by an
+// undo, or the one an undo handed over, which then carries the state the
+// application let go of — for stamp to copy into instead of allocating (an
+// api.Recyclable state copies into the spare's own storage). They last one
+// run: Engine.Run and RunQuiescent drop them before returning, so a window
+// never holds more snapshots than its stack's high-water mark did, and a
+// network at rest holds only its stacks.
 type window struct {
 	*history.Window
 	marks  slide.Buf[checkpoint.Marks]
 	snaps  slide.Buf[*shimState]
+	spares []*shimState
 	japp   api.Journaled
 	serial uint64
 	hw     int
@@ -71,11 +80,40 @@ func (w *window) stamp(i int) uint64 {
 	if w.japp != nil {
 		w.marks.Push(checkpoint.Marks{App: w.japp.JournalMark(), Counters: w.sender.JournalMark()})
 	} else {
-		w.snaps.Push(&shimState{app: w.app.State().Clone(), counters: w.sender.SnapshotCounters()})
+		w.snaps.Push(w.capture())
 	}
 	w.serial++
 	w.SetSerial(i, w.serial)
 	return w.serial
+}
+
+// capture copies the application state and the sender counters into a
+// spare snapshot, or into a new one when no spare is left.
+func (w *window) capture() *shimState {
+	var st *shimState
+	if n := len(w.spares); n > 0 {
+		st = w.spares[n-1]
+		w.spares[n-1] = nil
+		w.spares = w.spares[:n-1]
+	} else {
+		st = new(shimState)
+	}
+	live := w.app.State()
+	if r, ok := live.(api.Recyclable); ok {
+		st.app = r.CloneInto(st.app)
+	} else {
+		st.app = live.Clone()
+	}
+	w.sender.CopyCounters(&st.counters)
+	return st
+}
+
+// spare keeps the stacked snapshots at positions from to to-1 as spares;
+// the caller then drops them from the stack.
+func (w *window) spare(from, to int) {
+	for i := from; i < to; i++ {
+		w.spares = append(w.spares, *w.snaps.At(i))
+	}
 }
 
 // undo restores the checkpoint taken before window position pos and
@@ -102,11 +140,20 @@ func (w *window) undo(pos int) (first uint64) {
 		return first
 	}
 	// The snapshot leaves the stack here, so the application adopts it
-	// uncopied; the replay's stamp at pos takes a fresh clone.
+	// uncopied; the replay's stamp at pos copies afresh. The snapshot
+	// becomes a spare carrying the state the application let go of, which
+	// only a Recyclable state promises to do.
 	st := *w.snaps.At(pos)
+	w.spare(pos+1, w.snaps.Len())
 	w.snaps.Truncate(pos)
+	prev := w.app.State()
 	w.app.Restore(st.app)
 	w.sender.RestoreCounters(st.counters)
+	st.app = nil
+	if r, ok := prev.(api.Recyclable); ok {
+		st.app = r
+	}
+	w.spares = append(w.spares, st)
 	return first
 }
 
@@ -114,6 +161,7 @@ func (w *window) undo(pos int) (first uint64) {
 func (w *window) retire(n int) {
 	w.Retire(n)
 	if w.japp == nil {
+		w.spare(0, n)
 		w.snaps.DropFront(n)
 		return
 	}
@@ -126,6 +174,7 @@ func (w *window) retire(n int) {
 // to rewind to the journals compact to their heads.
 func (w *window) reset() {
 	w.Retire(w.Len())
+	w.spare(0, w.snaps.Len())
 	w.snaps.Truncate(0)
 	w.marks.Truncate(0)
 	w.compactJournals()

@@ -1,6 +1,7 @@
 package rollback
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -18,17 +19,44 @@ import (
 
 // tallyApp is a journaled test application: each message adds its payload
 // into one of four slots, recording the old value first. Its state holds a
-// slice, so two checkpoints that shared storage would show.
+// slice, so two checkpoints that shared storage would show. Its state is
+// api.Recyclable unless cloneOnly is set, when State hands out the same
+// state as a cloneOnlyTally, which has Clone only: the window's fallback.
 type tallyApp struct {
-	st *tallyState
-	j  *journal.Log[tallyUndo]
+	st        *tallyState
+	j         *journal.Log[tallyUndo]
+	cloneOnly bool
 }
 
 type tallyState struct{ slots []int }
 
+// cloneOnlyTally is a tallyState without CloneInto.
+type cloneOnlyTally tallyState
+
 type tallyUndo struct{ slot, old int }
 
-func (s *tallyState) Clone() api.State { return &tallyState{slots: slices.Clone(s.slots)} }
+func (s *tallyState) Clone() api.State { return s.CloneInto(nil) }
+
+func (s *tallyState) CloneInto(dst api.State) api.State {
+	d, _ := dst.(*tallyState)
+	if d == nil {
+		d = new(tallyState)
+	}
+	d.slots = append(d.slots[:0], s.slots...)
+	return d
+}
+
+func (s *cloneOnlyTally) Clone() api.State {
+	return (*cloneOnlyTally)(&tallyState{slots: slices.Clone(s.slots)})
+}
+
+// tallyOf unwraps either kind of tally state.
+func tallyOf(st api.State) *tallyState {
+	if c, ok := st.(*cloneOnlyTally); ok {
+		return (*tallyState)(c)
+	}
+	return st.(*tallyState)
+}
 
 func newTallyApp() *tallyApp {
 	a := &tallyApp{st: &tallyState{slots: make([]int, 4)}}
@@ -52,22 +80,39 @@ func (a *tallyApp) HandleMessage(m *msg.Message) []msg.Out {
 
 func (a *tallyApp) HandleTimer(vtime.Time) []msg.Out           { return nil }
 func (a *tallyApp) HandleExternal(api.ExternalEvent) []msg.Out { return nil }
-func (a *tallyApp) State() api.State                           { return a.st }
-func (a *tallyApp) Restore(st api.State)                       { a.st = st.(*tallyState) }
+func (a *tallyApp) Restore(st api.State)                       { a.st = tallyOf(st) }
 func (a *tallyApp) JournalEnable()                             { a.j.Enable() }
 func (a *tallyApp) JournalMark() journal.Mark                  { return a.j.Mark() }
 func (a *tallyApp) JournalRewind(m journal.Mark)               { a.j.Rewind(m) }
 func (a *tallyApp) JournalCompact(m journal.Mark)              { a.j.Compact(m) }
 
+func (a *tallyApp) State() api.State {
+	if a.cloneOnly {
+		return (*cloneOnlyTally)(a.st)
+	}
+	return a.st
+}
+
+// tallyMode is how a test window checkpoints.
+type tallyMode int
+
+const (
+	tallyFK    tallyMode = iota // snapshots copied into spares (CloneInto)
+	tallyClone                  // snapshots through the Clone fallback
+	tallyMI                     // journal marks
+)
+
+var tallyModes = [...]string{"FK", "FK-clone", "MI"}
+
 // newTallyWindow builds node 1's window on Line(3) over a fresh tallyApp,
-// checkpointing by journal marks when mi is set and by snapshots
-// otherwise, as New sets a node up under MI and under FK.
-func newTallyWindow(mi bool) (*window, *tallyApp) {
+// checkpointing as mode says, as New sets a node up under FK and MI.
+func newTallyWindow(mode tallyMode) (*window, *tallyApp) {
 	g := topology.Line(3, 10*vtime.Millisecond)
 	app := newTallyApp()
+	app.cloneOnly = mode == tallyClone
 	w := &window{Window: history.New(ordering.Optimized()), app: app,
 		sender: annotate.NewSender(1, g, 64, vtime.BaseProcessing, 0), stats: &Stats{}}
-	if mi {
+	if mode == tallyMI {
 		app.JournalEnable()
 		w.sender.JournalEnable()
 		w.japp = app
@@ -93,7 +138,9 @@ type tallySnap struct {
 }
 
 func snapTally(w *window, app *tallyApp) tallySnap {
-	return tallySnap{slices.Clone(app.st.slots), w.sender.SnapshotCounters()}
+	s := tallySnap{slots: slices.Clone(app.st.slots)}
+	w.sender.CopyCounters(&s.counters)
+	return s
 }
 
 func (s tallySnap) equal(o tallySnap) bool {
@@ -101,50 +148,148 @@ func (s tallySnap) equal(o tallySnap) bool {
 		slices.Equal(s.counters.LinkSeq, o.counters.LinkSeq)
 }
 
-// No snapshot that undo or retire dropped stays reachable from the stack:
-// undo hands the snapshot at its position to the application and drops the
-// ones after it, and retire drops the settled ones.
-func TestWindowReleasesDroppedStates(t *testing.T) {
-	w, app := newTallyWindow(false)
-	var ws [4]weak.Pointer[tallyState]
-	func() {
-		for i := range ws {
-			w.insert(entryOf(mkMsg(vtime.Duration(i+1)*vtime.Millisecond, uint64(i+1), i), 0))
-			deliverTally(w, app, i)
-			ws[i] = weak.Make((*w.snaps.At(i)).app.(*tallyState))
+// checkSpares fails unless every spare is apart from what the window still
+// uses: no spare is a stacked snapshot, and no spare's state is the live
+// state or a stacked snapshot's state.
+func checkSpares(t *testing.T, what string, w *window) {
+	t.Helper()
+	used := map[*tallyState]bool{tallyOf(w.app.State()): true}
+	stacked := map[*shimState]bool{}
+	for i := 0; i < w.snaps.Len(); i++ {
+		st := *w.snaps.At(i)
+		stacked[st] = true
+		used[tallyOf(st.app)] = true
+	}
+	for _, sp := range w.spares {
+		if stacked[sp] {
+			t.Fatalf("%s: a spare is still on the stack", what)
 		}
-	}()
-	w.undo(2) // hands snapshot 2 over, drops snapshot 3
-	if app.st != ws[2].Value() {
-		t.Fatal("undo did not hand the stacked snapshot to the application")
-	}
-	app.st = app.st.Clone().(*tallyState) // the application lets go of it
-	w.retire(1)                           // settles snapshot 0
-	for i := 0; i < 3 && (ws[0].Value() != nil || ws[2].Value() != nil || ws[3].Value() != nil); i++ {
-		runtime.GC()
-	}
-	for _, i := range []int{0, 2, 3} {
-		if ws[i].Value() != nil {
-			t.Fatalf("dropped snapshot %d is still reachable", i)
+		if sp.app != nil && used[tallyOf(sp.app)] {
+			t.Fatalf("%s: a spare holds a state in use", what)
 		}
-	}
-	if w.snaps.Len() != 1 || (*w.snaps.At(0)).app != ws[1].Value() {
-		t.Fatal("the live snapshot moved")
 	}
 }
 
-// FuzzWindowCheckpoints drives an FK window and an MI window in lockstep
-// through arrivals (each out-of-order one followed by the shim's undo and
-// replay), settlement and crashes. After every step the two hold equal
-// application states and sender counters, and an undo puts back exactly
-// the state recorded when its checkpoint was stamped.
+// Snapshots the stack drops become spares for the rest of the run and no
+// longer: undo keeps the snapshots after its position and the one it hands
+// over (now carrying the state the application let go of), retire the
+// settled ones; none of them stays reachable from the stack, none is the
+// live state or a stacked snapshot, and once the run ends (Engine.Run drops
+// the spares) none is reachable at all. Under the Clone fallback the handed-over
+// snapshot's spare carries no state, since the application promised
+// nothing about the one it let go of.
+func TestWindowReleasesDroppedStates(t *testing.T) {
+	for _, mode := range []tallyMode{tallyFK, tallyClone} {
+		t.Run(tallyModes[mode], func(t *testing.T) {
+			w, app := newTallyWindow(mode)
+			var ws [4]weak.Pointer[tallyState]
+			var live weak.Pointer[tallyState]
+			func() {
+				for i := range ws {
+					w.insert(entryOf(mkMsg(vtime.Duration(i+1)*vtime.Millisecond, uint64(i+1), i), 0))
+					deliverTally(w, app, i)
+					ws[i] = weak.Make(tallyOf((*w.snaps.At(i)).app))
+				}
+				live = weak.Make(app.st)
+			}()
+			w.undo(2) // hands snapshot 2 over, drops snapshot 3 and the live state
+			if app.st != ws[2].Value() {
+				t.Fatal("undo did not hand the stacked snapshot to the application")
+			}
+			w.retire(1) // settles snapshot 0
+			if w.snaps.Len() != 1 || tallyOf((*w.snaps.At(0)).app) != ws[1].Value() {
+				t.Fatal("the live snapshot moved")
+			}
+			if len(w.spares) != 3 {
+				t.Fatalf("%d spares, want 3", len(w.spares))
+			}
+			checkSpares(t, "after undo and retire", w)
+			held := 0
+			for _, sp := range w.spares {
+				if sp.app != nil {
+					held++
+				}
+			}
+			if want := map[tallyMode]int{tallyFK: 3, tallyClone: 2}[mode]; held != want {
+				t.Fatalf("%d spares hold a state, want %d", held, want)
+			}
+			w.spares = nil // the run ends
+			dropped := []weak.Pointer[tallyState]{ws[0], ws[3], live}
+			gone := func() bool {
+				for _, p := range dropped {
+					if p.Value() != nil {
+						return false
+					}
+				}
+				return true
+			}
+			for i := 0; i < 3 && !gone(); i++ {
+				runtime.GC()
+			}
+			if !gone() {
+				t.Fatal("a dropped snapshot is still reachable after the run ended")
+			}
+			if ws[1].Value() == nil || ws[2].Value() == nil {
+				t.Fatal("the stacked or live state was collected")
+			}
+			runtime.KeepAlive(w)
+		})
+	}
+}
+
+// A warmed FK window checkpoints, rolls back and settles without
+// allocating: stamp copies into a spare, undo and retire hand snapshots
+// back to the spares.
+func TestWindowCycleDoesNotAllocate(t *testing.T) {
+	const runs = 50
+	for _, mode := range []tallyMode{tallyFK, tallyMI} {
+		t.Run(tallyModes[mode], func(t *testing.T) {
+			w, app := newTallyWindow(mode)
+			ms := make([]*msg.Message, 2*(runs+3))
+			for i := range ms {
+				ms[i] = mkMsg(vtime.Duration(i+1)*vtime.Microsecond, uint64(i+1), i)
+			}
+			es := make([]history.Entry, len(ms))
+			for i, m := range ms {
+				es[i] = *entryOf(m, 0)
+			}
+			next := 0
+			cycle := func() {
+				for range 2 {
+					pos, _ := w.insert(&es[next])
+					next++
+					deliverTally(w, app, pos)
+				}
+				w.undo(0)
+				deliverTally(w, app, 0)
+				deliverTally(w, app, 1)
+				w.retire(2)
+			}
+			cycle() // warm the buffers and the spares
+			if got := testing.AllocsPerRun(runs, cycle); got != 0 {
+				t.Fatalf("stamp → undo → retire allocates %.1f times a cycle", got)
+			}
+		})
+	}
+}
+
+// FuzzWindowCheckpoints drives three windows in lockstep — FK copying into
+// spares, FK through the Clone fallback, and MI — through arrivals (each
+// out-of-order one followed by the shim's undo and replay), settlement,
+// crashes and run ends. After every step the three hold equal application
+// states and sender counters, no spare is in use, and an undo puts back
+// exactly the state recorded when its checkpoint was stamped.
 func FuzzWindowCheckpoints(f *testing.F) {
 	f.Add([]byte{0, 30, 0, 20, 0, 10, 2, 1, 0, 5, 3, 0, 0, 7})               // every arrival early, a settle, a crash
 	f.Add([]byte{0, 1, 1, 2, 0, 3, 1, 200, 0, 100, 2, 2, 1, 50, 1, 4, 2, 9}) // in order, then one far back
+	f.Add([]byte{0, 9, 0, 8, 3, 1, 0, 7, 0, 6, 2, 1, 0, 5})                  // a crash at a run end, refilled
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		fk, fkApp := newTallyWindow(false)
-		mi, miApp := newTallyWindow(true)
-		ws, apps := [2]*window{fk, mi}, [2]*tallyApp{fkApp, miApp}
+		var ws [3]*window
+		var apps [3]*tallyApp
+		for mode := range ws {
+			ws[mode], apps[mode] = newTallyWindow(tallyMode(mode))
+		}
+		fk, fkApp := ws[tallyFK], apps[tallyFK]
 		var stamped []tallySnap // the state before each live checkpoint's delivery
 		seq := uint64(0)
 		for op := 0; len(prog) >= 2; op++ {
@@ -155,22 +300,24 @@ func FuzzWindowCheckpoints(f *testing.F) {
 				seq++
 				m := mkMsg(vtime.Duration(a)*vtime.Millisecond, seq, a)
 				pos, _ := fk.insert(entryOf(m, 0))
-				if p, _ := mi.insert(entryOf(m, 0)); p != pos {
-					t.Fatalf("op %d: inserted at %d and %d", op, pos, p)
+				for mode, w := range ws[1:] {
+					if p, _ := w.insert(entryOf(m, 0)); p != pos {
+						t.Fatalf("op %d: inserted at %d on FK and %d on %s", op, pos, p, tallyModes[mode+1])
+					}
 				}
 				if pos < len(stamped) {
-					for s, w := range ws {
+					for mode, w := range ws {
 						w.undo(pos)
-						if got := snapTally(w, apps[s]); !got.equal(stamped[pos]) {
-							t.Fatalf("op %d: undo(%d) on %s restored %+v, stamped %+v", op, pos, [2]string{"FK", "MI"}[s], got, stamped[pos])
+						if got := snapTally(w, apps[mode]); !got.equal(stamped[pos]) {
+							t.Fatalf("op %d: undo(%d) on %s restored %+v, stamped %+v", op, pos, tallyModes[mode], got, stamped[pos])
 						}
 					}
 					stamped = stamped[:pos]
 				}
 				for i := pos; i < fk.Len(); i++ {
 					stamped = append(stamped, snapTally(fk, fkApp))
-					for s, w := range ws {
-						deliverTally(w, apps[s], i)
+					for mode, w := range ws {
+						deliverTally(w, apps[mode], i)
 					}
 				}
 			case 2: // settlement retires the oldest entries
@@ -179,17 +326,24 @@ func FuzzWindowCheckpoints(f *testing.F) {
 					w.retire(n)
 				}
 				stamped = stamped[n:]
-			case 3: // a crash empties both
+			case 3: // a crash empties all three; an odd a also ends the run
 				for _, w := range ws {
 					w.reset()
+					if a%2 == 1 {
+						w.spares = nil // the run ends
+					}
 				}
 				stamped = nil
 			}
-			if fk.depth() != len(stamped) || mi.depth() != len(stamped) {
-				t.Fatalf("op %d: depths %d and %d, %d stamped", op, fk.depth(), mi.depth(), len(stamped))
-			}
-			if f, m := snapTally(fk, fkApp), snapTally(mi, miApp); !f.equal(m) {
-				t.Fatalf("op %d: FK holds %+v, MI %+v", op, f, m)
+			want := snapTally(fk, fkApp)
+			for mode, w := range ws {
+				if w.depth() != len(stamped) {
+					t.Fatalf("op %d: %s depth %d, %d stamped", op, tallyModes[mode], w.depth(), len(stamped))
+				}
+				if got := snapTally(w, apps[mode]); !got.equal(want) {
+					t.Fatalf("op %d: FK holds %+v, %s %+v", op, want, tallyModes[mode], got)
+				}
+				checkSpares(t, fmt.Sprintf("op %d, %s", op, tallyModes[mode]), w)
 			}
 		}
 	})

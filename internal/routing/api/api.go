@@ -68,15 +68,38 @@ type Application interface {
 	// injection). Outputs start fresh causal chains.
 	HandleExternal(ev ExternalEvent) []msg.Out
 
-	// State returns the current application state. The substrate clones
-	// it for checkpoints; the application keeps ownership.
+	// State returns the current application state. The substrate copies
+	// it for checkpoints (Clone, or CloneInto when it is Recyclable); the
+	// application keeps ownership.
 	State() State
 
 	// Restore replaces the application state with a checkpoint
 	// previously obtained from State().Clone(). The substrate hands st
 	// over and keeps no reference to it, so the application may adopt it
-	// and mutate it in place.
+	// and mutate it in place. When the state implements Recyclable, the
+	// application also promises to let go of the state State() returned
+	// before the call: the substrate may reuse it as a checkpoint.
 	Restore(st State)
+}
+
+// Recyclable is an optional State capability: a checkpoint copies the live
+// state into storage the substrate already holds, instead of allocating a
+// new clone on every delivery (FK checkpointing, the paper's fork per
+// delivery, pays only for the copy the same way).
+//
+// The substrate probes for this interface with a type assertion on what
+// State() returns; states without it keep working through Clone.
+//
+// Contract: CloneInto(dst) returns a state equal to what Clone returns,
+// sharing no mutable structure with the receiver. dst is nil or a state of
+// the same type that the substrate owns outright — an earlier checkpoint,
+// or a state the application let go of in Restore — so the copy may reuse
+// dst's storage and may return dst itself. Implementing Recyclable also
+// makes the Restore promise above: Restore(st) adopts st and lets go of
+// the state State() returned before the call.
+type Recyclable interface {
+	State
+	CloneInto(dst State) State
 }
 
 // Journaled is an optional Application capability enabling real MI

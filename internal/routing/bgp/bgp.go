@@ -18,6 +18,7 @@ package bgp
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"defined/internal/journal"
@@ -183,20 +184,32 @@ type state struct {
 	decisions uint64
 }
 
-func (s *state) Clone() api.State {
-	ns := &state{
-		ribIn:     make(map[string][]Path, len(s.ribIn)),
-		best:      make(map[string]Path, len(s.best)),
-		epoch:     s.epoch,
-		decisions: s.decisions,
+// Clone implements api.State.
+func (s *state) Clone() api.State { return s.CloneInto(nil) }
+
+// CloneInto implements api.Recyclable: dst's maps are refilled in place,
+// and each prefix's path slice is copied into dst's slice for that prefix.
+func (s *state) CloneInto(dst api.State) api.State {
+	d, _ := dst.(*state)
+	if d == nil {
+		d = &state{
+			ribIn: make(map[string][]Path, len(s.ribIn)),
+			best:  make(map[string]Path, len(s.best)),
+		}
 	}
+	maps.DeleteFunc(d.ribIn, func(k string, _ []Path) bool {
+		_, ok := s.ribIn[k]
+		return !ok
+	})
 	for k, v := range s.ribIn {
-		ns.ribIn[k] = append([]Path(nil), v...)
+		d.ribIn[k] = append(d.ribIn[k][:0], v...)
 	}
+	clear(d.best)
 	for k, v := range s.best {
-		ns.best[k] = v
+		d.best[k] = v
 	}
-	return ns
+	d.epoch, d.decisions = s.epoch, s.decisions
+	return d
 }
 
 // ---- undo journal (MI checkpointing) ----------------------------------------
@@ -284,6 +297,7 @@ func New(mode Mode) *Daemon {
 var (
 	_ api.Application     = (*Daemon)(nil)
 	_ api.Journaled       = (*Daemon)(nil)
+	_ api.Recyclable      = (*state)(nil)
 	_ api.RecomputeCached = (*Daemon)(nil)
 )
 

@@ -60,3 +60,35 @@ func SelectXORP04MustName(t *testing.T, order ...Path) string {
 	}
 	return p.Name
 }
+
+// CloneInto equals Clone, drops the recycled state's stale prefixes, reuses
+// its path slices, and shares nothing with the source.
+func TestCloneIntoMatchesClone(t *testing.T) {
+	d := New(XORP04)
+	d.Init(0, []api.Neighbor{{ID: 1, Cost: 1}, {ID: 2, Cost: 1}})
+	p1, p2, p3 := Figure4Paths("10.0.0.0/8")
+	d.HandleExternal(Announce{Path: p1})
+	early := d.st.Clone().(*state)
+	d.HandleExternal(Announce{Path: p2})
+	q1, _, _ := Figure4Paths("192.168.0.0/16")
+	d.HandleMessage(&msg.Message{From: 1, To: 0, Kind: msg.KindApp, Payload: update{Path: q1}})
+	late := d.st.Clone().(*state)
+	paths := late.ribIn["10.0.0.0/8"]
+
+	wantEarly := early.Clone()
+	if got := early.CloneInto(late); got != late {
+		t.Fatal("CloneInto did not copy into the state it was given")
+	}
+	if !reflect.DeepEqual(late, wantEarly) {
+		t.Fatalf("copy into a larger state:\n%+v\nwant\n%+v", late, wantEarly)
+	}
+	if &late.ribIn["10.0.0.0/8"][0] != &paths[0] {
+		t.Fatal("the prefix's path slice was not reused")
+	}
+	want := d.st.Clone()
+	got := d.st.CloneInto(early)
+	d.HandleExternal(Announce{Path: p3})
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(late, wantEarly) {
+		t.Fatalf("copy changed with its source:\n%+v\nwant\n%+v", got, want)
+	}
+}

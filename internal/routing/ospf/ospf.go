@@ -511,20 +511,30 @@ func grown[T any](s []T, n int) []T {
 }
 
 // Clone implements api.State.
-func (s *state) Clone() api.State {
-	return &state{
-		lsdb:       append([]*LSA(nil), s.lsdb...), // LSAs are immutable: share
-		adjUp:      append([]bool(nil), s.adjUp...),
-		lastHello:  append([]vtime.Time(nil), s.lastHello...),
+func (s *state) Clone() api.State { return s.CloneInto(nil) }
+
+// CloneInto implements api.Recyclable: the slices are copied into dst's
+// own arrays, so a checkpoint into a recycled state allocates nothing once
+// its arrays have grown to the live state's lengths.
+func (s *state) CloneInto(dst api.State) api.State {
+	d, _ := dst.(*state)
+	if d == nil {
+		d = &state{}
+	}
+	*d = state{
+		lsdb:       append(d.lsdb[:0], s.lsdb...), // LSAs are immutable: share
+		adjUp:      append(d.adjUp[:0], s.adjUp...),
+		lastHello:  append(d.lastHello[:0], s.lastHello...),
 		seq:        s.seq,
 		epoch:      s.epoch,
 		table:      s.table, // spine and chunks immutable once built: share
 		tableEpoch: s.tableEpoch,
 		now:        s.now,
 		booted:     s.booted,
-		holdQueue:  append([]heldLSA(nil), s.holdQueue...),
+		holdQueue:  append(d.holdQueue[:0], s.holdQueue...),
 		spfRuns:    s.spfRuns,
 	}
+	return d
 }
 
 // Daemon is one OSPF instance.
@@ -606,6 +616,7 @@ var (
 	_ api.Application     = (*Daemon)(nil)
 	_ api.Journaled       = (*Daemon)(nil)
 	_ api.RecomputeCached = (*Daemon)(nil)
+	_ api.Recyclable      = (*state)(nil)
 )
 
 // RouteCacheStats implements api.RecomputeCached.

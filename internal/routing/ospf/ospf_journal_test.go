@@ -250,3 +250,32 @@ func TestJournalHolddownThroughSideJournals(t *testing.T) {
 	d.JournalRewind(last.mark)
 	statesEqual(t, d.st, last.clone)
 }
+
+// CloneInto equals Clone whether it shrinks or grows the recycled state's
+// slices, returns the recycled state itself, and shares nothing with the
+// source: later writes to either leave the copy as it was.
+func TestCloneIntoMatchesClone(t *testing.T) {
+	d := journaledDaemon()
+	d.HandleTimer(vtime.Time(250 * vtime.Millisecond))
+	early := d.st.Clone().(*state)
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 2, Cost: 1}}}))
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 1, Cost: 1}}}))
+	late := d.st.Clone().(*state)
+	if len(late.lsdb) <= len(early.lsdb) || len(late.holdQueue) == 0 {
+		t.Fatalf("setup: lsdb %d → %d, %d held", len(early.lsdb), len(late.lsdb), len(late.holdQueue))
+	}
+
+	wantEarly := early.Clone().(*state)
+	if got := early.CloneInto(late); got != late {
+		t.Fatal("CloneInto did not copy into the state it was given")
+	}
+	statesEqual(t, late, wantEarly) // shrunk
+
+	want := d.st.Clone().(*state)
+	got := d.st.CloneInto(early).(*state)
+	statesEqual(t, got, want) // grown
+	statesEqual(t, late, wantEarly)
+	d.HandleTimer(vtime.Time(1000 * vtime.Millisecond)) // releases held LSAs, hellos
+	d.HandleTimer(vtime.Time(9 * vtime.Second))         // adjacencies die
+	statesEqual(t, got, want)
+}

@@ -153,23 +153,30 @@ type state struct {
 	refreshes uint64 // count of timer refreshes
 }
 
-func (s *state) Clone() api.State {
-	ns := &state{
-		table:      make(map[string]routeEntry, len(s.table)),
-		originated: make(map[string]int, len(s.originated)),
-		epoch:      s.epoch,
-		crashed:    s.crashed,
-		now:        s.now,
-		expiries:   s.expiries,
-		refreshes:  s.refreshes,
+// Clone implements api.State.
+func (s *state) Clone() api.State { return s.CloneInto(nil) }
+
+// CloneInto implements api.Recyclable: dst's maps are cleared and refilled,
+// keeping their buckets.
+func (s *state) CloneInto(dst api.State) api.State {
+	d, _ := dst.(*state)
+	if d == nil {
+		d = &state{
+			table:      make(map[string]routeEntry, len(s.table)),
+			originated: make(map[string]int, len(s.originated)),
+		}
 	}
+	clear(d.table)
 	for k, v := range s.table {
-		ns.table[k] = v
+		d.table[k] = v
 	}
+	clear(d.originated)
 	for k, v := range s.originated {
-		ns.originated[k] = v
+		d.originated[k] = v
 	}
-	return ns
+	d.epoch, d.crashed, d.now = s.epoch, s.crashed, s.now
+	d.expiries, d.refreshes = s.expiries, s.refreshes
+	return d
 }
 
 // ---- undo journal (MI checkpointing) ----------------------------------------
@@ -255,6 +262,7 @@ func New(cfg Config) *Daemon {
 var (
 	_ api.Application     = (*Daemon)(nil)
 	_ api.Journaled       = (*Daemon)(nil)
+	_ api.Recyclable      = (*state)(nil)
 	_ api.RecomputeCached = (*Daemon)(nil)
 )
 

@@ -143,10 +143,22 @@ type multiState struct {
 	parts []api.State
 }
 
-func (s *multiState) Clone() api.State {
-	out := &multiState{parts: make([]api.State, len(s.parts))}
+// Clone implements api.State.
+func (s *multiState) Clone() api.State { return s.CloneInto(nil) }
+
+// CloneInto implements api.Recyclable: each part copies into dst's state
+// for that part when it is recyclable, and clones otherwise.
+func (s *multiState) CloneInto(dst api.State) api.State {
+	out, _ := dst.(*multiState)
+	if out == nil {
+		out = &multiState{parts: make([]api.State, len(s.parts))}
+	}
 	for i, st := range s.parts {
-		out.parts[i] = st.Clone()
+		if r, ok := st.(api.Recyclable); ok {
+			out.parts[i] = r.CloneInto(out.parts[i])
+		} else {
+			out.parts[i] = st.Clone()
+		}
 	}
 	return out
 }
