@@ -13,7 +13,7 @@ func TestCellSizes(t *testing.T) {
 		got, max uintptr
 	}{
 		{"pendingArrival: rank, entry, two times, a sequence, two flags — an insertion moves a dozen", unsafe.Sizeof(pendingArrival{}), 128},
-		{"sentRec: one per send awaiting settle, hundreds of thousands live through a boot storm; its store cell index sits in the padding after dropped", unsafe.Sizeof(sentRec{}), 48},
+		{"sentRec: one per send whose cause has not retired, hundreds of thousands live through a boot storm; its store cell index sits in the padding after dropped", unsafe.Sizeof(sentRec{}), 40},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d bytes, budget %d", c.name, c.got, c.max)

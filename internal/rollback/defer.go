@@ -567,8 +567,8 @@ func (est *settleEstimator) bound() vtime.Duration {
 // the application's own downstream sends, so clock-based releases feed the
 // very arrival lag they try to absorb, while event-driven releases are
 // self-limiting. On the link-flap workload the exact holds cut rollbacks per
-// committed delivery from ~0.46 to under 0.1 (TestLookaheadRollbackRate) at
-// bit-identical committed orders (TestLookaheadGolden).
+// committed delivery from ~0.46 to under 0.1 (TestLookaheadRollbackRate);
+// release says where committed orders stop being identical.
 //
 // Guarantee: the bank is pure — every method takes now — and fed only from
 // the node's own delivery stream, whose (at, seq) labels are identical in
@@ -627,8 +627,10 @@ func (l *lookahead) observe(from msg.NodeID, now, pred vtime.Time) {
 // so a release can be wrong in both directions: anti-announced run
 // boundaries re-open coverage only after the anti lands, and an upstream
 // whose replay is still in flight can slip under a promise that looked
-// covering. Those residues cost speculation only: by Theorem 1 no release
-// decision, right or wrong, can move the committed order.
+// covering. Theorem 1 was taken to make those residues cost speculation
+// only, but lookahead can move the committed order (ROADMAP open item 1:
+// two Sprintlink link-downs, jitter seeds 3 and 5 against seed 1); only
+// one jitter seed per run is pinned on ≡ off (TestLookaheadGolden).
 func (l *lookahead) release(k ordering.Key, now vtime.Time) vtime.Time {
 	if k.Class != ordering.ClassMessage {
 		return 0 // timer batches and externals are local events: never held

@@ -81,7 +81,8 @@ func TestWindowUndoRestoresCheckpoint(t *testing.T) {
 
 // A replay that regenerates an output re-adopts the original transmission,
 // one that drops an output chases it with an anti-message, and a send still
-// queued when its cause is undone is cancelled silently.
+// queued when its cause is undone is cancelled silently. A record is freed
+// when its cause retires, not before.
 func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	ms := vtime.Millisecond
 	g := topology.Line(2, 10*ms)
@@ -122,11 +123,15 @@ func TestLedgerAdoptsAndRetracts(t *testing.T) {
 	if l.sent.Len() != 1 || (*l.sent.At(0)).causeSerial != 2 {
 		t.Fatalf("live records %d, want the re-adopted one", l.sent.Len())
 	}
-	l.prune(sim.Now())
+	l.retire(1)
+	if l.sent.Len() != 1 {
+		t.Fatal("retiring serial 1 freed the record of delivery 2")
+	}
+	l.retire(2)
 	// The anti-chased record was reused for the cancelled send: two cut,
 	// both back on the store's free chain.
 	if free := freeRecs(l.recs); l.sent.Len() != 0 || l.recs.cut != 2 || free != 2 {
-		t.Fatalf("prune kept %d records; store cut %d, has %d free", l.sent.Len(), l.recs.cut, free)
+		t.Fatalf("retire kept %d records; store cut %d, has %d free", l.sent.Len(), l.recs.cut, free)
 	}
 }
 
@@ -265,5 +270,74 @@ func TestPanicInsideFlushQuarantines(t *testing.T) {
 	}
 	if sh.win.Len() != 0 || sh.pend.buf.Len() != 0 || e.HeldMessages() != 0 {
 		t.Fatalf("quarantine left window %d, pending %d, %d held", sh.win.Len(), sh.pend.buf.Len(), e.HeldMessages())
+	}
+}
+
+// orderApp answers a message with payload 2 by one output to node 2 whose
+// payload says whether a message with payload 3 was delivered first; any
+// other message it answers with nothing.
+type orderApp struct{ st *orderState }
+
+type orderState struct{ sawX bool }
+
+func (s *orderState) Clone() api.State { c := *s; return &c }
+
+func (a *orderApp) Init(msg.NodeID, []api.Neighbor) {}
+func (a *orderApp) HandleMessage(m *msg.Message) []msg.Out {
+	switch m.Payload.(int) {
+	case 3:
+		a.st.sawX = true
+	case 2:
+		if a.st.sawX {
+			return []msg.Out{{To: 2, Payload: 1}}
+		}
+		return []msg.Out{{To: 2, Payload: 0}}
+	}
+	return nil
+}
+func (a *orderApp) HandleTimer(vtime.Time) []msg.Out           { return nil }
+func (a *orderApp) HandleExternal(api.ExternalEvent) []msg.Out { return nil }
+func (a *orderApp) State() api.State                           { return a.st }
+func (a *orderApp) Restore(st api.State)                       { a.st = st.(*orderState) }
+
+// A send record lives as long as the delivery that caused it can be
+// undone, however long ago the send left. On the reference engine with a
+// 30 ms settle bound, node 1 delivers E2 at 0 and E1, keyed before it, a
+// beacon interval later: the replay re-adopts E2's send, and the settle
+// pass then due retires nothing, since E1 arrived inside the bound. X,
+// keyed between them, then changes E2's output, so the original send must
+// be chased by an anti-message and node 2 must commit the new output
+// alone.
+func TestUnretiredCauseKeepsItsSends(t *testing.T) {
+	ms := vtime.Millisecond
+	g := topology.Line(3, 5*ms)
+	as := floodApps(3)
+	as[1] = &orderApp{st: &orderState{}}
+	e := New(g, as, EngineSpec{
+		Seed:        ptr[uint64](1),
+		Strategy:    "TF/FK",
+		Deferral:    ptr(false),
+		SettleBound: vtime.Dur(30 * ms),
+	})
+	sh := e.shims[1]
+	sh.onEntry(entryOf(mkMsg(20*ms, 2, 2), e.sim.Now())) // E2
+	e.sim.Run(vtime.Time(vtime.BeaconInterval))          // its send fires and lands
+	sh.onEntry(entryOf(mkMsg(10*ms, 1, 1), e.sim.Now())) // E1
+	if st := e.Stats(); st.LazyReuses != 1 || sh.settle.last != e.sim.Now() || sh.win.Len() != 2 {
+		t.Fatalf("E1 did not re-adopt E2's send under a settle pass that kept both: %d re-adopted, pass at %v, window %d",
+			st.LazyReuses, sh.settle.last, sh.win.Len())
+	}
+	if sh.ledger.sent.Len() != 1 {
+		t.Fatalf("%d live send records while E2 is in the window, want its one", sh.ledger.sent.Len())
+	}
+	sh.onEntry(entryOf(mkMsg(15*ms, 3, 3), e.sim.Now())) // X
+	if !e.RunQuiescent(10_000) {
+		t.Fatal("did not quiesce")
+	}
+	if st := e.Stats(); st.AntiMessages != 1 {
+		t.Fatalf("%d anti-messages, want the one chasing E2's original send", st.AntiMessages)
+	}
+	if got := as[2].(*floodApp).st.log; !slices.Equal(got, []string{"v1"}) {
+		t.Fatalf("node 2 holds %v, want only E2's output after X, [v1]", got)
 	}
 }

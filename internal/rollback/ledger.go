@@ -27,7 +27,7 @@ import (
 // shift downstream arrival times away from their d_i estimates and
 // rollbacks avalanche through heavy flood waves.
 type ledger struct {
-	sent        slide.Buf[*sentRec] // live (unsettled, un-annulled) sends, sorted by causeSerial
+	sent        slide.Buf[*sentRec] // live sends: cause unretired (or send unfired), sorted by causeSerial
 	recs        *recStore           // the lane's records, shared with its other ledgers
 	replayPool  []*sentRec          // the undone deliveries' records during a replay
 	replayFresh int                 // outputs the current replay materialized, not re-adopted
@@ -39,19 +39,18 @@ type ledger struct {
 	stats  *Stats
 }
 
-// sentRec tracks one transmitted message for potential unsending (a
-// baseline send's record only carries it to the wire). Records come from
-// the lane's recStore and implement eventq.Caller, so scheduling a send
-// allocates nothing — the record itself is the event payload.
+// sentRec tracks one transmitted message until its cause retires, for
+// unsending (a baseline send's record only carries it to the wire). Records
+// come from the lane's recStore and implement eventq.Caller, so scheduling
+// a send allocates nothing — the record itself is the event payload.
 type sentRec struct {
 	l           *ledger
-	causeSerial uint64 // while the record is free: its store's next free cell + 1, 0 for none
+	causeSerial uint64 // the causing delivery's serial; while free: the store's next free cell + 1, 0 for none
 	m           *msg.Message
 	ev          eventq.Handle // pending send; zero once on the wire
 	dropped     bool          // lost in flight (the drop log has it)
 	bare        bool          // a baseline send: untracked, freed once it fires
 	cell        uint32        // the record's place in its store, fixed when it is cut
-	sentAt      vtime.Time
 }
 
 // Fire performs the physical transmission when the send delay elapses
@@ -67,7 +66,6 @@ func (rec *sentRec) Fire() {
 		return
 	}
 	rec.ev = eventq.Handle{}
-	rec.sentAt = l.lane.Now()
 	if !ok {
 		rec.dropped = true
 		l.dropLog[rec.m.ID] = record.LossEvent{Key: ordering.KeyOf(rec.m), To: rec.m.To}
@@ -161,7 +159,6 @@ func (l *ledger) send(outs []msg.Out, c *annotate.Cause, procDelay vtime.Duratio
 		}
 		l.sent.Push(rec)
 		rec.ev = l.lane.AfterCall(procDelay, rec)
-		rec.sentAt = l.lane.Now()
 	}
 }
 
@@ -314,26 +311,21 @@ func (l *ledger) dropped(m *msg.Message) {
 	}
 }
 
-// prune frees the records whose cause has settled: a record sent before
-// cutoff was caused by an entry that arrived no later, which has retired —
-// it can never be unsent now.
-func (l *ledger) prune(cutoff vtime.Time) {
-	kept := 0
-	for i := 0; i < l.sent.Len(); {
-		span := l.sent.Span(i) // reads walk a piece at a time; writes trail them
-		for _, rec := range span {
-			if rec.ev.IsZero() && rec.sentAt.Before(cutoff) {
-				l.freeRec(rec)
-			} else {
-				if kept != i {
-					*l.sent.At(kept) = rec
-				}
-				kept++
-			}
-			i++
+// retire frees the records of retired deliveries: the prefix of sent
+// caused by serials up to last, the last window entry a settle pass
+// retired. A retired cause can never be undone, so neither can its sends.
+// A record whose send has not fired yet stops the walk; the next
+// retirement frees it.
+func (l *ledger) retire(last uint64) {
+	n := 0
+	for ; n < l.sent.Len(); n++ {
+		rec := *l.sent.At(n)
+		if rec.causeSerial > last || !rec.ev.IsZero() {
+			break
 		}
+		l.freeRec(rec)
 	}
-	l.sent.Truncate(kept)
+	l.sent.DropFront(n)
 }
 
 // reset drops every record in a crash. Unsent messages die with the node

@@ -45,9 +45,9 @@
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
 //	                      directSeq (buf, Window, marks, snaps, sent: slide.Bufs)
 //	window     window.go  Window, marks | snaps, japp, serial, hw    restoring checkpoint i puts back the state entry i was delivered in
-//	ledger     ledger.go  sent, recs, replayPool, replayFresh,       after a replay the wire carries what the replay produced,
-//	                      dropLog (recs: the lane's recStore)        with the annotations the first pass gave it
-//	settle     shim.go    last, lastKey, lastRank, has, log          entries retire once, in order; stragglers are counted
+//	ledger     ledger.go  sent, recs, replayPool, replayFresh,       a record lives while its cause can be undone; a replay leaves
+//	                      dropLog (recs: the lane's recStore)        on the wire what it produced, annotated as the first pass was
+//	settle     shim.go    last, lastKey, lastRank, has, log          entries, checkpoints and send records retire together, in order; stragglers are counted
 //
 // Per arrival the shim calls them in one fixed order:
 //

@@ -289,8 +289,8 @@ func (sh *shim) onAnti(m *msg.Message) {
 	sh.maybeSettle()
 }
 
-// maybeSettle retires history entries older than the settle bound, with
-// their checkpoints and the sent records they caused. Runs at most once per
+// maybeSettle retires the entries that arrived before the settle cutoff,
+// their checkpoints and the send records of their serials, at most once per
 // beacon interval per node.
 func (sh *shim) maybeSettle() {
 	if sh.crashed {
@@ -305,9 +305,10 @@ func (sh *shim) maybeSettle() {
 		return
 	}
 	if n := sh.settle.retire(sh.win.Window, cutoff); n > 0 {
+		last := sh.win.At(n - 1).Serial
 		sh.win.retire(n)
+		sh.ledger.retire(last)
 	}
-	sh.ledger.prune(cutoff)
 }
 
 // onFlush is the pending layer's scheduled flush callback (bound once per

@@ -345,7 +345,7 @@ func pathContentHash(p Path) uint64 {
 	h = routecache.HashUint64(h, uint64(p.NeighborAS))
 	h = routecache.HashUint64(h, uint64(p.MED))
 	h = routecache.HashUint64(h, uint64(p.IGPDist))
-	return h
+	return routecache.Finish(h)
 }
 
 func (d *Daemon) setBest(prefix string, p Path) {

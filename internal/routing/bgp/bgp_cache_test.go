@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"defined/internal/routing/api"
+	"defined/internal/routing/routecache"
 )
 
 func cachedBGP(mode Mode) *Daemon {
@@ -97,5 +98,61 @@ func TestXORP04NeverConsultsCache(t *testing.T) {
 	// not be served from an order-blind memo.
 	if st := d.RouteCacheStats(); st != (api.RouteCacheStats{}) {
 		t.Fatalf("XORP 0.4 engine touched the cache: %+v", st)
+	}
+}
+
+// unfinishedPathHash is pathContentHash without routecache.Finish: the
+// bare FNV-1a fold, near-linear in the IGP distance it folds last.
+func unfinishedPathHash(p Path) uint64 {
+	h := routecache.Hash()
+	h = routecache.HashString(h, p.Name)
+	h = routecache.HashString(h, p.Prefix)
+	h = routecache.HashUint64(h, uint64(p.ASPathLen))
+	h = routecache.HashUint64(h, uint64(p.NeighborAS))
+	h = routecache.HashUint64(h, uint64(p.MED))
+	return routecache.HashUint64(h, uint64(p.IGPDist))
+}
+
+// A replay that rebuilds a RIB-in with two paths' IGP distances swapped
+// has a different best path, so it must reach a different epoch. The test
+// takes the first pair of a fixed set of path names whose unfinished
+// hashes cancel in the epoch sum under that swap (about one pair in four
+// does) and checks that the replay's selection is recomputed.
+func TestIGPSwapMovesEpoch(t *testing.T) {
+	path := func(name string, igp int) Path {
+		return Path{Name: name, Prefix: "10.0.0.0/8", ASPathLen: 3, NeighborAS: 100, MED: 10, IGPDist: igp}
+	}
+	names := []string{"p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"}
+	h := func(name string, igp int) uint64 { return unfinishedPathHash(path(name, igp)) }
+	var a, b string
+search:
+	for i, x := range names {
+		for _, y := range names[i+1:] {
+			if h(x, 10)+h(y, 20) == h(x, 20)+h(y, 10) {
+				a, b = x, y
+				break search
+			}
+		}
+	}
+	if a == "" {
+		t.Fatal("no path pair whose unfinished hashes cancel under an IGP swap")
+	}
+
+	d := cachedBGP(Fixed)
+	mark := d.JournalMark()
+	d.HandleExternal(Announce{Path: path(a, 10)})
+	d.HandleExternal(Announce{Path: path(b, 20)})
+	epoch := d.Epoch()
+	d.JournalRewind(mark)
+	d.HandleExternal(Announce{Path: path(a, 20)})
+	d.HandleExternal(Announce{Path: path(b, 10)})
+	if d.Epoch() == epoch {
+		t.Fatalf("paths %s and %s swapping IGP distances 10 and 20 reached the same epoch %d", a, b, epoch)
+	}
+	if got, _ := d.Best("10.0.0.0/8"); got != path(b, 10) {
+		t.Fatalf("replay selected %+v, want %+v", got, path(b, 10))
+	}
+	if st := d.RouteCacheStats(); st.Misses != 4 {
+		t.Fatalf("%d selections computed, want all 4: %+v", st.Misses, st)
 	}
 }

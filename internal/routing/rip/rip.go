@@ -325,7 +325,7 @@ func routeContentHash(e routeEntry) uint64 {
 	h = routecache.HashString(h, e.Prefix)
 	h = routecache.HashUint64(h, uint64(e.NextHop))
 	h = routecache.HashUint64(h, uint64(e.Metric))
-	return h
+	return routecache.Finish(h)
 }
 
 // bumpEpoch moves the topology epoch by a commutative content delta; the

@@ -7,10 +7,12 @@ package rip
 // vector is served again.
 
 import (
+	"slices"
 	"testing"
 
 	"defined/internal/msg"
 	"defined/internal/routing/api"
+	"defined/internal/routing/routecache"
 	"defined/internal/vtime"
 )
 
@@ -100,5 +102,59 @@ func TestRIPCacheDisabled(t *testing.T) {
 	}
 	if st := d.RouteCacheStats(); st != (api.RouteCacheStats{}) {
 		t.Fatalf("disabled cache counted: %+v", st)
+	}
+}
+
+// unfinishedRouteHash is routeContentHash without routecache.Finish: the
+// bare FNV-1a fold, near-linear in the metric it folds last.
+func unfinishedRouteHash(e routeEntry) uint64 {
+	h := routecache.Hash()
+	h = routecache.HashString(h, e.Prefix)
+	h = routecache.HashUint64(h, uint64(e.NextHop))
+	return routecache.HashUint64(h, uint64(e.Metric))
+}
+
+// Two routes that swap metrics change the announced vector, so they must
+// move the epoch. The test takes the first pair of a fixed prefix set
+// whose unfinished hashes cancel in the epoch sum under that swap (about
+// one pair in four does) and checks that the next announcement round is
+// recomputed, not served from the cache.
+func TestMetricSwapMovesEpoch(t *testing.T) {
+	prefixes := []string{"10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16",
+		"172.16.0.0/12", "192.168.0.0/16", "192.168.1.0/24", "192.168.2.0/24"}
+	h := func(prefix string, metric int) uint64 {
+		return unfinishedRouteHash(routeEntry{Prefix: prefix, NextHop: 1, Metric: metric})
+	}
+	var p, q string
+search:
+	for i, a := range prefixes {
+		for _, b := range prefixes[i+1:] {
+			if h(a, 1)+h(b, 2) == h(a, 2)+h(b, 1) {
+				p, q = a, b
+				break search
+			}
+		}
+	}
+	if p == "" {
+		t.Fatal("no prefix pair whose unfinished hashes cancel under a metric swap")
+	}
+
+	d := cachedRIP()
+	d.HandleMessage(annMsg(1, advert{Prefix: p, Metric: 0}, advert{Prefix: q, Metric: 1}))
+	d.HandleTimer(vtime.Time(vtime.Second))
+	epoch := d.Epoch()
+	d.HandleMessage(annMsg(1, advert{Prefix: p, Metric: 1}, advert{Prefix: q, Metric: 0}))
+	if d.Epoch() == epoch {
+		t.Fatalf("%s and %s swapping metrics 1 and 2 left the epoch at %d", p, q, epoch)
+	}
+	outs := d.HandleTimer(vtime.Time(2 * vtime.Second))
+	want := []advert{{Prefix: p, Metric: 2}, {Prefix: q, Metric: 1}}
+	for _, o := range outs {
+		if got := o.Payload.(announcement).Routes; !slices.Equal(got, want) {
+			t.Fatalf("announcement to %d: %v, want %v", o.To, got, want)
+		}
+	}
+	if st := d.RouteCacheStats(); st.Misses != 2 {
+		t.Fatalf("%d announcement vectors computed, want 2: %+v", st.Misses, st)
 	}
 }
