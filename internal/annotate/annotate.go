@@ -217,7 +217,7 @@ func (s *Sender) Prepare(out msg.Out, c *Cause) (ann msg.Annotation, linkSeq uin
 		ann = msg.AnnotateOrigin(s.Self, s.OriginSeq, c.Offset+hop, c.Group)
 		s.j.Record(counterUndo{slot: originSlot, old: s.OriginSeq})
 		s.OriginSeq++
-	case c.Parent.Chain+1 >= s.ChainBound:
+	case int(c.Parent.Chain)+1 >= s.ChainBound:
 		// Chain bound exceeded: start a fresh chain in the next
 		// timestep (paper §2.2). Relative to that next boundary the
 		// message is immediate: only one hop anchors it.

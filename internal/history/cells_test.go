@@ -12,7 +12,7 @@ func TestCellSizes(t *testing.T) {
 		name     string
 		got, max uintptr
 	}{
-		{"Entry: key, message, external pointer, arrival, serial — one per arrival, moved by every insertion and retirement", unsafe.Sizeof(Entry{}), 80},
+		{"Cell: rank, message, external pointer, arrival, serial — one per arrival held in a window, moved by every insertion", unsafe.Sizeof(Cell{}), 48},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d bytes, budget %d", c.name, c.got, c.max)

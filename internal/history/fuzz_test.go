@@ -1,6 +1,7 @@
 package history
 
 import (
+	"math"
 	"testing"
 
 	"defined/internal/msg"
@@ -86,8 +87,11 @@ func (o *windowModel) agree() {
 	held := 0
 	for i, me := range o.model {
 		e := o.w.At(i)
-		if e.Key != me.key || (e.Msg != nil) != me.msg || (me.msg && e.Msg.ID != me.id) {
-			o.t.Fatalf("At(%d) = %v, model %+v", i, e, me)
+		// The cell keeps a rank, not the key: the key it derives — from
+		// the message, or from the rank and an external's Seq — must be
+		// the one inserted.
+		if e.Key() != me.key || e.Rank != o.f.Rank(me.key) || (e.Msg != nil) != me.msg || (me.msg && e.Msg.ID != me.id) {
+			o.t.Fatalf("At(%d) = %v (rank %v), model %+v", i, e, e.Rank, me)
 		}
 		if me.msg {
 			held++
@@ -106,6 +110,9 @@ func (o *windowModel) agree() {
 		o.t.Fatal(err)
 	}
 }
+
+// localNodes are the origins of timer and external entries.
+var localNodes = [3]msg.NodeID{0, 1, math.MaxInt32}
 
 // runWindowProgram interprets prog as window operations: the first byte
 // picks the ordering (OO, or RO seeded by it), then three bytes each,
@@ -132,19 +139,23 @@ func runWindowProgram(t *testing.T, prog []byte) {
 			next++
 			o.insert(Entry{Key: ordering.KeyOf(m), Msg: m, ArrivedAt: vtime.Time(next)})
 		case 3:
-			// Timer batches and externals carry no message.
-			k := ordering.TimerKey(uint64(a%3), msg.NodeID(b%3))
+			// Timer batches and externals carry no message: their keys
+			// come back from the rank, so their origins reach the largest
+			// node id.
+			node := localNodes[b%3]
 			if b&0x80 != 0 {
-				k = ordering.ExternalKey(uint64(a%3), msg.NodeID(b%3), uint64(a>>4)%2)
+				k := ordering.ExternalKey(uint64(a%3), node, uint64(a>>4)%2)
+				o.insert(Entry{Key: k, Ext: &External{Seq: k.Seq}})
+				break
 			}
-			o.insert(Entry{Key: k})
+			o.insert(Entry{Key: ordering.TimerKey(uint64(a%3), node)})
 		case 4:
 			if len(o.model) == 0 {
 				continue
 			}
 			i := int(a) % len(o.model)
-			if got := o.w.RemoveAt(i); got.Key != o.model[i].key {
-				t.Fatalf("RemoveAt(%d) returned %v, model %v", i, got.Key, o.model[i].key)
+			if got := o.w.RemoveAt(i); got != o.model[i].key {
+				t.Fatalf("RemoveAt(%d) returned %v, model %v", i, got, o.model[i].key)
 			}
 			o.model = append(o.model[:i], o.model[i+1:]...)
 		case 5:
@@ -188,10 +199,10 @@ func runWindowProgram(t *testing.T, prog []byte) {
 // keys from a domain small enough that duplicates are common),
 // RemoveAt, Retire, FindMsg and FindKey, under OO and RO: every insert
 // lands where a linear scan puts it and reports a duplicate exactly when
-// the key is present, the contents match the model after every step, and
-// the window holds one reference per message entry — no more, none
-// released early. The seeds below and testdata/fuzz run under plain
-// `go test`.
+// the key is present, the contents match the model after every step —
+// each cell's rank and the key it derives included — and the window holds
+// one reference per message entry, no more, none released early. The
+// seeds below and testdata/fuzz run under plain `go test`.
 func FuzzWindowOps(f *testing.F) {
 	// In-order appends, one out-of-order insert, a duplicate of it, a
 	// lookup of both copies, then retire and remove around them.

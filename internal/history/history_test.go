@@ -111,8 +111,7 @@ func TestRemoveAtAndFind(t *testing.T) {
 	if i := w.FindKey(ordering.TimerKey(5, 5)); i != -1 {
 		t.Fatalf("missing FindKey = %d", i)
 	}
-	removed := w.RemoveAt(1)
-	if removed.Msg.ID != b.Msg.ID {
+	if removed := w.RemoveAt(1); removed != b.Key {
 		t.Fatal("removed wrong entry")
 	}
 	if w.Len() != 2 || w.At(1).Msg.ID != c.Msg.ID {
@@ -132,7 +131,7 @@ func TestTimerEntries(t *testing.T) {
 	if pos != 0 {
 		t.Fatalf("timer batch for group 2 must sort before group-2 messages, pos=%d", pos)
 	}
-	if !w.At(0).IsTimer() {
+	if !w.At(0).Key().IsTimer() {
 		t.Fatal("IsTimer() wrong")
 	}
 	if w.At(0).String() == "" || w.At(1).String() == "" {
@@ -222,7 +221,7 @@ func TestInsertPermutationProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < w.Len(); i++ {
-			if w.At(i).Key != ref.At(i).Key {
+			if w.At(i).Key() != ref.At(i).Key() {
 				return false
 			}
 		}
@@ -246,7 +245,7 @@ func TestRetire(t *testing.T) {
 		t.Fatalf("no-op retire changed the window: len %d", w.Len())
 	}
 	w.Retire(2)
-	if w.Len() != 1 || w.At(0).Key.Delay != 3 {
+	if w.Len() != 1 || w.At(0).Key().Delay != 3 {
 		t.Fatalf("retire(2): len=%d keys=%v", w.Len(), w.Keys())
 	}
 	if err := w.CheckInvariant(); err != nil {
@@ -352,7 +351,7 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 				t.Fatalf("%s: window holds %d entries, search %d after Insert(%v)", f.Name(), w.Len(), len(ref), e.Key)
 			}
 			for i := range ref {
-				if *w.At(i) != ref[i] {
+				if c := w.At(i); entryAt(c) != ref[i] || c.Rank != f.Rank(ref[i].Key) {
 					t.Fatalf("%s: windows differ at %d after Insert(%v)", f.Name(), i, e.Key)
 				}
 			}
@@ -367,9 +366,9 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 			step(entry(1, d, msg.NodeID(r.Intn(3)), uint64(i), vtime.Time(i)))
 			switch r.Intn(8) {
 			case 0: // the tail again
-				step(*w.At(w.Len() - 1))
+				step(entryAt(w.At(w.Len() - 1)))
 			case 1: // an interior entry again
-				step(*w.At(r.Intn(w.Len())))
+				step(entryAt(w.At(r.Intn(w.Len()))))
 			}
 			if r.Intn(500) == 0 { // start over from empty
 				w.Retire(w.Len())
@@ -382,15 +381,22 @@ func TestInsertTailPathMatchesSearch(t *testing.T) {
 	}
 }
 
+// entryAt is the arrival c was stored for, its key derived.
+func entryAt(c *Cell) Entry {
+	return Entry{Key: c.Key(), Msg: c.Msg, Ext: c.Ext, ArrivedAt: c.ArrivedAt}
+}
+
 // timerEntry is an in-order window entry that references no message.
 func timerEntry(group uint64) Entry {
 	return Entry{Key: ordering.TimerKey(group, 0), ArrivedAt: vtime.Time(group)}
 }
 
-// Growing a window from empty allocates its entries once: at most N cells
-// plus one 256-cell piece, where doubling a slice allocates about 2N.
-// Sliding it at constant occupancy afterwards (insert, then retire the
-// oldest) allocates nothing.
+// Growing a window from empty allocates its cells once: at most N cells
+// plus one 256-cell piece, where doubling a slice allocates about 2N. The
+// bound is in stored cells, not in the larger Entry an arrival is handed
+// in as, so a ring that doubled its storage would exceed it. Sliding it at
+// constant occupancy afterwards (insert, then retire the oldest) allocates
+// nothing.
 func TestWindowGrowthAllocatesOnce(t *testing.T) {
 	// A race-detector build does not fuse append(s, make(...)...), so a
 	// new piece there allocates twice. Detected by that effect.
@@ -405,7 +411,7 @@ func TestWindowGrowthAllocatesOnce(t *testing.T) {
 		w.Insert(timerEntry(g))
 	}
 	runtime.ReadMemStats(&after)
-	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n+256)*uint64(unsafe.Sizeof(Entry{})); got > max {
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(n+256)*uint64(unsafe.Sizeof(Cell{})); got > max {
 		t.Fatalf("growing to %d entries allocated %d B, want at most %d", n, got, max)
 	}
 	g := uint64(n)

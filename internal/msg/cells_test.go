@@ -12,7 +12,7 @@ func TestCellSizes(t *testing.T) {
 		name     string
 		got, max uintptr
 	}{
-		{"Message: one per packet in flight, in a window or awaiting unsend; Kind and the refcount share a word so a slab of 64 (6,656 B) fills its size class", unsafe.Sizeof(Message{}), 104},
+		{"Message: one per packet in flight, in a window or awaiting unsend; Kind and the refcount share a word, Origin and Chain another, so a slab of 64 (6,144 B) fills its size class exactly", unsafe.Sizeof(Message{}), 96},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d bytes, budget %d", c.name, c.got, c.max)

@@ -110,13 +110,14 @@ type ID struct {
 func (id ID) String() string { return fmt.Sprintf("%d:%d", id.Sender, id.Seq) }
 
 // Annotation is the deterministic-ordering metadata attached to every
-// application message (paper §2.2, Figure 1).
+// application message (paper §2.2, Figure 1). Chain shares Origin's word,
+// which makes a Message 96 bytes.
 type Annotation struct {
 	Origin NodeID         // n_i: originating node of the causal chain
+	Chain  int32          // causal chain length within the timestep
 	Seq    uint64         // s_i: origin's strictly increasing counter
 	Delay  vtime.Duration // d_i: deterministic delay estimate origin → here
 	Group  uint64         // beacon group number (timestep)
-	Chain  int            // causal chain length within the timestep
 }
 
 // String renders the annotation compactly for logs.
@@ -164,7 +165,8 @@ type Message struct {
 	Kind Kind
 	// rc/home implement pool-managed lifetime: home is the owning pool
 	// (nil for unmanaged messages) and rc the live reference count (it
-	// shares Kind's word: 104 bytes, and a slab of 64 fills its size class).
+	// shares Kind's word: 96 bytes, and a slab of 64, 6,144 B, fills its
+	// size class exactly).
 	rc  int32
 	Ann Annotation
 	// LinkSeq is the per-directed-link send index assigned by the

@@ -12,7 +12,7 @@ func TestCellSizes(t *testing.T) {
 		name     string
 		got, max uintptr
 	}{
-		{"Key: four 8-byte fields, two node ids, the class — copied into every window and deferral cell", unsafe.Sizeof(Key{}), 48},
+		{"Key: four 8-byte fields, two node ids, the class — recordings, logs and every comparison a rank tie decides", unsafe.Sizeof(Key{}), 48},
 	} {
 		if c.got > c.max {
 			t.Errorf("%s: %d bytes, budget %d", c.name, c.got, c.max)

@@ -50,8 +50,9 @@ const (
 )
 
 // Key is the sortable identity of an ordered event. Fields are laid out
-// widest first (48 bytes, one padded tail): a key is copied into every
-// history-window and deferral-buffer cell.
+// widest first (48 bytes, one padded tail). The history window and the
+// deferral buffer store a key's Rank in its place and derive the key from
+// what the cell already holds: the message, or the rank (LocalKey).
 type Key struct {
 	Group   uint64
 	Delay   vtime.Duration // d_i (messages only)
@@ -142,10 +143,10 @@ type Func interface {
 
 // Rank is a two-word integer image of the leading fields of a Key under
 // one ordering function, for callers that compare the same key many times
-// (the rollback engine's deferral buffer caches one per held arrival). The
-// contract is one-sided: a strictly smaller rank means a strictly smaller
-// key, and equal keys have equal ranks; equal ranks decide nothing and
-// fall back to Compare (CompareRanked does both). Hi is Group<<2|Class —
+// (every history-window and deferral cell stores one in place of its key).
+// The contract is one-sided: a strictly smaller rank means a strictly
+// smaller key, and equal keys have equal ranks; equal ranks decide nothing
+// and fall back to Compare on the keys. Hi is Group<<2|Class —
 // exact for groups below 2^62, which virtual time cannot reach — and Lo is
 // the first field the ordering sorts a class by within a group: the
 // sign-biased Delay (OO) or the chain hash (RO) for messages, the
@@ -159,18 +160,6 @@ func (r Rank) Less(o Rank) bool {
 	return r.Hi < o.Hi || (r.Hi == o.Hi && r.Lo < o.Lo)
 }
 
-// CompareRanked is f.Compare(a, b) for keys whose ranks under f are
-// already at hand: the ranks decide wherever they differ.
-func CompareRanked(f Func, a Key, ra Rank, b Key, rb Rank) int {
-	if ra == rb {
-		return f.Compare(a, b)
-	}
-	if ra.Less(rb) {
-		return -1
-	}
-	return 1
-}
-
 // biased maps a signed value to the unsigned value with the same order.
 func biased(v int64) uint64 { return uint64(v) ^ 1<<63 }
 
@@ -182,6 +171,14 @@ func rankOf(k Key, msgLo uint64) Rank {
 		r.Lo = biased(int64(k.Origin))
 	}
 	return r
+}
+
+// LocalKey inverts rankOf for the classes a rank all but determines: it
+// returns the timer-batch (seq 0) or external key whose rank, under any
+// ordering, is r, with seq the external's in-group sequence — the one
+// field the rank leaves out. A message's rank does not invert.
+func LocalKey(r Rank, seq uint64) Key {
+	return Key{Group: r.Hi >> 2, Class: Class(r.Hi & 3), Origin: msg.NodeID(int64(r.Lo ^ 1<<63)), Seq: seq}
 }
 
 func cmpUint64(a, b uint64) int {

@@ -320,8 +320,9 @@ func TestPermutationInvarianceProperty(t *testing.T) {
 
 // Rank's contract, for both orderings over keys of all three classes: a
 // strictly smaller rank means a strictly smaller key, equal keys have equal
-// ranks, and CompareRanked is Compare. Delays and origins go negative and
-// groups large, to reach the sign bias and the Hi packing.
+// ranks, ranks that differ decide as Compare does, and a timer or external
+// key comes back from its rank (LocalKey). Delays and origins go negative
+// and groups large, to reach the sign bias and the Hi packing.
 func TestRankConsistent(t *testing.T) {
 	wide := func(r *rng.Source) Key {
 		k := randomKey(r)
@@ -349,8 +350,11 @@ func TestRankConsistent(t *testing.T) {
 			if c == 0 && ra != rb {
 				t.Fatalf("%s: equal keys %v with ranks %v and %v", fn.Name(), a, ra, rb)
 			}
-			if got := CompareRanked(fn, a, ra, b, rb); got != c {
-				t.Fatalf("%s: CompareRanked(%v, %v) = %d, Compare = %d", fn.Name(), a, b, got, c)
+			if rb.Less(ra) && c <= 0 {
+				t.Fatalf("%s: Rank(%v) > Rank(%v) but Compare = %d", fn.Name(), a, b, c)
+			}
+			if a.Class != ClassMessage && LocalKey(ra, a.Seq) != a {
+				t.Fatalf("%s: LocalKey(Rank(%v)) = %v", fn.Name(), a, LocalKey(ra, a.Seq))
 			}
 			if ra != rb {
 				decided++

@@ -12,7 +12,7 @@ func TestCellSizes(t *testing.T) {
 		name     string
 		got, max uintptr
 	}{
-		{"pendingArrival: rank, entry, two times, a sequence, two flags — an insertion moves a dozen", unsafe.Sizeof(pendingArrival{}), 128},
+		{"pendingArrival: the window's cell (rank, not key), two times, a sequence, two flags — an insertion moves a dozen", unsafe.Sizeof(pendingArrival{}), 80},
 		{"sentRec: one per send whose cause has not retired, hundreds of thousands live through a boot storm; its store cell index sits in the padding after dropped", unsafe.Sizeof(sentRec{}), 40},
 	} {
 		if c.got > c.max {

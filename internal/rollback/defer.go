@@ -88,13 +88,12 @@ type pending struct {
 // Stats.LookaheadHolds); when such an entry eventually flushes covered —
 // rather than forced out by its budget or buffer overflow — it
 // counts toward Stats.LookaheadExactFlushes.
-// rank is the entry key's ordering.Rank, cached (and placed first) so
-// decide's position scan compares two integers per cell instead of
-// calling the ordering function on 48-byte keys. A cell is 128 bytes — an
-// insertion moves a dozen of them — so nothing goes in that is not read.
+// cell is the arrival as the window will store it — its key's rank, not
+// the key — so decide's position scan compares two integers per cell and
+// derives keys only when two ranks tie. A cell is 80 bytes — an insertion
+// moves a dozen of them — so nothing goes in that is not read.
 type pendingArrival struct {
-	rank   ordering.Rank
-	entry  history.Entry
+	cell   history.Cell
 	capAt  vtime.Time
 	due    vtime.Time
 	seq    uint64
@@ -127,8 +126,9 @@ func (p *pending) holdFor(k, prev ordering.Key) vtime.Duration {
 	return min(p.slack-gap, p.max)
 }
 
-// decide takes an arrival into the buffer instead of the history window
-// win when it should wait. held reports that the entry was consumed
+// decide takes an arrival — its cell arr, and key, the key arr derives —
+// into the buffer instead of the history window win when it should wait.
+// held reports that the entry was consumed
 // (deferred, or dropped as a pending duplicate); flush, that the buffer's
 // front is already due and the caller must flush now.
 //
@@ -137,22 +137,22 @@ func (p *pending) holdFor(k, prev ordering.Key) vtime.Duration {
 // sorting after a pending entry therefore must queue behind it —
 // delivering them first would guarantee a rollback when the pending
 // entries flush.
-func (p *pending) decide(entry *history.Entry, rank ordering.Rank, win *history.Window, look *lookahead) (held, flush bool) {
+func (p *pending) decide(arr *history.Cell, key ordering.Key, win *history.Window, look *lookahead) (held, flush bool) {
 	now := p.lane.Now()
 	// Insertion position in the (small, key-ordered) buffer. The ranks
-	// decide nearly every cell; ordering.CompareRanked spelled out, so the
-	// keys are only copied into a call when two ranks tie.
+	// decide nearly every cell; history.CompareKey spelled out, so a
+	// buffered cell derives its key only when two ranks tie.
 	pos := p.buf.Len()
 scan:
 	for pos > 0 {
 		s := p.buf.SpanBefore(pos)
 		for k := len(s) - 1; k >= 0; k-- {
-			c := &s[k]
-			if c.rank.Less(rank) {
+			c := &s[k].cell
+			if c.Rank.Less(arr.Rank) {
 				break scan
 			}
-			if !rank.Less(c.rank) {
-				cmp := p.cmp.Compare(c.entry.Key, entry.Key)
+			if !arr.Rank.Less(c.Rank) {
+				cmp := p.cmp.Compare(c.Key(), key)
 				if cmp < 0 {
 					break scan
 				}
@@ -168,11 +168,11 @@ scan:
 	if pos == 0 {
 		// Fronts the buffer: its predecessor is the window tail.
 		if n := win.Len(); n > 0 {
-			tail := win.At(n - 1).Key
-			if p.cmp.Compare(entry.Key, tail) <= 0 {
+			tail := win.At(n - 1)
+			if history.CompareKey(p.cmp, tail, key, arr.Rank) >= 0 {
 				return p.direct(), false // diverging (or dup): take the rollback now
 			}
-			due = now.Add(p.holdFor(entry.Key, tail))
+			due = now.Add(p.holdFor(key, tail.Key()))
 		} else {
 			if !look.on() {
 				return p.direct(), false // nothing to misorder against yet
@@ -186,7 +186,7 @@ scan:
 	} else {
 		// Queues behind a pending predecessor for key order, with its own
 		// hold budget.
-		due = now.Add(p.holdFor(entry.Key, p.buf.At(pos-1).entry.Key))
+		due = now.Add(p.holdFor(key, p.buf.At(pos-1).cell.Key()))
 	}
 	if pos == 0 && due <= now && p.buf.Len() == 0 {
 		// In order and past the heuristic hold. With per-link lookahead on,
@@ -198,11 +198,11 @@ scan:
 		// park in the buffer with their due already passed; releasable holds
 		// them until a frontier advance or the idle horizon releases them
 		// (or their budget forces them).
-		if !look.on() || !look.release(entry.Key, now).After(now) {
+		if !look.on() || !look.release(key, now).After(now) {
 			return p.direct(), false
 		}
 	}
-	return true, p.push(entry, rank, pos, due)
+	return true, p.push(arr, pos, due)
 }
 
 // direct records an arrival that goes straight to the window.
@@ -216,7 +216,7 @@ func (p *pending) direct() bool {
 // predecessor's due (capped at its own arrival+budget), then reports that
 // the front is already due (or the buffer overfull) — the caller flushes —
 // or re-arms the flush event.
-func (p *pending) push(entry *history.Entry, rank ordering.Rank, pos int, due vtime.Time) (flush bool) {
+func (p *pending) push(arr *history.Cell, pos int, due vtime.Time) (flush bool) {
 	now := p.lane.Now()
 	capAt := now.Add(p.budget)
 	if pos > 0 {
@@ -226,12 +226,12 @@ func (p *pending) push(entry *history.Entry, rank ordering.Rank, pos int, due vt
 		due = capAt
 	}
 	p.arrSeq++
-	// The buffer outlives the delivery callback that handed us the entry,
-	// so it takes its own reference on the message (released on flush or
-	// annihilation).
-	entry.Msg.Retain()
+	// The buffer outlives the delivery callback that handed us the
+	// arrival, so it takes its own reference on the message (released on
+	// flush or annihilation).
+	arr.Msg.Retain()
 	held := due > now
-	p.insertPending(&pendingArrival{rank: rank, entry: *entry, capAt: capAt, due: due, seq: p.arrSeq, held: held}, pos)
+	p.insertPending(&pendingArrival{cell: *arr, capAt: capAt, due: due, seq: p.arrSeq, held: held}, pos)
 	if held {
 		p.stats.Deferred++
 	}
@@ -368,7 +368,7 @@ scan:
 				break scan
 			}
 			if n > force && look.on() {
-				if rel := look.release(c.entry.Key, now); rel.After(now) {
+				if rel := look.release(c.cell.Key(), now); rel.After(now) {
 					if !c.laHeld {
 						c.laHeld = true
 						p.stats.LookaheadHolds++
@@ -416,7 +416,7 @@ func (p *pending) drop(n int, wake vtime.Time) {
 // target was found.
 func (p *pending) annihilate(target msg.ID) bool {
 	for i := range p.buf.Len() {
-		m := p.buf.At(i).entry.Msg
+		m := p.buf.At(i).cell.Msg
 		if m == nil || m.ID != target {
 			continue
 		}
@@ -443,7 +443,7 @@ func (p *pending) reset() {
 // held passes note every message the buffer references.
 func (p *pending) held(note func(*msg.Message)) {
 	for i := range p.buf.Len() {
-		note(p.buf.At(i).entry.Msg)
+		note(p.buf.At(i).cell.Msg)
 	}
 }
 

@@ -35,6 +35,12 @@ func entryOf(m *msg.Message, at vtime.Time) *history.Entry {
 	return &history.Entry{Key: ordering.KeyOf(m), Msg: m, ArrivedAt: at}
 }
 
+// cellOf is m's arrival as an OO window stores it.
+func cellOf(m *msg.Message, at vtime.Time) *history.Cell {
+	c := entryOf(m, at).Cell(ordering.Optimized())
+	return &c
+}
+
 // TestDeferralHoldsSmallGapArrival drives the deferral state machine
 // whitebox: an in-order arrival whose key gap to the window tail is below
 // DeferSlack parks in the pending buffer, flushes after the gap's
@@ -70,7 +76,7 @@ func TestDeferralHoldsSmallGapArrival(t *testing.T) {
 	if sh.pend.buf.Len() != 2 {
 		t.Fatalf("pending len = %d, want 2", sh.pend.buf.Len())
 	}
-	if sh.pend.buf.At(0).entry.Msg.ID != mid.ID {
+	if sh.pend.buf.At(0).cell.Msg.ID != mid.ID {
 		t.Fatal("mid-gap straggler must front the pending buffer")
 	}
 	if sh.pend.buf.At(0).due > sh.pend.buf.At(1).due {
@@ -536,7 +542,7 @@ func TestLookaheadHoldReleasedByCoveringArrival(t *testing.T) {
 		t.Fatalf("covering arrival did not release the hold: window %d pending %d",
 			sh.win.Len(), sh.pend.buf.Len())
 	}
-	if sh.pend.buf.At(0).entry.Msg.ID != cover.ID {
+	if sh.pend.buf.At(0).cell.Msg.ID != cover.ID {
 		t.Fatal("cover must now front the pending buffer")
 	}
 

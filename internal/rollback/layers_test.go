@@ -32,7 +32,7 @@ func TestWindowUndoRestoresCheckpoint(t *testing.T) {
 			w, app := newTallyWindow(mode)
 			var want []tallySnap
 			for i := range 3 {
-				pos, dup := w.insert(entryOf(mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i), 0))
+				pos, dup := w.insert(cellOf(mkMsg(vtime.Duration(10*(i+1))*vtime.Millisecond, uint64(i+1), i), 0))
 				if dup || pos != i {
 					t.Fatalf("arrival %d: pos %d dup %v", i, pos, dup)
 				}
@@ -42,7 +42,7 @@ func TestWindowUndoRestoresCheckpoint(t *testing.T) {
 					t.Fatalf("arrival %d: serial %d", i, s)
 				}
 			}
-			if _, dup := w.insert(entryOf(mkMsg(20*vtime.Millisecond, 2, 1), 0)); !dup || w.stats.Duplicates != 1 {
+			if _, dup := w.insert(cellOf(mkMsg(20*vtime.Millisecond, 2, 1), 0)); !dup || w.stats.Duplicates != 1 {
 				t.Fatalf("duplicate arrival: dup %v, Duplicates %d", dup, w.stats.Duplicates)
 			}
 			var handed api.State
@@ -201,8 +201,7 @@ func TestSettleRetiresPrefixOnce(t *testing.T) {
 		t.Fatalf("second pass retired %d, log %d", n, len(s.log))
 	}
 	for _, d := range []vtime.Duration{15 * ms, 25 * ms} {
-		k := ordering.KeyOf(mkMsg(d, 9, 0))
-		s.check(k, cmp.Rank(k))
+		s.check(cellOf(mkMsg(d, 9, 0), 0))
 	}
 	if st.SettleViolations != 1 {
 		t.Fatalf("SettleViolations = %d, want 1 (the arrival keyed before the retired 20 ms entry)", st.SettleViolations)

@@ -169,8 +169,7 @@ func newDeferBench(depth int) *deferBench {
 	for b.step < depth {
 		m := b.arrival(b.step)
 		b.pd.buf.Push(pendingArrival{
-			rank:  cmp.Rank(ordering.KeyOf(m)),
-			entry: *entryOf(m, 0),
+			cell:  *cellOf(m, 0),
 			capAt: vtime.Time(100 * vtime.Millisecond),
 			due:   vtime.Time(50 * vtime.Millisecond),
 		})
@@ -192,12 +191,12 @@ func (b *deferBench) arrival(i int) *msg.Message {
 // depth/2, so an arrival sorts before the block-mates that beat it here:
 // the scan passes depth/4 cells on average, as a flood wave's stragglers do.
 func (b *deferBench) push() bool {
-	front := b.pd.buf.At(0).entry.Msg.ID
+	front := b.pd.buf.At(0).cell.Msg.ID
 	blk := b.depth / 2
 	m := b.arrival(b.step/blk*blk + blk - 1 - b.step%blk)
 	b.step++
-	k := ordering.KeyOf(m)
-	held, flush := b.pd.decide(entryOf(m, 0), b.pd.cmp.Rank(k), b.win, &lookahead{})
+	c := entryOf(m, 0).Cell(b.pd.cmp)
+	held, flush := b.pd.decide(&c, ordering.KeyOf(m), b.win, &lookahead{})
 	return b.pd.annihilate(front) && held && !flush
 }
 

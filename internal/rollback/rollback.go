@@ -43,7 +43,8 @@
 //	layer      file       owns                                       guarantee
 //	lookahead  defer.go   links (one per row slot), g, self          releases depend only on the node's own delivery stream
 //	pending    defer.go   buf, capLB, flushH, flushAt, arrSeq,       a hold moves when an entry enters the window, never where
-//	                      directSeq (buf, Window, marks, snaps, sent: slide.Bufs)
+//	                      directSeq (buf, Window, marks, snaps, sent: slide.Bufs;
+//	                      buf and Window hold history.Cells, a rank in place of a key)
 //	window     window.go  Window, marks | snaps, japp, serial, hw    restoring checkpoint i puts back the state entry i was delivered in
 //	ledger     ledger.go  sent, recs, replayPool, replayFresh,       a record lives while its cause can be undone; a replay leaves
 //	                      dropLog (recs: the lane's recStore)        on the wire what it produced, annotated as the first pass was
@@ -53,6 +54,10 @@
 //
 //	estimator feed → quarantine guard → lookahead observe → pending decide →
 //	window insert / deliver / undo / replay → ledger adopt / cancel → settle
+//
+// The arrival is ranked once, in onEntry, and travels as its cell from
+// there; a cell derives its key (history.Cell.Key) only where ranks tie or
+// the key itself is needed, while the cell still holds its message.
 //
 // A delivery reaches the application through annotate's Sender.Deliver,
 // the rule DEFINED-LS delivers through too, and the ledger annotates its
@@ -682,7 +687,7 @@ func (e *Engine) InjectExternal(n msg.NodeID, ev api.ExternalEvent) {
 	}
 	sh.onEntry(&history.Entry{
 		Key:       key,
-		Ext:       &history.External{Event: ev, Offset: offset},
+		Ext:       &history.External{Event: ev, Offset: offset, Seq: seq},
 		ArrivedAt: now,
 	})
 }

@@ -86,8 +86,8 @@ func (sh *shim) deliverBare(key ordering.Key, m *msg.Message, ext api.ExternalEv
 }
 
 // onEntry routes an arrival through the layers in their fixed order. The
-// entry is borrowed for the call: window and buffer copy it into their own
-// cells.
+// entry is borrowed for the call: it is ranked once, here, and window and
+// buffer copy the resulting cell into their own.
 func (sh *shim) onEntry(entry *history.Entry) {
 	// Inside a parallel window the engine-global estimator is read-only;
 	// the driver pre-simulated this window's observations (BeginWindow)
@@ -114,9 +114,9 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	if isMsg && sh.look.on() {
 		sh.look.observe(entry.Key.From, entry.ArrivedAt, pred)
 	}
-	rank := sh.e.ord.Rank(entry.Key)
+	c := entry.Cell(sh.e.ord)
 	if sh.e.deferOn {
-		held, flush := sh.pend.decide(entry, rank, sh.win.Window, &sh.look)
+		held, flush := sh.pend.decide(&c, entry.Key, sh.win.Window, &sh.look)
 		if flush {
 			sh.flushPending()
 		}
@@ -124,7 +124,7 @@ func (sh *shim) onEntry(entry *history.Entry) {
 			return
 		}
 	}
-	sh.insertNow(entry, rank)
+	sh.insertNow(&c)
 	// The arrival advanced its in-link's frontier, which may have released
 	// a lookahead hold at the front of the pending buffer (front due
 	// already passed, coverage was the only blocker) — the event-driven
@@ -135,12 +135,12 @@ func (sh *shim) onEntry(entry *history.Entry) {
 	}
 }
 
-// insertNow inserts an arrival into the history window and either delivers
-// it speculatively (in-order case) or triggers a rollback (divergence).
-// rank is entry.Key's rank under the engine's ordering.
-func (sh *shim) insertNow(entry *history.Entry, rank ordering.Rank) {
-	sh.settle.check(entry.Key, rank)
-	pos, dup := sh.win.insert(entry)
+// insertNow inserts an arrival's cell into the history window and either
+// delivers it speculatively (in-order case) or triggers a rollback
+// (divergence).
+func (sh *shim) insertNow(c *history.Cell) {
+	sh.settle.check(c)
+	pos, dup := sh.win.insert(c)
 	if dup {
 		return
 	}
@@ -235,14 +235,14 @@ func (sh *shim) deliverAt(i int, procDelay vtime.Duration) {
 // function of the application state and the delivered entry, both of
 // which are bit-identical across shard counts, so the quarantine lands at
 // the same point of the committed order in every mode.
-func (sh *shim) handleEntry(entry *history.Entry) (outs []msg.Out, c annotate.Cause, ok bool) {
+func (sh *shim) handleEntry(entry *history.Cell) (outs []msg.Out, c annotate.Cause, ok bool) {
 	defer sh.recoverPanic()
 	var ext api.ExternalEvent
 	var offset vtime.Duration
 	if x := entry.Ext; x != nil {
 		ext, offset = x.Event, x.Offset
 	}
-	outs, c = sh.ledger.sender.Deliver(sh.app, entry.Key, entry.Msg, ext, offset)
+	outs, c = sh.ledger.sender.Deliver(sh.app, entry.Key(), entry.Msg, ext, offset)
 	return outs, c, true
 }
 
@@ -333,16 +333,17 @@ func (sh *shim) flushPending() {
 		// The entry enters the window when it flushes; retirement clocks
 		// start here, so a hold can never age an entry toward a settle
 		// violation.
-		c.entry.ArrivedAt = now
-		sh.insertNow(&c.entry, c.rank)
+		c.cell.ArrivedAt = now
+		sh.insertNow(&c.cell)
 		if sh.crashed {
 			return // the delivery panicked: quarantine emptied the buffer
 		}
 		// The window took its own reference on insert; the buffer's goes,
 		// and the cell forgets it so a later quarantine cannot drop it
-		// twice.
-		c.entry.Msg.Release()
-		c.entry.Msg = nil
+		// twice. It forgets its rank with it: a cell without its message
+		// would derive a key from the rank alone, and a wrong one.
+		c.cell.Msg.Release()
+		c.cell = history.Cell{}
 	}
 	sh.pend.drop(n, wake)
 }
@@ -353,7 +354,7 @@ func (sh *shim) flushPending() {
 type settle struct {
 	last     vtime.Time
 	lastKey  ordering.Key  // largest key ever retired
-	lastRank ordering.Rank // its rank, for check
+	lastRank ordering.Rank // its rank, read from its cell
 	has      bool          // whether anything has retired yet
 	log      []ordering.Key
 
@@ -362,11 +363,11 @@ type settle struct {
 	stats   *Stats
 }
 
-// check counts a straggler: an arrival keyed k (rank r) that sorts before
-// an already-retired entry. The entry is still applied (ordered within the
+// check counts a straggler: an arrival c that sorts before an
+// already-retired entry. The entry is still applied (ordered within the
 // live window), but exact global order can no longer be guaranteed.
-func (s *settle) check(k ordering.Key, r ordering.Rank) {
-	if s.has && ordering.CompareRanked(s.cmp, k, r, s.lastKey, s.lastRank) < 0 {
+func (s *settle) check(c *history.Cell) {
+	if s.has && history.CompareKey(s.cmp, c, s.lastKey, s.lastRank) < 0 {
 		s.stats.SettleViolations++
 	}
 }
@@ -392,12 +393,12 @@ func (s *settle) retire(w *history.Window, cutoff vtime.Time) int {
 			break
 		}
 		if s.logging {
-			s.log = append(s.log, e.Key)
+			s.log = append(s.log, e.Key())
 		}
 	}
 	if n > 0 {
-		s.lastKey = w.At(n - 1).Key
-		s.lastRank = s.cmp.Rank(s.lastKey)
+		last := w.At(n - 1)
+		s.lastKey, s.lastRank = last.Key(), last.Rank
 		s.has = true
 	}
 	return n

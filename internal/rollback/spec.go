@@ -3,6 +3,7 @@ package rollback
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"defined/internal/checkpoint"
 	"defined/internal/ordering"
@@ -33,8 +34,9 @@ type EngineSpec struct {
 	// JitterScale scales link jitter (default 1.0; 0 runs every link at
 	// its mean delay).
 	JitterScale *float64 `json:"jitterScale,omitempty"`
-	// ChainBound caps causal chain length per timestep (default 64);
-	// longer chains roll into the next group (paper §2.2).
+	// ChainBound caps causal chain length per timestep (default 64, at
+	// most math.MaxInt32: msg.Annotation.Chain is an int32); longer
+	// chains roll into the next group (paper §2.2).
 	ChainBound *int `json:"chainBound,omitempty"`
 	// SettleBound pins a static history retirement bound (default 0s =
 	// the adaptive straggler-margin estimator; a pin runs as that
@@ -211,6 +213,8 @@ func (e *EngineSpec) validate() error {
 		return fmt.Errorf("shards %d negative", *e.Shards)
 	case *e.ChainBound < 1:
 		return fmt.Errorf("chainBound %d must be >= 1", *e.ChainBound)
+	case *e.ChainBound > math.MaxInt32:
+		return fmt.Errorf("chainBound %d above %d — a message's chain length is an int32", *e.ChainBound, math.MaxInt32)
 	case *e.Deferral && e.DeferSlack.V() <= 0:
 		return fmt.Errorf("deferral enabled with non-positive slack %s", *e.DeferSlack)
 	case *e.Deferral && e.DeferMax.V() < e.DeferSlack.V():

@@ -64,9 +64,9 @@ func (w *window) depth() int {
 	return w.snaps.Len()
 }
 
-// insert adds an arrival in key order, or counts it as a duplicate.
-func (w *window) insert(e *history.Entry) (pos int, dup bool) {
-	if pos, dup = w.Insert(*e); dup {
+// insert adds an arrival's cell in key order, or counts it as a duplicate.
+func (w *window) insert(c *history.Cell) (pos int, dup bool) {
+	if pos, dup = w.InsertCell(c); dup {
 		w.stats.Duplicates++
 	}
 	w.hw = max(w.hw, w.Len())

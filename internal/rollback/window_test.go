@@ -186,7 +186,7 @@ func TestWindowReleasesDroppedStates(t *testing.T) {
 			var live weak.Pointer[tallyState]
 			func() {
 				for i := range ws {
-					w.insert(entryOf(mkMsg(vtime.Duration(i+1)*vtime.Millisecond, uint64(i+1), i), 0))
+					w.insert(cellOf(mkMsg(vtime.Duration(i+1)*vtime.Millisecond, uint64(i+1), i), 0))
 					deliverTally(w, app, i)
 					ws[i] = weak.Make(tallyOf((*w.snaps.At(i)).app))
 				}
@@ -249,9 +249,9 @@ func TestWindowCycleDoesNotAllocate(t *testing.T) {
 			for i := range ms {
 				ms[i] = mkMsg(vtime.Duration(i+1)*vtime.Microsecond, uint64(i+1), i)
 			}
-			es := make([]history.Entry, len(ms))
+			es := make([]history.Cell, len(ms))
 			for i, m := range ms {
-				es[i] = *entryOf(m, 0)
+				es[i] = *cellOf(m, 0)
 			}
 			next := 0
 			cycle := func() {
@@ -299,9 +299,9 @@ func FuzzWindowCheckpoints(f *testing.F) {
 			case 0, 1: // an arrival a ms into the group
 				seq++
 				m := mkMsg(vtime.Duration(a)*vtime.Millisecond, seq, a)
-				pos, _ := fk.insert(entryOf(m, 0))
+				pos, _ := fk.insert(cellOf(m, 0))
 				for mode, w := range ws[1:] {
-					if p, _ := w.insert(entryOf(m, 0)); p != pos {
+					if p, _ := w.insert(cellOf(m, 0)); p != pos {
 						t.Fatalf("op %d: inserted at %d on FK and %d on %s", op, pos, p, tallyModes[mode+1])
 					}
 				}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -250,6 +251,9 @@ func TestValidationRejections(t *testing.T) {
 		{"negative shards", func(s *Spec) {
 			s.Engine.Shards = ptr(-1)
 		}, "negative"},
+		{"chain bound past int32", func(s *Spec) {
+			s.Engine.ChainBound = ptr(math.MaxInt32 + 1)
+		}, "chainBound 2147483648 above"},
 		{"unknown ordering", func(s *Spec) {
 			s.Engine.Ordering = "ZZ"
 		}, "ordering"},
