@@ -16,7 +16,7 @@
 // should hold a tag, one integer and at most one pointer — never a slice
 // header or an interface holding one (that boxes on every Record, enabled
 // or not). Wide old values go to a second, typed Log that the first one's
-// undo pops and whose Compact follows it (ospf's tables and holds).
+// undo pops and whose Compact follows it (ospf's tables).
 //
 // Marks are absolute positions (base + offset), so they survive Compact:
 // settlement discards the journal prefix older than the oldest live

@@ -568,7 +568,7 @@ func (est *settleEstimator) bound() vtime.Duration {
 // very arrival lag they try to absorb, while event-driven releases are
 // self-limiting. On the link-flap workload the exact holds cut rollbacks per
 // committed delivery from ~0.46 to under 0.1 (TestLookaheadRollbackRate);
-// release says where committed orders stop being identical.
+// release says what a hold can and cannot move in the committed order.
 //
 // Guarantee: the bank is pure — every method takes now — and fed only from
 // the node's own delivery stream, whose (at, seq) labels are identical in
@@ -627,10 +627,11 @@ func (l *lookahead) observe(from msg.NodeID, now, pred vtime.Time) {
 // so a release can be wrong in both directions: anti-announced run
 // boundaries re-open coverage only after the anti lands, and an upstream
 // whose replay is still in flight can slip under a promise that looked
-// covering. Theorem 1 was taken to make those residues cost speculation
-// only, but lookahead can move the committed order (ROADMAP open item 1:
-// two Sprintlink link-downs, jitter seeds 3 and 5 against seed 1); only
-// one jitter seed per run is pinned on ≡ off (TestLookaheadGolden).
+// covering. Those residues cost speculation only. A hold does delay the
+// node's own sends, and so moves which of them a link cut loses in flight;
+// a loss is a recorded input (paper footnote 4), so the committed order
+// stays a function of the recorded inputs and each run replays exactly
+// (TestLookaheadMovesOnlyRecordedLosses).
 func (l *lookahead) release(k ordering.Key, now vtime.Time) vtime.Time {
 	if k.Class != ordering.ClassMessage {
 		return 0 // timer batches and externals are local events: never held

@@ -5,11 +5,11 @@
 // The daemon implements the OSPF mechanisms the evaluation exercises:
 // hello keepalives with dead-interval detection, link-state advertisement
 // (LSA) origination and reliable-style flooding with sequence numbers, and
-// shortest-path-first (Dijkstra) route computation. Two fidelity knobs
-// mirror the paper's setup: HelloInterval (reduced to 1 s to stress the
-// substrate) and FloodHolddown (XORP's default 1 s retransmit-timer delay
-// between receiving and propagating a routing message, which the paper
-// removes to expose DEFINED's overheads — Figure 6b).
+// shortest-path-first (Dijkstra) route computation. It mirrors the paper's
+// setup: HelloInterval is reduced to 1 s to stress the substrate, and a
+// received newer LSA floods on at once — the paper removes XORP's default
+// 1 s flood holddown to expose DEFINED's overheads (Figure 6b), and so has
+// this daemon.
 //
 // # Topology epoch and the SPF result cache
 //
@@ -95,17 +95,13 @@ import (
 )
 
 // Config tunes the daemon. The zero value selects the paper's stressed
-// configuration: 1 s hellos, 4 s dead interval, no flood holddown.
+// configuration: 1 s hellos and a 4 s dead interval.
 type Config struct {
 	// HelloInterval is the keepalive period (default 1 s).
 	HelloInterval vtime.Duration
 	// DeadInterval is how long without hellos an adjacency survives
 	// (default 4 × HelloInterval).
 	DeadInterval vtime.Duration
-	// FloodHolddown delays propagation of received LSAs until the next
-	// timer tick at least this far in the future (XORP's default OSPF
-	// configuration uses 1 s; 0 disables, as the paper's modified XORP).
-	FloodHolddown vtime.Duration
 	// DomainBase is the first node id of this daemon's routing domain.
 	// Id-indexed state (LSDB, routing table) is stored relative to it, so
 	// per-daemon state scales with the domain size, not the topology
@@ -258,16 +254,7 @@ type state struct {
 	tableEpoch uint64
 	now        vtime.Time
 	booted     bool // initial own-LSA flood performed
-	// holdQueue buffers LSAs awaiting FloodHolddown release; releaseAt
-	// keyed parallel.
-	holdQueue []heldLSA
-	spfRuns   uint64
-}
-
-type heldLSA struct {
-	lsa       *LSA
-	exclude   msg.NodeID // neighbor not to flood back to
-	releaseAt vtime.Time
+	spfRuns    uint64
 }
 
 // ---- undo journal (MI checkpointing) ----------------------------------------
@@ -284,8 +271,6 @@ const (
 	undoTable                     // table, tableEpoch = tables' newest, u64 (tables are immutable)
 	undoNow                       // now = time u64
 	undoBooted                    // booted = b
-	undoHoldLen                   // holdQueue truncates back to length u64
-	undoHoldSlice                 // holdQueue = holds' newest (old header, pre-filter)
 	undoSPFRuns                   // spfRuns--
 )
 
@@ -294,12 +279,12 @@ const (
 // per delivery rather than with topology size. Entries live by value in
 // the journal's reusable slice — no per-entry allocation — one to two per
 // delivery, so a record is 24 bytes: one integer slot (counters, lengths
-// and vtime.Times share it) and the one pointer-shaped old value. The two
-// old values that are slice headers go to the side journals Daemon.tables
-// and Daemon.holds instead, so building a record never boxes. An undoTable
-// / undoHoldSlice record stands for exactly one side entry, in order:
-// undoing it pops the newest, and JournalCompact drops as many of the
-// oldest as it drops such records.
+// and vtime.Times share it) and the one pointer-shaped old value. The one
+// old value that is a slice header, the table, goes to the side journal
+// Daemon.tables instead, so building a record never boxes. An undoTable
+// record stands for exactly one side entry, in order: undoing it pops the
+// newest, and JournalCompact drops as many of the oldest as it drops such
+// records.
 type undoRec struct {
 	kind undoKind
 	b    bool
@@ -308,10 +293,9 @@ type undoRec struct {
 	lsa  *LSA
 }
 
-// applyUndo reverses one recorded mutation. Restored slice headers (table,
-// holdQueue) are safe to reinstate as-is: journal rewind is strictly LIFO,
-// so any younger entry referencing a longer view of the same array has
-// already been undone.
+// applyUndo reverses one recorded mutation. A restored table is safe to
+// reinstate as-is: tables are never written once built, and journal rewind
+// is strictly LIFO.
 func (s *state) applyUndo(u undoRec, d *Daemon) {
 	switch u.kind {
 	case undoLSDB:
@@ -332,25 +316,19 @@ func (s *state) applyUndo(u undoRec, d *Daemon) {
 		s.now = vtime.Time(u.u64)
 	case undoBooted:
 		s.booted = u.b
-	case undoHoldLen:
-		s.holdQueue = s.holdQueue[:u.u64]
-	case undoHoldSlice:
-		d.holds.Rewind(d.holds.Mark() - 1)
 	case undoSPFRuns:
 		s.spfRuns--
 	}
 }
 
-// undoTable and undoHolds are the side journals' undo functions.
-func (s *state) undoTable(t table)     { s.table = t }
-func (s *state) undoHolds(q []heldLSA) { s.holdQueue = q }
+// undoTable is the side journal's undo function.
+func (s *state) undoTable(t table) { s.table = t }
 
 // JournalEnable implements api.Journaled: from here on every state
 // mutation records an undo entry so MI checkpoints are O(1) marks.
 func (d *Daemon) JournalEnable() {
 	d.j.Enable()
 	d.tables.Enable()
-	d.holds.Enable()
 }
 
 // JournalMark implements api.Journaled.
@@ -359,24 +337,20 @@ func (d *Daemon) JournalMark() journal.Mark { return d.j.Mark() }
 // JournalRewind implements api.Journaled.
 func (d *Daemon) JournalRewind(m journal.Mark) { d.j.Rewind(m) }
 
-// JournalCompact implements api.Journaled. The side journals compact by
-// count: one entry for each of their records leaving the main journal,
+// JournalCompact implements api.Journaled. The side journal compacts by
+// count: one entry for each undoTable record leaving the main journal,
 // which is walked here once, as it goes.
 func (d *Daemon) JournalCompact(m journal.Mark) {
 	if !d.j.Enabled() {
 		return
 	}
-	var tables, holds journal.Mark
+	var tables journal.Mark
 	for p := d.j.Base(); p < m; p++ {
-		switch d.j.At(p).kind {
-		case undoTable:
+		if d.j.At(p).kind == undoTable {
 			tables++
-		case undoHoldSlice:
-			holds++
 		}
 	}
 	d.tables.Compact(d.tables.Base() + tables)
-	d.holds.Compact(d.holds.Base() + holds)
 	d.j.Compact(m)
 }
 
@@ -486,17 +460,6 @@ func (d *Daemon) setBooted(v bool) {
 	d.st.booted = v
 }
 
-func (d *Daemon) pushHold(h heldLSA) {
-	d.j.Record(undoRec{kind: undoHoldLen, u64: uint64(len(d.st.holdQueue))})
-	d.st.holdQueue = append(d.st.holdQueue, h)
-}
-
-func (d *Daemon) setHoldQueue(q []heldLSA) {
-	d.holds.Record(d.st.holdQueue)
-	d.j.Record(undoRec{kind: undoHoldSlice})
-	d.st.holdQueue = q
-}
-
 func (d *Daemon) bumpSPFRuns() {
 	d.j.Record(undoRec{kind: undoSPFRuns})
 	d.st.spfRuns++
@@ -531,7 +494,6 @@ func (s *state) CloneInto(dst api.State) api.State {
 		tableEpoch: s.tableEpoch,
 		now:        s.now,
 		booted:     s.booted,
-		holdQueue:  append(d.holdQueue[:0], s.holdQueue...),
 		spfRuns:    s.spfRuns,
 	}
 	return d
@@ -561,12 +523,11 @@ type Daemon struct {
 	chunkSlab []chunk
 	spineSlab []*chunk
 
-	// j is the undo journal backing MI checkpoints, tables and holds its
-	// side journals for old slice headers (see undoRec); disabled (and
-	// empty) unless the substrate calls JournalEnable.
+	// j is the undo journal backing MI checkpoints, tables its side
+	// journal for old tables (see undoRec); disabled (and empty) unless the
+	// substrate calls JournalEnable.
 	j      *journal.Log[undoRec]
 	tables *journal.Log[table]
-	holds  *journal.Log[[]heldLSA]
 
 	// cache memoizes epoch → routing table (api.RecomputeCached). It is
 	// daemon-level, not checkpointable state: entries are immutable shared
@@ -586,7 +547,6 @@ func New(cfg Config) *Daemon {
 	d := &Daemon{cfg: cfg, base: cfg.DomainBase}
 	d.j = journal.New(func(u undoRec) { d.st.applyUndo(u, d) })
 	d.tables = journal.New(func(t table) { d.st.undoTable(t) })
-	d.holds = journal.New(func(q []heldLSA) { d.st.undoHolds(q) })
 	return d
 }
 
@@ -723,7 +683,8 @@ func (d *Daemon) appendDatabase(outs []msg.Out, to msg.NodeID) []msg.Out {
 	return outs
 }
 
-// onLSA applies a received LSA: newer sequence wins; newer LSAs flood on.
+// onLSA applies a received LSA: newer sequence wins, and a newer LSA floods
+// on at once to every up adjacency but the one it came from.
 func (d *Daemon) onLSA(lsa *LSA, from msg.NodeID) []msg.Out {
 	if d.rel(lsa.Origin) < 0 {
 		return nil // foreign-domain origin: outside our area, neither stored nor flooded
@@ -759,19 +720,13 @@ func (d *Daemon) onLSA(lsa *LSA, from msg.NodeID) []msg.Out {
 	}
 	d.setLSDB(lsa.Origin, lsa)
 	d.runSPF()
-	if d.cfg.FloodHolddown > 0 {
-		d.pushHold(heldLSA{
-			lsa: lsa, exclude: from, releaseAt: d.st.now.Add(d.cfg.FloodHolddown),
-		})
-		return nil
-	}
 	outs := d.appendFlood(d.outBuf[:0], lsa, from)
 	d.outBuf = outs[:0]
 	return outs
 }
 
 // HandleTimer implements api.Application: initial database flood, hello
-// emission, dead-interval expiry, and holddown release.
+// emission and dead-interval expiry.
 func (d *Daemon) HandleTimer(now vtime.Time) []msg.Out {
 	d.setNow(now)
 	outs := d.outBuf[:0]
@@ -785,20 +740,6 @@ func (d *Daemon) HandleTimer(now vtime.Time) []msg.Out {
 			d.setLastHello(slot, now)
 		}
 		outs = d.appendFlood(outs, d.lsaOf(d.self), msg.None)
-	}
-
-	// Release held LSAs that matured. The queue is only replaced (and
-	// journaled) when something actually matured.
-	if matured := d.holdMatured(now); matured {
-		var still []heldLSA
-		for _, h := range d.st.holdQueue {
-			if h.releaseAt.After(now) {
-				still = append(still, h)
-				continue
-			}
-			outs = d.appendFlood(outs, h.lsa, h.exclude)
-		}
-		d.setHoldQueue(still)
 	}
 
 	// Hellos on the hello interval grid.
@@ -823,16 +764,6 @@ func (d *Daemon) HandleTimer(now vtime.Time) []msg.Out {
 	}
 	d.outBuf = outs[:0]
 	return outs
-}
-
-// holdMatured reports whether any held LSA is due for release at now.
-func (d *Daemon) holdMatured(now vtime.Time) bool {
-	for _, h := range d.st.holdQueue {
-		if !h.releaseAt.After(now) {
-			return true
-		}
-	}
-	return false
 }
 
 // HandleExternal implements api.Application: interface state changes from

@@ -27,7 +27,7 @@ func TestCellSizes(t *testing.T) {
 	}{
 		{"undoRec: tag+flag+slot, one integer, one pointer — one to two per delivery, kept until settled", recSize(d.j), 24},
 		{"tables side record: the old table's spine header, one per table install", recSize(d.tables), 24},
-		{"holds side record: the old hold queue's slice header (FloodHolddown only)", recSize(d.holds), 24},
+		{"state: three slices, the table's spine and five words — copied whole by every FK snapshot", unsafe.Sizeof(state{}), 144},
 		{"hop: (NextHop, Cost) — the destination is the cell's index, not stored", unsafe.Sizeof(hop{}), 8},
 		{"chunk: 16 hops, the unit a build writes or shares — 64 tables cached per router", unsafe.Sizeof(chunk{}), 128},
 	} {
@@ -152,7 +152,7 @@ func TestRecordsNeverAllocate(t *testing.T) {
 			t.Errorf("%s: %.3f allocs, %.1f B per round, want at most %.3f, %.1f B (%d table builds writing %d chunks)",
 				c.name, allocs, bytes, wantAllocs, wantBytes, builds, chunks)
 		}
-		if c.journal && p.d.j.Len()+p.d.tables.Len()+p.d.holds.Len() != 0 {
+		if c.journal && p.d.j.Len()+p.d.tables.Len() != 0 {
 			t.Errorf("%s: journals not empty after compaction to the head", c.name)
 		}
 	}

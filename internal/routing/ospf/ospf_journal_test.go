@@ -49,24 +49,15 @@ func statesEqual(t *testing.T, got, want *state) {
 	if !slices.Equal(got.table.flat(), want.table.flat()) {
 		t.Fatalf("table %v vs %v", got.table.flat(), want.table.flat())
 	}
-	if len(got.holdQueue) != len(want.holdQueue) {
-		t.Fatalf("holdQueue len %d vs %d", len(got.holdQueue), len(want.holdQueue))
-	}
-	for i := range got.holdQueue {
-		if got.holdQueue[i] != want.holdQueue[i] {
-			t.Fatalf("holdQueue[%d]: %+v vs %+v", i, got.holdQueue[i], want.holdQueue[i])
-		}
-	}
 }
 
 func lsaMsg(from msg.NodeID, lsa *LSA) *msg.Message {
 	return &msg.Message{From: from, To: 0, Kind: msg.KindApp, Payload: lsa}
 }
 
-// journaledDaemon builds node 0 of a 0-1-2 line with holddown enabled (so
-// the holdQueue paths journal too) and journaling on.
+// journaledDaemon builds node 0 of a 0-1-2 triangle with journaling on.
 func journaledDaemon() *Daemon {
-	d := New(Config{FloodHolddown: 600 * vtime.Millisecond})
+	d := New(Config{})
 	d.Init(0, []api.Neighbor{{ID: 1, Cost: 1}, {ID: 2, Cost: 1}})
 	d.JournalEnable()
 	return d
@@ -91,7 +82,7 @@ func TestJournalRewindRestoresCloneAcrossMarks(t *testing.T) {
 	save()
 	d.HandleMessage(lsaMsg(1, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 1, Cost: 1}}}))
 	save()
-	d.HandleTimer(vtime.Time(1000 * vtime.Millisecond)) // releases held LSAs, hellos
+	d.HandleTimer(vtime.Time(1000 * vtime.Millisecond)) // hellos
 	save()
 	// Dead-interval expiry: a long silent gap tears adjacencies down and
 	// re-originates.
@@ -171,31 +162,28 @@ func TestJournalDisabledRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestJournalHolddownThroughSideJournals is a FloodHolddown > 0 program
-// through the record shape that keeps old slice headers out of undoRec:
-// pushHold and setHoldQueue (holds), setTable (tables). Several LSAs are
-// held with staggered releases, a timer releases some and keeps the rest,
-// the prefix is compacted away mid-program, and every surviving mark must
-// still rewind to the Clone taken at it — with each side journal holding
-// exactly one entry per record of its kind left in the main journal.
-func TestJournalHolddownThroughSideJournals(t *testing.T) {
-	d := journaledDaemon() // holddown 600 ms
+// TestJournalTablesThroughSideJournal is a program through the record
+// shape that keeps the old table's slice header out of undoRec: each
+// setTable pushes the old table onto the side journal tables and one
+// undoTable record onto the main journal. Several LSAs move the table, the
+// prefix is compacted away mid-program, and every surviving mark must
+// still rewind to the Clone taken at it — with the side journal holding
+// exactly one entry per undoTable record left in the main journal.
+func TestJournalTablesThroughSideJournal(t *testing.T) {
+	d := journaledDaemon()
 	ms := func(n int) vtime.Time { return vtime.Time(n) * vtime.Time(vtime.Millisecond) }
-	sideInStep := func(when string) {
+	sideInStep := func(when string) int {
 		t.Helper()
-		var tables, holds int
+		tables := 0
 		for p := d.j.Base(); p < d.j.Mark(); p++ {
-			switch d.j.At(p).kind {
-			case undoTable:
+			if d.j.At(p).kind == undoTable {
 				tables++
-			case undoHoldSlice:
-				holds++
 			}
 		}
-		if d.tables.Len() != tables || d.holds.Len() != holds {
-			t.Fatalf("%s: side journals hold %d tables / %d queues for %d / %d records",
-				when, d.tables.Len(), d.holds.Len(), tables, holds)
+		if d.tables.Len() != tables {
+			t.Fatalf("%s: side journal holds %d tables for %d undoTable records", when, d.tables.Len(), tables)
 		}
+		return tables
 	}
 	type point struct {
 		mark  journal.Mark
@@ -203,30 +191,31 @@ func TestJournalHolddownThroughSideJournals(t *testing.T) {
 	}
 	var pts []point
 	save := func() { pts = append(pts, point{d.JournalMark(), d.st.Clone().(*state)}) }
+	// Each LSA below moves node 0's table: 1 becomes reachable, then 2
+	// directly, then 2 only through 1 (2 stops advertising 0), then 2
+	// directly again.
+	via1 := &LSA{Origin: 2, Seq: 4, Links: []Adj{{To: 1, Cost: 1}}}
+	direct := &LSA{Origin: 2, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 1, Cost: 1}}}
 
 	d.HandleTimer(ms(250)) // boot
 	save()
-	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 2, Cost: 1}}})) // held until 850
+	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 2, Cost: 1}}}))
 	save()
-	d.HandleTimer(ms(500))
-	d.HandleMessage(lsaMsg(2, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 0, Cost: 1}, {To: 1, Cost: 1}}})) // held until 1100
+	d.HandleMessage(lsaMsg(2, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 0, Cost: 1}, {To: 1, Cost: 1}}}))
 	save()
-	if len(d.st.holdQueue) != 2 {
-		t.Fatalf("%d LSAs held, want 2", len(d.st.holdQueue))
+	d.HandleMessage(lsaMsg(1, via1))
+	save()
+	d.HandleMessage(lsaMsg(2, direct))
+	d.HandleTimer(ms(1000)) // hellos
+	if n := sideInStep("before compaction"); n != 4 {
+		t.Fatalf("%d tables installed, want one per LSA (4)", n)
 	}
-	d.HandleTimer(ms(1000)) // releases the first, keeps the second: setHoldQueue
-	if len(d.st.holdQueue) != 1 || d.holds.Len() != 1 {
-		t.Fatalf("after the partial release: %d held, %d old queues journaled, want 1 and 1", len(d.st.holdQueue), d.holds.Len())
-	}
-	save()
-	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 6, Links: []Adj{{To: 0, Cost: 1}}})) // held until 1600, moves the table
-	save()
-	d.HandleTimer(ms(1250)) // releases the second
-	d.HandleTimer(ms(2000)) // and the third: the queue empties
-	sideInStep("before compaction")
 
-	// Settle the first two checkpoints: the prefix goes, in all three journals.
+	// Settle the first two checkpoints: the prefix goes, in both journals.
 	d.JournalCompact(pts[2].mark)
+	if d.tables.Base() != 2 {
+		t.Fatalf("tables base %d after settling two installs, want 2", d.tables.Base())
+	}
 	sideInStep("after compaction")
 	for i := len(pts) - 1; i >= 2; i-- {
 		d.JournalRewind(pts[i].mark)
@@ -234,17 +223,16 @@ func TestJournalHolddownThroughSideJournals(t *testing.T) {
 		sideInStep("after a rewind")
 	}
 	// The same inputs from the oldest surviving mark reach the same states;
-	// settling past the partial release drops an old queue header as well.
-	d.HandleTimer(ms(1000))
+	// settling past them drops their old tables as well.
+	d.HandleMessage(lsaMsg(1, via1))
 	statesEqual(t, d.st, pts[3].clone)
 	save()
-	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 6, Links: []Adj{{To: 0, Cost: 1}}}))
-	d.HandleTimer(ms(1250))
-	d.HandleTimer(ms(2000))
+	d.HandleMessage(lsaMsg(2, direct))
+	d.HandleTimer(ms(1000))
 	last := pts[len(pts)-1]
 	d.JournalCompact(last.mark)
-	if d.holds.Len() != 2 || d.holds.Base() != 1 {
-		t.Fatalf("holds after settling the partial release: %d live from %d, want 2 from 1", d.holds.Len(), d.holds.Base())
+	if d.tables.Len() != 1 || d.tables.Base() != 3 {
+		t.Fatalf("tables after settling the replayed install: %d live from %d, want 1 from 3", d.tables.Len(), d.tables.Base())
 	}
 	sideInStep("after the second compaction")
 	d.JournalRewind(last.mark)
@@ -261,8 +249,8 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 	d.HandleMessage(lsaMsg(1, &LSA{Origin: 1, Seq: 5, Links: []Adj{{To: 0, Cost: 1}, {To: 2, Cost: 1}}}))
 	d.HandleMessage(lsaMsg(1, &LSA{Origin: 2, Seq: 3, Links: []Adj{{To: 1, Cost: 1}}}))
 	late := d.st.Clone().(*state)
-	if len(late.lsdb) <= len(early.lsdb) || len(late.holdQueue) == 0 {
-		t.Fatalf("setup: lsdb %d → %d, %d held", len(early.lsdb), len(late.lsdb), len(late.holdQueue))
+	if len(late.lsdb) <= len(early.lsdb) {
+		t.Fatalf("setup: lsdb %d → %d, want it to grow", len(early.lsdb), len(late.lsdb))
 	}
 
 	wantEarly := early.Clone().(*state)
@@ -275,7 +263,7 @@ func TestCloneIntoMatchesClone(t *testing.T) {
 	got := d.st.CloneInto(early).(*state)
 	statesEqual(t, got, want) // grown
 	statesEqual(t, late, wantEarly)
-	d.HandleTimer(vtime.Time(1000 * vtime.Millisecond)) // releases held LSAs, hellos
+	d.HandleTimer(vtime.Time(1000 * vtime.Millisecond)) // hellos
 	d.HandleTimer(vtime.Time(9 * vtime.Second))         // adjacencies die
 	statesEqual(t, got, want)
 }

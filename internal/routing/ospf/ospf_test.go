@@ -190,39 +190,6 @@ func TestDeadIntervalExpiry(t *testing.T) {
 	_ = d2
 }
 
-func TestFloodHolddownDelaysPropagation(t *testing.T) {
-	cfg := Config{FloodHolddown: vtime.Second}
-	w, _, d1, _ := line3(cfg)
-	converge(t, w)
-	d1.HandleTimer(0) // consume the boot flood
-	// A fresh LSA from node 0 arrives at node 1: with holddown it is
-	// stored but not immediately forwarded.
-	fresh := &LSA{Origin: 0, Seq: 99, Links: []Adj{{To: 1, Cost: 1}}}
-	if outs := d1.onLSA(fresh, 0); outs != nil {
-		t.Fatal("holddown must suppress immediate flooding")
-	}
-	if d1.st.lsdb[0].Seq != 99 {
-		t.Fatal("LSA must still be installed")
-	}
-	// Before the holddown matures: nothing.
-	if outs := d1.HandleTimer(vtime.Time(500 * vtime.Millisecond)); len(outs) != 0 {
-		t.Fatalf("early release: %d messages", len(outs))
-	}
-	// After maturity the LSA floods to the other neighbor (node 2).
-	outs := d1.HandleTimer(vtime.Time(1250 * vtime.Millisecond))
-	found := false
-	for _, o := range outs {
-		if o.To == 2 {
-			if l, ok := o.Payload.(*LSA); ok && l.Seq == 99 {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("held LSA not released: %+v", outs)
-	}
-}
-
 func TestStateCloneIsolated(t *testing.T) {
 	w, d0, _, _ := line3(Config{})
 	converge(t, w)

@@ -56,7 +56,7 @@ type rig struct {
 
 func newRig(t testing.TB, border bool) *rig {
 	r := &rig{t: t, border: border}
-	o := ospf.New(ospf.Config{FloodHolddown: 600 * vtime.Millisecond})
+	o := ospf.New(ospf.Config{})
 	if border {
 		r.app = newMultiApp([]part{o, bgp.New(bgp.XORP04)}, []partFilter{ospfSide, peerSide})
 		r.peer = bgp.New(bgp.XORP04)
@@ -158,7 +158,7 @@ func (r *rig) step(op, arg byte) {
 			r.peerT = r.peerT.Add(vtime.Second)
 			r.deliver(3, r.peer.HandleTimer(r.peerT))
 		}
-	case 10, 11: // timers: hellos, holddown release, dead intervals, RIP rounds and expiry
+	case 10, 11: // timers: hellos, dead intervals, RIP rounds and expiry
 		r.now = r.now.Add(vtime.Duration(1+arg%24) * 250 * vtime.Millisecond)
 		r.app.HandleTimer(r.now)
 	case 12:

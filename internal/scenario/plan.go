@@ -279,7 +279,6 @@ func (p *Plan) buildNode(s Spec, np NodePlan) api.Application {
 			parts = append(parts, ospf.New(ospf.Config{
 				HelloInterval: o.HelloInterval.V(),
 				DeadInterval:  o.DeadInterval.V(),
-				FloodHolddown: o.FloodHolddown.V(),
 				DomainBase:    np.DomainBase,
 			}))
 			filters = append(filters, p.ospfFilter(np))

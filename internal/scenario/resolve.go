@@ -198,6 +198,9 @@ func validate(s Spec, engErr error) error {
 	if o := s.Protocols.OSPF; o != nil && (o.HelloInterval.V() <= 0 || o.DeadInterval.V() <= 0) {
 		return fmt.Errorf("scenario %s: ospf intervals must be positive", s.Name)
 	}
+	if o := s.Protocols.OSPF; o != nil && o.FloodHolddown.V() != 0 {
+		return fmt.Errorf("scenario %s: ospf floodHolddown %s: only 0s is supported (LSAs flood on at once)", s.Name, o.FloodHolddown)
+	}
 
 	if engErr != nil {
 		return fmt.Errorf("scenario %s: %v", s.Name, errors.Unwrap(engErr))

@@ -159,8 +159,10 @@ type OSPFSpec struct {
 	HelloInterval *Duration `json:"helloInterval,omitempty"`
 	// DeadInterval is adjacency expiry without hellos (default 4×hello).
 	DeadInterval *Duration `json:"deadInterval,omitempty"`
-	// FloodHolddown delays LSA propagation to the next timer tick
-	// (default 0s — the paper's modified XORP).
+	// FloodHolddown accepts only 0s, its default: OSPF floods a newer LSA
+	// on at once, as the paper's modified XORP (Figure 6b). It stays
+	// because every resolved OSPF spec carries "floodHolddown":"0s", which
+	// the plan fingerprint hashes.
 	FloodHolddown *Duration `json:"floodHolddown,omitempty"`
 }
 

@@ -289,6 +289,9 @@ func TestValidationRejections(t *testing.T) {
 			s.Engine.Record = ptr(true)
 			s.Faults = &FaultSpec{Start: 0, End: Duration(2 * vtime.Second)}
 		}, "fault plan with record"},
+		{"flood holddown", func(s *Spec) {
+			s.Protocols.OSPF.FloodHolddown = Dur(vtime.Second)
+		}, "floodHolddown 1s"},
 		{"bad rip mode", func(s *Spec) {
 			s.Protocols.RIP.Mode = "cisco"
 		}, "rip mode"},
