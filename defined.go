@@ -79,7 +79,9 @@ import (
 type NodeID = msg.NodeID
 
 // Application is the control-plane software interface nodes run; see
-// internal/routing/api for the full contract.
+// internal/routing/api for the full contract. Every payload an application
+// sends must implement msg.PayloadEq (a PayloadEqual method) or be ==
+// comparable; one that is neither panics at its first send.
 type Application = api.Application
 
 // Neighbor describes one adjacent router.

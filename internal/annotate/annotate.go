@@ -116,15 +116,6 @@ func NewSender(self msg.NodeID, g *topology.Graph, chainBound int, procEstimate,
 	return s
 }
 
-// SeqTo reports the next link sequence number for destination to (tests).
-func (s *Sender) SeqTo(to msg.NodeID) uint64 {
-	slot := s.G.Slot(int(s.Self), int(to))
-	if slot < 0 {
-		return 0
-	}
-	return s.LinkSeq[slot]
-}
-
 // JournalEnable turns on counter undo recording (MI checkpointing).
 func (s *Sender) JournalEnable() { s.j.Enable() }
 
@@ -181,17 +172,38 @@ type Cause struct {
 // boundary, HandleExternal(ext) or HandleMessage(m) — and returns its
 // outputs with their Cause: a timer batch starts fresh chains at the node's
 // beacon skew, an external at its recorded in-group offset, and a message
-// is the parent of its outputs. Every engine delivers through it.
-func (s *Sender) Deliver(app api.Application, key ordering.Key, m *msg.Message, ext api.ExternalEvent, offset vtime.Duration) ([]msg.Out, Cause) {
+// is the parent of its outputs. Every engine delivers through it, so every
+// payload is a msg.PayloadEq or passes checkComparable before it is sent.
+func (s *Sender) Deliver(app api.Application, key ordering.Key, m *msg.Message, ext api.ExternalEvent, offset vtime.Duration) (outs []msg.Out, c Cause) {
 	switch {
 	case key.IsTimer():
-		return app.HandleTimer(vtime.GroupStart(key.Group, vtime.BeaconInterval)),
-			Cause{Fresh: true, Group: key.Group, Offset: s.Skew}
+		outs = app.HandleTimer(vtime.GroupStart(key.Group, vtime.BeaconInterval))
+		c = Cause{Fresh: true, Group: key.Group, Offset: s.Skew}
 	case key.IsExternal():
-		return app.HandleExternal(ext), Cause{Fresh: true, Group: key.Group, Offset: offset}
+		outs, c = app.HandleExternal(ext), Cause{Fresh: true, Group: key.Group, Offset: offset}
 	default:
-		return app.HandleMessage(m), Cause{Parent: m.Ann, Group: key.Group}
+		outs, c = app.HandleMessage(m), Cause{Parent: m.Ann, Group: key.Group}
 	}
+	for i := range outs {
+		if _, ok := outs[i].Payload.(msg.PayloadEq); !ok {
+			checkComparable(outs[i].Payload)
+		}
+	}
+	return outs, c
+}
+
+// checkComparable panics, naming p's type, unless == can compare p, as lazy
+// cancellation does with a payload that is not a msg.PayloadEq (a slice, a
+// map or a struct holding one cannot be). The panic is a function of the
+// payload alone, so it fires on the first send of such a payload in every
+// run, not only in one whose physical timing reaches a rollback's compare.
+func checkComparable(p any) {
+	defer func() {
+		if recover() != nil {
+			panic(fmt.Sprintf("annotate: payload type %T implements neither msg.PayloadEq nor ==", p))
+		}
+	}()
+	_ = p == p // panics when p's dynamic type is not comparable
 }
 
 // Build turns an application output with cause c into a wire message.

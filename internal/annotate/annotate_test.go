@@ -1,7 +1,10 @@
 package annotate
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"defined/internal/msg"
@@ -10,6 +13,15 @@ import (
 	"defined/internal/topology"
 	"defined/internal/vtime"
 )
+
+// SeqTo reports the next link sequence number for destination to.
+func (s *Sender) SeqTo(to msg.NodeID) uint64 {
+	slot := s.G.Slot(int(s.Self), int(to))
+	if slot < 0 {
+		return 0
+	}
+	return s.LinkSeq[slot]
+}
 
 func sender() *Sender {
 	g := topology.Line(3, 10*vtime.Millisecond)
@@ -180,15 +192,16 @@ func TestCounterJournalCompact(t *testing.T) {
 }
 
 // handlerApp records which handler a delivery reached and with what, and
-// answers every event with one output to node 2.
+// answers every event with one output to node 2 that carries payload.
 type handlerApp struct {
-	called string
-	at     vtime.Time
-	ext    api.ExternalEvent
-	m      *msg.Message
+	called  string
+	at      vtime.Time
+	ext     api.ExternalEvent
+	m       *msg.Message
+	payload any
 }
 
-func (a *handlerApp) out() []msg.Out { return []msg.Out{{To: 2}} }
+func (a *handlerApp) out() []msg.Out { return []msg.Out{{To: 2, Payload: a.payload}} }
 
 func (a *handlerApp) Init(msg.NodeID, []api.Neighbor) {}
 func (a *handlerApp) HandleTimer(now vtime.Time) []msg.Out {
@@ -268,6 +281,42 @@ func TestDeliverDerivesCause(t *testing.T) {
 		if ann, _ := s.Prepare(outs[0], &c); ann != tc.ann {
 			t.Errorf("%s: output annotated %+v, want %+v", tc.name, ann, tc.ann)
 		}
+	}
+}
+
+// eqSlice is not == comparable, but compares through msg.PayloadEq.
+type eqSlice []int
+
+func (p eqSlice) PayloadEqual(other any) bool {
+	o, ok := other.(eqSlice)
+	return ok && slices.Equal(p, o)
+}
+
+// TestDeliverRejectsIncomparablePayload is the payload rule lazy
+// cancellation relies on: a payload implements msg.PayloadEq or is ==
+// comparable at run time, and Deliver panics, naming the payload's type, on
+// the first output that is neither.
+func TestDeliverRejectsIncomparablePayload(t *testing.T) {
+	type holder struct{ V any }
+	key := ordering.TimerKey(1, 1)
+	for _, p := range []any{nil, 7, "x", struct{ A, B int }{1, 2}, holder{V: 3}, eqSlice{1, 2}} {
+		s := NewSender(1, topology.Line(3, vtime.Millisecond), 4, 0, 0)
+		if outs, _ := s.Deliver(&handlerApp{payload: p}, key, nil, nil, 0); len(outs) != 1 {
+			t.Fatalf("%T: %d outputs, want 1", p, len(outs))
+		}
+	}
+	for _, p := range []any{[]int{1}, map[string]int{}, struct{ S []int }{}, holder{V: []int{1}}} {
+		want := fmt.Sprintf("%T", p)
+		func() {
+			defer func() {
+				r := recover()
+				if text, ok := r.(string); !ok || !strings.Contains(text, "payload type "+want+" ") {
+					t.Errorf("%s: Deliver panicked with %v, want a message naming the type", want, r)
+				}
+			}()
+			s := NewSender(1, topology.Line(3, vtime.Millisecond), 4, 0, 0)
+			s.Deliver(&handlerApp{payload: p}, key, nil, nil, 0)
+		}()
 	}
 }
 

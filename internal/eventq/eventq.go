@@ -34,12 +34,12 @@
 //
 // # Sequences
 //
-// PushDeliver and PushCall label an event with the queue's own insertion
-// counter; the Push*Seq forms take the label from the caller and leave the
-// counter alone. The simulator labels every event it schedules from one
-// counter of its own, which spans all of its queues (the driver's and, in
-// sharded mode, one per lane), so the (at, seq) order is the same whichever
-// queue an event sits in. SetSeq relabels a live event, for the sharded
+// PushDeliver labels an event with the queue's own insertion counter; the
+// Push*Seq forms take the label from the caller and leave the counter
+// alone. The simulator labels every event it schedules from one counter of
+// its own, which spans all of its queues (the driver's and, in sharded
+// mode, one per lane), so the (at, seq) order is the same whichever queue
+// an event sits in. SetSeq relabels a live event, for the sharded
 // runtime's provisional sequences.
 //
 // Push returns a Handle (slot index + generation counter) instead of a
@@ -59,8 +59,7 @@ import (
 type Kind uint8
 
 const (
-	// KindNone is the zero Kind: the Event Pop and Peek return on an empty
-	// queue.
+	// KindNone is the zero Kind: the Event Pop returns on an empty queue.
 	KindNone Kind = iota
 	// KindDeliver is a scheduled message delivery.
 	KindDeliver
@@ -84,8 +83,7 @@ type Func func()
 func (f Func) Fire() { f() }
 
 // Event is the by-value view of a scheduled occurrence, as returned by
-// Pop and Peek. Exactly one of Msg (KindDeliver) and Call (KindCall) is
-// set.
+// Pop. Exactly one of Msg (KindDeliver) and Call (KindCall) is set.
 type Event struct {
 	At   vtime.Time
 	Seq  uint64 // insertion order
@@ -152,11 +150,6 @@ func (q *Queue) Live(h Handle) bool {
 // PushDeliver schedules delivery of m at time at.
 func (q *Queue) PushDeliver(at vtime.Time, m *msg.Message) Handle {
 	return q.push(at, m, nil)
-}
-
-// PushCall schedules a pre-bound Caller at time at (no allocation).
-func (q *Queue) PushCall(at vtime.Time, c Caller) Handle {
-	return q.push(at, nil, c)
 }
 
 // PushDeliverSeq schedules delivery of m at time at under an externally
@@ -254,15 +247,6 @@ func (q *Queue) Pop() (Event, bool) {
 	ev := q.event(q.heap[0])
 	q.deleteAt(0)
 	return ev, true
-}
-
-// Peek returns the earliest event without removing it; the second result
-// is false when the queue is empty.
-func (q *Queue) Peek() (Event, bool) {
-	if len(q.heap) == 0 {
-		return Event{}, false
-	}
-	return q.event(q.heap[0]), true
 }
 
 // Remove cancels a previously pushed event. Removing an event that has

@@ -457,3 +457,17 @@ func TestCallOrderingAndZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// PushCall schedules a pre-bound Caller at time at (no allocation).
+func (q *Queue) PushCall(at vtime.Time, c Caller) Handle {
+	return q.push(at, nil, c)
+}
+
+// Peek returns the earliest event without removing it; the second result
+// is false when the queue is empty.
+func (q *Queue) Peek() (Event, bool) {
+	if len(q.heap) == 0 {
+		return Event{}, false
+	}
+	return q.event(q.heap[0]), true
+}

@@ -203,6 +203,8 @@ func expectedCosts(e *rollback.Engine, g *topology.Graph, src int, crashed []boo
 // past Plan.Horizon before calling Check: two beacon-propagation sweeps
 // (failure detection, re-flood, SPF) plus a hello/dead-interval cycle for
 // adjacency resurrection.
+//
+// Test support: the root package's fault and recycling goldens run to it.
 func ConvergenceSlack(g *topology.Graph) vtime.Duration {
 	return 2*rollback.StaticSettle(g) + 4*vtime.Second
 }

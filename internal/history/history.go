@@ -206,18 +206,6 @@ func (w *Window) FindMsg(id msg.ID) int {
 	return -1
 }
 
-// FindKey returns the position of the cell with exactly key, or -1.
-func (w *Window) FindKey(key ordering.Key) int {
-	r := w.f.Rank(key)
-	pos := sort.Search(w.cells.Len(), func(i int) bool {
-		return CompareKey(w.f, w.cells.At(i), key, r) >= 0
-	})
-	if pos < w.cells.Len() && CompareKey(w.f, w.cells.At(pos), key, r) == 0 {
-		return pos
-	}
-	return -1
-}
-
 // Retire removes the n oldest cells from the front of the window
 // (settlement). Retired cells can no longer be rolled back; the caller
 // scans the prefix itself — typically for cells whose arrival predates
@@ -243,15 +231,4 @@ func (w *Window) Keys() []ordering.Key {
 		out[i] = w.cells.At(i).Key()
 	}
 	return out
-}
-
-// CheckInvariant verifies the window is sorted; it returns an error
-// describing the first violation (testing/debug helper).
-func (w *Window) CheckInvariant() error {
-	for i := 1; i < w.cells.Len(); i++ {
-		if prev, cur := w.cells.At(i-1), w.cells.At(i); compare(w.f, prev, cur) >= 0 {
-			return fmt.Errorf("history: window out of order at %d: %v >= %v", i, prev, cur)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -441,3 +442,26 @@ func TestWindowAtPastLenPanics(t *testing.T) {
 
 // grownSink keeps the race-build probe's slice alive.
 var grownSink []int
+
+// FindKey returns the position of the cell with exactly key, or -1.
+func (w *Window) FindKey(key ordering.Key) int {
+	r := w.f.Rank(key)
+	pos := sort.Search(w.cells.Len(), func(i int) bool {
+		return CompareKey(w.f, w.cells.At(i), key, r) >= 0
+	})
+	if pos < w.cells.Len() && CompareKey(w.f, w.cells.At(pos), key, r) == 0 {
+		return pos
+	}
+	return -1
+}
+
+// CheckInvariant verifies the window is sorted; it returns an error
+// describing the first violation (testing/debug helper).
+func (w *Window) CheckInvariant() error {
+	for i := 1; i < w.cells.Len(); i++ {
+		if prev, cur := w.cells.At(i-1), w.cells.At(i); compare(w.f, prev, cur) >= 0 {
+			return fmt.Errorf("history: window out of order at %d: %v >= %v", i, prev, cur)
+		}
+	}
+	return nil
+}

@@ -28,8 +28,7 @@
 // annotations production committed. Each node keeps its delivery
 // sequence as ordering keys (DeliveredKeys), the same keys the production
 // network commits, so the two compare directly. Wire messages always come
-// from the engine's refcounted pool; MsgPool exposes it, poison mode
-// included.
+// from the engine's refcounted pool, poison mode included.
 //
 // New is the only code that reads the recording, and it reads it once: it
 // checks the envelope (the beacon interval must be vtime.BeaconInterval,
@@ -271,10 +270,6 @@ func New(g *topology.Graph, apps []api.Application, rec *record.Recording) (*Eng
 
 // Done reports whether the replay is complete.
 func (e *Engine) Done() bool { return e.done }
-
-// MsgPool exposes the engine's wire-message pool (lifecycle tests read its
-// violation and live counters, and turn on poison mode right after New).
-func (e *Engine) MsgPool() *msg.Pool { return &e.pool }
 
 // CurrentGroup returns the group being replayed.
 func (e *Engine) CurrentGroup() uint64 { return e.curGroup }

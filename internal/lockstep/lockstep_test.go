@@ -697,3 +697,7 @@ func TestConcurrentReplaysShareRecording(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// MsgPool exposes the engine's wire-message pool (lifecycle tests read its
+// violation and live counters, and turn on poison mode right after New).
+func (e *Engine) MsgPool() *msg.Pool { return &e.pool }

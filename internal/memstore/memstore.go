@@ -191,25 +191,6 @@ func (s *Store) RestoreDirty(id SnapID) (int, error) {
 	return copied, nil
 }
 
-// DirtyPagesSince counts pages whose content differs from snapshot id.
-func (s *Store) DirtyPagesSince(id SnapID) (int, error) {
-	sn, ok := s.snaps[id]
-	if !ok {
-		return 0, fmt.Errorf("memstore: unknown snapshot %d", id)
-	}
-	dirty := 0
-	for pi, sp := range sn.pages {
-		cur := s.pages[pi]
-		if cur == sp {
-			continue
-		}
-		if !bytes.Equal(cur.data, sp.data) {
-			dirty++
-		}
-	}
-	return dirty, nil
-}
-
 // TouchAll pre-faults every shared page (the TM heuristic of §5.2: overload
 // malloc to touch heap pages during the pre-fork so the COW copies happen
 // in idle time rather than on the critical path).
@@ -252,7 +233,3 @@ func (s *Store) PhysicalBytes() int {
 // COWFaults returns the cumulative count of pages copied due to writes on
 // shared pages.
 func (s *Store) COWFaults() uint64 { return s.cowFaults }
-
-// CopiedBytes returns cumulative bytes physically copied (faults and
-// restores).
-func (s *Store) CopiedBytes() uint64 { return s.copiedBytes }

@@ -2,6 +2,7 @@ package memstore
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -306,3 +307,26 @@ func TestRestoreModesAgreeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DirtyPagesSince counts pages whose content differs from snapshot id.
+func (s *Store) DirtyPagesSince(id SnapID) (int, error) {
+	sn, ok := s.snaps[id]
+	if !ok {
+		return 0, fmt.Errorf("memstore: unknown snapshot %d", id)
+	}
+	dirty := 0
+	for pi, sp := range sn.pages {
+		cur := s.pages[pi]
+		if cur == sp {
+			continue
+		}
+		if !bytes.Equal(cur.data, sp.data) {
+			dirty++
+		}
+	}
+	return dirty, nil
+}
+
+// CopiedBytes returns cumulative bytes physically copied (faults and
+// restores).
+func (s *Store) CopiedBytes() uint64 { return s.copiedBytes }

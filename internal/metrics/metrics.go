@@ -51,21 +51,6 @@ func (d *Dist) Mean() float64 {
 	return sum / float64(len(d.values))
 }
 
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.values)
-	if n == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range d.values {
-		dv := v - mean
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Min returns the smallest sample, or 0 when empty.
 func (d *Dist) Min() float64 {
 	if len(d.values) == 0 {
@@ -144,20 +129,6 @@ func (d *Dist) CDF(points int) []Point {
 	return out
 }
 
-// Values returns a copy of the samples in sorted order.
-func (d *Dist) Values() []float64 {
-	d.ensureSorted()
-	out := make([]float64, len(d.values))
-	copy(out, d.values)
-	return out
-}
-
-// Summary renders a one-line digest used in experiment logs.
-func (d *Dist) Summary(unit string) string {
-	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p90=%.4g p99=%.4g max=%.4g %s",
-		d.N(), d.Min(), d.Median(), d.Mean(), d.Percentile(90), d.Percentile(99), d.Max(), unit)
-}
-
 // Series is a named list of points, one line on a figure.
 type Series struct {
 	Name   string
@@ -187,6 +158,8 @@ func (f *Figure) AddSeries(name string) *Series {
 }
 
 // SeriesByName returns the series with the given name, or nil.
+//
+// Test support: the root, experiments and metrics tests read figures by it.
 func (f *Figure) SeriesByName(name string) *Series {
 	for _, s := range f.Series {
 		if s.Name == name {

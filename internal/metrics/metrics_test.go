@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -200,4 +201,33 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Values returns a copy of the samples in sorted order.
+func (d *Dist) Values() []float64 {
+	d.ensureSorted()
+	out := make([]float64, len(d.values))
+	copy(out, d.values)
+	return out
+}
+
+// Summary renders a one-line digest.
+func (d *Dist) Summary(unit string) string {
+	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p90=%.4g p99=%.4g max=%.4g %s",
+		d.N(), d.Min(), d.Median(), d.Mean(), d.Percentile(90), d.Percentile(99), d.Max(), unit)
+}
+
+// Stddev returns the population standard deviation.
+func (d *Dist) Stddev() float64 {
+	n := len(d.values)
+	if n == 0 {
+		return 0
+	}
+	mean := d.Mean()
+	var ss float64
+	for _, v := range d.values {
+		dv := v - mean
+		ss += dv * dv
+	}
+	return math.Sqrt(ss / float64(n))
 }

@@ -185,11 +185,12 @@ func (m *Message) String() string {
 	return fmt.Sprintf("[%s %s %d→%d %s]", m.Kind, m.ID, m.From, m.To, m.Ann)
 }
 
-// PayloadEq lets a payload type report equality with another payload
-// without reflection. The rollback engine's lazy-cancellation matching
-// compares every replayed output against the pooled originals on the
-// rollback-replay critical path; payloads that implement PayloadEq are
-// compared through it, everything else falls back to reflect.DeepEqual.
+// PayloadEq lets a payload type report equality with another payload.
+// The rollback engine's lazy-cancellation matching compares every replayed
+// output against the pooled originals on the rollback-replay critical
+// path: through PayloadEq when the payload implements it, and with ==
+// otherwise. A payload must do one or the other: one that is neither (a
+// slice, a map, or a struct holding one) panics at its first send.
 //
 // PayloadEqual must implement structural equality over the payload's
 // ordering-relevant content: two payloads are equal exactly when
@@ -238,20 +239,4 @@ func AnnotateOrigin(origin NodeID, seq uint64, outDelay vtime.Duration, group ui
 		Group:  group,
 		Chain:  0,
 	}
-}
-
-// MaxParent returns the parent annotation with the largest d_i, breaking
-// ties toward the first argument. Used when a message has several causal
-// parents (footnote 1: only the largest d_i needs to be retained).
-func MaxParent(anns []Annotation) Annotation {
-	if len(anns) == 0 {
-		panic("msg: MaxParent with no parents")
-	}
-	best := anns[0]
-	for _, a := range anns[1:] {
-		if a.Group > best.Group || (a.Group == best.Group && a.Delay > best.Delay) {
-			best = a
-		}
-	}
-	return best
 }

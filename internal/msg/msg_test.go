@@ -147,3 +147,19 @@ func TestMaxParentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// MaxParent returns the parent annotation with the largest d_i, breaking
+// ties toward the first argument. Used when a message has several causal
+// parents (footnote 1: only the largest d_i needs to be retained).
+func MaxParent(anns []Annotation) Annotation {
+	if len(anns) == 0 {
+		panic("msg: MaxParent with no parents")
+	}
+	best := anns[0]
+	for _, a := range anns[1:] {
+		if a.Group > best.Group || (a.Group == best.Group && a.Delay > best.Delay) {
+			best = a
+		}
+	}
+	return best
+}

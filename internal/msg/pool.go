@@ -148,6 +148,8 @@ func (p *Pool) Live() int {
 }
 
 // Quarantined reports how many released messages poison mode has impounded.
+//
+// Test support: the msg, rollback, lockstep and root poison tests read it.
 func (p *Pool) Quarantined() int {
 	if p.concurrent {
 		p.mu.Lock()
@@ -235,10 +237,9 @@ func (m *Message) Release() {
 }
 
 // Refs reports the current reference count (0 for unmanaged messages).
+//
+// Test support: the msg, history and netsim lifecycle tests read it.
 func (m *Message) Refs() int32 { return atomic.LoadInt32(&m.rc) }
-
-// Managed reports whether m's lifetime is pool-managed.
-func (m *Message) Managed() bool { return m != nil && m.home != nil }
 
 // CheckLive asserts that a borrowed message has not been released — the
 // cheap chokepoint check the simulator, history window and replay engines

@@ -120,3 +120,6 @@ func TestViolationDetectedOnDoubleRelease(t *testing.T) {
 	}()
 	m.Release()
 }
+
+// Managed reports whether m's lifetime is pool-managed.
+func (m *Message) Managed() bool { return m != nil && m.home != nil }

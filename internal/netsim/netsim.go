@@ -167,9 +167,6 @@ type NodeStats struct {
 	ByKindOut [msg.NumKinds]uint64
 }
 
-// Dropped is the node's total loss count (both directions).
-func (st *NodeStats) Dropped() uint64 { return st.DroppedTx + st.DroppedRx }
-
 // Sim is a deterministic discrete-event network simulation. All calls into
 // a Sim must come from the driver goroutine (or, with Config.Shards, from
 // the owning Lane during a parallel window — see the package comment's
@@ -324,9 +321,6 @@ func (s *Sim) SetNodeState(n msg.NodeID, up bool) {
 	s.nodeUp[n] = up
 	s.doomDirty = s.lanes != nil
 }
-
-// NodeState reports whether node n is up.
-func (s *Sim) NodeState(n msg.NodeID) bool { return s.nodeUp[n] }
 
 // Send transmits m from m.From to m.To over the connecting link. It
 // returns false when the packet is immediately droppable: the link or
@@ -627,13 +621,4 @@ func (s *Sim) NextAt() vtime.Time {
 		}
 	}
 	return at
-}
-
-// TotalReceived sums received packet counts over all nodes.
-func (s *Sim) TotalReceived() uint64 {
-	var t uint64
-	for i := range s.stats {
-		t += s.stats[i].Received
-	}
-	return t
 }

@@ -581,3 +581,18 @@ func TestSchedulingAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// Dropped is the node's total loss count (both directions).
+func (st *NodeStats) Dropped() uint64 { return st.DroppedTx + st.DroppedRx }
+
+// NodeState reports whether node n is up.
+func (s *Sim) NodeState(n msg.NodeID) bool { return s.nodeUp[n] }
+
+// TotalReceived sums received packet counts over all nodes.
+func (s *Sim) TotalReceived() uint64 {
+	var t uint64
+	for i := range s.stats {
+		t += s.stats[i].Received
+	}
+	return t
+}

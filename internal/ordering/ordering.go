@@ -28,7 +28,6 @@ package ordering
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"defined/internal/msg"
 	"defined/internal/rng"
@@ -323,14 +322,4 @@ func ByName(name string, seed uint64) (Func, error) {
 	default:
 		return nil, fmt.Errorf("ordering: unknown ordering %q", name)
 	}
-}
-
-// Sort sorts keys in place under f.
-func Sort(keys []Key, f Func) {
-	sort.Slice(keys, func(i, j int) bool { return f.Compare(keys[i], keys[j]) < 0 })
-}
-
-// IsSorted reports whether keys are in f order.
-func IsSorted(keys []Key, f Func) bool {
-	return sort.SliceIsSorted(keys, func(i, j int) bool { return f.Compare(keys[i], keys[j]) < 0 })
 }

@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -365,4 +366,14 @@ func TestRankConsistent(t *testing.T) {
 			t.Fatalf("%s: ranks decided only %d of 20000 comparisons", fn.Name(), decided)
 		}
 	}
+}
+
+// Sort sorts keys in place under f.
+func Sort(keys []Key, f Func) {
+	sort.Slice(keys, func(i, j int) bool { return f.Compare(keys[i], keys[j]) < 0 })
+}
+
+// IsSorted reports whether keys are in f order.
+func IsSorted(keys []Key, f Func) bool {
+	return sort.SliceIsSorted(keys, func(i, j int) bool { return f.Compare(keys[i], keys[j]) < 0 })
 }

@@ -71,12 +71,6 @@ func (r *Source) Derive(name string) *Source {
 	return New(r.s[0] ^ HashString(name))
 }
 
-// DeriveN returns a new independent stream keyed by an integer, e.g. a node
-// or link index.
-func (r *Source) DeriveN(n uint64) *Source {
-	return New(r.s[0] ^ Hash64(n^0xa5a5a5a5a5a5a5a5))
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -107,20 +101,6 @@ func (r *Source) Intn(n int) int {
 		low := v % bound
 		if v-low >= threshold || threshold == 0 {
 			return int(low)
-		}
-	}
-}
-
-// Int63n returns a uniformly random int64 in [0, n).
-func (r *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	bound := uint64(n)
-	for {
-		v := r.Uint64() >> 1
-		if v < (1<<63)-((1<<63)%bound) || (1<<63)%bound == 0 {
-			return int64(v % bound)
 		}
 	}
 }
@@ -156,6 +136,8 @@ func (r *Source) NormFloat64() float64 {
 }
 
 // Perm returns a random permutation of [0, n).
+//
+// Test support: the rng, history, ordering and bgp tests shuffle with it.
 func (r *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {

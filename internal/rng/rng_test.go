@@ -226,3 +226,23 @@ func TestIntnProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Int63n returns a uniformly random int64 in [0, n).
+func (r *Source) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("rng: Int63n with non-positive n")
+	}
+	bound := uint64(n)
+	for {
+		v := r.Uint64() >> 1
+		if v < (1<<63)-((1<<63)%bound) || (1<<63)%bound == 0 {
+			return int64(v % bound)
+		}
+	}
+}
+
+// DeriveN returns a new independent stream keyed by an integer, e.g. a node
+// or link index.
+func (r *Source) DeriveN(n uint64) *Source {
+	return New(r.s[0] ^ Hash64(n^0xa5a5a5a5a5a5a5a5))
+}

@@ -1,7 +1,6 @@
 package rollback
 
 import (
-	"reflect"
 	"slices"
 
 	"defined/internal/annotate"
@@ -170,7 +169,7 @@ func (l *ledger) adopt(to msg.NodeID, key ordering.Key, payload any) *sentRec {
 		if rec.m.To != to || ordering.KeyOf(rec.m) != key {
 			continue
 		}
-		if !l.payloadEqual(rec.m.Payload, payload) {
+		if !payloadEqual(rec.m.Payload, payload) {
 			continue
 		}
 		l.replayPool = append(l.replayPool[:i], l.replayPool[i+1:]...)
@@ -181,43 +180,14 @@ func (l *ledger) adopt(to msg.NodeID, key ordering.Key, payload any) *sentRec {
 }
 
 // payloadEqual compares two payloads on the rollback-replay critical path:
-// typed comparison when the payload implements msg.PayloadEq (all shipped
-// daemons do), then direct == for comparable built-in payloads (strings,
-// numerics — the kinds ad-hoc test applications send). Reflection is the
-// third-party escape hatch only, and every use is counted in
-// Stats.ReflectFallbacks so silent reflection on the hot path is
-// test-visible instead of creeping back unnoticed.
-func (l *ledger) payloadEqual(a, b any) bool {
+// through msg.PayloadEq when the payload implements it (all shipped daemons
+// do), and with == otherwise. == cannot panic here: annotate.Sender.Deliver
+// rejected every payload that is neither at its first send.
+func payloadEqual(a, b any) bool {
 	if pe, ok := a.(msg.PayloadEq); ok {
 		return pe.PayloadEqual(b)
 	}
-	switch av := a.(type) {
-	case nil:
-		return b == nil
-	case string:
-		bv, ok := b.(string)
-		return ok && av == bv
-	case int:
-		bv, ok := b.(int)
-		return ok && av == bv
-	case int32:
-		bv, ok := b.(int32)
-		return ok && av == bv
-	case int64:
-		bv, ok := b.(int64)
-		return ok && av == bv
-	case uint64:
-		bv, ok := b.(uint64)
-		return ok && av == bv
-	case float64:
-		bv, ok := b.(float64)
-		return ok && av == bv
-	case bool:
-		bv, ok := b.(bool)
-		return ok && av == bv
-	}
-	l.stats.ReflectFallbacks++
-	return reflect.DeepEqual(a, b)
+	return a == b
 }
 
 // undo starts a replay: the live records caused by deliveries with serial

@@ -126,7 +126,6 @@ type Stats struct {
 	DropsRecorded    uint64 // message-loss events recorded
 	SettleViolations uint64 // stragglers that arrived after their slot retired
 	LazyReuses       uint64 // replayed outputs that re-adopted their original transmission
-	ReflectFallbacks uint64 // lazy-cancellation payload compares that fell back to reflection
 
 	// Rollback-avoidance counters (PR 3). SpuriousRollbacks counts
 	// episodes whose replay re-adopted 100 % of the original sends and
@@ -711,9 +710,6 @@ func (e *Engine) CommittedKeys(n msg.NodeID) []ordering.Key {
 	out := append([]ordering.Key(nil), sh.settle.log...)
 	return append(out, sh.win.Keys()...)
 }
-
-// WindowLen exposes node n's live history window size (tests).
-func (e *Engine) WindowLen(n msg.NodeID) int { return e.shims[n].win.Len() }
 
 // onInFlightDrop records app messages lost in flight so the loss can be
 // replayed (paper footnote 4). The sending shim's record is marked so a

@@ -584,3 +584,6 @@ func TestSentRecordsOrderedByCause(t *testing.T) {
 		t.Fatalf("no storm: %d rollbacks, %d re-adopted sends, %d records inspected", st.Rollbacks, st.LazyReuses, tracked)
 	}
 }
+
+// WindowLen reports node n's live history window size.
+func (e *Engine) WindowLen(n msg.NodeID) int { return e.shims[n].win.Len() }

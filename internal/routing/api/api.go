@@ -34,6 +34,12 @@ type State interface {
 
 // Application is one node's control-plane software instance run under
 // DEFINED (or bare, for the unmodified baseline).
+//
+// Every payload an application sends must implement msg.PayloadEq or be
+// == comparable, because lazy cancellation compares a replayed output
+// with its original. A payload that is neither (a slice, a map, or a
+// struct holding one) panics at its first send; DEFINED-RB quarantines the
+// node as it does any handler panic.
 type Application interface {
 	// Init installs the node identity and adjacent links. It is called
 	// once before any other method — and again, from scratch, when a

@@ -9,8 +9,8 @@
 //     a group, which makes pairwise preference non-transitive;
 //  3. prefer the lowest IGP distance to the egress.
 //
-// Two selection engines are provided. SelectCorrect re-runs the full
-// decision over all valid paths, as BGP requires. SelectXORP04 reproduces
+// The daemon runs one of two selections. Fixed re-runs the full decision
+// (SelectCorrect) over all valid paths, as BGP requires. XORP04 reproduces
 // the bug: an incoming path is compared pairwise against the current best
 // only, so with the Figure 4 path triple (p2 beats p1, p3 beats p2, p1
 // beats p3) the outcome depends on arrival order.
@@ -54,8 +54,8 @@ type update struct {
 }
 
 // PayloadEqual implements msg.PayloadEq (the rollback engine's
-// lazy-cancellation matching, reflection-free). Path is comparable, so
-// this is one struct compare.
+// lazy-cancellation matching). Path is comparable, so this is one struct
+// compare.
 func (u update) PayloadEqual(other any) bool {
 	o, ok := other.(update)
 	return ok && u == o
@@ -147,22 +147,6 @@ func SelectCorrect(paths []Path) (Path, bool) {
 	return best, true
 }
 
-// SelectXORP04 reproduces the buggy incremental selection: paths are
-// considered in arrival order and each is compared only against the
-// current best.
-func SelectXORP04(arrivalOrder []Path) (Path, bool) {
-	if len(arrivalOrder) == 0 {
-		return Path{}, false
-	}
-	best := arrivalOrder[0]
-	for _, p := range arrivalOrder[1:] {
-		if pairwiseBetter(p, best) {
-			best = p
-		}
-	}
-	return best, true
-}
-
 // ---- daemon -------------------------------------------------------------------
 
 // state is the daemon's checkpointable state: post-Init writes to these
@@ -180,8 +164,6 @@ type state struct {
 	// RIB-in's (prefix, path) pairs, bumped by every RIB-in change.
 	// Journaled, so rewind un-bumps it.
 	epoch uint64
-	// decisions counts selection runs (experiments).
-	decisions uint64
 }
 
 // Clone implements api.State.
@@ -208,7 +190,7 @@ func (s *state) CloneInto(dst api.State) api.State {
 	for k, v := range s.best {
 		d.best[k] = v
 	}
-	d.epoch, d.decisions = s.epoch, s.decisions
+	d.epoch = s.epoch
 	return d
 }
 
@@ -218,10 +200,9 @@ func (s *state) CloneInto(dst api.State) api.State {
 type undoKind uint8
 
 const (
-	undoRibIn     undoKind = iota // ribIn[prefix] = paths / delete
-	undoBest                      // best[prefix] = path / delete
-	undoEpoch                     // epoch = u64
-	undoDecisions                 // decisions = u64
+	undoRibIn undoKind = iota // ribIn[prefix] = paths / delete
+	undoBest                  // best[prefix] = path / delete
+	undoEpoch                 // epoch = u64
 )
 
 // undoRec is one compact undo entry. Restored ribIn slice headers are safe
@@ -253,8 +234,6 @@ func (s *state) applyUndo(u undoRec) {
 		}
 	case undoEpoch:
 		s.epoch = u.u64
-	case undoDecisions:
-		s.decisions = u.u64
 	}
 }
 
@@ -307,9 +286,6 @@ func (d *Daemon) RouteCacheStats() api.RouteCacheStats { return d.cache.Stats() 
 // SetRouteCaching implements api.RecomputeCached.
 func (d *Daemon) SetRouteCaching(on bool) { d.cache.SetEnabled(on) }
 
-// Epoch exposes the current topology epoch (tests and debugging).
-func (d *Daemon) Epoch() uint64 { return d.st.epoch }
-
 // JournalEnable implements api.Journaled.
 func (d *Daemon) JournalEnable() { d.j.Enable() }
 
@@ -354,11 +330,6 @@ func (d *Daemon) setBest(prefix string, p Path) {
 	d.st.best[prefix] = p
 }
 
-func (d *Daemon) bumpDecisions() {
-	d.j.Record(undoRec{kind: undoDecisions, u64: d.st.decisions})
-	d.st.decisions++
-}
-
 // Init implements api.Application.
 func (d *Daemon) Init(self msg.NodeID, neighbors []api.Neighbor) {
 	d.self = self
@@ -377,7 +348,6 @@ func (d *Daemon) learn(p Path, from msg.NodeID) []msg.Out {
 		}
 	}
 	d.appendRibIn(p.Prefix, p)
-	d.bumpDecisions()
 
 	var newBest Path
 	var ok bool
@@ -500,9 +470,6 @@ func (d *Daemon) ArrivalOrder(prefix string) []string {
 	}
 	return names
 }
-
-// Decisions reports how many selection runs the daemon executed.
-func (d *Daemon) Decisions() uint64 { return d.st.decisions }
 
 // Figure4Paths returns the path triple from the paper's Figure 4: p1 and
 // p2 share a neighboring AS; p1 has MED 10 and IGP 10, p2 has MED 5 and

@@ -156,3 +156,6 @@ search:
 		t.Fatalf("%d selections computed, want all 4: %+v", st.Misses, st)
 	}
 }
+
+// Epoch reports the current topology epoch.
+func (d *Daemon) Epoch() uint64 { return d.st.epoch }

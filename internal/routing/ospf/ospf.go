@@ -63,8 +63,8 @@
 // rewound or restored together; so it lives in the daemon, unjournaled,
 // and is sound under MI rewind, FK restore and lockstep alike. Every path
 // builds the table a from-scratch run would (FuzzSPFDelta holds them to
-// the O(n²) scan this replaced), and the cache counters and spfRuns see
-// the same requests, hits and misses as before.
+// the O(n²) scan this replaced), and the cache counters see the same
+// requests, hits and misses as before.
 //
 // # Chunked tables
 //
@@ -254,7 +254,6 @@ type state struct {
 	tableEpoch uint64
 	now        vtime.Time
 	booted     bool // initial own-LSA flood performed
-	spfRuns    uint64
 }
 
 // ---- undo journal (MI checkpointing) ----------------------------------------
@@ -271,7 +270,6 @@ const (
 	undoTable                     // table, tableEpoch = tables' newest, u64 (tables are immutable)
 	undoNow                       // now = time u64
 	undoBooted                    // booted = b
-	undoSPFRuns                   // spfRuns--
 )
 
 // undoRec is one compact undo entry: for slice-element writes it is a
@@ -316,8 +314,6 @@ func (s *state) applyUndo(u undoRec, d *Daemon) {
 		s.now = vtime.Time(u.u64)
 	case undoBooted:
 		s.booted = u.b
-	case undoSPFRuns:
-		s.spfRuns--
 	}
 }
 
@@ -460,11 +456,6 @@ func (d *Daemon) setBooted(v bool) {
 	d.st.booted = v
 }
 
-func (d *Daemon) bumpSPFRuns() {
-	d.j.Record(undoRec{kind: undoSPFRuns})
-	d.st.spfRuns++
-}
-
 // grown returns s extended with zero values so index n is addressable.
 func grown[T any](s []T, n int) []T {
 	if n < len(s) {
@@ -494,7 +485,6 @@ func (s *state) CloneInto(dst api.State) api.State {
 		tableEpoch: s.tableEpoch,
 		now:        s.now,
 		booted:     s.booted,
-		spfRuns:    s.spfRuns,
 	}
 	return d
 }
@@ -584,9 +574,6 @@ func (d *Daemon) RouteCacheStats() api.RouteCacheStats { return d.cache.Stats() 
 
 // SetRouteCaching implements api.RecomputeCached.
 func (d *Daemon) SetRouteCaching(on bool) { d.cache.SetEnabled(on) }
-
-// Epoch exposes the current topology epoch (tests and debugging).
-func (d *Daemon) Epoch() uint64 { return d.st.epoch }
 
 // Init implements api.Application.
 func (d *Daemon) Init(self msg.NodeID, neighbors []api.Neighbor) {
@@ -845,13 +832,11 @@ const inf = ^uint32(0)
 // A miss costs what the LSDB delta costs when setLSDB's note covers it
 // (spfDelta) and one heap Dijkstra otherwise (spfFull). All paths are
 // observationally invisible (the table is bit-identical to what a
-// from-scratch run would build); spfRuns counts every request either way,
-// so experiment metrics are cache-independent. Scratch lives in the daemon;
-// a miss that builds writes a fresh spine and the chunks whose content
-// changed, both cut from the daemon's slabs (see build).
+// from-scratch run would build). Scratch lives in the daemon; a miss that
+// builds writes a fresh spine and the chunks whose content changed, both
+// cut from the daemon's slabs (see build).
 func (d *Daemon) runSPF() {
 	s := d.st
-	d.bumpSPFRuns()
 	note := d.delta
 	d.delta = lsdbDelta{}
 	if d.cache.Enabled() {
@@ -1177,26 +1162,6 @@ func (d *Daemon) Reachable(dest msg.NodeID) bool {
 // NextHop returns the first hop toward dest (msg.None if unreachable).
 func (d *Daemon) NextHop(dest msg.NodeID) msg.NodeID {
 	return d.st.table.at(d.rel(dest)).NextHop
-}
-
-// LSDBSize reports the number of stored LSAs (tests).
-func (d *Daemon) LSDBSize() int {
-	n := 0
-	for _, lsa := range d.st.lsdb {
-		if lsa != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// SPFRuns reports the number of SPF computations (experiments).
-func (d *Daemon) SPFRuns() uint64 { return d.st.spfRuns }
-
-// AdjacencyUp reports whether the adjacency to peer is currently up.
-func (d *Daemon) AdjacencyUp(peer msg.NodeID) bool {
-	slot := d.nbSlot(peer)
-	return slot >= 0 && d.st.adjUp[slot]
 }
 
 // DumpTable renders the routing table sorted by destination (debugger).

@@ -27,7 +27,7 @@ func TestCellSizes(t *testing.T) {
 	}{
 		{"undoRec: tag+flag+slot, one integer, one pointer — one to two per delivery, kept until settled", recSize(d.j), 24},
 		{"tables side record: the old table's spine header, one per table install", recSize(d.tables), 24},
-		{"state: three slices, the table's spine and five words — copied whole by every FK snapshot", unsafe.Sizeof(state{}), 144},
+		{"state: three slices, the table's spine and five words — copied whole by every FK snapshot", unsafe.Sizeof(state{}), 136},
 		{"hop: (NextHop, Cost) — the destination is the cell's index, not stored", unsafe.Sizeof(hop{}), 8},
 		{"chunk: 16 hops, the unit a build writes or shares — 64 tables cached per router", unsafe.Sizeof(chunk{}), 128},
 	} {

@@ -38,9 +38,9 @@ func statesEqual(t *testing.T, got, want *state) {
 			t.Fatalf("lastHello[%d]: %v vs %v", i, got.lastHello[i], want.lastHello[i])
 		}
 	}
-	if got.seq != want.seq || got.now != want.now || got.booted != want.booted || got.spfRuns != want.spfRuns {
-		t.Fatalf("scalars differ: seq %d/%d now %v/%v booted %v/%v spfRuns %d/%d",
-			got.seq, want.seq, got.now, want.now, got.booted, want.booted, got.spfRuns, want.spfRuns)
+	if got.seq != want.seq || got.now != want.now || got.booted != want.booted {
+		t.Fatalf("scalars differ: seq %d/%d now %v/%v booted %v/%v",
+			got.seq, want.seq, got.now, want.now, got.booted, want.booted)
 	}
 	if got.epoch != want.epoch || got.tableEpoch != want.tableEpoch {
 		t.Fatalf("epochs differ: epoch %d/%d tableEpoch %d/%d",

@@ -221,7 +221,24 @@ func TestDumpTableAndCounters(t *testing.T) {
 	if d0.DumpTable() == "" {
 		t.Fatal("dump should render routes")
 	}
-	if d0.SPFRuns() == 0 {
-		t.Fatal("SPF counter should advance")
+	if d0.NextHop(2) != 1 {
+		t.Fatalf("SPF should route 0 → 2 via 1, got %d", d0.NextHop(2))
 	}
+}
+
+// LSDBSize reports the number of stored LSAs.
+func (d *Daemon) LSDBSize() int {
+	n := 0
+	for _, lsa := range d.st.lsdb {
+		if lsa != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// AdjacencyUp reports whether the adjacency to peer is currently up.
+func (d *Daemon) AdjacencyUp(peer msg.NodeID) bool {
+	slot := d.nbSlot(peer)
+	return slot >= 0 && d.st.adjUp[slot]
 }

@@ -113,7 +113,8 @@ type advert struct {
 }
 
 // PayloadEqual implements msg.PayloadEq (the rollback engine's
-// lazy-cancellation matching, reflection-free).
+// lazy-cancellation matching): an announcement holds a slice, so == cannot
+// compare it.
 func (a announcement) PayloadEqual(other any) bool {
 	o, ok := other.(announcement)
 	if !ok || a.From != o.From || len(a.Routes) != len(o.Routes) {
@@ -149,7 +150,6 @@ type state struct {
 	epoch     uint64
 	crashed   bool
 	now       vtime.Time
-	expiries  uint64 // count of routes expired (experiments)
 	refreshes uint64 // count of timer refreshes
 }
 
@@ -174,8 +174,7 @@ func (s *state) CloneInto(dst api.State) api.State {
 	for k, v := range s.originated {
 		d.originated[k] = v
 	}
-	d.epoch, d.crashed, d.now = s.epoch, s.crashed, s.now
-	d.expiries, d.refreshes = s.expiries, s.refreshes
+	d.epoch, d.crashed, d.now, d.refreshes = s.epoch, s.crashed, s.now, s.refreshes
 	return d
 }
 
@@ -190,7 +189,6 @@ const (
 	undoEpoch                      // epoch = u64
 	undoCrashed                    // crashed = b
 	undoNow                        // now = t
-	undoExpiries                   // expiries = u64
 	undoRefreshes                  // refreshes = u64
 )
 
@@ -227,8 +225,6 @@ func (s *state) applyUndo(u undoRec) {
 		s.crashed = u.b
 	case undoNow:
 		s.now = u.t
-	case undoExpiries:
-		s.expiries = u.u64
 	case undoRefreshes:
 		s.refreshes = u.u64
 	}
@@ -271,9 +267,6 @@ func (d *Daemon) RouteCacheStats() api.RouteCacheStats { return d.cache.Stats() 
 
 // SetRouteCaching implements api.RecomputeCached.
 func (d *Daemon) SetRouteCaching(on bool) { d.cache.SetEnabled(on) }
-
-// Epoch exposes the current topology epoch (tests and debugging).
-func (d *Daemon) Epoch() uint64 { return d.st.epoch }
 
 // JournalEnable implements api.Journaled.
 func (d *Daemon) JournalEnable() { d.j.Enable() }
@@ -357,11 +350,6 @@ func (d *Daemon) setNow(t vtime.Time) {
 	d.st.now = t
 }
 
-func (d *Daemon) bumpExpiries() {
-	d.j.Record(undoRec{kind: undoExpiries, u64: d.st.expiries})
-	d.st.expiries++
-}
-
 func (d *Daemon) bumpRefreshes() {
 	d.j.Record(undoRec{kind: undoRefreshes, u64: d.st.refreshes})
 	d.st.refreshes++
@@ -430,7 +418,6 @@ func (d *Daemon) HandleTimer(now vtime.Time) []msg.Out {
 	sort.Strings(expired)
 	for _, p := range expired {
 		d.delRoute(p)
-		d.bumpExpiries()
 	}
 	if int64(now)%int64(d.cfg.UpdateInterval) == 0 {
 		return d.announceOuts()
@@ -550,9 +537,6 @@ func (d *Daemon) Route(prefix string) (nextHop msg.NodeID, metric int, ok bool) 
 
 // Crashed reports whether the daemon has been halted by a Crash event.
 func (d *Daemon) Crashed() bool { return d.st.crashed }
-
-// Expiries reports how many routes timed out.
-func (d *Daemon) Expiries() uint64 { return d.st.expiries }
 
 // Refreshes reports how many timer refreshes occurred.
 func (d *Daemon) Refreshes() uint64 { return d.st.refreshes }

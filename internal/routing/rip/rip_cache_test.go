@@ -158,3 +158,6 @@ search:
 		t.Fatalf("%d announcement vectors computed, want 2: %+v", st.Misses, st)
 	}
 }
+
+// Epoch reports the current topology epoch.
+func (d *Daemon) Epoch() uint64 { return d.st.epoch }

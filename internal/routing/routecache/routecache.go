@@ -44,9 +44,6 @@ type Stats struct {
 	Skipped uint64
 }
 
-// Lookups is the total number of cache consultations.
-func (s Stats) Lookups() uint64 { return s.Hits + s.Misses + s.Skipped }
-
 // ways is the fixed capacity of a Ring: entries beyond it evict the oldest
 // insertion. Sized to hold a PoP-scale boot progression (one distinct
 // content per newly learned origin) with headroom; steady-state churn

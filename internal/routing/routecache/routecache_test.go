@@ -111,3 +111,6 @@ func TestHashFoldIsOrderSensitiveAndLengthPrefixed(t *testing.T) {
 		t.Fatal("fold is not deterministic")
 	}
 }
+
+// Lookups is the total number of cache consultations.
+func (s Stats) Lookups() uint64 { return s.Hits + s.Misses + s.Skipped }

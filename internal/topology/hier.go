@@ -44,8 +44,8 @@ func (r Role) String() string {
 }
 
 // HierConfig parameterizes the hierarchical generator. The zero value is
-// invalid; use DefaultHier as a base. All fields must be explicit in
-// scenario specs (the spec layer rejects implicit defaults).
+// invalid. All fields must be explicit in scenario specs (the spec layer
+// rejects implicit defaults).
 type HierConfig struct {
 	// ASes is the number of autonomous systems in the power-law AS-level
 	// graph.
@@ -67,17 +67,6 @@ type HierConfig struct {
 	// Seed drives every random draw; equal seeds produce byte-identical
 	// topologies.
 	Seed uint64
-}
-
-// DefaultHier returns a baseline configuration producing a few hundred
-// routers; scale ASes / MaxRouters up for the 10k–100k-router runs.
-func DefaultHier(seed uint64) HierConfig {
-	return HierConfig{
-		ASes: 12, ASDegree: 2,
-		MinRouters: 8, MaxRouters: 32, RouterDegree: 2,
-		StubFrac: 0.5, StubLen: 2,
-		Seed: seed,
-	}
 }
 
 func (c HierConfig) validate() error {

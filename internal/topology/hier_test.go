@@ -162,3 +162,14 @@ func exactMaxPropagation(g *Graph) (d vtime.Duration) {
 	}
 	return d
 }
+
+// DefaultHier returns a baseline configuration producing a few hundred
+// routers; scale ASes / MaxRouters up for the 10k–100k-router runs.
+func DefaultHier(seed uint64) HierConfig {
+	return HierConfig{
+		ASes: 12, ASDegree: 2,
+		MinRouters: 8, MaxRouters: 32, RouterDegree: 2,
+		StubFrac: 0.5, StubLen: 2,
+		Seed: seed,
+	}
+}

@@ -154,30 +154,6 @@ func (g *Graph) LinkIndex(a, b int) int {
 // Degree returns the number of links incident to node i.
 func (g *Graph) Degree(i int) int { return g.off[i+1] - g.off[i] }
 
-// Connected reports whether the graph is connected (N==0 counts as
-// connected).
-func (g *Graph) Connected() bool {
-	if g.N == 0 {
-		return true
-	}
-	seen := make([]bool, g.N)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Neighbors(v) {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == g.N
-}
-
 // ShortestDelays computes single-source shortest path delays from src over
 // link mean delays. Unreachable nodes get -1.
 func (g *Graph) ShortestDelays(src int) []vtime.Duration {
@@ -294,10 +270,6 @@ func (g *Graph) MaxPropagation() vtime.Duration {
 // (e.g. twice the eccentricity of any node) so engine boot does not pay the
 // exact all-pairs cost. A non-positive bound clears the preset.
 func (g *Graph) SetPropagationBound(d vtime.Duration) { g.propBound = d }
-
-// PropagationBound returns the preset bound, or 0 when MaxPropagation
-// computes the exact diameter.
-func (g *Graph) PropagationBound() vtime.Duration { return g.propBound }
 
 // MeanLinkDelay returns the average of all link mean delays.
 func (g *Graph) MeanLinkDelay() vtime.Duration {
@@ -532,6 +504,8 @@ func Line(n int, delay vtime.Duration) *Graph {
 }
 
 // Star returns a hub-and-spoke topology: node 0 is the hub.
+//
+// Test support: the topology and netsim tests build on it.
 func Star(n int, delay vtime.Duration) *Graph {
 	links := make([]Link, 0, n-1)
 	for i := 1; i < n; i++ {
@@ -544,8 +518,10 @@ func Star(n int, delay vtime.Duration) *Graph {
 	return g
 }
 
-// FromLinks builds an ad-hoc topology for tests and the case-study
-// examples; it panics on invalid input (programmer error).
+// FromLinks builds an ad-hoc topology; it panics on invalid input
+// (programmer error).
+//
+// Test support: the annotate and rollback tests build their graphs with it.
 func FromLinks(name string, n int, links []Link) *Graph {
 	g, err := New(name, n, links)
 	if err != nil {

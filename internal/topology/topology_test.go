@@ -386,3 +386,31 @@ func TestAdjacencySymmetryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Connected reports whether the graph is connected (N==0 counts as
+// connected).
+func (g *Graph) Connected() bool {
+	if g.N == 0 {
+		return true
+	}
+	seen := make([]bool, g.N)
+	stack := []int{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Neighbors(v) {
+			if !seen[w] {
+				seen[w] = true
+				count++
+				stack = append(stack, w)
+			}
+		}
+	}
+	return count == g.N
+}
+
+// PropagationBound returns the preset bound, or 0 when MaxPropagation
+// computes the exact diameter.
+func (g *Graph) PropagationBound() vtime.Duration { return g.propBound }

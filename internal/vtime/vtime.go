@@ -8,10 +8,7 @@
 // the wall clock, which is what makes timer events reproducible.
 package vtime
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an absolute virtual timestamp in microseconds since the start of
 // the run. The zero value is the beginning of simulated time.
@@ -58,10 +55,6 @@ func (t Time) After(u Time) bool { return t > u }
 // Seconds returns the timestamp expressed in seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Std converts the virtual timestamp to a time.Duration offset, which is
-// convenient when formatting with the standard library.
-func (t Time) Std() time.Duration { return time.Duration(t) * time.Microsecond }
-
 // String renders the timestamp as seconds with microsecond precision.
 func (t Time) String() string {
 	if t == Never {
@@ -76,9 +69,6 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // Milliseconds returns the duration expressed in milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
-// Std converts the virtual duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
-
 // String renders the duration with an adaptive unit.
 func (d Duration) String() string {
 	switch {
@@ -90,13 +80,6 @@ func (d Duration) String() string {
 		return fmt.Sprintf("%dµs", int64(d))
 	}
 }
-
-// Scale multiplies the duration by a dimensionless factor, rounding toward
-// zero. It is used for jitter and backoff computations.
-func (d Duration) Scale(f float64) Duration { return Duration(float64(d) * f) }
-
-// FromStd converts a standard library duration to virtual microseconds.
-func FromStd(d time.Duration) Duration { return Duration(d / time.Microsecond) }
 
 // GroupOf returns the beacon group number that timestamp t falls into given
 // a beacon interval. Group numbers are strictly increasing with time; group

@@ -129,3 +129,17 @@ func TestScale(t *testing.T) {
 		t.Fatalf("Scale(2) = %v", got)
 	}
 }
+
+// Std converts the virtual timestamp to a time.Duration offset, which is
+// convenient when formatting with the standard library.
+func (t Time) Std() time.Duration { return time.Duration(t) * time.Microsecond }
+
+// Std converts the virtual duration to a time.Duration.
+func (d Duration) Std() time.Duration { return time.Duration(d) * time.Microsecond }
+
+// Scale multiplies the duration by a dimensionless factor, rounding toward
+// zero. It is used for jitter and backoff computations.
+func (d Duration) Scale(f float64) Duration { return Duration(float64(d) * f) }
+
+// FromStd converts a standard library duration to virtual microseconds.
+func FromStd(d time.Duration) Duration { return Duration(d / time.Microsecond) }

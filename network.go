@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"defined/internal/faults"
-	"defined/internal/msg"
 	"defined/internal/ordering"
 	"defined/internal/rollback"
 	"defined/internal/scenario"
@@ -92,15 +91,6 @@ type Stats = rollback.Stats
 // Stats returns engine counters (rollbacks, anti-messages, ...).
 func (n *Network) Stats() Stats { return n.eng.Stats() }
 
-// MessagePool exposes the wire-message pool (lifecycle tests read its
-// violation, quarantine and live counters).
-func (n *Network) MessagePool() *msg.Pool { return n.eng.Sim().Pool() }
-
-// PoolViolations sums lifecycle-violation counts across every message
-// pool in the simulator — the driver pool plus, on a sharded engine, each
-// shard's lane pool.
-func (n *Network) PoolViolations() uint64 { return n.eng.Sim().PoolViolations() }
-
 // WindowStats reports the parallel engine's phase counters: windows is
 // how many parallel windows ran (each ends at one commit barrier),
 // serialSteps how many events fell back to one-at-a-time serial
@@ -128,15 +118,6 @@ func keyStrings(keys []ordering.Key) []string {
 	}
 	return out
 }
-
-// PacketsReceived reports how many packets node id has received.
-func (n *Network) PacketsReceived(id NodeID) uint64 {
-	return n.eng.Sim().Stats(id).Received
-}
-
-// ResetPacketCounters zeroes traffic counters (per-event overhead
-// measurements).
-func (n *Network) ResetPacketCounters() { n.eng.Sim().ResetStats() }
 
 // Crashed reports whether node id is currently crash-quarantined (crashed
 // by a fault plan or a recovered handler panic, and not yet restarted).
